@@ -25,6 +25,10 @@ cargo run --release -p orthotrees-bench --bin benchdiff -- --baseline BENCH_2.js
 # least 1.2× faster than the heap oracle in ns/event (release build;
 # measured ≈1.9× on the reference machine, so 1.2 absorbs CI noise).
 cargo run --release -p orthotrees-bench --bin simprof -- --baseline PROF_7.json --speedup-floor 1.2
+# Wall-clock benchmark smoke (its own cargo workspace under benchmark/):
+# every metric named in BENCHMARK.json printed and finite, no failed op,
+# and the exact figures equal between the untraced and traced passes.
+benchmark/check.sh
 # Calendar identity gate: every engine-level probe must be bit-identical
 # on the heap oracle and the ladder queue, snapshots must restore across
 # calendars, and the committed /v1 fixture must match fresh bytes. The

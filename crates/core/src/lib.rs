@@ -41,9 +41,10 @@
 //! derive from that single table. The [`dflow`] module renders the same
 //! table as symbolic register programs — the semantic ground truth the
 //! `orthotrees-verify` dataflow rules check every executor and backend
-//! against. The registry also exposes the per-tree
-//! independence of every primitive, which [`ParallelPolicy::Threads`] turns
-//! into scoped-thread parallelism with bit- and clock-identical results.
+//! against. Every executor evaluates its selector into one reusable
+//! selection mask before it moves a word, and [`ParallelPolicy::Threads`]
+//! fills that mask over scoped threads with bit- and clock-identical
+//! results.
 //!
 //! # Quick start
 //!

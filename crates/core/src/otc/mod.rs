@@ -99,10 +99,6 @@ impl CycleRegs<'_> {
 /// Cost class of a local compute phase (re-exported shape of the OTN's).
 pub use super::otn::PhaseCost;
 
-/// One tree's downward gather: `(tree, stream slot, (row, col, position),
-/// value)` per selected cycle position (see [`Otc`]'s `stream_downward`).
-type StreamWrites = Vec<(usize, usize, (usize, usize, usize), Option<Word>)>;
-
 /// The orthogonal tree cycles network.
 #[derive(Clone, Debug)]
 pub struct Otc {
@@ -123,8 +119,18 @@ pub struct Otc {
     recorder: Option<Recorder>,
     /// Installed streaming telemetry bus; same contract as `recorder`.
     telemetry: Option<Telemetry>,
-    /// How the per-tree independent gather of each primitive executes.
+    /// How the selection mask of each primitive is filled.
     parallel: ParallelPolicy,
+    /// Scratch selection mask of the running primitive, row-major over the
+    /// cycles (or, upward, over every cycle position); cleared and reused
+    /// by every call.
+    mask: Vec<bool>,
+    /// Scratch per-(tree, stream position) folds of the running upward
+    /// primitive; reused.
+    accs: Vec<Acc>,
+    /// Scratch `(register, cell, value)` writes a [`Otc::bp_phase`] stages
+    /// until every BP has read; reused.
+    staged: Vec<(Reg, usize, Option<Word>)>,
 }
 
 impl Otc {
@@ -175,13 +181,17 @@ impl Otc {
             recorder: None,
             telemetry: None,
             parallel: ParallelPolicy::default(),
+            mask: Vec::new(),
+            accs: Vec::new(),
+            staged: Vec::new(),
         })
     }
 
-    /// Sets how the per-tree independent portions of each primitive
-    /// execute (see [`ParallelPolicy`]). Both policies are bit- and
-    /// clock-identical — asserted by property tests; `Threads` trades
-    /// scoped-thread overhead for wall-clock speedup on large networks.
+    /// Sets how each primitive fills its selection mask (see
+    /// [`ParallelPolicy`]). Both policies are bit- and clock-identical —
+    /// asserted by property tests. `Threads` parallelises only the mask
+    /// fill and has not been measured faster: SORT at n = 512 ran at
+    /// 0.78–0.98× the sequential speed on a 2-vCPU host.
     pub fn set_parallel_policy(&mut self, policy: ParallelPolicy) {
         self.parallel = policy;
     }
@@ -315,13 +325,6 @@ impl Otc {
         self.col_roots.clone()
     }
 
-    fn roots_mut(&mut self, axis: Axis) -> &mut Vec<Vec<Option<Word>>> {
-        match axis {
-            Axis::Rows => &mut self.row_roots,
-            Axis::Cols => &mut self.col_roots,
-        }
-    }
-
     /// The root stream buffers of `axis`.
     pub fn roots(&self, axis: Axis) -> &[Vec<Option<Word>>] {
         match axis {
@@ -330,7 +333,8 @@ impl Otc {
         }
     }
 
-    /// Cycle coordinates of leaf `leaf` of tree `tree` along `axis`.
+    /// Cycle coordinates of leaf `leaf` of tree `tree` along `axis`. The
+    /// map is its own inverse: `coords(axis, i, j)` is `(tree, leaf)`.
     fn coords(axis: Axis, tree: usize, leaf: usize) -> (usize, usize) {
         match axis {
             Axis::Rows => (tree, leaf),
@@ -460,11 +464,6 @@ impl Otc {
         self.fault.as_ref().map(|f| f.stats).unwrap_or_default()
     }
 
-    /// Whether cycle `leaf` of tree `tree` along `axis` is cut off.
-    fn is_dark(&self, axis: Axis, tree: usize, leaf: usize) -> bool {
-        self.fault.as_ref().is_some_and(|f| f.is_dark(axis, tree, leaf))
-    }
-
     /// Whether the installed recorder asked for reach events. `false`
     /// whenever no recorder is installed or tracing was not enabled, so
     /// the plain profiling path stays free of reach bookkeeping.
@@ -475,22 +474,6 @@ impl Otc {
     fn begin_fault_round(&mut self) {
         if let Some(f) = &mut self.fault {
             f.next_round();
-        }
-    }
-
-    /// One stream-word transit at `(axis, tree, slot)` under the installed
-    /// plan (identity without one).
-    fn word_transit(
-        &mut self,
-        axis: Axis,
-        tree: usize,
-        slot: usize,
-        value: Option<Word>,
-    ) -> (Option<Word>, u32) {
-        let width = self.model.word_bits;
-        match &mut self.fault {
-            Some(f) => f.transit(resilience::site(axis, tree, slot), value, width),
-            None => (value, 0),
         }
     }
 
@@ -523,11 +506,11 @@ impl Otc {
     }
 
     // ------------------------------------------------------------------
-    // The shared descriptor-driven executor (see [`crate::primitive`]).
+    // The shared descriptor-driven executors (see [`crate::primitive`]).
     // Every §V.B stream primitive below is a thin call into these:
-    // selector gather (fanned out per tree under ParallelPolicy::Threads)
-    // → fault round → per-stream-word transit → register/root-buffer
-    // writes → one registry-derived charge.
+    // selection mask (filled over row bands under ParallelPolicy::Threads)
+    // → fault round → memory-order transits, writes or folds → one
+    // registry-derived charge.
     // ------------------------------------------------------------------
 
     /// Charges `spec`'s registry cost kind once for the whole tree family
@@ -557,9 +540,37 @@ impl Otc {
         self.charge_fault_overhead(axis, attempts, t);
     }
 
-    /// The downward stream executor (`ROOTTOCYCLE`): gathers each tree's
-    /// selected cycles' stream words, then transits and writes every word
-    /// in tree order and charges the registry cost.
+    /// Opens a reach round and records one event per cycle `(i, j)` for
+    /// which `selected(i, j)`, in `(tree, leaf)` order — one per cycle, not
+    /// per stream position, as the dataflow program abstracts the whole
+    /// cycle as one leaf cell. `edge(leaf)` names the `(from, to)` cells.
+    /// Does nothing unless reach tracing is on.
+    fn emit_reach(
+        &mut self,
+        axis: Axis,
+        selected: impl Fn(usize, usize) -> bool,
+        edge: impl Fn(u64) -> (ReachCell, ReachCell),
+    ) {
+        let m = self.m;
+        let Some(rec) = self.recorder.as_mut().filter(|r| r.reach_enabled()) else { return };
+        rec.reach_round_begin();
+        for t in 0..m {
+            for l in 0..m {
+                let (i, j) = Self::coords(axis, t, l);
+                if selected(i, j) {
+                    let (from, to) = edge(l as u64);
+                    rec.reach(t as u64, from, to);
+                }
+            }
+        }
+    }
+
+    /// The downward stream executor (`ROOTTOCYCLE`): evaluates `sel && !dark`
+    /// per cycle into the scratch mask (every selector sees the state from
+    /// before the primitive), then transits and writes each selected
+    /// cycle's stream words in memory order, then charges the registry
+    /// cost. Fault draws are keyed by site and round, so the write order
+    /// changes no word.
     fn stream_downward(
         &mut self,
         name: &str,
@@ -574,54 +585,61 @@ impl Otc {
             spec.name
         );
         self.begin_phase(spec.name);
-        let writes: Vec<StreamWrites> = {
-            let view = OtcRegsView { regs: &self.regs, m: self.m, cycle: self.cycle };
-            primitive::per_tree(self.parallel, self.m, |t| {
-                let mut w = Vec::new();
-                for l in 0..self.m {
-                    let (i, j) = Self::coords(axis, t, l);
-                    if sel(i, j, &view) && !self.is_dark(axis, t, l) {
-                        for q in 0..self.cycle {
-                            w.push((t, l * self.cycle + q, (i, j, q), self.roots(axis)[t][q]));
+        let (m, cycle, width) = (self.m, self.cycle, self.model.word_bits);
+        let mut mask = std::mem::take(&mut self.mask);
+        {
+            let view = OtcRegsView { regs: &self.regs, m, cycle };
+            let fault = self.fault.as_ref();
+            primitive::fill_mask(self.parallel, &mut mask, m, m, |i, out| {
+                for (j, on) in out.iter_mut().enumerate() {
+                    let (t, l) = Self::coords(axis, i, j);
+                    *on = sel(i, j, &view) && !fault.is_some_and(|f| f.is_dark(axis, t, l));
+                }
+            });
+        }
+        self.begin_fault_round();
+        let roots = match axis {
+            Axis::Rows => &self.row_roots,
+            Axis::Cols => &self.col_roots,
+        };
+        let mut fault = self.fault.as_mut();
+        let plane = self.regs[dest.0].as_mut_slice();
+        let mut attempts = 0;
+        for (i, (on_row, row)) in mask.chunks(m).zip(plane.chunks_mut(m * cycle)).enumerate() {
+            for (j, (_, block)) in
+                on_row.iter().zip(row.chunks_mut(cycle)).enumerate().filter(|(_, (&on, _))| on)
+            {
+                let (t, l) = Self::coords(axis, i, j);
+                match &mut fault {
+                    Some(f) => {
+                        for (q, cell) in block.iter_mut().enumerate() {
+                            let site = resilience::site(axis, t, l * cycle + q);
+                            let (v, att) = f.transit(site, roots[t][q], width);
+                            attempts = attempts.max(att);
+                            *cell = v;
                         }
                     }
-                }
-                w
-            })
-        };
-        self.begin_fault_round();
-        let tracing = self.reach_tracing();
-        if let Some(rec) = self.recorder.as_mut().filter(|_| tracing) {
-            rec.reach_round_begin();
-        }
-        let mut attempts = 0;
-        for (t, slot, (i, j, q), v) in writes.into_iter().flatten() {
-            let (v, att) = self.word_transit(axis, t, slot, v);
-            attempts = attempts.max(att);
-            let at = self.idx(i, j, q);
-            self.regs[dest.0][at] = v;
-            // One reach event per delivered cycle (the program abstracts
-            // the whole cycle as one leaf cell), not per stream position.
-            if q == 0 {
-                let leaf = (slot / self.cycle) as u64;
-                if let Some(rec) = self.recorder.as_mut().filter(|_| tracing) {
-                    rec.reach(
-                        t as u64,
-                        ReachCell::Root,
-                        ReachCell::Reg { reg: dest.0 as u64, leaf },
-                    );
+                    None => block.copy_from_slice(&roots[t]),
                 }
             }
         }
+        self.emit_reach(
+            axis,
+            |i, j| mask[i * m + j],
+            |leaf| (ReachCell::Root, ReachCell::Reg { reg: dest.0 as u64, leaf }),
+        );
+        self.mask = mask;
         self.charge_primitive(spec, axis, attempts);
         self.end_phase();
     }
 
     /// The upward stream executor (`CYCLETOROOT` and the stream
-    /// aggregates): per tree and stream position, folds the selected
-    /// cycles' words through `spec`'s combine
-    /// [`Monoid`](crate::primitive::Monoid), then transits each root-bound
-    /// word in tree order and charges the registry cost.
+    /// aggregates): evaluates `sel && !dark` per cycle position into the
+    /// scratch mask, folds the selected words in memory order through
+    /// `spec`'s combine [`Monoid`](crate::primitive::Monoid) into one
+    /// accumulator per tree and stream position (each still sees its
+    /// cycles in increasing leaf order), then transits each root-bound word
+    /// into the root buffers in place and charges the registry cost.
     fn stream_upward(
         &mut self,
         name: &str,
@@ -641,73 +659,81 @@ impl Otc {
             spec.name
         );
         self.begin_phase(spec.name);
+        let (m, cycle, width) = (self.m, self.cycle, self.model.word_bits);
         let degraded = self.fault.is_some();
-        let tracing = self.reach_tracing();
-        let gathered: Vec<(Vec<Option<Word>>, Vec<usize>)> = {
-            let view = OtcRegsView { regs: &self.regs, m: self.m, cycle: self.cycle };
-            primitive::per_tree(self.parallel, self.m, |t| {
-                // Contributor cycles (deduped across stream positions) are
-                // only collected under reach tracing; the Vec stays empty
-                // (no allocation) otherwise.
-                let mut contributors: Vec<usize> = Vec::new();
-                let buffer: Vec<Option<Word>> = (0..self.cycle)
-                    .map(|q| {
-                        let mut acc = Acc::new(monoid);
-                        for l in 0..self.m {
-                            let (i, j) = Self::coords(axis, t, l);
-                            if sel(i, j, q, &view) && !self.is_dark(axis, t, l) {
-                                if tracing && !contributors.contains(&l) {
-                                    contributors.push(l);
-                                }
-                                // On First contention under faults, the
-                                // fold keeps the first word (corrupted
-                                // selectors legitimately collide); in a
-                                // healthy net it is an invariant violation.
-                                acc.fold(view.get(src, i, j, q), || {
-                                    assert!(
-                                        degraded,
-                                        "{} contention: tree {t} position {q} selected twice \
-                                         (invariant: one cycle per tree and position)",
-                                        spec.name
-                                    );
-                                });
-                            }
-                        }
-                        acc.finish()
-                    })
-                    .collect();
-                (buffer, contributors)
-            })
-        };
-        if let Some(rec) = self.recorder.as_mut().filter(|_| tracing) {
-            rec.reach_round_begin();
-            for (t, (_, contributors)) in gathered.iter().enumerate() {
-                for &l in contributors {
-                    rec.reach(
-                        t as u64,
-                        ReachCell::Reg { reg: src.0 as u64, leaf: l as u64 },
-                        ReachCell::Root,
-                    );
+        let mut mask = std::mem::take(&mut self.mask);
+        {
+            let view = OtcRegsView { regs: &self.regs, m, cycle };
+            let fault = self.fault.as_ref();
+            primitive::fill_mask(self.parallel, &mut mask, m, m * cycle, |i, out| {
+                for (j, positions) in out.chunks_mut(cycle).enumerate() {
+                    let (t, l) = Self::coords(axis, i, j);
+                    let dark = fault.is_some_and(|f| f.is_dark(axis, t, l));
+                    for (q, on) in positions.iter_mut().enumerate() {
+                        *on = sel(i, j, q, &view) && !dark;
+                    }
+                }
+            });
+        }
+        let mut accs = std::mem::take(&mut self.accs);
+        accs.clear();
+        accs.resize(m * cycle, Acc::new(monoid));
+        let plane = self.regs[src.0].as_slice();
+        for (i, (on_row, row)) in mask.chunks(m * cycle).zip(plane.chunks(m * cycle)).enumerate() {
+            for (j, (on_cycle, words)) in on_row.chunks(cycle).zip(row.chunks(cycle)).enumerate() {
+                let (t, _) = Self::coords(axis, i, j);
+                let tree_accs = &mut accs[t * cycle..(t + 1) * cycle];
+                for (q, ((_, &word), acc)) in on_cycle
+                    .iter()
+                    .zip(words)
+                    .zip(tree_accs)
+                    .enumerate()
+                    .filter(|(_, ((&on, _), _))| on)
+                {
+                    // On First contention under faults, the fold keeps the
+                    // first word (corrupted selectors legitimately
+                    // collide); in a healthy net it is an invariant
+                    // violation.
+                    acc.fold(word, || {
+                        assert!(
+                            degraded,
+                            "{} contention: tree {t} position {q} selected twice \
+                             (invariant: one cycle per tree and position)",
+                            spec.name
+                        );
+                    });
                 }
             }
         }
-        let mut new_roots: Vec<Vec<Option<Word>>> =
-            gathered.into_iter().map(|(buffer, _)| buffer).collect();
+        self.emit_reach(
+            axis,
+            |i, j| mask[(i * m + j) * cycle..][..cycle].contains(&true),
+            |leaf| (ReachCell::Reg { reg: src.0 as u64, leaf }, ReachCell::Root),
+        );
+        self.mask = mask;
         self.begin_fault_round();
+        // Root-bound slots sit above the per-cycle broadcast slot range
+        // (`m * cycle`), keeping sites injective.
+        let site_base = m * cycle;
+        let roots = match axis {
+            Axis::Rows => &mut self.row_roots,
+            Axis::Cols => &mut self.col_roots,
+        };
         let mut attempts = 0;
-        if self.fault.is_some() {
-            // Root-bound slots sit above the per-cycle broadcast slot
-            // range (`m * cycle`), keeping sites injective.
-            let site_base = self.m * self.cycle;
-            for (t, row) in new_roots.iter_mut().enumerate() {
-                for (q, slot) in row.iter_mut().enumerate() {
-                    let (v, att) = self.word_transit(axis, t, site_base + q, *slot);
-                    attempts = attempts.max(att);
-                    *slot = v;
-                }
+        for (t, (buffer, tree_accs)) in roots.iter_mut().zip(accs.chunks(cycle)).enumerate() {
+            for (q, (slot, acc)) in buffer.iter_mut().zip(tree_accs).enumerate() {
+                *slot = match &mut self.fault {
+                    Some(f) => {
+                        let site = resilience::site(axis, t, site_base + q);
+                        let (v, att) = f.transit(site, acc.finish(), width);
+                        attempts = attempts.max(att);
+                        v
+                    }
+                    None => acc.finish(),
+                };
             }
         }
-        *self.roots_mut(axis) = new_roots;
+        self.accs = accs;
         self.charge_primitive(spec, axis, attempts);
         self.end_phase();
     }
@@ -905,23 +931,28 @@ impl Otc {
         cost: PhaseCost,
         mut f: impl FnMut(usize, usize, usize, &OtcRegsView<'_>) -> Option<(Reg, Option<Word>)>,
     ) {
-        let mut writes = Vec::new();
+        // Writes are staged until every BP has read, so `f` sees the state
+        // from before the phase even for a register it also writes.
+        let mut staged = std::mem::take(&mut self.staged);
+        staged.clear();
         {
             let view = OtcRegsView { regs: &self.regs, m: self.m, cycle: self.cycle };
+            let mut at = 0;
             for i in 0..self.m {
                 for j in 0..self.m {
                     for q in 0..self.cycle {
                         if let Some((r, v)) = f(i, j, q, &view) {
-                            writes.push((r, (i, j, q), v));
+                            staged.push((r, at, v));
                         }
+                        at += 1;
                     }
                 }
             }
         }
-        for (r, (i, j, q), v) in writes {
-            let at = self.idx(i, j, q);
+        for &(r, at, v) in &staged {
             self.regs[r.0][at] = v;
         }
+        self.staged = staged;
         let t = self.phase_cost(cost);
         self.charge_compute("BP-PHASE", t);
     }
@@ -1079,6 +1110,86 @@ mod tests {
         let lo = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = ratios.iter().cloned().fold(0.0f64, f64::max);
         assert!(hi / lo < 4.0, "{ratios:?}");
+    }
+
+    #[test]
+    fn root_to_cycle_selectors_see_the_state_from_before_the_primitive() {
+        for axis in [Axis::Rows, Axis::Cols] {
+            let mut n = net();
+            let a = n.alloc_reg("A");
+            n.load_row_root_buffers(&vec![vec![1, 2, 3, 4]; 4]);
+            let cols: Vec<Vec<Option<Word>>> = vec![vec![Some(5); 4]; 4];
+            n.col_roots.clone_from(&cols);
+            // Cycle (0, 0) is written first in any order; a selector that
+            // saw that write would deselect every later cycle.
+            n.root_to_cycle(axis, a, |_, _, v| v.get(a, 0, 0, 0).is_none());
+            for i in 0..4 {
+                for j in 0..4 {
+                    assert!(n.peek(a, i, j, 3).is_some(), "{axis:?}: cycle ({i}, {j}) skipped");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bp_phase_reads_the_old_value_of_a_register_it_writes() {
+        let mut n = net();
+        let a = n.alloc_reg("A");
+        n.load_reg(a, |_, _, q| Some(q as Word));
+        // Rotate A by one position in place: every read must see the
+        // pre-phase value, including position 3 reading position 0.
+        n.bp_phase(PhaseCost::Bit, |i, j, q, v| Some((a, v.get(a, i, j, (q + 1) % 4))));
+        for q in 0..4 {
+            assert_eq!(n.peek(a, 1, 2, q), Some(((q + 1) % 4) as Word));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "contention")]
+    fn cycle_to_root_detects_contention_on_columns() {
+        let mut n = net();
+        let a = n.alloc_reg("A");
+        n.load_reg(a, |_, _, _| Some(1));
+        n.cycle_to_root(Axis::Cols, a, |i, _, q, _| q == 2 && i >= 1);
+    }
+
+    #[test]
+    fn degraded_first_keeps_the_lowest_selected_cycle_on_both_axes() {
+        let mut n = net();
+        n.install_fault_plan(FaultPlan::new(3));
+        let a = n.alloc_reg("A");
+        n.load_reg(a, |i, j, q| Some((100 * i + 10 * j + q) as Word));
+        n.cycle_to_root(Axis::Rows, a, |_, j, _, _| j == 1 || j == 3);
+        assert_eq!(n.roots(Axis::Rows)[2], vec![Some(210), Some(211), Some(212), Some(213)]);
+        n.cycle_to_root(Axis::Cols, a, |i, _, _, _| i == 1 || i == 3);
+        assert_eq!(n.roots(Axis::Cols)[2], vec![Some(120), Some(121), Some(122), Some(123)]);
+    }
+
+    #[test]
+    fn column_reach_events_come_in_tree_then_leaf_order() {
+        use orthotrees_obs::causal::ReachEvent;
+        let mut n = net();
+        let a = n.alloc_reg("A");
+        let mut rec = Recorder::new();
+        rec.enable_reach();
+        n.install_recorder(rec);
+        n.root_to_cycle(Axis::Cols, a, |i, j, _| i != j);
+        // Position q < 3 of tree t comes from leaf (t + q + 1) mod 4, so a
+        // first-appearance order would differ from leaf order.
+        n.sum_cycle_to_root(Axis::Cols, a, |i, j, q, _| q < 3 && i == (j + q + 1) % 4);
+        let cell = |leaf: usize| ReachCell::Reg { reg: a.index() as u64, leaf: leaf as u64 };
+        let mut want = Vec::new();
+        for (round, down) in [(1, true), (2, false)] {
+            for t in 0..4 {
+                for l in (0..4).filter(|&l| l != t) {
+                    let (from, to) =
+                        if down { (ReachCell::Root, cell(l)) } else { (cell(l), ReachCell::Root) };
+                    want.push(ReachEvent { round, tree: t as u64, from, to });
+                }
+            }
+        }
+        let rec = n.take_recorder().unwrap();
+        assert_eq!(rec.reach_events(), want.as_slice());
     }
 
     #[test]

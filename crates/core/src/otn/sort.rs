@@ -118,7 +118,13 @@ pub fn sort(net: &mut Otn, xs: &[Word]) -> Result<SortOutcome, ModelError> {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SelectOutcome {
     /// The element of rank `k` (0-based, ascending).
+    ///
+    /// Under an installed fault plan, if no word reached the output port
+    /// (erased transmission, dark leaf, or a rank collision from corrupted
+    /// comparisons), this is `0` and [`SelectOutcome::missing`] is set.
     pub value: Word,
+    /// Whether the output port received no word. Always `false` fault-free.
+    pub missing: bool,
     /// Simulated time — one tree phase *less* than a full sort (the final
     /// extraction selects a single rank instead of all of them, but the
     /// rank computation is identical, so selection is the same Θ(log² N)).
@@ -157,11 +163,14 @@ pub fn select_kth(net: &mut Otn, xs: &[Word], k: usize) -> Result<SelectOutcome,
         // Column tree 0 extracts the rank-k element (the copy in column 0).
         net.leaf_to_root(Axis::Cols, a, move |i, j, v| j == 0 && v.get(r, i, 0) == Some(k as Word));
     });
-    // Invariant (fault-free): ranks are a permutation of 0..N and k < N,
-    // so exactly one BP of column 0 holds rank k.
-    let value =
-        net.roots(Axis::Cols)[0].expect("rank invariant violated: no BP of column 0 holds rank k");
-    Ok(SelectOutcome { value, time })
+    let (value, missing) = match net.roots(Axis::Cols)[0] {
+        Some(w) => (w, false),
+        None if net.has_fault_plan() => (0, true),
+        // Invariant (fault-free): ranks are a permutation of 0..N and
+        // k < N, so exactly one BP of column 0 holds rank k.
+        None => panic!("rank invariant violated: no BP of column 0 holds rank k"),
+    };
+    Ok(SelectOutcome { value, missing, time })
 }
 
 #[cfg(test)]
@@ -245,6 +254,7 @@ mod tests {
             let mut net = Otn::for_sorting(xs.len()).unwrap();
             let out = select_kth(&mut net, &xs, k).unwrap();
             assert_eq!(out.value, expected, "k={k}");
+            assert!(!out.missing, "fault-free selection always lands");
         }
     }
 
@@ -270,6 +280,26 @@ mod tests {
         let mut net2 = Otn::for_sorting(64).unwrap();
         let full = sort(&mut net2, &xs).unwrap();
         assert!(sel.time <= full.time);
+    }
+
+    #[test]
+    fn select_under_faults_flags_a_missing_rank_instead_of_panicking() {
+        // Dense word faults erase the rank-k word or collide ranks on some
+        // of these seeds; each must come back flagged, never as a panic.
+        let xs: Vec<Word> = (0..64).rev().collect();
+        let mut flagged = 0;
+        for seed in 0..40 {
+            let mut net = Otn::for_sorting(64).unwrap();
+            net.install_fault_plan(
+                crate::FaultPlan::new(seed).with_word_fault_rate(0.3).with_max_retries(2),
+            );
+            let out = select_kth(&mut net, &xs, 10).unwrap();
+            if out.missing {
+                assert_eq!(out.value, 0, "seed {seed}: a missing rank reads as 0");
+                flagged += 1;
+            }
+        }
+        assert!(flagged > 0, "the plan is dense enough to lose the rank-k word");
     }
 
     #[test]

@@ -24,12 +24,13 @@
 //! * `verify`'s SCHED-/CRIT-/PRIM- rules and the registry-coverage tests
 //!   enumerate the table instead of hand-written lists.
 //!
-//! The table also makes per-tree data independence explicit, which is what
-//! [`ParallelPolicy::Threads`] exploits: the read-only selector gather of a
-//! primitive fans out over scoped threads, one chunk of trees per worker,
-//! while every write, fault transit and clock charge stays in sequential
-//! tree order — so the parallel run is bit- and clock-identical to the
-//! sequential one by construction (and property tests assert it).
+//! The table also makes per-tree data independence explicit. Every
+//! executor first evaluates its selector into a reusable selection mask,
+//! then moves words in memory order; [`ParallelPolicy::Threads`] fills that
+//! read-only mask over scoped threads, one band of rows per worker, while
+//! every write, fault transit and clock charge stays on the calling thread
+//! — so the parallel run is bit- and clock-identical to the sequential one
+//! by construction (and property tests assert it).
 
 use crate::Word;
 use orthotrees_vlsi::CostKind;
@@ -368,61 +369,75 @@ pub fn spec_for(name: &str) -> &'static PrimitiveSpec {
     lookup(name).unwrap_or_else(|| panic!("unknown primitive {name:?}: not in the registry"))
 }
 
-/// How a network executes the per-tree independent portions of a primitive
-/// (the read-only selector gather). Writes, fault transits and clock
-/// charges always run in sequential tree order, so both policies are bit-
-/// and clock-identical — asserted by property tests.
+/// How a network fills the selection mask of a primitive (the read-only
+/// selector evaluation). Writes, folds, fault transits and clock charges
+/// always run on the calling thread, so both policies are bit- and
+/// clock-identical — asserted by property tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ParallelPolicy {
-    /// Gather tree by tree on the calling thread (the default).
+    /// Fill the mask on the calling thread (the default).
     #[default]
     Sequential,
-    /// Fan the gather out over scoped threads (`std::thread::scope`), one
-    /// chunk of trees per worker, up to the machine's available
-    /// parallelism. Only engages when a primitive spans at least two trees.
+    /// Fill the mask over scoped threads (`std::thread::scope`), one band
+    /// of rows per worker, up to the machine's available parallelism. Only
+    /// engages when the mask has at least two rows.
     Threads,
 }
 
-/// Runs `f(t)` for every tree `t in 0..trees` and collects the results in
-/// tree order, fanning out over scoped threads under
-/// [`ParallelPolicy::Threads`]. A panic in a worker (e.g. a contention
-/// assertion) is re-raised on the caller with its original payload.
-pub(crate) fn per_tree<T: Send>(
+/// Refills `mask` with `rows × row_len` entries in row-major order: `f(row,
+/// out)` fills row `row`'s slice `out`. The buffer is cleared and reused, so
+/// a caller that keeps it across calls allocates only on growth. Under
+/// [`ParallelPolicy::Threads`] the rows are split into contiguous bands, one
+/// per scoped worker (up to the machine's available parallelism); a panic in
+/// a worker (e.g. a selector assertion) is re-raised on the caller with its
+/// original payload.
+pub(crate) fn fill_mask(
     policy: ParallelPolicy,
-    trees: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
+    mask: &mut Vec<bool>,
+    rows: usize,
+    row_len: usize,
+    f: impl Fn(usize, &mut [bool]) + Sync,
+) {
+    mask.clear();
+    mask.resize(rows * row_len, false);
+    if row_len == 0 {
+        return;
+    }
     let workers = match policy {
         ParallelPolicy::Sequential => 1,
         ParallelPolicy::Threads => std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
-            .min(trees),
+            .min(rows),
     };
     if workers <= 1 {
-        return (0..trees).map(f).collect();
+        for (row, out) in mask.chunks_mut(row_len).enumerate() {
+            f(row, out);
+        }
+        return;
     }
-    let chunk = trees.div_ceil(workers);
+    let band = rows.div_ceil(workers);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(trees);
-                let f = &f;
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
+        let f = &f;
+        let handles: Vec<_> = mask
+            .chunks_mut(band * row_len)
+            .enumerate()
+            .map(|(w, chunk)| {
+                scope.spawn(move || {
+                    for (k, out) in chunk.chunks_mut(row_len).enumerate() {
+                        f(w * band + k, out);
+                    }
+                })
             })
             .collect();
-        let mut out = Vec::with_capacity(trees);
         for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                // Preserve the worker's panic payload (contention
-                // assertions must surface with their original message).
-                Err(payload) => std::panic::resume_unwind(payload),
+            // Preserve the worker's panic payload (selector assertions
+            // must surface with their original message).
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
             }
         }
-        out
-    })
+    });
 }
 
 /// The running state of one tree's (or cycle position's) combine fold —
@@ -618,22 +633,40 @@ mod tests {
     }
 
     #[test]
-    fn per_tree_orders_results_under_both_policies() {
+    fn fill_mask_fills_rows_in_order_under_both_policies() {
+        let mut mask = Vec::new();
         for policy in [ParallelPolicy::Sequential, ParallelPolicy::Threads] {
-            for trees in [0usize, 1, 2, 7, 64] {
-                let got = per_tree(policy, trees, |t| t * t);
-                let want: Vec<usize> = (0..trees).map(|t| t * t).collect();
-                assert_eq!(got, want, "{policy:?} over {trees} trees");
+            for (rows, row_len) in [(0usize, 4usize), (1, 1), (2, 3), (7, 5), (64, 8), (3, 0)] {
+                fill_mask(policy, &mut mask, rows, row_len, |i, out| {
+                    for (j, m) in out.iter_mut().enumerate() {
+                        *m = (i * 3 + j) % 4 == 0;
+                    }
+                });
+                let want: Vec<bool> = (0..rows)
+                    .flat_map(|i| (0..row_len).map(move |j| (i * 3 + j) % 4 == 0))
+                    .collect();
+                assert_eq!(mask, want, "{policy:?} over {rows}×{row_len}");
             }
         }
     }
 
     #[test]
+    fn fill_mask_reuses_its_buffer() {
+        let mut mask = Vec::new();
+        fill_mask(ParallelPolicy::Sequential, &mut mask, 8, 8, |_, out| out.fill(true));
+        let (ptr, cap) = (mask.as_ptr(), mask.capacity());
+        fill_mask(ParallelPolicy::Sequential, &mut mask, 4, 8, |_, out| out.fill(false));
+        assert_eq!((mask.as_ptr(), mask.capacity()), (ptr, cap), "no reallocation on reuse");
+        assert_eq!(mask, vec![false; 32], "stale entries are cleared");
+    }
+
+    #[test]
     #[should_panic(expected = "synthetic contention")]
-    fn per_tree_reraises_worker_panics_verbatim() {
-        let _ = per_tree(ParallelPolicy::Threads, 8, |t| {
-            assert!(t != 5, "synthetic contention in tree {t}");
-            t
+    fn fill_mask_reraises_worker_panics_verbatim() {
+        let mut mask = Vec::new();
+        fill_mask(ParallelPolicy::Threads, &mut mask, 8, 4, |i, out| {
+            assert!(i != 5, "synthetic contention in row {i}");
+            out.fill(true);
         });
     }
 }
