@@ -38,6 +38,13 @@ cargo test --release -q -p orthotrees-bench --test calendar_suite -- --ignored f
 # Bounded recovery soak (fixed seed, outage-dense plan, n = 128): must
 # recover within the pinned attempt budget; see tests/recovery_suite.rs.
 cargo test --release -q -p orthotrees-bench --test recovery_suite -- --ignored ci_bounded_soak
+# Snapshot determinism gate: the checkpoint_recovery example drives
+# word-level snapshots, restore and supervised recovery end to end; two
+# runs must print byte-identical output.
+mkdir -p target/report
+cargo run --release -q -p orthotrees-bench --example checkpoint_recovery > target/report/checkpoint_recovery.1.txt
+cargo run --release -q -p orthotrees-bench --example checkpoint_recovery > target/report/checkpoint_recovery.2.txt
+cmp target/report/checkpoint_recovery.1.txt target/report/checkpoint_recovery.2.txt
 # Telemetry gate: regenerate the OpenMetrics + orthotrees-telemetry/v1
 # exports (schema-checked in-process before writing) into target/report/,
 # then run the identity/ε-band suite and its release-only ≥1000-problem

@@ -117,13 +117,15 @@ pub struct Program {
 /// machine that runs words can never drift apart silently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlowShape {
-    /// Root fans out to every leaf (`tree_downward`).
+    /// Root fans out to every leaf (the OTN's `WordNet::downward`).
     Down,
-    /// Leaves fold into the root (`tree_upward`).
+    /// Leaves fold into the root (the OTN's `WordNet::upward`).
     Up,
-    /// Root stream buffer fans out to every cycle (`stream_downward`).
+    /// Root stream buffer fans out to every cycle (the OTC's
+    /// `WordNet::downward`).
     StreamDown,
-    /// Cycles fold into the root stream buffer (`stream_upward`).
+    /// Cycles fold into the root stream buffer (the OTC's
+    /// `WordNet::upward`).
     StreamUp,
     /// Every cycle position shifts by one (`circulate`).
     Rotate,

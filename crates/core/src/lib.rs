@@ -12,6 +12,11 @@
 //!   derivative in which each base processor becomes a cycle of `Θ(log N)`
 //!   processors.
 //!
+//! Both are one word-level core, [`wordnet::WordNet`]: the OTN is its
+//! one-processor-per-cell case and the OTC its cycle-per-cell case, so the
+//! executors, the fault and observer plumbing and the [`checkpoint`]
+//! format exist once.
+//!
 //! Every communication primitive of the paper (§II.B, §V.B) is provided —
 //! `ROOTTOLEAF`, `LEAFTOROOT`, `COUNT`/`SUM`/`MIN-LEAFTOROOT`, the
 //! `LEAFTOLEAF` composites, `CIRCULATE`, `ROOTTOCYCLE`, `CYCLETOROOT`,
@@ -41,7 +46,7 @@
 //! derive from that single table. The [`dflow`] module renders the same
 //! table as symbolic register programs — the semantic ground truth the
 //! `orthotrees-verify` dataflow rules check every executor and backend
-//! against. Every executor evaluates its selector into one reusable
+//! against. Each executor evaluates its selector into one reusable
 //! selection mask before it moves a word, and [`ParallelPolicy::Threads`]
 //! fills that mask over scoped threads with bit- and clock-identical
 //! results.
@@ -59,7 +64,7 @@
 //! ```
 
 mod attribution;
-mod checkpoint;
+pub mod checkpoint;
 pub mod complexnum;
 pub mod dflow;
 mod grid;
@@ -69,6 +74,7 @@ pub mod otn;
 pub mod primitive;
 pub mod resilience;
 mod word;
+pub mod wordnet;
 
 pub use grid::Grid;
 pub use orthotrees_obs as obs;

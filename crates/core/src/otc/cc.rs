@@ -226,8 +226,7 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
             Some((chflag, Some(Word::from(f))))
         });
         net.sum_cycle_to_root(Axis::Cols, regs.chflag, |_, _, _, _| true);
-        let changed: Word =
-            net.roots(Axis::Cols).iter().flat_map(|buf| buf.iter()).map(|v| v.unwrap_or(0)).sum();
+        let changed: Word = net.root_words(Axis::Cols).iter().map(|v| v.unwrap_or(0)).sum();
         if changed == 0 {
             break;
         }
@@ -235,12 +234,8 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
 
     // Emit labels through the column trees (diagonal positions line up).
     net.cycle_to_root(Axis::Cols, regs.d, |i, j, _, _| i == j);
-    let mut labels = vec![0; n];
-    for (j, buf) in net.roots(Axis::Cols).iter().enumerate() {
-        for (q, v) in buf.iter().enumerate() {
-            labels[j * l + q] = v.expect("every vertex has a label");
-        }
-    }
+    let labels: Vec<Word> =
+        net.root_words(Axis::Cols).iter().map(|v| v.expect("every vertex has a label")).collect();
     let stats = net.clock().stats().since(&stats_before);
     debug_assert_eq!(labels, reference_components(adj));
     Ok(CcOutcome { labels, time, iterations, stats })

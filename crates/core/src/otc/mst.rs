@@ -142,23 +142,19 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
             Some((have, Some(Word::from(f))))
         });
         net.sum_cycle_to_root(Axis::Cols, have, |_, _, _, _| true);
-        let alive: Word =
-            net.roots(Axis::Cols).iter().flat_map(|buf| buf.iter()).map(|v| v.unwrap_or(0)).sum();
+        let alive: Word = net.root_words(Axis::Cols).iter().map(|v| v.unwrap_or(0)).sum();
         if alive == 0 {
             break;
         }
 
         // Emit chosen edges through the column roots.
         net.cycle_to_root(Axis::Cols, compmin, |i, j, _, _| i == j);
-        let buffers: Vec<Vec<Option<Word>>> = net.roots(Axis::Cols).to_vec();
-        for buf in &buffers {
-            for packed in buf.iter().flatten() {
-                let (w, eid) = unpack(*packed, nn * nn);
-                let key = (eid / nn, eid % nn);
-                if edges_seen.insert(key) {
-                    edge_list.push((key.0, key.1, w));
-                    total_weight += w;
-                }
+        for packed in net.root_words(Axis::Cols).iter().flatten() {
+            let (w, eid) = unpack(*packed, nn * nn);
+            let key = (eid / nn, eid % nn);
+            if edges_seen.insert(key) {
+                edge_list.push((key.0, key.1, w));
+                total_weight += w;
             }
         }
 

@@ -8,15 +8,16 @@
 //! trees are the network's input ports and the roots of the column trees its
 //! output ports (§II.A).
 //!
-//! [`Otn`] implements the structure *functionally* while charging every
-//! primitive's cost — derived from the layout's wire lengths under the
-//! active delay model — to a simulated clock. Algorithms (submodules
-//! [`sort`], [`matmul`], [`graph`], [`bitonic`], [`dft`], [`pipeline`]) are
-//! written purely in terms of these primitives, exactly as the paper's
-//! procedures are.
+//! [`Otn`] is the shared word-level core [`WordNet`] with one BP per cell
+//! ([`Tree`]): it implements the structure *functionally* while charging
+//! every primitive's cost — derived from the layout's wire lengths under
+//! the active delay model — to a simulated clock. This module adds the
+//! paper's §II.B primitive names over the core's executors and the
+//! OTN-only operations. Algorithms (submodules [`sort`], [`matmul`],
+//! [`graph`], [`bitonic`], [`dft`], [`pipeline`]) are written purely in
+//! terms of these primitives, exactly as the paper's procedures are.
 
 pub mod bitonic;
-pub mod checkpoint;
 pub mod dft;
 pub mod graph;
 pub mod matmul;
@@ -24,73 +25,85 @@ pub mod pipeline;
 pub mod prefix;
 pub mod sort;
 
-use crate::grid::Grid;
-use crate::primitive::{self, Acc, ParallelPolicy, PrimitiveSpec};
-use crate::resilience::{self, FaultPlan, FaultReport, FaultState, FaultStats};
-use crate::word::Word;
-use orthotrees_obs::telemetry::Telemetry;
-use orthotrees_obs::{causal::ReachCell, Recorder};
-use orthotrees_vlsi::{log2_ceil, BitTime, Clock, CostKind, CostModel, ModelError};
+/// Checkpoint/restore: the OTN writes the one word-level snapshot format
+/// of [`crate::checkpoint`].
+pub mod checkpoint {
+    pub use crate::checkpoint::Snapshot as OtnSnapshot;
 
-/// Handle to a named register plane allocated with [`Otn::alloc_reg`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Reg(usize);
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::otn::{sort, Otn};
+        use orthotrees_vlsi::{BitTime, SimError};
 
-impl Reg {
-    /// The plane's index in allocation order — the `reg` coordinate of
-    /// reach events and the key into [`Otn::reg_names`].
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
+        #[test]
+        fn snapshot_round_trips_through_json_text() {
+            let mut net = Otn::for_sorting(8).unwrap();
+            let out = sort::sort(&mut net, &[5, 3, 7, 1, 6, 2, 8, 4]).unwrap();
+            let snap = net.snapshot();
+            let text = snap.render();
+            let back = OtnSnapshot::parse(&text).unwrap();
+            let mut fresh = Otn::for_sorting(8).unwrap();
+            // Same register layout: sort() allocates on demand, so replay
+            // the allocation by sorting once and restoring over it.
+            let _ = sort::sort(&mut fresh, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+            fresh.restore(&back).unwrap();
+            assert_eq!(fresh.clock(), net.clock());
+            assert_eq!(fresh.snapshot().render(), text);
+            assert!(out.time > BitTime::ZERO);
+        }
 
-/// Which family of trees an operation runs on.
-///
-/// The paper writes `ROOTTOLEAF(row(i), …)` / `…(column(i), …)`; because a
-/// tree operation costs the same whether one tree or all parallel trees of a
-/// family take part (the hardware is there either way), the primitives here
-/// always run a whole family in parallel — operating on a single row is the
-/// special case of a selector that ignores the others.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Axis {
-    /// The row trees: one tree per row, leaves indexed by column.
-    Rows,
-    /// The column trees: one tree per column, leaves indexed by row.
-    Cols,
-}
+        #[test]
+        fn restore_rejects_wrong_shape_and_layout() {
+            let mut a = Otn::for_sorting(8).unwrap();
+            let _ = sort::sort(&mut a, &[5, 3, 7, 1, 6, 2, 8, 4]).unwrap();
+            let snap = a.snapshot();
+            let mut wrong_size = Otn::for_sorting(16).unwrap();
+            match wrong_size.restore(&snap) {
+                Err(SimError::SnapshotMismatch { what: "row count", .. }) => {}
+                other => panic!("expected row-count mismatch, got {other:?}"),
+            }
+            let mut wrong_regs = Otn::for_sorting(8).unwrap();
+            match wrong_regs.restore(&snap) {
+                Err(SimError::SnapshotMismatch { what: "register layout", .. }) => {}
+                other => panic!("expected register-layout mismatch, got {other:?}"),
+            }
+        }
 
-impl Axis {
-    /// The opposite family.
-    #[must_use]
-    pub fn flip(self) -> Axis {
-        match self {
-            Axis::Rows => Axis::Cols,
-            Axis::Cols => Axis::Rows,
+        #[test]
+        fn malformed_documents_are_rejected_with_detail() {
+            assert!(OtnSnapshot::parse("not json").is_err());
+            assert!(OtnSnapshot::parse("{\"schema\":\"wrong/v9\"}").is_err());
+            let mut net = Otn::for_sorting(4).unwrap();
+            let _ = sort::sort(&mut net, &[4, 3, 2, 1]).unwrap();
+            let text = net.checkpoint_text();
+            // Tamper: drop the clock field entirely.
+            let tampered = text.replacen("\"clock\"", "\"clokk\"", 1);
+            match OtnSnapshot::parse(&tampered) {
+                Err(SimError::SnapshotFormat { detail }) => {
+                    assert!(detail.contains("clock"), "{detail}");
+                }
+                other => panic!("expected format error, got {other:?}"),
+            }
         }
     }
 }
 
-/// Cost class of a parallel base-processor compute phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PhaseCost {
-    /// Single-bit logic (flag set/test).
-    Bit,
-    /// One bit-serial comparison of two words.
-    Compare,
-    /// One bit-serial addition.
-    Add,
-    /// One serial-pipeline multiplication (refs \[6\], \[13\]).
-    Multiply,
-    /// `k` word-times (compound local step).
-    Words(u64),
-}
+use crate::word::Word;
+use crate::wordnet::{Tree, View, WordNet};
+use orthotrees_vlsi::{log2_ceil, BitTime, CostModel, ModelError};
 
-/// Read-only view of all register planes, handed to selectors so they can
-/// express the paper's register predicates (e.g. SORT-OTN step 5's
-/// `j : R(j, i) = i`).
-pub struct RegsView<'a> {
-    regs: &'a [Grid<Option<Word>>],
-}
+pub use crate::wordnet::{Axis, PhaseCost, Reg};
+
+/// The orthogonal trees network: the word-level core with one BP per cell.
+///
+/// See the [module documentation](self) for the structure; see
+/// [`Otn::for_sorting`] / [`Otn::for_graphs`] / [`Otn::wide`] for the
+/// constructors the algorithms use.
+pub type Otn = WordNet<Tree>;
+
+/// Read-only view of all register planes, handed to OTN selectors.
+pub type RegsView<'a> = View<'a, Tree>;
 
 impl RegsView<'_> {
     /// The value of register `r` at BP `(row, col)`.
@@ -98,14 +111,15 @@ impl RegsView<'_> {
     /// # Panics
     ///
     /// Panics if the register or coordinates are out of range.
+    #[inline]
     pub fn get(&self, r: Reg, row: usize, col: usize) -> Option<Word> {
-        *self.regs[r.0].get(row, col)
+        self.regs[r.0][row * self.cols + col]
     }
 }
 
 /// Per-BP register access during a compute phase.
 pub struct BpRegs<'a> {
-    regs: &'a mut [Grid<Option<Word>>],
+    regs: &'a mut [Vec<Option<Word>>],
     /// This BP's flat row-major cell index in every plane.
     at: usize,
 }
@@ -113,47 +127,13 @@ pub struct BpRegs<'a> {
 impl BpRegs<'_> {
     /// This BP's value of register `r`.
     pub fn get(&self, r: Reg) -> Option<Word> {
-        self.regs[r.0].as_slice()[self.at]
+        self.regs[r.0][self.at]
     }
 
     /// Sets this BP's register `r`.
     pub fn set(&mut self, r: Reg, v: Option<Word>) {
-        self.regs[r.0].as_mut_slice()[self.at] = v;
+        self.regs[r.0][self.at] = v;
     }
-}
-
-/// The orthogonal trees network.
-///
-/// See the [module documentation](self) for the structure; see
-/// [`Otn::for_sorting`] / [`Otn::for_graphs`] / [`Otn::wide`] for the
-/// constructors the algorithms use.
-#[derive(Clone, Debug)]
-pub struct Otn {
-    rows: usize,
-    cols: usize,
-    model: CostModel,
-    pitch: u64,
-    clock: Clock,
-    regs: Vec<Grid<Option<Word>>>,
-    reg_names: Vec<&'static str>,
-    row_roots: Vec<Option<Word>>,
-    col_roots: Vec<Option<Word>>,
-    /// Installed fault scenario; `None` keeps every primitive on the exact
-    /// fault-free path.
-    fault: Option<FaultState>,
-    /// Installed observability recorder; `None` (the default) keeps every
-    /// primitive free of recording code. Recording never changes a
-    /// simulated bit, time, or output.
-    recorder: Option<Recorder>,
-    /// Installed streaming telemetry bus; same contract as `recorder`.
-    telemetry: Option<Telemetry>,
-    /// How the selection mask of each primitive is filled.
-    parallel: ParallelPolicy,
-    /// Scratch selection mask of the running primitive, row-major over the
-    /// BPs; cleared and reused by every call.
-    mask: Vec<bool>,
-    /// Scratch per-tree folds of the running upward primitive; reused.
-    accs: Vec<Acc>,
 }
 
 impl Otn {
@@ -170,37 +150,7 @@ impl Otn {
         ModelError::require_power_of_two("OTN column count", cols)?;
         let depth = log2_ceil(rows.max(cols) as u64);
         let pitch = u64::from(model.word_bits) + u64::from(depth) + 1;
-        Ok(Otn {
-            rows,
-            cols,
-            model,
-            pitch,
-            clock: Clock::new(),
-            regs: Vec::new(),
-            reg_names: Vec::new(),
-            row_roots: vec![None; rows],
-            col_roots: vec![None; cols],
-            fault: None,
-            recorder: None,
-            telemetry: None,
-            parallel: ParallelPolicy::default(),
-            mask: Vec::new(),
-            accs: Vec::new(),
-        })
-    }
-
-    /// Sets how each primitive fills its selection mask (see
-    /// [`ParallelPolicy`]). Both policies are bit- and clock-identical —
-    /// asserted by property tests. `Threads` parallelises only the mask
-    /// fill and has not been measured faster: SORT at n = 512 ran at
-    /// 0.78–0.98× the sequential speed on a 2-vCPU host.
-    pub fn set_parallel_policy(&mut self, policy: ParallelPolicy) {
-        self.parallel = policy;
-    }
-
-    /// The active parallel execution policy.
-    pub fn parallel_policy(&self) -> ParallelPolicy {
-        self.parallel
+        Ok(WordNet::build(rows, cols, 1, model, pitch))
     }
 
     /// A square `(n × n)`-OTN under Thompson's model with word width
@@ -235,101 +185,10 @@ impl Otn {
         Otn::new(rows, cols, CostModel::thompson(rows.max(cols)))
     }
 
-    /// Row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The active cost model.
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// The leaf pitch used for wire pricing.
-    pub fn pitch(&self) -> u64 {
-        self.pitch
-    }
-
-    /// The simulated clock.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// Resets the clock and statistics (registers keep their contents).
-    pub fn reset_clock(&mut self) {
-        self.clock.reset();
-    }
-
-    /// Runs `f` and returns its result together with the elapsed simulated
-    /// time.
-    pub fn elapsed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, BitTime) {
-        let before = self.clock.now();
-        let r = f(self);
-        (r, self.clock.now() - before)
-    }
-
-    /// Allocates a fresh register plane (initially all `NULL`).
-    pub fn alloc_reg(&mut self, name: &'static str) -> Reg {
-        self.regs.push(Grid::filled(self.rows, self.cols, None));
-        self.reg_names.push(name);
-        Reg(self.regs.len() - 1)
-    }
-
-    /// The allocated register-plane names, in [`Reg::index`] order — the
-    /// register-file shape static analyses resolve reach events against.
-    pub fn reg_names(&self) -> &[&'static str] {
-        &self.reg_names
-    }
-
-    /// Number of allocated register planes.
-    pub fn reg_count(&self) -> usize {
-        self.regs.len()
-    }
-
-    /// Number of leaves of one tree of `axis`.
-    pub fn leaves(&self, axis: Axis) -> usize {
-        match axis {
-            Axis::Rows => self.cols,
-            Axis::Cols => self.rows,
-        }
-    }
-
-    /// Number of trees of `axis`.
-    pub fn trees(&self, axis: Axis) -> usize {
-        match axis {
-            Axis::Rows => self.rows,
-            Axis::Cols => self.cols,
-        }
-    }
-
-    fn roots_mut(&mut self, axis: Axis) -> &mut Vec<Option<Word>> {
-        match axis {
-            Axis::Rows => &mut self.row_roots,
-            Axis::Cols => &mut self.col_roots,
-        }
-    }
-
     /// The root registers of `axis` (row roots = input ports, column roots
     /// = output ports).
     pub fn roots(&self, axis: Axis) -> &[Option<Word>] {
-        match axis {
-            Axis::Rows => &self.row_roots,
-            Axis::Cols => &self.col_roots,
-        }
-    }
-
-    /// Grid coordinates of leaf `leaf` of tree `tree` along `axis`. The map
-    /// is its own inverse: `coords(axis, row, col)` is `(tree, leaf)`.
-    fn coords(axis: Axis, tree: usize, leaf: usize) -> (usize, usize) {
-        match axis {
-            Axis::Rows => (tree, leaf),
-            Axis::Cols => (leaf, tree),
-        }
+        self.root_words(axis)
     }
 
     // ------------------------------------------------------------------
@@ -345,29 +204,38 @@ impl Otn {
     /// Panics if `values.len() != rows`.
     pub fn load_row_roots(&mut self, values: &[Word]) {
         assert_eq!(values.len(), self.rows, "one value per row root");
-        self.row_roots = values.iter().map(|&v| Some(v)).collect();
+        for (port, &v) in self.roots[0].iter_mut().zip(values) {
+            *port = Some(v);
+        }
         self.clock.stats_mut().inputs += values.len() as u64;
     }
 
     /// Reads the column roots (output ports).
     pub fn read_col_roots(&self) -> Vec<Option<Word>> {
-        self.col_roots.clone()
+        self.roots[1].clone()
+    }
+
+    /// Sets the root registers of `axis` directly (host-side; free).
+    pub fn set_roots(&mut self, axis: Axis, values: Vec<Option<Word>>) {
+        assert_eq!(values.len(), self.trees(axis), "one value per tree");
+        self.roots[axis.index()] = values;
     }
 
     /// Loads a full register plane from `f(row, col)` (initial operand
     /// placement).
     pub fn load_reg(&mut self, r: Reg, mut f: impl FnMut(usize, usize) -> Option<Word>) {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                self.regs[r.0].set(i, j, f(i, j));
+        let cols = self.cols;
+        for (i, row) in self.regs[r.0].chunks_mut(cols).enumerate() {
+            for (j, cell) in row.iter_mut().enumerate() {
+                *cell = f(i, j);
             }
         }
-        self.clock.stats_mut().inputs += (self.rows * self.cols) as u64;
+        self.clock.stats_mut().inputs += (self.rows * cols) as u64;
     }
 
     /// Reads one register value (host-side inspection, free).
     pub fn peek(&self, r: Reg, row: usize, col: usize) -> Option<Word> {
-        *self.regs[r.0].get(row, col)
+        self.view().get(r, row, col)
     }
 
     /// Writes one register value without charging time — for use *inside*
@@ -375,393 +243,13 @@ impl Otn {
     /// the scan primitives in [`prefix`]); algorithms should use
     /// [`Otn::bp_phase`] or the communication primitives instead.
     pub(crate) fn poke(&mut self, r: Reg, row: usize, col: usize, v: Option<Word>) {
-        self.regs[r.0].set(row, col, v);
-    }
-
-    /// Mutable clock access for primitive implementations in sibling
-    /// modules.
-    pub(crate) fn clock_mut(&mut self) -> &mut Clock {
-        &mut self.clock
-    }
-
-    /// Advances the clock by `expected` while recording its causal
-    /// decomposition `parts` (see [`crate::attribution`]).
-    pub(crate) fn seg_charge(&mut self, expected: BitTime, parts: &[crate::attribution::Part]) {
-        crate::attribution::seg_charge(&mut self.clock, &mut self.recorder, expected, parts);
-        if let Some(tel) = &mut self.telemetry {
-            tel.count("otn.charges", 1);
-            tel.observe("otn.charge_tau", expected.get());
-            tel.tick(self.clock.now());
-        }
+        self.regs[r.0][row * self.cols + col] = v;
     }
 
     // ------------------------------------------------------------------
-    // Observability (see [`orthotrees_obs`]). Every primitive wraps its
-    // clock advances in a span named after the paper's primitive, so the
-    // recorder's per-phase self times sum exactly to the elapsed time.
-    // ------------------------------------------------------------------
-
-    /// Installs an observability [`Recorder`]: subsequent primitives open
-    /// spans named after the paper's operations (`ROOTTOLEAF`,
-    /// `LEAFTOROOT`, …) on the simulated clock. Recording changes no
-    /// simulated bit, time, or output (bit-identity, enforced by tests).
-    pub fn install_recorder(&mut self, recorder: Recorder) {
-        self.recorder = Some(recorder);
-    }
-
-    /// The installed recorder, if any.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
-    }
-
-    /// Removes and returns the installed recorder (export after a run).
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
-    /// Installs a streaming [`Telemetry`] bus: every subsequent clock
-    /// charge is counted (`otn.charges`), its magnitude fed to the
-    /// `otn.charge_tau` quantile sketch, and periodic counter snapshots
-    /// are cut on the simulated clock. Metering changes no simulated bit,
-    /// time, or output (bit-identity, enforced by the telemetry suite).
-    pub fn install_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// The installed telemetry bus, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// Mutable access to the installed telemetry bus (algorithms fold
-    /// their own domain counters into the export through this).
-    pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_mut()
-    }
-
-    /// Removes and returns the installed telemetry bus (export after a
-    /// run).
-    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.take()
-    }
-
-    /// Opens a named phase span at the current simulated time (no-op
-    /// without a recorder). Spans nest; close with [`Otn::end_phase`].
-    /// Algorithms use this to group primitive spans under procedure-level
-    /// phases (e.g. `SORT-OTN`).
-    pub fn begin_phase(&mut self, name: impl Into<String>) {
-        if let Some(rec) = &mut self.recorder {
-            let now = self.clock.now();
-            rec.open(name, now);
-        }
-    }
-
-    /// Closes the most recently opened phase span (no-op without a
-    /// recorder).
-    pub fn end_phase(&mut self) {
-        if let Some(rec) = &mut self.recorder {
-            let now = self.clock.now();
-            rec.close(now);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Fault injection, detection and graceful degradation (see
-    // [`crate::resilience`]). An installed *empty* plan changes nothing.
-    // ------------------------------------------------------------------
-
-    /// Installs a deterministic fault scenario for all subsequent
-    /// primitives and returns the degradation verdicts for its dead IPs:
-    /// which subtrees were rerouted through their sibling, and which leaves
-    /// went dark.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) -> &FaultReport {
-        self.fault = Some(FaultState::new(plan, self.rows, self.cols, self.cols, self.rows));
-        &self.fault.as_ref().expect("just installed").report
-    }
-
-    /// Whether a fault plan is installed.
-    pub fn has_fault_plan(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// The degradation report of the installed plan, if any.
-    pub fn fault_report(&self) -> Option<&FaultReport> {
-        self.fault.as_ref().map(|f| &f.report)
-    }
-
-    /// Counters for the faults injected so far (all zero with no plan).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.fault.as_ref().map(|f| f.stats).unwrap_or_default()
-    }
-
-    /// Opens a new transit round for the next faultable primitive.
-    fn begin_fault_round(&mut self) {
-        if let Some(f) = &mut self.fault {
-            f.next_round();
-        }
-    }
-
-    /// Charges the time overhead a faultable primitive on `axis` incurred:
-    /// `attempts` retransmission rounds of `base`, plus the lateral
-    /// crossing penalty when the axis has rerouted subtrees.
-    fn charge_fault_overhead(&mut self, axis: Axis, attempts: u32, base: BitTime) {
-        let Some(f) = &self.fault else { return };
-        let span = f.reroute_span[match axis {
-            Axis::Rows => 0,
-            Axis::Cols => 1,
-        }];
-        let mut extra = base * u64::from(attempts);
-        if span > 0 {
-            // Detour through the sibling subtree: down from the common
-            // parent and across, like a leaf-to-leaf hop within the
-            // doubled subtree.
-            extra += self.model.tree_leaf_to_leaf(2 * span, self.pitch);
-        }
-        if extra > BitTime::ZERO {
-            // Attributed as its own (nested) phase so a faulty run's
-            // slowdown is visible in the time-attribution table; causally
-            // it is pure waiting (retransmission rounds / detour latency).
-            self.begin_phase(primitive::spec_for("FAULT-OVERHEAD").name);
-            self.seg_charge(extra, &crate::attribution::wait_parts(extra));
-            self.end_phase();
-        }
-        if let Some(rec) = &mut self.recorder {
-            rec.count("fault.retry_rounds", u64::from(attempts));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // The shared descriptor-driven executors. Every §II.B primitive below
-    // is a thin call into these: selection mask (filled over row bands
-    // under ParallelPolicy::Threads) → fault round → row-major transits,
-    // writes or folds → one registry-derived charge.
-    // ------------------------------------------------------------------
-
-    /// Charges `spec`'s registry cost kind once for the whole tree family
-    /// of `axis`: the clock charge, its causal segment decomposition, the
-    /// matching operation statistic and the fault-overhead base all derive
-    /// from the same [`CostKind`], so they can never disagree.
-    fn charge_primitive(&mut self, spec: &PrimitiveSpec, axis: Axis, attempts: u32) {
-        let leaves = self.leaves(axis);
-        // Invariant: executors only charge registry primitives that declare
-        // a cost kind (the registry coverage tests pin this statically), so
-        // a `None` is a registry-definition bug, not a runtime state.
-        let kind = spec.cost.unwrap_or_else(|| panic!("{} declares no cost kind", spec.name));
-        let t = self.model.primitive_cost(kind, leaves, self.pitch, 1);
-        let parts = crate::attribution::primitive_parts(&self.model, kind, leaves, self.pitch, 1);
-        self.seg_charge(t, &parts);
-        let stats = self.clock.stats_mut();
-        match kind {
-            CostKind::Broadcast | CostKind::StreamBroadcast => stats.broadcasts += 1,
-            CostKind::Send | CostKind::StreamSend => stats.sends += 1,
-            CostKind::Aggregate | CostKind::StreamAggregate => stats.aggregates += 1,
-            CostKind::CycleStep => stats.circulates += 1,
-        }
-        self.charge_fault_overhead(axis, attempts, t);
-    }
-
-    /// Evaluates `sel(row, col) && !dark` at every BP into the scratch mask,
-    /// row-major, and hands the mask out; the caller puts it back when
-    /// done. Every selector sees the register state from before the
-    /// primitive (gather before scatter).
-    fn select(
-        &mut self,
-        axis: Axis,
-        sel: &(impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync),
-    ) -> Vec<bool> {
-        let mut mask = std::mem::take(&mut self.mask);
-        let view = RegsView { regs: &self.regs };
-        let fault = self.fault.as_ref();
-        primitive::fill_mask(self.parallel, &mut mask, self.rows, self.cols, |i, out| {
-            for (j, on) in out.iter_mut().enumerate() {
-                let (t, l) = Self::coords(axis, i, j);
-                *on = sel(i, j, &view) && !fault.is_some_and(|f| f.is_dark(axis, t, l));
-            }
-        });
-        mask
-    }
-
-    /// Opens a reach round and records one event per selected leaf of
-    /// `mask`, in `(tree, leaf)` order; `edge(leaf)` names its `(from, to)`
-    /// cells. Does nothing unless reach tracing is on.
-    fn emit_reach(
-        &mut self,
-        axis: Axis,
-        mask: &[bool],
-        edge: impl Fn(u64) -> (ReachCell, ReachCell),
-    ) {
-        let (trees, leaves, cols) = (self.trees(axis), self.leaves(axis), self.cols);
-        let Some(rec) = self.recorder.as_mut().filter(|r| r.reach_enabled()) else { return };
-        rec.reach_round_begin();
-        for t in 0..trees {
-            for l in 0..leaves {
-                let (i, j) = Self::coords(axis, t, l);
-                if mask[i * cols + j] {
-                    let (from, to) = edge(l as u64);
-                    rec.reach(t as u64, from, to);
-                }
-            }
-        }
-    }
-
-    /// The downward executor (`ROOTTOLEAF`): fills the selection mask, then
-    /// transits and writes the root word of each selected leaf's tree in
-    /// row-major order, then charges the registry cost. Fault draws are
-    /// keyed by site and round, so the write order changes no word.
-    fn tree_downward(
-        &mut self,
-        name: &str,
-        axis: Axis,
-        dest: Reg,
-        sel: &(impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync),
-    ) {
-        let spec = primitive::spec_for(name);
-        debug_assert!(
-            crate::dflow::shape_of(spec) == Some(crate::dflow::FlowShape::Down),
-            "{} is not a Down-shaped primitive",
-            spec.name
-        );
-        self.begin_phase(spec.name);
-        let mask = self.select(axis, sel);
-        self.begin_fault_round();
-        let (cols, width) = (self.cols, self.model.word_bits);
-        let roots = match axis {
-            Axis::Rows => &self.row_roots,
-            Axis::Cols => &self.col_roots,
-        };
-        let mut fault = self.fault.as_mut();
-        let plane = self.regs[dest.0].as_mut_slice();
-        let mut attempts = 0;
-        for (i, (on_row, row)) in mask.chunks(cols).zip(plane.chunks_mut(cols)).enumerate() {
-            for (j, (_, cell)) in on_row.iter().zip(row).enumerate().filter(|(_, (&on, _))| on) {
-                let (t, l) = Self::coords(axis, i, j);
-                *cell = match &mut fault {
-                    Some(f) => {
-                        let (v, att) = f.transit(resilience::site(axis, t, l), roots[t], width);
-                        attempts = attempts.max(att);
-                        v
-                    }
-                    None => roots[t],
-                };
-            }
-        }
-        self.emit_reach(axis, &mask, |leaf| {
-            (ReachCell::Root, ReachCell::Reg { reg: dest.0 as u64, leaf })
-        });
-        self.mask = mask;
-        self.charge_primitive(spec, axis, attempts);
-        self.end_phase();
-    }
-
-    /// The upward executor (`LEAFTOROOT` and the aggregates): fills the
-    /// selection mask, folds the selected leaves' words in row-major order
-    /// through `spec`'s combine [`Monoid`](crate::primitive::Monoid) into
-    /// one accumulator per tree (each tree still sees its leaves in
-    /// increasing order), then transits each root word in tree order and
-    /// charges the registry cost.
-    fn tree_upward(
-        &mut self,
-        name: &str,
-        axis: Axis,
-        src: Reg,
-        sel: &(impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync),
-    ) {
-        let spec = primitive::spec_for(name);
-        // Invariant: aggregate executors are only called with registry
-        // primitives that declare a combine monoid (pinned by the registry
-        // coverage tests) — a `None` is a registry-definition bug.
-        let monoid =
-            spec.combine.unwrap_or_else(|| panic!("{} declares no combine monoid", spec.name));
-        debug_assert!(
-            crate::dflow::shape_of(spec) == Some(crate::dflow::FlowShape::Up),
-            "{} is not an Up-shaped primitive",
-            spec.name
-        );
-        self.begin_phase(spec.name);
-        let mask = self.select(axis, sel);
-        let (trees, cols) = (self.trees(axis), self.cols);
-        let degraded = self.fault.is_some();
-        let mut accs = std::mem::take(&mut self.accs);
-        accs.clear();
-        accs.resize(trees, Acc::new(monoid));
-        let plane = self.regs[src.0].as_slice();
-        for (i, (on_row, row)) in mask.chunks(cols).zip(plane.chunks(cols)).enumerate() {
-            for (j, (_, &word)) in on_row.iter().zip(row).enumerate().filter(|(_, (&on, _))| on) {
-                let (t, _) = Self::coords(axis, i, j);
-                // On First contention under faults, the fold keeps the
-                // first word (corrupted ranks legitimately collide); in a
-                // healthy net it is an invariant violation.
-                accs[t].fold(word, || {
-                    assert!(
-                        degraded,
-                        "{} contention: tree {t} of {axis:?} selected twice \
-                         (invariant: the Selector specifies one BP per tree)",
-                        spec.name
-                    );
-                });
-            }
-        }
-        self.emit_reach(axis, &mask, |leaf| {
-            (ReachCell::Reg { reg: src.0 as u64, leaf }, ReachCell::Root)
-        });
-        self.mask = mask;
-        self.begin_fault_round();
-        let width = self.model.word_bits;
-        let roots = match axis {
-            Axis::Rows => &mut self.row_roots,
-            Axis::Cols => &mut self.col_roots,
-        };
-        let mut attempts = 0;
-        for (t, (root, acc)) in roots.iter_mut().zip(&accs).enumerate() {
-            *root = match &mut self.fault {
-                Some(f) => {
-                    let site = resilience::site(axis, t, resilience::TREE_SITE);
-                    let (v, att) = f.transit(site, acc.finish(), width);
-                    attempts = attempts.max(att);
-                    v
-                }
-                None => acc.finish(),
-            };
-        }
-        self.accs = accs;
-        self.charge_primitive(spec, axis, attempts);
-        self.end_phase();
-    }
-
-    /// The composite executor: opens `name`'s enclosing registry span and
-    /// runs its two legs (each charges itself).
-    fn composite(&mut self, name: &str, f: impl FnOnce(&mut Self)) {
-        let spec = primitive::spec_for(name);
-        debug_assert!(spec.composite_of.is_some(), "{} is not a composite", spec.name);
-        self.begin_phase(spec.name);
-        f(self);
-        self.end_phase();
-    }
-
-    /// The model price of a [`PhaseCost`] class.
-    fn phase_cost(&self, cost: PhaseCost) -> BitTime {
-        match cost {
-            PhaseCost::Bit => self.model.bit_op(),
-            PhaseCost::Compare => self.model.compare(),
-            PhaseCost::Add => self.model.add(),
-            PhaseCost::Multiply => self.model.multiply(),
-            PhaseCost::Words(k) => self.model.compare() * k,
-        }
-    }
-
-    /// Charges a local compute phase of duration `t` under its registry
-    /// span name.
-    fn charge_compute(&mut self, name: &str, t: BitTime) {
-        let spec = primitive::spec_for(name);
-        self.begin_phase(spec.name);
-        self.seg_charge(t, &crate::attribution::compute_parts(t));
-        self.end_phase();
-        self.clock.stats_mut().leaf_ops += 1;
-    }
-
-    // ------------------------------------------------------------------
-    // Primitive operations (§II.B). Each charges its model cost once for
-    // the whole parallel tree family.
+    // Primitive operations (§II.B): thin calls into the core's executors,
+    // each charging its model cost once for the whole parallel tree
+    // family.
     // ------------------------------------------------------------------
 
     /// `ROOTTOLEAF(Vector, Dest)`: each tree of `axis` broadcasts its root
@@ -769,26 +257,27 @@ impl Otn {
     ///
     /// The selector receives `(row, col, view)` grid coordinates.
     ///
-    /// Under an installed [`FaultPlan`], each leaf's delivered copy is an
-    /// independent transit (parity-checked, retried, possibly erased or
-    /// silently corrupted), and dark leaves receive nothing.
+    /// Under an installed [`FaultPlan`](crate::FaultPlan), each leaf's
+    /// delivered copy is an independent transit (parity-checked, retried,
+    /// possibly erased or silently corrupted), and dark leaves receive
+    /// nothing.
     pub fn root_to_leaf(
         &mut self,
         axis: Axis,
         dest: Reg,
         sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
     ) {
-        self.tree_downward("ROOTTOLEAF", axis, dest, &sel);
+        self.downward("ROOTTOLEAF", axis, dest, &sel);
     }
 
     /// `LEAFTOROOT(Vector, Source)`: in each tree of `axis`, the selected
     /// BP's `src` register travels to the root. Selecting no BP leaves the
     /// root `NULL`.
     ///
-    /// Under an installed [`FaultPlan`], dark leaves cannot reach their
-    /// root, the ascending word is one parity-checked transit per tree,
-    /// and selector contention keeps the first selected BP instead of
-    /// panicking (corrupted ranks legitimately collide).
+    /// Under an installed [`FaultPlan`](crate::FaultPlan), dark leaves
+    /// cannot reach their root, the ascending word is one parity-checked
+    /// transit per tree, and selector contention keeps the first selected
+    /// BP instead of panicking (corrupted ranks legitimately collide).
     ///
     /// # Panics
     ///
@@ -801,15 +290,15 @@ impl Otn {
         src: Reg,
         sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
     ) {
-        self.tree_upward("LEAFTOROOT", axis, src, &sel);
+        self.upward("LEAFTOROOT", axis, src, &|i, j, _, v: &RegsView<'_>| sel(i, j, v));
     }
 
     /// `COUNT-LEAFTOROOT(Vector)`: each root receives the number of leaves
     /// whose `flag` register is a non-zero word (§II.B primitive 3).
-    /// Dark leaves contribute nothing under an installed [`FaultPlan`].
+    /// Dark leaves contribute nothing under an installed fault plan.
     pub fn count_to_root(&mut self, axis: Axis, flag: Reg) {
-        let sel = move |i: usize, j: usize, view: &RegsView<'_>| matches!(view.get(flag, i, j), Some(v) if v != 0);
-        self.tree_upward("COUNT-LEAFTOROOT", axis, flag, &sel);
+        let sel = |i, j, _, v: &RegsView<'_>| matches!(v.get(flag, i, j), Some(w) if w != 0);
+        self.upward("COUNT-LEAFTOROOT", axis, flag, &sel);
     }
 
     /// `SUM-LEAFTOROOT(Vector, Source)`: each root receives the sum of the
@@ -821,7 +310,7 @@ impl Otn {
         src: Reg,
         sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
     ) {
-        self.tree_upward("SUM-LEAFTOROOT", axis, src, &sel);
+        self.upward("SUM-LEAFTOROOT", axis, src, &|i, j, _, v: &RegsView<'_>| sel(i, j, v));
     }
 
     /// `MIN-LEAFTOROOT(Vector, Source)`: each root receives the minimum of
@@ -832,7 +321,7 @@ impl Otn {
         src: Reg,
         sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
     ) {
-        self.tree_upward("MIN-LEAFTOROOT", axis, src, &sel);
+        self.upward("MIN-LEAFTOROOT", axis, src, &|i, j, _, v: &RegsView<'_>| sel(i, j, v));
     }
 
     /// `MAX-LEAFTOROOT`: each root receives the maximum of the selected
@@ -844,9 +333,8 @@ impl Otn {
         src: Reg,
         sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
     ) {
-        self.tree_upward("MAX-LEAFTOROOT", axis, src, &sel);
+        self.upward("MAX-LEAFTOROOT", axis, src, &|i, j, _, v: &RegsView<'_>| sel(i, j, v));
     }
-
     // ------------------------------------------------------------------
     // Composite operations (§II.B): source primitive + ROOTTOLEAF.
     // ------------------------------------------------------------------
@@ -938,12 +426,10 @@ impl Otn {
     pub fn bp_phase(&mut self, cost: PhaseCost, mut f: impl FnMut(usize, usize, &mut BpRegs<'_>)) {
         for i in 0..self.rows {
             for j in 0..self.cols {
-                let mut bp = BpRegs { regs: &mut self.regs, at: i * self.cols + j };
-                f(i, j, &mut bp);
+                f(i, j, &mut BpRegs { regs: &mut self.regs, at: i * self.cols + j });
             }
         }
-        let t = self.phase_cost(cost);
-        self.charge_compute("BP-PHASE", t);
+        self.charge_compute("BP-PHASE", cost);
     }
 
     /// One parallel compute phase at the roots of `axis`:
@@ -954,17 +440,10 @@ impl Otn {
         cost: PhaseCost,
         mut f: impl FnMut(usize, &mut Option<Word>),
     ) {
-        let t = self.phase_cost(cost);
-        for (t_idx, root) in self.roots_mut(axis).iter_mut().enumerate() {
-            f(t_idx, root);
+        for (t, root) in self.roots[axis.index()].iter_mut().enumerate() {
+            f(t, root);
         }
-        self.charge_compute("ROOT-PHASE", t);
-    }
-
-    /// Sets the root registers of `axis` directly (host-side; free).
-    pub fn set_roots(&mut self, axis: Axis, values: Vec<Option<Word>>) {
-        assert_eq!(values.len(), self.trees(axis), "one value per tree");
-        *self.roots_mut(axis) = values;
+        self.charge_compute("ROOT-PHASE", cost);
     }
 
     /// The cost of one pipelined pairwise exchange at leaf distance `dist`
@@ -1004,18 +483,14 @@ impl Otn {
         let leaves = self.leaves(axis);
         assert!(dist.is_power_of_two() && dist >= 1, "dist must be a positive power of two");
         assert!(dist < leaves, "dist {dist} must be below the leaf count {leaves}");
-        for t in 0..self.trees(axis) {
-            for l in 0..leaves {
-                if l % (2 * dist) >= dist {
-                    continue;
-                }
-                let (ai, aj) = Self::coords(axis, t, l);
-                let (bi, bj) = Self::coords(axis, t, l + dist);
-                let a = *self.regs[reg.0].get(ai, aj);
-                let b = *self.regs[reg.0].get(bi, bj);
-                let (na, nb) = f(t, l, a, b);
-                self.regs[reg.0].set(ai, aj, na);
-                self.regs[reg.0].set(bi, bj, nb);
+        let (trees, cols) = (self.trees(axis), self.cols);
+        let plane = &mut self.regs[reg.0];
+        for t in 0..trees {
+            for l in (0..leaves).filter(|l| l % (2 * dist) < dist) {
+                let (ai, aj) = axis.coords(t, l);
+                let (bi, bj) = axis.coords(t, l + dist);
+                let (a, b) = (ai * cols + aj, bi * cols + bj);
+                (plane[a], plane[b]) = f(t, l, plane[a], plane[b]);
             }
         }
         let extra_t = self.phase_cost(extra);
@@ -1028,7 +503,7 @@ impl Otn {
             self.model.pipeline_interval() * (dist as u64 - 1),
         ));
         parts.extend(crate::attribution::compute_parts(extra_t));
-        self.begin_phase(primitive::spec_for("PAIRWISE").name);
+        self.begin_phase(crate::primitive::spec_for("PAIRWISE").name);
         self.seg_charge(cost, &parts);
         self.end_phase();
         let stats = self.clock.stats_mut();
@@ -1046,6 +521,8 @@ pub fn all(_row: usize, _col: usize, _view: &RegsView<'_>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultPlan;
+    use orthotrees_obs::{causal::ReachCell, Recorder};
 
     fn net4() -> Otn {
         Otn::for_sorting(4).unwrap()

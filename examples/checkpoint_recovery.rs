@@ -27,7 +27,8 @@ fn main() {
     let _ = otn::sort::sort(&mut net, &xs).expect("matched input length");
     let text = net.checkpoint_text();
     println!(
-        "  orthotrees-otn-snapshot/v1, {} bytes of JSON at t = {}",
+        "  {}, {} bytes of JSON at t = {}",
+        orthotrees::checkpoint::SCHEMA,
         text.len(),
         net.clock().now()
     );
