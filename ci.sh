@@ -35,6 +35,11 @@ benchmark/check.sh
 # ignored sweep widens the grid to n = 128; see tests/calendar_suite.rs.
 cargo test --release -q -p orthotrees-bench --test calendar_suite
 cargo test --release -q -p orthotrees-bench --test calendar_suite -- --ignored full_probe_sweep_across_calendars
+# Probe independence gate: every engine instrument must give the same
+# result attached alone or with all five, and attaching them must leave
+# the run bit-identical, clean and under link faults or node outages. The
+# ignored sweep widens the grid to n = 128; see tests/probe_suite.rs.
+cargo test --release -q -p orthotrees-bench --test probe_suite -- --ignored full_probe_sweep_of_instrument_independence
 # Bounded recovery soak (fixed seed, outage-dense plan, n = 128): must
 # recover within the pinned attempt budget; see tests/recovery_suite.rs.
 cargo test --release -q -p orthotrees-bench --test recovery_suite -- --ignored ci_bounded_soak

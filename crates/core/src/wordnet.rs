@@ -379,11 +379,6 @@ impl<T: Topology> WordNet<T> {
         self.recorder = Some(recorder);
     }
 
-    /// The installed recorder, if any.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
-    }
-
     /// Removes and returns the installed recorder (export after a run).
     pub fn take_recorder(&mut self) -> Option<Recorder> {
         self.recorder.take()
@@ -397,11 +392,6 @@ impl<T: Topology> WordNet<T> {
     /// telemetry suite).
     pub fn install_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
-    }
-
-    /// The installed telemetry bus, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
     }
 
     /// Mutable access to the installed telemetry bus (algorithms fold

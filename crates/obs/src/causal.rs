@@ -23,9 +23,10 @@
 //!   closed form bit for bit (the `CRIT-*` rules of `orthotrees-verify`).
 //!
 //! Both instruments follow the crate's zero-overhead contract: the engine
-//! holds an `Option<CausalTrace>` and the hot path touches no tracing code
-//! when it is `None`.
+//! feeds a [`CausalTrace`] through its one [`Probes`](crate::probe::Probes)
+//! slot, and the hot path touches no tracing code when none is installed.
 
+use crate::probe::EngineEvent;
 use orthotrees_vlsi::BitTime;
 use std::collections::BTreeMap;
 
@@ -263,18 +264,41 @@ impl CausalTrace {
         CausalTrace::default()
     }
 
-    /// Records one hop. Message ids must be unique per run (the engine's
-    /// scheduling counter guarantees this).
-    pub fn record_hop(&mut self, hop: Hop) {
-        self.by_msg.insert(hop.msg.0, self.hops.len());
-        self.hops.push(hop);
-    }
-
-    /// Marks a recorded hop as never delivered (dropped on the wire or
-    /// discarded by a dead receiving node).
-    pub fn mark_undelivered(&mut self, msg: MsgId) {
-        if let Some(&i) = self.by_msg.get(&msg.0) {
-            self.hops[i].delivered = false;
+    /// Folds one engine event: an admission records its [`Hop`] (message
+    /// ids are unique per run — the engine's scheduling counter), and a
+    /// dropping fault or a suppressed delivery marks the hop undelivered.
+    pub fn on_engine(&mut self, ev: &EngineEvent) {
+        match *ev {
+            EngineEvent::Admit {
+                msg,
+                trigger,
+                link,
+                link_len,
+                trigger_at,
+                ready,
+                enter,
+                arrive,
+                ..
+            } => {
+                self.by_msg.insert(msg.0, self.hops.len());
+                self.hops.push(Hop {
+                    msg,
+                    pred: trigger,
+                    link,
+                    link_len,
+                    trigger_at,
+                    ready,
+                    enter,
+                    arrive,
+                    delivered: true,
+                });
+            }
+            EngineEvent::Fault { msg, dropped: true, .. } | EngineEvent::Suppress { msg } => {
+                if let Some(&i) = self.by_msg.get(&msg.0) {
+                    self.hops[i].delivered = false;
+                }
+            }
+            _ => {}
         }
     }
 
@@ -373,33 +397,36 @@ impl CausalTrace {
 mod tests {
     use super::*;
 
+    /// Feeds the admission of `msg` over `link`, with
+    /// `t = [trigger_at, ready, enter, arrive]`.
+    fn admit(
+        tr: &mut CausalTrace,
+        msg: u64,
+        pred: Option<u64>,
+        link: usize,
+        link_len: u64,
+        t: [u64; 4],
+    ) {
+        tr.on_engine(&EngineEvent::Admit {
+            msg: MsgId(msg),
+            trigger: pred.map(MsgId),
+            link,
+            link_len,
+            trigger_at: BitTime::new(t[0]),
+            ready: BitTime::new(t[1]),
+            enter: BitTime::new(t[2]),
+            arrive: BitTime::new(t[3]),
+            waited: t[2] - t[1],
+        });
+    }
+
     /// A two-hop chain: start-emitted bit crosses link 0 (delay 3), the
     /// relay holds it 2τ, it queues 1τ at link 1's entrance, then crosses
     /// link 1 (delay 4). Completion at t = 10.
     fn chain() -> CausalTrace {
         let mut tr = CausalTrace::new();
-        tr.record_hop(Hop {
-            msg: MsgId(1),
-            pred: None,
-            link: 0,
-            link_len: 8,
-            trigger_at: BitTime::ZERO,
-            ready: BitTime::ZERO,
-            enter: BitTime::ZERO,
-            arrive: BitTime::new(3),
-            delivered: true,
-        });
-        tr.record_hop(Hop {
-            msg: MsgId(2),
-            pred: Some(MsgId(1)),
-            link: 1,
-            link_len: 16,
-            trigger_at: BitTime::new(3),
-            ready: BitTime::new(5),
-            enter: BitTime::new(6),
-            arrive: BitTime::new(10),
-            delivered: true,
-        });
+        admit(&mut tr, 1, None, 0, 8, [0, 0, 0, 3]);
+        admit(&mut tr, 2, Some(1), 1, 16, [3, 5, 6, 10]);
         tr
     }
 
@@ -427,7 +454,7 @@ mod tests {
     #[test]
     fn undelivered_messages_never_complete() {
         let mut tr = chain();
-        tr.mark_undelivered(MsgId(2));
+        tr.on_engine(&EngineEvent::Suppress { msg: MsgId(2) });
         assert_eq!(tr.completion().unwrap().msg, MsgId(1));
         let path = tr.critical_path().unwrap();
         assert_eq!(path.completion, BitTime::new(3));
@@ -456,28 +483,8 @@ mod tests {
         // Predecessor arrives at 3, but the successor claims trigger 4:
         // the tiling has a hole and covers_completion must say so.
         let mut tr = CausalTrace::new();
-        tr.record_hop(Hop {
-            msg: MsgId(1),
-            pred: None,
-            link: 0,
-            link_len: 1,
-            trigger_at: BitTime::ZERO,
-            ready: BitTime::ZERO,
-            enter: BitTime::ZERO,
-            arrive: BitTime::new(3),
-            delivered: true,
-        });
-        tr.record_hop(Hop {
-            msg: MsgId(2),
-            pred: Some(MsgId(1)),
-            link: 1,
-            link_len: 1,
-            trigger_at: BitTime::new(4),
-            ready: BitTime::new(4),
-            enter: BitTime::new(4),
-            arrive: BitTime::new(5),
-            delivered: true,
-        });
+        admit(&mut tr, 1, None, 0, 1, [0, 0, 0, 3]);
+        admit(&mut tr, 2, Some(1), 1, 1, [4, 4, 4, 5]);
         let path = tr.critical_path().unwrap();
         assert!(!path.covers_completion(), "{path:?}");
     }

@@ -265,13 +265,14 @@ mod tests {
 
     #[test]
     fn profiler_windows_become_monotone_counter_tracks() {
+        use crate::probe::tests::{admit, deliver};
         use crate::profile::Profiler;
         use orthotrees_vlsi::BitTime as T;
         let mut p = Profiler::new(50);
-        p.event_fired(T::ZERO, 0, 2);
-        p.event_fired(T::new(60), 1, 5);
-        p.link_bit(T::new(60), 0, 3);
-        p.event_fired(T::new(120), 0, 1);
+        p.on_engine(&deliver(T::ZERO, 0, 2));
+        p.on_engine(&deliver(T::new(60), 1, 5));
+        p.on_engine(&admit(0, T::new(60), 3));
+        p.on_engine(&deliver(T::new(120), 0, 1));
         let doc = chrome_trace_with_counters(&sample(), &p);
         let samples = counter_samples(&doc); // asserts per-track monotone ts
         let depth: Vec<_> =

@@ -15,15 +15,15 @@
 //! The engine dumps automatically on every `SimError` it returns, and the
 //! recovery supervisor dumps on every rollback — each document is kept in
 //! [`post_mortems`](FlightRecorder::post_mortems) for the caller to
-//! export. Attachment follows the Option-gated zero-overhead pattern: no
-//! recorder installed ⇒ the hot loop touches no flight code; installed ⇒
-//! bits, clocks and outputs unchanged (proptest-pinned).
+//! export. Attachment follows the [`probe`](crate::probe) zero-overhead
+//! contract (proptest-pinned).
 //!
 //! The `TEL-002` verify rule holds every dump to its defining invariant:
 //! the tail is a *contiguous suffix* of the run's event log — same events,
 //! same order, no holes.
 
 use crate::json::Json;
+use crate::probe::{Delivery, EngineEvent};
 use orthotrees_vlsi::BitTime;
 use std::collections::VecDeque;
 
@@ -34,31 +34,11 @@ pub const SCHEMA: &str = "orthotrees-flight/v1";
 /// enough to stay resident.
 pub const DEFAULT_CAPACITY: usize = 64;
 
-/// One recorded delivery: what the engine knew when the bit landed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// Delivery ordinal over the engine's lifetime (1-based; the
-    /// engine's delivered-event counter at this delivery).
-    pub seq: u64,
-    /// Simulated delivery time.
-    pub at: BitTime,
-    /// Receiving node id.
-    pub node: usize,
-    /// Receiving port id.
-    pub port: usize,
-    /// The delivered bit's value.
-    pub value: bool,
-    /// The delivered bit's index within its word.
-    pub index: u32,
-    /// Calendar depth at the delivery (the popped event included).
-    pub depth: u64,
-}
-
 /// The bounded flight recorder. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
     capacity: usize,
-    tail: VecDeque<FlightEvent>,
+    tail: VecDeque<Delivery>,
     recorded: u64,
     last_checkpoint: Option<u64>,
     post_mortems: Vec<Json>,
@@ -94,18 +74,20 @@ impl FlightRecorder {
     }
 
     /// The retained tail, oldest first.
-    pub fn tail(&self) -> impl Iterator<Item = &FlightEvent> {
+    pub fn tail(&self) -> impl Iterator<Item = &Delivery> {
         self.tail.iter()
     }
 
-    /// Records one delivery, evicting the oldest retained event when the
-    /// ring is full.
-    pub fn record(&mut self, ev: FlightEvent) {
-        if self.tail.len() == self.capacity {
-            self.tail.pop_front();
+    /// Folds one engine event: a delivery enters the ring, evicting the
+    /// oldest retained event when the ring is full.
+    pub fn on_engine(&mut self, ev: &EngineEvent) {
+        if let EngineEvent::Deliver { delivery, .. } = *ev {
+            if self.tail.len() == self.capacity {
+                self.tail.pop_front();
+            }
+            self.tail.push_back(delivery);
+            self.recorded += 1;
         }
-        self.tail.push_back(ev);
-        self.recorded += 1;
     }
 
     /// Notes that a checkpoint was taken at delivered-event count `id`
@@ -174,9 +156,10 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::tests::no_busy_links;
 
-    fn ev(seq: u64) -> FlightEvent {
-        FlightEvent {
+    fn ev(seq: u64) -> EngineEvent<'static> {
+        let delivery = Delivery {
             seq,
             at: BitTime::new(seq * 3),
             node: (seq % 5) as usize,
@@ -184,14 +167,15 @@ mod tests {
             value: seq.is_multiple_of(2),
             index: (seq % 8) as u32,
             depth: 1 + seq % 4,
-        }
+        };
+        EngineEvent::Deliver { delivery, busy_links: &no_busy_links }
     }
 
     #[test]
     fn ring_keeps_only_the_newest_events() {
         let mut f = FlightRecorder::new(4);
         for s in 1..=10 {
-            f.record(ev(s));
+            f.on_engine(&ev(s));
         }
         assert_eq!(f.recorded(), 10);
         let seqs: Vec<u64> = f.tail().map(|e| e.seq).collect();
@@ -202,8 +186,8 @@ mod tests {
     #[test]
     fn capacity_is_clamped_to_one() {
         let mut f = FlightRecorder::new(0);
-        f.record(ev(1));
-        f.record(ev(2));
+        f.on_engine(&ev(1));
+        f.on_engine(&ev(2));
         assert_eq!(f.tail().count(), 1);
         assert_eq!(f.tail().next().unwrap().seq, 2);
     }
@@ -212,7 +196,7 @@ mod tests {
     fn dump_document_has_the_schema_and_the_tail() {
         let mut f = FlightRecorder::new(3);
         for s in 1..=5 {
-            f.record(ev(s));
+            f.on_engine(&ev(s));
         }
         f.note_checkpoint(4);
         let doc = f.dump("budget-exhausted", BitTime::new(99), &[("injected", 2)]);
@@ -252,9 +236,9 @@ mod tests {
     #[test]
     fn multiple_dumps_accumulate() {
         let mut f = FlightRecorder::new(2);
-        f.record(ev(1));
+        f.on_engine(&ev(1));
         f.dump("rollback", BitTime::new(3), &[]);
-        f.record(ev(2));
+        f.on_engine(&ev(2));
         f.dump("rollback", BitTime::new(6), &[]);
         assert_eq!(f.post_mortems().len(), 2);
         let tails: Vec<usize> = f

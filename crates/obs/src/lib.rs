@@ -16,13 +16,14 @@
 //! * **Histograms** — power-of-two-bucketed distributions (event-calendar
 //!   depth, per-link queueing delay).
 //! * **Engine tables** — per-node activation counts and per-link
-//!   bits-carried / queueing / utilization, filled by the discrete-event
-//!   engine of `orthotrees-sim`.
+//!   bits-carried / queueing / utilization, folded from the discrete-event
+//!   engine's [`probe::EngineEvent`] stream.
 //!
-//! The zero-overhead contract: holders store an `Option<Recorder>` and the
-//! hot path touches no observability code when it is `None`; with a
-//! recorder installed, recording never changes a simulated bit, time, or
-//! output (bit-identity — enforced by tests in the consuming crates).
+//! The zero-overhead contract: holders store their instruments in an
+//! `Option` and the hot path touches no observability code when it is
+//! `None`; with instruments installed, recording never changes a simulated
+//! bit, time, or output (bit-identity — enforced by tests in the consuming
+//! crates).
 //!
 //! Exporters: [`chrome::chrome_trace`] renders a `trace_event` JSON file
 //! viewable in Perfetto (<https://ui.perfetto.dev>); [`json`] is the
@@ -33,7 +34,7 @@
 //! counters, gauges and ε-bounded quantile sketches with an OpenMetrics
 //! exporter — and [`flight`] is the bounded crash flight recorder that
 //! dumps a post-mortem document on failure. Both attach to the engine
-//! under the same Option-gated zero-overhead contract as the `Recorder`.
+//! through the same [`probe::Probes`] slot as the `Recorder`.
 //!
 //! # Example
 //!
@@ -57,11 +58,27 @@ pub mod causal;
 pub mod chrome;
 pub mod flight;
 pub mod json;
+pub mod probe;
 pub mod profile;
 pub mod telemetry;
 
 use orthotrees_vlsi::BitTime;
+use probe::{Delivery, EngineEvent};
 use std::collections::BTreeMap;
+
+/// Applies `f` to the entry `name` of `map`, creating it with `new` first:
+/// the key is allocated on that first insert only, never on a hit.
+pub(crate) fn update<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    new: impl FnOnce() -> V,
+    f: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_insert_with(new)),
+    }
+}
 
 /// One named, closed phase on the simulated clock.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -382,7 +399,7 @@ impl Recorder {
         if delta == 0 {
             return;
         }
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        update(&mut self.counters, name, || 0, |v| *v += delta);
     }
 
     /// The named counters, sorted by name.
@@ -397,7 +414,7 @@ impl Recorder {
 
     /// Records a sample into the named histogram.
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms.entry(name.to_string()).or_default().observe(value);
+        update(&mut self.histograms, name, Histogram::new, |h| h.observe(value));
     }
 
     /// The named histograms, sorted by name.
@@ -406,15 +423,37 @@ impl Recorder {
     }
 
     // --------------------------------------------------------------
-    // Engine tables (filled by `orthotrees-sim`).
+    // Engine tables (folded from the engine's event stream).
     // --------------------------------------------------------------
 
-    /// Records one activation (delivered bit) of node `node`.
-    pub fn node_activated(&mut self, node: usize) {
-        if self.node_activations.len() <= node {
-            self.node_activations.resize(node + 1, 0);
+    /// Folds one engine event: a delivery samples the calendar depth and
+    /// the node's activations, an admission its link's traffic.
+    pub fn on_engine(&mut self, ev: &EngineEvent) {
+        match *ev {
+            EngineEvent::Deliver { delivery: Delivery { node, depth, .. }, .. } => {
+                self.calendar_depth.observe(depth);
+                if self.node_activations.len() <= node {
+                    self.node_activations.resize(node + 1, 0);
+                }
+                self.node_activations[node] += 1;
+            }
+            EngineEvent::Admit { link, enter, waited, .. } => {
+                if self.links.len() <= link {
+                    self.links.resize(link + 1, LinkStats::default());
+                }
+                let l = &mut self.links[link];
+                if l.bits == 0 {
+                    l.first_enter = enter;
+                }
+                l.bits += 1;
+                l.last_enter = enter;
+                if waited > 0 {
+                    l.queued_bits += 1;
+                    l.wait_total += waited;
+                }
+            }
+            _ => {}
         }
-        self.node_activations[node] += 1;
     }
 
     /// Per-node activation counts, indexed by node id.
@@ -422,32 +461,9 @@ impl Recorder {
         &self.node_activations
     }
 
-    /// Records one bit entering link `link` at time `enter`, having waited
-    /// `waited` bit-times for the wire entrance (0 = admitted immediately).
-    pub fn link_bit(&mut self, link: usize, enter: BitTime, waited: u64) {
-        if self.links.len() <= link {
-            self.links.resize(link + 1, LinkStats::default());
-        }
-        let l = &mut self.links[link];
-        if l.bits == 0 {
-            l.first_enter = enter;
-        }
-        l.bits += 1;
-        l.last_enter = enter;
-        if waited > 0 {
-            l.queued_bits += 1;
-            l.wait_total += waited;
-        }
-    }
-
     /// Per-link traffic metrics, indexed by link id.
     pub fn links(&self) -> &[LinkStats] {
         &self.links
-    }
-
-    /// Samples the event-calendar depth (taken by the engine at each pop).
-    pub fn calendar_sample(&mut self, depth: usize) {
-        self.calendar_depth.observe(depth as u64);
     }
 
     /// The event-calendar depth distribution.
@@ -570,6 +586,7 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::tests::{admit, deliver};
 
     #[test]
     fn nested_spans_attribute_self_time() {
@@ -821,9 +838,9 @@ mod tests {
     fn link_stats_track_pipelining() {
         let mut r = Recorder::new();
         // Three bits back to back (full pipeline), one that waited 2τ.
-        r.link_bit(1, BitTime::new(5), 0);
-        r.link_bit(1, BitTime::new(6), 0);
-        r.link_bit(1, BitTime::new(7), 2);
+        r.on_engine(&admit(1, BitTime::new(5), 0));
+        r.on_engine(&admit(1, BitTime::new(6), 0));
+        r.on_engine(&admit(1, BitTime::new(7), 2));
         let l = r.links()[1];
         assert_eq!(l.bits, 3);
         assert_eq!(l.queued_bits, 1);
@@ -835,9 +852,9 @@ mod tests {
     #[test]
     fn node_activations_grow_on_demand() {
         let mut r = Recorder::new();
-        r.node_activated(4);
-        r.node_activated(4);
-        r.node_activated(0);
+        r.on_engine(&deliver(BitTime::ZERO, 4, 1));
+        r.on_engine(&deliver(BitTime::ZERO, 4, 1));
+        r.on_engine(&deliver(BitTime::ZERO, 0, 1));
         assert_eq!(r.node_activations(), &[1, 0, 0, 0, 2]);
     }
 
@@ -850,8 +867,8 @@ mod tests {
     #[test]
     fn calendar_histogram_counts_samples() {
         let mut r = Recorder::new();
-        for d in [1usize, 2, 2, 8] {
-            r.calendar_sample(d);
+        for d in [1u64, 2, 2, 8] {
+            r.on_engine(&deliver(BitTime::ZERO, 0, d));
         }
         assert_eq!(r.calendar_depth().count(), 4);
         assert_eq!(r.calendar_depth().max(), 8);

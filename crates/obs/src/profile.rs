@@ -11,13 +11,9 @@
 //!
 //! Two ways to fill one:
 //!
-//! * **Engine level** — `sim::Engine` accepts an `Option<Profiler>` under
-//!   the same zero-overhead-when-absent contract as the `Recorder`: with
-//!   no profiler installed the hot loop touches no profiling code, and an
-//!   installed profiler never changes a simulated bit, time or output
-//!   (bit-identity, enforced by proptests in the consuming crates). The
-//!   engine feeds [`Profiler::event_fired`], [`Profiler::link_bit`],
-//!   [`Profiler::compute_charge`] and [`Profiler::fault_at`].
+//! * **Engine level** — [`Profiler::on_engine`] folds `sim::Engine`'s
+//!   event stream under the [`probe`](crate::probe) zero-overhead contract
+//!   (bit-identity enforced by proptests in the consuming crates).
 //! * **Word level** — [`Profiler::from_recorder`] re-buckets a recorded
 //!   run's causal segments (wire-delay / queue-wait / node-compute, plus
 //!   the `FAULT-OVERHEAD` phase) into windows after the fact, so the
@@ -36,6 +32,7 @@
 //! preserved. The effective width after a run is [`Profiler::width`].
 
 use crate::causal::SegmentKind;
+use crate::probe::{Delivery, EngineEvent};
 use crate::Recorder;
 use orthotrees_vlsi::BitTime;
 use std::collections::BTreeMap;
@@ -201,16 +198,8 @@ impl Profiler {
     /// against deliberately malformed sequences. Hot-spot tables and the
     /// footprint are empty.
     pub fn from_windows(width: u64, windows: Vec<Window>) -> Profiler {
-        let peak = windows.iter().map(|w| w.cal_max).max().unwrap_or(0);
-        Profiler {
-            width: width.max(1),
-            windows,
-            node_events: Vec::new(),
-            link_bits: Vec::new(),
-            phase_time: BTreeMap::new(),
-            peak_depth: peak,
-            footprint: None,
-        }
+        let peak_depth = windows.iter().map(|w| w.cal_max).max().unwrap_or(0);
+        Profiler { windows, peak_depth, ..Profiler::new(width) }
     }
 
     /// Re-buckets a recorded run's causal segments into windows: the
@@ -288,66 +277,51 @@ impl Profiler {
     }
 
     // --------------------------------------------------------------
-    // Engine hooks.
+    // Engine level.
     // --------------------------------------------------------------
 
-    /// Records one delivered event at `at` to node `node` with the
-    /// calendar `depth` entries deep (the popped event included).
-    /// Returns `true` when `depth` sets a new peak — the engine then
-    /// captures the structure sizes with
-    /// [`record_footprint`](Profiler::record_footprint).
-    pub fn event_fired(&mut self, at: BitTime, node: usize, depth: u64) -> bool {
-        if self.node_events.len() <= node {
-            self.node_events.resize(node + 1, 0);
+    /// Folds one engine event into its window. A delivery that sets a new
+    /// calendar-depth peak also captures the [`Footprint`] — the only
+    /// moment the event's `busy_links` scan runs.
+    pub fn on_engine(&mut self, ev: &EngineEvent) {
+        match *ev {
+            EngineEvent::Deliver {
+                delivery: Delivery { seq, at, node, depth, .. },
+                busy_links,
+            } => {
+                if self.node_events.len() <= node {
+                    self.node_events.resize(node + 1, 0);
+                }
+                self.node_events[node] += 1;
+                let w = self.slot(at);
+                w.events += 1;
+                w.cal_min = if w.cal_samples == 0 { depth } else { w.cal_min.min(depth) };
+                w.cal_max = w.cal_max.max(depth);
+                w.cal_sum += u128::from(depth);
+                w.cal_samples += 1;
+                if depth > self.peak_depth {
+                    self.peak_depth = depth;
+                    self.footprint = Some(Footprint {
+                        at,
+                        calendar_entries: depth,
+                        busy_links: busy_links(),
+                        delivered_events: seq,
+                    });
+                }
+            }
+            EngineEvent::Admit { link, enter, waited, .. } => {
+                if self.link_bits.len() <= link {
+                    self.link_bits.resize(link + 1, 0);
+                }
+                self.link_bits[link] += 1;
+                let w = self.slot(enter);
+                w.link_bits += 1;
+                w.queue_wait += waited;
+            }
+            EngineEvent::Compute { at, hold } => self.slot(at).compute += hold,
+            EngineEvent::Fault { arrive, .. } => self.slot(arrive).faults += 1,
+            EngineEvent::Suppress { .. } => {}
         }
-        self.node_events[node] += 1;
-        let w = self.slot(at);
-        w.events += 1;
-        w.cal_min = if w.cal_samples == 0 { depth } else { w.cal_min.min(depth) };
-        w.cal_max = w.cal_max.max(depth);
-        w.cal_sum += u128::from(depth);
-        w.cal_samples += 1;
-        if depth > self.peak_depth {
-            self.peak_depth = depth;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Captures the engine-structure footprint at a new calendar-depth
-    /// peak (called by the engine when
-    /// [`event_fired`](Profiler::event_fired) returns `true`).
-    pub fn record_footprint(&mut self, at: BitTime, depth: u64, busy_links: u64, delivered: u64) {
-        self.footprint = Some(Footprint {
-            at,
-            calendar_entries: depth,
-            busy_links,
-            delivered_events: delivered,
-        });
-    }
-
-    /// Records one bit entering link `link` at `enter`, having waited
-    /// `waited` τ for the wire entrance.
-    pub fn link_bit(&mut self, enter: BitTime, link: usize, waited: u64) {
-        if self.link_bits.len() <= link {
-            self.link_bits.resize(link + 1, 0);
-        }
-        self.link_bits[link] += 1;
-        let w = self.slot(enter);
-        w.link_bits += 1;
-        w.queue_wait += waited;
-    }
-
-    /// Records `hold` τ of node compute (an emission hold) anchored at
-    /// `at`.
-    pub fn compute_charge(&mut self, at: BitTime, hold: u64) {
-        self.slot(at).compute += hold;
-    }
-
-    /// Records one injected fault at `at`.
-    pub fn fault_at(&mut self, at: BitTime) {
-        self.slot(at).faults += 1;
     }
 
     // --------------------------------------------------------------
@@ -462,13 +436,16 @@ fn top_k(rows: impl Iterator<Item = (String, u64)>, k: usize) -> Vec<HotSpot> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::causal::SegmentKind;
+    use crate::causal::{MsgId, SegmentKind};
+    use crate::probe::tests::{admit, deliver};
+    use std::cell::Cell;
 
     #[test]
     fn windows_are_gapless_even_with_sparse_activity() {
         let mut p = Profiler::new(10);
-        assert!(p.event_fired(BitTime::new(5), 0, 3));
-        assert!(!p.event_fired(BitTime::new(95), 1, 2));
+        p.on_engine(&deliver(BitTime::new(5), 0, 3));
+        p.on_engine(&deliver(BitTime::new(95), 1, 2));
+        assert_eq!(p.footprint().map(|f| f.at), Some(BitTime::new(5)), "only the first peaks");
         let w = p.windows();
         assert_eq!(w.len(), 10);
         for (i, win) in w.iter().enumerate() {
@@ -482,9 +459,9 @@ mod tests {
     #[test]
     fn calendar_stats_track_min_max_mean_per_window() {
         let mut p = Profiler::new(100);
-        p.event_fired(BitTime::new(1), 0, 4);
-        p.event_fired(BitTime::new(2), 0, 8);
-        p.event_fired(BitTime::new(3), 0, 6);
+        p.on_engine(&deliver(BitTime::new(1), 0, 4));
+        p.on_engine(&deliver(BitTime::new(2), 0, 8));
+        p.on_engine(&deliver(BitTime::new(3), 0, 6));
         let w = p.windows()[0];
         assert_eq!((w.cal_min, w.cal_max, w.cal_samples), (4, 8, 3));
         assert!((w.cal_mean() - 6.0).abs() < 1e-9);
@@ -501,11 +478,22 @@ mod tests {
     #[test]
     fn peak_detection_fires_once_per_new_peak() {
         let mut p = Profiler::new(10);
-        assert!(p.event_fired(BitTime::ZERO, 0, 5), "first event is a peak");
-        assert!(!p.event_fired(BitTime::new(1), 0, 5), "ties are not peaks");
-        assert!(!p.event_fired(BitTime::new(2), 0, 3));
-        assert!(p.event_fired(BitTime::new(3), 0, 9));
-        p.record_footprint(BitTime::new(3), 9, 4, 17);
+        let scans = Cell::new(0u64);
+        let busy = || {
+            scans.set(scans.get() + 1);
+            4
+        };
+        let mut fire = |at: u64, depth: u64| {
+            let at = BitTime::new(at);
+            let delivery =
+                Delivery { seq: 17, at, node: 0, port: 0, value: false, index: 0, depth };
+            p.on_engine(&EngineEvent::Deliver { delivery, busy_links: &busy });
+            scans.get()
+        };
+        assert_eq!(fire(0, 5), 1, "first event is a peak");
+        assert_eq!(fire(1, 5), 1, "ties are not peaks");
+        assert_eq!(fire(2, 3), 1);
+        assert_eq!(fire(3, 9), 2);
         let f = p.footprint().unwrap();
         assert_eq!((f.calendar_entries, f.busy_links, f.delivered_events), (9, 4, 17));
     }
@@ -514,8 +502,8 @@ mod tests {
     fn coalescing_doubles_width_and_preserves_sums() {
         let mut p = Profiler::new(1);
         for t in 0..1000u64 {
-            p.event_fired(BitTime::new(t), (t % 7) as usize, 1 + t % 5);
-            p.link_bit(BitTime::new(t), (t % 3) as usize, t % 2);
+            p.on_engine(&deliver(BitTime::new(t), (t % 7) as usize, 1 + t % 5));
+            p.on_engine(&admit((t % 3) as usize, BitTime::new(t), t % 2));
         }
         assert!(p.windows().len() <= MAX_WINDOWS);
         assert!(p.width() >= 1000 / MAX_WINDOWS as u64, "width grew: {}", p.width());
@@ -559,11 +547,11 @@ mod tests {
     fn hot_spots_rank_nodes_links_and_phases() {
         let mut p = Profiler::new(10);
         for _ in 0..5 {
-            p.event_fired(BitTime::ZERO, 2, 1);
+            p.on_engine(&deliver(BitTime::ZERO, 2, 1));
         }
-        p.event_fired(BitTime::ZERO, 0, 1);
-        p.link_bit(BitTime::ZERO, 1, 0);
-        p.link_bit(BitTime::ZERO, 1, 0);
+        p.on_engine(&deliver(BitTime::ZERO, 0, 1));
+        p.on_engine(&admit(1, BitTime::ZERO, 0));
+        p.on_engine(&admit(1, BitTime::ZERO, 0));
         let hot = p.hot_spots(2);
         assert_eq!(hot[0].name, "node 2");
         assert_eq!(hot[0].value, 5);
@@ -582,8 +570,12 @@ mod tests {
     #[test]
     fn compute_and_fault_charges_land_in_their_windows() {
         let mut p = Profiler::new(10);
-        p.compute_charge(BitTime::new(12), 3);
-        p.fault_at(BitTime::new(25));
+        p.on_engine(&EngineEvent::Compute { at: BitTime::new(12), hold: 3 });
+        p.on_engine(&EngineEvent::Fault {
+            msg: MsgId(0),
+            arrive: BitTime::new(25),
+            dropped: false,
+        });
         assert_eq!(p.windows()[1].compute, 3);
         assert_eq!(p.windows()[2].faults, 1);
         let t = p.totals();

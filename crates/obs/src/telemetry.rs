@@ -27,15 +27,15 @@
 //! [`orthotrees-telemetry/v1`](SCHEMA) document that
 //! [`schema_violations`] validates.
 //!
-//! Attachment points follow the established Option-gated zero-overhead
-//! pattern: `sim::Engine` accepts an `Option<Telemetry>` (no telemetry
-//! installed ⇒ the hot loop touches no telemetry code; installed ⇒ bits,
-//! clocks and outputs unchanged — proptest-pinned like the Recorder), and
+//! Attachment points: `sim::Engine` feeds its event stream through
+//! [`Telemetry::on_engine`] under the [`probe`](crate::probe) zero-overhead
+//! contract (proptest-pinned like the Recorder), and
 //! the word-level `Otn`/`Otc` machines feed one through their central
 //! clock-charge path. The `TEL-001` verify rule holds every sketch to its
 //! ε bound against exactly recomputed quantiles.
 
 use crate::json::Json;
+use crate::probe::{Delivery, EngineEvent};
 use orthotrees_vlsi::BitTime;
 use std::collections::BTreeMap;
 
@@ -291,7 +291,7 @@ impl Telemetry {
         if delta == 0 {
             return;
         }
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        crate::update(&mut self.counters, name, || 0, |v| *v += delta);
     }
 
     /// One counter's value (0 if never counted).
@@ -318,10 +318,7 @@ impl Telemetry {
     /// registry's ε on first use).
     pub fn observe(&mut self, name: &str, value: u64) {
         let eps = self.epsilon;
-        self.sketches
-            .entry(name.to_string())
-            .or_insert_with(|| QuantileSketch::new(eps))
-            .observe(value);
+        crate::update(&mut self.sketches, name, || QuantileSketch::new(eps), |s| s.observe(value));
     }
 
     /// The named sketch, if any value was ever observed into it.
@@ -356,6 +353,24 @@ impl Telemetry {
                 .map(|(_, s)| s.clone())
                 .collect();
             self.snapshots = keep;
+        }
+    }
+
+    /// Folds one engine event into the `engine.*` meters; a delivery also
+    /// ticks the snapshot cadence.
+    pub fn on_engine(&mut self, ev: &EngineEvent) {
+        match *ev {
+            EngineEvent::Deliver { delivery: Delivery { at, depth, .. }, .. } => {
+                self.count("engine.delivered", 1);
+                self.observe("engine.calendar_depth", depth);
+                self.tick(at);
+            }
+            EngineEvent::Admit { waited, .. } => {
+                self.count("engine.link_bits", 1);
+                self.count("engine.queue_wait_tau", waited);
+            }
+            EngineEvent::Fault { .. } => self.count("engine.faults_injected", 1),
+            _ => {}
         }
     }
 

@@ -16,8 +16,9 @@ use crate::calendar::{new_calendar, Calendar, CalendarKind};
 use crate::fault::{FaultPlan, FaultStats, LinkFaultKind, RunBudget};
 use crate::link::{Link, LinkId};
 use crate::node::{Bit, NodeBehavior, NodeId, Outbox, PortId};
-use orthotrees_obs::causal::{CausalTrace, Hop, MsgId};
-use orthotrees_obs::flight::{FlightEvent, FlightRecorder};
+use orthotrees_obs::causal::{CausalTrace, MsgId};
+use orthotrees_obs::flight::FlightRecorder;
+use orthotrees_obs::probe::{Delivery, EngineEvent, Probes};
 use orthotrees_obs::profile::Profiler;
 use orthotrees_obs::telemetry::Telemetry;
 use orthotrees_obs::Recorder;
@@ -88,8 +89,8 @@ pub struct Engine {
     delay: DelayModel,
     pub(crate) queue: Box<dyn Calendar>,
     /// Pending-event count, maintained O(1) alongside every push/pop so
-    /// the hot loop's depth sampling (recorder, profiler, flight,
-    /// telemetry) never depends on the installed calendar's `len()` cost.
+    /// the depth each delivery reports to the probes never depends on the
+    /// installed calendar's `len()` cost.
     /// Audited against `queue.len()` in debug builds.
     pub(crate) depth: usize,
     pub(crate) seq: u64,
@@ -101,26 +102,15 @@ pub struct Engine {
     fault_plan: Option<FaultPlan>,
     budget: RunBudget,
     pub(crate) fault_stats: FaultStats,
-    /// Installed observability hook, if any. `None` is the fast path: the
-    /// run loop touches no recording code at all (same contract as
-    /// `fault_plan`), and recording never changes a simulated bit or time.
-    recorder: Option<Recorder>,
-    /// Installed causal trace, if any. Same contract as `recorder`:
-    /// `None` is the fast path, and tracing never changes a simulated bit
-    /// or time.
-    causal: Option<CausalTrace>,
-    /// Installed windowed profiler, if any. Same contract as `recorder`:
-    /// `None` is the fast path, and profiling never changes a simulated
-    /// bit or time.
-    profiler: Option<Profiler>,
-    /// Installed streaming telemetry bus, if any. Same contract as
-    /// `recorder`: `None` is the fast path, and metering never changes a
-    /// simulated bit or time.
-    telemetry: Option<Telemetry>,
-    /// Installed crash flight recorder, if any. Same contract as
-    /// `recorder`; additionally, the engine dumps a post-mortem document
-    /// into it before returning any [`SimError`].
-    flight: Option<FlightRecorder>,
+    /// Installed instruments, if any, fed one [`EngineEvent`] at each of
+    /// five moments. `None` is the fast path: the run loop touches no
+    /// observation code at all (same contract as `fault_plan`), and
+    /// observing never changes a simulated bit or time.
+    probes: Option<Probes>,
+    /// The one emission buffer every activation fills and
+    /// [`flush_outbox`](Engine::flush_outbox) drains, so steady-state
+    /// deliveries allocate nothing.
+    outbox: Outbox,
     /// Reverse the tie-break among same-timestamp events (verification
     /// only). Correct networks must produce identical results either way.
     pub(crate) lifo_ties: bool,
@@ -151,11 +141,8 @@ impl Engine {
             fault_plan: None,
             budget: RunBudget::default(),
             fault_stats: FaultStats::default(),
-            recorder: None,
-            causal: None,
-            profiler: None,
-            telemetry: None,
-            flight: None,
+            probes: None,
+            outbox: Outbox::default(),
             lifo_ties: false,
             started: false,
             delivered: 0,
@@ -232,123 +219,6 @@ impl Engine {
         &self.fault_stats
     }
 
-    /// Installs an observability [`Recorder`]. The run then fills its
-    /// per-node activation counts, per-link traffic/queueing metrics and
-    /// event-calendar depth histogram; simulated bits, times and outputs
-    /// are unchanged (bit-identity, enforced by tests).
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// The installed recorder, if any.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
-    }
-
-    /// Removes and returns the installed recorder (export after a run).
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
-    /// Installs a causal trace: the run then records one
-    /// [`Hop`](orthotrees_obs::causal::Hop) per scheduled bit — which link,
-    /// when it was presented / entered / arrived, and which delivered
-    /// message triggered the emission — so
-    /// [`CausalTrace::critical_path`] can explain the completion time
-    /// hop by hop. Simulated bits, times and outputs are unchanged
-    /// (bit-identity, enforced by tests).
-    pub fn with_causal_trace(mut self) -> Self {
-        self.causal = Some(CausalTrace::new());
-        self
-    }
-
-    /// The installed causal trace, if any.
-    pub fn causal_trace(&self) -> Option<&CausalTrace> {
-        self.causal.as_ref()
-    }
-
-    /// Removes and returns the installed causal trace (analysis after a
-    /// run).
-    pub fn take_causal_trace(&mut self) -> Option<CausalTrace> {
-        self.causal.take()
-    }
-
-    /// Installs a windowed [`Profiler`]: the run then buckets every
-    /// delivery (with its calendar depth), link-entrance bit, emission
-    /// hold and injected fault into fixed-width time windows, and captures
-    /// the engine-structure footprint at the calendar-depth peak.
-    /// Simulated bits, times and outputs are unchanged (bit-identity,
-    /// enforced by the profile proptest suite).
-    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = Some(profiler);
-        self
-    }
-
-    /// The installed profiler, if any.
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
-    }
-
-    /// Removes and returns the installed profiler (export after a run).
-    pub fn take_profiler(&mut self) -> Option<Profiler> {
-        self.profiler.take()
-    }
-
-    /// Installs a streaming [`Telemetry`] bus: the run then counts every
-    /// delivery and link-entrance bit, meters queue wait, feeds the
-    /// calendar-depth quantile sketch and emits periodic counter
-    /// snapshots. Simulated bits, times and outputs are unchanged
-    /// (bit-identity, enforced by the telemetry proptest suite).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// The installed telemetry bus, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// Mutable access to the installed telemetry bus (callers fold their
-    /// own domain counters into the engine's export through this).
-    pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_mut()
-    }
-
-    /// Removes and returns the installed telemetry bus (export after a run).
-    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.take()
-    }
-
-    /// Installs a crash [`FlightRecorder`]: the run then keeps a bounded
-    /// ring of recent deliveries and dumps an `orthotrees-flight/v1`
-    /// post-mortem document before returning any [`SimError`]. Simulated
-    /// bits, times and outputs are unchanged (bit-identity, enforced by
-    /// the telemetry proptest suite).
-    pub fn with_flight_recorder(mut self, flight: FlightRecorder) -> Self {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// The installed flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// Mutable access to the installed flight recorder (the recovery
-    /// supervisor notes checkpoints and dumps rollback post-mortems
-    /// through this).
-    pub fn flight_recorder_mut(&mut self) -> Option<&mut FlightRecorder> {
-        self.flight.as_mut()
-    }
-
-    /// Removes and returns the installed flight recorder (export after a
-    /// run).
-    pub fn take_flight_recorder(&mut self) -> Option<FlightRecorder> {
-        self.flight.take()
-    }
-
     /// Adds a node, returning its id.
     pub fn add_node(&mut self, behavior: Box<dyn NodeBehavior>) -> NodeId {
         let id = NodeId(self.nodes.len());
@@ -420,96 +290,62 @@ impl Engine {
         self.delay
     }
 
-    fn flush_outbox(&mut self, from: NodeId, ready: BitTime, trigger: Option<MsgId>, out: Outbox) {
+    /// Schedules every emission `node` queued in the engine's outbox,
+    /// draining it. `trigger` names the delivery that activated the node
+    /// (`None` at start).
+    fn flush_outbox(&mut self, from: NodeId, ready: BitTime, trigger: Option<MsgId>) {
         // `ready` at entry is the triggering delivery's arrival time (or 0
         // at node start): the causal anchor every emission hold counts from.
         let trigger_at = ready;
-        for (port, bit, hold) in out.emissions {
+        for (port, bit, hold) in self.outbox.emissions.drain(..) {
             let ready = ready + hold;
             let Some(links) = self.routes[from.0].get(port.0) else {
                 continue; // emission on an unconnected port is dropped
             };
-            if let Some(prof) = &mut self.profiler {
+            if let Some(p) = &mut self.probes {
                 if hold > BitTime::ZERO && !links.is_empty() {
                     // A nonzero emission hold is the node's compute time,
                     // anchored at the triggering delivery.
-                    prof.compute_charge(trigger_at, hold.get());
+                    p.on_engine(&EngineEvent::Compute { at: trigger_at, hold: hold.get() });
                 }
             }
             for &lid in links {
-                let mut enter = BitTime::ZERO;
-                let arrive = if self.recorder.is_none()
-                    && self.causal.is_none()
-                    && self.profiler.is_none()
-                    && self.telemetry.is_none()
-                {
-                    self.links[lid.0].admit(ready, self.delay)
-                } else {
-                    let link = &mut self.links[lid.0];
-                    let waited = link.free_at.get().saturating_sub(ready.get());
-                    let arrive = link.admit(ready, self.delay);
-                    // The entrance slot the bit actually took.
-                    enter = arrive - link.bit_delay(self.delay);
-                    if let Some(rec) = &mut self.recorder {
-                        rec.link_bit(lid.0, enter, waited);
-                    }
-                    if let Some(prof) = &mut self.profiler {
-                        prof.link_bit(enter, lid.0, waited);
-                    }
-                    if let Some(tel) = &mut self.telemetry {
-                        tel.count("engine.link_bits", 1);
-                        tel.count("engine.queue_wait_tau", waited);
-                    }
-                    arrive
-                };
+                let link = &mut self.links[lid.0];
+                let arrive = link.admit(ready, self.delay);
                 self.seq += 1;
-                if let Some(tr) = &mut self.causal {
-                    tr.record_hop(Hop {
+                if let Some(p) = &mut self.probes {
+                    // The entrance slot the bit actually took.
+                    let enter = arrive - link.bit_delay(self.delay);
+                    p.on_engine(&EngineEvent::Admit {
                         msg: MsgId(self.seq),
-                        pred: trigger,
+                        trigger,
                         link: lid.0,
-                        link_len: self.links[lid.0].length,
+                        link_len: link.length,
                         trigger_at,
                         ready,
                         enter,
                         arrive,
-                        delivered: true,
+                        waited: (enter - ready).get(),
                     });
                 }
                 let mut bit = bit;
-                match self.fault_plan.as_ref().and_then(|p| {
-                    if p.affects_links() {
-                        p.link_fault(lid, self.seq)
-                    } else {
-                        None
+                let plan = self.fault_plan.as_ref().filter(|p| p.affects_links());
+                if let Some(kind) = plan.and_then(|p| p.link_fault(lid, self.seq)) {
+                    self.fault_stats.injected += 1;
+                    self.fault_stats.faulty_bits += 1;
+                    if let Some(p) = &mut self.probes {
+                        let dropped = kind == LinkFaultKind::Drop;
+                        p.on_engine(&EngineEvent::Fault { msg: MsgId(self.seq), arrive, dropped });
                     }
-                }) {
-                    None => {}
-                    Some(kind) => {
-                        self.fault_stats.injected += 1;
-                        self.fault_stats.faulty_bits += 1;
-                        if let Some(prof) = &mut self.profiler {
-                            prof.fault_at(arrive);
-                        }
-                        if let Some(tel) = &mut self.telemetry {
-                            tel.count("engine.faults_injected", 1);
-                        }
-                        match kind {
-                            LinkFaultKind::StuckAtZero => bit.value = false,
-                            LinkFaultKind::StuckAtOne => bit.value = true,
-                            LinkFaultKind::Flip => bit.value = !bit.value,
-                            // The wire slot is consumed (admit above) but
-                            // the bit never arrives.
-                            LinkFaultKind::Drop => {
-                                if let Some(tr) = &mut self.causal {
-                                    tr.mark_undelivered(MsgId(self.seq));
-                                }
-                                continue;
-                            }
-                        }
+                    match kind {
+                        LinkFaultKind::StuckAtZero => bit.value = false,
+                        LinkFaultKind::StuckAtOne => bit.value = true,
+                        LinkFaultKind::Flip => bit.value = !bit.value,
+                        // The wire slot is consumed (admit above) but the
+                        // bit never arrives.
+                        LinkFaultKind::Drop => continue,
                     }
                 }
-                let link = &self.links[lid.0];
                 // The fault plan above keys off the raw scheduling counter;
                 // only the *ordering* value is permuted under LIFO ties.
                 let order = if self.lifo_ties { u64::MAX - self.seq } else { self.seq };
@@ -566,9 +402,8 @@ impl Engine {
         if !self.started {
             self.started = true;
             for i in 0..self.nodes.len() {
-                let mut out = Outbox::default();
-                self.nodes[i].on_start(&mut out);
-                self.flush_outbox(NodeId(i), BitTime::ZERO, None, out);
+                self.nodes[i].on_start(&mut self.outbox);
+                self.flush_outbox(NodeId(i), BitTime::ZERO, None);
             }
         }
         let mut fired = 0u64;
@@ -602,50 +437,33 @@ impl Engine {
             if let Some(plan) = &self.fault_plan {
                 if plan.affects_nodes() && !plan.node_alive(ev.node, ev.at) {
                     self.fault_stats.suppressed += 1;
-                    if let Some(tr) = &mut self.causal {
-                        tr.mark_undelivered(MsgId(ev.msg));
+                    if let Some(p) = &mut self.probes {
+                        p.on_engine(&EngineEvent::Suppress { msg: MsgId(ev.msg) });
                     }
                     continue;
                 }
             }
-            if let Some(rec) = &mut self.recorder {
-                // Depth of the calendar when this event fired (itself
-                // included), and the receiving node's activation.
-                rec.calendar_sample(self.depth + 1);
-                rec.node_activated(ev.node.0);
-            }
-            if let Some(prof) = &mut self.profiler {
-                let depth = (self.depth + 1) as u64;
-                if prof.event_fired(ev.at, ev.node.0, depth) {
-                    // New calendar-depth peak: capture the engine-structure
-                    // footprint at this moment.
-                    let busy = self.links.iter().filter(|l| l.free_at > ev.at).count() as u64;
-                    prof.record_footprint(ev.at, depth, busy, self.delivered);
-                }
-            }
-            if let Some(fl) = &mut self.flight {
-                fl.record(FlightEvent {
-                    seq: self.delivered,
-                    at: ev.at,
-                    node: ev.node.0,
-                    port: ev.port.0,
-                    value: ev.bit.value,
-                    index: ev.bit.index,
-                    depth: (self.depth + 1) as u64,
+            if let Some(p) = &mut self.probes {
+                let links = &self.links;
+                p.on_engine(&EngineEvent::Deliver {
+                    delivery: Delivery {
+                        seq: self.delivered,
+                        at: ev.at,
+                        node: ev.node.0,
+                        port: ev.port.0,
+                        value: ev.bit.value,
+                        index: ev.bit.index,
+                        depth: (self.depth + 1) as u64,
+                    },
+                    busy_links: &|| links.iter().filter(|l| l.free_at > ev.at).count() as u64,
                 });
-            }
-            if let Some(tel) = &mut self.telemetry {
-                tel.count("engine.delivered", 1);
-                tel.observe("engine.calendar_depth", (self.depth + 1) as u64);
-                tel.tick(ev.at);
             }
             self.now = self.now.max(ev.at);
             if self.keep_log {
                 self.log.push(EventLog { at: ev.at, node: ev.node, port: ev.port, bit: ev.bit });
             }
-            let mut out = Outbox::default();
-            self.nodes[ev.node.0].on_bit(ev.at, ev.port, ev.bit, &mut out);
-            self.flush_outbox(ev.node, ev.at, Some(MsgId(ev.msg)), out);
+            self.nodes[ev.node.0].on_bit(ev.at, ev.port, ev.bit, &mut self.outbox);
+            self.flush_outbox(ev.node, ev.at, Some(MsgId(ev.msg)));
         }
         if self.queue.is_empty() {
             Ok(RunStatus::Quiescent(self.now))
@@ -668,10 +486,114 @@ impl Engine {
         self.fault_plan = plan;
     }
 
+    /// Replaces the run watchdog budget mid-run. Like
+    /// [`set_fault_plan`](Engine::set_fault_plan), this is a supervisor
+    /// repair knob: a retry after a [`BudgetExhausted`] trip is pointless
+    /// unless the budget is raised or the workload shrinks.
+    ///
+    /// [`BudgetExhausted`]: SimError::BudgetExhausted
+    pub fn set_budget(&mut self, budget: RunBudget) {
+        self.budget = budget;
+    }
+
+    /// Latest completion time reported by any node's
+    /// [`completed_at`](NodeBehavior::completed_at) probe, if any reported.
+    pub fn completion_time(&self) -> Option<BitTime> {
+        self.nodes.iter().filter_map(|n| n.completed_at()).max()
+    }
+}
+
+/// Instruments. Each one folds the engine's [`EngineEvent`] stream from
+/// the one probe slot, and none changes a simulated bit, time or output
+/// (bit-identity, enforced by the engine tests and the identity suites).
+impl Engine {
+    /// The probe slot, created on first install.
+    fn probes(&mut self) -> &mut Probes {
+        self.probes.get_or_insert_with(Probes::default)
+    }
+
+    /// Installs a [`Recorder`]: per-node activations, per-link traffic and
+    /// queueing, and the event-calendar depth histogram.
+    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        self.probes().recorder = Some(recorder);
+        self
+    }
+
+    /// Removes and returns the installed recorder (export after a run).
+    pub fn take_recorder(&mut self) -> Option<Recorder> {
+        self.probes.as_mut()?.recorder.take()
+    }
+
     /// Mutable access to the installed recorder (the recovery supervisor
     /// marks replayed windows as `RECOVERY` spans through this).
     pub fn recorder_mut(&mut self) -> Option<&mut Recorder> {
-        self.recorder.as_mut()
+        self.probes.as_mut()?.recorder.as_mut()
+    }
+
+    /// Installs a causal trace: one hop per scheduled bit, so
+    /// [`CausalTrace::critical_path`] can explain the completion time hop
+    /// by hop.
+    pub fn with_causal_trace(mut self) -> Self {
+        self.probes().causal = Some(CausalTrace::new());
+        self
+    }
+
+    /// Removes and returns the installed causal trace (analysis after a
+    /// run).
+    pub fn take_causal_trace(&mut self) -> Option<CausalTrace> {
+        self.probes.as_mut()?.causal.take()
+    }
+
+    /// Installs a windowed [`Profiler`]: deliveries with their calendar
+    /// depth, link-entrance bits, emission holds and injected faults per
+    /// time window, and the engine-structure sizes at the depth peak.
+    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
+        self.probes().profiler = Some(profiler);
+        self
+    }
+
+    /// Removes and returns the installed profiler (export after a run).
+    pub fn take_profiler(&mut self) -> Option<Profiler> {
+        self.probes.as_mut()?.profiler.take()
+    }
+
+    /// Installs a streaming [`Telemetry`] bus: delivery, link-bit, queue-wait
+    /// and fault counters, the calendar-depth sketch and periodic snapshots.
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.probes().telemetry = Some(telemetry);
+        self
+    }
+
+    /// Mutable access to the installed telemetry bus (callers fold their
+    /// own domain counters into the engine's export through this).
+    pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
+        self.probes.as_mut()?.telemetry.as_mut()
+    }
+
+    /// Removes and returns the installed telemetry bus (export after a run).
+    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
+        self.probes.as_mut()?.telemetry.take()
+    }
+
+    /// Installs a crash [`FlightRecorder`]: a bounded ring of recent
+    /// deliveries, dumped as an `orthotrees-flight/v1` post-mortem before
+    /// the engine returns any [`SimError`].
+    pub fn with_flight_recorder(mut self, flight: FlightRecorder) -> Self {
+        self.probes().flight = Some(flight);
+        self
+    }
+
+    /// Mutable access to the installed flight recorder (the recovery
+    /// supervisor notes checkpoints and dumps rollback post-mortems
+    /// through this).
+    pub fn flight_recorder_mut(&mut self) -> Option<&mut FlightRecorder> {
+        self.probes.as_mut()?.flight.as_mut()
+    }
+
+    /// Removes and returns the installed flight recorder (export after a
+    /// run).
+    pub fn take_flight_recorder(&mut self) -> Option<FlightRecorder> {
+        self.probes.as_mut()?.flight.take()
     }
 
     /// Dumps a flight-recorder post-mortem for a failure the engine (or a
@@ -680,7 +602,7 @@ impl Engine {
     /// recorder's [`post_mortems`](FlightRecorder::post_mortems) list.
     pub fn flight_post_mortem(&mut self, reason: &str, at: BitTime) {
         let stats = self.fault_stats;
-        if let Some(fl) = &mut self.flight {
+        if let Some(fl) = self.flight_recorder_mut() {
             fl.dump(
                 reason,
                 at,
@@ -696,22 +618,6 @@ impl Engine {
                 ],
             );
         }
-    }
-
-    /// Replaces the run watchdog budget mid-run. Like
-    /// [`set_fault_plan`](Engine::set_fault_plan), this is a supervisor
-    /// repair knob: a retry after a [`BudgetExhausted`] trip is pointless
-    /// unless the budget is raised or the workload shrinks.
-    ///
-    /// [`BudgetExhausted`]: SimError::BudgetExhausted
-    pub fn set_budget(&mut self, budget: RunBudget) {
-        self.budget = budget;
-    }
-
-    /// Latest completion time reported by any node's
-    /// [`completed_at`](NodeBehavior::completed_at) probe, if any reported.
-    pub fn completion_time(&self) -> Option<BitTime> {
-        self.nodes.iter().filter_map(|n| n.completed_at()).max()
     }
 }
 
@@ -1128,7 +1034,7 @@ mod tests {
     #[test]
     fn flight_tail_is_a_contiguous_suffix_of_the_event_log() {
         let (log, end, _, mut fl) = telemetered_run();
-        let tail: Vec<FlightEvent> = fl.tail().copied().collect();
+        let tail: Vec<Delivery> = fl.tail().copied().collect();
         assert_eq!(tail.len(), 8.min(log.len()), "ring filled to capacity");
         let skip = log.len() - tail.len();
         for (fe, (i, le)) in tail.iter().zip(log.iter().enumerate().skip(skip)) {

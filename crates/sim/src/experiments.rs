@@ -455,7 +455,7 @@ impl TreeIds {
 ///
 /// Panics if `leaves` is not a power of two.
 pub fn broadcast_completion_time(leaves: usize, m: &CostModel) -> Result<BitTime, SimError> {
-    broadcast_run(leaves, m, false, false, false).map(|(t, _, _, _)| t)
+    broadcast_run(leaves, m, |e| e).map(|(t, _)| t)
 }
 
 /// [`broadcast_completion_time`] with a [`Recorder`] installed: returns
@@ -471,8 +471,8 @@ pub fn broadcast_completion_time(leaves: usize, m: &CostModel) -> Result<BitTime
 ///
 /// Panics if `leaves` is not a power of two.
 pub fn broadcast_observed(leaves: usize, m: &CostModel) -> Result<(BitTime, Recorder), SimError> {
-    broadcast_run(leaves, m, true, false, false)
-        .map(|(t, rec, _, _)| (t, rec.expect("recorder was installed for this run")))
+    let (t, mut e) = broadcast_run(leaves, m, |e| e.with_recorder(Recorder::new()))?;
+    Ok((t, e.take_recorder().expect("recorder was installed for this run")))
 }
 
 /// [`broadcast_completion_time`] with both a [`Recorder`] and a windowed
@@ -493,13 +493,11 @@ pub fn broadcast_profiled(
     leaves: usize,
     m: &CostModel,
 ) -> Result<(BitTime, Recorder, Profiler), SimError> {
-    broadcast_run(leaves, m, true, false, true).map(|(t, rec, _, prof)| {
-        (
-            t,
-            rec.expect("recorder was installed for this run"),
-            prof.expect("profiler was installed for this run"),
-        )
-    })
+    let (t, mut e) = broadcast_run(leaves, m, |e| {
+        e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16))
+    })?;
+    let rec = e.take_recorder().expect("recorder was installed for this run");
+    Ok((t, rec, e.take_profiler().expect("profiler was installed for this run")))
 }
 
 /// [`broadcast_completion_time`] with a [`CausalTrace`] installed: returns
@@ -521,30 +519,19 @@ pub fn broadcast_profiled(
 ///
 /// Panics if `leaves` is not a power of two.
 pub fn broadcast_traced(leaves: usize, m: &CostModel) -> Result<(BitTime, CausalTrace), SimError> {
-    broadcast_run(leaves, m, false, true, false)
-        .map(|(t, _, tr, _)| (t, tr.expect("causal trace was installed for this run")))
+    let (t, mut e) = broadcast_run(leaves, m, Engine::with_causal_trace)?;
+    Ok((t, e.take_causal_trace().expect("causal trace was installed for this run")))
 }
 
-type BroadcastInstruments = (BitTime, Option<Recorder>, Option<CausalTrace>, Option<Profiler>);
-
+/// Runs the broadcast on an engine `install` has fitted with its
+/// instruments; returns the completion time and the engine, for them.
 fn broadcast_run(
     leaves: usize,
     m: &CostModel,
-    record: bool,
-    traced: bool,
-    profiled: bool,
-) -> Result<BroadcastInstruments, SimError> {
+    install: impl FnOnce(Engine) -> Engine,
+) -> Result<(BitTime, Engine), SimError> {
     let w = m.word_bits.max(1);
-    let mut e = Engine::new(m.delay);
-    if record {
-        e = e.with_recorder(Recorder::new());
-    }
-    if traced {
-        e = e.with_causal_trace();
-    }
-    if profiled {
-        e = e.with_profiler(Profiler::new(16));
-    }
+    let mut e = install(Engine::new(m.delay));
     let ids = build_tree(
         &mut e,
         leaves,
@@ -557,7 +544,7 @@ fn broadcast_run(
     // node feeding the root's children directly when depth >= 1; for a
     // 1-leaf tree the "broadcast" is free.
     if leaves == 1 {
-        return Ok((BitTime::ZERO, e.take_recorder(), e.take_causal_trace(), e.take_profiler()));
+        return Ok((BitTime::ZERO, e));
     }
     // The generic builder made the root a DownRepeater with no parent; feed
     // it through a zero-length wire from a dedicated source node.
@@ -574,7 +561,7 @@ fn broadcast_run(
     let injected = m.delay.wire_bit_delay(0);
     e.try_run()?;
     let done = e.completion_time().ok_or(SimError::NoCompletion { what: "broadcast leaves" })?;
-    Ok((done - injected, e.take_recorder(), e.take_causal_trace(), e.take_profiler()))
+    Ok((done - injected, e))
 }
 
 /// Simulates `LEAFTOROOT` from leaf `source_leaf`; returns the time the root
@@ -739,20 +726,32 @@ pub fn supervised_sum_recovery(
     m: &CostModel,
     policy: &RecoveryPolicy,
 ) -> Result<(RecoveryReport, Recorder, u64), SimError> {
+    let (report, mut e, v) =
+        supervised_sum(values, m, policy, |e| e.with_recorder(Recorder::new()))?;
+    let rec = e.take_recorder().ok_or(SimError::NoCompletion { what: "recovery recorder" })?;
+    Ok((report, rec, v))
+}
+
+/// The supervised outage run behind [`supervised_sum_recovery`] and its
+/// variants, on an engine `install` has fitted with its instruments;
+/// returns the report, the engine (for them) and the computed sum.
+fn supervised_sum(
+    values: &[u64],
+    m: &CostModel,
+    policy: &RecoveryPolicy,
+    install: impl FnOnce(Engine) -> Engine,
+) -> Result<(RecoveryReport, Engine, u64), SimError> {
     let (mut clean, _) = build_aggregate(values, m, true);
     clean.try_run()?;
     let t = clean.completion_time().ok_or(SimError::NoCompletion { what: "aggregate root" })?;
 
     let (chaotic, sink) = build_aggregate(values, m, true);
     let until = BitTime::new(t.get().max(2));
-    let mut chaotic = chaotic
-        .with_recorder(Recorder::new())
-        .with_fault_plan(FaultPlan::new(1).with_outage(sink, BitTime::new(1), until));
+    let plan = FaultPlan::new(1).with_outage(sink, BitTime::new(1), until);
+    let mut chaotic = install(chaotic).with_fault_plan(plan);
     let report = supervise_engine(&mut chaotic, policy, |e, _failures| e.set_fault_plan(None))?;
     let v = chaotic.node(sink).result().ok_or(SimError::NoCompletion { what: "aggregate word" })?;
-    let rec =
-        chaotic.take_recorder().ok_or(SimError::NoCompletion { what: "recovery recorder" })?;
-    Ok((report, rec, v))
+    Ok((report, chaotic, v))
 }
 
 /// [`supervised_sum_recovery`] with a windowed [`Profiler`] riding along
@@ -775,22 +774,11 @@ pub fn supervised_sum_recovery_profiled(
     m: &CostModel,
     policy: &RecoveryPolicy,
 ) -> Result<(RecoveryReport, Recorder, Profiler, u64), SimError> {
-    let (mut clean, _) = build_aggregate(values, m, true);
-    clean.try_run()?;
-    let t = clean.completion_time().ok_or(SimError::NoCompletion { what: "aggregate root" })?;
-
-    let (chaotic, sink) = build_aggregate(values, m, true);
-    let until = BitTime::new(t.get().max(2));
-    let mut chaotic = chaotic
-        .with_recorder(Recorder::new())
-        .with_profiler(Profiler::new(16))
-        .with_fault_plan(FaultPlan::new(1).with_outage(sink, BitTime::new(1), until));
-    let report = supervise_engine(&mut chaotic, policy, |e, _failures| e.set_fault_plan(None))?;
-    let v = chaotic.node(sink).result().ok_or(SimError::NoCompletion { what: "aggregate word" })?;
-    let rec =
-        chaotic.take_recorder().ok_or(SimError::NoCompletion { what: "recovery recorder" })?;
-    let prof =
-        chaotic.take_profiler().ok_or(SimError::NoCompletion { what: "recovery profiler" })?;
+    let (report, mut e, v) = supervised_sum(values, m, policy, |e| {
+        e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16))
+    })?;
+    let rec = e.take_recorder().ok_or(SimError::NoCompletion { what: "recovery recorder" })?;
+    let prof = e.take_profiler().ok_or(SimError::NoCompletion { what: "recovery profiler" })?;
     Ok((report, rec, prof, v))
 }
 
@@ -813,43 +801,14 @@ pub fn broadcast_black_box(
     leaves: usize,
     m: &CostModel,
 ) -> Result<(BitTime, Vec<EventLog>, Telemetry, FlightRecorder), SimError> {
-    let w = m.word_bits.max(1);
-    let mut e = Engine::new(m.delay)
-        .with_event_log()
-        .with_telemetry(Telemetry::new(16))
-        .with_flight_recorder(FlightRecorder::default());
-    let ids = build_tree(
-        &mut e,
-        leaves,
-        m.leaf_pitch(),
-        true,
-        &mut |_| Box::new(WordSink::new(w, true)),
-        &mut |_| Box::new(DownRepeater),
-    );
-    let instruments = |e: &mut Engine| {
-        (
-            e.log().to_vec(),
-            e.take_telemetry().expect("telemetry was installed for this run"),
-            e.take_flight_recorder().expect("flight recorder was installed for this run"),
-        )
-    };
-    if leaves == 1 {
-        let (log, tel, fl) = instruments(&mut e);
-        return Ok((BitTime::ZERO, log, tel, fl));
-    }
-    let root = ids.root();
-    let src = e.add_node(Box::new(WordSource {
-        word: 0b1011,
-        width: w,
-        lsb_first: true,
-        port: TO_PARENT,
-    }));
-    e.connect(src, TO_PARENT, root, FROM_PARENT, 0);
-    let injected = m.delay.wire_bit_delay(0);
-    e.try_run()?;
-    let done = e.completion_time().ok_or(SimError::NoCompletion { what: "broadcast leaves" })?;
-    let (log, tel, fl) = instruments(&mut e);
-    Ok((done - injected, log, tel, fl))
+    let (t, mut e) = broadcast_run(leaves, m, |e| {
+        e.with_event_log()
+            .with_telemetry(Telemetry::new(16))
+            .with_flight_recorder(FlightRecorder::default())
+    })?;
+    let tel = e.take_telemetry().expect("telemetry was installed for this run");
+    let fl = e.take_flight_recorder().expect("flight recorder was installed for this run");
+    Ok((t, e.log().to_vec(), tel, fl))
 }
 
 /// [`supervised_sum_recovery`] with the black-box instruments riding
@@ -873,21 +832,11 @@ pub fn supervised_sum_recovery_black_box(
     m: &CostModel,
     policy: &RecoveryPolicy,
 ) -> Result<(RecoveryReport, Telemetry, FlightRecorder, u64), SimError> {
-    let (mut clean, _) = build_aggregate(values, m, true);
-    clean.try_run()?;
-    let t = clean.completion_time().ok_or(SimError::NoCompletion { what: "aggregate root" })?;
-
-    let (chaotic, sink) = build_aggregate(values, m, true);
-    let until = BitTime::new(t.get().max(2));
-    let mut chaotic = chaotic
-        .with_telemetry(Telemetry::new(16))
-        .with_flight_recorder(FlightRecorder::default())
-        .with_fault_plan(FaultPlan::new(1).with_outage(sink, BitTime::new(1), until));
-    let report = supervise_engine(&mut chaotic, policy, |e, _failures| e.set_fault_plan(None))?;
-    let v = chaotic.node(sink).result().ok_or(SimError::NoCompletion { what: "aggregate word" })?;
-    let tel =
-        chaotic.take_telemetry().ok_or(SimError::NoCompletion { what: "recovery telemetry" })?;
-    let fl = chaotic
+    let (report, mut e, v) = supervised_sum(values, m, policy, |e| {
+        e.with_telemetry(Telemetry::new(16)).with_flight_recorder(FlightRecorder::default())
+    })?;
+    let tel = e.take_telemetry().ok_or(SimError::NoCompletion { what: "recovery telemetry" })?;
+    let fl = e
         .take_flight_recorder()
         .ok_or(SimError::NoCompletion { what: "recovery flight recorder" })?;
     Ok((report, tel, fl, v))

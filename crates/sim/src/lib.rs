@@ -43,7 +43,7 @@ pub use fault::{
 };
 pub use link::{Link, LinkId};
 pub use node::{Bit, NodeBehavior, NodeId, Outbox, PortId};
-pub use orthotrees_obs::flight::{FlightEvent, FlightRecorder};
+pub use orthotrees_obs::flight::FlightRecorder;
 pub use orthotrees_obs::profile::Profiler;
 pub use orthotrees_obs::telemetry::Telemetry;
 pub use orthotrees_obs::Recorder;

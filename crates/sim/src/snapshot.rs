@@ -20,8 +20,8 @@
 //! What a snapshot deliberately does **not** contain: the network shape
 //! (nodes, links, routes — configuration, rebuilt by the caller), the
 //! installed [`FaultPlan`](crate::FaultPlan) (configuration: its draws are
-//! pure functions of the scheduling counter, which *is* saved), and any
-//! installed recorder or causal trace (observers, not simulation state).
+//! pure functions of the scheduling counter, which *is* saved), and the
+//! installed instruments of the probe slot (observers, not simulation state).
 //! [`Engine::restore`] verifies the target engine matches the checkpoint's
 //! shape and rejects mismatches with a typed
 //! [`SimError::SnapshotMismatch`].
@@ -367,8 +367,8 @@ impl Engine {
     /// from: same delay model, node and link counts, tie-break mode and
     /// event-log setting — restoring into anything else would silently
     /// produce garbage, so each mismatch is rejected with a typed error.
-    /// The installed fault plan, recorder and causal trace are
-    /// configuration, not state: they are left untouched.
+    /// The installed fault plan (configuration) and instruments
+    /// (observers) are not state: they are left untouched.
     ///
     /// # Errors
     ///

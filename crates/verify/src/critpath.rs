@@ -180,21 +180,7 @@ pub fn stock_findings(tree_leaves: &[usize]) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orthotrees::obs::causal::{Hop, MsgId};
-
-    fn hop(msg: u64, pred: Option<u64>, t: [u64; 4], link: usize, delivered: bool) -> Hop {
-        Hop {
-            msg: MsgId(msg),
-            pred: pred.map(MsgId),
-            link,
-            link_len: 4,
-            trigger_at: BitTime::new(t[0]),
-            ready: BitTime::new(t[1]),
-            enter: BitTime::new(t[2]),
-            arrive: BitTime::new(t[3]),
-            delivered,
-        }
-    }
+    use crate::fixtures::synthetic_trace;
 
     #[test]
     fn stock_broadcasts_are_clean() {
@@ -205,17 +191,17 @@ mod tests {
     fn a_gapped_trace_is_crit002() {
         // Hop 1 arrives at t=4 but hop 2 claims its trigger arrived at
         // t=6: the causal chain has a 2τ hole nothing accounts for.
-        let mut tr = CausalTrace::new();
-        tr.record_hop(hop(1, None, [0, 0, 0, 4], 0, true));
-        tr.record_hop(hop(2, Some(1), [6, 6, 6, 9], 1, true));
+        let tr = synthetic_trace(&[
+            (1, None, [0, 0, 0, 4], 0, true),
+            (2, Some(1), [6, 6, 6, 9], 1, true),
+        ]);
         let f = lint_trace("synthetic", &tr);
         assert!(f.iter().any(|f| f.rule == "CRIT-002"), "{f:?}");
     }
 
     #[test]
     fn an_undelivered_completion_is_crit003() {
-        let mut tr = CausalTrace::new();
-        tr.record_hop(hop(1, None, [0, 0, 0, 4], 0, false));
+        let tr = synthetic_trace(&[(1, None, [0, 0, 0, 4], 0, false)]);
         let f = lint_trace("synthetic", &tr);
         assert!(f.iter().any(|f| f.rule == "CRIT-003"), "{f:?}");
     }

@@ -13,8 +13,9 @@ use crate::dflow::DflowMutation;
 use crate::diag::Report;
 use crate::mutate::{lint_mutated, Mutation};
 use crate::{ckpt, critpath, determinism, eng, schedule, words};
-use orthotrees::obs::causal::{CausalTrace, Hop, MsgId};
+use orthotrees::obs::causal::{CausalTrace, MsgId};
 use orthotrees::obs::json::Json;
+use orthotrees::obs::probe::EngineEvent;
 use orthotrees::obs::profile::{Profiler, Window};
 use orthotrees::obs::telemetry::QuantileSketch;
 use orthotrees::otc::Otc;
@@ -31,18 +32,32 @@ fn dflow_fixture(m: DflowMutation) -> Report {
     m.fired()
 }
 
-fn synthetic_hop(msg: u64, pred: Option<u64>, t: [u64; 4], link: usize, delivered: bool) -> Hop {
-    Hop {
-        msg: MsgId(msg),
-        pred: pred.map(MsgId),
-        link,
-        link_len: 4,
-        trigger_at: BitTime::new(t[0]),
-        ready: BitTime::new(t[1]),
-        enter: BitTime::new(t[2]),
-        arrive: BitTime::new(t[3]),
-        delivered,
+/// One synthetic hop: `(msg, pred, [trigger_at, ready, enter, arrive],
+/// link, delivered)`.
+pub(crate) type SyntheticHop = (u64, Option<u64>, [u64; 4], usize, bool);
+
+/// A causal trace fed from synthetic engine admissions, one per hop; an
+/// undelivered hop is dropped by a link fault.
+pub(crate) fn synthetic_trace(hops: &[SyntheticHop]) -> CausalTrace {
+    let mut tr = CausalTrace::new();
+    for &(msg, pred, t, link, delivered) in hops {
+        let arrive = BitTime::new(t[3]);
+        tr.on_engine(&EngineEvent::Admit {
+            msg: MsgId(msg),
+            trigger: pred.map(MsgId),
+            link,
+            link_len: 4,
+            trigger_at: BitTime::new(t[0]),
+            ready: BitTime::new(t[1]),
+            enter: BitTime::new(t[2]),
+            arrive,
+            waited: t[2] - t[1],
+        });
+        if !delivered {
+            tr.on_engine(&EngineEvent::Fault { msg: MsgId(msg), arrive, dropped: true });
+        }
     }
+    tr
 }
 
 /// A report in which catalogue rule `id` fires — the canonical minimal
@@ -186,14 +201,14 @@ pub fn firing_fixture(id: &str) -> Report {
         "CRIT-002" => {
             // Hop 1 arrives at t=4 but hop 2 claims its trigger arrived
             // at t=6: a 2τ hole nothing accounts for.
-            let mut tr = CausalTrace::new();
-            tr.record_hop(synthetic_hop(1, None, [0, 0, 0, 4], 0, true));
-            tr.record_hop(synthetic_hop(2, Some(1), [6, 6, 6, 9], 1, true));
+            let tr = synthetic_trace(&[
+                (1, None, [0, 0, 0, 4], 0, true),
+                (2, Some(1), [6, 6, 6, 9], 1, true),
+            ]);
             report.extend(critpath::lint_trace("fixture", &tr));
         }
         "CRIT-003" => {
-            let mut tr = CausalTrace::new();
-            tr.record_hop(synthetic_hop(1, None, [0, 0, 0, 4], 0, false));
+            let tr = synthetic_trace(&[(1, None, [0, 0, 0, 4], 0, false)]);
             report.extend(critpath::lint_trace("fixture", &tr));
         }
         // Registry and profiler rules.
