@@ -17,14 +17,15 @@ cargo run --release -p orthotrees-verify --bin rulegen | diff -u RULES.md - \
 cargo test --release -q -p orthotrees-bench --test dflow_suite
 cargo test --release -q -p orthotrees-bench --test dflow_suite -- --ignored repertoire_agreement_holds_at_large_sizes
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
-cargo run --release -p orthotrees-bench --bin benchdiff -- --baseline BENCH_2.json
-# Profiler smoke: regenerate the quick matrix in-process, validate the
-# document, and diff against the committed baseline (exit 1 on any
-# completion/event/peak regression or hot-spot shift). The speedup floor
-# gates the event-core microbench: the ladder calendar must stay at
-# least 1.2× faster than the heap oracle in ns/event (release build;
-# measured ≈1.9× on the reference machine, so 1.2 absorbs CI noise).
-cargo run --release -p orthotrees-bench --bin simprof -- --baseline PROF_7.json --speedup-floor 1.2
+cargo run --release -p orthotrees-bench --bin benchdiff -- --baseline BENCH_2.json --json target/report/benchdiff.json
+# Profiler smoke: regenerate the quick matrix in-process with the
+# baseline's preset and seed, validate the document, and diff against the
+# committed baseline (exit 1 on any completion/event/peak regression or
+# hot-spot shift). The profile rule table's speedup floor gates the
+# event-core microbench: the ladder calendar must stay at least 1.2×
+# faster than the heap oracle in ns/event (measured ≈1.9× in release on
+# the reference machine, so 1.2 absorbs CI noise).
+cargo run --release -p orthotrees-bench --bin benchdiff -- --baseline PROF_7.json --json target/report/profdiff.json
 # Wall-clock benchmark smoke (its own cargo workspace under benchmark/):
 # every metric named in BENCHMARK.json printed and finite, no failed op,
 # and the exact figures equal between the untraced and traced passes.

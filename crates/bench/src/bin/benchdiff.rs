@@ -1,47 +1,37 @@
-//! `benchdiff` — diff two `orthotrees-bench/v1` benchmark summaries.
+//! `benchdiff` — diff a committed baseline against a current run.
 //!
 //! ```text
-//! benchdiff --baseline BENCH_2.json [--current <file>] [--json <out>]
-//!           [--time-threshold 0.05] [--at2-threshold 0.10]
+//! benchdiff --baseline <BENCH_2.json|PROF_7.json> [--current <file>] [--json <out>]
 //! ```
 //!
-//! - `--baseline <file>` (required): the committed reference summary;
-//! - `--current <file>`: the summary to compare. Omitted, `benchdiff`
-//!   regenerates one in-process with the baseline's preset — the honest
-//!   reproduction CI runs (the simulators are deterministic, so a clean
-//!   tree diffs with zero relative change everywhere);
-//! - `--json <out>`: also write the `orthotrees-benchdiff/v1` document;
-//! - `--time-threshold` / `--at2-threshold`: override the relative
-//!   regression thresholds (defaults 5% and 10%).
+//! - `--baseline <file>` (required): the committed reference document.
+//!   Its `schema` tag picks the family — `orthotrees-bench/v1` or
+//!   `orthotrees-profile/v1` — whose validator checks it and whose rule
+//!   table gates it (see `orthotrees_bench::diff`);
+//! - `--current <file>`: the document to compare, of the same family.
+//!   Omitted, `benchdiff` regenerates one in-process with the baseline's
+//!   own preset and seed — the honest reproduction CI runs (the
+//!   simulators are deterministic, so a clean tree diffs with zero
+//!   relative change everywhere);
+//! - `--json <out>`: also write the `orthotrees-diff/v1` document.
 //!
-//! Exits 0 when clean (no regression, nothing missing), 1 on a
-//! regression or a vanished sample, 2 on bad arguments or unreadable
-//! input.
+//! Exits 0 when clean (something compared, no regression, nothing
+//! missing), 1 on a regression, a vanished metric or an empty
+//! comparison, 2 on bad arguments, unreadable input, an unknown schema or
+//! preset, or a document its family's validator rejects.
 
-use orthotrees::obs::json::Json;
-use orthotrees_bench::compare::{diff, Thresholds};
-use orthotrees_bench::{summary, Preset};
+use orthotrees_bench::diff::{self, DiffError};
 use std::fs;
 use std::process::exit;
 
 fn fail(msg: &str) -> ! {
     eprintln!("benchdiff: {msg}");
-    eprintln!(
-        "usage: benchdiff --baseline <file> [--current <file>] [--json <out>] \
-         [--time-threshold X] [--at2-threshold X]"
-    );
+    eprintln!("usage: benchdiff --baseline <file> [--current <file>] [--json <out>]");
     exit(2);
 }
 
-fn read_doc(path: &str) -> Json {
-    let text =
-        fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let doc =
-        Json::parse(&text).unwrap_or_else(|e| fail(&format!("{path} is not valid JSON: {e:?}")));
-    if doc.get("schema").and_then(Json::as_str) != Some(summary::SCHEMA) {
-        fail(&format!("{path} is not an {} document", summary::SCHEMA));
-    }
-    doc
+fn checked<T>(what: &str, r: Result<T, DiffError>) -> T {
+    r.unwrap_or_else(|e| fail(&format!("{what}: {e}")))
 }
 
 fn main() {
@@ -49,49 +39,41 @@ fn main() {
     let mut baseline_path = None;
     let mut current_path = None;
     let mut json_out = None;
-    let mut thresholds = Thresholds::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
-        match a.as_str() {
-            "--baseline" => baseline_path = Some(value("--baseline")),
-            "--current" => current_path = Some(value("--current")),
-            "--json" => json_out = Some(value("--json")),
-            "--time-threshold" => {
-                thresholds.time_rel = value("--time-threshold")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--time-threshold must be a number"));
-            }
-            "--at2-threshold" => {
-                thresholds.at2_rel = value("--at2-threshold")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--at2-threshold must be a number"));
-            }
+        let slot = match a.as_str() {
+            "--baseline" => &mut baseline_path,
+            "--current" => &mut current_path,
+            "--json" => &mut json_out,
             other => fail(&format!("unknown argument {other}")),
-        }
+        };
+        *slot = Some(it.next().cloned().unwrap_or_else(|| fail(&format!("{a} needs a value"))));
     }
     let Some(baseline_path) = baseline_path else { fail("--baseline is required") };
-    let baseline = read_doc(&baseline_path);
+    let read = |path: &str| {
+        let bytes = fs::read(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+        checked(path, diff::read(&bytes))
+    };
+    let (family, baseline) = read(&baseline_path);
 
     let current = match &current_path {
-        Some(p) => read_doc(p),
+        Some(p) => {
+            let (cur_family, doc) = read(p);
+            if cur_family.schema != family.schema {
+                fail(&format!("{p} is {}, the baseline is {}", cur_family.schema, family.schema));
+            }
+            doc
+        }
         None => {
-            // Regenerate with the baseline's preset so the grids match.
-            let preset = match baseline.get("preset").and_then(Json::as_str) {
-                Some("full") => Preset::Full,
-                _ => Preset::Quick,
-            };
             eprintln!(
-                "benchdiff: no --current given; regenerating a {} run in-process …",
-                preset.name()
+                "benchdiff: no --current given; regenerating the {} document in-process …",
+                family.schema
             );
-            summary::bench_summary(preset.name(), &preset.config())
+            checked("regenerating", family.regenerate(&baseline))
         }
     };
 
-    let report = diff(&baseline, &current, &thresholds);
+    let report = diff::diff(family, &baseline, &current);
     print!("{}", report.render_text());
     if let Some(out) = json_out {
         if let Err(e) = fs::write(&out, report.to_json().render() + "\n") {

@@ -1,154 +1,61 @@
-//! `simprof` — emit and diff `orthotrees-profile/v1` profile documents.
+//! `simprof` — emit an `orthotrees-profile/v1` profile document.
 //!
 //! ```text
 //! simprof --emit PROF_7.json [--full]
-//! simprof --baseline PROF_7.json [--current <file>] [--json <out>]
-//!         [--time-threshold 0.05] [--events-threshold 0.05]
-//!         [--peak-threshold 0.10] [--speedup-floor 1.2]
 //! ```
 //!
 //! - `--emit <file>`: run the fixed workload matrix (word-level
 //!   `SORT-OTN`/`SORT-OTC` clean and under the dense fault plan, the
-//!   engine `ROOTTOLEAF` companions, and the outage-dense
-//!   supervised-recovery row), validate the document against the schema,
-//!   and write it;
+//!   engine `ROOTTOLEAF` companions, the outage-dense
+//!   supervised-recovery row and the event-core microbench), validate
+//!   the document against the schema, and write it;
 //! - `--full`: the whole `n ∈ {64, 256, 512}` grid (default: the quick
-//!   smoke column, `n = 64`);
-//! - `--baseline <file>`: diff mode — the committed reference profile;
-//! - `--current <file>`: the profile to compare. Omitted, `simprof`
-//!   regenerates one in-process with the baseline's preset (the runs are
-//!   deterministic, so a clean tree diffs with zero change everywhere);
-//! - `--json <out>`: also write the `orthotrees-profdiff/v1` document;
-//! - threshold flags override the per-metric gates (completion and total
-//!   events 5%, peak calendar depth 10%; a shifted top-1 hot spot always
-//!   fails);
-//! - `--speedup-floor <x>`: require the event-core microbench's
-//!   heap-over-ladder speedup to reach `x` (an absolute gate on the
-//!   current run; default 0 = disabled, because the ns/event figures
-//!   are machine-dependent and debug builds are too noisy to gate).
+//!   smoke column, `n = 64`).
 //!
-//! Exits 0 when clean, 1 on a regression or a vanished row, 2 on bad
-//! arguments, unreadable input, or a schema-invalid document.
+//! Diff a profile against a baseline with `benchdiff --baseline
+//! PROF_7.json`. Exits 0 on success, 2 on bad arguments, an unwritable
+//! file, or a schema-invalid document.
 
-use orthotrees::obs::json::Json;
 use orthotrees_analysis::report::ReportConfig;
-use orthotrees_bench::profile::{self, ProfileThresholds};
+use orthotrees_bench::profile;
 use std::fs;
 use std::process::exit;
 
 fn fail(msg: &str) -> ! {
     eprintln!("simprof: {msg}");
-    eprintln!(
-        "usage: simprof --emit <file> [--full] | --baseline <file> [--current <file>] \
-         [--json <out>] [--time-threshold X] [--events-threshold X] [--peak-threshold X] \
-         [--speedup-floor X]"
-    );
+    eprintln!("usage: simprof --emit <file> [--full]");
     exit(2);
-}
-
-fn read_doc(path: &str) -> Json {
-    let text =
-        fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let doc =
-        Json::parse(&text).unwrap_or_else(|e| fail(&format!("{path} is not valid JSON: {e:?}")));
-    validate(&doc, path);
-    doc
-}
-
-fn validate(doc: &Json, what: &str) {
-    let errs = profile::profile_violations(doc);
-    if !errs.is_empty() {
-        for e in &errs {
-            eprintln!("simprof: {what}: {e}");
-        }
-        fail(&format!("{what} violates the {} schema", profile::SCHEMA));
-    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut emit_path = None;
-    let mut baseline_path = None;
-    let mut current_path = None;
-    let mut json_out = None;
     let mut full = false;
-    let mut thresholds = ProfileThresholds::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
-        let number = |name: &str, v: String| -> f64 {
-            v.parse().unwrap_or_else(|_| fail(&format!("{name} must be a number")))
-        };
         match a.as_str() {
-            "--emit" => emit_path = Some(value("--emit")),
+            "--emit" => {
+                emit_path =
+                    Some(it.next().cloned().unwrap_or_else(|| fail("--emit needs a value")));
+            }
             "--full" => full = true,
-            "--baseline" => baseline_path = Some(value("--baseline")),
-            "--current" => current_path = Some(value("--current")),
-            "--json" => json_out = Some(value("--json")),
-            "--time-threshold" => {
-                thresholds.time_rel = number("--time-threshold", value("--time-threshold"));
-            }
-            "--events-threshold" => {
-                thresholds.events_rel = number("--events-threshold", value("--events-threshold"));
-            }
-            "--peak-threshold" => {
-                thresholds.peak_rel = number("--peak-threshold", value("--peak-threshold"));
-            }
-            "--speedup-floor" => {
-                thresholds.speedup_floor = number("--speedup-floor", value("--speedup-floor"));
-            }
             other => fail(&format!("unknown argument {other}")),
         }
     }
+    let Some(out) = emit_path else { fail("--emit is required") };
 
-    let seed = ReportConfig::default().seed;
-
-    if let Some(out) = &emit_path {
-        let preset = if full { "full" } else { "quick" };
-        eprintln!("simprof: running the {preset} profile matrix …");
-        let doc = profile::profile_document(preset, seed);
-        validate(&doc, "emitted document");
-        if let Err(e) = fs::write(out, doc.render() + "\n") {
-            fail(&format!("cannot write {out}: {e}"));
+    let preset = if full { "full" } else { "quick" };
+    eprintln!("simprof: running the {preset} profile matrix …");
+    let doc = profile::profile_document(preset, ReportConfig::default().seed);
+    let errs = profile::profile_violations(&doc);
+    if !errs.is_empty() {
+        for e in &errs {
+            eprintln!("simprof: emitted document: {e}");
         }
-        println!("profile document written to {out}");
+        fail(&format!("emitted document violates the {} schema", profile::SCHEMA));
     }
-
-    let Some(baseline_path) = baseline_path else {
-        if emit_path.is_none() {
-            fail("nothing to do: pass --emit and/or --baseline");
-        }
-        return;
-    };
-    let baseline = read_doc(&baseline_path);
-
-    let current = match &current_path {
-        Some(p) => read_doc(p),
-        None => {
-            // Regenerate with the baseline's preset so the grids match.
-            let preset = match baseline.get("preset").and_then(Json::as_str) {
-                Some("full") => "full",
-                _ => "quick",
-            };
-            let base_seed = baseline.get("seed").and_then(Json::as_u64).unwrap_or(seed);
-            eprintln!("simprof: no --current given; regenerating a {preset} run in-process …");
-            let doc = profile::profile_document(preset, base_seed);
-            validate(&doc, "regenerated document");
-            doc
-        }
-    };
-
-    let report = profile::diff(&baseline, &current, &thresholds);
-    print!("{}", report.render_text());
-    if let Some(out) = json_out {
-        if let Err(e) = fs::write(&out, report.to_json().render() + "\n") {
-            fail(&format!("cannot write {out}: {e}"));
-        }
-        println!("diff document written to {out}");
+    if let Err(e) = fs::write(&out, doc.render() + "\n") {
+        fail(&format!("cannot write {out}: {e}"));
     }
-    if !report.is_clean() {
-        exit(1);
-    }
+    println!("profile document written to {out}");
 }

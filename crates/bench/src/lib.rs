@@ -16,7 +16,7 @@
 
 use orthotrees_analysis::report::ReportConfig;
 
-pub mod compare;
+pub mod diff;
 pub mod export;
 pub mod profile;
 pub mod summary;
@@ -39,6 +39,11 @@ impl Preset {
             }
         }
         Preset::Quick
+    }
+
+    /// The preset a document's `preset` field names, if any.
+    pub fn from_name(name: &str) -> Option<Preset> {
+        [Preset::Quick, Preset::Full].into_iter().find(|p| p.name() == name)
     }
 
     /// The preset's name as written into `BENCH_*.json`.

@@ -20,13 +20,10 @@
 //! wire + queue + compute total must additionally tile the completion
 //! time exactly, faults included.
 //!
-//! [`diff`] compares two documents per metric in the `benchdiff` style:
-//! completion and total events gate at 5%, the peak calendar depth at
-//! 10% (it moves in whole entries), and a shifted top-1 hot spot is
-//! always a regression — hot-spot migration is exactly what the
-//! event-core overhaul must not cause silently.
+//! [`FAMILY`] registers the schema with [`crate::diff`], which gates a
+//! baseline such as `PROF_7.json` through [`RULES`].
 
-use crate::compare::Status;
+use crate::diff::{Family, Gate};
 use orthotrees::obs::json::Json;
 use orthotrees::obs::profile::{Footprint, HotSpot, ProfileTotals, Profiler, Window};
 use orthotrees::obs::Recorder;
@@ -37,11 +34,52 @@ use orthotrees_analysis::workloads;
 use orthotrees_sim::experiments::{self, ProbeKind};
 use orthotrees_sim::{CalendarKind, RecoveryPolicy};
 use orthotrees_vlsi::CostModel;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The profile document's schema identifier.
 pub const SCHEMA: &str = "orthotrees-profile/v1";
+
+/// The profile's gated metrics. Completion and total events gate at 5%,
+/// the peak calendar depth at 10% (it moves in whole entries). A shifted
+/// top-1 hot spot is always a regression: hot-spot migration is exactly
+/// what an event-core change must not cause silently. The microbench's
+/// delivered events and end time must match exactly (any drift means the
+/// calendars changed behaviour, not just speed); its ns/event figures are
+/// machine-dependent, so only the heap-over-ladder speedup is gated, at an
+/// absolute floor (measured ≈1.9× in release on the reference machine).
+pub const RULES: [(&str, Gate); 7] = [
+    ("completion_bits", Gate::Cost(0.05)),
+    ("totals.events", Gate::Cost(0.05)),
+    ("peak_calendar_depth", Gate::Cost(0.10)),
+    ("hot[0].name", Gate::Exact),
+    ("eventcore.events", Gate::Exact),
+    ("eventcore.end_bits", Gate::Exact),
+    ("eventcore.speedup", Gate::Floor(1.2)),
+];
+
+/// The profile family: one keyed element per row
+/// (`SORT-OTN n=64 word faulty`) plus the whole document under the key
+/// `eventcore` for the microbench section.
+pub const FAMILY: Family = Family {
+    schema: SCHEMA,
+    rules: &RULES,
+    elements: keyed,
+    validate: profile_violations,
+    generate: |preset, seed| profile_document(preset.name(), seed),
+};
+
+fn keyed(doc: &Json) -> Vec<(String, &Json)> {
+    let rows = doc.get("rows").and_then(Json::as_arr).unwrap_or_default();
+    let mut out: Vec<_> = rows
+        .iter()
+        .map(|row| {
+            let (workload, n, level, faulty) = row_identity(row);
+            (format!("{workload} n={n} {level}{}", if faulty { " faulty" } else { "" }), row)
+        })
+        .collect();
+    out.push(("eventcore".to_string(), doc));
+    out
+}
 
 /// Word-fault probability of the matrix's dense fault plan — the same
 /// "heavy degradation" operating point the fault sweeps use as their
@@ -143,7 +181,7 @@ pub fn eventcore_reps(preset_name: &str) -> u32 {
 /// calendar. Delivered-event count and end time are deterministic and
 /// diffed against the baseline exactly; the ns/event figures are
 /// machine-dependent and carried for humans (and for the absolute
-/// `--speedup-floor` gate), not diffed numerically.
+/// speedup floor in [`RULES`]), not diffed numerically.
 ///
 /// Timing covers [`Engine::try_run`](orthotrees_sim::Engine::try_run)
 /// only — network construction is excluded, and the delivered-bit log is
@@ -329,6 +367,15 @@ fn row_u64(row: &Json, key: &str) -> Option<u64> {
     row.get(key).and_then(Json::as_u64)
 }
 
+fn row_identity(row: &Json) -> (String, u64, String, bool) {
+    (
+        row.get("workload").and_then(Json::as_str).unwrap_or("?").to_string(),
+        row_u64(row, "n").unwrap_or(0),
+        row.get("level").and_then(Json::as_str).unwrap_or("?").to_string(),
+        row.get("faulty").and_then(Json::as_bool).unwrap_or(false),
+    )
+}
+
 /// Checks a parsed profile document against the `orthotrees-profile/v1`
 /// schema; returns the violations found (empty = valid). Beyond field
 /// shape, this re-verifies the two profiler invariants document-side:
@@ -395,7 +442,11 @@ pub fn profile_violations(doc: &Json) -> Vec<String> {
             }
         }
         // PROF-001, document-side: totals == Σ windows, per metric.
-        let sum = |key: &str| windows.iter().filter_map(|w| row_u64(w, key)).sum::<u64>();
+        // Saturating: a hostile document's counts must not overflow the
+        // check (any saturated sum exceeds every declarable total).
+        let sum = |key: &str| {
+            windows.iter().filter_map(|w| row_u64(w, key)).fold(0u64, u64::saturating_add)
+        };
         let Some(totals) = row.get("totals") else {
             errs.push(format!("{tag}: totals missing"));
             continue;
@@ -412,7 +463,7 @@ pub fn profile_violations(doc: &Json) -> Vec<String> {
             }
         }
         if level == Some("word") {
-            let tau = sum("wire") + sum("queue_wait") + sum("compute");
+            let tau = sum("wire").saturating_add(sum("queue_wait")).saturating_add(sum("compute"));
             if Some(tau) != completion {
                 errs.push(format!(
                     "{tag}: word windows tile {tau} τ but completion is {completion:?} (PROF-001)"
@@ -462,317 +513,10 @@ pub fn profile_violations(doc: &Json) -> Vec<String> {
     errs
 }
 
-/// Relative regression thresholds for the profile diff, per metric
-/// family.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ProfileThresholds {
-    /// Allowed relative change in a row's `completion_bits` (default 5%).
-    pub time_rel: f64,
-    /// Allowed relative change in `totals.events` (default 5%).
-    pub events_rel: f64,
-    /// Allowed relative change in `peak_calendar_depth` (default 10% —
-    /// the peak moves in whole calendar entries, so it is noisier).
-    pub peak_rel: f64,
-    /// Minimum required heap-over-ladder speedup in the event-core
-    /// microbench (an absolute gate on the *current* run — the ns/event
-    /// figures are machine-dependent, so they are never compared against
-    /// the baseline). The default `0.0` disables the gate; CI's release
-    /// run passes an explicit `--speedup-floor` (debug-build timings are
-    /// too noisy to gate).
-    pub speedup_floor: f64,
-}
-
-impl Default for ProfileThresholds {
-    fn default() -> Self {
-        ProfileThresholds { time_rel: 0.05, events_rel: 0.05, peak_rel: 0.10, speedup_floor: 0.0 }
-    }
-}
-
-/// One compared profile metric: which row, both values, the verdict.
-/// Hot-spot entries compare names rather than numbers; `note` carries
-/// the `old → new` rendering for them.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProfileDiffEntry {
-    /// Workload name (`SORT-OTN`, `ROOTTOLEAF`, …).
-    pub workload: String,
-    /// Problem size.
-    pub n: u64,
-    /// Whether the row ran under a fault plan.
-    pub faulty: bool,
-    /// Metric name (`completion_bits`, `events`, `peak_calendar_depth`,
-    /// `hot_top`).
-    pub metric: &'static str,
-    /// Baseline value (0 for the name-compared `hot_top`).
-    pub baseline: f64,
-    /// Current value (0 when [`Status::Missing`]).
-    pub current: f64,
-    /// Relative change `(current − baseline) / baseline`.
-    pub rel: f64,
-    /// The verdict.
-    pub status: Status,
-    /// Extra rendering (the hot-spot names); empty for numeric metrics.
-    pub note: String,
-}
-
-fn classify(baseline: f64, current: f64, threshold: f64) -> (f64, Status) {
-    let rel = if baseline == 0.0 {
-        if current == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (current - baseline) / baseline
-    };
-    let status = if rel > threshold {
-        Status::Regressed
-    } else if rel < -threshold {
-        Status::Improved
-    } else {
-        Status::Ok
-    };
-    (rel, status)
-}
-
-/// The full diff of two profile documents.
-#[derive(Clone, Debug, Default)]
-pub struct ProfileDiffReport {
-    /// Every compared metric, in document order.
-    pub entries: Vec<ProfileDiffEntry>,
-}
-
-impl ProfileDiffReport {
-    /// True when nothing regressed or went missing.
-    pub fn is_clean(&self) -> bool {
-        !self.entries.iter().any(|e| matches!(e.status, Status::Regressed | Status::Missing))
-    }
-
-    /// Entries with a given status.
-    pub fn with_status(&self, status: Status) -> impl Iterator<Item = &ProfileDiffEntry> {
-        self.entries.iter().filter(move |e| e.status == status)
-    }
-
-    /// Renders the report as text: one line per non-`ok` entry plus a
-    /// summary line.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for e in self.entries.iter().filter(|e| e.status != Status::Ok) {
-            let fault = if e.faulty { " faulty" } else { "" };
-            if e.metric == "hot_top" {
-                let _ = writeln!(
-                    out,
-                    "{:<9} {}{} n={} hot spot shifted: {}",
-                    e.status.name(),
-                    e.workload,
-                    fault,
-                    e.n,
-                    e.note
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{:<9} {}{} n={} {}: {} → {} ({:+.1}%)",
-                    e.status.name(),
-                    e.workload,
-                    fault,
-                    e.n,
-                    e.metric,
-                    e.baseline,
-                    e.current,
-                    100.0 * e.rel
-                );
-            }
-        }
-        let count = |s| self.entries.iter().filter(|e| e.status == s).count();
-        let _ = writeln!(
-            out,
-            "{} compared: {} ok, {} improved, {} regressed, {} missing",
-            self.entries.len(),
-            count(Status::Ok),
-            count(Status::Improved),
-            count(Status::Regressed),
-            count(Status::Missing)
-        );
-        out
-    }
-
-    /// The report as an `orthotrees-profdiff/v1` JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::str("orthotrees-profdiff/v1")),
-            (
-                "entries",
-                Json::arr(self.entries.iter().map(|e| {
-                    Json::obj([
-                        ("workload", Json::str(e.workload.clone())),
-                        ("n", Json::u64(e.n)),
-                        ("faulty", Json::bool(e.faulty)),
-                        ("metric", Json::str(e.metric)),
-                        ("baseline", Json::f64(e.baseline)),
-                        ("current", Json::f64(e.current)),
-                        ("rel", Json::f64(e.rel)),
-                        ("status", Json::str(e.status.name())),
-                        ("note", Json::str(e.note.clone())),
-                    ])
-                })),
-            ),
-            ("regressed", Json::u64(self.with_status(Status::Regressed).count() as u64)),
-            ("missing", Json::u64(self.with_status(Status::Missing).count() as u64)),
-            ("clean", Json::bool(self.is_clean())),
-        ])
-    }
-}
-
-fn row_identity(row: &Json) -> (String, u64, String, bool) {
-    (
-        row.get("workload").and_then(Json::as_str).unwrap_or("?").to_string(),
-        row_u64(row, "n").unwrap_or(0),
-        row.get("level").and_then(Json::as_str).unwrap_or("?").to_string(),
-        row.get("faulty").and_then(Json::as_bool).unwrap_or(false),
-    )
-}
-
-fn top_hot_name(row: &Json) -> Option<String> {
-    row.get("hot")
-        .and_then(Json::as_arr)?
-        .first()?
-        .get("name")
-        .and_then(Json::as_str)
-        .map(str::to_string)
-}
-
-/// Diffs `current` against `baseline` (both parsed `orthotrees-profile/v1`
-/// documents) under `thresholds`. Rows are matched by
-/// `(workload, n, level, faulty)`; every baseline row must be present in
-/// the current run. A shifted top-1 hot spot is always a regression,
-/// regardless of the numeric thresholds.
-pub fn diff(baseline: &Json, current: &Json, thresholds: &ProfileThresholds) -> ProfileDiffReport {
-    let mut report = ProfileDiffReport::default();
-    let empty = Vec::new();
-    let base_rows = baseline.get("rows").and_then(Json::as_arr).unwrap_or(&empty);
-    let cur_rows = current.get("rows").and_then(Json::as_arr).unwrap_or(&empty);
-    for row in base_rows {
-        let id = row_identity(row);
-        let cur = cur_rows.iter().find(|c| row_identity(c) == id);
-        let (workload, n, _, faulty) = id;
-        let metrics: [(&'static str, Option<u64>, f64); 3] = [
-            ("completion_bits", row_u64(row, "completion_bits"), thresholds.time_rel),
-            ("events", row.get("totals").and_then(|t| row_u64(t, "events")), thresholds.events_rel),
-            ("peak_calendar_depth", row_u64(row, "peak_calendar_depth"), thresholds.peak_rel),
-        ];
-        for (metric, base_v, thr) in metrics {
-            let Some(base_v) = base_v else { continue };
-            let cur_v = cur.and_then(|c| match metric {
-                "events" => c.get("totals").and_then(|t| row_u64(t, "events")),
-                m => row_u64(c, m),
-            });
-            let mut e = ProfileDiffEntry {
-                workload: workload.clone(),
-                n,
-                faulty,
-                metric,
-                baseline: base_v as f64,
-                current: 0.0,
-                rel: 0.0,
-                status: Status::Missing,
-                note: String::new(),
-            };
-            if let Some(cur_v) = cur_v {
-                e.current = cur_v as f64;
-                (e.rel, e.status) = classify(e.baseline, e.current, thr);
-            }
-            report.entries.push(e);
-        }
-        // Hot-spot attribution: the single hottest subject must not move.
-        if let Some(base_top) = top_hot_name(row) {
-            let cur_top = cur.and_then(top_hot_name);
-            let (status, note) = match &cur_top {
-                None => (Status::Missing, format!("{base_top} → (gone)")),
-                Some(c) if *c == base_top => (Status::Ok, String::new()),
-                Some(c) => (Status::Regressed, format!("{base_top} → {c}")),
-            };
-            report.entries.push(ProfileDiffEntry {
-                workload: workload.clone(),
-                n,
-                faulty,
-                metric: "hot_top",
-                baseline: 0.0,
-                current: 0.0,
-                rel: 0.0,
-                status,
-                note,
-            });
-        }
-    }
-
-    // Event-core microbench: the deterministic metrics (delivered events,
-    // end time) must match the baseline *exactly* — any drift means the
-    // calendars changed behaviour, not just speed. The wall-clock speedup
-    // gates against the absolute floor instead of the baseline. A
-    // baseline without the section (pre-overhaul) is skipped silently.
-    if let Some(base_ec) = baseline.get("eventcore") {
-        let cur_ec = current.get("eventcore");
-        let ec_n = row_u64(base_ec, "n").unwrap_or(0);
-        let mut push = |metric, baseline: f64, current: f64, status, note: String| {
-            report.entries.push(ProfileDiffEntry {
-                workload: "EVENTCORE".to_string(),
-                n: ec_n,
-                faulty: true,
-                metric,
-                baseline,
-                current,
-                rel: if baseline == 0.0 { 0.0 } else { (current - baseline) / baseline },
-                status,
-                note,
-            });
-        };
-        for metric in ["events", "end_bits"] {
-            let Some(base_v) = row_u64(base_ec, metric) else { continue };
-            match cur_ec.and_then(|c| row_u64(c, metric)) {
-                None => push(
-                    if metric == "events" { "eventcore_events" } else { "eventcore_end_bits" },
-                    base_v as f64,
-                    0.0,
-                    Status::Missing,
-                    String::new(),
-                ),
-                Some(cur_v) => push(
-                    if metric == "events" { "eventcore_events" } else { "eventcore_end_bits" },
-                    base_v as f64,
-                    cur_v as f64,
-                    if cur_v == base_v { Status::Ok } else { Status::Regressed },
-                    if cur_v == base_v {
-                        String::new()
-                    } else {
-                        "deterministic metric drifted".to_string()
-                    },
-                ),
-            }
-        }
-        match cur_ec.and_then(|c| c.get("speedup").and_then(Json::as_f64)) {
-            None => push(
-                "eventcore_speedup",
-                thresholds.speedup_floor,
-                0.0,
-                Status::Missing,
-                String::new(),
-            ),
-            Some(speedup) => {
-                let status = if speedup >= thresholds.speedup_floor {
-                    Status::Ok
-                } else {
-                    Status::Regressed
-                };
-                push("eventcore_speedup", thresholds.speedup_floor, speedup, status, String::new());
-            }
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::{diff, Status, Value};
 
     #[test]
     fn quick_document_round_trips_and_passes_the_schema_check() {
@@ -836,10 +580,19 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("totals.wire")), "{errs:?}");
     }
 
+    /// A fresh quick document with the machine-dependent microbench
+    /// speedup pinned above the floor, so no diff test depends on timing.
+    fn quick_doc() -> Json {
+        tweak_eventcore(&profile_document("quick", 42), |ec| {
+            ec.retain(|(k, _)| k != "speedup");
+            ec.push(("speedup".to_string(), Json::f64(2.0)));
+        })
+    }
+
     #[test]
     fn identical_documents_diff_clean_with_zero_change() {
-        let doc = profile_document("quick", 42);
-        let report = diff(&doc, &doc, &ProfileThresholds::default());
+        let doc = quick_doc();
+        let report = diff(&FAMILY, &doc, &doc);
         assert!(report.is_clean(), "{}", report.render_text());
         assert!(report.entries.iter().all(|e| e.status == Status::Ok && e.rel == 0.0));
         assert!(!report.entries.is_empty());
@@ -867,7 +620,7 @@ mod tests {
 
     #[test]
     fn a_peak_depth_regression_fails_and_a_hot_shift_fails() {
-        let base = profile_document("quick", 42);
+        let base = quick_doc();
         let bumped = tweak_row(&base, "ROOTTOLEAF", |pairs| {
             for (k, v) in pairs.iter_mut() {
                 if k == "peak_calendar_depth" {
@@ -876,7 +629,7 @@ mod tests {
                 }
             }
         });
-        let report = diff(&base, &bumped, &ProfileThresholds::default());
+        let report = diff(&FAMILY, &base, &bumped);
         assert!(!report.is_clean());
         assert!(report.with_status(Status::Regressed).any(|e| e.metric == "peak_calendar_depth"));
 
@@ -890,11 +643,14 @@ mod tests {
                 }
             }
         });
-        let report = diff(&base, &shifted, &ProfileThresholds::default());
+        let report = diff(&FAMILY, &base, &shifted);
         assert!(!report.is_clean());
         let hot: Vec<_> = report.with_status(Status::Regressed).collect();
-        assert!(hot.iter().any(|e| e.metric == "hot_top" && e.note.contains("node 999")));
-        assert!(report.render_text().contains("hot spot shifted"), "{}", report.render_text());
+        assert!(hot
+            .iter()
+            .any(|e| e.metric == "hot[0].name"
+                && e.current == Some(Value::Name("node 999".to_string()))));
+        assert!(report.render_text().contains("→ node 999"), "{}", report.render_text());
     }
 
     fn tweak_eventcore<F: FnMut(&mut Vec<(String, Json)>)>(doc: &Json, mut f: F) -> Json {
@@ -908,7 +664,7 @@ mod tests {
 
     #[test]
     fn eventcore_deterministic_drift_is_a_regression() {
-        let base = profile_document("quick", 42);
+        let base = quick_doc();
         let drifted = tweak_eventcore(&base, |ec| {
             for (k, v) in ec.iter_mut() {
                 if k == "events" {
@@ -916,16 +672,16 @@ mod tests {
                 }
             }
         });
-        let report = diff(&base, &drifted, &ProfileThresholds::default());
+        let report = diff(&FAMILY, &base, &drifted);
         assert!(!report.is_clean());
         assert!(report
             .with_status(Status::Regressed)
-            .any(|e| e.metric == "eventcore_events" && e.note.contains("deterministic")));
+            .any(|e| e.metric == "eventcore.events" && e.gate == Gate::Exact));
     }
 
     #[test]
-    fn eventcore_speedup_floor_gates_only_when_enabled() {
-        let base = profile_document("quick", 42);
+    fn eventcore_speedup_below_the_floor_fails() {
+        let base = quick_doc();
         let slow = tweak_eventcore(&base, |ec| {
             for (k, v) in ec.iter_mut() {
                 if k == "speedup" {
@@ -933,22 +689,20 @@ mod tests {
                 }
             }
         });
-        let lax = ProfileThresholds::default();
-        assert!(diff(&base, &slow, &lax).is_clean(), "floor 0 must not gate");
-        let strict = ProfileThresholds { speedup_floor: 1.2, ..lax };
-        let report = diff(&base, &slow, &strict);
-        assert!(report.with_status(Status::Regressed).any(|e| e.metric == "eventcore_speedup"));
+        let report = diff(&FAMILY, &base, &slow);
+        assert!(report.with_status(Status::Regressed).any(|e| e.metric == "eventcore.speedup"));
+        assert!(report.render_text().contains("(floor 1.2)"), "{}", report.render_text());
     }
 
     #[test]
     fn a_vanished_row_is_missing_and_fails() {
-        let base = profile_document("quick", 42);
+        let base = quick_doc();
         let mut cur = base.clone();
         rows_mut(&mut cur)
             .retain(|r| r.get("workload").and_then(Json::as_str) != Some("SUM-RECOVERY"));
-        let report = diff(&base, &cur, &ProfileThresholds::default());
+        let report = diff(&FAMILY, &base, &cur);
         assert!(!report.is_clean());
-        assert!(report.with_status(Status::Missing).all(|e| e.workload == "SUM-RECOVERY"));
+        assert!(report.with_status(Status::Missing).all(|e| e.key.starts_with("SUM-RECOVERY")));
         let doc = Json::parse(&report.to_json().render()).unwrap();
         assert_eq!(doc.get("clean").and_then(Json::as_bool), Some(false));
         assert!(doc.get("missing").and_then(Json::as_u64).unwrap() > 0);

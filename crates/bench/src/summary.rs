@@ -19,8 +19,10 @@
 //!
 //! Built on the dependency-free JSON support in `orthotrees-obs`, so the
 //! emitted file is parseable (and schema-checkable) by the same code that
-//! wrote it.
+//! wrote it. [`FAMILY`] registers the schema with [`crate::diff`], which
+//! gates a baseline such as `BENCH_2.json` through [`RULES`].
 
+use crate::diff::{Family, Gate};
 use orthotrees::obs::json::Json;
 use orthotrees::obs::Recorder;
 use orthotrees::BitTime;
@@ -34,6 +36,61 @@ use orthotrees_vlsi::CostModel;
 
 /// The summary schema identifier.
 pub const SCHEMA: &str = "orthotrees-bench/v1";
+
+/// The summary's gated metrics. Bit-times gate at 5%. `at2` gates
+/// at 10% because area enters squared, so layout retunes move it more;
+/// so does the recovery `overhead_pct`, which a one-event shift in where
+/// a checkpoint lands moves more. The problems/Mτ throughput divides two
+/// retunable quantities and is a rate: bigger is better.
+pub const RULES: [(&str, Gate); 9] = [
+    ("time_bits", Gate::Cost(0.05)),
+    ("completion_bits", Gate::Cost(0.05)),
+    ("makespan_bits", Gate::Cost(0.05)),
+    ("p50_bits", Gate::Cost(0.05)),
+    ("p90_bits", Gate::Cost(0.05)),
+    ("p99_bits", Gate::Cost(0.05)),
+    ("at2", Gate::Cost(0.10)),
+    ("overhead_pct", Gate::Cost(0.10)),
+    ("problems_per_mtau", Gate::Rate(0.10)),
+];
+
+/// The summary family: one keyed element per table sample
+/// (`Table I · OTN sorting n=16`) and per phase, recovery and telemetry
+/// entry (`recovery · SUM-OUTAGE n=16`); fresh documents use the
+/// preset's grids with the baseline's seed.
+pub const FAMILY: Family = Family {
+    schema: SCHEMA,
+    rules: &RULES,
+    elements: keyed,
+    validate: schema_violations,
+    generate: |preset, seed| {
+        bench_summary(preset.name(), &ReportConfig { seed, ..preset.config() })
+    },
+};
+
+fn keyed(doc: &Json) -> Vec<(String, &Json)> {
+    fn items<'a>(j: &'a Json, key: &str) -> &'a [Json] {
+        j.get(key).and_then(Json::as_arr).unwrap_or_default()
+    }
+    let text = |j: &Json, k| j.get(k).and_then(Json::as_str).unwrap_or_default().to_string();
+    let n = |j: &Json| j.get("n").and_then(Json::as_u64).unwrap_or_default();
+    let mut out = Vec::new();
+    for table in items(doc, "tables") {
+        let id = text(table, "id");
+        for row in items(table, "rows") {
+            let (network, problem) = (text(row, "network"), text(row, "problem"));
+            for s in items(row, "samples") {
+                out.push((format!("{id} · {network} {problem} n={}", n(s)), s));
+            }
+        }
+    }
+    for section in ["phases", "recovery", "telemetry"] {
+        for e in items(doc, section) {
+            out.push((format!("{section} · {} n={}", text(e, "workload"), n(e)), e));
+        }
+    }
+    out
+}
 
 fn table_json(t: &ReproTable) -> Json {
     let rows = t.rows.iter().filter_map(|row| {
@@ -239,7 +296,7 @@ pub fn schema_violations(doc: &Json) -> Vec<String> {
                         entries
                             .iter()
                             .filter_map(|(_, v)| v.get("self_bits").and_then(Json::as_u64))
-                            .sum()
+                            .fold(0, u64::saturating_add)
                     });
                 if attributed != Some(completion) {
                     errs.push(format!(

@@ -196,7 +196,7 @@ impl Json {
     /// Returns a [`ParseError`] naming the byte offset of the first
     /// offending character.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -242,9 +242,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// the workspace writes nests fewer than ten levels; the bound turns a
+/// hostile `[[[[…` into a parse error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -286,8 +294,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -384,11 +399,11 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are sound).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
+                    // Consume one UTF-8 scalar: `pos` only ever advances
+                    // by whole scalars, so it sits on a char boundary, and
+                    // decoding one scalar keeps long strings linear.
+                    let c = self.text.get(self.pos..).and_then(|s| s.chars().next());
+                    let c = c.ok_or_else(|| self.err("bad UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -459,6 +474,16 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_depth_bound_without_overflowing_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.message, err.at), ("nesting too deep", MAX_DEPTH));
+        // The pinned crash: 200 000 unclosed brackets overflowed the stack.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]
