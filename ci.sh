@@ -41,6 +41,14 @@ cargo test --release -q -p orthotrees-bench --test calendar_suite -- --ignored f
 # the run bit-identical, clean and under link faults or node outages. The
 # ignored sweep widens the grid to n = 128; see tests/probe_suite.rs.
 cargo test --release -q -p orthotrees-bench --test probe_suite -- --ignored full_probe_sweep_of_instrument_independence
+# Streaming-cost identity gates for the engine instruments: the batched
+# quantile sketch must equal the one-at-a-time oracle tuple for tuple on
+# streams long enough to cross compress points at ε = 0.0001, and the
+# engine's O(1) busy-link count must equal the O(links) scan at every
+# delivery up to n = 128, across restores; see crates/obs/src/telemetry.rs
+# and tests/profile_suite.rs.
+cargo test --release -q -p orthotrees-obs --lib -- --ignored batched_sketch_matches_the_oracle_on_long_streams
+cargo test --release -q -p orthotrees-bench --test profile_suite -- --ignored footprint_identity_sweep
 # Bounded recovery soak (fixed seed, outage-dense plan, n = 128): must
 # recover within the pinned attempt budget; see tests/recovery_suite.rs.
 cargo test --release -q -p orthotrees-bench --test recovery_suite -- --ignored ci_bounded_soak

@@ -30,8 +30,10 @@ use crate::probe::EngineEvent;
 use orthotrees_vlsi::BitTime;
 use std::collections::BTreeMap;
 
-/// Identity of one scheduled bit (the engine's scheduling sequence
-/// number, unique per run and stable under tie-break permutations).
+/// Identity of one scheduled bit: the engine's scheduling sequence
+/// number, stable under tie-break permutations. Ids increase with every
+/// admission, but `Engine::restore` rewinds the counter, so after a
+/// rollback the replayed bits reuse the ids of the bits they replace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgId(pub u64);
 
@@ -251,11 +253,17 @@ impl CriticalPath {
     }
 }
 
-/// The bit-level causal trace: every hop of a run, indexed by message id.
+/// The bit-level causal trace: every hop of a run, in admission order.
+///
+/// Message ids rise by one per admission, so `hops` is sorted by id
+/// except where a restore rewound the engine's counter. `runs` holds the
+/// start of each strictly increasing stretch, and a lookup binary-searches
+/// them newest first: the answer is the most recent admission of the id,
+/// and recording a hop costs one comparison rather than an index insert.
 #[derive(Clone, Debug, Default)]
 pub struct CausalTrace {
     hops: Vec<Hop>,
-    by_msg: BTreeMap<u64, usize>,
+    runs: Vec<usize>,
 }
 
 impl CausalTrace {
@@ -264,9 +272,9 @@ impl CausalTrace {
         CausalTrace::default()
     }
 
-    /// Folds one engine event: an admission records its [`Hop`] (message
-    /// ids are unique per run — the engine's scheduling counter), and a
-    /// dropping fault or a suppressed delivery marks the hop undelivered.
+    /// Folds one engine event: an admission records its [`Hop`], and a
+    /// dropping fault or a suppressed delivery marks the most recent hop
+    /// of that message undelivered.
     pub fn on_engine(&mut self, ev: &EngineEvent) {
         match *ev {
             EngineEvent::Admit {
@@ -280,7 +288,9 @@ impl CausalTrace {
                 arrive,
                 ..
             } => {
-                self.by_msg.insert(msg.0, self.hops.len());
+                if self.hops.last().is_none_or(|h| msg <= h.msg) {
+                    self.runs.push(self.hops.len());
+                }
                 self.hops.push(Hop {
                     msg,
                     pred: trigger,
@@ -294,7 +304,7 @@ impl CausalTrace {
                 });
             }
             EngineEvent::Fault { msg, dropped: true, .. } | EngineEvent::Suppress { msg } => {
-                if let Some(&i) = self.by_msg.get(&msg.0) {
+                if let Some(i) = self.find(msg) {
                     self.hops[i].delivered = false;
                 }
             }
@@ -317,9 +327,23 @@ impl CausalTrace {
         self.hops.is_empty()
     }
 
-    /// The hop of one message, if recorded.
+    /// The hop of one message, if recorded: its most recent admission
+    /// when a restore made the id repeat.
     pub fn hop(&self, msg: MsgId) -> Option<&Hop> {
-        self.by_msg.get(&msg.0).map(|&i| &self.hops[i])
+        self.find(msg).map(|i| &self.hops[i])
+    }
+
+    /// Index of the most recent hop of `msg`: a binary search in each run
+    /// of increasing ids, newest run first.
+    fn find(&self, msg: MsgId) -> Option<usize> {
+        let mut end = self.hops.len();
+        for &start in self.runs.iter().rev() {
+            if let Ok(i) = self.hops[start..end].binary_search_by_key(&msg, |h| h.msg) {
+                return Some(start + i);
+            }
+            end = start;
+        }
+        None
     }
 
     /// The completion event: the delivered hop with the latest arrival
@@ -396,6 +420,7 @@ impl CausalTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Feeds the admission of `msg` over `link`, with
     /// `t = [trigger_at, ready, enter, arrive]`.
@@ -487,5 +512,150 @@ mod tests {
         admit(&mut tr, 2, Some(1), 1, 1, [4, 4, 4, 5]);
         let path = tr.critical_path().unwrap();
         assert!(!path.covers_completion(), "{path:?}");
+    }
+
+    /// The map-backed trace the run search replaced, kept as the oracle:
+    /// one index insert per admission, so a repeated id maps to its most
+    /// recent hop.
+    #[derive(Default)]
+    struct MapTrace {
+        hops: Vec<Hop>,
+        by_msg: BTreeMap<u64, usize>,
+    }
+
+    impl MapTrace {
+        fn on_engine(&mut self, ev: &EngineEvent) {
+            match *ev {
+                EngineEvent::Admit {
+                    msg,
+                    trigger,
+                    link,
+                    link_len,
+                    trigger_at,
+                    ready,
+                    enter,
+                    arrive,
+                    ..
+                } => {
+                    self.by_msg.insert(msg.0, self.hops.len());
+                    self.hops.push(Hop {
+                        msg,
+                        pred: trigger,
+                        link,
+                        link_len,
+                        trigger_at,
+                        ready,
+                        enter,
+                        arrive,
+                        delivered: true,
+                    });
+                }
+                EngineEvent::Fault { msg, dropped: true, .. } | EngineEvent::Suppress { msg } => {
+                    if let Some(&i) = self.by_msg.get(&msg.0) {
+                        self.hops[i].delivered = false;
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        fn hop(&self, msg: u64) -> Option<&Hop> {
+            self.by_msg.get(&msg).map(|&i| &self.hops[i])
+        }
+
+        /// The backward walk from `msg`, as `(msg, start, end)` of every
+        /// non-empty slice, latest first.
+        fn walk(&self, msg: u64) -> Option<Vec<(MsgId, BitTime, BitTime)>> {
+            let mut out = Vec::new();
+            let mut cur = Some(msg);
+            while let Some(m) = cur {
+                let h = self.hop(m)?;
+                for (start, end) in
+                    [(h.enter, h.arrive), (h.ready, h.enter), (h.trigger_at, h.ready)]
+                {
+                    if end > start {
+                        out.push((h.msg, start, end));
+                    }
+                }
+                cur = h.pred.map(|p| p.0);
+            }
+            Some(out)
+        }
+    }
+
+    /// Replays an engine-like event stream: admissions with rising ids,
+    /// drops of the bit just admitted, suppressions of any earlier id,
+    /// and restores that rewind the id counter, so ids repeat. A
+    /// predecessor is always an id admitted since the last rewind and
+    /// below the new one, as the engine's triggers are.
+    fn replay(ops: &[(u8, u64, u64)]) -> (CausalTrace, MapTrace, u64) {
+        let (mut tr, mut oracle) = (CausalTrace::new(), MapTrace::default());
+        let (mut seq, mut since, mut top) = (0u64, 0u64, 0u64);
+        for &(kind, a, b) in ops {
+            let ev = match kind {
+                0..=5 => {
+                    seq += 1;
+                    top = top.max(seq);
+                    let pred =
+                        (a % 3 != 0 && seq - 1 > since).then(|| since + 1 + a % (seq - 1 - since));
+                    let trigger_at = if pred.is_some() { a % 7 } else { 0 };
+                    let ready = trigger_at + b % 3;
+                    let enter = ready + (a >> 8) % 3;
+                    EngineEvent::Admit {
+                        msg: MsgId(seq),
+                        trigger: pred.map(MsgId),
+                        link: (b % 5) as usize,
+                        link_len: 1 + b % 4,
+                        trigger_at: BitTime::new(trigger_at),
+                        ready: BitTime::new(ready),
+                        enter: BitTime::new(enter),
+                        arrive: BitTime::new(enter + 1 + (b >> 8) % 4),
+                        waited: enter - ready,
+                    }
+                }
+                6 => EngineEvent::Fault { msg: MsgId(seq), arrive: BitTime::ZERO, dropped: true },
+                7 => EngineEvent::Suppress { msg: MsgId(a % (top + 2)) },
+                _ => {
+                    seq = a % (seq + 1);
+                    since = seq;
+                    continue;
+                }
+            };
+            tr.on_engine(&ev);
+            oracle.on_engine(&ev);
+        }
+        (tr, oracle, top)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn run_search_matches_the_map_backed_trace_across_restores(
+            ops in collection::vec((0u8..9, 0u64..1 << 16, 0u64..1 << 16), 0..160),
+        ) {
+            let (tr, oracle, top) = replay(&ops);
+            prop_assert_eq!(tr.hops(), &oracle.hops[..]);
+            for m in 0..=top + 1 {
+                prop_assert_eq!(tr.hop(MsgId(m)), oracle.hop(m));
+                let got = tr.critical_path_to(MsgId(m)).map(|p| {
+                    p.segments.iter().rev().map(|s| (s.msg, s.start, s.end)).collect::<Vec<_>>()
+                });
+                prop_assert_eq!(got, oracle.walk(m));
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_ids_resolve_to_the_most_recent_admission() {
+        let mut tr = chain();
+        // A restore rewinds the counter: id 2 is admitted again, over a
+        // different link, and the lookup must see the replay.
+        admit(&mut tr, 2, Some(1), 0, 8, [3, 3, 3, 9]);
+        assert_eq!(tr.hop(MsgId(2)).map(|h| h.arrive), Some(BitTime::new(9)));
+        tr.on_engine(&EngineEvent::Suppress { msg: MsgId(2) });
+        assert!(tr.hops()[1].delivered, "the superseded hop is untouched");
+        assert!(!tr.hops()[2].delivered);
+        assert_eq!(tr.completion().map(|h| h.arrive), Some(BitTime::new(10)));
     }
 }

@@ -156,9 +156,8 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::tests::no_busy_links;
 
-    fn ev(seq: u64) -> EngineEvent<'static> {
+    fn ev(seq: u64) -> EngineEvent {
         let delivery = Delivery {
             seq,
             at: BitTime::new(seq * 3),
@@ -168,7 +167,7 @@ mod tests {
             index: (seq % 8) as u32,
             depth: 1 + seq % 4,
         };
-        EngineEvent::Deliver { delivery, busy_links: &no_busy_links }
+        EngineEvent::Deliver { delivery, busy_links: 0 }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::Recorder;
 use orthotrees_vlsi::BitTime;
 
 /// One moment of a bit-level run, as the engine saw it.
-pub enum EngineEvent<'a> {
+pub enum EngineEvent {
     /// Message `msg` was admitted onto `link`. Time tiles as
     /// `trigger_at ≤ ready ≤ enter ≤ arrive`: the emission hold, the
     /// `waited = enter − ready` τ of entrance queueing, the wire delay.
@@ -55,9 +55,9 @@ pub enum EngineEvent<'a> {
     Deliver {
         /// What landed where, and when.
         delivery: Delivery,
-        /// Links whose entrance is still occupied past the delivery time.
-        /// An O(links) scan, so it runs only when a fold calls it.
-        busy_links: &'a dyn Fn() -> u64,
+        /// Links whose entrance is still occupied past the delivery time
+        /// (the engine keeps this count in O(1) per event).
+        busy_links: u64,
     },
     /// Message `msg` reached a dead node and was discarded.
     Suppress {
@@ -134,18 +134,14 @@ impl Probes {
 pub(crate) mod tests {
     use super::*;
 
-    pub(crate) fn no_busy_links() -> u64 {
-        0
-    }
-
     /// A delivery to port 0 of `node` at `at`, `depth` entries deep.
-    pub(crate) fn deliver(at: BitTime, node: usize, depth: u64) -> EngineEvent<'static> {
+    pub(crate) fn deliver(at: BitTime, node: usize, depth: u64) -> EngineEvent {
         let delivery = Delivery { seq: 0, at, node, port: 0, value: false, index: 0, depth };
-        EngineEvent::Deliver { delivery, busy_links: &no_busy_links }
+        EngineEvent::Deliver { delivery, busy_links: 0 }
     }
 
     /// A start-emitted bit entering `link` at `enter` after `waited` τ.
-    pub(crate) fn admit(link: usize, enter: BitTime, waited: u64) -> EngineEvent<'static> {
+    pub(crate) fn admit(link: usize, enter: BitTime, waited: u64) -> EngineEvent {
         EngineEvent::Admit {
             msg: MsgId(0),
             trigger: None,

@@ -281,8 +281,8 @@ impl Profiler {
     // --------------------------------------------------------------
 
     /// Folds one engine event into its window. A delivery that sets a new
-    /// calendar-depth peak also captures the [`Footprint`] — the only
-    /// moment the event's `busy_links` scan runs.
+    /// calendar-depth peak also captures the [`Footprint`], with the
+    /// busy-link count the engine keeps current.
     pub fn on_engine(&mut self, ev: &EngineEvent) {
         match *ev {
             EngineEvent::Deliver {
@@ -304,7 +304,7 @@ impl Profiler {
                     self.footprint = Some(Footprint {
                         at,
                         calendar_entries: depth,
-                        busy_links: busy_links(),
+                        busy_links,
                         delivered_events: seq,
                     });
                 }
@@ -438,7 +438,6 @@ mod tests {
     use super::*;
     use crate::causal::{MsgId, SegmentKind};
     use crate::probe::tests::{admit, deliver};
-    use std::cell::Cell;
 
     #[test]
     fn windows_are_gapless_even_with_sparse_activity() {
@@ -478,24 +477,18 @@ mod tests {
     #[test]
     fn peak_detection_fires_once_per_new_peak() {
         let mut p = Profiler::new(10);
-        let scans = Cell::new(0u64);
-        let busy = || {
-            scans.set(scans.get() + 1);
-            4
+        let mut fire = |seq: u64, depth: u64| {
+            let at = BitTime::new(seq);
+            let delivery = Delivery { seq, at, node: 0, port: 0, value: false, index: 0, depth };
+            p.on_engine(&EngineEvent::Deliver { delivery, busy_links: 10 + seq });
+            p.footprint().map(|f| f.delivered_events)
         };
-        let mut fire = |at: u64, depth: u64| {
-            let at = BitTime::new(at);
-            let delivery =
-                Delivery { seq: 17, at, node: 0, port: 0, value: false, index: 0, depth };
-            p.on_engine(&EngineEvent::Deliver { delivery, busy_links: &busy });
-            scans.get()
-        };
-        assert_eq!(fire(0, 5), 1, "first event is a peak");
-        assert_eq!(fire(1, 5), 1, "ties are not peaks");
-        assert_eq!(fire(2, 3), 1);
-        assert_eq!(fire(3, 9), 2);
+        assert_eq!(fire(1, 5), Some(1), "first event is a peak");
+        assert_eq!(fire(2, 5), Some(1), "ties are not peaks");
+        assert_eq!(fire(3, 3), Some(1));
+        assert_eq!(fire(4, 9), Some(4));
         let f = p.footprint().unwrap();
-        assert_eq!((f.calendar_entries, f.busy_links, f.delivered_events), (9, 4, 17));
+        assert_eq!((f.calendar_entries, f.busy_links, f.delivered_events), (9, 14, 4));
     }
 
     #[test]

@@ -72,15 +72,26 @@ struct Entry {
 /// then answers with a *recorded* value whose rank differs from the
 /// requested `⌈q·n⌉` by at most `⌈ε·n⌉` — the bound the `TEL-001` verify
 /// rule and the sketch-accuracy proptests hold to account.
+///
+/// Inserts are batched: a new tuple's `Δ` depends only on whether the
+/// value is a new extreme (the first tuple always holds the minimum and
+/// the last the maximum, since compress removes neither), so `observe`
+/// computes it from the running min and max and appends to a pending
+/// batch. Every `1/(2ε)` values — the compress cadence — one
+/// right-to-left pass merges the sorted batch in and compresses. Each
+/// value thus costs O(1) amortized plus its share of one pass, not a
+/// memmove of every stored tuple, and the tuples after every compress
+/// equal those of one-at-a-time insertion exactly.
 #[derive(Clone, Debug)]
 pub struct QuantileSketch {
     epsilon: f64,
     entries: Vec<Entry>,
+    /// Tuples observed since the last compress, in arrival order.
+    pending: Vec<Entry>,
     count: u64,
     sum: u128,
     min: u64,
     max: u64,
-    since_compress: u64,
 }
 
 impl QuantileSketch {
@@ -90,11 +101,11 @@ impl QuantileSketch {
         QuantileSketch {
             epsilon: epsilon.clamp(0.0001, 0.5),
             entries: Vec::new(),
+            pending: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
-            since_compress: 0,
         }
     }
 
@@ -127,10 +138,10 @@ impl QuantileSketch {
         self.max
     }
 
-    /// Stored tuples — the sketch's memory footprint, O(1/ε · log(εn))
-    /// rather than O(n).
+    /// Stored tuples, pending ones included — the sketch's memory
+    /// footprint, O(1/ε · log(εn)) rather than O(n).
     pub fn entries_len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() + self.pending.len()
     }
 
     /// The invariant ceiling `⌊2εn⌋` every stored tuple's `g + Δ` must
@@ -141,36 +152,74 @@ impl QuantileSketch {
 
     /// Records one value.
     pub fn observe(&mut self, value: u64) {
+        let extreme = self.count == 0 || value <= self.min || value > self.max;
         self.count += 1;
         self.sum += u128::from(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        let pos = self.entries.partition_point(|e| e.v < value);
-        let delta =
-            if pos == 0 || pos == self.entries.len() { 0 } else { self.cap().saturating_sub(1) };
-        self.entries.insert(pos, Entry { v: value, g: 1, delta });
-        self.since_compress += 1;
-        if self.since_compress as f64 >= 1.0 / (2.0 * self.epsilon) {
-            self.compress();
-            self.since_compress = 0;
+        let delta = if extreme { 0 } else { self.cap().saturating_sub(1) };
+        self.pending.push(Entry { v: value, g: 1, delta });
+        if self.pending.len() as f64 >= 1.0 / (2.0 * self.epsilon) {
+            self.merge_pending(self.cap());
         }
     }
 
-    /// Merges adjacent tuples whose combined rank span still fits the
-    /// `g + Δ ≤ ⌊2εn⌋` invariant. Never merges into the first tuple, so
-    /// the minimum stays exactly representable.
-    fn compress(&mut self) {
-        let cap = self.cap();
-        let mut i = self.entries.len().saturating_sub(1);
-        while i >= 2 {
-            let left = self.entries[i - 1];
-            let right = self.entries[i];
-            if left.g + right.g + right.delta <= cap {
-                self.entries[i].g += left.g;
-                self.entries.remove(i - 1);
-            }
-            i -= 1;
+    /// Merges the pending batch into the stored tuples and compresses, in
+    /// one right-to-left pass. The pass walks the merged sequence from
+    /// the largest value down; each tuple either folds into the surviving
+    /// tuple on its right, when their combined rank span `g + g' + Δ'`
+    /// fits `cap`, or becomes the new survivor. The first tuple never
+    /// folds, so the minimum stays exactly representable; `cap` 0 folds
+    /// nothing and only merges.
+    ///
+    /// Merge order is insertion order: a batch tuple goes in front of
+    /// stored equal values, and later arrivals in front of earlier ones,
+    /// since each arrival would have been inserted at the first stored
+    /// tuple not below it. Equal values arrive with non-decreasing `Δ`
+    /// (an extreme first, then `⌊2εn⌋ − 1` for a growing `n`), so
+    /// "later first" is "larger `Δ` first", and equal `(v, Δ)` tuples are
+    /// interchangeable.
+    fn merge_pending(&mut self, cap: u64) {
+        let batch = &mut self.pending;
+        batch.sort_unstable_by_key(|e| (e.v, std::cmp::Reverse(e.delta)));
+        let entries = &mut self.entries;
+        let (mut i, mut j) = (entries.len(), batch.len());
+        let len = i + j;
+        if len == 0 {
+            return;
         }
+        entries.resize(len, Entry { v: 0, g: 0, delta: 0 });
+        // The next merged tuple from the top. Writes never overtake reads:
+        // the survivor slot `w` stays at or above the merged position,
+        // which is at or above every stored tuple not yet read.
+        let mut next = |entries: &[Entry]| {
+            if i > 0 && (j == 0 || entries[i - 1].v >= batch[j - 1].v) {
+                i -= 1;
+                entries[i]
+            } else {
+                j -= 1;
+                batch[j]
+            }
+        };
+        let mut w = len - 1;
+        entries[w] = next(entries);
+        for _ in 1..len.saturating_sub(1) {
+            let left = next(entries);
+            let right = &mut entries[w];
+            if left.g + right.g + right.delta <= cap {
+                right.g += left.g;
+            } else {
+                w -= 1;
+                entries[w] = left;
+            }
+        }
+        if len >= 2 {
+            entries[0] = next(entries);
+        }
+        if w > 1 {
+            entries.drain(1..w);
+        }
+        batch.clear();
     }
 
     /// The `q`-quantile (`q` clamped to `[0, 1]`): a recorded value whose
@@ -188,15 +237,30 @@ impl QuantileSketch {
         // The standard GK answer: the first tuple whose rank envelope
         // [rmin, rmax] sits within ±εn of the target. One always exists
         // under the g + Δ ≤ 2εn invariant.
+        let merged;
+        let entries = if self.pending.is_empty() {
+            &self.entries
+        } else {
+            merged = self.tuples();
+            &merged
+        };
         let mut rmin = 0u64;
-        for e in &self.entries {
+        for e in entries {
             rmin += e.g;
             let rmax = (rmin + e.delta) as f64;
             if rank - rmin as f64 <= margin && rmax - rank <= margin {
                 return Some(e.v);
             }
         }
-        self.entries.last().map(|e| e.v)
+        entries.last().map(|e| e.v)
+    }
+
+    /// The stored tuples with the pending batch merged in, as
+    /// one-at-a-time insertion would hold them.
+    fn tuples(&self) -> Vec<Entry> {
+        let mut merged = self.clone();
+        merged.merge_pending(0);
+        merged.entries
     }
 
     /// Mean observed value (0.0 when empty — same contract as
@@ -343,16 +407,13 @@ impl Telemetry {
         self.next_at = (at.get() / self.interval + 1) * self.interval;
         if self.snapshots.len() > MAX_SNAPSHOTS {
             // Double the cadence and thin deterministically: keep every
-            // other row (the newest always survives).
+            // other row counted back from the newest, which survives.
             self.interval *= 2;
-            let keep: Vec<TelemetrySnapshot> = self
-                .snapshots
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % 2 == 1)
-                .map(|(_, s)| s.clone())
-                .collect();
-            self.snapshots = keep;
+            let mut age = self.snapshots.len();
+            self.snapshots.retain(|_| {
+                age -= 1;
+                age.is_multiple_of(2)
+            });
         }
     }
 
@@ -476,9 +537,10 @@ fn metric_name(name: &str) -> String {
 /// Structural checks on an [`orthotrees-telemetry/v1`](SCHEMA) document.
 /// Empty means valid. Checked: the schema tag; ε in `(0, 0.5]`; a
 /// positive cadence; well-typed counter/gauge maps; per-sketch field
-/// presence with `min ≤ p50 ≤ p90 ≤ p99 ≤ max` and a positive count; and
-/// a snapshot series monotone in both time and every counter (counters
-/// are monotone by definition — a decreasing series means torn rows).
+/// presence (a string name) with `min ≤ p50 ≤ p90 ≤ p99 ≤ max` and a
+/// positive count; and a snapshot series monotone in both time and every
+/// counter (counters are monotone by definition — a decreasing series
+/// means torn rows).
 pub fn schema_violations(doc: &Json) -> Vec<String> {
     let mut v = Vec::new();
     match doc.get("schema").and_then(Json::as_str) {
@@ -510,10 +572,10 @@ pub fn schema_violations(doc: &Json) -> Vec<String> {
     match doc.get("sketches").and_then(Json::as_arr) {
         Some(rows) => {
             for (i, row) in rows.iter().enumerate() {
-                let name = row
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .map_or_else(|| format!("#{i}"), str::to_string);
+                let Some(name) = row.get("name").and_then(Json::as_str) else {
+                    v.push(format!("sketch #{i}: missing or non-string `name`"));
+                    continue;
+                };
                 let field = |k: &str| row.get(k).and_then(Json::as_u64);
                 let (count, min, max) = (field("count"), field("min"), field("max"));
                 let (p50, p90, p99) = (field("p50"), field("p90"), field("p99"));
@@ -576,6 +638,173 @@ pub fn schema_violations(doc: &Json) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The one-at-a-time sketch the batched one replaced, kept as the
+    /// oracle the batched sketch must equal tuple for tuple: every value
+    /// is inserted at its sorted position on arrival (`Vec::insert`), and
+    /// every `1/(2ε)` values a compress pass removes merged tuples one by
+    /// one (`Vec::remove`).
+    struct OracleSketch {
+        epsilon: f64,
+        entries: Vec<Entry>,
+        count: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+        since_compress: u64,
+    }
+
+    impl OracleSketch {
+        fn new(epsilon: f64) -> OracleSketch {
+            OracleSketch {
+                epsilon: epsilon.clamp(0.0001, 0.5),
+                entries: Vec::new(),
+                count: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+                since_compress: 0,
+            }
+        }
+
+        fn cap(&self) -> u64 {
+            (2.0 * self.epsilon * self.count as f64).floor() as u64
+        }
+
+        fn observe(&mut self, value: u64) {
+            self.count += 1;
+            self.sum += u128::from(value);
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+            let pos = self.entries.partition_point(|e| e.v < value);
+            let delta = if pos == 0 || pos == self.entries.len() {
+                0
+            } else {
+                self.cap().saturating_sub(1)
+            };
+            self.entries.insert(pos, Entry { v: value, g: 1, delta });
+            self.since_compress += 1;
+            if self.since_compress as f64 >= 1.0 / (2.0 * self.epsilon) {
+                self.compress();
+                self.since_compress = 0;
+            }
+        }
+
+        fn compress(&mut self) {
+            let cap = self.cap();
+            let mut i = self.entries.len().saturating_sub(1);
+            while i >= 2 {
+                let left = self.entries[i - 1];
+                let right = self.entries[i];
+                if left.g + right.g + right.delta <= cap {
+                    self.entries[i].g += left.g;
+                    self.entries.remove(i - 1);
+                }
+                i -= 1;
+            }
+        }
+
+        fn quantile(&self, q: f64) -> Option<u64> {
+            if self.count == 0 {
+                return None;
+            }
+            let n = self.count as f64;
+            let rank = (q.clamp(0.0, 1.0) * n).ceil().max(1.0);
+            let margin = self.epsilon * n;
+            let mut rmin = 0u64;
+            for e in &self.entries {
+                rmin += e.g;
+                let rmax = (rmin + e.delta) as f64;
+                if rank - rmin as f64 <= margin && rmax - rank <= margin {
+                    return Some(e.v);
+                }
+            }
+            self.entries.last().map(|e| e.v)
+        }
+    }
+
+    /// Feeds `stream` to the batched sketch and the oracle side by side
+    /// and compares them after every prefix: tuples, count, sum, min,
+    /// max and every reported quantile (plus the extremes), so queries
+    /// between compress points, with a batch pending, are covered too.
+    fn check_against_oracle(stream: &[u64], epsilon: f64) -> TestCaseResult {
+        let mut sk = QuantileSketch::new(epsilon);
+        let mut oracle = OracleSketch::new(epsilon);
+        for (i, &v) in stream.iter().enumerate() {
+            sk.observe(v);
+            oracle.observe(v);
+            prop_assert!(
+                sk.tuples() == oracle.entries,
+                "ε={epsilon}: tuples differ after {} values",
+                i + 1
+            );
+            prop_assert_eq!(sk.entries_len(), oracle.entries.len());
+            prop_assert_eq!(
+                (sk.count(), sk.sum(), sk.min(), sk.max()),
+                (oracle.count, oracle.sum, oracle.min, oracle.max)
+            );
+            for q in REPORTED_QUANTILES.map(|(_, q)| q).into_iter().chain([0.0, 1.0]) {
+                let (got, want) = (sk.quantile(q), oracle.quantile(q));
+                prop_assert!(got == want, "q={q} after {}: {got:?} != {want:?}", i + 1);
+            }
+        }
+        Ok(())
+    }
+
+    /// An arbitrary stream of up to `max_len` values: `shape` picks the
+    /// order (as drawn, sorted, reversed) and `domain` the values (a
+    /// handful of duplicates, a narrow band, or the whole `u64` range
+    /// with 0 and `u64::MAX` both likely).
+    fn stream(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
+        (0u8..3, 0u8..3, collection::vec(0u64..1 << 20, 0..max_len)).prop_map(
+            |(shape, domain, raw)| {
+                let mut xs: Vec<u64> = raw
+                    .into_iter()
+                    .map(|x| match domain {
+                        0 => x % 5,
+                        1 => 1_000 + x % 300,
+                        _ => match x % 8 {
+                            0 => 0,
+                            1 => u64::MAX,
+                            _ => x.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        },
+                    })
+                    .collect();
+                match shape {
+                    1 => xs.sort_unstable(),
+                    2 => xs.sort_unstable_by(|a, b| b.cmp(a)),
+                    _ => {}
+                }
+                xs
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn batched_sketch_matches_the_one_at_a_time_oracle(xs in stream(400)) {
+            for epsilon in [0.0001, 0.01, 0.5] {
+                check_against_oracle(&xs, epsilon)?;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Release-only sweep (CI): streams long enough to cross two
+        /// compress points even at ε = 0.0001.
+        #[test]
+        #[ignore = "release-only sweep; run by ci.sh"]
+        fn batched_sketch_matches_the_oracle_on_long_streams(xs in stream(10_500)) {
+            for epsilon in [0.0001, 0.01, 0.5] {
+                check_against_oracle(&xs, epsilon)?;
+            }
+        }
+    }
 
     /// Exact rank check: the sketch's answer for `q` must sit within the
     /// ±⌈εn⌉ rank band of the sorted data.
@@ -716,6 +945,29 @@ mod tests {
     }
 
     #[test]
+    fn thinning_keeps_the_newest_row() {
+        let mut t = Telemetry::new(1);
+        for at in 1..=5_000u64 {
+            t.count("ev", 1);
+            let before = (t.snapshots().len(), t.snapshots().last().map(|r| r.at));
+            t.tick(BitTime::new(at));
+            let rows = t.snapshots();
+            assert!(rows.len() <= MAX_SNAPSHOTS, "{} rows after tick {at}", rows.len());
+            if (rows.len(), rows.last().map(|r| r.at)) != before {
+                let last = rows.last().expect("a row was just taken");
+                assert_eq!(last.at.get(), at, "the row taken at {at} must be the last one");
+                assert_eq!(last.counters["ev"], at);
+            }
+        }
+        assert!(t.interval() >= 32, "the series thinned repeatedly: {}", t.interval());
+        let mut t = Telemetry::new(1);
+        for at in 1..=(MAX_SNAPSHOTS as u64 + 1) {
+            t.tick(BitTime::new(at));
+        }
+        assert_eq!(t.snapshots().last().map(|r| r.at.get()), Some(MAX_SNAPSHOTS as u64 + 1));
+    }
+
+    #[test]
     fn open_metrics_renders_all_three_types() {
         let mut t = Telemetry::new(100);
         t.count("engine.delivered", 12);
@@ -789,6 +1041,20 @@ mod tests {
         doc.set("sketches", Json::arr([bad_sketch]));
         let v = schema_violations(&doc);
         assert!(v.iter().any(|m| m.contains("not monotone")), "{v:?}");
+
+        // A sketch row whose name was dropped.
+        let mut unnamed = Telemetry::new(50);
+        unnamed.observe("lat", 3);
+        let mut doc = clean.clone();
+        let mut rows = unnamed.to_json().get("sketches").cloned().unwrap();
+        if let Json::Arr(items) = &mut rows {
+            if let Json::Obj(fields) = &mut items[0] {
+                fields.retain(|(k, _)| k != "name");
+            }
+        }
+        doc.set("sketches", rows);
+        let v = schema_violations(&doc);
+        assert!(v.iter().any(|m| m.contains("`name`")), "{v:?}");
 
         // A decreasing counter across snapshot rows.
         let rows = Json::arr([

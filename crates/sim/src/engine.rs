@@ -14,7 +14,7 @@
 
 use crate::calendar::{new_calendar, Calendar, CalendarKind};
 use crate::fault::{FaultPlan, FaultStats, LinkFaultKind, RunBudget};
-use crate::link::{Link, LinkId};
+use crate::link::{BusyLinks, Link, LinkId};
 use crate::node::{Bit, NodeBehavior, NodeId, Outbox, PortId};
 use orthotrees_obs::causal::{CausalTrace, MsgId};
 use orthotrees_obs::flight::FlightRecorder;
@@ -106,7 +106,11 @@ pub struct Engine {
     /// five moments. `None` is the fast path: the run loop touches no
     /// observation code at all (same contract as `fault_plan`), and
     /// observing never changes a simulated bit or time.
-    probes: Option<Probes>,
+    pub(crate) probes: Option<Probes>,
+    /// Links busy past the last delivery, for [`EngineEvent::Deliver`].
+    /// Kept only while `probes` is installed, and rebuilt from the link
+    /// table whenever it starts (or restarts, after a restore) mid-run.
+    pub(crate) busy: BusyLinks,
     /// The one emission buffer every activation fills and
     /// [`flush_outbox`](Engine::flush_outbox) drains, so steady-state
     /// deliveries allocate nothing.
@@ -142,6 +146,7 @@ impl Engine {
             budget: RunBudget::default(),
             fault_stats: FaultStats::default(),
             probes: None,
+            busy: BusyLinks::default(),
             outbox: Outbox::default(),
             lifo_ties: false,
             started: false,
@@ -311,9 +316,11 @@ impl Engine {
             }
             for &lid in links {
                 let link = &mut self.links[lid.0];
+                let was_free_at = link.free_at;
                 let arrive = link.admit(ready, self.delay);
                 self.seq += 1;
                 if let Some(p) = &mut self.probes {
+                    self.busy.admit(was_free_at, link.free_at);
                     // The entrance slot the bit actually took.
                     let enter = arrive - link.bit_delay(self.delay);
                     p.on_engine(&EngineEvent::Admit {
@@ -444,7 +451,12 @@ impl Engine {
                 }
             }
             if let Some(p) = &mut self.probes {
-                let links = &self.links;
+                let busy_links = self.busy.advance(ev.at);
+                debug_assert_eq!(
+                    busy_links,
+                    self.links.iter().filter(|l| l.free_at > ev.at).count() as u64,
+                    "busy-link tally drifted from the link table"
+                );
                 p.on_engine(&EngineEvent::Deliver {
                     delivery: Delivery {
                         seq: self.delivered,
@@ -455,7 +467,7 @@ impl Engine {
                         index: ev.bit.index,
                         depth: (self.depth + 1) as u64,
                     },
-                    busy_links: &|| links.iter().filter(|l| l.free_at > ev.at).count() as u64,
+                    busy_links,
                 });
             }
             self.now = self.now.max(ev.at);
@@ -507,8 +519,12 @@ impl Engine {
 /// the one probe slot, and none changes a simulated bit, time or output
 /// (bit-identity, enforced by the engine tests and the identity suites).
 impl Engine {
-    /// The probe slot, created on first install.
+    /// The probe slot, created on first install (which starts the
+    /// busy-link tally from the link table as it stands).
     fn probes(&mut self) -> &mut Probes {
+        if self.probes.is_none() {
+            self.busy.rebuild(&self.links, self.now);
+        }
         self.probes.get_or_insert_with(Probes::default)
     }
 

@@ -424,6 +424,9 @@ impl Engine {
         self.delivered = snap.delivered;
         self.fault_stats = snap.fault_stats;
         self.log = snap.log.clone();
+        if self.probes.is_some() {
+            self.busy.rebuild(&self.links, self.now);
+        }
         Ok(())
     }
 

@@ -9,14 +9,16 @@
 //! extracted from a traced `ROOTTOLEAF` run tiles `[0, completion]` and
 //! its per-level wire slices match the `CostModel` closed forms.
 
-use orthotrees::obs::causal::SegmentKind;
+use orthotrees::obs::causal::{CausalTrace, Hop, LinkSlack, MsgId, PathSegment, SegmentKind};
 use orthotrees::obs::Recorder;
 use orthotrees::otc::{self, Otc};
 use orthotrees::otn::{self, Axis, Otn, PhaseCost};
 use orthotrees::{FaultPlan, Word};
-use orthotrees_sim::experiments;
+use orthotrees_sim::experiments::{self, probe_engine, ProbeKind};
+use orthotrees_sim::{supervise_engine, CalendarKind, NodeId, RecoveryPolicy};
 use orthotrees_vlsi::{BitTime, CostModel};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A detectable-retry-only plan: every faulted word is parity-caught and
 /// retried, nothing is dropped and no node goes dark, so functional
@@ -212,4 +214,101 @@ proptest! {
         let slacks = trace.link_slacks();
         prop_assert_eq!(slacks.iter().map(|s| s.slack).min(), Some(BitTime::ZERO));
     }
+}
+
+// ---------------------------------------------------------------------
+// Message ids across a supervised rollback.
+// ---------------------------------------------------------------------
+
+/// The lookups a map from message id to its latest hop gives: what the
+/// trace answered when it kept such a map, recomputed from its hops.
+struct MapOracle {
+    latest: BTreeMap<MsgId, Hop>,
+    hops: Vec<Hop>,
+}
+
+impl MapOracle {
+    fn new(tr: &CausalTrace) -> MapOracle {
+        let hops = tr.hops().to_vec();
+        MapOracle { latest: hops.iter().map(|h| (h.msg, *h)).collect(), hops }
+    }
+
+    fn completion(&self) -> Option<Hop> {
+        self.hops.iter().filter(|h| h.delivered).max_by_key(|h| (h.arrive, h.msg)).copied()
+    }
+
+    fn critical_path(&self) -> Option<Vec<PathSegment>> {
+        let mut segments = Vec::new();
+        let mut cur = Some(self.completion()?.msg);
+        while let Some(m) = cur {
+            let h = self.latest.get(&m)?;
+            let (wire, queue) = (SegmentKind::WireDelay, SegmentKind::QueueWait);
+            for (kind, link, start, end) in [
+                (wire, Some((h.link, h.link_len)), h.enter, h.arrive),
+                (queue, Some((h.link, h.link_len)), h.ready, h.enter),
+                (SegmentKind::NodeCompute, None, h.trigger_at, h.ready),
+            ] {
+                if end > start {
+                    let (link, link_len) = (link.map(|l| l.0), link.map(|l| l.1));
+                    segments.push(PathSegment { msg: h.msg, kind, link, link_len, start, end });
+                }
+            }
+            cur = h.pred;
+        }
+        segments.reverse();
+        Some(segments)
+    }
+
+    fn link_slacks(&self) -> Vec<LinkSlack> {
+        let Some(done) = self.completion().map(|h| h.arrive) else {
+            return Vec::new();
+        };
+        let mut last: BTreeMap<usize, (u64, BitTime)> = BTreeMap::new();
+        for h in self.hops.iter().filter(|h| h.delivered) {
+            let e = last.entry(h.link).or_insert((h.link_len, h.arrive));
+            e.1 = e.1.max(h.arrive);
+        }
+        last.into_iter()
+            .map(|(link, (link_len, last_arrive))| LinkSlack {
+                link,
+                link_len,
+                last_arrive,
+                slack: done - last_arrive,
+            })
+            .collect()
+    }
+}
+
+/// A causal trace rides through a `supervise_engine` rollback: the
+/// restore rewinds the engine's scheduling counter, so the replay
+/// re-admits bits under ids already in the trace. Every lookup must
+/// resolve to the most recent admission, as the map-backed trace did.
+#[test]
+fn causal_lookups_survive_a_supervised_rollback() {
+    let m = CostModel::thompson(8);
+    let mut e = probe_engine(ProbeKind::Sum, 8, &m, CalendarKind::Ladder, None, false);
+    let sink = NodeId(e.node_count() - 1);
+    e = e.with_causal_trace().with_fault_plan(FaultPlan::new(9).with_outage(
+        sink,
+        BitTime::new(6),
+        BitTime::new(30),
+    ));
+    let policy =
+        RecoveryPolicy { max_attempts: 12, checkpoint_events: 6, min_checkpoint_events: 2 };
+    let report = supervise_engine(&mut e, &policy, |e, _| e.set_fault_plan(None)).unwrap();
+    assert!(report.rollbacks >= 1, "the outage must trip the supervisor");
+    let tr = e.take_causal_trace().unwrap();
+    let oracle = MapOracle::new(&tr);
+    assert!(oracle.latest.len() < tr.len(), "the replay must re-admit ids already traced");
+
+    let top = tr.hops().iter().map(|h| h.msg.0).max().unwrap();
+    for id in 0..=top + 1 {
+        assert_eq!(tr.hop(MsgId(id)), oracle.latest.get(&MsgId(id)), "hop of id {id}");
+    }
+    assert_eq!(tr.completion().copied(), oracle.completion());
+    let path = tr.critical_path().expect("the recovered run completes");
+    assert_eq!(Some(path.segments.clone()), oracle.critical_path());
+    assert!(path.covers_completion(), "{path:?}");
+    assert_eq!(path.completion, report.completion);
+    assert_eq!(tr.link_slacks(), oracle.link_slacks());
 }

@@ -13,8 +13,8 @@ use orthotrees::obs::Recorder;
 use orthotrees::otc::Otc;
 use orthotrees::otn::{self, Axis, Otn, PhaseCost};
 use orthotrees::{BitTime, FaultPlan, FaultStats, OpStats, Word};
-use orthotrees_sim::experiments;
-use orthotrees_sim::RecoveryPolicy;
+use orthotrees_sim::experiments::{self, probe_engine, ProbeKind, PROBE_KINDS};
+use orthotrees_sim::{CalendarKind, Engine, Link, NodeId, RecoveryPolicy, RunStatus};
 use orthotrees_vlsi::CostModel;
 use proptest::prelude::*;
 
@@ -218,4 +218,121 @@ fn sort_profile_totals_are_width_invariant() {
     let coarse = Profiler::from_recorder(&rec, Profiler::auto_width(out.time.get()));
     assert_eq!(fine.totals(), coarse.totals(), "coalescing preserves every sum");
     assert_word_profile(&rec, out.time, 1);
+}
+
+// ---------------------------------------------------------------------
+// Footprint identity: the engine's O(1) busy-link tally.
+// ---------------------------------------------------------------------
+
+/// The fault scenarios of the footprint identity sweep.
+const CONDITIONS: [&str; 3] = ["clean", "link-faults", "outage"];
+
+/// A probe engine under one of [`CONDITIONS`]: a dense link-fault plan
+/// (drops included), or every odd node down over `[2, 12)`.
+fn footprint_probe(kind: ProbeKind, leaves: usize, cond: &str) -> Engine {
+    let m = CostModel::thompson(leaves);
+    let e = probe_engine(kind, leaves, &m, CalendarKind::Ladder, None, false);
+    let plan = match cond {
+        "link-faults" => FaultPlan::new(leaves as u64).with_link_fault_rate(0.3),
+        "outage" => (1..e.node_count()).step_by(2).fold(FaultPlan::new(0), |p, i| {
+            p.with_outage(NodeId(i), BitTime::new(2), BitTime::new(12))
+        }),
+        _ => return e,
+    };
+    e.with_fault_plan(plan)
+}
+
+/// Steps `e` one event at a time to quiescence with a fresh profiler
+/// before each step, so every delivery is a new calendar-depth peak and
+/// its footprint carries the engine's busy-link count. Each count must
+/// equal the O(links) scan of the link table as it stood before the
+/// step. A zero-event slice first starts the sources, whose emissions
+/// precede the first delivery. Returns the number of deliveries checked.
+fn assert_busy_links_match_scan(e: Engine, label: &str) -> u64 {
+    let mut e = e.with_profiler(Profiler::new(1));
+    e.try_run_for(0).expect("starting admits within budget");
+    let mut checked = 0;
+    loop {
+        let free_at: Vec<BitTime> = e.links().iter().map(Link::free_at).collect();
+        e = e.with_profiler(Profiler::new(1));
+        let status = e.try_run_for(1).expect("probe runs within budget");
+        if let Some(f) = e.take_profiler().and_then(|p| p.footprint().copied()) {
+            let scan = free_at.iter().filter(|&&t| t > f.at).count() as u64;
+            assert_eq!(
+                f.busy_links, scan,
+                "{label}: delivery {} at {:?}",
+                f.delivered_events, f.at
+            );
+            checked += 1;
+        }
+        if matches!(status, RunStatus::Quiescent(_)) {
+            return checked;
+        }
+    }
+}
+
+/// Runs the busy-link identity over every probe kind and condition at
+/// `leaves`, plus a restored engine that had no instrument before the
+/// restore and one whose installed instruments ride through a rewind.
+fn footprint_identity(leaves: usize) {
+    for kind in PROBE_KINDS {
+        for cond in CONDITIONS {
+            let label = format!("{} n={leaves} {cond}", kind.tag());
+            let checked = assert_busy_links_match_scan(footprint_probe(kind, leaves, cond), &label);
+            assert!(checked > 0, "{label}: nothing was delivered");
+
+            // Attached after a restore: the tally starts from the
+            // restored link table, mid-run.
+            let mut bare = footprint_probe(kind, leaves, cond);
+            bare.try_run_for(9).unwrap();
+            let snap = bare.snapshot();
+            let mut restored = footprint_probe(kind, leaves, cond);
+            restored.restore(&snap).unwrap();
+            assert_busy_links_match_scan(restored, &format!("{label} attached after restore"));
+
+            // Installed across a rewind: the restore rebuilds the tally.
+            let mut e = footprint_probe(kind, leaves, cond).with_profiler(Profiler::new(1));
+            e.try_run_for(5).unwrap();
+            let early = e.snapshot();
+            e.try_run_for(12).unwrap();
+            e.restore(&early).unwrap();
+            assert_busy_links_match_scan(e, &format!("{label} across a rewind"));
+        }
+    }
+}
+
+#[test]
+fn footprint_busy_links_equal_the_link_scan() {
+    for leaves in [2, 4, 8] {
+        footprint_identity(leaves);
+    }
+}
+
+/// Release-only sweep (CI): the same identity at 2⁵..2⁷ leaves.
+#[test]
+#[ignore = "release-only sweep; run by ci.sh"]
+fn footprint_identity_sweep() {
+    for leaves in [32, 64, 128] {
+        footprint_identity(leaves);
+    }
+}
+
+/// The supervised outage run: the footprint equals what the O(links)
+/// scan reported (pinned below), and in debug builds the engine audits
+/// its tally against the scan at every delivery, replays after each
+/// rollback included.
+#[test]
+fn supervised_recovery_footprint_matches_the_scan() {
+    let values: Vec<u64> = (0..16).collect();
+    let m = CostModel::thompson(16);
+    let policy =
+        RecoveryPolicy { max_attempts: 12, checkpoint_events: 6, min_checkpoint_events: 2 };
+    let (report, _, prof, _) =
+        experiments::supervised_sum_recovery_profiled(&values, &m, &policy).unwrap();
+    assert!(report.rollbacks >= 1, "the outage must trip the supervisor");
+    let f = prof.footprint().expect("an engine-filled profile has a footprint");
+    assert_eq!(
+        (f.at, f.calendar_entries, f.busy_links, f.delivered_events),
+        (BitTime::new(3), 128, 16, 1)
+    );
 }
