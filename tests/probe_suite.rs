@@ -181,3 +181,49 @@ fn dense_link_faults_fire_drops_and_flips() {
 fn full_probe_sweep_of_instrument_independence() {
     sweep(7);
 }
+
+/// FNV-1a over a stream of words: a stable digest for pinning long
+/// sequences in a test table.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Every probe at 16 leaves (Thompson model, clean) against pinned values:
+/// delivered events, completion time, a digest of every node's result and
+/// a digest of the full event log. Any change to a probe's topology, node
+/// or link order, words or widths moves at least one of them.
+#[test]
+fn every_probe_matches_its_pinned_run_at_sixteen_leaves() {
+    // (kind, delivered events, completion τ, results digest, log digest)
+    const PINNED: [(ProbeKind, u64, u64, u64, u64); 6] = [
+        (ProbeKind::Broadcast, 124, 22, 0x6d78_cc92_c075_bd25, 0x98e1_4499_8521_0260),
+        (ProbeKind::Send, 20, 22, 0xc989_121e_a09c_a589, 0xf1fa_3a93_5d0e_9b48),
+        (ProbeKind::Sum, 248, 30, 0x781b_3466_56a3_599c, 0x1bf6_f562_c531_cccd),
+        (ProbeKind::Min, 124, 26, 0x2ea3_2ef1_69f0_32e4, 0x8602_5a0b_9c68_11e8),
+        (ProbeKind::LeafToLeaf, 144, 44, 0x1172_8174_5c8b_bbe5, 0x80a7_c598_8073_7445),
+        (ProbeKind::Stream, 320, 82, 0x077e_a030_b67b_39cb, 0xd38d_cd2e_d66c_1e05),
+    ];
+    let m = CostModel::thompson(16);
+    for (kind, delivered, completion, results, log) in PINNED {
+        let mut e = probe_engine(kind, 16, &m, CalendarKind::Ladder, None, true);
+        let end = e.try_run().expect("probe runs within budget");
+        let fp = fingerprint(&e, end);
+        let got = (
+            fp.delivered,
+            fp.completion.map(BitTime::get),
+            fnv1a(fp.results.iter().flat_map(|r| [u64::from(r.is_some()), r.unwrap_or(0)])),
+            fnv1a(fp.log.iter().flat_map(|l| {
+                [
+                    l.at.get(),
+                    l.node.0 as u64,
+                    l.port.0 as u64,
+                    u64::from(l.bit.value),
+                    u64::from(l.bit.index),
+                ]
+            })),
+        );
+        assert_eq!(got, (delivered, Some(completion), results, log), "{} probe", kind.tag());
+    }
+}
