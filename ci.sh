@@ -59,6 +59,12 @@ mkdir -p target/report
 cargo run --release -q -p orthotrees-bench --example checkpoint_recovery > target/report/checkpoint_recovery.1.txt
 cargo run --release -q -p orthotrees-bench --example checkpoint_recovery > target/report/checkpoint_recovery.2.txt
 cmp target/report/checkpoint_recovery.1.txt target/report/checkpoint_recovery.2.txt
+# Example smoke: every example under examples/ runs once in release, so
+# their run-time call sites are exercised, not only compiled. They write
+# only under target/.
+for ex in examples/*.rs; do
+  cargo run --release -q -p orthotrees-bench --example "$(basename "$ex" .rs)" > /dev/null
+done
 # Telemetry gate: regenerate the OpenMetrics + orthotrees-telemetry/v1
 # exports (schema-checked in-process before writing) into target/report/,
 # then run the identity/ε-band suite and its release-only ≥1000-problem

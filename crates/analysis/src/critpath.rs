@@ -11,8 +11,8 @@
 //!   equals the completion time exactly (the `Σ segments == completion`
 //!   invariant enforced by `crates/core/tests/observability.rs` and the
 //!   causal proptest suite);
-//! * **bit level** — [`broadcast_critical_path`] runs the discrete-event
-//!   `ROOTTOLEAF` model with a [`CausalTrace`] installed and walks
+//! * **bit level** — [`experiments::broadcast`] runs the discrete-event
+//!   `ROOTTOLEAF` model with a [`CausalTrace`] fitted, which walks
 //!   backward from the completion event. [`critical_path_table`] renders
 //!   the per-level attribution, [`closed_form_check`] cross-checks the
 //!   wire slices against [`CostModel::level_bit_delays`] bit-for-bit
@@ -23,22 +23,9 @@
 use orthotrees::obs::causal::{CausalTrace, CriticalPath, SegmentKind};
 use orthotrees::obs::Recorder;
 use orthotrees::BitTime;
-use orthotrees_sim::experiments;
-use orthotrees_vlsi::{CostModel, SimError};
+use orthotrees_sim::{experiments, Engine};
+use orthotrees_vlsi::CostModel;
 use std::fmt::Write as _;
-
-/// Runs the bit-level `ROOTTOLEAF` model over `leaves` leaves with a
-/// causal trace installed; returns the completion time and the trace.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the bit-level run fails to complete.
-pub fn broadcast_critical_path(
-    leaves: usize,
-    m: &CostModel,
-) -> Result<(BitTime, CausalTrace), SimError> {
-    experiments::broadcast_traced(leaves, m)
-}
 
 /// Renders the word-level causal attribution table: one row per
 /// `(phase, kind)` pair, sorted by total descending, with a footer that
@@ -192,8 +179,9 @@ pub fn critpath_report(sort_n: usize, seed: u64) -> String {
     out.push('\n');
 
     let m = CostModel::thompson(sort_n);
-    match broadcast_critical_path(sort_n, &m) {
-        Ok((t, trace)) => {
+    match experiments::broadcast(sort_n, &m, Engine::with_causal_trace) {
+        Ok((t, mut e)) => {
+            let trace = e.take_causal_trace().expect("causal trace was installed for this run");
             let _ = writeln!(
                 out,
                 "Critical path — bit-level ROOTTOLEAF over {sort_n} leaves \
@@ -222,6 +210,11 @@ pub fn critpath_report(sort_n: usize, seed: u64) -> String {
 mod tests {
     use super::*;
 
+    fn traced(leaves: usize, m: &CostModel) -> (BitTime, CausalTrace) {
+        let (t, mut e) = experiments::broadcast(leaves, m, Engine::with_causal_trace).unwrap();
+        (t, e.take_causal_trace().unwrap())
+    }
+
     #[test]
     fn segment_table_is_complete_for_both_sorts() {
         let (out, rec) = crate::obsreport::otn_sort_observed(16, 7);
@@ -238,7 +231,7 @@ mod tests {
     #[test]
     fn broadcast_path_is_exact_against_the_closed_form() {
         let m = CostModel::thompson(16);
-        let (t, trace) = broadcast_critical_path(16, &m).unwrap();
+        let (t, trace) = traced(16, &m);
         let path = trace.critical_path().unwrap();
         // The raw trace includes the harness's 1τ injection feed that the
         // returned completion time excludes.
@@ -250,7 +243,7 @@ mod tests {
     #[test]
     fn critical_path_table_reports_exact_tiling() {
         let m = CostModel::thompson(8);
-        let (_, trace) = broadcast_critical_path(8, &m).unwrap();
+        let (_, trace) = traced(8, &m);
         let path = trace.critical_path().unwrap();
         let text = critical_path_table(&path);
         assert!(text.contains("tiling exact"), "{text}");
@@ -260,7 +253,7 @@ mod tests {
     #[test]
     fn slack_table_has_a_zero_slack_row() {
         let m = CostModel::thompson(8);
-        let (_, trace) = broadcast_critical_path(8, &m).unwrap();
+        let (_, trace) = traced(8, &m);
         let text = slack_table(&trace, 4);
         // The completion link itself has slack 0 and sorts first.
         let first_row = text.lines().nth(1).unwrap();
@@ -271,7 +264,7 @@ mod tests {
     fn mismatch_is_reported_not_hidden() {
         // Check a path against the wrong model: the verdict must say so.
         let m = CostModel::thompson(16);
-        let (_, trace) = broadcast_critical_path(16, &m).unwrap();
+        let (_, trace) = traced(16, &m);
         let path = trace.critical_path().unwrap();
         let wrong = CostModel::constant_delay(16);
         let text = closed_form_check(&wrong, 16, &path);

@@ -11,10 +11,10 @@
 //!   [`phase_table`] rendered from it is *complete*: self times sum
 //!   exactly to the completion time (checked by a test here and enforced
 //!   crate-side by `crates/core/tests/observability.rs`);
-//! * **bit level** — [`broadcast_link_profile`] runs the discrete-event
-//!   `ROOTTOLEAF` model with the engine recorder on, yielding per-link
-//!   bits-carried/utilization/queueing and the calendar-depth histogram
-//!   that [`link_table`] renders.
+//! * **bit level** — [`experiments::broadcast`] runs the discrete-event
+//!   `ROOTTOLEAF` model; with the engine recorder fitted it yields the
+//!   per-link bits-carried/utilization/queueing and the calendar-depth
+//!   histogram that [`link_table`] renders.
 
 use crate::workloads;
 use orthotrees::obs::Recorder;
@@ -22,7 +22,7 @@ use orthotrees::otc::{self, Otc};
 use orthotrees::otn::{sort, Otn};
 use orthotrees::BitTime;
 use orthotrees_sim::experiments;
-use orthotrees_vlsi::{CostModel, SimError};
+use orthotrees_vlsi::CostModel;
 use std::fmt::Write as _;
 
 /// Runs `SORT-OTN` on `n` seeded words with a recorder installed;
@@ -54,20 +54,6 @@ pub fn otc_sort_observed(n: usize, seed: u64) -> (sort::SortOutcome, Recorder) {
     let out = otc::sort::sort(&mut net, &xs).expect("matched input length");
     let rec = net.take_recorder().expect("recorder was installed");
     (out, rec)
-}
-
-/// Runs the bit-level `ROOTTOLEAF` model over `leaves` leaves with the
-/// engine recorder on; returns the completion time and the recorder
-/// (per-link traffic, node activations, calendar depths).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the bit-level run fails to complete.
-pub fn broadcast_link_profile(
-    leaves: usize,
-    m: &CostModel,
-) -> Result<(BitTime, Recorder), SimError> {
-    experiments::broadcast_observed(leaves, m)
 }
 
 /// The registry classification of a span name for the phase table:
@@ -205,8 +191,9 @@ pub fn observability_report(sort_n: usize, seed: u64) -> String {
     out.push('\n');
 
     let m = CostModel::thompson(sort_n);
-    match broadcast_link_profile(sort_n, &m) {
-        Ok((t, rec)) => {
+    match experiments::broadcast(sort_n, &m, |e| e.with_recorder(Recorder::new())) {
+        Ok((t, mut e)) => {
+            let rec = e.take_recorder().expect("recorder was installed for this run");
             let _ = writeln!(
                 out,
                 "Link utilization — bit-level ROOTTOLEAF over {sort_n} leaves \
@@ -260,7 +247,9 @@ mod tests {
     #[test]
     fn link_table_reports_full_pipelining() {
         let m = CostModel::thompson(16);
-        let (_, rec) = broadcast_link_profile(16, &m).unwrap();
+        let (_, mut e) =
+            experiments::broadcast(16, &m, |e| e.with_recorder(Recorder::new())).unwrap();
+        let rec = e.take_recorder().unwrap();
         let text = link_table(&rec);
         assert!(text.contains("active links"), "{text}");
         // The broadcast pipelines one bit per tau on every active wire.
@@ -270,7 +259,9 @@ mod tests {
     #[test]
     fn link_table_reports_calendar_percentiles() {
         let m = CostModel::thompson(16);
-        let (_, rec) = broadcast_link_profile(16, &m).unwrap();
+        let (_, mut e) =
+            experiments::broadcast(16, &m, |e| e.with_recorder(Recorder::new())).unwrap();
+        let rec = e.take_recorder().unwrap();
         let text = link_table(&rec);
         assert!(text.contains("p50"), "{text}");
         assert!(text.contains("p99"), "{text}");

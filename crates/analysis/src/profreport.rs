@@ -8,8 +8,8 @@
 //!   re-bucket a recorded sort's causal segments into windows
 //!   ([`Profiler::from_recorder`]), so the wire/queue/compute mix is
 //!   visible *over time* rather than only in aggregate;
-//! * **bit level** — [`orthotrees_sim::experiments::broadcast_profiled`] runs the
-//!   discrete-event `ROOTTOLEAF` model with the engine profiler on:
+//! * **bit level** — [`experiments::broadcast`] runs the discrete-event
+//!   `ROOTTOLEAF` model with the engine recorder and profiler fitted:
 //!   events, calendar depth and link traffic per window, plus the
 //!   calendar-depth peak footprint the event-core overhaul must be
 //!   sized for.
@@ -21,7 +21,7 @@ use crate::obsreport::{otc_sort_observed, otn_sort_observed};
 use orthotrees::obs::profile::Profiler;
 use orthotrees::obs::Recorder;
 use orthotrees::otn::sort::SortOutcome;
-use orthotrees_sim::experiments;
+use orthotrees_sim::{experiments, Engine};
 use orthotrees_vlsi::CostModel;
 use std::fmt::Write as _;
 
@@ -180,8 +180,11 @@ pub fn profile_report(sort_n: usize, seed: u64) -> String {
     out.push('\n');
 
     let m = CostModel::thompson(sort_n);
-    match experiments::broadcast_profiled(sort_n, &m) {
-        Ok((t, rec, prof)) => {
+    let setup = |e: Engine| e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16));
+    match experiments::broadcast(sort_n, &m, setup) {
+        Ok((t, mut e)) => {
+            let rec = e.take_recorder().expect("recorder was installed for this run");
+            let prof = e.take_profiler().expect("profiler was installed for this run");
             let _ = writeln!(
                 out,
                 "Engine window profile — bit-level ROOTTOLEAF over {sort_n} leaves \

@@ -43,12 +43,9 @@ pub const SOAK_FAULT_RATE: f64 = 0.004;
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the supervised run exhausts its attempt
-/// budget, or the recovered sum disagrees with the arithmetic one.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two ≥ 2.
+/// Returns [`SimError`] if `leaves` is not a power of two ≥ 2, the
+/// supervised run exhausts its attempt budget, or the recovered sum
+/// disagrees with the arithmetic one.
 pub fn engine_outage_recovery(
     leaves: usize,
     seed: u64,
@@ -58,7 +55,10 @@ pub fn engine_outage_recovery(
     let m = CostModel::thompson(leaves);
     let policy =
         RecoveryPolicy { max_attempts: 12, checkpoint_events: 32, min_checkpoint_events: 4 };
-    let (report, rec, sum) = experiments::supervised_sum_recovery(&values, &m, &policy)?;
+    let (report, mut e, sum) = experiments::supervised_sum_recovery(&values, &m, &policy, |e| {
+        e.with_recorder(Recorder::new())
+    })?;
+    let rec = e.take_recorder().ok_or(SimError::NoCompletion { what: "recovery recorder" })?;
     if sum != values.iter().sum::<u64>() {
         return Err(SimError::NoCompletion { what: "recovered aggregate sum" });
     }

@@ -32,7 +32,7 @@ use orthotrees::otn::{self, Otn};
 use orthotrees::FaultPlan;
 use orthotrees_analysis::workloads;
 use orthotrees_sim::experiments::{self, ProbeKind};
-use orthotrees_sim::{CalendarKind, RecoveryPolicy};
+use orthotrees_sim::{CalendarKind, Engine, RecoveryPolicy};
 use orthotrees_vlsi::CostModel;
 use std::time::Instant;
 
@@ -298,6 +298,9 @@ fn word_sort_profiled(network: &str, n: usize, seed: u64, faulty: bool) -> (u64,
 /// sorting matrix (clean + dense faults), the engine-level broadcast
 /// companions, and the supervised-recovery row.
 pub fn profile_document(preset_name: &str, seed: u64) -> Json {
+    // Every engine row rides a recorder (calendar percentiles) and a
+    // profiler with an initial 16τ window.
+    let profiled = |e: Engine| e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16));
     let mut rows = Vec::new();
     for n in matrix_ns(preset_name) {
         for faulty in [false, true] {
@@ -315,7 +318,9 @@ pub fn profile_document(preset_name: &str, seed: u64) -> Json {
             }
         }
         let m = CostModel::thompson(n);
-        if let Ok((t, rec, prof)) = experiments::broadcast_profiled(n, &m) {
+        if let Ok((t, mut e)) = experiments::broadcast(n, &m, profiled) {
+            let rec = e.take_recorder().expect("recorder was installed for this run");
+            let prof = e.take_profiler().expect("profiler was installed for this run");
             let cal = rec.calendar_depth();
             rows.push(profile_row(
                 "ROOTTOLEAF",
@@ -339,9 +344,11 @@ pub fn profile_document(preset_name: &str, seed: u64) -> Json {
     let m = CostModel::thompson(RECOVERY_LEAVES);
     let policy =
         RecoveryPolicy { max_attempts: 12, checkpoint_events: 32, min_checkpoint_events: 4 };
-    if let Ok((report, rec, prof, _)) =
-        experiments::supervised_sum_recovery_profiled(&values, &m, &policy)
+    if let Ok((report, mut e, _)) =
+        experiments::supervised_sum_recovery(&values, &m, &policy, profiled)
     {
+        let rec = e.take_recorder().expect("recorder was installed for this run");
+        let prof = e.take_profiler().expect("profiler was installed for this run");
         let cal = rec.calendar_depth();
         rows.push(profile_row(
             "SUM-RECOVERY",

@@ -204,8 +204,12 @@ pub fn bench_summary(preset_name: &str, cfg: &ReportConfig) -> Json {
     ];
 
     let m = CostModel::thompson(obs_n);
-    let links = match obsreport::broadcast_link_profile(obs_n, &m) {
-        Ok((t, rec)) => links_json(obs_n, t, &rec),
+    let observed =
+        orthotrees_sim::experiments::broadcast(obs_n, &m, |e| e.with_recorder(Recorder::new()));
+    let links = match observed {
+        Ok((t, mut e)) => {
+            links_json(obs_n, t, &e.take_recorder().expect("recorder was installed for this run"))
+        }
         Err(_) => Json::Null,
     };
 

@@ -13,20 +13,30 @@
 //!   returning the computed sum for functional verification;
 //! * [`min_completion_time`] — `MIN-LEAFTOROOT`, MSB-first per §VII.D
 //!   ("in the MIN-LEAFTOROOT operation, the most significant bits should
-//!   arrive first").
+//!   arrive first");
+//! * [`leaf_to_leaf_completion_time`] — the `LEAFTOLEAF` composite, up
+//!   through a buffering root and back down;
+//! * [`stream_completion_time`] — §IV converging streams contending for
+//!   the upper links.
+//!
+//! Two instrumented forms take a setup closure that fits the engine with
+//! instruments (`|e| e.with_recorder(Recorder::new())`, …) and return the
+//! engine, from which the caller takes them with `Engine::take_*`:
+//!
+//! * [`broadcast`] — the `ROOTTOLEAF` run;
+//! * [`supervised_sum_recovery`] — `SUM-LEAFTOROOT` recovering from a
+//!   root-sink outage under the crash-recovery supervisor.
+//!
+//! Every runner and [`probe_engine`] build their tree in one place, so a
+//! probe is node for node the run its runner measures.
 
 use crate::calendar::CalendarKind;
-use crate::engine::{Engine, EventLog};
+use crate::engine::Engine;
 use crate::fault::FaultPlan;
 use crate::node::{Bit, NodeBehavior, NodeId, Outbox, PortId};
 use crate::recovery::{supervise_engine, RecoveryPolicy, RecoveryReport};
-use orthotrees_obs::causal::CausalTrace;
-use orthotrees_obs::flight::FlightRecorder;
 use orthotrees_obs::json::Json;
-use orthotrees_obs::profile::Profiler;
-use orthotrees_obs::telemetry::Telemetry;
-use orthotrees_obs::Recorder;
-use orthotrees_vlsi::{log2_ceil, BitTime, CostModel, SimError};
+use orthotrees_vlsi::{log2_ceil, BitTime, CostModel, ModelError, SimError};
 
 // ----------------------------------------------------------------------
 // Checkpoint helpers shared by the stateful node behaviours below. The
@@ -202,12 +212,10 @@ impl WordSink {
 impl NodeBehavior for WordSink {
     fn on_bit(&mut self, now: BitTime, _: PortId, bit: Bit, _: &mut Outbox) {
         if bit.value {
+            // Below 64: the builder caps words at 64 bits, and a multi-word
+            // stream sink sees each word's own indices `0..w`.
             let pos = if self.lsb_first { bit.index } else { self.width - 1 - bit.index };
-            if pos < 63 {
-                // Multi-word stream sinks only count arrivals; positions
-                // beyond the host word are not assembled.
-                self.word |= 1 << pos;
-            }
+            self.word |= 1 << pos;
         }
         self.got += 1;
         if self.got == self.width {
@@ -385,13 +393,9 @@ impl NodeBehavior for SerialMin {
     }
 }
 
-/// Description of a built tree: node ids per level, `levels\[0\]` = leaves.
-struct TreeIds {
-    levels: Vec<Vec<NodeId>>,
-}
-
-/// Builds a complete binary tree over `leaves` leaf nodes with wires of
-/// length `pitch · 2^(h−1)` at level `h`, wired in `direction`.
+/// Builds a complete binary tree over `leaves` (a power of two) leaf nodes
+/// with wires of length `pitch · 2^(h−1)` at level `h`, wired downward
+/// (parent to children) or upward; returns the root.
 ///
 /// `make_leaf(i)` and `make_inner(level)` supply behaviours; the root is an
 /// inner node of the top level (or the single leaf if `leaves == 1`).
@@ -402,44 +406,223 @@ fn build_tree(
     downward: bool,
     make_leaf: &mut dyn FnMut(usize) -> Box<dyn NodeBehavior>,
     make_inner: &mut dyn FnMut(u32) -> Box<dyn NodeBehavior>,
-) -> TreeIds {
-    assert!(leaves.is_power_of_two(), "leaf count must be a power of two");
-    let depth = log2_ceil(leaves as u64);
-    let mut levels = Vec::with_capacity(depth as usize + 1);
-    levels.push((0..leaves).map(|i| engine.add_node(make_leaf(i))).collect::<Vec<_>>());
-    for h in 1..=depth {
-        let below: Vec<NodeId> = levels[(h - 1) as usize].clone();
-        let count = below.len() / 2;
-        let mut this = Vec::with_capacity(count);
+) -> NodeId {
+    let mut level: Vec<NodeId> = (0..leaves).map(|i| engine.add_node(make_leaf(i))).collect();
+    for h in 1..=log2_ceil(leaves as u64) {
         let wire = pitch << (h - 1);
-        for j in 0..count {
-            let node = engine.add_node(make_inner(h));
-            let (l, r) = (below[2 * j], below[2 * j + 1]);
-            if downward {
-                engine.connect(node, TO_LEFT, l, FROM_PARENT, wire);
-                engine.connect(node, TO_RIGHT, r, FROM_PARENT, wire);
-            } else {
-                engine.connect(l, TO_PARENT, node, FROM_LEFT, wire);
-                engine.connect(r, TO_PARENT, node, FROM_RIGHT, wire);
-            }
-            this.push(node);
-        }
-        levels.push(this);
+        level = level
+            .chunks(2)
+            .map(|pair| {
+                let node = engine.add_node(make_inner(h));
+                let (l, r) = (pair[0], pair[1]);
+                if downward {
+                    engine.connect(node, TO_LEFT, l, FROM_PARENT, wire);
+                    engine.connect(node, TO_RIGHT, r, FROM_PARENT, wire);
+                } else {
+                    engine.connect(l, TO_PARENT, node, FROM_LEFT, wire);
+                    engine.connect(r, TO_PARENT, node, FROM_RIGHT, wire);
+                }
+                node
+            })
+            .collect();
     }
-    TreeIds { levels }
+    level[0]
 }
 
-impl TreeIds {
-    /// The single node of the top level.
-    fn root(&self) -> NodeId {
-        // Invariant: build_tree pushes one level per depth and halves the
-        // node count each level, so the top level holds exactly one node.
-        *self
-            .levels
-            .last()
-            .and_then(|l| l.first())
-            .expect("tree root invariant violated: build_tree left an empty top level")
+/// A relay tree carrying words up to its root: leaf `i` sends `word(i)`
+/// LSB-first, or stays idle on `None`.
+fn up_tree(
+    e: &mut Engine,
+    leaves: usize,
+    m: &CostModel,
+    w: u32,
+    word: impl Fn(usize) -> Option<u64>,
+) -> NodeId {
+    build_tree(
+        e,
+        leaves,
+        m.leaf_pitch(),
+        false,
+        &mut |i| match word(i) {
+            Some(word) => Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT }),
+            None => Box::new(IdleLeaf),
+        },
+        &mut |_| Box::new(UpRepeater),
+    )
+}
+
+/// A broadcast tree streaming whatever its root receives down to `w`-bit
+/// sink leaves.
+fn down_tree(e: &mut Engine, leaves: usize, m: &CostModel, w: u32) -> NodeId {
+    build_tree(
+        e,
+        leaves,
+        m.leaf_pitch(),
+        true,
+        &mut |_| Box::new(WordSink::new(w, true)),
+        &mut |_| Box::new(DownRepeater),
+    )
+}
+
+/// A root sink assembling a `width`-bit word above `root`, fed through a
+/// zero-length wire whose one receiving latch the measurement subtracts.
+fn sink_above(e: &mut Engine, root: NodeId, width: u32, lsb_first: bool) -> Built {
+    let sink = e.add_node(Box::new(WordSink::new(width, lsb_first)));
+    e.connect(root, TO_PARENT, sink, FROM_LEFT, 0);
+    Built::Run { sink: Some(sink), latches: 1 }
+}
+
+/// The model's word width `w` and its mask, for words of at most 64 bits.
+fn word_width(m: &CostModel) -> Result<(u32, u64), ModelError> {
+    let w = m.word_bits.max(1);
+    ModelError::require_at_least("host word bits (word width)", 64, w as usize)?;
+    Ok((w, u64::MAX >> (64 - w)))
+}
+
+/// One primitive's topology, as [`build`] adds it to an engine.
+#[derive(Clone, Copy)]
+enum Shape<'a> {
+    /// `ROOTTOLEAF`: a source above the root of a tree of sink leaves.
+    Broadcast,
+    /// `LEAFTOROOT`: leaf `source` relays one word up to a root sink.
+    Send { source: usize },
+    /// `SUM-` (LSB-first, widened) or `MIN-LEAFTOROOT` (MSB-first) of one
+    /// value per leaf into a root sink.
+    Aggregate { values: &'a [u64], sum: bool },
+    /// `LEAFTOLEAF`: leaf `source` up the tree into a buffering turnaround,
+    /// back down to every leaf.
+    LeafToLeaf { source: usize },
+    /// The first `count` leaves each send one word up to a shared root sink.
+    Streams { count: usize },
+}
+
+/// What [`build`] added to the engine.
+enum Built {
+    /// A one-leaf `ROOTTOLEAF`/`LEAFTOROOT`: the word is already where it is
+    /// going, so nothing runs.
+    Free(u64),
+    /// A tree to run: the root sink holding the primitive's word (none when
+    /// the leaves are measured), and the zero-length latches on the measured
+    /// path, which the completion time must not count.
+    Run { sink: Option<NodeId>, latches: u64 },
+}
+
+/// Adds `shape` over `leaves` leaves to `e`, after validating it: a
+/// power-of-two tree (at least two leaves unless a broadcast or send), a
+/// source leaf in range, `1 ≤ count ≤ leaves` streams, and every word —
+/// values and the widened sum included — within both the model's word and
+/// 64 bits.
+///
+/// Node and link order is part of the contract: snapshots, event logs and
+/// node-targeted fault plans address nodes by insertion index.
+fn build(e: &mut Engine, shape: Shape, leaves: usize, m: &CostModel) -> Result<Built, SimError> {
+    ModelError::require_power_of_two("tree leaf count", leaves)?;
+    if !matches!(shape, Shape::Broadcast | Shape::Send { .. }) {
+        ModelError::require_at_least("tree leaf count", leaves, 2)?;
     }
+    let (w, mask) = word_width(m)?;
+    match shape {
+        Shape::Broadcast => {}
+        Shape::Send { source } | Shape::LeafToLeaf { source } => {
+            let min = source.saturating_add(1);
+            ModelError::require_at_least("leaf count (source leaf + 1)", leaves, min)?;
+        }
+        Shape::Aggregate { values, .. } => {
+            for &v in values {
+                let bits = 64 - v.leading_zeros() as usize;
+                ModelError::require_at_least("word bits (value width)", w as usize, bits)?;
+            }
+        }
+        Shape::Streams { count } => {
+            ModelError::require_at_least("stream count", count, 1)?;
+            ModelError::require_at_least("leaf count (stream count)", leaves, count)?;
+        }
+    }
+    Ok(match shape {
+        Shape::Broadcast => {
+            let root = down_tree(e, leaves, m, w);
+            if leaves == 1 {
+                return Ok(Built::Free(0b1011));
+            }
+            let src = e.add_node(Box::new(WordSource {
+                word: 0b1011,
+                width: w,
+                lsb_first: true,
+                port: TO_PARENT,
+            }));
+            e.connect(src, TO_PARENT, root, FROM_PARENT, 0);
+            Built::Run { sink: None, latches: 1 }
+        }
+        Shape::Send { source } => {
+            let word = 0b1101 & mask;
+            if leaves == 1 {
+                return Ok(Built::Free(word));
+            }
+            let root = up_tree(e, leaves, m, w, |i| (i == source).then_some(word));
+            sink_above(e, root, w, true)
+        }
+        Shape::Aggregate { values, sum } => {
+            let width = if sum { w + log2_ceil(leaves as u64) } else { w };
+            ModelError::require_at_least("host word bits (widened word)", 64, width as usize)?;
+            let root = build_tree(
+                e,
+                leaves,
+                m.leaf_pitch(),
+                false,
+                &mut |i| {
+                    Box::new(WordSource { word: values[i], width, lsb_first: sum, port: TO_PARENT })
+                },
+                &mut |_| {
+                    if sum {
+                        Box::new(SerialAdder::new(width))
+                    } else {
+                        Box::new(SerialMin::new(width))
+                    }
+                },
+            );
+            sink_above(e, root, width, sum)
+        }
+        Shape::LeafToLeaf { source } => {
+            let word = 0b1010_0110 & mask;
+            let up_root = up_tree(e, leaves, m, w, |i| (i == source).then_some(word));
+            let down_root = down_tree(e, leaves, m, w);
+            // Glue: the up-root forwards into the down-root through two
+            // zero-length wires, both latches subtracted.
+            let turn = e.add_node(Box::new(TurnAround { expected: w, buffered: Vec::new() }));
+            e.connect(up_root, TO_PARENT, turn, FROM_LEFT, 0);
+            e.connect(turn, TO_PARENT, down_root, FROM_PARENT, 0);
+            Built::Run { sink: None, latches: 2 }
+        }
+        Shape::Streams { count } => {
+            let root = up_tree(e, leaves, m, w, |i| (i < count).then_some(i as u64 & mask));
+            sink_above(e, root, w * count as u32, true)
+        }
+    })
+}
+
+/// Builds `shape` on a fresh engine `setup` has fitted with its
+/// instruments, runs it, and returns the completion time less the
+/// injection latches, the root sink's word (`0` without a sink) and the
+/// engine. `what` names the awaited completion in the error.
+fn run(
+    shape: Shape,
+    leaves: usize,
+    m: &CostModel,
+    what: &'static str,
+    setup: impl FnOnce(Engine) -> Engine,
+) -> Result<(BitTime, u64, Engine), SimError> {
+    let mut e = setup(Engine::new(m.delay));
+    let (sink, latches) = match build(&mut e, shape, leaves, m)? {
+        Built::Free(word) => return Ok((BitTime::ZERO, word, e)),
+        Built::Run { sink, latches } => (sink, latches),
+    };
+    e.try_run()?;
+    let done = e.completion_time().ok_or(SimError::NoCompletion { what })?;
+    let word = match sink {
+        Some(sink) => e.node(sink).result().ok_or(SimError::NoCompletion { what })?,
+        None => 0,
+    };
+    Ok((done - m.delay.wire_bit_delay(0).times(latches), word, e))
 }
 
 /// Simulates `ROOTTOLEAF` of one `m.word_bits`-bit word over a tree of
@@ -448,120 +631,28 @@ impl TreeIds {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the run budget trips or the network goes
-/// quiescent before every leaf holds the word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two.
+/// Returns [`SimError::Model`] if `leaves` is not a power of two or the
+/// word is wider than 64 bits, and another [`SimError`] if the run budget
+/// trips or the network goes quiescent before every leaf holds the word.
 pub fn broadcast_completion_time(leaves: usize, m: &CostModel) -> Result<BitTime, SimError> {
-    broadcast_run(leaves, m, |e| e).map(|(t, _)| t)
+    broadcast(leaves, m, |e| e).map(|(t, _)| t)
 }
 
-/// [`broadcast_completion_time`] with a [`Recorder`] installed: returns
-/// the completion time plus the recorder holding the run's per-link
-/// traffic, per-node activation and calendar-depth tables.
+/// [`broadcast_completion_time`] on an engine `setup` has fitted with its
+/// instruments (for example `|e| e.with_recorder(Recorder::new())`);
+/// returns the completion time and the engine, from which the caller takes
+/// the instruments with the `Engine::take_*` methods. For a 1-leaf tree the
+/// broadcast is free and the engine never runs.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the run budget trips or the network goes
-/// quiescent before every leaf holds the word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two.
-pub fn broadcast_observed(leaves: usize, m: &CostModel) -> Result<(BitTime, Recorder), SimError> {
-    let (t, mut e) = broadcast_run(leaves, m, |e| e.with_recorder(Recorder::new()))?;
-    Ok((t, e.take_recorder().expect("recorder was installed for this run")))
-}
-
-/// [`broadcast_completion_time`] with both a [`Recorder`] and a windowed
-/// [`Profiler`] installed (initial window width 16τ, coalescing as the
-/// run grows): returns the completion time, the recorder's aggregate
-/// tables, and the profiler's time-resolved windows — the pair the
-/// PROF-001 tiling rule compares.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the run budget trips or the network goes
-/// quiescent before every leaf holds the word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two.
-pub fn broadcast_profiled(
+/// Same conditions as [`broadcast_completion_time`].
+pub fn broadcast(
     leaves: usize,
     m: &CostModel,
-) -> Result<(BitTime, Recorder, Profiler), SimError> {
-    let (t, mut e) = broadcast_run(leaves, m, |e| {
-        e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16))
-    })?;
-    let rec = e.take_recorder().expect("recorder was installed for this run");
-    Ok((t, rec, e.take_profiler().expect("profiler was installed for this run")))
-}
-
-/// [`broadcast_completion_time`] with a [`CausalTrace`] installed: returns
-/// the completion time plus the trace whose
-/// [`critical_path`](CausalTrace::critical_path) explains it hop by hop.
-/// The path's wire-delay slices of positive length reproduce the per-level
-/// closed-form decomposition
-/// [`CostModel::level_bit_delays`](orthotrees_vlsi::CostModel::level_bit_delays)
-/// exactly — the `CRIT-001` rule of `orthotrees-verify` checks this.
-///
-/// For a 1-leaf tree the trace is empty (the broadcast is free).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the run budget trips or the network goes
-/// quiescent before every leaf holds the word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two.
-pub fn broadcast_traced(leaves: usize, m: &CostModel) -> Result<(BitTime, CausalTrace), SimError> {
-    let (t, mut e) = broadcast_run(leaves, m, Engine::with_causal_trace)?;
-    Ok((t, e.take_causal_trace().expect("causal trace was installed for this run")))
-}
-
-/// Runs the broadcast on an engine `install` has fitted with its
-/// instruments; returns the completion time and the engine, for them.
-fn broadcast_run(
-    leaves: usize,
-    m: &CostModel,
-    install: impl FnOnce(Engine) -> Engine,
+    setup: impl FnOnce(Engine) -> Engine,
 ) -> Result<(BitTime, Engine), SimError> {
-    let w = m.word_bits.max(1);
-    let mut e = install(Engine::new(m.delay));
-    let ids = build_tree(
-        &mut e,
-        leaves,
-        m.leaf_pitch(),
-        true,
-        &mut |_| Box::new(WordSink::new(w, true)),
-        &mut |_| Box::new(DownRepeater),
-    );
-    // Replace the root's behaviour by a source: easiest is to add a source
-    // node feeding the root's children directly when depth >= 1; for a
-    // 1-leaf tree the "broadcast" is free.
-    if leaves == 1 {
-        return Ok((BitTime::ZERO, e));
-    }
-    // The generic builder made the root a DownRepeater with no parent; feed
-    // it through a zero-length wire from a dedicated source node.
-    let root = ids.root();
-    let src = e.add_node(Box::new(WordSource {
-        word: 0b1011,
-        width: w,
-        lsb_first: true,
-        port: TO_PARENT,
-    }));
-    e.connect(src, TO_PARENT, root, FROM_PARENT, 0);
-    // A zero-length wire still costs one τ (receiving latch); subtract it so
-    // the measurement covers exactly the root-to-leaf path.
-    let injected = m.delay.wire_bit_delay(0);
-    e.try_run()?;
-    let done = e.completion_time().ok_or(SimError::NoCompletion { what: "broadcast leaves" })?;
-    Ok((done - injected, e))
+    run(Shape::Broadcast, leaves, m, "broadcast leaves", setup).map(|(t, _, e)| (t, e))
 }
 
 /// Simulates `LEAFTOROOT` from leaf `source_leaf`; returns the time the root
@@ -569,47 +660,16 @@ fn broadcast_run(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the run budget trips or the root sink never
+/// Returns [`SimError::Model`] if `leaves` is not a power of two,
+/// `source_leaf` is out of range or the word is wider than 64 bits, and
+/// another [`SimError`] if the run budget trips or the root sink never
 /// assembles the full word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two or `source_leaf` out of range.
 pub fn send_completion_time(
     leaves: usize,
     source_leaf: usize,
     m: &CostModel,
 ) -> Result<(BitTime, u64), SimError> {
-    assert!(source_leaf < leaves, "source leaf out of range");
-    let w = m.word_bits.max(1);
-    let word = 0b1101u64 & ((1 << w) - 1).max(1);
-    if leaves == 1 {
-        return Ok((BitTime::ZERO, word));
-    }
-    let mut e = Engine::new(m.delay);
-    let ids = build_tree(
-        &mut e,
-        leaves,
-        m.leaf_pitch(),
-        false,
-        &mut |i| {
-            if i == source_leaf {
-                Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT })
-            } else {
-                Box::new(IdleLeaf)
-            }
-        },
-        &mut |_| Box::new(UpRepeater),
-    );
-    // Attach a sink above the root through a zero-length wire.
-    let root = ids.root();
-    let sink = e.add_node(Box::new(WordSink::new(w, true)));
-    e.connect(root, TO_PARENT, sink, FROM_LEFT, 0);
-    let injected = m.delay.wire_bit_delay(0);
-    e.try_run()?;
-    let t = e.completion_time().ok_or(SimError::NoCompletion { what: "root sink" })? - injected;
-    let v = e.node(sink).result().ok_or(SimError::NoCompletion { what: "root sink word" })?;
-    Ok((t, v))
+    run(Shape::Send { source: source_leaf }, leaves, m, "root sink", |e| e).map(|(t, v, _)| (t, v))
 }
 
 struct IdleLeaf;
@@ -623,15 +683,13 @@ impl NodeBehavior for IdleLeaf {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the run budget trips or the root sink never
-/// assembles the aggregate.
-///
-/// # Panics
-///
-/// Panics if `values.len()` is not a power of two ≥ 2, or any value needs
-/// more than `m.word_bits` bits.
+/// Returns [`SimError::Model`] if `values.len()` is not a power of two
+/// ≥ 2, a value needs more than `m.word_bits` bits, or the widened width
+/// exceeds 64 bits; another [`SimError`] if the run budget trips or the
+/// root sink never assembles the aggregate.
 pub fn sum_completion_time(values: &[u64], m: &CostModel) -> Result<(BitTime, u64), SimError> {
-    run_aggregate(values, m, true)
+    let shape = Shape::Aggregate { values, sum: true };
+    run(shape, values.len(), m, "aggregate root", |e| e).map(|(t, v, _)| (t, v))
 }
 
 /// Simulates `MIN-LEAFTOROOT` (MSB-first); returns completion time and the
@@ -640,67 +698,16 @@ pub fn sum_completion_time(values: &[u64], m: &CostModel) -> Result<(BitTime, u6
 ///
 /// # Errors
 ///
-/// Same conditions as [`sum_completion_time`].
-///
-/// # Panics
-///
-/// Same conditions as [`sum_completion_time`].
+/// Same conditions as [`sum_completion_time`], with the plain width in
+/// place of the widened one.
 pub fn min_completion_time(values: &[u64], m: &CostModel) -> Result<(BitTime, u64), SimError> {
-    run_aggregate(values, m, false)
-}
-
-/// Builds the aggregate tree (sum or min) and its root sink into an
-/// existing (possibly pre-configured) engine.
-fn build_aggregate_into(e: &mut Engine, values: &[u64], m: &CostModel, sum: bool) -> NodeId {
-    let leaves = values.len();
-    assert!(leaves >= 2 && leaves.is_power_of_two(), "need a power-of-two leaf count >= 2");
-    let w = m.word_bits.max(1);
-    for &v in values {
-        assert!(v < (1u64 << w), "value {v} exceeds word width {w}");
-    }
-    let width = if sum { w + log2_ceil(leaves as u64) } else { w };
-    let ids = build_tree(
-        e,
-        leaves,
-        m.leaf_pitch(),
-        false,
-        &mut |i| {
-            Box::new(WordSource { word: values[i], width, lsb_first: sum, port: TO_PARENT })
-                as Box<dyn NodeBehavior>
-        },
-        &mut |_| {
-            if sum {
-                Box::new(SerialAdder::new(width)) as Box<dyn NodeBehavior>
-            } else {
-                Box::new(SerialMin::new(width))
-            }
-        },
-    );
-    let root = ids.root();
-    let sink = e.add_node(Box::new(WordSink::new(width, sum)));
-    e.connect(root, TO_PARENT, sink, FROM_LEFT, 0);
-    sink
-}
-
-/// Builds the aggregate tree (sum or min) and its root sink.
-fn build_aggregate(values: &[u64], m: &CostModel, sum: bool) -> (Engine, NodeId) {
-    let mut e = Engine::new(m.delay);
-    let sink = build_aggregate_into(&mut e, values, m, sum);
-    (e, sink)
-}
-
-fn run_aggregate(values: &[u64], m: &CostModel, sum: bool) -> Result<(BitTime, u64), SimError> {
-    let (mut e, sink) = build_aggregate(values, m, sum);
-    let injected = m.delay.wire_bit_delay(0);
-    e.try_run()?;
-    let t =
-        e.completion_time().ok_or(SimError::NoCompletion { what: "aggregate root" })? - injected;
-    let v = e.node(sink).result().ok_or(SimError::NoCompletion { what: "aggregate word" })?;
-    Ok((t, v))
+    let shape = Shape::Aggregate { values, sum: false };
+    run(shape, values.len(), m, "aggregate root", |e| e).map(|(t, v, _)| (t, v))
 }
 
 /// Runs `SUM-LEAFTOROOT` under the crash-recovery supervisor with a
-/// deterministic mid-run outage injected at the root sink.
+/// deterministic mid-run outage injected at the root sink, on an engine
+/// `setup` has fitted with its instruments.
 ///
 /// A clean run first establishes the completion time `T`; the supervised
 /// run then faces an outage over `[1, T)` that silently swallows every
@@ -709,137 +716,36 @@ fn run_aggregate(values: &[u64], m: &CostModel, sum: bool) -> Result<(BitTime, u
 /// back (escalating past checkpoints poisoned by mid-outage state, all
 /// the way to the pristine pre-start snapshot if needed), lets the heal
 /// hook clear the fault plan, and replays to completion. Returns the
-/// [`RecoveryReport`], the [`Recorder`] holding the run's `RECOVERY`
-/// spans, and the computed sum; the recovered completion time equals the
-/// clean run's (replay costs wall clock, not simulated time).
+/// [`RecoveryReport`], the engine (a [`Recorder`] on it holds the run's
+/// `RECOVERY` spans; a flight recorder, one post-mortem per rollback) and
+/// the computed sum; the recovered completion time equals the clean run's
+/// (replay costs wall clock, not simulated time).
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the clean run fails, or the supervised run
-/// exhausts [`RecoveryPolicy::max_attempts`].
+/// Returns [`SimError`] under the conditions of [`sum_completion_time`],
+/// or if the supervised run exhausts [`RecoveryPolicy::max_attempts`].
 ///
-/// # Panics
-///
-/// Same conditions as [`sum_completion_time`].
+/// [`Recorder`]: orthotrees_obs::Recorder
 pub fn supervised_sum_recovery(
     values: &[u64],
     m: &CostModel,
     policy: &RecoveryPolicy,
-) -> Result<(RecoveryReport, Recorder, u64), SimError> {
-    let (report, mut e, v) =
-        supervised_sum(values, m, policy, |e| e.with_recorder(Recorder::new()))?;
-    let rec = e.take_recorder().ok_or(SimError::NoCompletion { what: "recovery recorder" })?;
-    Ok((report, rec, v))
-}
-
-/// The supervised outage run behind [`supervised_sum_recovery`] and its
-/// variants, on an engine `install` has fitted with its instruments;
-/// returns the report, the engine (for them) and the computed sum.
-fn supervised_sum(
-    values: &[u64],
-    m: &CostModel,
-    policy: &RecoveryPolicy,
-    install: impl FnOnce(Engine) -> Engine,
+    setup: impl FnOnce(Engine) -> Engine,
 ) -> Result<(RecoveryReport, Engine, u64), SimError> {
-    let (mut clean, _) = build_aggregate(values, m, true);
-    clean.try_run()?;
-    let t = clean.completion_time().ok_or(SimError::NoCompletion { what: "aggregate root" })?;
-
-    let (chaotic, sink) = build_aggregate(values, m, true);
-    let until = BitTime::new(t.get().max(2));
+    let (clean, _) = sum_completion_time(values, m)?;
+    let mut e = Engine::new(m.delay);
+    let shape = Shape::Aggregate { values, sum: true };
+    let Built::Run { sink: Some(sink), .. } = build(&mut e, shape, values.len(), m)? else {
+        unreachable!("an aggregate tree ends in a root sink")
+    };
+    // The outage spans the clean run, injection latch included.
+    let until = BitTime::new((clean + m.delay.wire_bit_delay(0)).get().max(2));
     let plan = FaultPlan::new(1).with_outage(sink, BitTime::new(1), until);
-    let mut chaotic = install(chaotic).with_fault_plan(plan);
-    let report = supervise_engine(&mut chaotic, policy, |e, _failures| e.set_fault_plan(None))?;
-    let v = chaotic.node(sink).result().ok_or(SimError::NoCompletion { what: "aggregate word" })?;
-    Ok((report, chaotic, v))
-}
-
-/// [`supervised_sum_recovery`] with a windowed [`Profiler`] riding along
-/// (initial window width 16τ): the outage-dense supervised run's profile
-/// row in `simprof`. Rollback replays land in the profiler exactly as
-/// they land in the recorder — both instruments see every delivered
-/// event, including replayed ones — so the PROF-001 tiling between the
-/// two holds through recovery.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the clean run fails, or the supervised run
-/// exhausts [`RecoveryPolicy::max_attempts`].
-///
-/// # Panics
-///
-/// Same conditions as [`sum_completion_time`].
-pub fn supervised_sum_recovery_profiled(
-    values: &[u64],
-    m: &CostModel,
-    policy: &RecoveryPolicy,
-) -> Result<(RecoveryReport, Recorder, Profiler, u64), SimError> {
-    let (report, mut e, v) = supervised_sum(values, m, policy, |e| {
-        e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16))
-    })?;
-    let rec = e.take_recorder().ok_or(SimError::NoCompletion { what: "recovery recorder" })?;
-    let prof = e.take_profiler().ok_or(SimError::NoCompletion { what: "recovery profiler" })?;
-    Ok((report, rec, prof, v))
-}
-
-/// [`broadcast_completion_time`] as a *black-box* run: the event log, the
-/// streaming [`Telemetry`] bus (snapshot interval 16τ) and the crash
-/// [`FlightRecorder`] are all attached. Returns the completion time, the
-/// delivered-bit log, and both instruments — the run the `TEL-002` verify
-/// rule checks, by dumping the flight tail and holding it to its
-/// contiguous-suffix-of-the-log invariant.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the run budget trips or the network goes
-/// quiescent before every leaf holds the word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two.
-pub fn broadcast_black_box(
-    leaves: usize,
-    m: &CostModel,
-) -> Result<(BitTime, Vec<EventLog>, Telemetry, FlightRecorder), SimError> {
-    let (t, mut e) = broadcast_run(leaves, m, |e| {
-        e.with_event_log()
-            .with_telemetry(Telemetry::new(16))
-            .with_flight_recorder(FlightRecorder::default())
-    })?;
-    let tel = e.take_telemetry().expect("telemetry was installed for this run");
-    let fl = e.take_flight_recorder().expect("flight recorder was installed for this run");
-    Ok((t, e.log().to_vec(), tel, fl))
-}
-
-/// [`supervised_sum_recovery`] with the black-box instruments riding
-/// along instead of the recorder: every supervisor rollback dumps an
-/// `orthotrees-flight/v1` post-mortem into the returned
-/// [`FlightRecorder`], and the [`Telemetry`] bus carries the
-/// `recovery.rollbacks` counter next to the engine's own meters. The
-/// outage guarantees at least one rollback, so the returned recorder
-/// always holds at least one post-mortem document.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the clean run fails, or the supervised run
-/// exhausts [`RecoveryPolicy::max_attempts`].
-///
-/// # Panics
-///
-/// Same conditions as [`sum_completion_time`].
-pub fn supervised_sum_recovery_black_box(
-    values: &[u64],
-    m: &CostModel,
-    policy: &RecoveryPolicy,
-) -> Result<(RecoveryReport, Telemetry, FlightRecorder, u64), SimError> {
-    let (report, mut e, v) = supervised_sum(values, m, policy, |e| {
-        e.with_telemetry(Telemetry::new(16)).with_flight_recorder(FlightRecorder::default())
-    })?;
-    let tel = e.take_telemetry().ok_or(SimError::NoCompletion { what: "recovery telemetry" })?;
-    let fl = e
-        .take_flight_recorder()
-        .ok_or(SimError::NoCompletion { what: "recovery flight recorder" })?;
-    Ok((report, tel, fl, v))
+    let mut e = setup(e).with_fault_plan(plan);
+    let report = supervise_engine(&mut e, policy, |e, _failures| e.set_fault_plan(None))?;
+    let v = e.node(sink).result().ok_or(SimError::NoCompletion { what: "aggregate word" })?;
+    Ok((report, e, v))
 }
 
 /// Simulates a full `LEAFTOLEAF` composite at bit level: one word travels
@@ -850,59 +756,17 @@ pub fn supervised_sum_recovery_black_box(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the run budget trips or the network goes
+/// Returns [`SimError::Model`] if `leaves` is not a power of two ≥ 2,
+/// `source_leaf` is out of range or the word is wider than 64 bits, and
+/// another [`SimError`] if the run budget trips or the network goes
 /// quiescent before every leaf holds the word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two ≥ 2 or `source_leaf` is out of
-/// range.
 pub fn leaf_to_leaf_completion_time(
     leaves: usize,
     source_leaf: usize,
     m: &CostModel,
 ) -> Result<BitTime, SimError> {
-    assert!(leaves.is_power_of_two() && leaves >= 2, "need a power-of-two tree >= 2");
-    assert!(source_leaf < leaves, "source leaf out of range");
-    let w = m.word_bits.max(1);
-    let word = 0b1010_0110u64 & ((1 << w) - 1);
-    let mut e = Engine::new(m.delay);
-    // Upward tree: leaves send to the root.
-    let up = build_tree(
-        &mut e,
-        leaves,
-        m.leaf_pitch(),
-        false,
-        &mut |i| {
-            if i == source_leaf {
-                Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT })
-                    as Box<dyn NodeBehavior>
-            } else {
-                Box::new(IdleLeaf)
-            }
-        },
-        &mut |_| Box::new(UpRepeater),
-    );
-    // Downward tree: the root streams back to sink leaves.
-    let down = build_tree(
-        &mut e,
-        leaves,
-        m.leaf_pitch(),
-        true,
-        &mut |_| Box::new(WordSink::new(w, true)) as Box<dyn NodeBehavior>,
-        &mut |_| Box::new(DownRepeater),
-    );
-    // Glue: the up-root forwards straight into the down-root (zero-length
-    // wire; its 1τ latch is subtracted like the injection latch elsewhere).
-    let up_root = up.root();
-    let turn = e.add_node(Box::new(TurnAround { expected: w, buffered: Vec::new() }));
-    let down_root = down.root();
-    e.connect(up_root, TO_PARENT, turn, FROM_LEFT, 0);
-    e.connect(turn, TO_PARENT, down_root, FROM_PARENT, 0);
-    let injected = m.delay.wire_bit_delay(0) + m.delay.wire_bit_delay(0);
-    e.try_run()?;
-    let done = e.completion_time().ok_or(SimError::NoCompletion { what: "destination leaves" })?;
-    Ok(done - injected)
+    let shape = Shape::LeafToLeaf { source: source_leaf };
+    run(shape, leaves, m, "destination leaves", |e| e).map(|(t, _, _)| t)
 }
 
 /// The root of a `LEAFTOLEAF`: buffers the entire word, then re-emits it
@@ -971,51 +835,17 @@ impl NodeBehavior for TurnAround {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the run budget trips or the root never receives
-/// all `stream_count · w` bits.
-///
-/// # Panics
-///
-/// Panics unless `leaves` is a power of two and
-/// `1 ≤ stream_count ≤ leaves`.
+/// Returns [`SimError::Model`] unless `leaves` is a power of two ≥ 2,
+/// `1 ≤ stream_count ≤ leaves` and the word fits in 64 bits, and another
+/// [`SimError`] if the run budget trips or the root never receives all
+/// `stream_count · w` bits.
 pub fn stream_completion_time(
     leaves: usize,
     stream_count: usize,
     m: &CostModel,
 ) -> Result<BitTime, SimError> {
-    assert!(leaves.is_power_of_two() && leaves >= 2, "need a power-of-two tree");
-    assert!(
-        (1..=leaves).contains(&stream_count),
-        "stream count {stream_count} out of 1..={leaves}"
-    );
-    let w = m.word_bits.max(1);
-    let mut e = Engine::new(m.delay);
-    let ids = build_tree(
-        &mut e,
-        leaves,
-        m.leaf_pitch(),
-        false,
-        &mut |i| {
-            if i < stream_count {
-                Box::new(WordSource {
-                    word: (i as u64) & ((1 << w) - 1),
-                    width: w,
-                    lsb_first: true,
-                    port: TO_PARENT,
-                }) as Box<dyn NodeBehavior>
-            } else {
-                Box::new(IdleLeaf)
-            }
-        },
-        &mut |_| Box::new(UpRepeater),
-    );
-    let root = ids.root();
-    let sink = e.add_node(Box::new(WordSink::new(w * stream_count as u32, true)));
-    e.connect(root, TO_PARENT, sink, FROM_LEFT, 0);
-    let injected = m.delay.wire_bit_delay(0);
-    e.try_run()?;
-    let done = e.completion_time().ok_or(SimError::NoCompletion { what: "converging streams" })?;
-    Ok(done - injected)
+    let shape = Shape::Streams { count: stream_count };
+    run(shape, leaves, m, "converging streams", |e| e).map(|(t, _, _)| t)
 }
 
 // ----------------------------------------------------------------------
@@ -1076,13 +906,15 @@ impl ProbeKind {
 /// The topology, sources and per-leaf words are deterministic functions
 /// of `(kind, leaves, m)` alone, so two probes built with different
 /// calendars (or instrumentation) are the *same* simulation — the
-/// identity checks rely on exactly this. For the aggregate probes
-/// (`Sum`/`Min`) the root sink is the last node added, which is how the
-/// recovery soaks target it with outages.
+/// identity checks rely on exactly this. Each probe is the tree its
+/// runner measures (sources at leaf 0; every leaf streams), and for the
+/// aggregate probes (`Sum`/`Min`) the root sink is the last node added,
+/// which is how the recovery soaks target it with outages.
 ///
 /// # Panics
 ///
-/// Panics unless `leaves` is a power of two ≥ 2.
+/// Panics unless `leaves` is a power of two ≥ 2 and the model's word (for
+/// `Sum`, widened by `log₂ leaves`) fits in 64 bits.
 pub fn probe_engine(
     kind: ProbeKind,
     leaves: usize,
@@ -1092,7 +924,6 @@ pub fn probe_engine(
     log: bool,
 ) -> Engine {
     assert!(leaves.is_power_of_two() && leaves >= 2, "need a power-of-two tree >= 2");
-    let w = m.word_bits.max(1);
     let mut e = Engine::new(m.delay).with_calendar(calendar);
     if log {
         e = e.with_event_log();
@@ -1100,103 +931,17 @@ pub fn probe_engine(
     if let Some(p) = plan {
         e = e.with_fault_plan(p);
     }
-    match kind {
-        ProbeKind::Broadcast => {
-            let ids = build_tree(
-                &mut e,
-                leaves,
-                m.leaf_pitch(),
-                true,
-                &mut |_| Box::new(WordSink::new(w, true)),
-                &mut |_| Box::new(DownRepeater),
-            );
-            let root = ids.root();
-            let src = e.add_node(Box::new(WordSource {
-                word: 0b1011,
-                width: w,
-                lsb_first: true,
-                port: TO_PARENT,
-            }));
-            e.connect(src, TO_PARENT, root, FROM_PARENT, 0);
-        }
-        ProbeKind::Send => {
-            let word = 0b1101u64 & ((1 << w) - 1).max(1);
-            let ids = build_tree(
-                &mut e,
-                leaves,
-                m.leaf_pitch(),
-                false,
-                &mut |i| {
-                    if i == 0 {
-                        Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT })
-                            as Box<dyn NodeBehavior>
-                    } else {
-                        Box::new(IdleLeaf)
-                    }
-                },
-                &mut |_| Box::new(UpRepeater),
-            );
-            let root = ids.root();
-            let sink = e.add_node(Box::new(WordSink::new(w, true)));
-            e.connect(root, TO_PARENT, sink, FROM_LEFT, 0);
-        }
-        ProbeKind::Sum | ProbeKind::Min => {
-            let mask = (1u64 << w) - 1;
-            let values: Vec<u64> = (0..leaves).map(|i| (i as u64 * 7 + 3) & mask).collect();
-            build_aggregate_into(&mut e, &values, m, kind == ProbeKind::Sum);
-        }
-        ProbeKind::LeafToLeaf => {
-            let word = 0b1010_0110u64 & ((1 << w) - 1);
-            let up = build_tree(
-                &mut e,
-                leaves,
-                m.leaf_pitch(),
-                false,
-                &mut |i| {
-                    if i == 0 {
-                        Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT })
-                            as Box<dyn NodeBehavior>
-                    } else {
-                        Box::new(IdleLeaf)
-                    }
-                },
-                &mut |_| Box::new(UpRepeater),
-            );
-            let down = build_tree(
-                &mut e,
-                leaves,
-                m.leaf_pitch(),
-                true,
-                &mut |_| Box::new(WordSink::new(w, true)) as Box<dyn NodeBehavior>,
-                &mut |_| Box::new(DownRepeater),
-            );
-            let up_root = up.root();
-            let turn = e.add_node(Box::new(TurnAround { expected: w, buffered: Vec::new() }));
-            let down_root = down.root();
-            e.connect(up_root, TO_PARENT, turn, FROM_LEFT, 0);
-            e.connect(turn, TO_PARENT, down_root, FROM_PARENT, 0);
-        }
-        ProbeKind::Stream => {
-            let ids = build_tree(
-                &mut e,
-                leaves,
-                m.leaf_pitch(),
-                false,
-                &mut |i| {
-                    Box::new(WordSource {
-                        word: (i as u64) & ((1 << w) - 1),
-                        width: w,
-                        lsb_first: true,
-                        port: TO_PARENT,
-                    }) as Box<dyn NodeBehavior>
-                },
-                &mut |_| Box::new(UpRepeater),
-            );
-            let root = ids.root();
-            let sink = e.add_node(Box::new(WordSink::new(w * leaves as u32, true)));
-            e.connect(root, TO_PARENT, sink, FROM_LEFT, 0);
-        }
-    }
+    let (_, mask) = word_width(m).expect("probe word exceeds 64 bits");
+    let values: Vec<u64> = (0..leaves as u64).map(|i| (i * 7 + 3) & mask).collect();
+    let shape = match kind {
+        ProbeKind::Broadcast => Shape::Broadcast,
+        ProbeKind::Send => Shape::Send { source: 0 },
+        ProbeKind::Sum => Shape::Aggregate { values: &values, sum: true },
+        ProbeKind::Min => Shape::Aggregate { values: &values, sum: false },
+        ProbeKind::LeafToLeaf => Shape::LeafToLeaf { source: 0 },
+        ProbeKind::Stream => Shape::Streams { count: leaves },
+    };
+    build(&mut e, shape, leaves, m).expect("probe shape is valid");
     e
 }
 
@@ -1216,6 +961,7 @@ pub fn expected_min_time(leaves: usize, m: &CostModel) -> BitTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orthotrees_obs::Recorder;
 
     fn models(n: usize) -> Vec<CostModel> {
         vec![CostModel::thompson(n), CostModel::constant_delay(n), CostModel::linear_delay(n)]
@@ -1348,10 +1094,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power-of-two")]
     fn aggregate_rejects_non_power_of_two() {
         let m = CostModel::thompson(8);
-        let _ = sum_completion_time(&[1, 2, 3], &m);
+        assert_eq!(
+            sum_completion_time(&[1, 2, 3], &m),
+            Err(SimError::Model(ModelError::NotPowerOfTwo { what: "tree leaf count", value: 3 }))
+        );
+    }
+
+    #[test]
+    fn words_use_all_sixty_four_bits() {
+        // The widened sum of two 63-bit words fills bit 63.
+        let m = CostModel::thompson(2).with_word_bits(63);
+        let (_, v) = sum_completion_time(&[1 << 62, 1 << 62], &m).unwrap();
+        assert_eq!(v, 1 << 63);
+        // A 64-bit word carries values up to the top bit, and its mask keeps
+        // every bit of the sent word.
+        let m = CostModel::thompson(4).with_word_bits(64);
+        assert_eq!(min_completion_time(&[5, 1 << 63, 7, 9], &m).unwrap().1, 5);
+        assert_eq!(send_completion_time(4, 1, &m).unwrap().1, 0b1101);
+        // Past 64 bits the widened sum is a typed error, not a truncation.
+        assert_eq!(
+            sum_completion_time(&[1, 2], &m),
+            Err(SimError::Model(ModelError::TooSmall {
+                what: "host word bits (widened word)",
+                value: 64,
+                min: 65
+            }))
+        );
     }
 
     #[test]
@@ -1406,10 +1176,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of")]
     fn stream_rejects_too_many_sources() {
         let m = CostModel::thompson(8);
-        let _ = stream_completion_time(8, 9, &m);
+        assert_eq!(
+            stream_completion_time(8, 9, &m),
+            Err(SimError::Model(ModelError::TooSmall {
+                what: "leaf count (stream count)",
+                value: 8,
+                min: 9
+            }))
+        );
     }
 
     #[test]
@@ -1420,7 +1196,8 @@ mod tests {
                 [CostModel::thompson(n), CostModel::constant_delay(n), CostModel::linear_delay(n)]
             {
                 let pitch = m.leaf_pitch();
-                let (t, trace) = broadcast_traced(n, &m).unwrap();
+                let (t, mut e) = broadcast(n, &m, Engine::with_causal_trace).unwrap();
+                let trace = e.take_causal_trace().unwrap();
                 assert_eq!(t, m.tree_root_to_leaf(n, pitch), "completion still exact");
                 let path = trace.critical_path().unwrap();
                 assert!(path.covers_completion(), "n={n} {:?}: {path:?}", m.delay);
@@ -1449,7 +1226,8 @@ mod tests {
     #[test]
     fn traced_broadcast_of_single_leaf_is_empty() {
         let m = CostModel::thompson(2);
-        let (t, trace) = broadcast_traced(1, &m).unwrap();
+        let (t, mut e) = broadcast(1, &m, Engine::with_causal_trace).unwrap();
+        let trace = e.take_causal_trace().unwrap();
         assert_eq!(t, BitTime::ZERO);
         assert!(trace.is_empty());
     }
@@ -1461,7 +1239,10 @@ mod tests {
         let (t_clean, sum_clean) = sum_completion_time(&values, &m).unwrap();
         let policy =
             RecoveryPolicy { max_attempts: 12, checkpoint_events: 32, min_checkpoint_events: 4 };
-        let (report, rec, sum) = supervised_sum_recovery(&values, &m, &policy).unwrap();
+        let (report, mut e, sum) =
+            supervised_sum_recovery(&values, &m, &policy, |e| e.with_recorder(Recorder::new()))
+                .unwrap();
+        let rec = e.take_recorder().unwrap();
         assert_eq!(sum, sum_clean);
         assert_eq!(sum, values.iter().sum::<u64>());
         // The total-outage first attempt must trip the supervisor at least

@@ -20,7 +20,7 @@
 
 use crate::diag::Finding;
 use orthotrees::obs::causal::{CausalTrace, SegmentKind};
-use orthotrees_sim::experiments;
+use orthotrees_sim::{experiments, Engine};
 use orthotrees_vlsi::{BitTime, CostModel};
 
 /// Checks the tiling invariants of a trace's critical path (`CRIT-002`)
@@ -144,8 +144,9 @@ pub fn lint_roottoleaf(
 /// [`lint_roottoleaf`]. A failed run is itself a `CRIT-002` finding.
 pub fn lint_broadcast(leaves: usize, m: &CostModel) -> Vec<Finding> {
     let network = format!("ROOTTOLEAF[{leaves}] under {:?}", m.delay);
-    match experiments::broadcast_traced(leaves, m) {
-        Ok((_, trace)) => {
+    match experiments::broadcast(leaves, m, Engine::with_causal_trace) {
+        Ok((_, mut e)) => {
+            let trace = e.take_causal_trace().expect("causal trace was installed for this run");
             let mut out = lint_trace(&network, &trace);
             out.extend(lint_roottoleaf(&network, &trace, m, leaves));
             out
@@ -209,7 +210,8 @@ mod tests {
     #[test]
     fn a_wrong_model_is_crit001() {
         let m = CostModel::thompson(16);
-        let (_, trace) = experiments::broadcast_traced(16, &m).unwrap();
+        let (_, mut e) = experiments::broadcast(16, &m, Engine::with_causal_trace).unwrap();
+        let trace = e.take_causal_trace().unwrap();
         // Lint the logarithmic-delay trace against the constant-delay
         // closed forms: the per-level slices cannot match.
         let wrong = CostModel::constant_delay(16);

@@ -18,9 +18,10 @@ use orthotrees::obs::json::Json;
 use orthotrees::obs::probe::EngineEvent;
 use orthotrees::obs::profile::{Profiler, Window};
 use orthotrees::obs::telemetry::QuantileSketch;
+use orthotrees::obs::Recorder;
 use orthotrees::otc::Otc;
 use orthotrees_layout::{Chip, ComponentKind, Rect};
-use orthotrees_sim::experiments;
+use orthotrees_sim::{experiments, Engine};
 use orthotrees_vlsi::tree::level_wire_lengths;
 use orthotrees_vlsi::{BitTime, CostKind, CostModel, DelayModel};
 
@@ -192,7 +193,9 @@ pub fn firing_fixture(id: &str) -> Report {
         // Causal-trace rules.
         "CRIT-001" => {
             let m = CostModel::thompson(16);
-            let (_, trace) = experiments::broadcast_traced(16, &m).expect("traced broadcast");
+            let (_, mut e) = experiments::broadcast(16, &m, Engine::with_causal_trace)
+                .expect("traced broadcast");
+            let trace = e.take_causal_trace().expect("causal trace was installed");
             // Lint the logarithmic-delay trace against the constant-delay
             // closed forms: the per-level slices cannot match.
             let wrong = CostModel::constant_delay(16);
@@ -227,8 +230,12 @@ pub fn firing_fixture(id: &str) -> Report {
         }
         "PROF-001" => {
             let m = CostModel::thompson(16);
-            let (_, rec, prof) =
-                experiments::broadcast_profiled(16, &m).expect("profiled broadcast");
+            let (_, mut e) = experiments::broadcast(16, &m, |e| {
+                e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16))
+            })
+            .expect("profiled broadcast");
+            let rec = e.take_recorder().expect("recorder was installed");
+            let prof = e.take_profiler().expect("profiler was installed");
             let mut windows = prof.windows().to_vec();
             let busy = windows
                 .iter()
@@ -260,13 +267,14 @@ pub fn firing_fixture(id: &str) -> Report {
             // A clean black-box broadcast dump with a middle tail entry
             // removed: the remaining seqs are no longer contiguous.
             let m = CostModel::thompson(16);
-            let (t, log, _tel, mut fl) =
-                experiments::broadcast_black_box(16, &m).expect("black-box broadcast");
+            let (t, mut e) = experiments::broadcast(16, &m, crate::telemetry::black_box)
+                .expect("black-box broadcast");
+            let mut fl = e.take_flight_recorder().expect("flight recorder was installed");
             let mut dump = fl.dump("export", t, &[]);
             let mut tail = dump.get("tail").and_then(Json::as_arr).expect("tail array").to_vec();
             tail.remove(tail.len() / 2);
             dump.set("tail", Json::arr(tail));
-            report.extend(crate::telemetry::check_flight_dump("fixture", &dump, &log));
+            report.extend(crate::telemetry::check_flight_dump("fixture", &dump, e.log()));
         }
         other => panic!("no firing fixture for catalogue rule {other:?}"),
     }

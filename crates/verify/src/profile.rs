@@ -28,7 +28,7 @@ use orthotrees::obs::Recorder;
 use orthotrees::otc::{self, Otc};
 use orthotrees::otn::{self, Otn};
 use orthotrees::FaultPlan;
-use orthotrees_sim::experiments;
+use orthotrees_sim::{experiments, Engine};
 use orthotrees_vlsi::{BitTime, CostModel};
 
 /// Checks PROF-002 on a profiler: window indices must be consecutive
@@ -176,8 +176,11 @@ pub fn stock_findings() -> Vec<Finding> {
     for leaves in [4usize, 16, 64] {
         let m = CostModel::thompson(leaves);
         let name = format!("ROOTTOLEAF[{leaves}]");
-        match experiments::broadcast_profiled(leaves, &m) {
-            Ok((_, rec, prof)) => {
+        let setup = |e: Engine| e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16));
+        match experiments::broadcast(leaves, &m, setup) {
+            Ok((_, mut e)) => {
+                let rec = e.take_recorder().expect("recorder was installed for this run");
+                let prof = e.take_profiler().expect("profiler was installed for this run");
                 out.extend(check_windows(&name, &prof));
                 out.extend(check_engine_tiling(&name, &prof, &rec));
             }
@@ -224,7 +227,11 @@ mod tests {
     #[test]
     fn dropped_engine_counts_are_prof001() {
         let m = CostModel::thompson(16);
-        let (_, rec, prof) = experiments::broadcast_profiled(16, &m).unwrap();
+        let (_, mut e) = experiments::broadcast(16, &m, |e| {
+            e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16))
+        })
+        .unwrap();
+        let (rec, prof) = (e.take_recorder().unwrap(), e.take_profiler().unwrap());
         assert!(check_engine_tiling("clean", &prof, &rec).is_empty());
 
         // Tamper: drop one window's events and bits, keeping the shape

@@ -23,7 +23,7 @@ use orthotrees::obs::json::Json;
 use orthotrees::obs::telemetry::{within_rank_band, QuantileSketch, Telemetry, REPORTED_QUANTILES};
 use orthotrees::otn::pipeline::pipelined_sorts;
 use orthotrees::otn::Otn;
-use orthotrees_sim::{experiments, EventLog};
+use orthotrees_sim::{experiments, Engine, EventLog, FlightRecorder};
 use orthotrees_vlsi::CostModel;
 
 /// Checks TEL-001: each reported quantile of `sketch` must fall inside
@@ -176,6 +176,12 @@ fn pipeline_stock(n: usize, problems: usize, out: &mut Vec<Finding>) {
     }
 }
 
+/// Fits a bit-level run with the black-box instruments TEL-002 compares:
+/// the delivered-bit log and the crash flight recorder.
+pub(crate) fn black_box(e: Engine) -> Engine {
+    e.with_event_log().with_flight_recorder(FlightRecorder::default())
+}
+
 /// The stock telemetry checks `netlint` runs: TEL-001 on pipelined
 /// OTN sorting batches (sketch vs exact completion quantiles), TEL-002
 /// on black-box bit-level broadcasts (flight dump vs event log).
@@ -187,10 +193,11 @@ pub fn stock_findings() -> Vec<Finding> {
     for leaves in [4usize, 16, 64] {
         let m = CostModel::thompson(leaves);
         let name = format!("ROOTTOLEAF[{leaves}]");
-        match experiments::broadcast_black_box(leaves, &m) {
-            Ok((t, log, _tel, mut fl)) => {
+        match experiments::broadcast(leaves, &m, black_box) {
+            Ok((t, mut e)) => {
+                let mut fl = e.take_flight_recorder().expect("flight recorder was installed");
                 let dump = fl.dump("export", t, &[]);
-                out.extend(check_flight_dump(&name, &dump, &log));
+                out.extend(check_flight_dump(&name, &dump, e.log()));
             }
             Err(e) => out.push(Finding::new(
                 "TEL-002",
@@ -238,9 +245,10 @@ mod tests {
     #[test]
     fn a_tampered_tail_is_tel002() {
         let m = CostModel::thompson(16);
-        let (t, log, _tel, mut fl) = experiments::broadcast_black_box(16, &m).unwrap();
-        let dump = fl.dump("export", t, &[]);
-        assert!(check_flight_dump("clean", &dump, &log).is_empty());
+        let (t, mut e) = experiments::broadcast(16, &m, black_box).unwrap();
+        let dump = e.take_flight_recorder().unwrap().dump("export", t, &[]);
+        let log = e.log();
+        assert!(check_flight_dump("clean", &dump, log).is_empty());
 
         // Remove a middle tail entry: the remaining seqs are no longer
         // contiguous — exactly the hole TEL-002 exists to catch.
@@ -249,17 +257,17 @@ mod tests {
         assert!(tail.len() >= 3, "stock tail long enough to tamper");
         tail.remove(tail.len() / 2);
         tampered.set("tail", Json::arr(tail));
-        let f = check_flight_dump("tampered", &tampered, &log);
+        let f = check_flight_dump("tampered", &tampered, log);
         assert!(f.iter().any(|f| f.rule == "TEL-002"), "{f:?}");
     }
 
     #[test]
     fn a_wrong_event_count_is_tel002() {
         let m = CostModel::thompson(4);
-        let (t, log, _tel, mut fl) = experiments::broadcast_black_box(4, &m).unwrap();
-        let mut dump = fl.dump("export", t, &[]);
-        dump.set("recorded_events", Json::u64(log.len() as u64 + 1));
-        let f = check_flight_dump("tampered", &dump, &log);
+        let (t, mut e) = experiments::broadcast(4, &m, black_box).unwrap();
+        let mut dump = e.take_flight_recorder().unwrap().dump("export", t, &[]);
+        dump.set("recorded_events", Json::u64(e.log().len() as u64 + 1));
+        let f = check_flight_dump("tampered", &dump, e.log());
         assert!(f.iter().any(|f| f.rule == "TEL-002" && f.subject == "recorded_events"), "{f:?}");
     }
 }

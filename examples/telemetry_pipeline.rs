@@ -11,7 +11,7 @@ use orthotrees::obs::json::Json;
 use orthotrees::obs::telemetry::REPORTED_QUANTILES;
 use orthotrees_analysis::experiments::pipeline_telemetry;
 use orthotrees_analysis::telreport;
-use orthotrees_sim::{experiments, RecoveryPolicy};
+use orthotrees_sim::{experiments, Engine, FlightRecorder, RecoveryPolicy, Telemetry};
 use orthotrees_vlsi::CostModel;
 use std::fs;
 
@@ -80,8 +80,13 @@ fn main() {
     let m = CostModel::thompson(16);
     let policy =
         RecoveryPolicy { max_attempts: 12, checkpoint_events: 32, min_checkpoint_events: 4 };
-    match experiments::supervised_sum_recovery_black_box(&values, &m, &policy) {
-        Ok((report, tel, fl, sum)) => {
+    let black_box = |e: Engine| {
+        e.with_telemetry(Telemetry::new(16)).with_flight_recorder(FlightRecorder::default())
+    };
+    match experiments::supervised_sum_recovery(&values, &m, &policy, black_box) {
+        Ok((report, mut e, sum)) => {
+            let tel = e.take_telemetry().expect("telemetry was installed for this run");
+            let fl = e.take_flight_recorder().expect("flight recorder was installed for this run");
             println!(
                 "  recovered: sum = {sum}, {} rollback(s), {} post-mortem(s) on the ring",
                 report.rollbacks,

@@ -15,7 +15,7 @@ use orthotrees::otc::{self, Otc};
 use orthotrees::otn::{self, Axis, Otn, PhaseCost};
 use orthotrees::{FaultPlan, Word};
 use orthotrees_sim::experiments::{self, probe_engine, ProbeKind};
-use orthotrees_sim::{supervise_engine, CalendarKind, NodeId, RecoveryPolicy};
+use orthotrees_sim::{supervise_engine, CalendarKind, Engine, NodeId, RecoveryPolicy};
 use orthotrees_vlsi::{BitTime, CostModel};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -191,7 +191,8 @@ proptest! {
             CostModel::constant_delay(n),
             CostModel::linear_delay(n),
         ][which];
-        let (_, trace) = experiments::broadcast_traced(n, &m).unwrap();
+        let (_, mut e) = experiments::broadcast(n, &m, Engine::with_causal_trace).unwrap();
+        let trace = e.take_causal_trace().unwrap();
         let path = trace.critical_path().unwrap();
         prop_assert!(path.covers_completion(), "{path:?}");
         let total: BitTime =

@@ -18,6 +18,11 @@ use orthotrees_sim::{CalendarKind, Engine, Link, NodeId, RecoveryPolicy, RunStat
 use orthotrees_vlsi::CostModel;
 use proptest::prelude::*;
 
+/// Fits an engine with a recorder and a profiler (initial window 16τ).
+fn profiled(e: Engine) -> Engine {
+    e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16))
+}
+
 /// The parallel-suite's moderately damaging plan: detectable and silent
 /// word faults plus retries, so retry overhead lands in the windows.
 fn plan(seed: u64) -> FaultPlan {
@@ -165,7 +170,8 @@ proptest! {
         let leaves = 1usize << k;
         let m = CostModel::thompson(leaves);
         let bare = experiments::broadcast_completion_time(leaves, &m).unwrap();
-        let (t, rec, prof) = experiments::broadcast_profiled(leaves, &m).unwrap();
+        let (t, mut e) = experiments::broadcast(leaves, &m, profiled).unwrap();
+        let (rec, prof) = (e.take_recorder().unwrap(), e.take_profiler().unwrap());
         prop_assert_eq!(bare, t);
         let totals = prof.totals();
         prop_assert_eq!(totals.events, rec.calendar_depth().count());
@@ -193,9 +199,13 @@ fn profiled_recovery_matches_unprofiled_and_tiles() {
     let m = CostModel::thompson(16);
     let policy =
         RecoveryPolicy { max_attempts: 12, checkpoint_events: 32, min_checkpoint_events: 4 };
-    let (report_a, _, sum_a) = experiments::supervised_sum_recovery(&values, &m, &policy).unwrap();
-    let (report_b, rec, prof, sum_b) =
-        experiments::supervised_sum_recovery_profiled(&values, &m, &policy).unwrap();
+    let (report_a, _, sum_a) = experiments::supervised_sum_recovery(&values, &m, &policy, |e| {
+        e.with_recorder(Recorder::new())
+    })
+    .unwrap();
+    let (report_b, mut e, sum_b) =
+        experiments::supervised_sum_recovery(&values, &m, &policy, profiled).unwrap();
+    let (rec, prof) = (e.take_recorder().unwrap(), e.take_profiler().unwrap());
     assert_eq!(report_a, report_b, "profiler must not change recovery behaviour");
     assert_eq!(sum_a, sum_b);
     assert!(report_b.rollbacks >= 1, "the outage must actually trip the supervisor");
@@ -327,8 +337,9 @@ fn supervised_recovery_footprint_matches_the_scan() {
     let m = CostModel::thompson(16);
     let policy =
         RecoveryPolicy { max_attempts: 12, checkpoint_events: 6, min_checkpoint_events: 2 };
-    let (report, _, prof, _) =
-        experiments::supervised_sum_recovery_profiled(&values, &m, &policy).unwrap();
+    let (report, mut e, _) =
+        experiments::supervised_sum_recovery(&values, &m, &policy, profiled).unwrap();
+    let prof = e.take_profiler().unwrap();
     assert!(report.rollbacks >= 1, "the outage must trip the supervisor");
     let f = prof.footprint().expect("an engine-filled profile has a footprint");
     assert_eq!(

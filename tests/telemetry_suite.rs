@@ -20,9 +20,22 @@ use orthotrees::otc::Otc;
 use orthotrees::otn::{self, Axis, Otn, PhaseCost};
 use orthotrees::{BitTime, FaultPlan, FaultStats, OpStats, Word};
 use orthotrees_analysis::experiments::pipeline_telemetry;
-use orthotrees_sim::{experiments, RecoveryPolicy};
+use orthotrees_sim::{experiments, Engine, EventLog, FlightRecorder, Recorder, RecoveryPolicy};
 use orthotrees_vlsi::CostModel;
 use proptest::prelude::*;
+
+/// Fits a bit-level run with the black-box instruments: the event log,
+/// the telemetry bus (snapshot interval 16τ) and the flight recorder.
+fn black_box(e: Engine) -> Engine {
+    e.with_event_log()
+        .with_telemetry(Telemetry::new(16))
+        .with_flight_recorder(FlightRecorder::default())
+}
+
+/// Takes the black-box instruments and a copy of the event log off a run.
+fn take_black_box(e: &mut Engine) -> (Telemetry, FlightRecorder, Vec<EventLog>) {
+    (e.take_telemetry().unwrap(), e.take_flight_recorder().unwrap(), e.log().to_vec())
+}
 
 /// The parallel-suite's moderately damaging plan: detectable and silent
 /// word faults plus retries, so fault handling runs under the bus too.
@@ -165,7 +178,8 @@ proptest! {
         let leaves = 1usize << k;
         let m = CostModel::thompson(leaves);
         let bare = experiments::broadcast_completion_time(leaves, &m).unwrap();
-        let (t, log, tel, mut fl) = experiments::broadcast_black_box(leaves, &m).unwrap();
+        let (t, mut e) = experiments::broadcast(leaves, &m, black_box).unwrap();
+        let (tel, mut fl, log) = take_black_box(&mut e);
         prop_assert_eq!(bare, t);
         prop_assert_eq!(tel.counter("engine.delivered"), log.len() as u64);
         prop_assert_eq!(fl.recorded(), log.len() as u64);
@@ -213,9 +227,16 @@ fn a_rollback_dumps_a_parseable_post_mortem() {
     let m = CostModel::thompson(16);
     let policy =
         RecoveryPolicy { max_attempts: 12, checkpoint_events: 32, min_checkpoint_events: 4 };
-    let (report_a, _, sum_a) = experiments::supervised_sum_recovery(&values, &m, &policy).unwrap();
-    let (report_b, tel, fl, sum_b) =
-        experiments::supervised_sum_recovery_black_box(&values, &m, &policy).unwrap();
+    let (report_a, _, sum_a) = experiments::supervised_sum_recovery(&values, &m, &policy, |e| {
+        e.with_recorder(Recorder::new())
+    })
+    .unwrap();
+    let (report_b, mut e, sum_b) =
+        experiments::supervised_sum_recovery(&values, &m, &policy, |e| {
+            e.with_telemetry(Telemetry::new(16)).with_flight_recorder(FlightRecorder::default())
+        })
+        .unwrap();
+    let (tel, fl) = (e.take_telemetry().unwrap(), e.take_flight_recorder().unwrap());
     assert_eq!(report_a, report_b, "the black box must not change recovery behaviour");
     assert_eq!(sum_a, sum_b);
     assert!(report_b.rollbacks >= 1, "the outage must actually trip the supervisor");
@@ -363,7 +384,8 @@ fn mutate(doc: &mut Json, path: &[Step], m: Mutation) -> bool {
 /// the dump is a suffix of, from one black-box broadcast.
 fn valid_documents() -> (Json, Json, Vec<orthotrees_sim::EventLog>) {
     let m = CostModel::thompson(64);
-    let (t, log, mut tel, mut fl) = experiments::broadcast_black_box(64, &m).unwrap();
+    let (t, mut e) = experiments::broadcast(64, &m, black_box).unwrap();
+    let (mut tel, mut fl, log) = take_black_box(&mut e);
     assert!(!tel.snapshots().is_empty() && tel.sketches().count() > 0, "a document to mutate");
     tel.gauge("engine.links", 14);
     let dump = fl.dump("export", t, &[("injected", 0)]);
