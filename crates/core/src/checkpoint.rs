@@ -23,6 +23,7 @@
 //! parser turns malformed documents — hostile dimensions included — into
 //! [`SimError::SnapshotFormat`] instead of panics or garbage.
 
+use crate::bitset::Plane;
 use crate::resilience::FaultStats;
 use crate::word::Word;
 use crate::wordnet::{Topology, WordNet};
@@ -188,7 +189,7 @@ impl<T: Topology> WordNet<T> {
             now: self.clock.now(),
             stats: *self.clock.stats(),
             reg_names: self.reg_names.iter().map(|n| (*n).to_owned()).collect(),
-            planes: self.regs.clone(),
+            planes: self.regs.iter().map(Plane::to_words).collect(),
             roots: self.roots.clone(),
             fault: self.fault.as_ref().map(|f| (f.round(), f.stats)),
         }
@@ -247,7 +248,9 @@ impl<T: Topology> WordNet<T> {
         // them at the same indices.
         self.regs.truncate(keep);
         self.reg_names.truncate(keep);
-        self.regs.clone_from(&snap.planes);
+        for (plane, words) in self.regs.iter_mut().zip(&snap.planes) {
+            plane.load(words);
+        }
         self.roots.clone_from(&snap.roots);
         restore_clock(&mut self.clock, snap.now, snap.stats);
         if let (Some(fault), Some((round, stats))) = (self.fault.as_mut(), snap.fault) {
@@ -544,13 +547,21 @@ mod tests {
     /// Overwrites every register and root port with `NULL`s, extreme words
     /// and words of every magnitude.
     fn scramble<T: Topology>(net: &mut WordNet<T>, mut seed: u64) {
-        for cell in net.regs.iter_mut().flatten().chain(net.roots.iter_mut().flatten()) {
+        let mut word = || {
             let r = splitmix(&mut seed);
-            *cell = match r % 8 {
+            match r % 8 {
                 0 => None,
                 1 => Some(EXTREMES[(r >> 3) as usize % EXTREMES.len()]),
                 _ => Some(r as Word >> (r % 64)),
-            };
+            }
+        };
+        for plane in &mut net.regs {
+            for k in 0..plane.cells() {
+                plane.set(k, word());
+            }
+        }
+        for cell in net.roots.iter_mut().flatten() {
+            *cell = word();
         }
     }
 

@@ -64,6 +64,7 @@
 //! ```
 
 mod attribution;
+mod bitset;
 pub mod checkpoint;
 pub mod complexnum;
 pub mod dflow;
@@ -73,6 +74,7 @@ pub mod otc;
 pub mod otn;
 pub mod primitive;
 pub mod resilience;
+pub mod select;
 mod word;
 pub mod wordnet;
 
@@ -83,4 +85,5 @@ pub use orthotrees_vlsi::{
 };
 pub use primitive::ParallelPolicy;
 pub use resilience::{DarkLeaf, FaultPlan, FaultReport, FaultStats, TreeAxis};
+pub use select::{Pick, Sel};
 pub use word::{pack, unpack, Word};

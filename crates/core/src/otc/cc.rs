@@ -24,7 +24,7 @@
 //! within a small constant of the OTN's — the paper's "same time, less
 //! area" — and the result against union–find.
 
-use super::{Axis, Otc, PhaseCost, Reg};
+use super::{Axis, Otc, PhaseCost, Reg, Sel};
 use crate::grid::Grid;
 use crate::otn::graph::cc::{reference_components, CcOutcome};
 use crate::word::Word;
@@ -154,7 +154,13 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
             }
         });
         // Row-group minima: minn(I, ·, r) = min over J of pmin.
-        net.min_cycle_to_cycle(Axis::Rows, regs.pmin, |_, _, _, _| true, regs.minn, |_, _, _| true);
+        net.min_cycle_to_cycle(
+            Axis::Rows,
+            regs.pmin,
+            |_, _, _, _| Sel::All,
+            regs.minn,
+            |_, _, _| Sel::All,
+        );
         // C(v) = min(D(v), minN(v)) at the diagonal.
         let (minn, creg) = (regs.minn, regs.creg);
         net.bp_phase(PhaseCost::Compare, move |i, j, q, v| {
@@ -169,7 +175,13 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
             Some((creg, c))
         });
         // C streams along the rows like the labels do.
-        net.cycle_to_cycle(Axis::Rows, regs.creg, |i, j, _, _| i == j, regs.crow, |_, _, _| true);
+        net.cycle_to_cycle(
+            Axis::Rows,
+            regs.creg,
+            |_, _, _, _| Sel::Diagonal,
+            regs.crow,
+            |_, _, _| Sel::All,
+        );
         // Group minima by label: lcand(I, J, q'') = min{ C(v) : v in row
         // group I, D(v) = J·L + q'' } — a cycle-local regroup…
         let (drow, crow, lcand) = (regs.drow, regs.crow, regs.lcand);
@@ -192,9 +204,9 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
         net.min_cycle_to_cycle(
             Axis::Cols,
             regs.lcand,
-            |_, _, _, _| true,
+            |_, _, _, _| Sel::All,
             regs.ldist,
-            |_, _, _| true,
+            |_, _, _| Sel::All,
         );
         // Members adopt their group's new label via the indirection fetch.
         indirect_fetch(net, &regs, regs.ldist, l);
@@ -225,7 +237,7 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
             let f = i == j && v.get(d, i, j, q) != v.get(prev, i, j, q);
             Some((chflag, Some(Word::from(f))))
         });
-        net.sum_cycle_to_root(Axis::Cols, regs.chflag, |_, _, _, _| true);
+        net.sum_cycle_to_root(Axis::Cols, regs.chflag, |_, _, _, _| Sel::All);
         let changed: Word = net.root_words(Axis::Cols).iter().map(|v| v.unwrap_or(0)).sum();
         if changed == 0 {
             break;
@@ -233,7 +245,7 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
     });
 
     // Emit labels through the column trees (diagonal positions line up).
-    net.cycle_to_root(Axis::Cols, regs.d, |i, j, _, _| i == j);
+    net.cycle_to_root(Axis::Cols, regs.d, |_, _, _, _| Sel::Diagonal);
     let labels: Vec<Word> =
         net.root_words(Axis::Cols).iter().map(|v| v.expect("every vertex has a label")).collect();
     let stats = net.clock().stats().since(&stats_before);
@@ -244,8 +256,20 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
 /// Streams the diagonal labels along both tree families; both streams are
 /// position-indexed (`drow(I,J,q) = D(I·L+q)`, `dcol(I,J,q) = D(J·L+q)`).
 fn distribute_labels(net: &mut Otc, regs: &CcRegs) {
-    net.cycle_to_cycle(Axis::Rows, regs.d, |i, j, _, _| i == j, regs.drow, |_, _, _| true);
-    net.cycle_to_cycle(Axis::Cols, regs.d, |i, j, _, _| i == j, regs.dcol, |_, _, _| true);
+    net.cycle_to_cycle(
+        Axis::Rows,
+        regs.d,
+        |_, _, _, _| Sel::Diagonal,
+        regs.drow,
+        |_, _, _| Sel::All,
+    );
+    net.cycle_to_cycle(
+        Axis::Cols,
+        regs.d,
+        |_, _, _, _| Sel::Diagonal,
+        regs.dcol,
+        |_, _, _| Sel::All,
+    );
 }
 
 /// The two-hop indirection `newd(v) = table(D(v))`, where `table` is a
@@ -275,9 +299,9 @@ fn indirect_fetch(net: &mut Otc, regs: &CcRegs, table: Reg, l: usize) {
     net.cycle_to_cycle(
         Axis::Rows,
         regs.fetch,
-        move |i, j, q, v| v.get(fetch, i, j, q).is_some(),
+        move |_, _, _, _| Sel::Valid(fetch),
         regs.newd,
-        |i, j, _| i == j,
+        |_, _, _| Sel::Diagonal,
     );
 }
 

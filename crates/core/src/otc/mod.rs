@@ -61,11 +61,13 @@ pub mod checkpoint {
     }
 }
 
+use crate::bitset::Plane;
 use crate::word::Word;
 use crate::wordnet::{Cycles, View, WordNet};
 use orthotrees_obs::causal::ReachCell;
 use orthotrees_vlsi::{log2_ceil, log2_floor, BitTime, CostKind, CostModel, ModelError};
 
+pub use crate::select::{Pick, Sel};
 pub use crate::wordnet::{Axis, PhaseCost, Reg};
 
 /// The orthogonal tree cycles network: the word-level core with one cycle
@@ -77,15 +79,19 @@ pub type OtcRegsView<'a> = View<'a, Cycles>;
 
 impl OtcRegsView<'_> {
     /// The value of register `r` at BP `(i, j, q)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register or coordinates are out of range.
     #[inline]
     pub fn get(&self, r: Reg, i: usize, j: usize, q: usize) -> Option<Word> {
-        self.regs[r.0][(i * self.cols + j) * self.cycle + q]
+        self.word(r, i, j, q)
     }
 }
 
 /// Per-cycle register access during a cycle-local compute phase.
 pub struct CycleRegs<'a> {
-    regs: &'a mut [Vec<Option<Word>>],
+    regs: &'a mut [Plane],
     base: usize,
     cycle: usize,
 }
@@ -98,7 +104,7 @@ impl CycleRegs<'_> {
     /// Panics if `q` is out of range.
     pub fn get(&self, r: Reg, q: usize) -> Option<Word> {
         assert!(q < self.cycle, "cycle position {q} out of range");
-        self.regs[r.0][self.base + q]
+        self.regs[r.0].get(self.base + q)
     }
 
     /// Sets this cycle's register `r` at position `q`.
@@ -108,7 +114,7 @@ impl CycleRegs<'_> {
     /// Panics if `q` is out of range.
     pub fn set(&mut self, r: Reg, q: usize, v: Option<Word>) {
         assert!(q < self.cycle, "cycle position {q} out of range");
-        self.regs[r.0][self.base + q] = v;
+        self.regs[r.0].set(self.base + q, v);
     }
 
     /// Cycle length.
@@ -197,6 +203,10 @@ impl Otc {
     }
 
     /// Reads one BP register (host-side, free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register or coordinates are out of range.
     pub fn peek(&self, r: Reg, i: usize, j: usize, q: usize) -> Option<Word> {
         self.view().get(r, i, j, q)
     }
@@ -204,10 +214,10 @@ impl Otc {
     /// Loads a register plane from `f(i, j, q)`.
     pub fn load_reg(&mut self, r: Reg, mut f: impl FnMut(usize, usize, usize) -> Option<Word>) {
         let (m, cycle) = (self.cols, self.cycle);
-        for (c, block) in self.regs[r.0].chunks_mut(cycle).enumerate() {
-            for (q, cell) in block.iter_mut().enumerate() {
-                *cell = f(c / m, c % m, q);
-            }
+        let plane = &mut self.regs[r.0];
+        for k in 0..plane.cells() {
+            let c = k / cycle;
+            plane.set(k, f(c / m, c % m, k % cycle));
         }
         self.clock.stats_mut().inputs += self.base_processors() as u64;
     }
@@ -260,11 +270,11 @@ impl Otc {
             rec.reach_round_begin();
         }
         for r in regs {
-            for (c, block) in self.regs[r.0].chunks_mut(cycle).enumerate() {
-                block.rotate_left(1);
-                // The rotate program names cycle positions as leaves and
-                // each cycle `(i, j)` as its own tree.
-                if let Some(rec) = tracing.as_mut() {
+            self.regs[r.0].rotate_blocks(cycle);
+            // The rotate program names cycle positions as leaves and each
+            // cycle `(i, j)` as its own tree.
+            if let Some(rec) = tracing.as_mut() {
+                for c in 0..self.rows * self.cols {
                     for q in 0..cycle {
                         let leaf = |q: usize| ReachCell::Reg { reg: r.0 as u64, leaf: q as u64 };
                         rec.reach(c as u64, leaf((q + 1) % cycle), leaf(q));
@@ -285,11 +295,11 @@ impl Otc {
     /// Under an installed [`FaultPlan`](crate::FaultPlan), every delivered
     /// stream word is an independent transit and dark cycles receive
     /// nothing.
-    pub fn root_to_cycle(
+    pub fn root_to_cycle<P: Pick>(
         &mut self,
         axis: Axis,
         dest: Reg,
-        sel: impl Fn(usize, usize, &OtcRegsView<'_>) -> bool + Sync,
+        sel: impl Fn(usize, usize, &OtcRegsView<'_>) -> P + Sync,
     ) {
         self.downward("ROOTTOCYCLE", axis, dest, &sel);
     }
@@ -311,32 +321,32 @@ impl Otc {
     /// Without a fault plan, panics if two cycles of the same tree are
     /// selected for the same stream position — invariant: the per-position
     /// selector specifies at most one cycle per tree.
-    pub fn cycle_to_root(
+    pub fn cycle_to_root<P: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> bool + Sync,
+        sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> P + Sync,
     ) {
         self.upward("CYCLETOROOT", axis, src, &sel);
     }
 
     /// `SUM-CYCLETOROOT`: root buffer position `q` receives the sum over
     /// the selected cycles of `src[q]` (`NULL` contributes nothing).
-    pub fn sum_cycle_to_root(
+    pub fn sum_cycle_to_root<P: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> bool + Sync,
+        sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> P + Sync,
     ) {
         self.upward("SUM-CYCLETOROOT", axis, src, &sel);
     }
 
     /// `MIN-CYCLETOROOT`: per-position minimum over the selected cycles.
-    pub fn min_cycle_to_root(
+    pub fn min_cycle_to_root<P: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> bool + Sync,
+        sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> P + Sync,
     ) {
         self.upward("MIN-CYCLETOROOT", axis, src, &sel);
     }
@@ -345,13 +355,13 @@ impl Otc {
     /// # Panics
     ///
     /// Panics on source contention, like [`Otc::cycle_to_root`].
-    pub fn cycle_to_cycle(
+    pub fn cycle_to_cycle<P: Pick, Q: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        src_sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> bool + Sync,
+        src_sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> P + Sync,
         dest: Reg,
-        dest_sel: impl Fn(usize, usize, &OtcRegsView<'_>) -> bool + Sync,
+        dest_sel: impl Fn(usize, usize, &OtcRegsView<'_>) -> Q + Sync,
     ) {
         self.composite("CYCLETOCYCLE", |n| {
             n.cycle_to_root(axis, src, src_sel);
@@ -360,13 +370,13 @@ impl Otc {
     }
 
     /// `SUM-CYCLETOCYCLE`.
-    pub fn sum_cycle_to_cycle(
+    pub fn sum_cycle_to_cycle<P: Pick, Q: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        src_sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> bool + Sync,
+        src_sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> P + Sync,
         dest: Reg,
-        dest_sel: impl Fn(usize, usize, &OtcRegsView<'_>) -> bool + Sync,
+        dest_sel: impl Fn(usize, usize, &OtcRegsView<'_>) -> Q + Sync,
     ) {
         self.composite("SUM-CYCLETOCYCLE", |n| {
             n.sum_cycle_to_root(axis, src, src_sel);
@@ -375,13 +385,13 @@ impl Otc {
     }
 
     /// `MIN-CYCLETOCYCLE`.
-    pub fn min_cycle_to_cycle(
+    pub fn min_cycle_to_cycle<P: Pick, Q: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        src_sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> bool + Sync,
+        src_sel: impl Fn(usize, usize, usize, &OtcRegsView<'_>) -> P + Sync,
         dest: Reg,
-        dest_sel: impl Fn(usize, usize, &OtcRegsView<'_>) -> bool + Sync,
+        dest_sel: impl Fn(usize, usize, &OtcRegsView<'_>) -> Q + Sync,
     ) {
         self.composite("MIN-CYCLETOCYCLE", |n| {
             n.min_cycle_to_root(axis, src, src_sel);
@@ -413,7 +423,7 @@ impl Otc {
             }
         }
         for &(r, at, v) in &staged {
-            self.regs[r.0][at] = v;
+            self.regs[r.0].set(at, v);
         }
         self.staged = staged;
         self.charge_compute("BP-PHASE", cost);
@@ -421,7 +431,8 @@ impl Otc {
 
     /// Zeroes a register plane as one parallel bit phase (flag reset).
     pub fn clear_reg(&mut self, r: Reg) {
-        self.bp_phase(PhaseCost::Bit, move |_, _, _, _| Some((r, Some(0))));
+        self.regs[r.0].fill(Some(0));
+        self.charge_compute("BP-PHASE", PhaseCost::Bit);
     }
 
     /// One cycle-local compute phase: `f(i, j, cycle_view)` may read and

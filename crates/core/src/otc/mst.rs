@@ -12,7 +12,7 @@
 //! packed key (see the OTN MST's comment — this is load-bearing under
 //! duplicate weights).
 
-use super::{Axis, Otc, PhaseCost, Reg};
+use super::{Axis, Otc, PhaseCost, Reg, Sel};
 use crate::grid::Grid;
 use crate::otn::graph::mst::MstOutcome;
 use crate::word::{pack, unpack, Word};
@@ -84,8 +84,8 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
         assert!(phases <= max_phases, "OTC MST failed to converge within {max_phases} phases");
 
         // Labels along both families (position-indexed streams).
-        net.cycle_to_cycle(Axis::Rows, d, |i, j, _, _| i == j, drow, |_, _, _| true);
-        net.cycle_to_cycle(Axis::Cols, d, |i, j, _, _| i == j, dcol, |_, _, _| true);
+        net.cycle_to_cycle(Axis::Rows, d, |_, _, _, _| Sel::Diagonal, drow, |_, _, _| Sel::All);
+        net.cycle_to_cycle(Axis::Cols, d, |_, _, _, _| Sel::Diagonal, dcol, |_, _, _| Sel::All);
 
         // Candidate outgoing edges, packed (weight, normalised edge id).
         let (wp, cp) = (wplanes.clone(), candplanes.clone());
@@ -117,7 +117,7 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
                 cyc.set(pmin, r, best);
             }
         });
-        net.min_cycle_to_cycle(Axis::Rows, pmin, |_, _, _, _| true, vbest, |_, _, _| true);
+        net.min_cycle_to_cycle(Axis::Rows, pmin, |_, _, _, _| Sel::All, vbest, |_, _, _| Sel::All);
         // Per-component best: regroup by label, then column trees.
         let ll = l;
         net.cycle_phase(PhaseCost::Words(2 * l as u64), move |_, j, cyc| {
@@ -134,21 +134,27 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
                 cyc.set(lcand, qq, best);
             }
         });
-        net.min_cycle_to_cycle(Axis::Cols, lcand, |_, _, _, _| true, compmin, |_, _, _| true);
+        net.min_cycle_to_cycle(
+            Axis::Cols,
+            lcand,
+            |_, _, _, _| Sel::All,
+            compmin,
+            |_, _, _| Sel::All,
+        );
 
         // Termination: does any component still have an outgoing edge?
         net.bp_phase(PhaseCost::Bit, move |i, j, q, v| {
             let f = i == j && v.get(compmin, i, j, q).is_some();
             Some((have, Some(Word::from(f))))
         });
-        net.sum_cycle_to_root(Axis::Cols, have, |_, _, _, _| true);
+        net.sum_cycle_to_root(Axis::Cols, have, |_, _, _, _| Sel::All);
         let alive: Word = net.root_words(Axis::Cols).iter().map(|v| v.unwrap_or(0)).sum();
         if alive == 0 {
             break;
         }
 
         // Emit chosen edges through the column roots.
-        net.cycle_to_root(Axis::Cols, compmin, |i, j, _, _| i == j);
+        net.cycle_to_root(Axis::Cols, compmin, |_, _, _, _| Sel::Diagonal);
         for packed in net.root_words(Axis::Cols).iter().flatten() {
             let (w, eid) = unpack(*packed, nn * nn);
             let key = (eid / nn, eid % nn);
@@ -175,7 +181,13 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
                 });
                 Some((ptr, p))
             });
-            net.cycle_to_cycle(Axis::Rows, ptr, |i, j, _, _| i == j, prow, |_, _, _| true);
+            net.cycle_to_cycle(
+                Axis::Rows,
+                ptr,
+                |_, _, _, _| Sel::Diagonal,
+                prow,
+                |_, _, _| Sel::All,
+            );
             net.cycle_phase(PhaseCost::Words(l as u64), move |_, j, cyc| {
                 for q in 0..cyc.len() {
                     let val = match cyc.get(prow, q) {
@@ -195,9 +207,9 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
             net.cycle_to_cycle(
                 Axis::Rows,
                 fetch,
-                move |i, j, q, v| v.get(fetch, i, j, q).is_some(),
+                move |_, _, _, _| Sel::Valid(fetch),
                 treg,
-                |i, j, _| i == j,
+                |_, _, _| Sel::Diagonal,
             );
         }
         // newlabel(w) = whichever endpoint label differs from w.
@@ -214,8 +226,8 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
             Some((nl, target))
         });
         // Break 2-cycles: LL(w) = newlabel(newlabel(w)).
-        net.cycle_to_cycle(Axis::Cols, nl, |i, j, _, _| i == j, nlcol, |_, _, _| true);
-        net.cycle_to_cycle(Axis::Rows, nl, |i, j, _, _| i == j, prow, |_, _, _| true);
+        net.cycle_to_cycle(Axis::Cols, nl, |_, _, _, _| Sel::Diagonal, nlcol, |_, _, _| Sel::All);
+        net.cycle_to_cycle(Axis::Rows, nl, |_, _, _, _| Sel::Diagonal, prow, |_, _, _| Sel::All);
         net.cycle_phase(PhaseCost::Words(l as u64), move |_, j, cyc| {
             for q in 0..cyc.len() {
                 let val = match cyc.get(prow, q) {
@@ -235,9 +247,9 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
         net.cycle_to_cycle(
             Axis::Rows,
             fetch,
-            move |i, j, q, v| v.get(fetch, i, j, q).is_some(),
+            move |_, _, _, _| Sel::Valid(fetch),
             llr,
-            |i, j, _| i == j,
+            |_, _, _| Sel::Diagonal,
         );
         net.bp_phase(PhaseCost::Compare, move |i, j, q, v| {
             if i != j {
@@ -253,8 +265,8 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
 
         // Shortcut: flatten the merged components.
         for _ in 0..log2_ceil(n as u64).max(1) {
-            net.cycle_to_cycle(Axis::Rows, d, |i, j, _, _| i == j, drow, |_, _, _| true);
-            net.cycle_to_cycle(Axis::Cols, d, |i, j, _, _| i == j, dcol, |_, _, _| true);
+            net.cycle_to_cycle(Axis::Rows, d, |_, _, _, _| Sel::Diagonal, drow, |_, _, _| Sel::All);
+            net.cycle_to_cycle(Axis::Cols, d, |_, _, _, _| Sel::Diagonal, dcol, |_, _, _| Sel::All);
             net.cycle_phase(PhaseCost::Words(l as u64), move |_, j, cyc| {
                 for q in 0..cyc.len() {
                     let val = match cyc.get(drow, q) {
@@ -274,9 +286,9 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
             net.cycle_to_cycle(
                 Axis::Rows,
                 fetch,
-                move |i, j, q, v| v.get(fetch, i, j, q).is_some(),
+                move |_, _, _, _| Sel::Valid(fetch),
                 llr,
-                |i, j, _| i == j,
+                |_, _, _| Sel::Diagonal,
             );
             net.bp_phase(PhaseCost::Compare, move |i, j, q, v| {
                 if i != j {

@@ -16,7 +16,7 @@
 //!    register `D`, and one `CYCLETOROOT(column(j))` emits column `j`'s
 //!    output interleave (ranks `≡ j mod m`).
 
-use super::{Axis, Otc, PhaseCost};
+use super::{Axis, Otc, PhaseCost, Sel};
 use crate::otn::sort::SortOutcome;
 use crate::word::Word;
 use orthotrees_vlsi::ModelError;
@@ -47,17 +47,20 @@ pub fn sort(net: &mut Otc, xs: &[Word]) -> Result<SortOutcome, ModelError> {
     let (_, time) = net.elapsed(|net| {
         net.begin_phase(crate::primitive::spec_for("SORT-OTC").name);
         // 1) group i to every cycle of row i.
-        net.root_to_cycle(Axis::Rows, a, |_, _, _| true);
+        net.root_to_cycle(Axis::Rows, a, |_, _, _| Sel::All);
         // 2) group j (from diagonal cycle (j,j)) to every cycle of column j.
-        net.cycle_to_cycle(Axis::Cols, a, |i, j, _, _| i == j, b, |_, _, _| true);
+        net.cycle_to_cycle(Axis::Cols, a, |_, _, _, _| Sel::Diagonal, b, |_, _, _| Sel::All);
         // 3) rank counting: L compare rounds with B circulating.
         net.clear_reg(c);
+        // Side and cycle length are powers of two, so `mod` is a mask and
+        // `/` a shift.
+        let (m_shift, l_mask) = (m.trailing_zeros(), l - 1);
         for p in 0..l {
             net.bp_phase(PhaseCost::Compare, |i, j, q, v| {
                 let (av, bv) = (v.get(a, i, j, q), v.get(b, i, j, q));
                 let (Some(av), Some(bv)) = (av, bv) else { return None };
                 let ia = (i * l + q) as Word;
-                let ib = (j * l + (q + p) % l) as Word;
+                let ib = (j * l + ((q + p) & l_mask)) as Word;
                 let beats = av > bv || (av == bv && ia > ib);
                 if beats {
                     let cur = v.get(c, i, j, q).unwrap_or(0);
@@ -69,7 +72,7 @@ pub fn sort(net: &mut Otc, xs: &[Word]) -> Result<SortOutcome, ModelError> {
             net.circulate(&[b]);
         }
         // 4) global ranks: sum the counts across each row.
-        net.sum_cycle_to_cycle(Axis::Rows, c, |_, _, _, _| true, r, |_, _, _| true);
+        net.sum_cycle_to_cycle(Axis::Rows, c, |_, _, _, _| Sel::All, r, |_, _, _| Sel::All);
         // 5) stage outputs: rank p·m + j goes to stream slot p in column j.
         net.cycle_phase(PhaseCost::Words(l as u64), |_, j, cyc| {
             for q in 0..l {
@@ -84,13 +87,13 @@ pub fn sort(net: &mut Otc, xs: &[Word]) -> Result<SortOutcome, ModelError> {
                         continue;
                     }
                     let rank = rank as usize;
-                    if rank % m == j {
-                        cyc.set(d, rank / m, Some(val));
+                    if rank & (m - 1) == j {
+                        cyc.set(d, rank >> m_shift, Some(val));
                     }
                 }
             }
         });
-        net.cycle_to_root(Axis::Cols, d, |i, j, q, v| v.get(d, i, j, q).is_some());
+        net.cycle_to_root(Axis::Cols, d, |_, _, _, _| Sel::Valid(d));
         net.end_phase();
     });
 

@@ -18,7 +18,7 @@
 //! vertex id in its component, which the tests check against a union–find
 //! reference.
 
-use super::super::{all, Axis, Otn, PhaseCost};
+use super::super::{all, Axis, Otn, PhaseCost, Sel};
 use super::{count_label_changes, ChangeCounter, Labels};
 use crate::grid::Grid;
 use crate::word::Word;
@@ -118,9 +118,9 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
         net.min_to_leaf(
             Axis::Cols,
             cfull,
-            move |i, j, v| v.get(drow, i, j) == Some(j as Word),
+            move |_, _, _| Sel::EqCol(drow),
             lreg,
-            |i, j, _| i == j,
+            |_, _, _| Sel::Diagonal,
         );
         // 3) members adopt their group's new label.
         labels.adopt(net, lreg);

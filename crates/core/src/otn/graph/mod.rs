@@ -21,7 +21,7 @@ pub mod closure;
 pub mod mst;
 pub mod triangles;
 
-use super::{all, Axis, Otn, PhaseCost, Reg};
+use super::{all, Axis, Otn, PhaseCost, Reg, Sel};
 use crate::word::Word;
 
 /// The register triple every label-manipulating algorithm keeps:
@@ -50,8 +50,8 @@ impl Labels {
     /// Re-broadcasts `D` along rows and columns (2 `LEAFTOLEAF`s).
     pub fn refresh(&self, net: &mut Otn) {
         let (d, drow, dcol) = (self.d, self.drow, self.dcol);
-        net.leaf_to_leaf(Axis::Rows, d, |i, j, _| i == j, drow, all);
-        net.leaf_to_leaf(Axis::Cols, d, |i, j, _| i == j, dcol, all);
+        net.leaf_to_leaf(Axis::Rows, d, |_, _, _| Sel::Diagonal, drow, all);
+        net.leaf_to_leaf(Axis::Cols, d, |_, _, _| Sel::Diagonal, dcol, all);
     }
 
     /// One pointer-jump `D(v) := D(D(v))`: with `drow`/`dcol` fresh, row
@@ -61,9 +61,9 @@ impl Labels {
         net.leaf_to_leaf(
             Axis::Rows,
             dcol,
-            move |i, j, v| v.get(drow, i, j) == Some(j as Word),
+            move |_, _, _| Sel::EqCol(drow),
             d,
-            |i, j, _| i == j,
+            |_, _, _| Sel::Diagonal,
         );
     }
 
@@ -82,7 +82,7 @@ impl Labels {
     /// emit it).
     pub fn read(&self, net: &mut Otn) -> Vec<Word> {
         let d = self.d;
-        net.leaf_to_root(Axis::Cols, d, |i, j, _| i == j);
+        net.leaf_to_root(Axis::Cols, d, |_, _, _| Sel::Diagonal);
         net.roots(Axis::Cols).iter().map(|v| v.expect("every vertex has a label")).collect()
     }
 
@@ -92,14 +92,14 @@ impl Labels {
     pub fn adopt(&self, net: &mut Otn, lreg: Reg) {
         let (d, drow, lcol, fetched) = (self.d, self.drow, self.lcol, self.lfetch);
         // L(u) to every BP of column u…
-        net.leaf_to_leaf(Axis::Cols, lreg, |i, j, _| i == j, lcol, all);
+        net.leaf_to_leaf(Axis::Cols, lreg, |_, _, _| Sel::Diagonal, lcol, all);
         // …then row v fetches L(D(v)) into a temporary at the diagonal…
         net.leaf_to_leaf(
             Axis::Rows,
             lcol,
-            move |i, j, v| v.get(drow, i, j) == Some(j as Word),
+            move |_, _, _| Sel::EqCol(drow),
             fetched,
-            |i, j, _| i == j,
+            |_, _, _| Sel::Diagonal,
         );
         // …and adopts it unless NULL.
         net.bp_phase(PhaseCost::Compare, |i, j, bp| {
@@ -141,7 +141,7 @@ pub(crate) fn count_label_changes(
         bp.set(chflag, Some(Word::from(f)));
     });
     // Column counts land in row 0, then row tree 0 counts the columns.
-    net.count_to_leaf(Axis::Cols, chflag, colcount, |i, _, _| i == 0);
+    net.count_to_leaf(Axis::Cols, chflag, colcount, |_, _, _| Sel::Row(0));
     net.count_to_root(Axis::Rows, colcount);
     net.roots(Axis::Rows)[0].expect("COUNT roots are never NULL") as u64
 }

@@ -13,7 +13,7 @@
 //! (paper §VI.B: "the area goes down to O(N² log N) … because the entire
 //! N × N weight matrix must be stored on the chip").
 
-use super::super::{all, Axis, Otn, PhaseCost};
+use super::super::{all, Axis, Otn, PhaseCost, Sel};
 use super::Labels;
 use crate::grid::Grid;
 use crate::word::{pack, unpack, Word};
@@ -118,22 +118,22 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
         net.min_to_leaf(
             Axis::Cols,
             cmin,
-            move |i, j, v| v.get(drow, i, j) == Some(j as Word),
+            move |_, _, _| Sel::EqCol(drow),
             compmin,
-            |i, j, _| i == j,
+            |_, _, _| Sel::Diagonal,
         );
         // 4) termination: any component with an outgoing edge left?
         net.bp_phase(PhaseCost::Bit, |i, j, bp| {
             let f = i == j && bp.get(compmin).is_some();
             bp.set(have, Some(Word::from(f)));
         });
-        net.count_to_leaf(Axis::Cols, have, havecnt, |i, _, _| i == 0);
+        net.count_to_leaf(Axis::Cols, have, havecnt, |_, _, _| Sel::Row(0));
         net.count_to_root(Axis::Rows, havecnt);
         if net.roots(Axis::Rows)[0] == Some(0) {
             break;
         }
         // 5) emit the chosen edges through the column roots.
-        net.leaf_to_root(Axis::Cols, compmin, |i, j, _| i == j);
+        net.leaf_to_root(Axis::Cols, compmin, |_, _, _| Sel::Diagonal);
         let chosen: Vec<Option<Word>> = net.roots(Axis::Cols).to_vec();
         for packed in chosen.into_iter().flatten() {
             let (w, eid) = unpack(packed, nn * nn);
@@ -149,7 +149,7 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
         //    outside, but the outside endpoint is recognisable on-network:
         //    it is the one whose column label differs from this row's
         //    component label.
-        net.leaf_to_leaf(Axis::Rows, compmin, |i, j, _| i == j, cmrow, all);
+        net.leaf_to_leaf(Axis::Rows, compmin, |_, _, _| Sel::Diagonal, cmrow, all);
         net.bp_phase(PhaseCost::Words(2), move |_, j, bp| {
             let h = match (bp.get(cmrow), bp.get(drow), bp.get(dcol)) {
                 (Some(p), Some(dv), Some(du)) => {
@@ -165,17 +165,17 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
             };
             bp.set(hookval, h);
         });
-        net.min_to_leaf(Axis::Rows, hookval, all, lreg, |i, j, _| i == j);
+        net.min_to_leaf(Axis::Rows, hookval, all, lreg, |_, _, _| Sel::Diagonal);
         // 7) break 2-cycles: fetch LL(w) = L(L(w)); if LL(w) = w, the
         //    smaller label becomes the root.
-        net.leaf_to_leaf(Axis::Rows, lreg, |i, j, _| i == j, lrow, all);
-        net.leaf_to_leaf(Axis::Cols, lreg, |i, j, _| i == j, lcol, all);
+        net.leaf_to_leaf(Axis::Rows, lreg, |_, _, _| Sel::Diagonal, lrow, all);
+        net.leaf_to_leaf(Axis::Cols, lreg, |_, _, _| Sel::Diagonal, lcol, all);
         net.leaf_to_leaf(
             Axis::Rows,
             lcol,
-            move |i, j, v| v.get(lrow, i, j) == Some(j as Word),
+            move |_, _, _| Sel::EqCol(lrow),
             llreg,
-            |i, j, _| i == j,
+            |_, _, _| Sel::Diagonal,
         );
         let d = labels.d;
         net.bp_phase(PhaseCost::Compare, move |i, j, bp| {

@@ -89,10 +89,12 @@ pub mod checkpoint {
     }
 }
 
+use crate::bitset::Plane;
 use crate::word::Word;
-use crate::wordnet::{Tree, View, WordNet};
+use crate::wordnet::{per_cell, Tree, View, WordNet};
 use orthotrees_vlsi::{log2_ceil, BitTime, CostModel, ModelError};
 
+pub use crate::select::{Pick, Sel};
 pub use crate::wordnet::{Axis, PhaseCost, Reg};
 
 /// The orthogonal trees network: the word-level core with one BP per cell.
@@ -113,26 +115,28 @@ impl RegsView<'_> {
     /// Panics if the register or coordinates are out of range.
     #[inline]
     pub fn get(&self, r: Reg, row: usize, col: usize) -> Option<Word> {
-        self.regs[r.0][row * self.cols + col]
+        self.word(r, row, col, 0)
     }
 }
 
 /// Per-BP register access during a compute phase.
 pub struct BpRegs<'a> {
-    regs: &'a mut [Vec<Option<Word>>],
+    regs: &'a mut [Plane],
     /// This BP's flat row-major cell index in every plane.
     at: usize,
 }
 
 impl BpRegs<'_> {
     /// This BP's value of register `r`.
+    #[inline]
     pub fn get(&self, r: Reg) -> Option<Word> {
-        self.regs[r.0][self.at]
+        self.regs[r.0].get(self.at)
     }
 
     /// Sets this BP's register `r`.
+    #[inline]
     pub fn set(&mut self, r: Reg, v: Option<Word>) {
-        self.regs[r.0][self.at] = v;
+        self.regs[r.0].set(self.at, v);
     }
 }
 
@@ -224,16 +228,19 @@ impl Otn {
     /// Loads a full register plane from `f(row, col)` (initial operand
     /// placement).
     pub fn load_reg(&mut self, r: Reg, mut f: impl FnMut(usize, usize) -> Option<Word>) {
-        let cols = self.cols;
-        for (i, row) in self.regs[r.0].chunks_mut(cols).enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = f(i, j);
-            }
+        let (rows, cols) = (self.rows, self.cols);
+        let plane = &mut self.regs[r.0];
+        for k in 0..rows * cols {
+            plane.set(k, f(k / cols, k % cols));
         }
-        self.clock.stats_mut().inputs += (self.rows * cols) as u64;
+        self.clock.stats_mut().inputs += (rows * cols) as u64;
     }
 
     /// Reads one register value (host-side inspection, free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register or coordinates are out of range.
     pub fn peek(&self, r: Reg, row: usize, col: usize) -> Option<Word> {
         self.view().get(r, row, col)
     }
@@ -242,8 +249,17 @@ impl Otn {
     /// primitive implementations whose cost is charged explicitly (e.g.
     /// the scan primitives in [`prefix`]); algorithms should use
     /// [`Otn::bp_phase`] or the communication primitives instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register or coordinates are out of range.
     pub(crate) fn poke(&mut self, r: Reg, row: usize, col: usize, v: Option<Word>) {
-        self.regs[r.0][row * self.cols + col] = v;
+        let (rows, cols) = (self.rows, self.cols);
+        assert!(
+            row < rows && col < cols,
+            "register write at ({row}, {col}) out of range for a {rows} × {cols} grid"
+        );
+        self.regs[r.0].set(row * cols + col, v);
     }
 
     // ------------------------------------------------------------------
@@ -261,11 +277,11 @@ impl Otn {
     /// delivered copy is an independent transit (parity-checked, retried,
     /// possibly erased or silently corrupted), and dark leaves receive
     /// nothing.
-    pub fn root_to_leaf(
+    pub fn root_to_leaf<P: Pick>(
         &mut self,
         axis: Axis,
         dest: Reg,
-        sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        sel: impl Fn(usize, usize, &RegsView<'_>) -> P + Sync,
     ) {
         self.downward("ROOTTOLEAF", axis, dest, &sel);
     }
@@ -284,56 +300,58 @@ impl Otn {
     /// Without a fault plan, panics if a tree has more than one selected
     /// BP — invariant: the paper's Selector "specifies one BP in Vector",
     /// the tree being a single channel.
-    pub fn leaf_to_root(
+    pub fn leaf_to_root<P: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        sel: impl Fn(usize, usize, &RegsView<'_>) -> P + Sync,
     ) {
-        self.upward("LEAFTOROOT", axis, src, &|i, j, _, v: &RegsView<'_>| sel(i, j, v));
+        self.upward("LEAFTOROOT", axis, src, &per_cell(&sel));
     }
 
     /// `COUNT-LEAFTOROOT(Vector)`: each root receives the number of leaves
-    /// whose `flag` register is a non-zero word (§II.B primitive 3).
-    /// Dark leaves contribute nothing under an installed fault plan.
+    /// whose `flag` register is a non-zero word (§II.B primitive 3,
+    /// [`Sel::NonZero`]). Dark leaves contribute nothing under an
+    /// installed fault plan.
     pub fn count_to_root(&mut self, axis: Axis, flag: Reg) {
-        let sel = |i, j, _, v: &RegsView<'_>| matches!(v.get(flag, i, j), Some(w) if w != 0);
-        self.upward("COUNT-LEAFTOROOT", axis, flag, &sel);
+        self.upward("COUNT-LEAFTOROOT", axis, flag, &|_, _, _, _: &RegsView<'_>| {
+            Sel::NonZero(flag)
+        });
     }
 
     /// `SUM-LEAFTOROOT(Vector, Source)`: each root receives the sum of the
     /// selected leaves' `src` registers (`NULL` values contribute nothing;
     /// an empty selection sums to 0).
-    pub fn sum_to_root(
+    pub fn sum_to_root<P: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        sel: impl Fn(usize, usize, &RegsView<'_>) -> P + Sync,
     ) {
-        self.upward("SUM-LEAFTOROOT", axis, src, &|i, j, _, v: &RegsView<'_>| sel(i, j, v));
+        self.upward("SUM-LEAFTOROOT", axis, src, &per_cell(&sel));
     }
 
     /// `MIN-LEAFTOROOT(Vector, Source)`: each root receives the minimum of
     /// the selected leaves' non-`NULL` `src` registers (`NULL` if none).
-    pub fn min_to_root(
+    pub fn min_to_root<P: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        sel: impl Fn(usize, usize, &RegsView<'_>) -> P + Sync,
     ) {
-        self.upward("MIN-LEAFTOROOT", axis, src, &|i, j, _, v: &RegsView<'_>| sel(i, j, v));
+        self.upward("MIN-LEAFTOROOT", axis, src, &per_cell(&sel));
     }
 
     /// `MAX-LEAFTOROOT`: each root receives the maximum of the selected
     /// leaves' non-`NULL` `src` registers (`NULL` if none) — the mirror of
     /// [`Otn::min_to_root`], same MSB-first bit-serial cost.
-    pub fn max_to_root(
+    pub fn max_to_root<P: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        sel: impl Fn(usize, usize, &RegsView<'_>) -> P + Sync,
     ) {
-        self.upward("MAX-LEAFTOROOT", axis, src, &|i, j, _, v: &RegsView<'_>| sel(i, j, v));
+        self.upward("MAX-LEAFTOROOT", axis, src, &per_cell(&sel));
     }
     // ------------------------------------------------------------------
     // Composite operations (§II.B): source primitive + ROOTTOLEAF.
@@ -344,13 +362,13 @@ impl Otn {
     /// # Panics
     ///
     /// Panics on source contention, like [`Otn::leaf_to_root`].
-    pub fn leaf_to_leaf(
+    pub fn leaf_to_leaf<P: Pick, Q: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        src_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        src_sel: impl Fn(usize, usize, &RegsView<'_>) -> P + Sync,
         dest: Reg,
-        dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> Q + Sync,
     ) {
         self.composite("LEAFTOLEAF", |net| {
             net.leaf_to_root(axis, src, src_sel);
@@ -359,12 +377,12 @@ impl Otn {
     }
 
     /// `COUNT-LEAFTOLEAF(Vector, Dest)` (composite 2).
-    pub fn count_to_leaf(
+    pub fn count_to_leaf<Q: Pick>(
         &mut self,
         axis: Axis,
         flag: Reg,
         dest: Reg,
-        dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> Q + Sync,
     ) {
         self.composite("COUNT-LEAFTOLEAF", |net| {
             net.count_to_root(axis, flag);
@@ -373,13 +391,13 @@ impl Otn {
     }
 
     /// `SUM-LEAFTOLEAF(Vector, Source, Dest)` (composite 3).
-    pub fn sum_to_leaf(
+    pub fn sum_to_leaf<P: Pick, Q: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        src_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        src_sel: impl Fn(usize, usize, &RegsView<'_>) -> P + Sync,
         dest: Reg,
-        dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> Q + Sync,
     ) {
         self.composite("SUM-LEAFTOLEAF", |net| {
             net.sum_to_root(axis, src, src_sel);
@@ -388,13 +406,13 @@ impl Otn {
     }
 
     /// `MIN-LEAFTOLEAF(Vector, Source, Dest)`.
-    pub fn min_to_leaf(
+    pub fn min_to_leaf<P: Pick, Q: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        src_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        src_sel: impl Fn(usize, usize, &RegsView<'_>) -> P + Sync,
         dest: Reg,
-        dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> Q + Sync,
     ) {
         self.composite("MIN-LEAFTOLEAF", |net| {
             net.min_to_root(axis, src, src_sel);
@@ -403,13 +421,13 @@ impl Otn {
     }
 
     /// `MAX-LEAFTOLEAF(Vector, Source, Dest)`.
-    pub fn max_to_leaf(
+    pub fn max_to_leaf<P: Pick, Q: Pick>(
         &mut self,
         axis: Axis,
         src: Reg,
-        src_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        src_sel: impl Fn(usize, usize, &RegsView<'_>) -> P + Sync,
         dest: Reg,
-        dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
+        dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> Q + Sync,
     ) {
         self.composite("MAX-LEAFTOLEAF", |net| {
             net.max_to_root(axis, src, src_sel);
@@ -490,7 +508,9 @@ impl Otn {
                 let (ai, aj) = axis.coords(t, l);
                 let (bi, bj) = axis.coords(t, l + dist);
                 let (a, b) = (ai * cols + aj, bi * cols + bj);
-                (plane[a], plane[b]) = f(t, l, plane[a], plane[b]);
+                let (x, y) = f(t, l, plane.get(a), plane.get(b));
+                plane.set(a, x);
+                plane.set(b, y);
             }
         }
         let extra_t = self.phase_cost(extra);
@@ -513,9 +533,10 @@ impl Otn {
     }
 }
 
-/// Selector that accepts every BP — the paper's `all`.
-pub fn all(_row: usize, _col: usize, _view: &RegsView<'_>) -> bool {
-    true
+/// Selector that accepts every BP — the paper's `all`, the built-in
+/// [`Sel::All`] shape.
+pub fn all(_row: usize, _col: usize, _view: &RegsView<'_>) -> Sel {
+    Sel::All
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! uses the index tie-break the paper gives:
 //! `A > B or (A = B and i > j)`.
 
-use super::{all, Axis, Otn, PhaseCost};
+use super::{all, Axis, Otn, PhaseCost, Sel};
 use crate::word::Word;
 use orthotrees_vlsi::{BitTime, ModelError, OpStats};
 
@@ -77,7 +77,7 @@ pub fn sort(net: &mut Otn, xs: &[Word]) -> Result<SortOutcome, ModelError> {
         net.root_to_leaf(Axis::Rows, a, all);
         // 2) via column tree i, the diagonal BP's A (= x(i)) reaches every
         //    BP of column i: B(i,j) = x(j).
-        net.leaf_to_leaf(Axis::Cols, a, |i, j, _| i == j, b, all);
+        net.leaf_to_leaf(Axis::Cols, a, |_, _, _| Sel::Diagonal, b, all);
         // 3) all N² comparisons in one parallel word-compare.
         net.bp_phase(PhaseCost::Compare, |i, j, bp| {
             let f = match (bp.get(a), bp.get(b)) {
@@ -89,7 +89,7 @@ pub fn sort(net: &mut Otn, xs: &[Word]) -> Result<SortOutcome, ModelError> {
         // 4) rank of x(i) at every BP of row i.
         net.count_to_leaf(Axis::Rows, flag, r, all);
         // 5) column tree i extracts the element of rank i.
-        net.leaf_to_root(Axis::Cols, a, |i, j, v| v.get(r, i, j) == Some(j as Word));
+        net.leaf_to_root(Axis::Cols, a, move |_, _, _| Sel::EqCol(r));
         net.end_phase();
     });
 
@@ -151,7 +151,7 @@ pub fn select_kth(net: &mut Otn, xs: &[Word], k: usize) -> Result<SelectOutcome,
     net.load_row_roots(xs);
     let (_, time) = net.elapsed(|net| {
         net.root_to_leaf(Axis::Rows, a, all);
-        net.leaf_to_leaf(Axis::Cols, a, |i, j, _| i == j, b, all);
+        net.leaf_to_leaf(Axis::Cols, a, |_, _, _| Sel::Diagonal, b, all);
         net.bp_phase(PhaseCost::Compare, |i, j, bp| {
             let f = match (bp.get(a), bp.get(b)) {
                 (Some(x), Some(y)) => x > y || (x == y && i > j),

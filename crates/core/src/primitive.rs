@@ -384,48 +384,65 @@ pub enum ParallelPolicy {
     Threads,
 }
 
-/// Refills `mask` with `rows × row_len` entries in row-major order: `f(row,
-/// out)` fills row `row`'s slice `out`. The buffer is cleared and reused, so
-/// a caller that keeps it across calls allocates only on growth. Under
-/// [`ParallelPolicy::Threads`] the rows are split into contiguous bands, one
-/// per scoped worker (up to the machine's available parallelism); a panic in
-/// a worker (e.g. a selector assertion) is re-raised on the caller with its
-/// original payload.
+/// Fills the packed `mask` (`bits` bits, 64 to a word) from `f`, one
+/// verdict per *unit* of `stride` consecutive bits: `f(unit)` decides bits
+/// `unit · stride .. (unit + 1) · stride`. `stride` is a power of two, and
+/// `bits` a multiple of it. Every word of `mask` is overwritten. Under
+/// [`ParallelPolicy::Threads`] the words are split into contiguous bands,
+/// one per scoped worker (up to the machine's available parallelism); a
+/// panic in a worker (e.g. a selector assertion) is re-raised on the caller
+/// with its original payload.
 pub(crate) fn fill_mask(
     policy: ParallelPolicy,
-    mask: &mut Vec<bool>,
-    rows: usize,
-    row_len: usize,
-    f: impl Fn(usize, &mut [bool]) + Sync,
+    mask: &mut [u64],
+    bits: usize,
+    stride: usize,
+    f: impl Fn(usize) -> bool + Sync,
 ) {
-    mask.clear();
-    mask.resize(rows * row_len, false);
-    if row_len == 0 {
-        return;
-    }
+    // Word `w` holds whole units when `stride ≤ 64`; a longer unit spans
+    // whole words and is asked once per word.
+    let word =
+        |w: usize| -> u64 {
+            let lo = w * 64;
+            let n = bits.saturating_sub(lo).min(64);
+            if stride == 1 {
+                return (0..n).fold(0, |m, b| m | u64::from(f(lo + b)) << b);
+            }
+            if stride >= 64 {
+                return if n > 0 && f(lo / stride) { crate::bitset::low_bits(n) } else { 0 };
+            }
+            let ones = crate::bitset::low_bits(stride);
+            (0..n).step_by(stride).zip(lo / stride..).fold(0, |m, (s, unit)| {
+                if f(unit) {
+                    m | ones << s
+                } else {
+                    m
+                }
+            })
+        };
     let workers = match policy {
         ParallelPolicy::Sequential => 1,
         ParallelPolicy::Threads => std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
-            .min(rows),
+            .min(mask.len()),
     };
     if workers <= 1 {
-        for (row, out) in mask.chunks_mut(row_len).enumerate() {
-            f(row, out);
+        for (w, out) in mask.iter_mut().enumerate() {
+            *out = word(w);
         }
         return;
     }
-    let band = rows.div_ceil(workers);
+    let band = mask.len().div_ceil(workers);
     std::thread::scope(|scope| {
-        let f = &f;
+        let word = &word;
         let handles: Vec<_> = mask
-            .chunks_mut(band * row_len)
+            .chunks_mut(band)
             .enumerate()
-            .map(|(w, chunk)| {
+            .map(|(b, chunk)| {
                 scope.spawn(move || {
-                    for (k, out) in chunk.chunks_mut(row_len).enumerate() {
-                        f(w * band + k, out);
+                    for (k, out) in chunk.iter_mut().enumerate() {
+                        *out = word(b * band + k);
                     }
                 })
             })
@@ -634,39 +651,39 @@ mod tests {
 
     #[test]
     fn fill_mask_fills_rows_in_order_under_both_policies() {
-        let mut mask = Vec::new();
         for policy in [ParallelPolicy::Sequential, ParallelPolicy::Threads] {
-            for (rows, row_len) in [(0usize, 4usize), (1, 1), (2, 3), (7, 5), (64, 8), (3, 0)] {
-                fill_mask(policy, &mut mask, rows, row_len, |i, out| {
-                    for (j, m) in out.iter_mut().enumerate() {
-                        *m = (i * 3 + j) % 4 == 0;
-                    }
-                });
-                let want: Vec<bool> = (0..rows)
-                    .flat_map(|i| (0..row_len).map(move |j| (i * 3 + j) % 4 == 0))
-                    .collect();
-                assert_eq!(mask, want, "{policy:?} over {rows}×{row_len}");
+            for (bits, stride) in [(0usize, 1usize), (1, 1), (6, 2), (64, 1), (320, 4), (512, 128)]
+            {
+                let mut mask = vec![u64::MAX; bits.div_ceil(64)];
+                fill_mask(policy, &mut mask, bits, stride, |u| (u * 3) % 4 == 0);
+                let got: Vec<bool> = (0..bits).map(|k| crate::bitset::test(&mask, k)).collect();
+                let want: Vec<bool> = (0..bits).map(|k| (k / stride * 3) % 4 == 0).collect();
+                assert_eq!(got, want, "{policy:?} over {bits} bits in units of {stride}");
+                if bits % 64 != 0 {
+                    assert_eq!(mask[bits / 64] >> (bits % 64), 0, "no bit past the last");
+                }
             }
         }
     }
 
     #[test]
     fn fill_mask_reuses_its_buffer() {
-        let mut mask = Vec::new();
-        fill_mask(ParallelPolicy::Sequential, &mut mask, 8, 8, |_, out| out.fill(true));
+        let mut mask = vec![0; 4];
+        fill_mask(ParallelPolicy::Sequential, &mut mask, 256, 1, |_| true);
         let (ptr, cap) = (mask.as_ptr(), mask.capacity());
-        fill_mask(ParallelPolicy::Sequential, &mut mask, 4, 8, |_, out| out.fill(false));
-        assert_eq!((mask.as_ptr(), mask.capacity()), (ptr, cap), "no reallocation on reuse");
-        assert_eq!(mask, vec![false; 32], "stale entries are cleared");
+        assert_eq!(mask, vec![u64::MAX; 4]);
+        fill_mask(ParallelPolicy::Sequential, &mut mask, 256, 8, |_| false);
+        assert_eq!((mask.as_ptr(), mask.capacity()), (ptr, cap), "filled in place");
+        assert_eq!(mask, vec![0; 4], "stale bits are overwritten");
     }
 
     #[test]
     #[should_panic(expected = "synthetic contention")]
     fn fill_mask_reraises_worker_panics_verbatim() {
-        let mut mask = Vec::new();
-        fill_mask(ParallelPolicy::Threads, &mut mask, 8, 4, |i, out| {
-            assert!(i != 5, "synthetic contention in row {i}");
-            out.fill(true);
+        let mut mask = vec![0; 8];
+        fill_mask(ParallelPolicy::Threads, &mut mask, 512, 16, |u| {
+            assert!(u != 29, "synthetic contention in unit {u}");
+            true
         });
     }
 }

@@ -82,7 +82,9 @@ pub(crate) struct FaultState {
     pub stats: FaultStats,
     pub report: FaultReport,
     /// Dark-leaf membership as dense masks `[tree][leaf]`, one per axis,
-    /// so primitives don't scan the report per word.
+    /// so a leaf cut off by several dead IPs is reported once. The
+    /// executors read dark leaves from one bitset per axis built at
+    /// install time (`WordNet::install_fault_plan`).
     dark_rows: Vec<Vec<bool>>,
     dark_cols: Vec<Vec<bool>>,
     /// Largest rerouted subtree span per axis (0 = no reroute): the worst
@@ -162,15 +164,6 @@ impl FaultState {
                 }
             }
         }
-    }
-
-    /// Whether `leaf` of `tree` along `axis` has no path to its root.
-    pub fn is_dark(&self, axis: Axis, tree: usize, leaf: usize) -> bool {
-        let masks = match axis {
-            Axis::Rows => &self.dark_rows,
-            Axis::Cols => &self.dark_cols,
-        };
-        masks.get(tree).is_some_and(|t| t.get(leaf).copied().unwrap_or(false))
     }
 
     /// Starts a new transit round (call once per faultable primitive).
@@ -339,7 +332,7 @@ mod tests {
         assert_eq!(fs.report.rerouted.len(), 1);
         assert!(fs.report.dark.is_empty());
         assert_eq!(fs.reroute_span[0], 2);
-        assert!(!fs.is_dark(Axis::Rows, 2, 0));
+        assert!(!fs.report.is_dark(Axis::Rows, 2, 0));
     }
 
     #[test]
@@ -354,8 +347,8 @@ mod tests {
         assert!(fs.report.rerouted.is_empty());
         assert_eq!(fs.report.dark.len(), 8, "both 4-leaf subtrees dark");
         for leaf in 0..8 {
-            assert!(fs.is_dark(Axis::Cols, 1, leaf));
-            assert!(!fs.is_dark(Axis::Cols, 2, leaf), "other trees unaffected");
+            assert!(fs.report.is_dark(Axis::Cols, 1, leaf));
+            assert!(!fs.report.is_dark(Axis::Cols, 2, leaf), "other trees unaffected");
         }
     }
 
@@ -365,7 +358,7 @@ mod tests {
         let plan = FaultPlan::new(0).with_dead_ip(TreeAxis::Rows, 0, 3, 0);
         let fs = FaultState::new(plan, 4, 8, 4, 8);
         assert_eq!(fs.report.dark.len(), 8);
-        assert!((0..8).all(|l| fs.is_dark(Axis::Rows, 0, l)));
+        assert!((0..8).all(|l| fs.report.is_dark(Axis::Rows, 0, l)));
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //! paper's names and selector shapes, and the topology-specific phases)
 //! are thin `impl` blocks in [`otn`](crate::otn) and [`otc`](crate::otc).
 
+use crate::bitset::{self, Plane};
 use crate::dflow::FlowShape;
-use crate::primitive::{self, Acc, ParallelPolicy, PrimitiveSpec};
+use crate::primitive::{self, Acc, Monoid, ParallelPolicy, PrimitiveSpec};
 use crate::resilience::{self, FaultPlan, FaultReport, FaultState, FaultStats};
+use crate::select::{self, Pick, Sel};
 use crate::word::Word;
 use orthotrees_obs::telemetry::Telemetry;
 use orthotrees_obs::{causal::ReachCell, Recorder};
@@ -171,10 +173,42 @@ pub enum PhaseCost {
 /// ([`RegsView`](crate::otn::RegsView)) and `(i, j, q)` on the OTC
 /// ([`OtcRegsView`](crate::otc::OtcRegsView)).
 pub struct View<'a, T> {
-    pub(crate) regs: &'a [Vec<Option<Word>>],
+    pub(crate) regs: &'a [Plane],
+    pub(crate) rows: usize,
     pub(crate) cols: usize,
     pub(crate) cycle: usize,
     topology: PhantomData<T>,
+}
+
+impl<T: Topology> View<'_, T> {
+    /// Register `r` at base processor `q` of cell `(i, j)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register or any coordinate is out of range.
+    #[inline]
+    pub(crate) fn word(&self, r: Reg, i: usize, j: usize, q: usize) -> Option<Word> {
+        let (rows, cols, cycle) = (self.rows, self.cols, self.cycle);
+        // All three extents are powers of two: one test covers them.
+        let (ishift, jshift, cshift) =
+            (rows.trailing_zeros(), cols.trailing_zeros(), cycle.trailing_zeros());
+        if (i >> ishift | j >> jshift | q >> cshift) != 0 {
+            out_of_range([i, j, q], [rows, cols, cycle]);
+        }
+        self.regs[r.0].get(((i << jshift | j) << cshift) | q)
+    }
+}
+
+/// The panic of a register read at `at` outside a grid of `extent`, kept
+/// out of line so the reads inline.
+#[cold]
+#[inline(never)]
+fn out_of_range(at: [usize; 3], extent: [usize; 3]) -> ! {
+    let ([i, j, q], [rows, cols, cycle]) = (at, extent);
+    panic!(
+        "register read at ({i}, {j}, {q}) out of range for a {rows} × {cols} grid of \
+         {cycle}-position cells"
+    )
 }
 
 /// The word-level network: see the [module documentation](self).
@@ -186,8 +220,9 @@ pub struct WordNet<T: Topology> {
     pub(crate) model: CostModel,
     pub(crate) pitch: u64,
     pub(crate) clock: Clock,
-    /// One flat plane per register, `(i · cols + j) · cycle + q` order.
-    pub(crate) regs: Vec<Vec<Option<Word>>>,
+    /// One plane per register — values plus a validity bitset, flat
+    /// `(i · cols + j) · cycle + q` order.
+    pub(crate) regs: Vec<Plane>,
     pub(crate) reg_names: Vec<&'static str>,
     /// Root ports per [`Axis::index`], flat `tree · cycle + q` order.
     pub(crate) roots: [Vec<Option<Word>>; 2],
@@ -200,11 +235,15 @@ pub struct WordNet<T: Topology> {
     pub(crate) recorder: Option<Recorder>,
     /// Installed streaming telemetry bus; same contract as `recorder`.
     telemetry: Option<Telemetry>,
-    /// How the selection mask of each primitive is filled.
+    /// How a `bool` selector's mask is filled.
     parallel: ParallelPolicy,
-    /// Scratch selection mask of the running primitive, row-major over the
-    /// cells (upward: over every cell position); cleared and reused.
-    mask: Vec<bool>,
+    /// Per [`Axis::index`], the cell positions still wired to their tree
+    /// of that axis under the installed fault plan, as a bitset; empty
+    /// when no leaf of the axis is dark.
+    live: [Vec<u64>; 2],
+    /// Scratch selection mask of the running primitive, one bit per cell
+    /// position; cleared and reused.
+    mask: Vec<u64>,
     /// Scratch per-(tree, stream position) folds of the running upward
     /// primitive; reused.
     accs: Vec<Acc>,
@@ -238,6 +277,7 @@ impl<T: Topology> WordNet<T> {
             recorder: None,
             telemetry: None,
             parallel: ParallelPolicy::default(),
+            live: [Vec::new(), Vec::new()],
             mask: Vec::new(),
             accs: Vec::new(),
             staged: Vec::new(),
@@ -245,11 +285,12 @@ impl<T: Topology> WordNet<T> {
         }
     }
 
-    /// Sets how each primitive fills its selection mask (see
-    /// [`ParallelPolicy`]). Both policies are bit- and clock-identical —
-    /// asserted by property tests. `Threads` parallelises only the mask
-    /// fill and has not been measured faster: SORT at n = 512 ran at
-    /// 0.78–0.98× the sequential speed on a 2-vCPU host.
+    /// Sets how each primitive fills a `bool` selector's mask (see
+    /// [`ParallelPolicy`]; [`Sel`] shapes are filled a word at a time
+    /// either way). Both policies are bit- and clock-identical — asserted
+    /// by property tests. `Threads` parallelises only the mask fill and
+    /// has not been measured faster: SORT at n = 512 ran at 0.78–0.98× the
+    /// sequential speed on a 2-vCPU host.
     pub fn set_parallel_policy(&mut self, policy: ParallelPolicy) {
         self.parallel = policy;
     }
@@ -312,7 +353,7 @@ impl<T: Topology> WordNet<T> {
     /// Allocates a fresh register plane (one word per base processor,
     /// initially all `NULL`).
     pub fn alloc_reg(&mut self, name: &'static str) -> Reg {
-        self.regs.push(vec![None; self.rows * self.cols * self.cycle]);
+        self.regs.push(Plane::new(self.cells()));
         self.reg_names.push(name);
         Reg(self.regs.len() - 1)
     }
@@ -326,6 +367,13 @@ impl<T: Topology> WordNet<T> {
     /// Number of allocated register planes.
     pub fn reg_count(&self) -> usize {
         self.regs.len()
+    }
+
+    /// Base processors in the grid: one bit of every mask per cell
+    /// position.
+    #[inline]
+    pub(crate) fn cells(&self) -> usize {
+        self.rows * self.cols * self.cycle
     }
 
     /// Number of leaves of one tree of `axis`.
@@ -351,7 +399,13 @@ impl<T: Topology> WordNet<T> {
 
     /// The read-only register view selectors and staged phases see.
     pub(crate) fn view(&self) -> View<'_, T> {
-        View { regs: &self.regs, cols: self.cols, cycle: self.cycle, topology: PhantomData }
+        View {
+            regs: &self.regs,
+            rows: self.rows,
+            cols: self.cols,
+            cycle: self.cycle,
+            topology: PhantomData,
+        }
     }
 
     /// Advances the clock by `expected` while recording its causal
@@ -439,6 +493,19 @@ impl<T: Topology> WordNet<T> {
     /// went dark.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) -> &FaultReport {
         let state = FaultState::new(plan, self.rows, self.cols, self.cols, self.rows);
+        let (cells, cols, cycle) = (self.cells(), self.cols, self.cycle);
+        for (live, axis) in self.live.iter_mut().zip([Axis::Rows, Axis::Cols]) {
+            live.clear();
+            let mut dark = state.report.dark.iter().filter(|d| d.axis == axis).peekable();
+            if dark.peek().is_some() {
+                live.resize(bitset::words(cells), 0);
+                bitset::fill(live, cells);
+                for d in dark {
+                    let (i, j) = axis.coords(d.tree, d.leaf);
+                    bitset::assign_range(live, (i * cols + j) * cycle, cycle, false);
+                }
+            }
+        }
         &self.fault.insert(state).report
     }
 
@@ -534,44 +601,41 @@ impl<T: Topology> WordNet<T> {
         self.charge_fault_overhead(axis, attempts, t);
     }
 
-    /// Evaluates `sel(i, j, q) && !dark` into the scratch mask, row-major
-    /// over the cells and — when `PER_POSITION` — over each cell's stream
-    /// positions (otherwise once per cell, `q = 0`), and hands the mask
-    /// out; the caller puts it back when done. Every selector sees the
-    /// register state from before the primitive (gather before scatter).
-    fn select<const PER_POSITION: bool>(
+    /// Fills the scratch mask from `sel` — a [`Sel`] shape a word at a
+    /// time, a `bool` selector at every cell position when `PER_POSITION`
+    /// (otherwise once per cell, `q = 0`) — ANDs out the dark leaves of
+    /// `axis`, and hands the mask out; the caller puts it back when done.
+    /// Every selector sees the register state from before the primitive
+    /// (gather before scatter).
+    fn select<P: Pick, const PER_POSITION: bool>(
         &mut self,
         axis: Axis,
-        sel: &(impl Fn(usize, usize, usize, &View<'_, T>) -> bool + Sync),
-    ) -> Vec<bool> {
+        shape: Option<Sel>,
+        sel: &(impl Fn(usize, usize, usize, &View<'_, T>) -> P + Sync),
+    ) -> Vec<u64> {
         let mut mask = std::mem::take(&mut self.mask);
-        let stride = if PER_POSITION { self.cycle() } else { 1 };
-        let view = self.view();
-        let fault = self.fault.as_ref();
-        primitive::fill_mask(self.parallel, &mut mask, self.rows, self.cols * stride, |i, out| {
-            // A power of two, and a constant 1 on the OTN.
-            let stride = if PER_POSITION { T::cycle(view.cycle) } else { 1 };
-            let shift = stride.trailing_zeros();
-            for (k, on) in out.iter_mut().enumerate() {
-                let j = k >> shift;
-                let (t, l) = axis.coords(i, j);
-                *on = sel(i, j, k & (stride - 1), &view)
-                    && !fault.is_some_and(|f| f.is_dark(axis, t, l));
+        mask.clear();
+        mask.resize(bitset::words(self.cells()), 0);
+        select::fill(shape, sel, &self.view(), self.parallel, PER_POSITION, &mut mask);
+        let live = &self.live[axis.index()];
+        if !live.is_empty() {
+            for (m, l) in mask.iter_mut().zip(live) {
+                *m &= l;
             }
-        });
+        }
         mask
     }
 
     /// Opens a reach round and records one event per cell with a selected
-    /// position in `mask` (`stride` positions per cell), in `(tree, leaf)`
-    /// order — one per cell, not per stream position, as the dataflow
-    /// program abstracts a whole cycle as one leaf cell. `edge(leaf)` names
-    /// its `(from, to)` cells. Does nothing unless reach tracing is on.
+    /// position (`selected(cell)`, cells in row-major order), in
+    /// `(tree, leaf)` order — one per cell, not per stream position, as the
+    /// dataflow program abstracts a whole cycle as one leaf cell.
+    /// `edge(leaf)` names its `(from, to)` cells. Does nothing unless reach
+    /// tracing is on.
     fn emit_reach(
         &mut self,
         axis: Axis,
-        mask: &[bool],
-        stride: usize,
+        selected: impl Fn(usize) -> bool,
         edge: impl Fn(u64) -> (ReachCell, ReachCell),
     ) {
         let (trees, leaves, cols) = (self.trees(axis), self.leaves(axis), self.cols);
@@ -580,7 +644,7 @@ impl<T: Topology> WordNet<T> {
         for t in 0..trees {
             for l in 0..leaves {
                 let (i, j) = axis.coords(t, l);
-                if mask[(i * cols + j) * stride..][..stride].contains(&true) {
+                if selected(i * cols + j) {
                     let (from, to) = edge(l as u64);
                     rec.reach(t as u64, from, to);
                 }
@@ -592,13 +656,15 @@ impl<T: Topology> WordNet<T> {
     /// selection mask per cell, then transits and writes the root words of
     /// each selected cell's tree — stream position `q` to base processor
     /// `q` — in memory order, then charges the registry cost. Fault draws
-    /// are keyed by site and round, so the write order changes no word.
-    pub(crate) fn downward(
+    /// are keyed by site and round, so the write order changes no word. A
+    /// fault-free [`Sel::All`] broadcast skips the mask and writes whole
+    /// rows.
+    pub(crate) fn downward<P: Pick>(
         &mut self,
         name: &str,
         axis: Axis,
         dest: Reg,
-        sel: &(impl Fn(usize, usize, &View<'_, T>) -> bool + Sync),
+        sel: &(impl Fn(usize, usize, &View<'_, T>) -> P + Sync),
     ) {
         let spec = primitive::spec_for(name);
         debug_assert!(
@@ -608,58 +674,119 @@ impl<T: Topology> WordNet<T> {
             T::DOWN
         );
         self.begin_phase(spec.name);
-        let mask = self.select::<false>(axis, &|i, j, _, view| sel(i, j, view));
-        self.begin_fault_round();
-        let (cols, cycle, width) = (self.cols, self.cycle(), self.model.word_bits);
-        let roots = &self.roots[axis.index()];
-        let mut fault = self.fault.as_mut();
-        let plane = self.regs[dest.0].as_mut_slice();
+        let sel = per_cell(sel);
+        let shape = select::shape_of(&sel, &self.view());
+        let (cycle, width) = (self.cycle(), self.model.word_bits);
         let mut attempts = 0;
-        for (i, (on_row, row)) in mask.chunks(cols).zip(plane.chunks_mut(cols * cycle)).enumerate()
-        {
-            for (j, (_, block)) in on_row
-                .iter()
-                .zip(row.chunks_exact_mut(cycle))
-                .enumerate()
-                .filter(|(_, (&on, _))| on)
-            {
-                let (t, l) = axis.coords(i, j);
-                for (q, cell) in block.iter_mut().enumerate() {
-                    let word = roots[t * cycle + q];
-                    *cell = match &mut fault {
-                        Some(f) => {
-                            let site = resilience::site(axis, t, l * cycle + q);
-                            let (v, att) = f.transit(site, word, width);
-                            attempts = attempts.max(att);
-                            v
-                        }
-                        None => word,
-                    };
-                }
+        let mask = match shape {
+            Some(Sel::All) if self.fault.is_none() => None,
+            _ => Some(self.select::<P, false>(axis, shape, &sel)),
+        };
+        let everywhere = mask.as_ref().is_none_or(|m| bitset::all_set(m, self.cells()));
+        if everywhere && self.fault.is_none() {
+            self.broadcast_all(axis, dest);
+            let cells = self.rows * self.cols;
+            self.emit_reach(
+                axis,
+                |c| c < cells,
+                |leaf| (ReachCell::Root, ReachCell::Reg { reg: dest.0 as u64, leaf }),
+            );
+            if let Some(mask) = mask {
+                self.mask = mask;
             }
+        } else {
+            let mask = mask.expect("a fault plan or a partial selection fills the mask");
+            self.begin_fault_round();
+            // Column counts and cycle lengths are powers of two.
+            let (cols, shift, jshift) =
+                (self.cols, cycle.trailing_zeros(), self.cols.trailing_zeros());
+            let roots = &self.roots[axis.index()];
+            let mut fault = self.fault.as_mut();
+            self.regs[dest.0].scatter(&mask, |k| {
+                let cell = k >> shift;
+                let q = k & (cycle - 1);
+                let (t, l) = axis.coords(cell >> jshift, cell & (cols - 1));
+                let word = roots[t * cycle + q];
+                match &mut fault {
+                    Some(f) => {
+                        let site = resilience::site(axis, t, l * cycle + q);
+                        let (v, att) = f.transit(site, word, width);
+                        attempts = attempts.max(att);
+                        v
+                    }
+                    None => word,
+                }
+            });
+            self.emit_reach(
+                axis,
+                |c| bitset::test(&mask, c * cycle),
+                |leaf| (ReachCell::Root, ReachCell::Reg { reg: dest.0 as u64, leaf }),
+            );
+            self.mask = mask;
         }
-        self.emit_reach(axis, &mask, 1, |leaf| {
-            (ReachCell::Root, ReachCell::Reg { reg: dest.0 as u64, leaf })
-        });
-        self.mask = mask;
         self.charge_primitive(spec, axis, attempts);
         self.end_phase();
+    }
+
+    /// Writes every cell of `dest` from its tree's root words, fault-free,
+    /// in one pass: row `i`'s first cell takes row tree `i`'s stream, or
+    /// the first row takes the column trees' streams side by side, and
+    /// doubling copies repeat it across the row or down the rows.
+    fn broadcast_all(&mut self, axis: Axis, dest: Reg) {
+        let (rows, cols, cycle) = (self.rows, self.cols, self.cycle());
+        let roots = &self.roots[axis.index()];
+        let stream = |w: &Option<Word>| w.unwrap_or(0) as u64;
+        // Appends `buf[start..]` to itself until it is `len` long (`len`
+        // is a power-of-two multiple of what is there).
+        let repeat = |buf: &mut Vec<u64>, start: usize, len: usize| {
+            while buf.len() - start < len {
+                buf.extend_from_within(start..);
+            }
+        };
+        let cells = rows * cols * cycle;
+        self.regs[dest.0].rewrite(
+            |buf| match axis {
+                Axis::Rows => {
+                    for row in roots.chunks(cycle) {
+                        let start = buf.len();
+                        buf.extend(row.iter().map(stream));
+                        repeat(buf, start, cols * cycle);
+                    }
+                }
+                Axis::Cols => {
+                    let start = buf.len();
+                    buf.extend(roots.iter().map(stream));
+                    repeat(buf, start, cells);
+                }
+            },
+            |valid| {
+                if roots.iter().all(Option::is_some) {
+                    bitset::fill(valid, cells);
+                } else {
+                    for k in 0..cells {
+                        let (cell, q) = (k / cycle, k % cycle);
+                        let t = axis.coords(cell / cols, cell % cols).0;
+                        bitset::assign(valid, k, roots[t * cycle + q].is_some());
+                    }
+                }
+            },
+        );
     }
 
     /// The upward executor (`LEAFTOROOT`, `CYCLETOROOT` and the
     /// aggregates): fills the selection mask per cell position, folds the
     /// selected words in memory order through `spec`'s combine
-    /// [`Monoid`](crate::primitive::Monoid) into one accumulator per tree
-    /// and stream position (each still sees its leaves in increasing
-    /// order, so a degraded `First` keeps the lowest leaf), then transits
-    /// each root-bound word into the root port in place and charges the
-    /// registry cost.
-    pub(crate) fn upward(
+    /// [`Monoid`] into one accumulator per tree and stream position (each
+    /// still sees its leaves in increasing order, so a degraded `First`
+    /// keeps the lowest leaf), then transits each root-bound word into the
+    /// root port in place and charges the registry cost. A `Count` of the
+    /// OTN's row trees is a popcount per row.
+    pub(crate) fn upward<P: Pick>(
         &mut self,
         name: &str,
         axis: Axis,
         src: Reg,
-        sel: &(impl Fn(usize, usize, usize, &View<'_, T>) -> bool + Sync),
+        sel: &(impl Fn(usize, usize, usize, &View<'_, T>) -> P + Sync),
     ) {
         let spec = primitive::spec_for(name);
         // Invariant: aggregate executors are only called with registry
@@ -674,22 +801,25 @@ impl<T: Topology> WordNet<T> {
             T::UP
         );
         self.begin_phase(spec.name);
-        let mask = self.select::<true>(axis, sel);
+        let shape = select::shape_of(sel, &self.view());
+        let mask = self.select::<P, true>(axis, shape, sel);
         let (leaves, cols, cycle, width) =
             (self.leaves(axis), self.cols, self.cycle(), self.model.word_bits);
         // Cycle lengths are powers of two (1 on the OTN, where the shifts
-        // fold away), so position `k` of a row is cell `k >> shift`.
-        let shift = cycle.trailing_zeros();
+        // fold away), so position `k` is cell `k >> shift`.
+        let (shift, jshift) = (cycle.trailing_zeros(), cols.trailing_zeros());
         let degraded = self.fault.is_some();
         let mut accs = std::mem::take(&mut self.accs);
         accs.clear();
         accs.resize(self.trees(axis) * cycle, Acc::new(monoid));
-        let plane = self.regs[src.0].as_slice();
-        for (i, (on_row, row)) in
-            mask.chunks(cols * cycle).zip(plane.chunks(cols * cycle)).enumerate()
-        {
-            for (k, (_, &word)) in on_row.iter().zip(row).enumerate().filter(|(_, (&on, _))| on) {
-                let (t, _) = axis.coords(i, k >> shift);
+        if monoid == Monoid::Count && axis == Axis::Rows && cycle == 1 {
+            for (i, acc) in accs.iter_mut().enumerate() {
+                *acc = Acc::Count(bitset::count_range(&mask, i * cols, cols) as Word);
+            }
+        } else {
+            self.regs[src.0].gather(&mask, |k, word| {
+                let cell = k >> shift;
+                let (t, _) = axis.coords(cell >> jshift, cell & (cols - 1));
                 let q = k & (cycle - 1);
                 // On First contention under faults, the fold keeps the
                 // first word (corrupted ranks legitimately collide); in a
@@ -702,11 +832,13 @@ impl<T: Topology> WordNet<T> {
                         spec.name
                     );
                 });
-            }
+            });
         }
-        self.emit_reach(axis, &mask, cycle, |leaf| {
-            (ReachCell::Reg { reg: src.0 as u64, leaf }, ReachCell::Root)
-        });
+        self.emit_reach(
+            axis,
+            |c| bitset::count_range(&mask, c * cycle, cycle) > 0,
+            |leaf| (ReachCell::Reg { reg: src.0 as u64, leaf }, ReachCell::Root),
+        );
         self.mask = mask;
         self.begin_fault_round();
         let mut attempts = 0;
@@ -758,4 +890,11 @@ impl<T: Topology> WordNet<T> {
         self.end_phase();
         self.clock.stats_mut().leaf_ops += 1;
     }
+}
+
+/// A per-cell selector as a per-position one that ignores the position.
+pub(crate) fn per_cell<T: Topology, P: Pick>(
+    sel: &(impl Fn(usize, usize, &View<'_, T>) -> P + Sync),
+) -> impl Fn(usize, usize, usize, &View<'_, T>) -> P + Sync + '_ {
+    move |i, j, _, view| sel(i, j, view)
 }
