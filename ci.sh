@@ -49,6 +49,14 @@ cargo test --release -q -p orthotrees-bench --test probe_suite -- --ignored full
 # and tests/profile_suite.rs.
 cargo test --release -q -p orthotrees-obs --lib -- --ignored batched_sketch_matches_the_oracle_on_long_streams
 cargo test --release -q -p orthotrees-bench --test profile_suite -- --ignored footprint_identity_sweep
+# Selector identity gate: every built-in Sel shape must be bit-, clock-,
+# stat-, fault- and reach-identical to the closure it stands for, on every
+# word-level executor of both networks. The ignored sweep widens the nets
+# to n = 256 under dense fault plans with dark leaves; see
+# crates/core/src/select.rs. The allocation pin holds both sorts at
+# n = 256 to the recorded allocation counts; see tests/alloc_suite.rs.
+cargo test --release -q -p orthotrees --lib -- --ignored shape_identity_sweep_under_dense_faults
+cargo test --release -q -p orthotrees-bench --test alloc_suite
 # Bounded recovery soak (fixed seed, outage-dense plan, n = 128): must
 # recover within the pinned attempt budget; see tests/recovery_suite.rs.
 cargo test --release -q -p orthotrees-bench --test recovery_suite -- --ignored ci_bounded_soak

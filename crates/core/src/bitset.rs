@@ -45,7 +45,7 @@ pub(crate) fn assign(set: &mut [u64], k: usize, on: bool) {
 /// Sets bits `0..bits` and clears the rest of `set`.
 pub(crate) fn fill(set: &mut [u64], bits: usize) {
     set.fill(u64::MAX);
-    if bits % 64 != 0 {
+    if !bits.is_multiple_of(64) {
         set[bits / 64] = low_bits(bits % 64);
     }
     set[words(bits)..].fill(0);
@@ -95,7 +95,7 @@ pub(crate) fn for_each_one(set: &[u64], mut f: impl FnMut(usize)) {
 /// Whether bits `0..bits` are all set.
 pub(crate) fn all_set(set: &[u64], bits: usize) -> bool {
     set[..bits / 64].iter().all(|&w| w == u64::MAX)
-        && (bits % 64 == 0 || set[bits / 64] == low_bits(bits % 64))
+        && (bits.is_multiple_of(64) || set[bits / 64] == low_bits(bits % 64))
 }
 
 /// Rotates every `block`-bit block of `set` down by one position, the
@@ -132,16 +132,12 @@ pub(crate) fn rotate_blocks(set: &mut [u64], bits: usize, block: usize) {
 /// on first use, by the first whole-plane write ([`Plane::fill`],
 /// [`Plane::rewrite`]) in one pass, or zeroed by the first single-cell
 /// write. The value of a `NULL` cell is kept 0, so a non-zero value
-/// implies a valid one. A plane also knows when every cell holds a word,
-/// as most planes do once written: its reads then skip the validity bit
-/// and its writes of a word leave the bits alone.
+/// implies a valid one.
 #[derive(Clone, Debug)]
 pub(crate) struct Plane {
     cells: usize,
     /// `words(cells)`: where the values start.
     nw: usize,
-    /// Every cell holds a word (all validity bits set).
-    full: bool,
     buf: Vec<u64>,
 }
 
@@ -151,7 +147,7 @@ impl Plane {
         let nw = words(cells);
         let mut buf = Vec::with_capacity(nw + cells);
         buf.resize(nw, 0);
-        Plane { cells, nw, full: cells == 0, buf }
+        Plane { cells, nw, buf }
     }
 
     /// Number of cells.
@@ -178,9 +174,6 @@ impl Plane {
     #[inline]
     pub(crate) fn get(&self, k: usize) -> Option<Word> {
         debug_assert!(k < self.cells, "register cell {k} out of range");
-        if self.full {
-            return Some(self.buf[self.nw + k] as Word);
-        }
         test(&self.buf, k).then(|| self.buf[self.nw + k] as Word)
     }
 
@@ -188,18 +181,19 @@ impl Plane {
     #[inline]
     pub(crate) fn set(&mut self, k: usize, v: Option<Word>) {
         debug_assert!(k < self.cells, "register cell {k} out of range");
-        let nw = self.nw;
-        if self.buf.len() == nw {
-            self.buf.resize(nw + self.cells, 0);
+        if self.buf.len() == self.nw {
+            self.zero_values();
         }
-        self.buf[nw + k] = v.unwrap_or(0) as u64;
-        if self.full && v.is_some() {
-            return;
-        }
-        self.full &= v.is_some();
-        let bit = 1 << (k & 63);
-        let word = &mut self.buf[k >> 6];
-        *word = (*word & !bit) | if v.is_some() { bit } else { 0 };
+        self.buf[self.nw + k] = v.unwrap_or(0) as u64;
+        assign(&mut self.buf, k, v.is_some());
+    }
+
+    /// Writes every value as 0 — before the first single-cell write, kept
+    /// out of line so the writes inline.
+    #[cold]
+    #[inline(never)]
+    fn zero_values(&mut self) {
+        self.buf.resize(self.nw + self.cells, 0);
     }
 
     /// Calls `f(k, word)` for every cell `k` selected in `mask`, in
@@ -207,20 +201,16 @@ impl Plane {
     #[inline]
     pub(crate) fn gather(&self, mask: &[u64], mut f: impl FnMut(usize, Option<Word>)) {
         let (valid, values) = (self.valid(), self.values());
-        if self.full {
-            for_each_one(mask, |k| f(k, Some(values[k] as Word)));
-        } else {
-            for_each_one(mask, |k| f(k, test(valid, k).then(|| values[k] as Word)));
-        }
+        for_each_one(mask, |k| f(k, test(valid, k).then(|| values[k] as Word)));
     }
 
     /// Writes `word(k)` to every cell `k` selected in `mask`, in
     /// increasing order; the validity bits are merged a word at a time.
     #[inline]
     pub(crate) fn scatter(&mut self, mask: &[u64], mut word: impl FnMut(usize) -> Option<Word>) {
-        let (nw, cells) = (self.nw, self.cells);
+        let nw = self.nw;
         if self.buf.len() == nw && mask.iter().any(|&m| m != 0) {
-            self.buf.resize(nw + cells, 0);
+            self.zero_values();
         }
         let (valid, values) = self.buf.split_at_mut(nw);
         for (w, (&m, bits)) in mask.iter().zip(valid.iter_mut()).enumerate() {
@@ -235,7 +225,6 @@ impl Plane {
             }
             *bits = (*bits & !m) | got;
         }
-        self.full = all_set(valid, cells);
     }
 
     /// Sets every cell to `v`.
@@ -264,7 +253,6 @@ impl Plane {
         extend(&mut self.buf);
         assert_eq!(self.buf.len(), nw + cells, "one value per register cell");
         valid(&mut self.buf[..nw]);
-        self.full = all_set(&self.buf[..nw], cells);
     }
 
     /// Rotates every `block`-cell block down by one cell, the lowest
@@ -382,13 +370,10 @@ mod tests {
         plane.rotate_blocks(2);
         assert!(plane.to_words().iter().all(|&w| w == Some(3)));
 
-        assert!(plane.full, "a filled plane is full");
         plane.set(3, None);
-        assert!(!plane.full && plane.get(3).is_none() && plane.get(4) == Some(3));
-        plane.set(3, Some(1));
-        assert!(!plane.full, "fullness is only noticed by whole-plane writes");
-        plane.scatter(&[1 << 3, 0], |_| Some(2));
-        assert!(plane.full && plane.get(3) == Some(2));
+        assert!(plane.get(3).is_none() && plane.get(4) == Some(3));
+        plane.scatter(&[1 << 3 | 1 << 4, 0], |k| (k == 3).then_some(2));
+        assert_eq!((plane.get(3), plane.get(4), plane.get(5)), (Some(2), None, Some(3)));
 
         let mut fresh = Plane::new(70);
         fresh.set(69, Some(-5));

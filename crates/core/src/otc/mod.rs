@@ -665,6 +665,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of range")]
+    fn reads_past_the_last_cycle_position_panic_instead_of_returning_a_neighbour() {
+        // Position 4 of cycle (0, 0) is flat index 4, position 0 of cycle
+        // (0, 1): an unchecked read returns its word.
+        let mut n = net();
+        let b = n.alloc_reg("B");
+        n.load_reg(b, |i, j, q| Some((100 * i + 10 * j + q) as Word));
+        let _ = n.peek(b, 0, 0, 4);
+    }
+
+    #[test]
+    fn clear_reg_zeroes_the_plane_as_one_bit_phase() {
+        let mut n = net();
+        let c = n.alloc_reg("C");
+        n.load_reg(c, |i, _, q| (q != 1).then_some(i as Word + 5));
+        let (_, dt) = n.elapsed(|n| n.clear_reg(c));
+        assert_eq!(dt, n.model().bit_op(), "one bit op for the whole phase");
+        assert_eq!(n.clock().stats().leaf_ops, 1);
+        for (i, j, q) in [(0, 0, 0), (1, 2, 1), (3, 3, 3)] {
+            assert_eq!(n.peek(c, i, j, q), Some(0));
+        }
+    }
+
+    #[test]
     fn bp_phase_writes_through_the_view() {
         let mut n = net();
         let a = n.alloc_reg("A");

@@ -790,6 +790,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of range")]
+    fn reads_past_the_last_column_panic_instead_of_returning_a_neighbour() {
+        // Flat index 0 · 4 + 5 is cell (1, 1): an unchecked read returns
+        // its word, 11.
+        let mut n = net4();
+        let a = n.alloc_reg("A");
+        n.load_reg(a, |i, j| Some((10 * i + j) as Word));
+        let _ = n.peek(a, 0, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn selectors_reading_past_the_last_row_panic() {
+        let mut n = net4();
+        let a = n.alloc_reg("A");
+        n.root_to_leaf(Axis::Rows, a, |_, j, v| v.get(a, 4, j).is_none());
+    }
+
+    #[test]
     fn root_phase_updates_roots_with_charge() {
         let mut n = net4();
         n.set_roots(Axis::Rows, vec![Some(1), Some(2), None, Some(4)]);

@@ -25,12 +25,14 @@
 //!   enumerate the table instead of hand-written lists.
 //!
 //! The table also makes per-tree data independence explicit. Every
-//! executor first evaluates its selector into a reusable selection mask,
-//! then moves words in memory order; [`ParallelPolicy::Threads`] fills that
-//! read-only mask over scoped threads, one band of rows per worker, while
-//! every write, fault transit and clock charge stays on the calling thread
-//! — so the parallel run is bit- and clock-identical to the sequential one
-//! by construction (and property tests assert it).
+//! executor first fills a reusable bitset selection mask from its selector
+//! (a built-in [`Sel`](crate::Sel) shape a word at a time, a `bool`
+//! closure cell by cell), then moves words in memory order;
+//! [`ParallelPolicy::Threads`] fills a closure's read-only mask over scoped
+//! threads, one band of mask words per worker, while every write, fault
+//! transit and clock charge stays on the calling thread — so the parallel
+//! run is bit- and clock-identical to the sequential one by construction
+//! (and property tests assert it).
 
 use crate::Word;
 use orthotrees_vlsi::CostKind;
@@ -369,18 +371,19 @@ pub fn spec_for(name: &str) -> &'static PrimitiveSpec {
     lookup(name).unwrap_or_else(|| panic!("unknown primitive {name:?}: not in the registry"))
 }
 
-/// How a network fills the selection mask of a primitive (the read-only
-/// selector evaluation). Writes, folds, fault transits and clock charges
-/// always run on the calling thread, so both policies are bit- and
-/// clock-identical — asserted by property tests.
+/// How a network fills the selection mask of a primitive from a `bool`
+/// selector (the read-only selector evaluation; [`Sel`](crate::Sel)
+/// shapes are filled a word at a time either way). Writes, folds, fault
+/// transits and clock charges always run on the calling thread, so both
+/// policies are bit- and clock-identical — asserted by property tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ParallelPolicy {
     /// Fill the mask on the calling thread (the default).
     #[default]
     Sequential,
     /// Fill the mask over scoped threads (`std::thread::scope`), one band
-    /// of rows per worker, up to the machine's available parallelism. Only
-    /// engages when the mask has at least two rows.
+    /// of mask words per worker, up to the machine's available
+    /// parallelism. Only engages when the mask has at least two words.
     Threads,
 }
 

@@ -177,6 +177,8 @@ pub struct View<'a, T> {
     pub(crate) rows: usize,
     pub(crate) cols: usize,
     pub(crate) cycle: usize,
+    /// `log₂` of `rows`, `cols` and `cycle` (all powers of two).
+    shifts: [u32; 3],
     topology: PhantomData<T>,
 }
 
@@ -188,12 +190,10 @@ impl<T: Topology> View<'_, T> {
     /// Panics if the register or any coordinate is out of range.
     #[inline]
     pub(crate) fn word(&self, r: Reg, i: usize, j: usize, q: usize) -> Option<Word> {
-        let (rows, cols, cycle) = (self.rows, self.cols, self.cycle);
         // All three extents are powers of two: one test covers them.
-        let (ishift, jshift, cshift) =
-            (rows.trailing_zeros(), cols.trailing_zeros(), cycle.trailing_zeros());
+        let [ishift, jshift, cshift] = self.shifts;
         if (i >> ishift | j >> jshift | q >> cshift) != 0 {
-            out_of_range([i, j, q], [rows, cols, cycle]);
+            out_of_range([i, j, q], [self.rows, self.cols, self.cycle]);
         }
         self.regs[r.0].get(((i << jshift | j) << cshift) | q)
     }
@@ -399,11 +399,13 @@ impl<T: Topology> WordNet<T> {
 
     /// The read-only register view selectors and staged phases see.
     pub(crate) fn view(&self) -> View<'_, T> {
+        let (rows, cols, cycle) = (self.rows, self.cols, self.cycle);
         View {
             regs: &self.regs,
-            rows: self.rows,
-            cols: self.cols,
-            cycle: self.cycle,
+            rows,
+            cols,
+            cycle,
+            shifts: [rows, cols, cycle].map(usize::trailing_zeros),
             topology: PhantomData,
         }
     }

@@ -1,7 +1,8 @@
 //! Allocation pin of the word-level sorts: SORT-OTN and SORT-OTC at
 //! n = 256 may allocate no more often, and request no more bytes, than the
-//! recorded figures. This is the only test in its binary: the counters
-//! are process-wide, so no other test may allocate while it counts.
+//! recorded figures. The binary runs without the test harness, on the main
+//! thread alone: the counters are process-wide, so no other thread may
+//! allocate while they count.
 
 use orthotrees::otc::{self, Otc};
 use orthotrees::otn::{self, Otn};
@@ -22,8 +23,7 @@ const BEFORE: [Counts; 2] = if cfg!(debug_assertions) {
     [Counts { allocs: 35, bytes: 4_275_328 }, Counts { allocs: 124, bytes: 1_208_424 }]
 };
 
-#[test]
-fn sorts_allocate_no_more_than_the_recorded_figures() {
+fn main() {
     let n = 256;
     let xs = workloads::distinct_words(n, 9);
     let mut sorted = xs.clone();
@@ -43,4 +43,5 @@ fn sorts_allocate_no_more_than_the_recorded_figures() {
             "SORT-{name} at n = {n}: {got:?}, recorded {before:?}"
         );
     }
+    println!("alloc_suite: SORT-OTN {otn_counts:?}, SORT-OTC {otc_counts:?} at n = {n}");
 }

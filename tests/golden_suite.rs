@@ -97,14 +97,56 @@ fn sort_otc(n: usize, plan: Option<FaultPlan>) -> Pinned {
     pin(&mut net, |net| otc::sort::sort(net, &xs).unwrap())
 }
 
-/// (case, time, outcome, stats, faults, reach events, reach digest,
-/// checkpoint digest), recorded before the layout change.
-#[rustfmt::skip]
-const PINNED_SORTS: [(&str, u64, u64, u64, u64, usize, u64, u64); 4] = [
-    ("otn clean", 318, 0x6dae_72bd_d1f6_0833, 0x7f32_d85f_59f5_a4b0, 0x6051_2c8d_0d57_98b8, 14432, 0xc605_0641_84fe_c13b, 0x91dc_6008_94ca_5457),
-    ("otn faulty", 1078, 0xb357_1531_0bf0_b7ae, 0x7f32_d85f_59f5_a4b0, 0x2f4f_94dd_337d_a23e, 14330, 0xa008_1a95_8403_ca0d, 0x8a04_ed00_ff91_6647),
-    ("otc clean", 375, 0x6dae_72bd_d1f6_0833, 0xa416_1c16_307a_60ed, 0x6051_2c8d_0d57_98b8, 5192, 0x7193_5d85_ae52_d862, 0xfed2_61b0_e033_1c44),
-    ("otc faulty", 1116, 0x664c_37e0_5329_4039, 0xa416_1c16_307a_60ed, 0x972b_acf1_044d_b267, 5160, 0x9cab_198d_0421_9427, 0x82f4_2f57_4412_bf44),
+/// Each case's figures, recorded before the layout change.
+const PINNED_SORTS: [(&str, Pinned); 4] = [
+    (
+        "otn clean",
+        Pinned {
+            time: 318,
+            outcome: 0x6dae_72bd_d1f6_0833,
+            stats: 0x7f32_d85f_59f5_a4b0,
+            faults: 0x6051_2c8d_0d57_98b8,
+            reach: 14432,
+            reach_digest: 0xc605_0641_84fe_c13b,
+            checkpoint: 0x91dc_6008_94ca_5457,
+        },
+    ),
+    (
+        "otn faulty",
+        Pinned {
+            time: 1078,
+            outcome: 0xb357_1531_0bf0_b7ae,
+            stats: 0x7f32_d85f_59f5_a4b0,
+            faults: 0x2f4f_94dd_337d_a23e,
+            reach: 14330,
+            reach_digest: 0xa008_1a95_8403_ca0d,
+            checkpoint: 0x8a04_ed00_ff91_6647,
+        },
+    ),
+    (
+        "otc clean",
+        Pinned {
+            time: 375,
+            outcome: 0x6dae_72bd_d1f6_0833,
+            stats: 0xa416_1c16_307a_60ed,
+            faults: 0x6051_2c8d_0d57_98b8,
+            reach: 5192,
+            reach_digest: 0x7193_5d85_ae52_d862,
+            checkpoint: 0xfed2_61b0_e033_1c44,
+        },
+    ),
+    (
+        "otc faulty",
+        Pinned {
+            time: 1116,
+            outcome: 0x664c_37e0_5329_4039,
+            stats: 0xa416_1c16_307a_60ed,
+            faults: 0x972b_acf1_044d_b267,
+            reach: 5160,
+            reach_digest: 0x9cab_198d_0421_9427,
+            checkpoint: 0x82f4_2f57_4412_bf44,
+        },
+    ),
 ];
 
 #[test]
@@ -115,12 +157,7 @@ fn sort_runs_match_their_pinned_outputs() {
         ("otc clean", sort_otc(64, None)),
         ("otc faulty", sort_otc(64, Some(dense_plan(5)))),
     ];
-    let want = PINNED_SORTS.map(
-        |(name, time, outcome, stats, faults, reach, reach_digest, checkpoint)| {
-            (name, Pinned { time, outcome, stats, faults, reach, reach_digest, checkpoint })
-        },
-    );
-    assert_eq!(got, want);
+    assert_eq!(got, PINNED_SORTS);
 }
 
 #[test]
