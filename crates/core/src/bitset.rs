@@ -34,12 +34,8 @@ pub(crate) fn test(set: &[u64], k: usize) -> bool {
 /// Sets bit `k` to `on`.
 #[inline]
 pub(crate) fn assign(set: &mut [u64], k: usize, on: bool) {
-    let bit = 1 << (k & 63);
-    if on {
-        set[k >> 6] |= bit;
-    } else {
-        set[k >> 6] &= !bit;
-    }
+    let word = &mut set[k >> 6];
+    *word = (*word & !(1 << (k & 63))) | u64::from(on) << (k & 63);
 }
 
 /// Sets bits `0..bits` and clears the rest of `set`.
@@ -174,7 +170,9 @@ impl Plane {
     #[inline]
     pub(crate) fn get(&self, k: usize) -> Option<Word> {
         debug_assert!(k < self.cells, "register cell {k} out of range");
-        test(&self.buf, k).then(|| self.buf[self.nw + k] as Word)
+        // No values yet means every cell is NULL.
+        let value = *self.buf.get(self.nw + k)?;
+        test(&self.buf, k).then_some(value as Word)
     }
 
     /// Writes cell `k` (below [`Plane::cells`], as for [`Plane::get`]).

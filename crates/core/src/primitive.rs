@@ -387,67 +387,73 @@ pub enum ParallelPolicy {
     Threads,
 }
 
-/// Fills the packed `mask` (`bits` bits, 64 to a word) from `f`, one
-/// verdict per *unit* of `stride` consecutive bits: `f(unit)` decides bits
-/// `unit · stride .. (unit + 1) · stride`. `stride` is a power of two, and
-/// `bits` a multiple of it. Every word of `mask` is overwritten. Under
-/// [`ParallelPolicy::Threads`] the words are split into contiguous bands,
-/// one per scoped worker (up to the machine's available parallelism); a
-/// panic in a worker (e.g. a selector assertion) is re-raised on the caller
-/// with its original payload.
+/// Fills the packed `mask` (64 bits to a word) from `f`, row by row: row
+/// `i` holds `units` units of `stride` consecutive bits each, and `f(i, u)`
+/// decides unit `u` of row `i`. `stride` and `units · stride` are powers of
+/// two. Every word of `mask` is overwritten. Under
+/// [`ParallelPolicy::Threads`] the rows are split into contiguous bands of
+/// whole mask words, one per scoped worker (up to the machine's available
+/// parallelism); a panic in a worker (e.g. a selector assertion) is
+/// re-raised on the caller with its original payload.
 pub(crate) fn fill_mask(
     policy: ParallelPolicy,
     mask: &mut [u64],
-    bits: usize,
+    rows: usize,
+    units: usize,
     stride: usize,
-    f: impl Fn(usize) -> bool + Sync,
+    f: impl Fn(usize, usize) -> bool + Sync,
 ) {
-    // Word `w` holds whole units when `stride ≤ 64`; a longer unit spans
-    // whole words and is asked once per word.
-    let word =
-        |w: usize| -> u64 {
-            let lo = w * 64;
-            let n = bits.saturating_sub(lo).min(64);
-            if stride == 1 {
-                return (0..n).fold(0, |m, b| m | u64::from(f(lo + b)) << b);
-            }
-            if stride >= 64 {
-                return if n > 0 && f(lo / stride) { crate::bitset::low_bits(n) } else { 0 };
-            }
-            let ones = crate::bitset::low_bits(stride);
-            (0..n).step_by(stride).zip(lo / stride..).fold(0, |m, (s, unit)| {
-                if f(unit) {
-                    m | ones << s
-                } else {
-                    m
+    // Fills `out` from rows `first..first + count`: an accumulator takes
+    // `stride` bits per unit and is flushed every 64, as units never
+    // straddle a word unless they are whole words.
+    let band = |first: usize, count: usize, out: &mut [u64]| {
+        let (mut acc, mut n, mut w) = (0, 0, 0);
+        let whole = (stride / 64).max(1);
+        let ones = crate::bitset::low_bits(stride);
+        for i in first..first + count {
+            for u in 0..units {
+                let on = f(i, u);
+                if stride >= 64 {
+                    out[w..w + whole].fill(if on { u64::MAX } else { 0 });
+                    w += whole;
+                    continue;
                 }
-            })
-        };
+                acc |= if on { ones << n } else { 0 };
+                n += stride;
+                if n == 64 {
+                    out[w] = acc;
+                    (acc, n, w) = (0, 0, w + 1);
+                }
+            }
+        }
+        if n > 0 {
+            out[w] = acc;
+        }
+    };
+    let row_bits = units * stride;
+    // Bands of whole words: at least `64 / row_bits` rows each.
+    let step = (64 / row_bits.max(1)).max(1);
     let workers = match policy {
         ParallelPolicy::Sequential => 1,
         ParallelPolicy::Threads => std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
-            .min(mask.len()),
+            .min(rows / step),
     };
     if workers <= 1 {
-        for (w, out) in mask.iter_mut().enumerate() {
-            *out = word(w);
-        }
+        band(0, rows, mask);
         return;
     }
-    let band = mask.len().div_ceil(workers);
+    let band_rows = rows.div_ceil(workers).next_multiple_of(step);
+    let band_words = band_rows * row_bits / 64;
     std::thread::scope(|scope| {
-        let word = &word;
+        let band = &band;
         let handles: Vec<_> = mask
-            .chunks_mut(band)
+            .chunks_mut(band_words)
             .enumerate()
             .map(|(b, chunk)| {
-                scope.spawn(move || {
-                    for (k, out) in chunk.iter_mut().enumerate() {
-                        *out = word(b * band + k);
-                    }
-                })
+                let first = b * band_rows;
+                scope.spawn(move || band(first, band_rows.min(rows - first), chunk))
             })
             .collect();
         for h in handles {
@@ -654,14 +660,23 @@ mod tests {
 
     #[test]
     fn fill_mask_fills_rows_in_order_under_both_policies() {
+        let on = |i: usize, u: usize| (i * 3 + u) % 4 == 0;
         for policy in [ParallelPolicy::Sequential, ParallelPolicy::Threads] {
-            for (bits, stride) in [(0usize, 1usize), (1, 1), (6, 2), (64, 1), (320, 4), (512, 128)]
-            {
+            for (rows, units, stride) in [
+                (0usize, 4usize, 1usize),
+                (1, 1, 1),
+                (3, 2, 2),
+                (64, 1, 1),
+                (5, 16, 4),
+                (4, 1, 128),
+            ] {
+                let bits = rows * units * stride;
                 let mut mask = vec![u64::MAX; bits.div_ceil(64)];
-                fill_mask(policy, &mut mask, bits, stride, |u| (u * 3) % 4 == 0);
+                fill_mask(policy, &mut mask, rows, units, stride, on);
                 let got: Vec<bool> = (0..bits).map(|k| crate::bitset::test(&mask, k)).collect();
-                let want: Vec<bool> = (0..bits).map(|k| (k / stride * 3) % 4 == 0).collect();
-                assert_eq!(got, want, "{policy:?} over {bits} bits in units of {stride}");
+                let want: Vec<bool> =
+                    (0..bits).map(|k| on(k / stride / units, k / stride % units)).collect();
+                assert_eq!(got, want, "{policy:?} over {rows} rows of {units} × {stride} bits");
                 if bits % 64 != 0 {
                     assert_eq!(mask[bits / 64] >> (bits % 64), 0, "no bit past the last");
                 }
@@ -672,10 +687,10 @@ mod tests {
     #[test]
     fn fill_mask_reuses_its_buffer() {
         let mut mask = vec![0; 4];
-        fill_mask(ParallelPolicy::Sequential, &mut mask, 256, 1, |_| true);
+        fill_mask(ParallelPolicy::Sequential, &mut mask, 16, 16, 1, |_, _| true);
         let (ptr, cap) = (mask.as_ptr(), mask.capacity());
         assert_eq!(mask, vec![u64::MAX; 4]);
-        fill_mask(ParallelPolicy::Sequential, &mut mask, 256, 8, |_| false);
+        fill_mask(ParallelPolicy::Sequential, &mut mask, 16, 2, 8, |_, _| false);
         assert_eq!((mask.as_ptr(), mask.capacity()), (ptr, cap), "filled in place");
         assert_eq!(mask, vec![0; 4], "stale bits are overwritten");
     }
@@ -684,8 +699,8 @@ mod tests {
     #[should_panic(expected = "synthetic contention")]
     fn fill_mask_reraises_worker_panics_verbatim() {
         let mut mask = vec![0; 8];
-        fill_mask(ParallelPolicy::Threads, &mut mask, 512, 16, |u| {
-            assert!(u != 29, "synthetic contention in unit {u}");
+        fill_mask(ParallelPolicy::Threads, &mut mask, 32, 16, 1, |i, _| {
+            assert!(i != 29, "synthetic contention in row {i}");
             true
         });
     }

@@ -135,16 +135,18 @@ pub(crate) fn fill<T: Topology, P: Pick>(
     per_position: bool,
     mask: &mut [u64],
 ) {
-    let (cols, cycle) = (view.cols, view.cycle);
+    // A constant 1 on the OTN, where the position arithmetic folds away.
+    let (rows, cols, cycle) = (view.rows, view.cols, T::cycle(view.cycle));
     let stride = if per_position { 1 } else { cycle };
-    // Cycle lengths and column counts are powers of two.
-    let (cshift, jshift) = (cycle.trailing_zeros(), cols.trailing_zeros());
-    let at = |k: usize| (k >> cshift >> jshift, (k >> cshift) & (cols - 1), k & (cycle - 1));
-    let bits = view.rows * cols * cycle;
+    let units = cols * cycle / stride;
+    // Cycle lengths are powers of two: unit `u` of a row is position
+    // `u · stride` of it, in cell `u · stride >> cshift`.
+    let cshift = cycle.trailing_zeros();
+    let bits = rows * cols * cycle;
     let Some(shape) = shape else {
-        primitive::fill_mask(policy, mask, bits, stride, |unit| {
-            let (i, j, q) = at(unit * stride);
-            sel(i, j, q, view).on()
+        primitive::fill_mask(policy, mask, rows, units, stride, |i, u| {
+            let k = u * stride;
+            sel(i, k >> cshift, k & (cycle - 1), view).on()
         });
         return;
     };
@@ -190,11 +192,11 @@ pub(crate) fn fill<T: Topology, P: Pick>(
         }
         Sel::NonZero(r) | Sel::EqCol(r) | Sel::Valid(r) => {
             let plane = reg(r);
-            primitive::fill_mask(ParallelPolicy::Sequential, mask, bits, stride, |unit| {
-                let k = unit * stride;
+            primitive::fill_mask(ParallelPolicy::Sequential, mask, rows, units, stride, |i, u| {
+                let k = i * cols * cycle + u * stride;
                 match (shape, plane.get(k)) {
                     (Sel::NonZero(_), Some(w)) => w != 0,
-                    (Sel::EqCol(_), Some(w)) => w == at(k).1 as Word,
+                    (Sel::EqCol(_), Some(w)) => w == (u * stride >> cshift) as Word,
                     (Sel::Valid(_), word) => word.is_some(),
                     _ => false,
                 }

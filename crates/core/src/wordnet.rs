@@ -177,8 +177,8 @@ pub struct View<'a, T> {
     pub(crate) rows: usize,
     pub(crate) cols: usize,
     pub(crate) cycle: usize,
-    /// `log₂` of `rows`, `cols` and `cycle` (all powers of two).
-    shifts: [u32; 3],
+    /// `log₂` of `rows` and `cols` (both powers of two).
+    shifts: [u32; 2],
     topology: PhantomData<T>,
 }
 
@@ -190,8 +190,10 @@ impl<T: Topology> View<'_, T> {
     /// Panics if the register or any coordinate is out of range.
     #[inline]
     pub(crate) fn word(&self, r: Reg, i: usize, j: usize, q: usize) -> Option<Word> {
-        // All three extents are powers of two: one test covers them.
-        let [ishift, jshift, cshift] = self.shifts;
+        // All three extents are powers of two: one test covers them. The
+        // cycle is a constant 1 on the OTN.
+        let [ishift, jshift] = self.shifts;
+        let cshift = T::cycle(self.cycle).trailing_zeros();
         if (i >> ishift | j >> jshift | q >> cshift) != 0 {
             out_of_range([i, j, q], [self.rows, self.cols, self.cycle]);
         }
@@ -405,7 +407,7 @@ impl<T: Topology> WordNet<T> {
             rows,
             cols,
             cycle,
-            shifts: [rows, cols, cycle].map(usize::trailing_zeros),
+            shifts: [rows, cols].map(usize::trailing_zeros),
             topology: PhantomData,
         }
     }
