@@ -660,7 +660,7 @@ mod tests {
 
     #[test]
     fn fill_mask_fills_rows_in_order_under_both_policies() {
-        let on = |i: usize, u: usize| (i * 3 + u) % 4 == 0;
+        let on = |i: usize, u: usize| (i * 3 + u).is_multiple_of(4);
         for policy in [ParallelPolicy::Sequential, ParallelPolicy::Threads] {
             for (rows, units, stride) in [
                 (0usize, 4usize, 1usize),

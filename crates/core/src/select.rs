@@ -108,27 +108,13 @@ impl Pick for Sel {
     }
 }
 
-/// The shape `sel` names, asked once at the origin; `None` for a `bool`
-/// selector, which is never called here.
-pub(crate) fn shape_of<T, P: Pick>(
-    sel: &impl Fn(usize, usize, usize, &View<'_, T>) -> P,
-    view: &View<'_, T>,
-) -> Option<Sel> {
-    if P::SHAPE {
-        sel(0, 0, 0, view).shape()
-    } else {
-        None
-    }
-}
-
-/// Fills the zeroed `mask` (one bit per cell position of `view`'s grid):
-/// `shape` (from [`shape_of`]) a word at a time, else the `bool` selector
-/// `sel` cell by cell — at every position when `per_position`, else once
-/// per cell at `q = 0` with the verdict copied to all the cell's
-/// positions. Every call sees the register state from before the
+/// Fills the zeroed `mask` (one bit per cell position of `view`'s grid)
+/// from `sel`: a shape, asked once at the origin, a word at a time; a
+/// `bool` selector cell by cell — at every position when `per_position`,
+/// else once per cell at `q = 0` with the verdict copied to all the
+/// cell's positions. Every call sees the register state from before the
 /// primitive.
 pub(crate) fn fill<T: Topology, P: Pick>(
-    shape: Option<Sel>,
     sel: &(impl Fn(usize, usize, usize, &View<'_, T>) -> P + Sync),
     view: &View<'_, T>,
     policy: ParallelPolicy,
@@ -143,6 +129,7 @@ pub(crate) fn fill<T: Topology, P: Pick>(
     // `u · stride` of it, in cell `u · stride >> cshift`.
     let cshift = cycle.trailing_zeros();
     let bits = rows * cols * cycle;
+    let shape = if P::SHAPE { sel(0, 0, 0, view).shape() } else { None };
     let Some(shape) = shape else {
         primitive::fill_mask(policy, mask, rows, units, stride, |i, u| {
             let k = u * stride;
@@ -159,13 +146,13 @@ pub(crate) fn fill<T: Topology, P: Pick>(
             if !on {
                 bitset::fill(mask, bits);
             }
-            for i in 0..view.rows.min(cols) {
+            for i in 0..rows.min(cols) {
                 bitset::assign_range(mask, cell(i, i), cycle, on);
             }
         }
-        Sel::Row(i) if i < view.rows => bitset::assign_range(mask, cell(i, 0), cols * cycle, true),
+        Sel::Row(i) if i < rows => bitset::assign_range(mask, cell(i, 0), cols * cycle, true),
         Sel::Col(j) if j < cols => {
-            for i in 0..view.rows {
+            for i in 0..rows {
                 bitset::assign_range(mask, cell(i, j), cycle, true);
             }
         }
@@ -196,7 +183,7 @@ pub(crate) fn fill<T: Topology, P: Pick>(
                 let k = i * cols * cycle + u * stride;
                 match (shape, plane.get(k)) {
                     (Sel::NonZero(_), Some(w)) => w != 0,
-                    (Sel::EqCol(_), Some(w)) => w == (u * stride >> cshift) as Word,
+                    (Sel::EqCol(_), Some(w)) => w == ((u * stride) >> cshift) as Word,
                     (Sel::Valid(_), word) => word.is_some(),
                     _ => false,
                 }

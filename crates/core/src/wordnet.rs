@@ -22,7 +22,7 @@ use crate::bitset::{self, Plane};
 use crate::dflow::FlowShape;
 use crate::primitive::{self, Acc, Monoid, ParallelPolicy, PrimitiveSpec};
 use crate::resilience::{self, FaultPlan, FaultReport, FaultState, FaultStats};
-use crate::select::{self, Pick, Sel};
+use crate::select::{self, Pick};
 use crate::word::Word;
 use orthotrees_obs::telemetry::Telemetry;
 use orthotrees_obs::{causal::ReachCell, Recorder};
@@ -288,11 +288,11 @@ impl<T: Topology> WordNet<T> {
     }
 
     /// Sets how each primitive fills a `bool` selector's mask (see
-    /// [`ParallelPolicy`]; [`Sel`] shapes are filled a word at a time
-    /// either way). Both policies are bit- and clock-identical — asserted
-    /// by property tests. `Threads` parallelises only the mask fill and
-    /// has not been measured faster: SORT at n = 512 ran at 0.78–0.98× the
-    /// sequential speed on a 2-vCPU host.
+    /// [`ParallelPolicy`]; [`Sel`](crate::Sel) shapes are filled a word at
+    /// a time either way). Both policies are bit- and clock-identical —
+    /// asserted by property tests. `Threads` parallelises only the mask
+    /// fill and has not been measured faster: SORT at n = 512 ran at
+    /// 0.78–0.98× the sequential speed on a 2-vCPU host.
     pub fn set_parallel_policy(&mut self, policy: ParallelPolicy) {
         self.parallel = policy;
     }
@@ -605,22 +605,21 @@ impl<T: Topology> WordNet<T> {
         self.charge_fault_overhead(axis, attempts, t);
     }
 
-    /// Fills the scratch mask from `sel` — a [`Sel`] shape a word at a
-    /// time, a `bool` selector at every cell position when `PER_POSITION`
-    /// (otherwise once per cell, `q = 0`) — ANDs out the dark leaves of
-    /// `axis`, and hands the mask out; the caller puts it back when done.
-    /// Every selector sees the register state from before the primitive
-    /// (gather before scatter).
+    /// Fills the scratch mask from `sel` — a [`Sel`](crate::Sel) shape a
+    /// word at a time, a `bool` selector at every cell position when
+    /// `PER_POSITION` (otherwise once per cell, `q = 0`) — ANDs out the
+    /// dark leaves of `axis`, and hands the mask out; the caller puts it
+    /// back when done. Every selector sees the register state from before
+    /// the primitive (gather before scatter).
     fn select<P: Pick, const PER_POSITION: bool>(
         &mut self,
         axis: Axis,
-        shape: Option<Sel>,
         sel: &(impl Fn(usize, usize, usize, &View<'_, T>) -> P + Sync),
     ) -> Vec<u64> {
         let mut mask = std::mem::take(&mut self.mask);
         mask.clear();
         mask.resize(bitset::words(self.cells()), 0);
-        select::fill(shape, sel, &self.view(), self.parallel, PER_POSITION, &mut mask);
+        select::fill(sel, &self.view(), self.parallel, PER_POSITION, &mut mask);
         let live = &self.live[axis.index()];
         if !live.is_empty() {
             for (m, l) in mask.iter_mut().zip(live) {
@@ -661,8 +660,7 @@ impl<T: Topology> WordNet<T> {
     /// each selected cell's tree — stream position `q` to base processor
     /// `q` — in memory order, then charges the registry cost. Fault draws
     /// are keyed by site and round, so the write order changes no word. A
-    /// fault-free [`Sel::All`] broadcast skips the mask and writes whole
-    /// rows.
+    /// fault-free broadcast to every cell writes whole rows.
     pub(crate) fn downward<P: Pick>(
         &mut self,
         name: &str,
@@ -678,28 +676,12 @@ impl<T: Topology> WordNet<T> {
             T::DOWN
         );
         self.begin_phase(spec.name);
-        let sel = per_cell(sel);
-        let shape = select::shape_of(&sel, &self.view());
+        let mask = self.select::<P, false>(axis, &per_cell(sel));
         let (cycle, width) = (self.cycle(), self.model.word_bits);
         let mut attempts = 0;
-        let mask = match shape {
-            Some(Sel::All) if self.fault.is_none() => None,
-            _ => Some(self.select::<P, false>(axis, shape, &sel)),
-        };
-        let everywhere = mask.as_ref().is_none_or(|m| bitset::all_set(m, self.cells()));
-        if everywhere && self.fault.is_none() {
+        if self.fault.is_none() && bitset::all_set(&mask, self.cells()) {
             self.broadcast_all(axis, dest);
-            let cells = self.rows * self.cols;
-            self.emit_reach(
-                axis,
-                |c| c < cells,
-                |leaf| (ReachCell::Root, ReachCell::Reg { reg: dest.0 as u64, leaf }),
-            );
-            if let Some(mask) = mask {
-                self.mask = mask;
-            }
         } else {
-            let mask = mask.expect("a fault plan or a partial selection fills the mask");
             self.begin_fault_round();
             // Column counts and cycle lengths are powers of two.
             let (cols, shift, jshift) =
@@ -721,13 +703,13 @@ impl<T: Topology> WordNet<T> {
                     None => word,
                 }
             });
-            self.emit_reach(
-                axis,
-                |c| bitset::test(&mask, c * cycle),
-                |leaf| (ReachCell::Root, ReachCell::Reg { reg: dest.0 as u64, leaf }),
-            );
-            self.mask = mask;
         }
+        self.emit_reach(
+            axis,
+            |c| bitset::test(&mask, c * cycle),
+            |leaf| (ReachCell::Root, ReachCell::Reg { reg: dest.0 as u64, leaf }),
+        );
+        self.mask = mask;
         self.charge_primitive(spec, axis, attempts);
         self.end_phase();
     }
@@ -805,8 +787,7 @@ impl<T: Topology> WordNet<T> {
             T::UP
         );
         self.begin_phase(spec.name);
-        let shape = select::shape_of(sel, &self.view());
-        let mask = self.select::<P, true>(axis, shape, sel);
+        let mask = self.select::<P, true>(axis, sel);
         let (leaves, cols, cycle, width) =
             (self.leaves(axis), self.cols, self.cycle(), self.model.word_bits);
         // Cycle lengths are powers of two (1 on the OTN, where the shifts
