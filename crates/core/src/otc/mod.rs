@@ -67,7 +67,8 @@ use crate::wordnet::{Cycles, View, WordNet};
 use orthotrees_obs::causal::ReachCell;
 use orthotrees_vlsi::{log2_ceil, log2_floor, BitTime, CostKind, CostModel, ModelError};
 
-pub use crate::select::{Pick, Sel};
+use crate::select::Pick;
+pub use crate::select::Sel;
 pub use crate::wordnet::{Axis, PhaseCost, Reg};
 
 /// The orthogonal tree cycles network: the word-level core with one cycle

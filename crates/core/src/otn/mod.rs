@@ -94,7 +94,8 @@ use crate::word::Word;
 use crate::wordnet::{per_cell, Tree, View, WordNet};
 use orthotrees_vlsi::{log2_ceil, BitTime, CostModel, ModelError};
 
-pub use crate::select::{Pick, Sel};
+use crate::select::Pick;
+pub use crate::select::Sel;
 pub use crate::wordnet::{Axis, PhaseCost, Reg};
 
 /// The orthogonal trees network: the word-level core with one BP per cell.
