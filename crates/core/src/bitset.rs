@@ -170,9 +170,8 @@ impl Plane {
     #[inline]
     pub(crate) fn get(&self, k: usize) -> Option<Word> {
         debug_assert!(k < self.cells, "register cell {k} out of range");
-        // No values yet means every cell is NULL.
-        let value = *self.buf.get(self.nw + k)?;
-        test(&self.buf, k).then_some(value as Word)
+        // A set bit means the cell's value has been written.
+        test(&self.buf, k).then(|| self.buf[self.nw + k] as Word)
     }
 
     /// Writes cell `k` (below [`Plane::cells`], as for [`Plane::get`]).
@@ -183,7 +182,12 @@ impl Plane {
             self.zero_values();
         }
         self.buf[self.nw + k] = v.unwrap_or(0) as u64;
-        assign(&mut self.buf, k, v.is_some());
+        // Store the validity word only when the bit changes, so rewriting
+        // valid cells in order does not chain through one word in memory.
+        let (word, bit) = (&mut self.buf[k >> 6], 1 << (k & 63));
+        if (*word & bit != 0) != v.is_some() {
+            *word ^= bit;
+        }
     }
 
     /// Writes every value as 0 — before the first single-cell write, kept
