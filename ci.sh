@@ -36,6 +36,8 @@ benchmark/check.sh
 # ignored sweep widens the grid to n = 128; see tests/calendar_suite.rs.
 cargo test --release -q -p orthotrees-bench --test calendar_suite
 cargo test --release -q -p orthotrees-bench --test calendar_suite -- --ignored full_probe_sweep_across_calendars
+# Snapshot reader sweep: every truncation and byte edit of each probe's snapshot parses or fails typed.
+cargo test --release -q -p orthotrees-sim --lib -- --ignored every_truncation_and_byte_edit_of_every_probe_snapshot
 # Probe independence gate: every engine instrument must give the same
 # result attached alone or with all five, and attaching them must leave
 # the run bit-identical, clean and under link faults or node outages. The

@@ -148,11 +148,6 @@ pub fn fit_poly_log(samples: &[Sample]) -> Option<Fit> {
     fit_points(&samples.iter().map(|s| (s.n as u64, s.time.as_f64())).collect::<Vec<_>>())
 }
 
-/// Fits a measured sweep's *areas*.
-pub fn fit_area(samples: &[Sample]) -> Option<Fit> {
-    fit_points(&samples.iter().map(|s| (s.n as u64, s.area.as_f64())).collect::<Vec<_>>())
-}
-
 /// Fits a measured sweep's *AT²* figures.
 pub fn fit_at2(samples: &[Sample]) -> Option<Fit> {
     fit_points(&samples.iter().map(|s| (s.n as u64, s.at2())).collect::<Vec<_>>())

@@ -20,8 +20,9 @@
 //! `recovery` section be diffed against a committed baseline.
 
 use crate::workloads;
+use orthotrees::checkpoint::Snapshot;
 use orthotrees::obs::Recorder;
-use orthotrees::otn::{self, checkpoint::OtnSnapshot, Otn};
+use orthotrees::otn::{self, Otn};
 use orthotrees::FaultPlan;
 use orthotrees_sim::{experiments, supervise_steps, RecoveryPolicy, RecoveryReport};
 use orthotrees_vlsi::{CostModel, SimError};
@@ -96,7 +97,7 @@ pub fn otn_soak_recovery(n: usize, problems: usize, seed: u64) -> Result<Recover
         inputs.len(),
         &policy,
         Otn::snapshot,
-        |net, snap: &OtnSnapshot| net.restore(snap),
+        |net, snap: &Snapshot| net.restore(snap),
         |net| net.clock().now(),
         |net, index, attempt| {
             if attempt > 0 {

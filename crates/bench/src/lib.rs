@@ -1,4 +1,4 @@
-//! Shared plumbing for the reproduction binaries and benches.
+//! Shared plumbing for the reproduction binaries.
 //!
 //! Every table and figure of the paper has a regenerating target:
 //!
@@ -13,6 +13,9 @@
 //! | `… --bin repro` | everything above in one report |
 //!
 //! Pass `--full` for the larger sweep grids (slower, tighter fits).
+//!
+//! These targets print simulated bit-times (τ). Host wall-clock time has
+//! one harness, `wallbench`, in its own workspace under `benchmark/`.
 
 use orthotrees_analysis::report::ReportConfig;
 

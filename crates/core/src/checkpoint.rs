@@ -28,6 +28,9 @@ use crate::resilience::FaultStats;
 use crate::word::Word;
 use crate::wordnet::{Topology, WordNet};
 use orthotrees_obs::json::Json;
+use orthotrees_sim::snapshot::{
+    bad, delay_tag, fault_stats_from_json, fault_stats_to_json, mismatch, req, req_delay, req_u64,
+};
 use orthotrees_vlsi::{BitTime, Clock, DelayModel, OpStats, SimError};
 
 /// The on-disk schema identifier.
@@ -44,7 +47,7 @@ pub struct Snapshot {
     cols: usize,
     cycle: usize,
     word_bits: u32,
-    delay: &'static str,
+    delay: DelayModel,
     now: BitTime,
     stats: OpStats,
     reg_names: Vec<String>,
@@ -70,7 +73,7 @@ impl Snapshot {
                     ("cols", Json::u64(self.cols as u64)),
                     ("cycle", Json::u64(self.cycle as u64)),
                     ("word_bits", Json::u64(u64::from(self.word_bits))),
-                    ("delay", Json::str(self.delay)),
+                    ("delay", Json::str(delay_tag(self.delay))),
                 ]),
             ),
             ("clock", clock_parts_to_json(self.now, &self.stats)),
@@ -141,13 +144,7 @@ impl Snapshot {
             cycle,
             word_bits: u32::try_from(req_u64(net, "word_bits")?)
                 .map_err(|_| bad("word width exceeds u32"))?,
-            delay: match req(net, "delay")?.as_str() {
-                Some("Constant") => "Constant",
-                Some("Logarithmic") => "Logarithmic",
-                Some("Linear") => "Linear",
-                Some(other) => return Err(bad(format!("unknown delay model `{other}`"))),
-                None => return Err(bad("field `delay` is not a string")),
-            },
+            delay: req_delay(net)?,
             now,
             stats,
             reg_names,
@@ -185,7 +182,7 @@ impl<T: Topology> WordNet<T> {
             cols: self.cols,
             cycle: self.cycle,
             word_bits: self.model.word_bits,
-            delay: delay_tag(self.model.delay),
+            delay: self.model.delay,
             now: self.clock.now(),
             stats: *self.clock.stats(),
             reg_names: self.reg_names.iter().map(|n| (*n).to_owned()).collect(),
@@ -230,8 +227,12 @@ impl<T: Topology> WordNet<T> {
         if self.model.word_bits != snap.word_bits {
             return Err(mismatch("word width", self.model.word_bits, snap.word_bits));
         }
-        if delay_tag(self.model.delay) != snap.delay {
-            return Err(mismatch("delay model", delay_tag(self.model.delay), snap.delay));
+        if self.model.delay != snap.delay {
+            return Err(mismatch(
+                "delay model",
+                delay_tag(self.model.delay),
+                delay_tag(snap.delay),
+            ));
         }
         let keep = snap.reg_names.len();
         let prefix_matches = self.reg_names.len() >= keep
@@ -280,36 +281,8 @@ impl<T: Topology> WordNet<T> {
     }
 }
 
-pub(crate) fn bad(detail: impl Into<String>) -> SimError {
-    SimError::SnapshotFormat { detail: detail.into() }
-}
-
-pub(crate) fn mismatch(
-    what: &'static str,
-    expected: impl ToString,
-    actual: impl ToString,
-) -> SimError {
-    SimError::SnapshotMismatch { what, expected: expected.to_string(), actual: actual.to_string() }
-}
-
-pub(crate) fn req<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, SimError> {
-    doc.get(key).ok_or_else(|| bad(format!("missing field `{key}`")))
-}
-
-pub(crate) fn req_u64(doc: &Json, key: &str) -> Result<u64, SimError> {
-    req(doc, key)?.as_u64().ok_or_else(|| bad(format!("field `{key}` is not an integer")))
-}
-
 pub(crate) fn req_arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], SimError> {
     req(doc, key)?.as_arr().ok_or_else(|| bad(format!("field `{key}` is not an array")))
-}
-
-pub(crate) fn delay_tag(d: DelayModel) -> &'static str {
-    match d {
-        DelayModel::Constant => "Constant",
-        DelayModel::Logarithmic => "Logarithmic",
-        DelayModel::Linear => "Linear",
-    }
 }
 
 /// One register slot (or root port): `null`, the word as an exact JSON
@@ -386,22 +359,9 @@ pub(crate) fn restore_clock(clock: &mut Clock, now: BitTime, stats: OpStats) {
 pub(crate) fn fault_to_json(state: Option<(u64, FaultStats)>) -> Json {
     match state {
         None => Json::Null,
-        Some((round, s)) => Json::obj([
-            ("round", Json::u64(round)),
-            (
-                "stats",
-                Json::obj([
-                    ("injected", Json::u64(s.injected)),
-                    ("detected", Json::u64(s.detected)),
-                    ("corrected", Json::u64(s.corrected)),
-                    ("retries", Json::u64(s.retries)),
-                    ("erasures", Json::u64(s.erasures)),
-                    ("silent", Json::u64(s.silent)),
-                    ("faulty_bits", Json::u64(s.faulty_bits)),
-                    ("suppressed", Json::u64(s.suppressed)),
-                ]),
-            ),
-        ]),
+        Some((round, s)) => {
+            Json::obj([("round", Json::u64(round)), ("stats", fault_stats_to_json(&s))])
+        }
     }
 }
 
@@ -410,19 +370,7 @@ pub(crate) fn fault_from_json(doc: &Json) -> Result<Option<(u64, FaultStats)>, S
         Json::Null => Ok(None),
         obj => {
             let s = req(obj, "stats")?;
-            Ok(Some((
-                req_u64(obj, "round")?,
-                FaultStats {
-                    injected: req_u64(s, "injected")?,
-                    detected: req_u64(s, "detected")?,
-                    corrected: req_u64(s, "corrected")?,
-                    retries: req_u64(s, "retries")?,
-                    erasures: req_u64(s, "erasures")?,
-                    silent: req_u64(s, "silent")?,
-                    faulty_bits: req_u64(s, "faulty_bits")?,
-                    suppressed: req_u64(s, "suppressed")?,
-                },
-            )))
+            Ok(Some((req_u64(obj, "round")?, fault_stats_from_json(s)?)))
         }
     }
 }
@@ -449,8 +397,8 @@ pub(crate) fn plane_from_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::otc::Otc;
-    use crate::otn::{all, Axis, Otn};
+    use crate::otc::{self, Otc};
+    use crate::otn::{self, all, Axis, Otn};
     use crate::resilience::FaultPlan;
     use orthotrees_vlsi::CostModel;
     use proptest::prelude::*;
@@ -537,6 +485,83 @@ mod tests {
         }
     }
 
+    #[test]
+    fn otn_snapshot_round_trips_through_json_text() {
+        let mut net = Otn::for_sorting(8).unwrap();
+        let out = otn::sort::sort(&mut net, &[5, 3, 7, 1, 6, 2, 8, 4]).unwrap();
+        let snap = net.snapshot();
+        let text = snap.render();
+        let back = Snapshot::parse(&text).unwrap();
+        let mut fresh = Otn::for_sorting(8).unwrap();
+        // Same register layout: sort() allocates on demand, so replay
+        // the allocation by sorting once and restoring over it.
+        let _ = otn::sort::sort(&mut fresh, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        fresh.restore(&back).unwrap();
+        assert_eq!(fresh.clock(), net.clock());
+        assert_eq!(fresh.snapshot().render(), text);
+        assert!(out.time > BitTime::ZERO);
+    }
+
+    #[test]
+    fn restore_rejects_wrong_shape_and_layout() {
+        let mut a = Otn::for_sorting(8).unwrap();
+        let _ = otn::sort::sort(&mut a, &[5, 3, 7, 1, 6, 2, 8, 4]).unwrap();
+        let snap = a.snapshot();
+        let mut wrong_size = Otn::for_sorting(16).unwrap();
+        match wrong_size.restore(&snap) {
+            Err(SimError::SnapshotMismatch { what: "row count", .. }) => {}
+            other => panic!("expected row-count mismatch, got {other:?}"),
+        }
+        let mut wrong_regs = Otn::for_sorting(8).unwrap();
+        match wrong_regs.restore(&snap) {
+            Err(SimError::SnapshotMismatch { what: "register layout", .. }) => {}
+            other => panic!("expected register-layout mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_documents_are_rejected_with_detail() {
+        assert!(Snapshot::parse("not json").is_err());
+        assert!(Snapshot::parse("{\"schema\":\"wrong/v9\"}").is_err());
+        let mut net = Otn::for_sorting(4).unwrap();
+        let _ = otn::sort::sort(&mut net, &[4, 3, 2, 1]).unwrap();
+        let text = net.checkpoint_text();
+        // Tamper: drop the clock field entirely.
+        let tampered = text.replacen("\"clock\"", "\"clokk\"", 1);
+        match Snapshot::parse(&tampered) {
+            Err(SimError::SnapshotFormat { detail }) => {
+                assert!(detail.contains("clock"), "{detail}");
+            }
+            other => panic!("expected format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn otc_snapshot_round_trips_through_json_text() {
+        let mut net = Otc::for_sorting(16).unwrap();
+        let _ = otc::sort::sort(&mut net, &(0..16).rev().collect::<Vec<_>>()).unwrap();
+        let snap = net.snapshot();
+        let text = snap.render();
+        let back = Snapshot::parse(&text).unwrap();
+        let mut fresh = Otc::for_sorting(16).unwrap();
+        let _ = otc::sort::sort(&mut fresh, &(0..16).collect::<Vec<_>>()).unwrap();
+        fresh.restore(&back).unwrap();
+        assert_eq!(fresh.clock(), net.clock());
+        assert_eq!(fresh.snapshot().render(), text);
+    }
+
+    #[test]
+    fn restore_rejects_wrong_cycle_length() {
+        let mut a = Otc::for_sorting(16).unwrap();
+        let _ = otc::sort::sort(&mut a, &(0..16).rev().collect::<Vec<_>>()).unwrap();
+        let snap = a.snapshot();
+        let mut b = Otc::new(4, 8, crate::CostModel::thompson(32)).unwrap();
+        match b.restore(&snap) {
+            Err(SimError::SnapshotMismatch { what: "cycle length", .. }) => {}
+            other => panic!("expected cycle-length mismatch, got {other:?}"),
+        }
+    }
+
     fn splitmix(s: &mut u64) -> u64 {
         *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let z = (*s ^ (*s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -609,6 +634,49 @@ mod tests {
             prop_assert!(matches!(into_otn, Err(SimError::SnapshotMismatch { .. })), "{into_otn:?}");
             prop_assert_eq!(otn.checkpoint_text(), otn_text);
             prop_assert_eq!(otc.checkpoint_text(), otc_text);
+        }
+
+        /// A sorted network's document truncated at, or with one byte
+        /// replaced at, any position parses or fails with a format error;
+        /// it never panics.
+        #[test]
+        fn truncated_or_byte_edited_documents_parse_or_fail_typed(
+            n_log in 2u32..=4,
+            cycles in any::<bool>(),
+            faulty in any::<bool>(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let n = 1usize << n_log;
+            let xs: Vec<Word> = (0..n as Word).rev().collect();
+            let plan = faulty.then(|| FaultPlan::new(seed).with_word_fault_rate(0.05));
+            let text = if cycles {
+                let mut net = Otc::for_sorting(n).unwrap();
+                if let Some(p) = plan {
+                    net.install_fault_plan(p);
+                }
+                let _ = otc::sort::sort(&mut net, &xs);
+                net.checkpoint_text()
+            } else {
+                let mut net = Otn::for_sorting(n).unwrap();
+                if let Some(p) = plan {
+                    net.install_fault_plan(p);
+                }
+                let _ = otn::sort::sort(&mut net, &xs);
+                net.checkpoint_text()
+            };
+            let check = |doc: &str| match Snapshot::parse(doc) {
+                Ok(_) | Err(SimError::SnapshotFormat { .. }) => Ok(()),
+                Err(other) => Err(TestCaseError::fail(format!("non-format error: {other:?}"))),
+            };
+            let mut buf = text.clone().into_bytes();
+            let mut s = seed;
+            for _ in 0..64 {
+                let k = (splitmix(&mut s) % text.len() as u64) as usize;
+                check(&text[..k])?;
+                let old = std::mem::replace(&mut buf[k], b"{}[]\":,0-9ex \\"[k % 14]);
+                check(std::str::from_utf8(&buf).unwrap())?;
+                buf[k] = old;
+            }
         }
     }
 }

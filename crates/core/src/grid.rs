@@ -89,12 +89,6 @@ impl<T> Grid<T> {
         &self.data
     }
 
-    /// Mutable flat row-major access (bulk operations such as checkpoint
-    /// restore).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// One row as a slice.
     ///
     /// # Panics

@@ -22,45 +22,6 @@ pub mod matmul;
 pub mod mst;
 pub mod sort;
 
-/// Checkpoint/restore: the OTC writes the one word-level snapshot format
-/// of [`crate::checkpoint`].
-pub mod checkpoint {
-    pub use crate::checkpoint::Snapshot as OtcSnapshot;
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use crate::otc::{sort, Otc};
-        use orthotrees_vlsi::SimError;
-
-        #[test]
-        fn snapshot_round_trips_through_json_text() {
-            let mut net = Otc::for_sorting(16).unwrap();
-            let _ = sort::sort(&mut net, &(0..16).rev().collect::<Vec<_>>()).unwrap();
-            let snap = net.snapshot();
-            let text = snap.render();
-            let back = OtcSnapshot::parse(&text).unwrap();
-            let mut fresh = Otc::for_sorting(16).unwrap();
-            let _ = sort::sort(&mut fresh, &(0..16).collect::<Vec<_>>()).unwrap();
-            fresh.restore(&back).unwrap();
-            assert_eq!(fresh.clock(), net.clock());
-            assert_eq!(fresh.snapshot().render(), text);
-        }
-
-        #[test]
-        fn restore_rejects_wrong_cycle_length() {
-            let mut a = Otc::for_sorting(16).unwrap();
-            let _ = sort::sort(&mut a, &(0..16).rev().collect::<Vec<_>>()).unwrap();
-            let snap = a.snapshot();
-            let mut b = Otc::new(4, 8, crate::CostModel::thompson(32)).unwrap();
-            match b.restore(&snap) {
-                Err(SimError::SnapshotMismatch { what: "cycle length", .. }) => {}
-                other => panic!("expected cycle-length mismatch, got {other:?}"),
-            }
-        }
-    }
-}
-
 use crate::bitset::Plane;
 use crate::word::Word;
 use crate::wordnet::{Cycles, View, WordNet};

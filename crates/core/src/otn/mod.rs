@@ -25,70 +25,6 @@ pub mod pipeline;
 pub mod prefix;
 pub mod sort;
 
-/// Checkpoint/restore: the OTN writes the one word-level snapshot format
-/// of [`crate::checkpoint`].
-pub mod checkpoint {
-    pub use crate::checkpoint::Snapshot as OtnSnapshot;
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use crate::otn::{sort, Otn};
-        use orthotrees_vlsi::{BitTime, SimError};
-
-        #[test]
-        fn snapshot_round_trips_through_json_text() {
-            let mut net = Otn::for_sorting(8).unwrap();
-            let out = sort::sort(&mut net, &[5, 3, 7, 1, 6, 2, 8, 4]).unwrap();
-            let snap = net.snapshot();
-            let text = snap.render();
-            let back = OtnSnapshot::parse(&text).unwrap();
-            let mut fresh = Otn::for_sorting(8).unwrap();
-            // Same register layout: sort() allocates on demand, so replay
-            // the allocation by sorting once and restoring over it.
-            let _ = sort::sort(&mut fresh, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
-            fresh.restore(&back).unwrap();
-            assert_eq!(fresh.clock(), net.clock());
-            assert_eq!(fresh.snapshot().render(), text);
-            assert!(out.time > BitTime::ZERO);
-        }
-
-        #[test]
-        fn restore_rejects_wrong_shape_and_layout() {
-            let mut a = Otn::for_sorting(8).unwrap();
-            let _ = sort::sort(&mut a, &[5, 3, 7, 1, 6, 2, 8, 4]).unwrap();
-            let snap = a.snapshot();
-            let mut wrong_size = Otn::for_sorting(16).unwrap();
-            match wrong_size.restore(&snap) {
-                Err(SimError::SnapshotMismatch { what: "row count", .. }) => {}
-                other => panic!("expected row-count mismatch, got {other:?}"),
-            }
-            let mut wrong_regs = Otn::for_sorting(8).unwrap();
-            match wrong_regs.restore(&snap) {
-                Err(SimError::SnapshotMismatch { what: "register layout", .. }) => {}
-                other => panic!("expected register-layout mismatch, got {other:?}"),
-            }
-        }
-
-        #[test]
-        fn malformed_documents_are_rejected_with_detail() {
-            assert!(OtnSnapshot::parse("not json").is_err());
-            assert!(OtnSnapshot::parse("{\"schema\":\"wrong/v9\"}").is_err());
-            let mut net = Otn::for_sorting(4).unwrap();
-            let _ = sort::sort(&mut net, &[4, 3, 2, 1]).unwrap();
-            let text = net.checkpoint_text();
-            // Tamper: drop the clock field entirely.
-            let tampered = text.replacen("\"clock\"", "\"clokk\"", 1);
-            match OtnSnapshot::parse(&tampered) {
-                Err(SimError::SnapshotFormat { detail }) => {
-                    assert!(detail.contains("clock"), "{detail}");
-                }
-                other => panic!("expected format error, got {other:?}"),
-            }
-        }
-    }
-}
-
 use crate::bitset::Plane;
 use crate::word::Word;
 use crate::wordnet::{per_cell, Tree, View, WordNet};

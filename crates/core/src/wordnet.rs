@@ -366,11 +366,6 @@ impl<T: Topology> WordNet<T> {
         &self.reg_names
     }
 
-    /// Number of allocated register planes.
-    pub fn reg_count(&self) -> usize {
-        self.regs.len()
-    }
-
     /// Base processors in the grid: one bit of every mask per cell
     /// position.
     #[inline]

@@ -334,12 +334,6 @@ impl Profiler {
         top_k(self.node_events.iter().enumerate().map(|(i, &v)| (format!("node {i}"), v)), k)
     }
 
-    /// The `k` links that carried the most bits, as `link <id>` rows,
-    /// descending (id as tie-break).
-    pub fn hot_links(&self, k: usize) -> Vec<HotSpot> {
-        top_k(self.link_bits.iter().enumerate().map(|(i, &v)| (format!("link {i}"), v)), k)
-    }
-
     /// The `k` phases with the most causal-segment time (word-level
     /// profiles built with [`from_recorder`](Profiler::from_recorder)),
     /// descending (name as tie-break).

@@ -307,7 +307,6 @@ pub struct TelemetrySnapshot {
 /// [module docs](self).
 #[derive(Clone, Debug)]
 pub struct Telemetry {
-    epsilon: f64,
     interval: u64,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
@@ -317,11 +316,10 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// An empty registry snapshotting every `interval` τ (clamped ≥ 1),
-    /// with the [default ε](DEFAULT_EPSILON) for new sketches.
+    /// An empty registry snapshotting every `interval` τ (clamped ≥ 1).
+    /// Its sketches use the [default ε](DEFAULT_EPSILON).
     pub fn new(interval: u64) -> Telemetry {
         Telemetry {
-            epsilon: DEFAULT_EPSILON,
             interval: interval.max(1),
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
@@ -331,16 +329,9 @@ impl Telemetry {
         }
     }
 
-    /// Replaces the rank-error bound used by sketches created *after*
-    /// this call.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Telemetry {
-        self.epsilon = epsilon.clamp(0.0001, 0.5);
-        self
-    }
-
-    /// The sketch rank-error bound ε.
+    /// The sketch rank-error bound ε ([`DEFAULT_EPSILON`]).
     pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        DEFAULT_EPSILON
     }
 
     /// The effective snapshot cadence in τ (≥ the constructor argument;
@@ -378,11 +369,15 @@ impl Telemetry {
         self.gauges.get(name).copied()
     }
 
-    /// Records `value` into the named quantile sketch (created with the
-    /// registry's ε on first use).
+    /// Records `value` into the named quantile sketch (created with
+    /// [`DEFAULT_EPSILON`] on first use).
     pub fn observe(&mut self, name: &str, value: u64) {
-        let eps = self.epsilon;
-        crate::update(&mut self.sketches, name, || QuantileSketch::new(eps), |s| s.observe(value));
+        crate::update(
+            &mut self.sketches,
+            name,
+            || QuantileSketch::new(DEFAULT_EPSILON),
+            |s| s.observe(value),
+        );
     }
 
     /// The named sketch, if any value was ever observed into it.
@@ -503,7 +498,7 @@ impl Telemetry {
         }));
         Json::obj([
             ("schema", Json::str(SCHEMA)),
-            ("epsilon", Json::f64(self.epsilon)),
+            ("epsilon", Json::f64(DEFAULT_EPSILON)),
             ("interval", Json::u64(self.interval)),
             ("counters", counters),
             ("gauges", gauges),

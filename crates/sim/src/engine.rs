@@ -498,16 +498,6 @@ impl Engine {
         self.fault_plan = plan;
     }
 
-    /// Replaces the run watchdog budget mid-run. Like
-    /// [`set_fault_plan`](Engine::set_fault_plan), this is a supervisor
-    /// repair knob: a retry after a [`BudgetExhausted`] trip is pointless
-    /// unless the budget is raised or the workload shrinks.
-    ///
-    /// [`BudgetExhausted`]: SimError::BudgetExhausted
-    pub fn set_budget(&mut self, budget: RunBudget) {
-        self.budget = budget;
-    }
-
     /// Latest completion time reported by any node's
     /// [`completed_at`](NodeBehavior::completed_at) probe, if any reported.
     pub fn completion_time(&self) -> Option<BitTime> {

@@ -69,7 +69,13 @@ pub struct Snapshot {
     log: Vec<EventLog>,
 }
 
-fn delay_tag(d: DelayModel) -> &'static str {
+// The field codec below is shared with the word-level checkpoint
+// (`orthotrees::checkpoint`), so both `/v1` formats spell the delay model,
+// the fault counters and their errors the same way.
+
+/// The on-disk name of a delay model: `"Constant"`, `"Logarithmic"` or
+/// `"Linear"`.
+pub fn delay_tag(d: DelayModel) -> &'static str {
     match d {
         DelayModel::Constant => "Constant",
         DelayModel::Logarithmic => "Logarithmic",
@@ -77,24 +83,37 @@ fn delay_tag(d: DelayModel) -> &'static str {
     }
 }
 
-fn delay_from_tag(tag: &str) -> Option<DelayModel> {
-    match tag {
-        "Constant" => Some(DelayModel::Constant),
-        "Logarithmic" => Some(DelayModel::Logarithmic),
-        "Linear" => Some(DelayModel::Linear),
-        _ => None,
+/// Reads the `delay` field of `doc`, the inverse of [`delay_tag`]; a
+/// missing field or unknown tag is a [`SimError::SnapshotFormat`].
+pub fn req_delay(doc: &Json) -> Result<DelayModel, SimError> {
+    match req(doc, "delay")?.as_str() {
+        Some("Constant") => Ok(DelayModel::Constant),
+        Some("Logarithmic") => Ok(DelayModel::Logarithmic),
+        Some("Linear") => Ok(DelayModel::Linear),
+        Some(other) => Err(bad(format!("unknown delay model `{other}`"))),
+        None => Err(bad("field `delay` is not a string")),
     }
 }
 
-fn bad(detail: impl Into<String>) -> SimError {
+/// A [`SimError::SnapshotFormat`] carrying `detail`.
+pub fn bad(detail: impl Into<String>) -> SimError {
     SimError::SnapshotFormat { detail: detail.into() }
 }
 
-fn req<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, SimError> {
+/// A [`SimError::SnapshotMismatch`]: the restore target has `expected`,
+/// the checkpoint was written with `actual`.
+pub fn mismatch(what: &'static str, expected: impl ToString, actual: impl ToString) -> SimError {
+    SimError::SnapshotMismatch { what, expected: expected.to_string(), actual: actual.to_string() }
+}
+
+/// The field `key` of `doc`, or a [`SimError::SnapshotFormat`] naming it.
+pub fn req<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, SimError> {
     doc.get(key).ok_or_else(|| bad(format!("missing field `{key}`")))
 }
 
-fn req_u64(doc: &Json, key: &str) -> Result<u64, SimError> {
+/// The field `key` of `doc` as a non-negative integer, or a
+/// [`SimError::SnapshotFormat`] naming it.
+pub fn req_u64(doc: &Json, key: &str) -> Result<u64, SimError> {
     req(doc, key)?.as_u64().ok_or_else(|| bad(format!("field `{key}` is not an integer")))
 }
 
@@ -102,8 +121,33 @@ fn req_bool(doc: &Json, key: &str) -> Result<bool, SimError> {
     req(doc, key)?.as_bool().ok_or_else(|| bad(format!("field `{key}` is not a boolean")))
 }
 
-fn mismatch(what: &'static str, expected: impl ToString, actual: impl ToString) -> SimError {
-    SimError::SnapshotMismatch { what, expected: expected.to_string(), actual: actual.to_string() }
+/// The eight [`FaultStats`] counters as one JSON object.
+pub fn fault_stats_to_json(s: &FaultStats) -> Json {
+    Json::obj([
+        ("injected", Json::u64(s.injected)),
+        ("detected", Json::u64(s.detected)),
+        ("corrected", Json::u64(s.corrected)),
+        ("retries", Json::u64(s.retries)),
+        ("erasures", Json::u64(s.erasures)),
+        ("silent", Json::u64(s.silent)),
+        ("faulty_bits", Json::u64(s.faulty_bits)),
+        ("suppressed", Json::u64(s.suppressed)),
+    ])
+}
+
+/// The inverse of [`fault_stats_to_json`]; a missing or non-integer
+/// counter is a [`SimError::SnapshotFormat`].
+pub fn fault_stats_from_json(doc: &Json) -> Result<FaultStats, SimError> {
+    Ok(FaultStats {
+        injected: req_u64(doc, "injected")?,
+        detected: req_u64(doc, "detected")?,
+        corrected: req_u64(doc, "corrected")?,
+        retries: req_u64(doc, "retries")?,
+        erasures: req_u64(doc, "erasures")?,
+        silent: req_u64(doc, "silent")?,
+        faulty_bits: req_u64(doc, "faulty_bits")?,
+        suppressed: req_u64(doc, "suppressed")?,
+    })
 }
 
 impl Snapshot {
@@ -143,7 +187,6 @@ impl Snapshot {
                 Json::u64(u64::from(e.bit.index)),
             ])
         });
-        let s = &self.fault_stats;
         Json::obj([
             ("schema", Json::str(SCHEMA)),
             (
@@ -163,19 +206,7 @@ impl Snapshot {
             ("calendar", Json::arr(events)),
             ("free_at", Json::arr(self.free_at.iter().map(|t| Json::u64(t.get())))),
             ("node_states", Json::Arr(self.node_states.clone())),
-            (
-                "fault_stats",
-                Json::obj([
-                    ("injected", Json::u64(s.injected)),
-                    ("detected", Json::u64(s.detected)),
-                    ("corrected", Json::u64(s.corrected)),
-                    ("retries", Json::u64(s.retries)),
-                    ("erasures", Json::u64(s.erasures)),
-                    ("silent", Json::u64(s.silent)),
-                    ("faulty_bits", Json::u64(s.faulty_bits)),
-                    ("suppressed", Json::u64(s.suppressed)),
-                ]),
-            ),
+            ("fault_stats", fault_stats_to_json(&self.fault_stats)),
             ("log", Json::arr(log)),
         ])
     }
@@ -198,10 +229,7 @@ impl Snapshot {
             None => return Err(bad("schema tag missing")),
         }
         let engine = req(doc, "engine")?;
-        let delay_name =
-            req(engine, "delay")?.as_str().ok_or_else(|| bad("field `delay` is not a string"))?;
-        let delay = delay_from_tag(delay_name)
-            .ok_or_else(|| bad(format!("unknown delay model `{delay_name}`")))?;
+        let delay = req_delay(engine)?;
         let node_count = req_u64(engine, "nodes")? as usize;
         let link_count = req_u64(engine, "links")? as usize;
 
@@ -263,17 +291,7 @@ impl Snapshot {
             )));
         }
 
-        let fs = req(doc, "fault_stats")?;
-        let fault_stats = FaultStats {
-            injected: req_u64(fs, "injected")?,
-            detected: req_u64(fs, "detected")?,
-            corrected: req_u64(fs, "corrected")?,
-            retries: req_u64(fs, "retries")?,
-            erasures: req_u64(fs, "erasures")?,
-            silent: req_u64(fs, "silent")?,
-            faulty_bits: req_u64(fs, "faulty_bits")?,
-            suppressed: req_u64(fs, "suppressed")?,
-        };
+        let fault_stats = fault_stats_from_json(req(doc, "fault_stats")?)?;
 
         let mut log = Vec::new();
         for row in req(doc, "log")?.as_arr().ok_or_else(|| bad("`log` is not an array"))? {
@@ -367,14 +385,18 @@ impl Engine {
     /// from: same delay model, node and link counts, tie-break mode and
     /// event-log setting — restoring into anything else would silently
     /// produce garbage, so each mismatch is rejected with a typed error.
-    /// The installed fault plan (configuration) and instruments
-    /// (observers) are not state: they are left untouched.
+    /// Every pending event must sit at some link's destination `(node,
+    /// port)`, the only places the engine schedules deliveries. The
+    /// installed fault plan (configuration) and instruments (observers)
+    /// are not state: they are left untouched.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::SnapshotMismatch`] on a shape mismatch, or
-    /// [`SimError::SnapshotFormat`] if a node rejects its saved state. On
-    /// error the engine may be partially restored and must be discarded.
+    /// Returns [`SimError::SnapshotMismatch`] on a shape mismatch or an
+    /// event no link delivers to, with the engine unchanged, or
+    /// [`SimError::SnapshotFormat`] if a node rejects its saved state. In
+    /// that last case the engine may be partially restored and must be
+    /// discarded.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SimError> {
         if self.delay_model() != snap.delay {
             return Err(mismatch(
@@ -394,6 +416,18 @@ impl Engine {
         }
         if self.keep_log != snap.keep_log {
             return Err(mismatch("event-log setting", self.keep_log, snap.keep_log));
+        }
+        let mut inputs: Vec<(usize, usize)> =
+            self.links.iter().map(|l| (l.to.0, l.to_port.0)).collect();
+        inputs.sort_unstable();
+        if let Some(e) =
+            snap.events.iter().find(|e| inputs.binary_search(&(e.node, e.port)).is_err())
+        {
+            return Err(mismatch(
+                "calendar event input",
+                format!("no link into node {} port {}", e.node, e.port),
+                format!("an event pending there at t = {}", e.at.get()),
+            ));
         }
         for (node, state) in self.nodes.iter_mut().zip(&snap.node_states) {
             node.load_state(state)?;
@@ -457,6 +491,112 @@ impl Engine {
                         return Ok((RunStatus::Paused(t), checkpoints));
                     }
                 }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::calendar::CalendarKind;
+    use crate::experiments::{probe_engine, ProbeKind, PROBE_KINDS};
+    use orthotrees_vlsi::CostModel;
+    use proptest::prelude::*;
+
+    /// `kind` at `n` leaves, stopped after `cut` deliveries.
+    fn mid_run(kind: ProbeKind, n: usize, cut: u64, log: bool) -> Engine {
+        let mut e = probe_engine(kind, n, &CostModel::thompson(n), CalendarKind::Ladder, None, log);
+        e.try_run_for(cut).expect("probe runs within budget");
+        e
+    }
+
+    /// Rewrites field `field` of the first calendar event in `text`.
+    fn rewrite_first_event(text: &str, field: usize, value: &str) -> String {
+        let start = text.find("\"calendar\":[[").expect("a pending event") + 13;
+        let end = start + text[start..].find(']').expect("event row closes");
+        let mut row: Vec<&str> = text[start..end].split(',').collect();
+        row[field] = value;
+        format!("{}{}{}", &text[..start], row.join(","), &text[end..])
+    }
+
+    #[test]
+    fn restore_rejects_an_event_no_link_delivers() {
+        let text = mid_run(ProbeKind::Sum, 8, 40, false).snapshot().render();
+        assert!(text.contains("\"calendar\":[[") && rewrite_first_event(&text, 3, "1") == text);
+        let snap = Snapshot::parse(&rewrite_first_event(&text, 3, "7")).unwrap();
+        let mut fresh = mid_run(ProbeKind::Sum, 8, 0, false);
+        let before = fresh.snapshot().render();
+        match fresh.restore(&snap) {
+            Err(SimError::SnapshotMismatch { what: "calendar event input", .. }) => {}
+            other => panic!("expected a calendar-event mismatch, got {other:?}"),
+        }
+        assert_eq!(fresh.snapshot().render(), before, "a refused restore changes nothing");
+    }
+
+    /// `parse` on every prefix of `text` at the `positions`, and on `text`
+    /// with the byte at each of them replaced by each of `bytes`, returns
+    /// `Ok` or a format error and never panics.
+    fn hostile_parses(text: &str, positions: impl Iterator<Item = usize>, bytes: &[u8]) {
+        let check = |doc: &str| match Snapshot::parse(doc) {
+            Ok(_) | Err(SimError::SnapshotFormat { .. }) => {}
+            Err(other) => panic!("parse returned a non-format error: {other:?}"),
+        };
+        let mut buf = text.as_bytes().to_vec();
+        for k in positions.filter(|&k| text.is_char_boundary(k) && k < text.len()) {
+            check(&text[..k]);
+            for &b in bytes {
+                let old = std::mem::replace(&mut buf[k], b);
+                if let Ok(doc) = std::str::from_utf8(&buf) {
+                    check(doc);
+                }
+                buf[k] = old;
+            }
+        }
+    }
+
+    /// Replacement bytes: every JSON structural character, a digit, a
+    /// sign, a letter and whitespace.
+    const HOSTILE: &[u8] = b"{}[]\":,0-9ex \\";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Mid-run snapshots of every probe are render/parse fixed points,
+        /// and truncated or byte-edited documents parse or fail typed.
+        #[test]
+        fn mid_run_snapshots_round_trip_and_hostile_text_never_panics(
+            kind in 0usize..PROBE_KINDS.len(),
+            n_log in 3u32..=5,
+            cut_pct in 1u64..100,
+            log in any::<bool>(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let (kind, n) = (PROBE_KINDS[kind], 1usize << n_log);
+            let total = mid_run(kind, n, u64::MAX, false).delivered_events();
+            let text = mid_run(kind, n, total * cut_pct / 100, log).snapshot().render();
+            prop_assert_eq!(Snapshot::parse(&text).unwrap().render(), text.clone());
+            let mut s = seed;
+            let positions = (0..64).map(|_| {
+                s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                (s >> 33) as usize % text.len()
+            });
+            hostile_parses(&text, positions, &HOSTILE[(seed % 4) as usize..][..4]);
+        }
+    }
+
+    /// The release-mode sweep CI runs: every probe at n = 8, 16 and 32,
+    /// cut a third of the way in, truncated at every byte and with every
+    /// byte replaced by each hostile byte.
+    #[test]
+    #[ignore = "release-mode sweep, run explicitly in CI"]
+    fn every_truncation_and_byte_edit_of_every_probe_snapshot() {
+        for kind in PROBE_KINDS {
+            for n in [8, 16, 32] {
+                let total = mid_run(kind, n, u64::MAX, false).delivered_events();
+                let text = mid_run(kind, n, total / 3, true).snapshot().render();
+                assert_eq!(Snapshot::parse(&text).unwrap().render(), text);
+                hostile_parses(&text, 0..text.len(), HOSTILE);
             }
         }
     }

@@ -32,7 +32,7 @@ fn main() {
         text.len(),
         net.clock().now()
     );
-    let snap = otn::checkpoint::OtnSnapshot::parse(&text).expect("own render must parse");
+    let snap = orthotrees::checkpoint::Snapshot::parse(&text).expect("own render must parse");
     let mut replica = Otn::for_sorting(16).expect("power-of-two sort size");
     let _ = otn::sort::sort(&mut replica, &(0..16).collect::<Vec<i64>>()).unwrap();
     replica.restore(&snap).expect("matching shape restores");

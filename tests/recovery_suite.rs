@@ -14,9 +14,10 @@
 //!    outages and word faults completes under the recovery supervisor,
 //!    matching the recoverable baseline, within a bounded attempt budget.
 
+use orthotrees::checkpoint;
 use orthotrees::obs::json::Json;
 use orthotrees::otc::{self, Otc};
-use orthotrees::otn::{self, checkpoint::OtnSnapshot, Otn};
+use orthotrees::otn::{self, Otn};
 use orthotrees::{BitTime, FaultPlan, SimError};
 use orthotrees_sim::{
     supervise_engine, supervise_steps, Bit, Engine, NodeBehavior, NodeId, Outbox, PortId,
@@ -269,7 +270,7 @@ proptest! {
                 b.install_fault_plan(p);
             }
             let _ = otn::sort::sort(&mut b, &problem(n, salt + 7)).unwrap();
-            let snap = OtnSnapshot::parse(&text).unwrap();
+            let snap = checkpoint::Snapshot::parse(&text).unwrap();
             b.restore(&snap).unwrap();
             let out_b = otn::sort::sort(&mut b, &problem(n, salt + 1)).unwrap();
 
@@ -305,7 +306,7 @@ proptest! {
                 b.install_fault_plan(p);
             }
             let _ = otc::sort::sort(&mut b, &problem(n, salt + 7)).unwrap();
-            let snap = otc::checkpoint::OtcSnapshot::parse(&text).unwrap();
+            let snap = checkpoint::Snapshot::parse(&text).unwrap();
             b.restore(&snap).unwrap();
             let out_b = otc::sort::sort(&mut b, &problem(n, salt + 1)).unwrap();
 
@@ -387,7 +388,7 @@ fn supervised_multi_problem_soak_matches_recoverable_baseline() {
         problems.len(),
         &policy,
         Otn::snapshot,
-        |net, snap: &OtnSnapshot| net.restore(snap),
+        |net, snap: &checkpoint::Snapshot| net.restore(snap),
         |net| net.clock().now(),
         |net, index, attempt| {
             if attempt > 0 {
