@@ -58,6 +58,8 @@ cargo test --release -q -p orthotrees-bench --test profile_suite -- --ignored fo
 # crates/core/src/select.rs. The allocation pin holds both sorts at
 # n = 256 to the recorded allocation counts; see tests/alloc_suite.rs.
 cargo test --release -q -p orthotrees --lib -- --ignored shape_identity_sweep_under_dense_faults
+# Kernel identity sweep: every per-BP kernel equals the closure it replaced, up to OTN side 128 / OTC n = 1024.
+cargo test --release -q -p orthotrees --lib -- --ignored kernel_identity_sweep
 cargo test --release -q -p orthotrees-bench --test alloc_suite
 # Bounded recovery soak (fixed seed, outage-dense plan, n = 128): must
 # recover within the pinned attempt budget; see tests/recovery_suite.rs.

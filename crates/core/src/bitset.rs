@@ -198,6 +198,64 @@ impl Plane {
         self.buf.resize(self.nw + self.cells, 0);
     }
 
+    /// Writes the values of a plane no value was written to yet (all 0,
+    /// as its cells are all `NULL`), so [`Plane::values`] has one per
+    /// cell. Changes no cell's word.
+    pub(crate) fn materialize(&mut self) {
+        if self.buf.len() == self.nw {
+            self.zero_values();
+        }
+    }
+
+    /// Rewrites every cell `k` selected in `mask`, in increasing order, as
+    /// `f(k, words, old)`: `words` holds each of `src`'s word at `k` and
+    /// `old` this plane's. Sources are read a validity word (64 cells) at a
+    /// time and from their value slices; this plane's validity is built a
+    /// word at a time, so no cell goes through [`Plane::get`] or
+    /// [`Plane::set`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every source has this plane's cell count and has
+    /// been [materialized](Plane::materialize).
+    #[inline]
+    pub(crate) fn apply<const N: usize>(
+        &mut self,
+        mask: &[u64],
+        src: [&Plane; N],
+        mut f: impl FnMut(usize, [Option<Word>; N], Option<Word>) -> Option<Word>,
+    ) {
+        let cells = self.cells;
+        for s in &src {
+            assert_eq!(s.values().len(), cells, "a kernel source is a materialized plane");
+        }
+        if mask.iter().any(|&m| m != 0) {
+            self.materialize();
+        }
+        let (valid, values) = self.buf.split_at_mut(self.nw);
+        for (w, (&m, bits)) in mask.iter().zip(valid.iter_mut()).enumerate() {
+            if m == 0 {
+                continue;
+            }
+            let (lo, old) = (w << 6, *bits);
+            let got = if m == u64::MAX {
+                // Bits past the last cell are clear, so all 64 cells exist.
+                let src = src.map(|s| (s.valid()[w], s.values()[lo..lo + 64].try_into().unwrap()));
+                let out = (&mut values[lo..lo + 64]).try_into().unwrap();
+                match (src.iter().all(|&(v, _)| v == u64::MAX), old == u64::MAX) {
+                    (true, true) => run_full::<N, true, true>(lo, src, old, out, &mut f),
+                    (true, false) => run_full::<N, true, false>(lo, src, old, out, &mut f),
+                    _ => run_full::<N, false, false>(lo, src, old, out, &mut f),
+                }
+            } else {
+                let hi = (lo + 64).min(cells);
+                let src = src.map(|s| (s.valid()[w], &s.values()[lo..hi]));
+                run_sparse(lo, m, src, old, &mut values[lo..hi], &mut f)
+            };
+            *bits = (*bits & !m) | got;
+        }
+    }
+
     /// Calls `f(k, word)` for every cell `k` selected in `mask`, in
     /// increasing order.
     #[inline]
@@ -289,6 +347,64 @@ impl Plane {
             },
         );
     }
+}
+
+/// A source's or the old word of a cell of a [`Plane::apply`], from its
+/// validity word and value.
+#[inline(always)]
+fn word_at(valid: u64, value: u64, b: usize) -> Option<Word> {
+    (valid >> b & 1 != 0).then_some(value as Word)
+}
+
+/// Runs `f` at the cells selected in `m` among cells `lo..lo + out.len()`
+/// — the sources' validity words and values and this plane's old
+/// validity word and values in `src`, `old` and `out` — and returns
+/// their new validity bits.
+#[inline(always)]
+fn run_sparse<const N: usize>(
+    lo: usize,
+    m: u64,
+    src: [(u64, &[u64]); N],
+    old: u64,
+    out: &mut [u64],
+    f: &mut impl FnMut(usize, [Option<Word>; N], Option<Word>) -> Option<Word>,
+) -> u64 {
+    let mut got = 0;
+    let mut rest = m;
+    while rest != 0 {
+        let b = rest.trailing_zeros() as usize;
+        let v =
+            f(lo | b, src.map(|(valid, vals)| word_at(valid, vals[b], b)), word_at(old, out[b], b));
+        out[b] = v.unwrap_or(0) as u64;
+        got |= u64::from(v.is_some()) << b;
+        rest &= rest - 1;
+    }
+    got
+}
+
+/// [`run_sparse`] for a whole word of 64 selected cells. `SRC` and `OLD`
+/// say that every source word, and every old word, is valid: they are
+/// then passed without testing a validity bit, so a kernel compiles to
+/// much the code of one over plain values.
+#[inline(always)]
+fn run_full<const N: usize, const SRC: bool, const OLD: bool>(
+    lo: usize,
+    src: [(u64, &[u64; 64]); N],
+    old: u64,
+    out: &mut [u64; 64],
+    f: &mut impl FnMut(usize, [Option<Word>; N], Option<Word>) -> Option<Word>,
+) -> u64 {
+    let mut got = 0;
+    for b in 0..64 {
+        // A validity word known to be full folds the bit tests away.
+        let words =
+            src.map(|(valid, vals)| word_at(if SRC { u64::MAX } else { valid }, vals[b], b));
+        let before = word_at(if OLD { u64::MAX } else { old }, out[b], b);
+        let v = f(lo | b, words, before);
+        out[b] = v.unwrap_or(0) as u64;
+        got |= u64::from(v.is_some()) << b;
+    }
+    got
 }
 
 #[cfg(test)]

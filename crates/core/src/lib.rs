@@ -69,6 +69,8 @@ pub mod checkpoint;
 pub mod complexnum;
 pub mod dflow;
 mod grid;
+#[cfg(test)]
+mod kernel_identity;
 pub mod mot3d;
 pub mod otc;
 pub mod otn;

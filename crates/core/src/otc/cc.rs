@@ -26,7 +26,10 @@
 
 use super::{Axis, Otc, PhaseCost, Reg, Sel};
 use crate::grid::Grid;
-use crate::otn::graph::cc::{reference_components, CcOutcome};
+use crate::otn::graph::{
+    self,
+    cc::{reference_components, CcOutcome},
+};
 use crate::word::Word;
 use orthotrees_vlsi::{log2_ceil, CostModel, ModelError};
 
@@ -120,15 +123,14 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
             "OTC connected components failed to converge within {max_iters} iterations"
         );
         // Snapshot for the convergence test.
-        let (d, prev) = (regs.d, regs.prev);
-        net.bp_phase(PhaseCost::Bit, move |i, j, q, v| (i == j).then(|| (prev, v.get(d, i, j, q))));
+        let d = regs.d;
+        graph::snapshot(net, d, regs.prev);
 
         distribute_labels(net, &regs);
 
         // Candidates: cand[r](q) = D(J·L+q) where A(I·L+r, J·L+q) = 1.
-        let (dcol, aplanes, candplanes) =
-            (regs.dcol, regs.aplanes.clone(), regs.candplanes.clone());
-        net.cycle_phase(PhaseCost::Words(l as u64), move |_, _, cyc| {
+        let (dcol, aplanes, candplanes) = (regs.dcol, &regs.aplanes, &regs.candplanes);
+        net.cycle_phase(PhaseCost::Words(l as u64), |_, _, cyc| {
             for r in 0..aplanes.len() {
                 for q in 0..cyc.len() {
                     let c = match (cyc.get(aplanes[r], q), cyc.get(dcol, q)) {
@@ -141,8 +143,8 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
         });
         // Cycle-local partial minima, re-indexed so position r carries
         // row-offset r's minimum.
-        let (candplanes, pmin) = (regs.candplanes.clone(), regs.pmin);
-        net.cycle_phase(PhaseCost::Words(l as u64), move |_, _, cyc| {
+        let pmin = regs.pmin;
+        net.cycle_phase(PhaseCost::Words(l as u64), |_, _, cyc| {
             for (r, &plane) in candplanes.iter().enumerate() {
                 let mut best: Option<Word> = None;
                 for q in 0..cyc.len() {
@@ -162,18 +164,7 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
             |_, _, _| Sel::All,
         );
         // C(v) = min(D(v), minN(v)) at the diagonal.
-        let (minn, creg) = (regs.minn, regs.creg);
-        net.bp_phase(PhaseCost::Compare, move |i, j, q, v| {
-            if i != j {
-                return None;
-            }
-            let c = match (v.get(d, i, j, q), v.get(minn, i, j, q)) {
-                (Some(dv), Some(mv)) => Some(dv.min(mv)),
-                (Some(dv), None) => Some(dv),
-                _ => None,
-            };
-            Some((creg, c))
-        });
+        graph::own_or_min(net, Sel::Diagonal, [d, regs.minn], regs.creg);
         // C streams along the rows like the labels do.
         net.cycle_to_cycle(
             Axis::Rows,
@@ -210,33 +201,17 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
         );
         // Members adopt their group's new label via the indirection fetch.
         indirect_fetch(net, &regs, regs.ldist, l);
-        let newd = regs.newd;
-        net.bp_phase(PhaseCost::Compare, move |i, j, q, v| {
-            if i != j {
-                return None;
-            }
-            v.get(newd, i, j, q).map(|nd| (d, Some(nd)))
-        });
+        graph::adopt(net, regs.newd, d);
 
         // Shortcut: ⌈log₂ n⌉ pointer jumps D(v) := D(D(v)).
         for _ in 0..log2_ceil(n as u64).max(1) {
             distribute_labels(net, &regs);
             indirect_fetch(net, &regs, regs.dcol, l);
-            let newd = regs.newd;
-            net.bp_phase(PhaseCost::Compare, move |i, j, q, v| {
-                if i != j {
-                    return None;
-                }
-                v.get(newd, i, j, q).map(|nd| (d, Some(nd)))
-            });
+            graph::adopt(net, regs.newd, d);
         }
 
         // Converged? Count changed labels through the column trees.
-        let chflag = regs.chflag;
-        net.bp_phase(PhaseCost::Compare, move |i, j, q, v| {
-            let f = i == j && v.get(d, i, j, q) != v.get(prev, i, j, q);
-            Some((chflag, Some(Word::from(f))))
-        });
+        graph::flag_changed(net, [d, regs.prev], regs.chflag);
         net.sum_cycle_to_root(Axis::Cols, regs.chflag, |_, _, _, _| Sel::All);
         let changed: Word = net.root_words(Axis::Cols).iter().map(|v| v.unwrap_or(0)).sum();
         if changed == 0 {

@@ -14,7 +14,7 @@
 
 use super::{Axis, Otc, PhaseCost, Reg, Sel};
 use crate::grid::Grid;
-use crate::otn::graph::mst::MstOutcome;
+use crate::otn::graph::{self, mst::MstOutcome};
 use crate::word::{pack, unpack, Word};
 use orthotrees_vlsi::{log2_ceil, CostModel, ModelError};
 use std::collections::HashSet;
@@ -88,9 +88,8 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
         net.cycle_to_cycle(Axis::Cols, d, |_, _, _, _| Sel::Diagonal, dcol, |_, _, _| Sel::All);
 
         // Candidate outgoing edges, packed (weight, normalised edge id).
-        let (wp, cp) = (wplanes.clone(), candplanes.clone());
-        net.cycle_phase(PhaseCost::Words(2 * l as u64), move |i, j, cyc| {
-            for (r, (&wreg, &creg)) in wp.iter().zip(cp.iter()).enumerate() {
+        net.cycle_phase(PhaseCost::Words(2 * l as u64), |i, j, cyc| {
+            for (r, (&wreg, &creg)) in wplanes.iter().zip(&candplanes).enumerate() {
                 let dv = cyc.get(drow, r);
                 for q in 0..cyc.len() {
                     let c = match (cyc.get(wreg, q), dv, cyc.get(dcol, q)) {
@@ -105,9 +104,8 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
             }
         });
         // Per-vertex best: cycle-local min per row offset, then row trees.
-        let cp = candplanes.clone();
-        net.cycle_phase(PhaseCost::Words(l as u64), move |_, _, cyc| {
-            for (r, &creg) in cp.iter().enumerate() {
+        net.cycle_phase(PhaseCost::Words(l as u64), |_, _, cyc| {
+            for (r, &creg) in candplanes.iter().enumerate() {
                 let mut best: Option<Word> = None;
                 for q in 0..cyc.len() {
                     if let Some(v) = cyc.get(creg, q) {
@@ -143,10 +141,7 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
         );
 
         // Termination: does any component still have an outgoing edge?
-        net.bp_phase(PhaseCost::Bit, move |i, j, q, v| {
-            let f = i == j && v.get(compmin, i, j, q).is_some();
-            Some((have, Some(Word::from(f))))
-        });
+        graph::flag_open(net, compmin, have);
         net.sum_cycle_to_root(Axis::Cols, have, |_, _, _, _| Sel::All);
         let alive: Word = net.root_words(Axis::Cols).iter().map(|v| v.unwrap_or(0)).sum();
         if alive == 0 {
@@ -165,22 +160,8 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
         }
 
         // Hook targets: t1 = D(umin), t2 = D(umax) via pointer fetches.
-        for (endpoint_sel, treg) in [(0usize, t1), (1usize, t2)] {
-            // ptr(w) = that endpoint of w's chosen edge, at the diagonal.
-            net.bp_phase(PhaseCost::Words(2), move |i, j, q, v| {
-                if i != j {
-                    return None;
-                }
-                let p = v.get(compmin, i, j, q).map(|packed| {
-                    let (_, eid) = unpack(packed, nn * nn);
-                    if endpoint_sel == 0 {
-                        (eid / nn) as Word
-                    } else {
-                        (eid % nn) as Word
-                    }
-                });
-                Some((ptr, p))
-            });
+        for (upper, treg) in [(false, t1), (true, t2)] {
+            endpoints(net, compmin, ptr, upper);
             net.cycle_to_cycle(
                 Axis::Rows,
                 ptr,
@@ -213,18 +194,7 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
             );
         }
         // newlabel(w) = whichever endpoint label differs from w.
-        net.bp_phase(PhaseCost::Compare, move |i, j, q, v| {
-            if i != j {
-                return None;
-            }
-            let w = (i * l + q) as Word;
-            let target = match (v.get(t1, i, j, q), v.get(t2, i, j, q)) {
-                (Some(a), _) if a != w => Some(a),
-                (_, Some(b)) if b != w => Some(b),
-                _ => None,
-            };
-            Some((nl, target))
-        });
+        new_labels(net, [t1, t2], nl);
         // Break 2-cycles: LL(w) = newlabel(newlabel(w)).
         net.cycle_to_cycle(Axis::Cols, nl, |_, _, _, _| Sel::Diagonal, nlcol, |_, _, _| Sel::All);
         net.cycle_to_cycle(Axis::Rows, nl, |_, _, _, _| Sel::Diagonal, prow, |_, _, _| Sel::All);
@@ -251,17 +221,7 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
             llr,
             |_, _, _| Sel::Diagonal,
         );
-        net.bp_phase(PhaseCost::Compare, move |i, j, q, v| {
-            if i != j {
-                return None;
-            }
-            let w = (i * l + q) as Word;
-            match (v.get(nl, i, j, q), v.get(llr, i, j, q)) {
-                (Some(target), Some(back)) if back == w => Some((d, Some(target.min(w)))),
-                (Some(target), _) => Some((d, Some(target))),
-                (None, _) => None,
-            }
-        });
+        break_two_cycles(net, [nl, llr], d);
 
         // Shortcut: flatten the merged components.
         for _ in 0..log2_ceil(n as u64).max(1) {
@@ -290,18 +250,55 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
                 llr,
                 |_, _, _| Sel::Diagonal,
             );
-            net.bp_phase(PhaseCost::Compare, move |i, j, q, v| {
-                if i != j {
-                    return None;
-                }
-                v.get(llr, i, j, q).map(|x| (d, Some(x)))
-            });
+            graph::adopt(net, llr, d);
         }
     });
 
     edge_list.sort_unstable();
     let stats = net.clock().stats().since(&stats_before);
     Ok(MstOutcome { edges: edge_list, total_weight, time, phases, stats })
+}
+
+/// `ptr(w)` at the diagonal: the lower (`upper = false`) or upper
+/// endpoint of the edge packed in `best(w)`, `NULL` where `best` is.
+pub(crate) fn endpoints(net: &mut Otc, best: Reg, ptr: Reg, upper: bool) {
+    // The graph has side · L vertices.
+    let n = net.side() * net.cycle_len();
+    net.bp_kernel(PhaseCost::Words(2), Sel::Diagonal, [best], ptr, |_, [packed], _| {
+        packed.map(|packed| {
+            let (_, eid) = unpack(packed, n * n);
+            (if upper { eid % n } else { eid / n }) as Word
+        })
+    });
+}
+
+/// `newlabel(w)` at the diagonal: whichever of the endpoint labels `t1`,
+/// `t2` differs from `w`, first `t1`; `NULL` if neither does.
+pub(crate) fn new_labels(net: &mut Otc, [t1, t2]: [Reg; 2], nl: Reg) {
+    let l = net.cycle_len();
+    net.bp_kernel(PhaseCost::Compare, Sel::Diagonal, [t1, t2], nl, |bp, words, _| {
+        let w = (bp.i * l + bp.q) as Word;
+        match words {
+            [Some(a), _] if a != w => Some(a),
+            [_, Some(b)] if b != w => Some(b),
+            _ => None,
+        }
+    });
+}
+
+/// Hooking with 2-cycles broken: at the diagonal, `D(w) := newlabel(w)`,
+/// or `min(newlabel(w), w)` where `LL(w) = w`; `D` is kept where
+/// `newlabel` is `NULL`.
+pub(crate) fn break_two_cycles(net: &mut Otc, [nl, ll]: [Reg; 2], d: Reg) {
+    let l = net.cycle_len();
+    net.bp_kernel(PhaseCost::Compare, Sel::Diagonal, [nl, ll], d, |bp, words, dv| {
+        let w = (bp.i * l + bp.q) as Word;
+        match words {
+            [Some(target), Some(back)] if back == w => Some(target.min(w)),
+            [Some(target), _] => Some(target),
+            [None, _] => dv,
+        }
+    });
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //!    register `D`, and one `CYCLETOROOT(column(j))` emits column `j`'s
 //!    output interleave (ranks `≡ j mod m`).
 
-use super::{Axis, Otc, PhaseCost, Sel};
+use super::{Axis, Otc, PhaseCost, Reg, Sel};
 use crate::otn::sort::SortOutcome;
 use crate::word::Word;
 use orthotrees_vlsi::ModelError;
@@ -52,23 +52,10 @@ pub fn sort(net: &mut Otc, xs: &[Word]) -> Result<SortOutcome, ModelError> {
         net.cycle_to_cycle(Axis::Cols, a, |_, _, _, _| Sel::Diagonal, b, |_, _, _| Sel::All);
         // 3) rank counting: L compare rounds with B circulating.
         net.clear_reg(c);
-        // Side and cycle length are powers of two, so `mod` is a mask and
-        // `/` a shift.
-        let (m_shift, l_mask) = (m.trailing_zeros(), l - 1);
+        // Side and cycle length are powers of two, so `/` is a shift.
+        let m_shift = m.trailing_zeros();
         for p in 0..l {
-            net.bp_phase(PhaseCost::Compare, |i, j, q, v| {
-                let (av, bv) = (v.get(a, i, j, q), v.get(b, i, j, q));
-                let (Some(av), Some(bv)) = (av, bv) else { return None };
-                let ia = (i * l + q) as Word;
-                let ib = (j * l + ((q + p) & l_mask)) as Word;
-                let beats = av > bv || (av == bv && ia > ib);
-                if beats {
-                    let cur = v.get(c, i, j, q).unwrap_or(0);
-                    Some((c, Some(cur + 1)))
-                } else {
-                    None
-                }
-            });
+            compare_round(net, [a, b], c, p);
             net.circulate(&[b]);
         }
         // 4) global ranks: sum the counts across each row.
@@ -117,6 +104,27 @@ pub fn sort(net: &mut Otc, xs: &[Word]) -> Result<SortOutcome, ModelError> {
     missing.sort_unstable();
     let stats = net.clock().stats().since(&stats_before);
     Ok(SortOutcome { sorted, missing, time, stats })
+}
+
+/// Step 3, compare round `p` (`B` circulated `p` times): `BP(i, j, q)`
+/// holds element `iL + q` in `A` and element `jL + (q + p) mod L` in `B`,
+/// and adds 1 to `C` where `A` beats `B` — `A > B`, or `A = B` and `A`'s
+/// element index is the larger. Where either word is `NULL`, `C` keeps
+/// its word.
+pub(crate) fn compare_round(net: &mut Otc, [a, b]: [Reg; 2], c: Reg, p: usize) {
+    // The cycle length is a power of two, so `mod` is a mask.
+    let l = net.cycle_len();
+    net.bp_kernel(PhaseCost::Compare, Sel::All, [a, b], c, |bp, words, cur| {
+        let [Some(av), Some(bv)] = words else { return cur };
+        let ia = (bp.i * l + bp.q) as Word;
+        let ib = (bp.j * l + ((bp.q + p) & (l - 1))) as Word;
+        let beats = av > bv || (av == bv && ia > ib);
+        if beats {
+            Some(cur.unwrap_or(0) + 1)
+        } else {
+            cur
+        }
+    });
 }
 
 #[cfg(test)]

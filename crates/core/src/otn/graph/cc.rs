@@ -18,7 +18,7 @@
 //! vertex id in its component, which the tests check against a union–find
 //! reference.
 
-use super::super::{all, Axis, Otn, PhaseCost, Sel};
+use super::super::{all, Axis, Otn, PhaseCost, Reg, Sel};
 use super::{count_label_changes, ChangeCounter, Labels};
 use crate::grid::Grid;
 use crate::word::Word;
@@ -86,33 +86,16 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
             "connected components failed to converge within {max_iters} iterations"
         );
         // Snapshot D for the convergence test.
-        net.bp_phase(PhaseCost::Bit, |i, j, bp| {
-            if i == j {
-                bp.set(prev, bp.get(labels.d));
-            }
-        });
+        super::snapshot(net, labels.d, prev);
 
         labels.refresh(net);
         // 1) cand(v,u) = D(u) if (v,u) ∈ E — the neighbour's label.
-        net.bp_phase(PhaseCost::Compare, |_, _, bp| {
-            let c = match (bp.get(a), bp.get(labels.dcol)) {
-                (Some(e), lbl @ Some(_)) if e != 0 => lbl,
-                _ => None,
-            };
-            bp.set(cand, c);
-        });
+        neighbour_labels(net, [a, labels.dcol], cand);
         // minN(v) = min over neighbours, broadcast to all of row v.
         net.min_to_leaf(Axis::Rows, cand, all, minn, all);
         // C(v) = min(D(v), minN(v)) — computable locally everywhere since
         // drow(v,·) = D(v).
-        net.bp_phase(PhaseCost::Compare, |_, _, bp| {
-            let c = match (bp.get(labels.drow), bp.get(minn)) {
-                (Some(d), Some(m)) => Some(d.min(m)),
-                (Some(d), None) => Some(d),
-                _ => None,
-            };
-            bp.set(cfull, c);
-        });
+        super::own_or_min(net, Sel::All, [labels.drow, minn], cfull);
         // 2) L(w) = min{ C(v) : D(v) = w }, landing at diagonal (w,w).
         let drow = labels.drow;
         net.min_to_leaf(
@@ -135,6 +118,16 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
     let label_vec = labels.read(&mut net);
     let stats = net.clock().stats().since(&stats_before);
     Ok(CcOutcome { labels: label_vec, time, iterations, stats })
+}
+
+/// `cand(v, u) := D(u)` where `(v, u)` is an edge, `NULL` elsewhere — each
+/// vertex's neighbours' labels, from the adjacency `a` and the column
+/// broadcast `dcol(v, u) = D(u)`.
+pub(crate) fn neighbour_labels(net: &mut Otn, [a, dcol]: [Reg; 2], cand: Reg) {
+    net.bp_kernel(PhaseCost::Compare, Sel::All, [a, dcol], cand, |_, words, _| match words {
+        [Some(e), lbl @ Some(_)] if e != 0 => lbl,
+        _ => None,
+    });
 }
 
 /// Union–find reference (host-side), returning the same canonical labels

@@ -23,6 +23,7 @@ pub mod triangles;
 
 use super::{all, Axis, Otn, PhaseCost, Reg, Sel};
 use crate::word::Word;
+use crate::wordnet::{Topology, WordNet};
 
 /// The register triple every label-manipulating algorithm keeps:
 /// `d` holds `D(v)` at diagonal BPs; `drow`/`dcol` are its row/column
@@ -102,14 +103,54 @@ impl Labels {
             |_, _, _| Sel::Diagonal,
         );
         // …and adopts it unless NULL.
-        net.bp_phase(PhaseCost::Compare, |i, j, bp| {
-            if i == j {
-                if let Some(l) = bp.get(fetched) {
-                    bp.set(d, Some(l));
-                }
-            }
-        });
+        adopt(net, fetched, d);
     }
+}
+
+// Label phases the OTC's graph algorithms share: one kernel each
+// (`WordNet::bp_kernel`), vertex state at the diagonal cells.
+
+/// `prev(v) := D(v)` at the diagonal, `NULL` included — the snapshot the
+/// convergence test compares against.
+pub(crate) fn snapshot<T: Topology>(net: &mut WordNet<T>, d: Reg, prev: Reg) {
+    net.bp_kernel(PhaseCost::Bit, Sel::Diagonal, [d], prev, |_, [dv], _| dv);
+}
+
+/// `D(v) := new(v)` at the diagonal where `new(v)` is not `NULL`.
+pub(crate) fn adopt<T: Topology>(net: &mut WordNet<T>, new: Reg, d: Reg) {
+    net.bp_kernel(PhaseCost::Compare, Sel::Diagonal, [new], d, |_, [nv], dv| nv.or(dv));
+}
+
+/// `C := min(own, other)` over the cells of `domain`, `own` where
+/// `other` is `NULL` and `NULL` where `own` is: a vertex's label against
+/// the least label among its neighbours.
+pub(crate) fn own_or_min<T: Topology>(
+    net: &mut WordNet<T>,
+    domain: Sel,
+    [own, other]: [Reg; 2],
+    c: Reg,
+) {
+    net.bp_kernel(PhaseCost::Compare, domain, [own, other], c, |_, words, _| match words {
+        [Some(d), Some(m)] => Some(d.min(m)),
+        [Some(d), None] => Some(d),
+        _ => None,
+    });
+}
+
+/// `flag := 1` at the diagonal cells whose `D` differs from `prev`, 0
+/// everywhere else.
+pub(crate) fn flag_changed<T: Topology>(net: &mut WordNet<T>, [d, prev]: [Reg; 2], flag: Reg) {
+    net.bp_kernel(PhaseCost::Compare, Sel::All, [d, prev], flag, |bp, [dv, pv], _| {
+        Some(Word::from(bp.i == bp.j && dv != pv))
+    });
+}
+
+/// `flag := 1` at the diagonal cells whose component has a candidate
+/// edge left (`best` not `NULL`), 0 everywhere else.
+pub(crate) fn flag_open<T: Topology>(net: &mut WordNet<T>, best: Reg, flag: Reg) {
+    net.bp_kernel(PhaseCost::Bit, Sel::All, [best], flag, |bp, [bv], _| {
+        Some(Word::from(bp.i == bp.j && bv.is_some()))
+    });
 }
 
 /// Scratch registers for [`count_label_changes`]; allocate once, reuse
@@ -136,10 +177,7 @@ pub(crate) fn count_label_changes(
 ) -> u64 {
     let d = labels.d;
     let (chflag, colcount) = (scratch.chflag, scratch.colcount);
-    net.bp_phase(PhaseCost::Compare, |i, j, bp| {
-        let f = i == j && bp.get(d) != bp.get(prev);
-        bp.set(chflag, Some(Word::from(f)));
-    });
+    flag_changed(net, [d, prev], chflag);
     // Column counts land in row 0, then row tree 0 counts the columns.
     net.count_to_leaf(Axis::Cols, chflag, colcount, |_, _, _| Sel::Row(0));
     net.count_to_root(Axis::Rows, colcount);

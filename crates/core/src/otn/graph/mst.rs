@@ -13,7 +13,7 @@
 //! (paper §VI.B: "the area goes down to O(N² log N) … because the entire
 //! N × N weight matrix must be stored on the chip").
 
-use super::super::{all, Axis, Otn, PhaseCost, Sel};
+use super::super::{all, Axis, Otn, PhaseCost, Reg, Sel};
 use super::Labels;
 use crate::grid::Grid;
 use crate::word::{pack, unpack, Word};
@@ -103,15 +103,7 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
         //    both sides of a tie pick the same edge and the 2-cycle hook
         //    resolution below merges them with exactly one edge.
         let (drow, dcol) = (labels.drow, labels.dcol);
-        net.bp_phase(PhaseCost::Words(2), move |i, j, bp| {
-            let c = match (bp.get(wreg), bp.get(drow), bp.get(dcol)) {
-                (Some(w), Some(dv), Some(du)) if dv != du => {
-                    Some(pack(w, i.min(j) * nn + i.max(j), nn * nn))
-                }
-                _ => None,
-            };
-            bp.set(cand, c);
-        });
+        candidates(net, [wreg, drow, dcol], cand);
         // 2) per-vertex best, known everywhere in the row.
         net.min_to_leaf(Axis::Rows, cand, all, cmin, all);
         // 3) per-component best, landing at the component root's diagonal.
@@ -123,10 +115,7 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
             |_, _, _| Sel::Diagonal,
         );
         // 4) termination: any component with an outgoing edge left?
-        net.bp_phase(PhaseCost::Bit, |i, j, bp| {
-            let f = i == j && bp.get(compmin).is_some();
-            bp.set(have, Some(Word::from(f)));
-        });
+        super::flag_open(net, compmin, have);
         net.count_to_leaf(Axis::Cols, have, havecnt, |_, _, _| Sel::Row(0));
         net.count_to_root(Axis::Rows, havecnt);
         if net.roots(Axis::Rows)[0] == Some(0) {
@@ -150,21 +139,7 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
         //    it is the one whose column label differs from this row's
         //    component label.
         net.leaf_to_leaf(Axis::Rows, compmin, |_, _, _| Sel::Diagonal, cmrow, all);
-        net.bp_phase(PhaseCost::Words(2), move |_, j, bp| {
-            let h = match (bp.get(cmrow), bp.get(drow), bp.get(dcol)) {
-                (Some(p), Some(dv), Some(du)) => {
-                    let (_, eid) = unpack(p, nn * nn);
-                    let is_endpoint = eid % nn == j || eid / nn == j;
-                    if is_endpoint && du != dv {
-                        Some(du) // D(outside endpoint)
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            };
-            bp.set(hookval, h);
-        });
+        hooks(net, [cmrow, drow, dcol], hookval);
         net.min_to_leaf(Axis::Rows, hookval, all, lreg, |_, _, _| Sel::Diagonal);
         // 7) break 2-cycles: fetch LL(w) = L(L(w)); if LL(w) = w, the
         //    smaller label becomes the root.
@@ -177,19 +152,7 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
             llreg,
             |_, _, _| Sel::Diagonal,
         );
-        let d = labels.d;
-        net.bp_phase(PhaseCost::Compare, move |i, j, bp| {
-            if i != j {
-                return;
-            }
-            match (bp.get(lreg), bp.get(llreg)) {
-                (Some(l), Some(ll)) if ll == i as Word => {
-                    bp.set(d, Some(l.min(i as Word)));
-                }
-                (Some(l), _) => bp.set(d, Some(l)),
-                (None, _) => {}
-            }
-        });
+        break_two_cycles(net, [lreg, llreg], labels.d);
         // 8) flatten.
         labels.shortcut(net);
     });
@@ -231,6 +194,51 @@ pub fn reference_mst_weight(weights: &Grid<Option<Word>>) -> (Word, usize) {
         }
     }
     (total, count)
+}
+
+/// Step 1, the candidate outgoing edges: `cand(i, j)` is the weight
+/// `W(i, j)` packed with the normalised edge id `min(i,j)·n + max(i,j)`
+/// where the edge leaves `i`'s component (`D(i) ≠ D(j)`), `NULL`
+/// elsewhere.
+pub(crate) fn candidates(net: &mut Otn, [w, drow, dcol]: [Reg; 3], cand: Reg) {
+    let n = net.rows();
+    net.bp_kernel(
+        PhaseCost::Words(2),
+        Sel::All,
+        [w, drow, dcol],
+        cand,
+        |bp, words, _| match words {
+            [Some(w), Some(dv), Some(du)] if dv != du => {
+                Some(pack(w, bp.i.min(bp.j) * n + bp.i.max(bp.j), n * n))
+            }
+            _ => None,
+        },
+    );
+}
+
+/// Step 6, the hook targets: in row `w`, the cell of the chosen edge's
+/// endpoint outside the component (its column label differs from the
+/// row's) holds that label `D(u)`; every other cell holds `NULL`.
+pub(crate) fn hooks(net: &mut Otn, [cmrow, drow, dcol]: [Reg; 3], hook: Reg) {
+    let n = net.rows();
+    net.bp_kernel(PhaseCost::Words(2), Sel::All, [cmrow, drow, dcol], hook, |bp, words, _| {
+        let [Some(p), Some(dv), Some(du)] = words else { return None };
+        let (_, eid) = unpack(p, n * n);
+        let is_endpoint = eid % n == bp.j || eid / n == bp.j;
+        // D(outside endpoint).
+        (is_endpoint && du != dv).then_some(du)
+    });
+}
+
+/// Step 7, hooking with 2-cycles broken: at the diagonal, `D(w) := L(w)`,
+/// or `min(L(w), w)` where `L(L(w)) = w`; `D` is kept where `L` is
+/// `NULL`.
+pub(crate) fn break_two_cycles(net: &mut Otn, [l, ll]: [Reg; 2], d: Reg) {
+    net.bp_kernel(PhaseCost::Compare, Sel::Diagonal, [l, ll], d, |bp, words, dv| match words {
+        [Some(l), Some(ll)] if ll == bp.i as Word => Some(l.min(bp.i as Word)),
+        [Some(l), _] => Some(l),
+        [None, _] => dv,
+    });
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! uses the index tie-break the paper gives:
 //! `A > B or (A = B and i > j)`.
 
-use super::{all, Axis, Otn, PhaseCost, Sel};
+use super::{all, Axis, Otn, PhaseCost, Reg, Sel};
 use crate::word::Word;
 use orthotrees_vlsi::{BitTime, ModelError, OpStats};
 
@@ -79,13 +79,7 @@ pub fn sort(net: &mut Otn, xs: &[Word]) -> Result<SortOutcome, ModelError> {
         //    BP of column i: B(i,j) = x(j).
         net.leaf_to_leaf(Axis::Cols, a, |_, _, _| Sel::Diagonal, b, all);
         // 3) all N² comparisons in one parallel word-compare.
-        net.bp_phase(PhaseCost::Compare, |i, j, bp| {
-            let f = match (bp.get(a), bp.get(b)) {
-                (Some(x), Some(y)) => x > y || (x == y && i > j),
-                _ => false,
-            };
-            bp.set(flag, Some(Word::from(f)));
-        });
+        compare(net, [a, b], flag);
         // 4) rank of x(i) at every BP of row i.
         net.count_to_leaf(Axis::Rows, flag, r, all);
         // 5) column tree i extracts the element of rank i.
@@ -112,6 +106,19 @@ pub fn sort(net: &mut Otn, xs: &[Word]) -> Result<SortOutcome, ModelError> {
         .collect();
     let stats = net.clock().stats().since(&stats_before);
     Ok(SortOutcome { sorted, missing, time, stats })
+}
+
+/// Step 3, all `N²` comparisons in one parallel word-compare:
+/// `flag(i,j) := A(i,j) > B(i,j) or (A(i,j) = B(i,j) and i > j)`, and 0
+/// where either word is `NULL`.
+pub(crate) fn compare(net: &mut Otn, [a, b]: [Reg; 2], flag: Reg) {
+    net.bp_kernel(PhaseCost::Compare, Sel::All, [a, b], flag, |bp, words, _| {
+        let f = match words {
+            [Some(x), Some(y)] => x > y || (x == y && bp.i > bp.j),
+            _ => false,
+        };
+        Some(Word::from(f))
+    });
 }
 
 /// Result of a selection run.
@@ -152,13 +159,7 @@ pub fn select_kth(net: &mut Otn, xs: &[Word], k: usize) -> Result<SelectOutcome,
     let (_, time) = net.elapsed(|net| {
         net.root_to_leaf(Axis::Rows, a, all);
         net.leaf_to_leaf(Axis::Cols, a, |_, _, _| Sel::Diagonal, b, all);
-        net.bp_phase(PhaseCost::Compare, |i, j, bp| {
-            let f = match (bp.get(a), bp.get(b)) {
-                (Some(x), Some(y)) => x > y || (x == y && i > j),
-                _ => false,
-            };
-            bp.set(flag, Some(Word::from(f)));
-        });
+        compare(net, [a, b], flag);
         net.count_to_leaf(Axis::Rows, flag, r, all);
         // Column tree 0 extracts the rank-k element (the copy in column 0).
         net.leaf_to_root(Axis::Cols, a, move |i, j, v| j == 0 && v.get(r, i, 0) == Some(k as Word));

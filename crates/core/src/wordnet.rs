@@ -22,7 +22,7 @@ use crate::bitset::{self, Plane};
 use crate::dflow::FlowShape;
 use crate::primitive::{self, Acc, Monoid, ParallelPolicy, PrimitiveSpec};
 use crate::resilience::{self, FaultPlan, FaultReport, FaultState, FaultStats};
-use crate::select::{self, Pick};
+use crate::select::{self, Pick, Sel};
 use crate::word::Word;
 use orthotrees_obs::telemetry::Telemetry;
 use orthotrees_obs::{causal::ReachCell, Recorder};
@@ -167,6 +167,18 @@ pub enum PhaseCost {
     Words(u64),
 }
 
+/// Where a [`WordNet::bp_kernel`] runs: base processor `q` of cell
+/// `(i, j)` (`q` is always 0 on the OTN).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Bp {
+    /// Row of the cell.
+    pub(crate) i: usize,
+    /// Column of the cell.
+    pub(crate) j: usize,
+    /// Position in the cell's cycle.
+    pub(crate) q: usize,
+}
+
 /// Read-only view of all register planes, handed to selectors so they can
 /// express the paper's register predicates (e.g. SORT-OTN step 5's
 /// `j : R(j, i) = i`). Its `get` takes `(row, col)` on the OTN
@@ -288,11 +300,12 @@ impl<T: Topology> WordNet<T> {
     }
 
     /// Sets how each primitive fills a `bool` selector's mask (see
-    /// [`ParallelPolicy`]; [`Sel`](crate::Sel) shapes are filled a word at
+    /// [`ParallelPolicy`]; [`Sel`] shapes are filled a word at
     /// a time either way). Both policies are bit- and clock-identical —
     /// asserted by property tests. `Threads` parallelises only the mask
-    /// fill and has not been measured faster: SORT at n = 512 ran at
-    /// 0.78–0.98× the sequential speed on a 2-vCPU host.
+    /// fill and has not been measured faster: SORT-OTN and SORT-OTC at
+    /// n = 512 ran at 0.99× and 1.03× the sequential speed on a 2-vCPU
+    /// host.
     pub fn set_parallel_policy(&mut self, policy: ParallelPolicy) {
         self.parallel = policy;
     }
@@ -858,6 +871,58 @@ impl<T: Topology> WordNet<T> {
             PhaseCost::Multiply => self.model.multiply(),
             PhaseCost::Words(k) => self.model.compare() * k,
         }
+    }
+
+    /// One parallel per-BP compute phase as a *kernel*: every base
+    /// processor selected by `domain` sets `dest` to `f(bp, words, old)`,
+    /// where `words` are its words of the `src` registers and `old` its
+    /// word of `dest`; the others keep theirs. `cost` is charged once, under
+    /// the same `BP-PHASE` span as the closure forms
+    /// ([`Otn::bp_phase`](crate::otn::Otn::bp_phase),
+    /// [`Otc::bp_phase`](crate::otc::Otc::bp_phase)).
+    ///
+    /// The closure forms call a closure per cell that reads and writes
+    /// registers one validity bit at a time. A kernel reads its sources'
+    /// values as slices and their validity 64 cells at a time, writes
+    /// `dest` in cell order and builds its validity a word at a time. It
+    /// needs no staging: it reads `dest` only at the cell it writes, and
+    /// writes no other register. A `domain` narrower than [`Sel::All`]
+    /// (the diagonal of a label phase) runs `f` at its cells only. Like
+    /// every per-BP phase, a kernel draws no faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dest` is one of `src` (its old word is `old`), or a
+    /// register is out of range.
+    pub(crate) fn bp_kernel<const N: usize>(
+        &mut self,
+        cost: PhaseCost,
+        domain: Sel,
+        src: [Reg; N],
+        dest: Reg,
+        mut f: impl FnMut(Bp, [Option<Word>; N], Option<Word>) -> Option<Word>,
+    ) {
+        assert!(!src.contains(&dest), "a kernel reads its destination only as `old`");
+        let mut mask = std::mem::take(&mut self.mask);
+        mask.clear();
+        mask.resize(bitset::words(self.cells()), 0);
+        let sel = |_: usize, _: usize, _: usize, _: &View<'_, T>| domain;
+        select::fill(&sel, &self.view(), ParallelPolicy::Sequential, true, &mut mask);
+        for r in src {
+            self.regs[r.0].materialize();
+        }
+        // Cycle lengths and column counts are powers of two; the cycle
+        // folds to 1 on the OTN.
+        let (cols, cycle) = (self.cols, self.cycle());
+        let (cshift, jshift) = (cycle.trailing_zeros(), cols.trailing_zeros());
+        let mut out = std::mem::replace(&mut self.regs[dest.0], Plane::new(0));
+        out.apply(&mask, src.map(|r| &self.regs[r.0]), |k, words, old| {
+            let cell = k >> cshift;
+            f(Bp { i: cell >> jshift, j: cell & (cols - 1), q: k & (cycle - 1) }, words, old)
+        });
+        self.regs[dest.0] = out;
+        self.mask = mask;
+        self.charge_compute("BP-PHASE", cost);
     }
 
     /// Charges a local compute phase of class `cost` under `name`'s

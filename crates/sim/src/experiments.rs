@@ -222,6 +222,9 @@ impl NodeBehavior for WordSink {
             self.done = Some(now);
         }
     }
+    fn accepts_bit(&self, _: PortId, index: u32) -> bool {
+        index < self.width
+    }
     fn completed_at(&self) -> Option<BitTime> {
         self.done
     }
@@ -294,6 +297,9 @@ impl NodeBehavior for SerialAdder {
             self.next += 1;
         }
     }
+    fn accepts_bit(&self, port: PortId, index: u32) -> bool {
+        two_operand_bit(port, index, self.left.len())
+    }
     fn save_state(&self) -> Json {
         Json::obj([
             ("left", tri_encode(&self.left)),
@@ -310,6 +316,12 @@ impl NodeBehavior for SerialAdder {
             .map_err(|_| snap_err("adder position exceeds u32".into()))?;
         Ok(())
     }
+}
+
+/// Whether a two-operand IP (adder, minimum) of `width`-bit operands can
+/// take bit `index` on `port`: a child input, within the operand.
+fn two_operand_bit(port: PortId, index: u32, width: usize) -> bool {
+    matches!(port, FROM_LEFT | FROM_RIGHT) && (index as usize) < width
 }
 
 /// Bit-serial minimum (MIN IP): operands arrive MSB-first; while the two
@@ -361,6 +373,9 @@ impl NodeBehavior for SerialMin {
             out.send_after(TO_PARENT, Bit { value, index: self.next }, BitTime::new(1));
             self.next += 1;
         }
+    }
+    fn accepts_bit(&self, port: PortId, index: u32) -> bool {
+        two_operand_bit(port, index, self.left.len())
     }
     fn save_state(&self) -> Json {
         Json::obj([
@@ -786,6 +801,9 @@ impl NodeBehavior for TurnAround {
                 out.send(TO_PARENT, b);
             }
         }
+    }
+    fn accepts_bit(&self, _: PortId, index: u32) -> bool {
+        index < self.expected
     }
     fn save_state(&self) -> Json {
         Json::arr(

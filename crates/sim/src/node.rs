@@ -74,6 +74,17 @@ pub trait NodeBehavior {
     /// Called when a bit arrives on input port `port` at time `now`.
     fn on_bit(&mut self, now: BitTime, port: PortId, bit: Bit, out: &mut Outbox);
 
+    /// Whether this node can take a bit of index `index` on input `port`
+    /// — the vetting [`Engine::restore`](crate::Engine::restore) applies
+    /// to every pending event of a snapshot before it touches any state.
+    /// The default accepts every bit. Nodes that index a buffer by bit
+    /// index, or accept only some ports, override it so a hostile
+    /// snapshot is refused instead of panicking in
+    /// [`on_bit`](NodeBehavior::on_bit).
+    fn accepts_bit(&self, _port: PortId, _index: u32) -> bool {
+        true
+    }
+
     /// Completion probe: a sink reports when it has received a full word.
     /// The engine records the latest completion time over all nodes.
     fn completed_at(&self) -> Option<BitTime> {

@@ -386,14 +386,17 @@ impl Engine {
     /// event-log setting — restoring into anything else would silently
     /// produce garbage, so each mismatch is rejected with a typed error.
     /// Every pending event must sit at some link's destination `(node,
-    /// port)`, the only places the engine schedules deliveries. The
+    /// port)`, the only places the engine schedules deliveries, and carry
+    /// a bit its node accepts there. The
     /// installed fault plan (configuration) and instruments (observers)
     /// are not state: they are left untouched.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::SnapshotMismatch`] on a shape mismatch or an
-    /// event no link delivers to, with the engine unchanged, or
+    /// Returns [`SimError::SnapshotMismatch`] on a shape mismatch, an
+    /// event no link delivers to or one whose node refuses its bit
+    /// ([`NodeBehavior::accepts_bit`](crate::NodeBehavior::accepts_bit)),
+    /// with the engine unchanged, or
     /// [`SimError::SnapshotFormat`] if a node rejects its saved state. In
     /// that last case the engine may be partially restored and must be
     /// discarded.
@@ -427,6 +430,15 @@ impl Engine {
                 "calendar event input",
                 format!("no link into node {} port {}", e.node, e.port),
                 format!("an event pending there at t = {}", e.at.get()),
+            ));
+        }
+        if let Some(e) =
+            snap.events.iter().find(|e| !self.nodes[e.node].accepts_bit(PortId(e.port), e.index))
+        {
+            return Err(mismatch(
+                "calendar event bit",
+                format!("a bit node {} accepts on port {}", e.node, e.port),
+                format!("bit index {} pending there at t = {}", e.index, e.at.get()),
             ));
         }
         for (node, state) in self.nodes.iter_mut().zip(&snap.node_states) {
@@ -530,6 +542,20 @@ mod tests {
         match fresh.restore(&snap) {
             Err(SimError::SnapshotMismatch { what: "calendar event input", .. }) => {}
             other => panic!("expected a calendar-event mismatch, got {other:?}"),
+        }
+        assert_eq!(fresh.snapshot().render(), before, "a refused restore changes nothing");
+    }
+
+    #[test]
+    fn restore_rejects_a_bit_index_past_the_word() {
+        let text = mid_run(ProbeKind::Sum, 8, 40, false).snapshot().render();
+        assert!(rewrite_first_event(&text, 5, "5") == text, "the first event is bit 5");
+        let snap = Snapshot::parse(&rewrite_first_event(&text, 5, "99")).unwrap();
+        let mut fresh = mid_run(ProbeKind::Sum, 8, 0, false);
+        let before = fresh.snapshot().render();
+        match fresh.restore(&snap) {
+            Err(SimError::SnapshotMismatch { what: "calendar event bit", .. }) => {}
+            other => panic!("expected a calendar-bit mismatch, got {other:?}"),
         }
         assert_eq!(fresh.snapshot().render(), before, "a refused restore changes nothing");
     }
