@@ -6,8 +6,8 @@
 //! counters, every reach event and the full checkpoint text. The faulty
 //! cases install a dense word-fault plan plus dead IPs: sibling pairs that
 //! darken whole subtrees on both axes and a lone dead IP that reroutes.
-//! The graph cases (CC and MST on both networks) build their nets
-//! internally, so they pin the outcome, time and counts. Long values are
+//! The graph cases (CC and MST on both networks, at n = 8, 16 and 256)
+//! build their nets internally, so they pin the outcome, time and counts. Long values are
 //! pinned as FNV-1a digests of their `Debug` text.
 
 use orthotrees::obs::Recorder;
@@ -162,24 +162,38 @@ fn sort_runs_match_their_pinned_outputs() {
 
 #[test]
 fn graph_runs_match_their_pinned_outputs() {
-    let adj = workloads::gnp_adjacency(16, 0.15, 3);
-    let weights = workloads::random_weights(16, 0.3, 50, 4);
-    let otn_cc = otn::graph::cc::connected_components(&adj).unwrap();
-    let otc_cc = otc::cc::connected_components(&adj).unwrap();
-    let otn_mst = otn::graph::mst::minimum_spanning_tree(&weights).unwrap();
-    let otc_mst = otc::mst::minimum_spanning_tree(&weights).unwrap();
-    // (case, simulated time, digest of the full outcome's Debug text)
-    let got = [
-        ("otn cc", otn_cc.time.get(), digest(&format!("{otn_cc:?}"))),
-        ("otc cc", otc_cc.time.get(), digest(&format!("{otc_cc:?}"))),
-        ("otn mst", otn_mst.time.get(), digest(&format!("{otn_mst:?}"))),
-        ("otc mst", otc_mst.time.get(), digest(&format!("{otc_mst:?}"))),
-    ];
+    // (n, G(n, p) density for CC, extra-edge density for MST, seed): the
+    // OTC's cycle length L is 2, 4 and 8 at these sizes.
+    let sizes = [(8, 0.3, 0.3, 5), (16, 0.15, 0.3, 3), (256, 0.006, 0.02, 7)];
+    // (case, n, simulated time, digest of the full outcome's Debug text)
+    let mut got = Vec::new();
+    for (n, p_cc, p_mst, seed) in sizes {
+        let adj = workloads::gnp_adjacency(n, p_cc, seed);
+        let weights = workloads::random_weights(n, p_mst, 50, seed + 1);
+        let otn_cc = otn::graph::cc::connected_components(&adj).unwrap();
+        let otc_cc = otc::cc::connected_components(&adj).unwrap();
+        let otn_mst = otn::graph::mst::minimum_spanning_tree(&weights).unwrap();
+        let otc_mst = otc::mst::minimum_spanning_tree(&weights).unwrap();
+        got.extend([
+            ("otn cc", n, otn_cc.time.get(), digest(&format!("{otn_cc:?}"))),
+            ("otc cc", n, otc_cc.time.get(), digest(&format!("{otc_cc:?}"))),
+            ("otn mst", n, otn_mst.time.get(), digest(&format!("{otn_mst:?}"))),
+            ("otc mst", n, otc_mst.time.get(), digest(&format!("{otc_mst:?}"))),
+        ]);
+    }
     let want = [
-        ("otn cc", 4314, 0x8328_6676_d499_fc02),
-        ("otc cc", 6879, 0x76b0_118a_b574_a36d),
-        ("otn mst", 7133, 0xcbf8_e3df_ab6e_0dc4),
-        ("otc mst", 14784, 0xa73a_2570_2b2d_0d93),
+        ("otn cc", 8, 2646, 0x594b_66ef_6d96_6e4d),
+        ("otc cc", 8, 2985, 0x3c29_9258_41e8_5bfd),
+        ("otn mst", 8, 3349, 0x098d_8a8b_ef93_2829),
+        ("otc mst", 8, 4767, 0x6df0_6949_c392_6d80),
+        ("otn cc", 16, 4314, 0x8328_6676_d499_fc02),
+        ("otc cc", 16, 6879, 0x76b0_118a_b574_a36d),
+        ("otn mst", 16, 7133, 0xcbf8_e3df_ab6e_0dc4),
+        ("otc mst", 16, 14784, 0xa73a_2570_2b2d_0d93),
+        ("otn cc", 256, 29980, 0x125d_f870_e879_0f07),
+        ("otc cc", 256, 66320, 0x3822_4ad5_b85b_ed98),
+        ("otn mst", 256, 39745, 0xf94e_13d6_57a7_cb94),
+        ("otc mst", 256, 103425, 0xb7a6_2076_0216_6cbd),
     ];
     assert_eq!(got, want);
 }
