@@ -38,6 +38,8 @@ cargo test --release -q -p orthotrees-bench --test calendar_suite
 cargo test --release -q -p orthotrees-bench --test calendar_suite -- --ignored full_probe_sweep_across_calendars
 # Snapshot reader sweep: every truncation and byte edit of each probe's snapshot parses or fails typed.
 cargo test --release -q -p orthotrees-sim --lib -- --ignored every_truncation_and_byte_edit_of_every_probe_snapshot
+# Snapshot resume sweep: every probe's snapshot with a pending bit index rewritten past the word restores and runs or fails typed (debug build, so overflow panics).
+cargo test -q -p orthotrees-sim --lib -- --ignored every_out_of_range_bit_index_of_every_probe_snapshot_resumes_or_fails_typed
 # Probe independence gate: every engine instrument must give the same
 # result attached alone or with all five, and attaching them must leave
 # the run bit-identical, clean and under link faults or node outages. The

@@ -20,10 +20,12 @@
 //!   `CYCLETOROOT` selectors line up.
 //!
 //! The hook-and-shortcut structure is identical to
-//! [`crate::otn::graph::cc`]; the tests check the measured time lands
-//! within a small constant of the OTN's — the paper's "same time, less
-//! area" — and the result against union–find.
+//! [`crate::otn::graph::cc`], with the label phases of the crate-internal
+//! `otc::labels` toolkit; the tests check the measured time lands within
+//! a small constant of the OTN's — the paper's "same time, less area" —
+//! and the result against union–find.
 
+use super::labels::{spread, Labels};
 use super::{Axis, Otc, PhaseCost, Reg, Sel};
 use crate::grid::Grid;
 use crate::otn::graph::{
@@ -32,24 +34,6 @@ use crate::otn::graph::{
 };
 use crate::word::Word;
 use orthotrees_vlsi::{log2_ceil, CostModel, ModelError};
-
-struct CcRegs {
-    aplanes: Vec<Reg>,
-    d: Reg,
-    prev: Reg,
-    drow: Reg,
-    dcol: Reg,
-    candplanes: Vec<Reg>,
-    pmin: Reg,
-    minn: Reg,
-    creg: Reg,
-    crow: Reg,
-    lcand: Reg,
-    ldist: Reg,
-    fetch: Reg,
-    newd: Reg,
-    chflag: Reg,
-}
 
 /// Computes connected components of the undirected graph with adjacency
 /// matrix `adj` on a fresh `(n/L × n/L)`-OTC (graph-width words, like
@@ -90,28 +74,15 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
 
     let wbits = 2 * log2_ceil(n as u64).max(1) + 2;
     let mut net = Otc::new(m, l, CostModel::thompson(n).with_word_bits(wbits))?;
-    let regs = CcRegs {
-        aplanes: (0..l).map(|_| net.alloc_reg("A-plane")).collect(),
-        d: net.alloc_reg("D"),
-        prev: net.alloc_reg("prevD"),
-        drow: net.alloc_reg("Drow"),
-        dcol: net.alloc_reg("Dcol"),
-        candplanes: (0..l).map(|_| net.alloc_reg("cand-plane")).collect(),
-        pmin: net.alloc_reg("pmin"),
-        minn: net.alloc_reg("minN"),
-        creg: net.alloc_reg("C"),
-        crow: net.alloc_reg("Crow"),
-        lcand: net.alloc_reg("Lcand"),
-        ldist: net.alloc_reg("Ldist"),
-        fetch: net.alloc_reg("fetch"),
-        newd: net.alloc_reg("newD"),
-        chflag: net.alloc_reg("changed"),
-    };
-    for (r, &plane) in regs.aplanes.iter().enumerate() {
+    let aplanes: Vec<Reg> = (0..l).map(|_| net.alloc_reg("A-plane")).collect();
+    for (r, &plane) in aplanes.iter().enumerate() {
         net.load_reg(plane, |i, j, q| Some(Word::from(*adj.get(i * l + r, j * l + q) != 0)));
     }
-    // D(v) = v at the diagonal cycles.
-    net.load_reg(regs.d, |i, j, q| (i == j).then_some((i * l + q) as Word));
+    let labels = Labels::init(&mut net);
+    let candplanes: Vec<Reg> = (0..l).map(|_| net.alloc_reg("cand-plane")).collect();
+    let [prev, minn, creg, crow, ldist, chflag] =
+        ["prevD", "minN", "C", "Crow", "Ldist", "changed"].map(|name| net.alloc_reg(name));
+    let (d, dcol) = (labels.d, labels.dcol);
 
     let stats_before = *net.clock().stats();
     let max_iters = 4 * log2_ceil(n as u64).max(1) + 8;
@@ -123,13 +94,10 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
             "OTC connected components failed to converge within {max_iters} iterations"
         );
         // Snapshot for the convergence test.
-        let d = regs.d;
-        graph::snapshot(net, d, regs.prev);
-
-        distribute_labels(net, &regs);
+        graph::snapshot(net, d, prev);
+        labels.refresh(net);
 
         // Candidates: cand[r](q) = D(J·L+q) where A(I·L+r, J·L+q) = 1.
-        let (dcol, aplanes, candplanes) = (regs.dcol, &regs.aplanes, &regs.candplanes);
         net.cycle_phase(PhaseCost::Words(l as u64), |_, _, cyc| {
             for r in 0..aplanes.len() {
                 for q in 0..cyc.len() {
@@ -141,143 +109,31 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
                 }
             }
         });
-        // Cycle-local partial minima, re-indexed so position r carries
-        // row-offset r's minimum.
-        let pmin = regs.pmin;
-        net.cycle_phase(PhaseCost::Words(l as u64), |_, _, cyc| {
-            for (r, &plane) in candplanes.iter().enumerate() {
-                let mut best: Option<Word> = None;
-                for q in 0..cyc.len() {
-                    if let Some(v) = cyc.get(plane, q) {
-                        best = Some(best.map_or(v, |b: Word| b.min(v)));
-                    }
-                }
-                cyc.set(pmin, r, best);
-            }
-        });
-        // Row-group minima: minn(I, ·, r) = min over J of pmin.
-        net.min_cycle_to_cycle(
-            Axis::Rows,
-            regs.pmin,
-            |_, _, _, _| Sel::All,
-            regs.minn,
-            |_, _, _| Sel::All,
-        );
+        // Row-group minima: minn(I, ·, r) = least neighbour label of I·L+r.
+        labels.row_min(net, &candplanes, minn);
         // C(v) = min(D(v), minN(v)) at the diagonal.
-        graph::own_or_min(net, Sel::Diagonal, [d, regs.minn], regs.creg);
-        // C streams along the rows like the labels do.
-        net.cycle_to_cycle(
-            Axis::Rows,
-            regs.creg,
-            |_, _, _, _| Sel::Diagonal,
-            regs.crow,
-            |_, _, _| Sel::All,
-        );
-        // Group minima by label: lcand(I, J, q'') = min{ C(v) : v in row
-        // group I, D(v) = J·L + q'' } — a cycle-local regroup…
-        let (drow, crow, lcand) = (regs.drow, regs.crow, regs.lcand);
-        let ll = l;
-        net.cycle_phase(PhaseCost::Words(2 * l as u64), move |_, j, cyc| {
-            for qq in 0..cyc.len() {
-                let w = (j * ll + qq) as Word;
-                let mut best: Option<Word> = None;
-                for q in 0..cyc.len() {
-                    if cyc.get(drow, q) == Some(w) {
-                        if let Some(c) = cyc.get(crow, q) {
-                            best = Some(best.map_or(c, |b: Word| b.min(c)));
-                        }
-                    }
-                }
-                cyc.set(lcand, qq, best);
-            }
-        });
-        // …then down the column trees: ldist(·, J, q'') = L(J·L+q'').
-        net.min_cycle_to_cycle(
-            Axis::Cols,
-            regs.lcand,
-            |_, _, _, _| Sel::All,
-            regs.ldist,
-            |_, _, _| Sel::All,
-        );
-        // Members adopt their group's new label via the indirection fetch.
-        indirect_fetch(net, &regs, regs.ldist, l);
-        graph::adopt(net, regs.newd, d);
-
-        // Shortcut: ⌈log₂ n⌉ pointer jumps D(v) := D(D(v)).
-        for _ in 0..log2_ceil(n as u64).max(1) {
-            distribute_labels(net, &regs);
-            indirect_fetch(net, &regs, regs.dcol, l);
-            graph::adopt(net, regs.newd, d);
-        }
+        graph::own_or_min(net, Sel::Diagonal, [d, minn], creg);
+        // C streams along the rows like the labels do; each label's least
+        // C goes down its column tree: ldist(·, J, q) = L(J·L+q).
+        spread(net, Axis::Rows, creg, crow);
+        labels.group_min(net, crow, ldist);
+        // Members adopt their group's new label, then shortcut.
+        labels.adopt(net, ldist);
+        labels.shortcut(net);
 
         // Converged? Count changed labels through the column trees.
-        graph::flag_changed(net, [d, regs.prev], regs.chflag);
-        net.sum_cycle_to_root(Axis::Cols, regs.chflag, |_, _, _, _| Sel::All);
+        graph::flag_changed(net, [d, prev], chflag);
+        net.sum_cycle_to_root(Axis::Cols, chflag, |_, _, _, _| Sel::All);
         let changed: Word = net.root_words(Axis::Cols).iter().map(|v| v.unwrap_or(0)).sum();
         if changed == 0 {
             break;
         }
     });
 
-    // Emit labels through the column trees (diagonal positions line up).
-    net.cycle_to_root(Axis::Cols, regs.d, |_, _, _, _| Sel::Diagonal);
-    let labels: Vec<Word> =
-        net.root_words(Axis::Cols).iter().map(|v| v.expect("every vertex has a label")).collect();
+    let labels = labels.read(&mut net);
     let stats = net.clock().stats().since(&stats_before);
     debug_assert_eq!(labels, reference_components(adj));
     Ok(CcOutcome { labels, time, iterations, stats })
-}
-
-/// Streams the diagonal labels along both tree families; both streams are
-/// position-indexed (`drow(I,J,q) = D(I·L+q)`, `dcol(I,J,q) = D(J·L+q)`).
-fn distribute_labels(net: &mut Otc, regs: &CcRegs) {
-    net.cycle_to_cycle(
-        Axis::Rows,
-        regs.d,
-        |_, _, _, _| Sel::Diagonal,
-        regs.drow,
-        |_, _, _| Sel::All,
-    );
-    net.cycle_to_cycle(
-        Axis::Cols,
-        regs.d,
-        |_, _, _, _| Sel::Diagonal,
-        regs.dcol,
-        |_, _, _| Sel::All,
-    );
-}
-
-/// The two-hop indirection `newd(v) = table(D(v))`, where `table` is a
-/// register whose column-distributed stream holds the table entry for
-/// vertex `J·L+q` at `(·, J, q)` (true for both `ldist` and `dcol`):
-/// each cycle checks whether its column hosts its row-group members'
-/// targets, the row trees gather the unique hits, and the diagonal
-/// receives the result in `newd`.
-fn indirect_fetch(net: &mut Otc, regs: &CcRegs, table: Reg, l: usize) {
-    let (drow, fetch) = (regs.drow, regs.fetch);
-    net.cycle_phase(PhaseCost::Words(l as u64), move |_, j, cyc| {
-        for q in 0..cyc.len() {
-            let val = match cyc.get(drow, q) {
-                Some(dv) => {
-                    let (tj, tq) = ((dv as usize) / l, (dv as usize) % l);
-                    if tj == j {
-                        cyc.get(table, tq)
-                    } else {
-                        None
-                    }
-                }
-                None => None,
-            };
-            cyc.set(fetch, q, val);
-        }
-    });
-    net.cycle_to_cycle(
-        Axis::Rows,
-        regs.fetch,
-        move |_, _, _, _| Sel::Valid(fetch),
-        regs.newd,
-        |_, _, _| Sel::Diagonal,
-    );
 }
 
 #[cfg(test)]

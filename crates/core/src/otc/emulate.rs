@@ -14,10 +14,11 @@
 //! This module prices that simulation: given the *operation counts* of an
 //! OTN run (its [`OpStats`]) it computes the time the same run costs on the
 //! `(N/L × N/L)`-OTC — streamed tree operations at the OTC's own wire
-//! lengths, local phases slowed by the cycle length `L`. The analysis crate
-//! uses this for the OTC rows of Tables II–III (connected components, MST,
-//! matrix multiplication), and the test below validates the argument
-//! against the *directly implemented* SORT-OTC.
+//! lengths, local phases slowed by the cycle length `L`. No table row is
+//! priced this way: OTC CC and MST run directly ([`super::cc`],
+//! [`super::mst`]). The `extras` binary's §V check and
+//! `tests/otc_direct.rs` compare it with the *directly implemented*
+//! SORT-OTC, as does the test below.
 
 use super::Otc;
 use crate::otn::Otn;

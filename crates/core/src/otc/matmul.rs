@@ -19,7 +19,7 @@
 //! second algorithm class: the test below checks the direct OTC product
 //! lands within a small factor of the OTN's §III.A time.
 
-use super::{Axis, Otc, PhaseCost, Reg};
+use super::{Axis, Otc, PhaseCost, Reg, Sel};
 use crate::grid::Grid;
 use crate::word::Word;
 use orthotrees_vlsi::{BitTime, ModelError, OpStats};
@@ -89,7 +89,7 @@ pub fn vector_matrix(
     let planes = b.planes.clone();
     let (_, time) = net.elapsed(|net| {
         // 1) group i of x to every cycle of row i.
-        net.root_to_cycle(Axis::Rows, xa, |_, _, _| true);
+        net.root_to_cycle(Axis::Rows, xa, |_, _, _| Sel::All);
         // 2) partial(i,j,q) = Σ_r x[iL+r] · B[iL+r, jL+q]: L local
         //    multiply-accumulate rounds (the §V slowdown).
         net.cycle_phase(PhaseCost::Words(2 * l as u64), |_, _, cyc| {
@@ -104,7 +104,7 @@ pub fn vector_matrix(
             }
         });
         // 3) column sums: root buffer j, slot q = y[jL+q].
-        net.sum_cycle_to_root(Axis::Cols, partial, |_, _, _, _| true);
+        net.sum_cycle_to_root(Axis::Cols, partial, |_, _, _, _| Sel::All);
     });
 
     let buffers = net.read_col_root_buffers();

@@ -13,11 +13,13 @@
 //! words (the streamed sequence), not single words.
 //!
 //! Submodules: [`sort`] (SORT-OTC, §VI.A), [`matmul`], [`cc`] and [`mst`]
-//! (the §VI.B direct conversions of the §III matrix and graph algorithms)
-//! and [`emulate`] (the §V simulation argument priced from op counts).
+//! (the §VI.B direct conversions of the §III matrix and graph algorithms;
+//! CC and MST share the crate-internal label toolkit `labels`) and
+//! [`emulate`] (the §V simulation argument priced from op counts).
 
 pub mod cc;
 pub mod emulate;
+mod labels;
 pub mod matmul;
 pub mod mst;
 pub mod sort;

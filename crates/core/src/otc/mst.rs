@@ -4,14 +4,15 @@
 //! O(log N) bits").
 //!
 //! Same Borůvka structure as [`crate::otn::graph::mst`], same plane layout
-//! as [`super::cc`]: the weight matrix lives in `L` register planes per
-//! cycle (the §VI.B storage cost), per-vertex and per-component minima are
-//! computed with one cycle-local regroup per tree reduction, and the hook
-//! targets are resolved with the same two-hop pointer fetch the label
-//! algorithms use. Ties are broken by the *normalised* edge id inside the
-//! packed key (see the OTN MST's comment — this is load-bearing under
-//! duplicate weights).
+//! and label toolkit (`otc::labels`) as [`super::cc`]: the weight matrix
+//! lives in `L` register planes per cycle (the §VI.B storage cost),
+//! per-vertex and per-component minima are the toolkit's row-offset and
+//! regroup-by-label reductions, and the hook targets are resolved with its
+//! two-hop pointer fetch. Ties are broken by the *normalised* edge id
+//! inside the packed key (see the OTN MST's comment — this is load-bearing
+//! under duplicate weights).
 
+use super::labels::{spread, Labels};
 use super::{Axis, Otc, PhaseCost, Reg, Sel};
 use crate::grid::Grid;
 use crate::otn::graph::{self, mst::MstOutcome};
@@ -31,7 +32,6 @@ use std::collections::HashSet;
 ///
 /// Panics on an asymmetric matrix, negative weights, or more than
 /// `2·log₂ n + 4` phases.
-#[allow(clippy::too_many_lines)]
 pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome, ModelError> {
     let n = weights.rows();
     ModelError::require_equal("weight matrix sides", n, weights.cols())?;
@@ -52,40 +52,24 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
     for (r, &plane) in wplanes.iter().enumerate() {
         net.load_reg(plane, |i, j, q| *weights.get(i * l + r, j * l + q));
     }
-    let d = net.alloc_reg("D");
-    net.load_reg(d, |i, j, q| (i == j).then_some((i * l + q) as Word));
-    let drow = net.alloc_reg("Drow");
-    let dcol = net.alloc_reg("Dcol");
+    let labels = Labels::init(&mut net);
     let candplanes: Vec<Reg> = (0..l).map(|_| net.alloc_reg("cand-plane")).collect();
-    let pmin = net.alloc_reg("pmin");
-    let vbest = net.alloc_reg("vbest");
-    let lcand = net.alloc_reg("Lcand");
-    let compmin = net.alloc_reg("compmin");
-    let ptr = net.alloc_reg("ptr");
-    let prow = net.alloc_reg("Prow");
-    let fetch = net.alloc_reg("fetch");
-    let t1 = net.alloc_reg("t1");
-    let t2 = net.alloc_reg("t2");
-    let nl = net.alloc_reg("newlabel");
-    let nlcol = net.alloc_reg("NLcol");
-    let llr = net.alloc_reg("LL");
-    let have = net.alloc_reg("have");
+    let [vbest, compmin, ptr, prow, t1, t2, nl, nlcol, llr, have] =
+        ["vbest", "compmin", "ptr", "Prow", "t1", "t2", "newlabel", "NLcol", "LL", "have"]
+            .map(|name| net.alloc_reg(name));
+    let (d, drow, dcol) = (labels.d, labels.drow, labels.dcol);
 
     let mut edges_seen: HashSet<(usize, usize)> = HashSet::new();
     let mut edge_list: Vec<(usize, usize, Word)> = Vec::new();
     let mut total_weight: Word = 0;
     let mut phases = 0u32;
     let max_phases = 2 * log2_ceil(n as u64).max(1) + 4;
-    let nn = n;
 
     let stats_before = *net.clock().stats();
     let (_, time) = net.elapsed(|net| loop {
         phases += 1;
         assert!(phases <= max_phases, "OTC MST failed to converge within {max_phases} phases");
-
-        // Labels along both families (position-indexed streams).
-        net.cycle_to_cycle(Axis::Rows, d, |_, _, _, _| Sel::Diagonal, drow, |_, _, _| Sel::All);
-        net.cycle_to_cycle(Axis::Cols, d, |_, _, _, _| Sel::Diagonal, dcol, |_, _, _| Sel::All);
+        labels.refresh(net);
 
         // Candidate outgoing edges, packed (weight, normalised edge id).
         net.cycle_phase(PhaseCost::Words(2 * l as u64), |i, j, cyc| {
@@ -95,7 +79,7 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
                     let c = match (cyc.get(wreg, q), dv, cyc.get(dcol, q)) {
                         (Some(w), Some(a), Some(b)) if a != b => {
                             let (v, u) = (i * l + r, j * l + q);
-                            Some(pack(w, v.min(u) * nn + v.max(u), nn * nn))
+                            Some(pack(w, v.min(u) * n + v.max(u), n * n))
                         }
                         _ => None,
                     };
@@ -103,42 +87,10 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
                 }
             }
         });
-        // Per-vertex best: cycle-local min per row offset, then row trees.
-        net.cycle_phase(PhaseCost::Words(l as u64), |_, _, cyc| {
-            for (r, &creg) in candplanes.iter().enumerate() {
-                let mut best: Option<Word> = None;
-                for q in 0..cyc.len() {
-                    if let Some(v) = cyc.get(creg, q) {
-                        best = Some(best.map_or(v, |b: Word| b.min(v)));
-                    }
-                }
-                cyc.set(pmin, r, best);
-            }
-        });
-        net.min_cycle_to_cycle(Axis::Rows, pmin, |_, _, _, _| Sel::All, vbest, |_, _, _| Sel::All);
-        // Per-component best: regroup by label, then column trees.
-        let ll = l;
-        net.cycle_phase(PhaseCost::Words(2 * l as u64), move |_, j, cyc| {
-            for qq in 0..cyc.len() {
-                let w = (j * ll + qq) as Word;
-                let mut best: Option<Word> = None;
-                for r in 0..cyc.len() {
-                    if cyc.get(drow, r) == Some(w) {
-                        if let Some(v) = cyc.get(vbest, r) {
-                            best = Some(best.map_or(v, |b: Word| b.min(v)));
-                        }
-                    }
-                }
-                cyc.set(lcand, qq, best);
-            }
-        });
-        net.min_cycle_to_cycle(
-            Axis::Cols,
-            lcand,
-            |_, _, _, _| Sel::All,
-            compmin,
-            |_, _, _| Sel::All,
-        );
+        // Per-vertex best over the row trees, per-component best over the
+        // column trees.
+        labels.row_min(net, &candplanes, vbest);
+        labels.group_min(net, vbest, compmin);
 
         // Termination: does any component still have an outgoing edge?
         graph::flag_open(net, compmin, have);
@@ -151,8 +103,8 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
         // Emit chosen edges through the column roots.
         net.cycle_to_root(Axis::Cols, compmin, |_, _, _, _| Sel::Diagonal);
         for packed in net.root_words(Axis::Cols).iter().flatten() {
-            let (w, eid) = unpack(*packed, nn * nn);
-            let key = (eid / nn, eid % nn);
+            let (w, eid) = unpack(*packed, n * n);
+            let key = (eid / n, eid % n);
             if edges_seen.insert(key) {
                 edge_list.push((key.0, key.1, w));
                 total_weight += w;
@@ -162,96 +114,19 @@ pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome,
         // Hook targets: t1 = D(umin), t2 = D(umax) via pointer fetches.
         for (upper, treg) in [(false, t1), (true, t2)] {
             endpoints(net, compmin, ptr, upper);
-            net.cycle_to_cycle(
-                Axis::Rows,
-                ptr,
-                |_, _, _, _| Sel::Diagonal,
-                prow,
-                |_, _, _| Sel::All,
-            );
-            net.cycle_phase(PhaseCost::Words(l as u64), move |_, j, cyc| {
-                for q in 0..cyc.len() {
-                    let val = match cyc.get(prow, q) {
-                        Some(p) => {
-                            let (tj, tq) = ((p as usize) / ll, (p as usize) % ll);
-                            if tj == j {
-                                cyc.get(dcol, tq)
-                            } else {
-                                None
-                            }
-                        }
-                        None => None,
-                    };
-                    cyc.set(fetch, q, val);
-                }
-            });
-            net.cycle_to_cycle(
-                Axis::Rows,
-                fetch,
-                move |_, _, _, _| Sel::Valid(fetch),
-                treg,
-                |_, _, _| Sel::Diagonal,
-            );
+            spread(net, Axis::Rows, ptr, prow);
+            labels.fetch(net, prow, dcol, treg);
         }
         // newlabel(w) = whichever endpoint label differs from w.
         new_labels(net, [t1, t2], nl);
         // Break 2-cycles: LL(w) = newlabel(newlabel(w)).
-        net.cycle_to_cycle(Axis::Cols, nl, |_, _, _, _| Sel::Diagonal, nlcol, |_, _, _| Sel::All);
-        net.cycle_to_cycle(Axis::Rows, nl, |_, _, _, _| Sel::Diagonal, prow, |_, _, _| Sel::All);
-        net.cycle_phase(PhaseCost::Words(l as u64), move |_, j, cyc| {
-            for q in 0..cyc.len() {
-                let val = match cyc.get(prow, q) {
-                    Some(p) => {
-                        let (tj, tq) = ((p as usize) / ll, (p as usize) % ll);
-                        if tj == j {
-                            cyc.get(nlcol, tq)
-                        } else {
-                            None
-                        }
-                    }
-                    None => None,
-                };
-                cyc.set(fetch, q, val);
-            }
-        });
-        net.cycle_to_cycle(
-            Axis::Rows,
-            fetch,
-            move |_, _, _, _| Sel::Valid(fetch),
-            llr,
-            |_, _, _| Sel::Diagonal,
-        );
+        spread(net, Axis::Cols, nl, nlcol);
+        spread(net, Axis::Rows, nl, prow);
+        labels.fetch(net, prow, nlcol, llr);
         break_two_cycles(net, [nl, llr], d);
 
         // Shortcut: flatten the merged components.
-        for _ in 0..log2_ceil(n as u64).max(1) {
-            net.cycle_to_cycle(Axis::Rows, d, |_, _, _, _| Sel::Diagonal, drow, |_, _, _| Sel::All);
-            net.cycle_to_cycle(Axis::Cols, d, |_, _, _, _| Sel::Diagonal, dcol, |_, _, _| Sel::All);
-            net.cycle_phase(PhaseCost::Words(l as u64), move |_, j, cyc| {
-                for q in 0..cyc.len() {
-                    let val = match cyc.get(drow, q) {
-                        Some(p) => {
-                            let (tj, tq) = ((p as usize) / ll, (p as usize) % ll);
-                            if tj == j {
-                                cyc.get(dcol, tq)
-                            } else {
-                                None
-                            }
-                        }
-                        None => None,
-                    };
-                    cyc.set(fetch, q, val);
-                }
-            });
-            net.cycle_to_cycle(
-                Axis::Rows,
-                fetch,
-                move |_, _, _, _| Sel::Valid(fetch),
-                llr,
-                |_, _, _| Sel::Diagonal,
-            );
-            graph::adopt(net, llr, d);
-        }
+        labels.shortcut(net);
     });
 
     edge_list.sort_unstable();

@@ -526,11 +526,6 @@ impl<T: Topology> WordNet<T> {
         self.fault.is_some()
     }
 
-    /// The degradation report of the installed plan, if any.
-    pub fn fault_report(&self) -> Option<&FaultReport> {
-        self.fault.as_ref().map(|f| &f.report)
-    }
-
     /// Counters for the faults injected so far (all zero with no plan).
     pub fn fault_stats(&self) -> FaultStats {
         self.fault.as_ref().map(|f| f.stats).unwrap_or_default()

@@ -176,21 +176,33 @@ impl NodeBehavior for WordSource {
     fn on_bit(&mut self, _: BitTime, _: PortId, _: Bit, _: &mut Outbox) {}
 }
 
-/// Streams every bit from the parent down to both children (broadcast IP).
-struct DownRepeater;
+/// Streams every bit of a `width`-bit word from the parent down to both
+/// children (broadcast IP).
+struct DownRepeater {
+    width: u32,
+}
 impl NodeBehavior for DownRepeater {
     fn on_bit(&mut self, _: BitTime, _: PortId, bit: Bit, out: &mut Outbox) {
         out.send(TO_LEFT, bit);
         out.send(TO_RIGHT, bit);
     }
+    fn accepts_bit(&self, _: PortId, index: u32) -> bool {
+        index < self.width
+    }
 }
 
-/// Streams every bit from whichever child sent it up to the parent
-/// (LEAFTOROOT IP: only one leaf is selected, so no collision occurs).
-struct UpRepeater;
+/// Streams every bit of a `width`-bit word from whichever child sent it
+/// up to the parent (LEAFTOROOT IP: only one leaf is selected, so no
+/// collision occurs).
+struct UpRepeater {
+    width: u32,
+}
 impl NodeBehavior for UpRepeater {
     fn on_bit(&mut self, _: BitTime, _: PortId, bit: Bit, out: &mut Outbox) {
         out.send(TO_PARENT, bit);
+    }
+    fn accepts_bit(&self, _: PortId, index: u32) -> bool {
+        index < self.width
     }
 }
 
@@ -212,8 +224,9 @@ impl WordSink {
 impl NodeBehavior for WordSink {
     fn on_bit(&mut self, now: BitTime, _: PortId, bit: Bit, _: &mut Outbox) {
         if bit.value {
-            // Below 64: the builder caps words at 64 bits, and a multi-word
-            // stream sink sees each word's own indices `0..w`.
+            // Below 64: the builder caps words at 64 bits, a multi-word
+            // stream sink sees each word's own indices `0..w`, and a
+            // restored bit must pass `accepts_bit`.
             let pos = if self.lsb_first { bit.index } else { self.width - 1 - bit.index };
             self.word |= 1 << pos;
         }
@@ -223,7 +236,7 @@ impl NodeBehavior for WordSink {
         }
     }
     fn accepts_bit(&self, _: PortId, index: u32) -> bool {
-        index < self.width
+        index < self.width.min(u64::BITS)
     }
     fn completed_at(&self) -> Option<BitTime> {
         self.done
@@ -462,7 +475,7 @@ fn up_tree(
             Some(word) => Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT }),
             None => Box::new(IdleLeaf),
         },
-        &mut |_| Box::new(UpRepeater),
+        &mut |_| Box::new(UpRepeater { width: w }),
     )
 }
 
@@ -475,7 +488,7 @@ fn down_tree(e: &mut Engine, leaves: usize, m: &CostModel, w: u32) -> NodeId {
         m.leaf_pitch(),
         true,
         &mut |_| Box::new(WordSink::new(w, true)),
-        &mut |_| Box::new(DownRepeater),
+        &mut |_| Box::new(DownRepeater { width: w }),
     )
 }
 

@@ -560,6 +560,37 @@ mod tests {
         assert_eq!(fresh.snapshot().render(), before, "a refused restore changes nothing");
     }
 
+    #[test]
+    fn restore_rejects_a_bit_index_past_the_word_at_a_repeater() {
+        let text = mid_run(ProbeKind::Broadcast, 8, 1, false).snapshot().render();
+        assert!(rewrite_first_event(&text, 2, "14") == text, "the first event is at node 14");
+        let snap = Snapshot::parse(&rewrite_first_event(&text, 5, "99")).unwrap();
+        let mut fresh = mid_run(ProbeKind::Broadcast, 8, 0, false);
+        let before = fresh.snapshot().render();
+        match fresh.restore(&snap) {
+            Err(SimError::SnapshotMismatch { what: "calendar event bit", .. }) => {}
+            other => panic!("expected a calendar-bit mismatch, got {other:?}"),
+        }
+        assert_eq!(fresh.snapshot().render(), before, "a refused restore changes nothing");
+    }
+
+    #[test]
+    fn restore_rejects_a_stream_sink_bit_past_the_host_word() {
+        // The stream sink's width is 32 words of 5 bits, so only its
+        // 64-bit host word bounds the index.
+        let total = mid_run(ProbeKind::Stream, 32, u64::MAX, false).delivered_events();
+        let mut snap = mid_run(ProbeKind::Stream, 32, total * 2 / 3, false).snapshot();
+        let sink = snap.node_count - 1;
+        let event =
+            snap.events.iter_mut().find(|e| e.node == sink).expect("a bit bound for the sink");
+        event.index = 99;
+        let mut fresh = mid_run(ProbeKind::Stream, 32, 0, false);
+        match fresh.restore(&snap) {
+            Err(SimError::SnapshotMismatch { what: "calendar event bit", .. }) => {}
+            other => panic!("expected a calendar-bit mismatch, got {other:?}"),
+        }
+    }
+
     /// `parse` on every prefix of `text` at the `positions`, and on `text`
     /// with the byte at each of them replaced by each of `bytes`, returns
     /// `Ok` or a format error and never panics.
@@ -608,6 +639,39 @@ mod tests {
                 (s >> 33) as usize % text.len()
             });
             hostile_parses(&text, positions, &HOSTILE[(seed % 4) as usize..][..4]);
+        }
+    }
+
+    /// The resume sweep CI runs beside the reader sweep: every probe at
+    /// n = 8, 16 and 32, cut a third and two thirds of the way in, with
+    /// each pending event's bit index rewritten to the word width and to
+    /// 99, rendered, parsed, restored into a fresh engine and run to
+    /// quiescence. Each case ends `Ok` or in a typed error, never in a
+    /// panic. CI runs it in a debug build, where an overflowing shift or
+    /// index subtraction panics instead of wrapping.
+    #[test]
+    #[ignore = "snapshot resume sweep, run explicitly in CI"]
+    fn every_out_of_range_bit_index_of_every_probe_snapshot_resumes_or_fails_typed() {
+        for kind in PROBE_KINDS {
+            for n in [8, 16, 32] {
+                let width = CostModel::thompson(n).word_bits;
+                let total = mid_run(kind, n, u64::MAX, false).delivered_events();
+                for cut in [total / 3, total * 2 / 3] {
+                    let snap = mid_run(kind, n, cut, false).snapshot();
+                    assert!(!snap.events.is_empty(), "{} n = {n}: nothing pending", kind.tag());
+                    for k in 0..snap.events.len() {
+                        for index in [width, 99] {
+                            let mut edited = snap.clone();
+                            edited.events[k].index = index;
+                            let edited = Snapshot::parse(&edited.render()).unwrap();
+                            let mut fresh = mid_run(kind, n, 0, false);
+                            if fresh.restore(&edited).is_ok() {
+                                let _ = fresh.try_run();
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
