@@ -62,6 +62,8 @@ cargo test --release -q -p orthotrees-bench --test profile_suite -- --ignored fo
 cargo test --release -q -p orthotrees --lib -- --ignored shape_identity_sweep_under_dense_faults
 # Kernel identity sweep: every per-BP kernel equals the closure it replaced, up to OTN side 128 / OTC n = 1024.
 cargo test --release -q -p orthotrees --lib -- --ignored kernel_identity_sweep
+# Broadcast identity sweep: every access to a broadcast plane equals the same access to its expansion, OTN sides 1–64 and OTC n = 4..256, both axes.
+cargo test --release -q -p orthotrees --lib -- --ignored broadcast_identity_sweep
 cargo test --release -q -p orthotrees-bench --test alloc_suite
 # Bounded recovery soak (fixed seed, outage-dense plan, n = 128): must
 # recover within the pinned attempt budget; see tests/recovery_suite.rs.

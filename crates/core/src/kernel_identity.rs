@@ -227,6 +227,52 @@ fn otn_phases() -> Vec<Phase<Otn>> {
                 });
             },
         },
+        Phase {
+            name: "vector_matrix product",
+            // Weights keep the products in range.
+            kinds: &[Kind::Weight, Kind::Weight, Kind::Any],
+            kernel: |net, r| otn::matmul::multiply(net, [r[0], r[1]], r[2]),
+            closure: |net, r| {
+                let (xa, b, p) = (r[0], r[1], r[2]);
+                net.bp_phase(otn::PhaseCost::Multiply, |_, _, bp| {
+                    let prod = match (bp.get(xa), bp.get(b)) {
+                        (Some(xv), Some(bv)) => Some(xv * bv),
+                        _ => Some(0),
+                    };
+                    bp.set(p, prod);
+                });
+            },
+        },
+        Phase {
+            name: "wide product",
+            kinds: &[Kind::Weight, Kind::Weight, Kind::Any],
+            kernel: |net, r| otn::matmul::multiply(net, [r[0], r[1]], r[2]),
+            closure: |net, r| {
+                let (pa, pb, prod) = (r[0], r[1], r[2]);
+                net.bp_phase(otn::PhaseCost::Multiply, |_, _, bp| {
+                    let v = match (bp.get(pa), bp.get(pb)) {
+                        (Some(x), Some(y)) => x * y,
+                        _ => 0,
+                    };
+                    bp.set(prod, Some(v));
+                });
+            },
+        },
+        Phase {
+            name: "wide Boolean product",
+            kinds: ANY3,
+            kernel: |net, r| otn::matmul::and(net, [r[0], r[1]], r[2]),
+            closure: |net, r| {
+                let (pa, pb, prod) = (r[0], r[1], r[2]);
+                net.bp_phase(otn::PhaseCost::Bit, |_, _, bp| {
+                    let v = match (bp.get(pa), bp.get(pb)) {
+                        (Some(x), Some(y)) => Word::from(x != 0 && y != 0),
+                        _ => 0,
+                    };
+                    bp.set(prod, Some(v));
+                });
+            },
+        },
     ]
 }
 

@@ -65,6 +65,8 @@
 
 mod attribution;
 mod bitset;
+#[cfg(test)]
+mod broadcast_identity;
 pub mod checkpoint;
 pub mod complexnum;
 pub mod dflow;

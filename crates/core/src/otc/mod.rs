@@ -371,7 +371,9 @@ impl Otc {
         mut f: impl FnMut(usize, usize, usize, &OtcRegsView<'_>) -> Option<(Reg, Option<Word>)>,
     ) {
         // Writes are staged until every BP has read, so `f` sees the state
-        // from before the phase even for a register it also writes.
+        // from before the phase even for a register it also writes. `f`
+        // reads cell by cell, so broadcast planes are expanded first.
+        self.expand_regs();
         let mut staged = std::mem::take(&mut self.staged);
         staged.clear();
         let view = self.view();
@@ -407,6 +409,7 @@ impl Otc {
         cost: PhaseCost,
         mut f: impl FnMut(usize, usize, &mut CycleRegs<'_>),
     ) {
+        self.expand_regs();
         for i in 0..self.rows {
             for j in 0..self.cols {
                 let base = (i * self.cols + j) * self.cycle;

@@ -228,6 +228,32 @@ mod tests {
         assert_eq!(labels.read(&mut net), vec![0; 16], "log n jumps flatten a chain of 16");
     }
 
+    /// The label streams stay root streams through a shortcut, and its
+    /// pointer fetch reads them in place: `EqCol(drow)` picks one cell per
+    /// row without expanding `drow`.
+    #[test]
+    fn shortcut_reads_its_label_streams_unexpanded() {
+        let n = 64;
+        let mut net = Otn::for_graphs(n).unwrap();
+        let labels = Labels::init(&mut net);
+        net.load_reg(labels.d, |i, j| (i == j).then_some(i.saturating_sub(1) as Word));
+        labels.shortcut(&mut net);
+        for r in [labels.drow, labels.dcol] {
+            assert!(net.regs[r.0].is_broadcast(), "{} was expanded", net.reg_names()[r.0]);
+        }
+        let mut mask = vec![0; crate::bitset::words(n * n)];
+        let sel =
+            |_: usize, _: usize, _: usize, _: &crate::otn::RegsView<'_>| Sel::EqCol(labels.drow);
+        let policy = crate::ParallelPolicy::Sequential;
+        crate::select::fill(&sel, &net.view(), policy, true, &mut mask);
+        for v in 0..n {
+            let target = net.peek(labels.drow, v, 0).unwrap() as usize;
+            assert_eq!(crate::bitset::count_range(&mask, v * n, n), 1, "row {v}");
+            assert!(crate::bitset::test(&mask, v * n + target), "row {v} fetches column {target}");
+        }
+        assert!(net.regs[labels.drow.0].is_broadcast(), "the fill read drow in place");
+    }
+
     #[test]
     fn adopt_rewrites_labels_through_the_map() {
         let mut net = Otn::for_graphs(4).unwrap();

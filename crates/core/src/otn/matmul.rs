@@ -11,7 +11,7 @@
 //!   which row `(i·N + j)` holds the pairs `(A(i,k), B(k,j))` and one
 //!   aggregation computes all `N²` inner products in `Θ(log² N)`.
 
-use super::{all, Axis, Otn, PhaseCost};
+use super::{all, Axis, Otn, PhaseCost, Reg, Sel};
 use crate::grid::Grid;
 use crate::word::Word;
 use orthotrees_vlsi::{BitTime, ModelError, OpStats};
@@ -47,24 +47,14 @@ pub struct MatMulOutcome {
 /// # Errors
 ///
 /// Returns [`ModelError`] if `x.len()` differs from the network's row count.
-pub fn vector_matrix(
-    net: &mut Otn,
-    x: &[Word],
-    b: super::Reg,
-) -> Result<VectorMatrixOutcome, ModelError> {
+pub fn vector_matrix(net: &mut Otn, x: &[Word], b: Reg) -> Result<VectorMatrixOutcome, ModelError> {
     ModelError::require_equal("vector length vs rows", net.rows(), x.len())?;
     let xa = net.alloc_reg("x");
     let p = net.alloc_reg("prod");
     net.load_row_roots(x);
     let (_, time) = net.elapsed(|net| {
         net.root_to_leaf(Axis::Rows, xa, all);
-        net.bp_phase(PhaseCost::Multiply, |_, _, bp| {
-            let prod = match (bp.get(xa), bp.get(b)) {
-                (Some(xv), Some(bv)) => Some(xv * bv),
-                _ => Some(0),
-            };
-            bp.set(p, prod);
-        });
+        multiply(net, [xa, b], p);
         net.sum_to_root(Axis::Cols, p, all);
     });
     let y = net.roots(Axis::Cols).iter().map(|v| v.expect("SUM roots are never NULL")).collect();
@@ -111,6 +101,24 @@ pub fn matmul(net: &mut Otn, a: &Grid<Word>, b: &Grid<Word>) -> Result<MatMulOut
     Ok(MatMulOutcome { c, time, time_unpipelined: total, stats })
 }
 
+/// `prod := x · y` at every BP, 0 where either word is `NULL` — the
+/// product phase of [`vector_matrix`] and [`matmul_wide`].
+pub(crate) fn multiply(net: &mut Otn, [x, y]: [Reg; 2], prod: Reg) {
+    net.bp_kernel(PhaseCost::Multiply, Sel::All, [x, y], prod, |_, words, _| match words {
+        [Some(x), Some(y)] => Some(x * y),
+        _ => Some(0),
+    });
+}
+
+/// `prod := 1` at every BP where both words are non-zero, 0 elsewhere
+/// (`NULL` included) — the product phase of [`bool_matmul_wide`].
+pub(crate) fn and(net: &mut Otn, [x, y]: [Reg; 2], prod: Reg) {
+    net.bp_kernel(PhaseCost::Bit, Sel::All, [x, y], prod, |_, words, _| match words {
+        [Some(x), Some(y)] => Some(Word::from(x != 0 && y != 0)),
+        _ => Some(0),
+    });
+}
+
 /// Result of a wide (`Θ(log² N)`-time) matrix product.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WideMatMulOutcome {
@@ -145,21 +153,9 @@ fn wide_product(
     net.load_reg(pb, |r, k| Some(*b.get(k, r % n)));
     let (_, time) = net.elapsed(|net| {
         if boolean {
-            net.bp_phase(PhaseCost::Bit, |_, _, bp| {
-                let v = match (bp.get(pa), bp.get(pb)) {
-                    (Some(x), Some(y)) => Word::from(x != 0 && y != 0),
-                    _ => 0,
-                };
-                bp.set(prod, Some(v));
-            });
+            and(net, [pa, pb], prod);
         } else {
-            net.bp_phase(PhaseCost::Multiply, |_, _, bp| {
-                let v = match (bp.get(pa), bp.get(pb)) {
-                    (Some(x), Some(y)) => x * y,
-                    _ => 0,
-                };
-                bp.set(prod, Some(v));
-            });
+            multiply(net, [pa, pb], prod);
         }
         net.sum_to_root(Axis::Rows, prod, all);
     });

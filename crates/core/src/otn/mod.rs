@@ -378,7 +378,9 @@ impl Otn {
 
     /// One parallel compute phase: `f(row, col, regs)` runs at every BP;
     /// `cost` is charged once for the whole phase (all BPs in parallel).
+    /// Broadcast planes are expanded first, as `f` reads cell by cell.
     pub fn bp_phase(&mut self, cost: PhaseCost, mut f: impl FnMut(usize, usize, &mut BpRegs<'_>)) {
+        self.expand_regs();
         for i in 0..self.rows {
             for j in 0..self.cols {
                 f(i, j, &mut BpRegs { regs: &mut self.regs, at: i * self.cols + j });
@@ -440,6 +442,7 @@ impl Otn {
         assert!(dist < leaves, "dist {dist} must be below the leaf count {leaves}");
         let (trees, cols) = (self.trees(axis), self.cols);
         let plane = &mut self.regs[reg.0];
+        plane.expand();
         for t in 0..trees {
             for l in (0..leaves).filter(|l| l % (2 * dist) < dist) {
                 let (ai, aj) = axis.coords(t, l);

@@ -158,7 +158,7 @@ pub fn compact_on(net: &mut Otn, xs: &[Word], keep: &[bool]) -> Result<ScanOutco
             net.poke(out, 0, r, Some(v));
         }
         net.charge_route_phase();
-        net.bp_phase(PhaseCost::Bit, |_, _, _| {});
+        net.charge_compute("BP-PHASE", PhaseCost::Bit);
     });
     let output = (0..n).filter_map(|j| net.peek(out, 0, j)).collect();
     Ok(ScanOutcome { output, time })

@@ -663,7 +663,8 @@ impl<T: Topology> WordNet<T> {
     /// each selected cell's tree — stream position `q` to base processor
     /// `q` — in memory order, then charges the registry cost. Fault draws
     /// are keyed by site and round, so the write order changes no word. A
-    /// fault-free broadcast to every cell writes whole rows.
+    /// fault-free broadcast to every cell stores only the root streams, as
+    /// a broadcast plane ([`Plane`]).
     pub(crate) fn downward<P: Pick>(
         &mut self,
         name: &str,
@@ -683,7 +684,7 @@ impl<T: Topology> WordNet<T> {
         let (cycle, width) = (self.cycle(), self.model.word_bits);
         let mut attempts = 0;
         if self.fault.is_none() && bitset::all_set(&mask, self.cells()) {
-            self.broadcast_all(axis, dest);
+            self.regs[dest.0].broadcast(axis, self.cols, cycle, &self.roots[axis.index()]);
         } else {
             self.begin_fault_round();
             // Column counts and cycle lengths are powers of two.
@@ -715,51 +716,6 @@ impl<T: Topology> WordNet<T> {
         self.mask = mask;
         self.charge_primitive(spec, axis, attempts);
         self.end_phase();
-    }
-
-    /// Writes every cell of `dest` from its tree's root words, fault-free,
-    /// in one pass: row `i`'s first cell takes row tree `i`'s stream, or
-    /// the first row takes the column trees' streams side by side, and
-    /// doubling copies repeat it across the row or down the rows.
-    fn broadcast_all(&mut self, axis: Axis, dest: Reg) {
-        let (rows, cols, cycle) = (self.rows, self.cols, self.cycle());
-        let roots = &self.roots[axis.index()];
-        let stream = |w: &Option<Word>| w.unwrap_or(0) as u64;
-        // Appends `buf[start..]` to itself until it is `len` long (`len`
-        // is a power-of-two multiple of what is there).
-        let repeat = |buf: &mut Vec<u64>, start: usize, len: usize| {
-            while buf.len() - start < len {
-                buf.extend_from_within(start..);
-            }
-        };
-        let cells = rows * cols * cycle;
-        self.regs[dest.0].rewrite(
-            |buf| match axis {
-                Axis::Rows => {
-                    for row in roots.chunks(cycle) {
-                        let start = buf.len();
-                        buf.extend(row.iter().map(stream));
-                        repeat(buf, start, cols * cycle);
-                    }
-                }
-                Axis::Cols => {
-                    let start = buf.len();
-                    buf.extend(roots.iter().map(stream));
-                    repeat(buf, start, cells);
-                }
-            },
-            |valid| {
-                if roots.iter().all(Option::is_some) {
-                    bitset::fill(valid, cells);
-                } else {
-                    for k in 0..cells {
-                        let (cell, q) = (k / cycle, k % cycle);
-                        let t = axis.coords(cell / cols, cell % cols).0;
-                        bitset::assign(valid, k, roots[t * cycle + q].is_some());
-                    }
-                }
-            },
-        );
     }
 
     /// The upward executor (`LEAFTOROOT`, `CYCLETOROOT` and the
@@ -878,7 +834,8 @@ impl<T: Topology> WordNet<T> {
     ///
     /// The closure forms call a closure per cell that reads and writes
     /// registers one validity bit at a time. A kernel reads its sources'
-    /// values as slices and their validity 64 cells at a time, writes
+    /// values as slices and their validity 64 cells at a time (a broadcast
+    /// source 64 cells at a time from its root stream, unexpanded), writes
     /// `dest` in cell order and builds its validity a word at a time. It
     /// needs no staging: it reads `dest` only at the cell it writes, and
     /// writes no other register. A `domain` narrower than [`Sel::All`]
@@ -903,9 +860,6 @@ impl<T: Topology> WordNet<T> {
         mask.resize(bitset::words(self.cells()), 0);
         let sel = |_: usize, _: usize, _: usize, _: &View<'_, T>| domain;
         select::fill(&sel, &self.view(), ParallelPolicy::Sequential, true, &mut mask);
-        for r in src {
-            self.regs[r.0].materialize();
-        }
         // Cycle lengths and column counts are powers of two; the cycle
         // folds to 1 on the OTN.
         let (cols, cycle) = (self.cols, self.cycle());
@@ -918,6 +872,14 @@ impl<T: Topology> WordNet<T> {
         self.regs[dest.0] = out;
         self.mask = mask;
         self.charge_compute("BP-PHASE", cost);
+    }
+
+    /// Expands every broadcast register plane — on entry to a closure-form
+    /// phase, whose closures read and write registers cell by cell.
+    pub(crate) fn expand_regs(&mut self) {
+        for plane in &mut self.regs {
+            plane.expand();
+        }
     }
 
     /// Charges a local compute phase of class `cost` under `name`'s

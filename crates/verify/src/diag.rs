@@ -479,33 +479,37 @@ impl Report {
     /// catalogue severity, and the error/warning tallies against the
     /// parsed findings. `parse → from_json → to_json` is the identity on
     /// documents this crate emitted.
-    pub fn from_json(doc: &Json) -> Result<Report, String> {
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing schema id".to_string())?;
-        if schema != "orthotrees-verify/v1" {
-            return Err(format!("unsupported schema {schema:?} (want orthotrees-verify/v1)"));
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ReportError`] of the first check that fails.
+    pub fn from_json(doc: &Json) -> Result<Report, ReportError> {
+        let schema = doc.get("schema").and_then(Json::as_str);
+        if schema != Some("orthotrees-verify/v1") {
+            return Err(ReportError::Schema { found: schema.map(str::to_string) });
         }
-        let items = doc.get("findings").and_then(Json::as_arr).ok_or("missing findings array")?;
+        let items = doc
+            .get("findings")
+            .and_then(Json::as_arr)
+            .ok_or(ReportError::MissingField { finding: None, field: "findings" })?;
         let mut report = Report::new();
         for (i, item) in items.iter().enumerate() {
-            let field = |key: &str| {
+            let field = |key: &'static str| {
                 item.get(key)
                     .and_then(Json::as_str)
                     .map(str::to_string)
-                    .ok_or_else(|| format!("finding {i}: missing field {key}"))
+                    .ok_or(ReportError::MissingField { finding: Some(i), field: key })
             };
             let id = field("rule")?;
-            let rule =
-                find_rule(&id).ok_or_else(|| format!("finding {i}: unknown rule id {id}"))?;
+            let rule = find_rule(&id).ok_or(ReportError::UnknownRule { finding: i, id })?;
             let severity = field("severity")?;
             if severity != rule.severity.name() {
-                return Err(format!(
-                    "finding {i}: severity {severity:?} contradicts the catalogue's {:?} for {}",
-                    rule.severity.name(),
-                    rule.id
-                ));
+                return Err(ReportError::SeverityContradiction {
+                    finding: i,
+                    rule: rule.id,
+                    found: severity,
+                    catalogue: rule.severity,
+                });
             }
             report.push(Finding::new(
                 rule.id,
@@ -515,21 +519,92 @@ impl Report {
                 field("hint")?,
             ));
         }
-        for (key, want) in [
-            ("errors", report.findings.iter().filter(|f| f.severity == Severity::Error).count()),
-            (
-                "warnings",
-                report.findings.iter().filter(|f| f.severity == Severity::Warning).count(),
-            ),
-        ] {
-            let got = doc.get(key).and_then(Json::as_u64);
-            if got != Some(want as u64) {
-                return Err(format!("{key} tally {got:?} disagrees with {want} parsed findings"));
+        for (key, severity) in [("errors", Severity::Error), ("warnings", Severity::Warning)] {
+            let parsed = report.findings.iter().filter(|f| f.severity == severity).count() as u64;
+            let found = doc.get(key).and_then(Json::as_u64);
+            if found != Some(parsed) {
+                return Err(ReportError::TallyMismatch { key, found, parsed });
             }
         }
         Ok(report)
     }
 }
+
+/// Why [`Report::from_json`] rejected a document.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ReportError {
+    /// The schema id is missing (`None`) or is not
+    /// `orthotrees-verify/v1`.
+    Schema {
+        /// The schema id the document names.
+        found: Option<String>,
+    },
+    /// A required field is missing or not of its type: the findings array
+    /// (`finding` is `None`) or a string of one finding.
+    MissingField {
+        /// The finding's index.
+        finding: Option<usize>,
+        /// The field's key.
+        field: &'static str,
+    },
+    /// A finding names a rule id the catalogue does not have.
+    UnknownRule {
+        /// The finding's index.
+        finding: usize,
+        /// The rule id it names.
+        id: String,
+    },
+    /// A finding's severity contradicts the catalogue's for its rule.
+    SeverityContradiction {
+        /// The finding's index.
+        finding: usize,
+        /// The rule id.
+        rule: &'static str,
+        /// The severity the finding carries.
+        found: String,
+        /// The catalogue's severity for the rule.
+        catalogue: Severity,
+    },
+    /// The error or warning tally disagrees with the parsed findings.
+    TallyMismatch {
+        /// `errors` or `warnings`.
+        key: &'static str,
+        /// The tally the document carries, if any.
+        found: Option<u64>,
+        /// The count of parsed findings of that severity.
+        parsed: u64,
+    },
+}
+
+impl std::fmt::Display for ReportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReportError::Schema { found: None } => write!(f, "missing schema id"),
+            ReportError::Schema { found: Some(schema) } => {
+                write!(f, "unsupported schema {schema:?} (want orthotrees-verify/v1)")
+            }
+            ReportError::MissingField { finding: None, field } => {
+                write!(f, "missing {field} array")
+            }
+            ReportError::MissingField { finding: Some(i), field } => {
+                write!(f, "finding {i}: missing field {field}")
+            }
+            ReportError::UnknownRule { finding, id } => {
+                write!(f, "finding {finding}: unknown rule id {id}")
+            }
+            ReportError::SeverityContradiction { finding, rule, found, catalogue } => write!(
+                f,
+                "finding {finding}: severity {found:?} contradicts the catalogue's {:?} for {rule}",
+                catalogue.name()
+            ),
+            ReportError::TallyMismatch { key, found, parsed } => {
+                write!(f, "{key} tally {found:?} disagrees with {parsed} parsed findings")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReportError {}
 
 #[cfg(test)]
 mod tests {
@@ -582,21 +657,104 @@ mod tests {
     #[test]
     fn from_json_rejects_foreign_documents() {
         let bad_schema = Json::parse(r#"{"schema": "other/v9", "findings": []}"#).unwrap();
-        assert!(Report::from_json(&bad_schema).unwrap_err().contains("unsupported schema"));
+        assert!(matches!(
+            Report::from_json(&bad_schema),
+            Err(ReportError::Schema { found: Some(s) }) if s == "other/v9"
+        ));
         let bad_rule = Json::parse(
             r#"{"schema": "orthotrees-verify/v1", "findings": [{"rule": "NOPE-1",
                 "severity": "error", "network": "n", "subject": "s", "detail": "d",
                 "hint": "h"}], "errors": 1, "warnings": 0}"#,
         )
         .unwrap();
-        assert!(Report::from_json(&bad_rule).unwrap_err().contains("unknown rule id"));
+        assert!(matches!(
+            Report::from_json(&bad_rule),
+            Err(ReportError::UnknownRule { finding: 0, id }) if id == "NOPE-1"
+        ));
         let tampered = Json::obj([
             ("schema", Json::str("orthotrees-verify/v1")),
             ("findings", Json::arr([Finding::new("NET-001", "t", "s", "d", "h").to_json()])),
             ("errors", Json::u64(2)),
             ("warnings", Json::u64(0)),
         ]);
-        assert!(Report::from_json(&tampered).unwrap_err().contains("tally"));
+        assert!(matches!(
+            Report::from_json(&tampered),
+            Err(ReportError::TallyMismatch { key: "errors", found: Some(2), parsed: 1 })
+        ));
+    }
+
+    fn splitmix(s: &mut u64) -> u64 {
+        *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (*s ^ (*s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A report of `n` findings of rules drawn from the whole catalogue,
+    /// with strings that need escaping.
+    fn random_report(seed: &mut u64, n: usize) -> Report {
+        const CHARS: [char; 12] =
+            ['a', 'Z', '0', ' ', '"', '\\', '\n', '\t', '\u{1}', 'é', '→', '}'];
+        let text = |seed: &mut u64| -> String {
+            let len = splitmix(seed) % 12;
+            (0..len).map(|_| CHARS[(splitmix(seed) % CHARS.len() as u64) as usize]).collect()
+        };
+        let mut r = Report::new();
+        for _ in 0..n {
+            let rule = RULES[(splitmix(seed) % RULES.len() as u64) as usize].id;
+            r.push(Finding::new(rule, text(seed), text(seed), text(seed), text(seed)));
+        }
+        r
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Rendering any catalogue report and parsing it back gives the
+        /// same report and the same bytes.
+        #[test]
+        fn render_then_parse_is_the_identity(n in 0usize..8, seed in 0u64..u64::MAX) {
+            let mut seed = seed;
+            let report = random_report(&mut seed, n);
+            let text = report.to_json().render();
+            let back = Report::from_json(&Json::parse(&text).unwrap()).unwrap();
+            proptest::prop_assert!(back.findings() == report.findings());
+            proptest::prop_assert!(back.to_json().render() == text);
+        }
+    }
+
+    /// No truncation and no single-byte edit of a rendered report makes
+    /// the reader panic: each parses to a report or fails typed.
+    #[test]
+    fn every_truncation_and_byte_edit_of_a_report_parses_or_fails_typed() {
+        let mut seed = 11;
+        let text = random_report(&mut seed, 3).to_json().render();
+        let (mut parsed, mut rejected) = (0, 0);
+        let mut check = |doc: &str| {
+            if let Ok(json) = Json::parse(doc) {
+                match Report::from_json(&json) {
+                    Ok(_) => parsed += 1,
+                    Err(e) => {
+                        assert!(!e.to_string().is_empty());
+                        rejected += 1;
+                    }
+                }
+            }
+        };
+        for k in (0..text.len()).filter(|&k| text.is_char_boundary(k)) {
+            check(&text[..k]);
+        }
+        let mut buf = text.as_bytes().to_vec();
+        for k in 0..buf.len() {
+            for b in 0..=u8::MAX {
+                let old = std::mem::replace(&mut buf[k], b);
+                if let Ok(doc) = std::str::from_utf8(&buf) {
+                    check(doc);
+                }
+                buf[k] = old;
+            }
+        }
+        assert!(parsed > 0 && rejected > 0, "{parsed} parsed, {rejected} rejected");
     }
 
     #[test]
