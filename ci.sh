@@ -6,6 +6,11 @@ cargo fmt --check
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
+# The wall-clock benchmark (benchmark/) is a cargo workspace of its own,
+# which the two lints above do not reach: lint it here too, so a core, sim
+# or verify change that leaves it fmt- or clippy-dirty fails this gate.
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+cargo clippy --offline --locked --release --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 # Static verification: all passes, with the JSON report kept as a CI
 # artifact. The committed RULES.md must match the in-code catalogue, the
 # DFLOW mutation fixtures must fire, and the large static-vs-dynamic

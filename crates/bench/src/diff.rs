@@ -678,6 +678,54 @@ mod tests {
         read([BENCH_2, PROF_7][pick % 2].as_bytes()).expect("committed baseline reads")
     }
 
+    /// Values of the wrong type or out of every range a reader expects.
+    fn hostile(pick: usize) -> Json {
+        [
+            Json::Null,
+            Json::f64(-1.0),
+            Json::f64(2f64.powi(64)),
+            Json::f64(1e308),
+            Json::str("hostile"),
+            Json::Arr(Vec::new()),
+            Json::Obj(Vec::new()),
+        ][pick % 7]
+            .clone()
+    }
+
+    /// Every object field of every element of `doc`, at any depth.
+    fn fields(family: &Family, doc: &Json) -> Vec<*const Json> {
+        fn walk(node: &Json, out: &mut Vec<*const Json>) {
+            match node {
+                Json::Arr(items) => items.iter().for_each(|v| walk(v, out)),
+                Json::Obj(pairs) => pairs.iter().for_each(|(_, v)| {
+                    out.push(v);
+                    walk(v, out);
+                }),
+                _ => {}
+            }
+        }
+        let mut out = Vec::new();
+        for (_, element) in (family.elements)(doc) {
+            walk(element, &mut out);
+        }
+        out
+    }
+
+    /// Replaces one field of a committed baseline by a hostile value and
+    /// reads the rendered document back: `Ok` or a typed error, and a
+    /// document that reads diffs against the baseline both ways.
+    fn read_with_hostile_field(pick: usize, field: usize, value: usize) {
+        let (family, base) = committed(pick);
+        let mut doc = base.clone();
+        let targets = fields(family, &doc);
+        let target = targets[field % targets.len()];
+        assert!(edit(&mut doc, target, &mut |n| *n = hostile(value)));
+        if let Ok((family, doc)) = read(doc.render().as_bytes()) {
+            diff(family, &base, &doc);
+            diff(family, &doc, &base);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -757,6 +805,15 @@ mod tests {
                 let want = if e.key == key { Status::Missing } else { Status::Ok };
                 prop_assert_eq!((&e.key, e.metric, e.status), (&e.key, e.metric, want));
             }
+        }
+
+        #[test]
+        fn any_field_replaced_by_a_hostile_value_reads_or_is_a_typed_error(
+            pick in 0usize..2,
+            field in 0usize..100_000,
+            value in 0usize..7,
+        ) {
+            read_with_hostile_field(pick, field, value);
         }
 
         #[test]

@@ -32,7 +32,7 @@ use orthotrees::otn::{self, Otn};
 use orthotrees::FaultPlan;
 use orthotrees_analysis::workloads;
 use orthotrees_sim::experiments::{self, ProbeKind};
-use orthotrees_sim::{CalendarKind, Engine, RecoveryPolicy};
+use orthotrees_sim::{CalendarKind, Engine, RecoveryPolicy, RunRecord};
 use orthotrees_vlsi::CostModel;
 use std::time::Instant;
 
@@ -193,8 +193,7 @@ pub fn eventcore_section(preset_name: &str, seed: u64) -> Json {
     let mut per_cal = Vec::new();
     for cal in [CalendarKind::Heap, CalendarKind::Ladder] {
         let mut best_ns = u128::MAX;
-        let mut events = 0u64;
-        let mut end = 0u64;
+        let mut record = None;
         for _ in 0..reps {
             let plan = FaultPlan::new(seed).with_link_fault_rate(DENSE_FAULT_RATE);
             let mut e = experiments::probe_engine(
@@ -208,28 +207,22 @@ pub fn eventcore_section(preset_name: &str, seed: u64) -> Json {
             let t0 = Instant::now();
             e.try_run().expect("stream probe runs within budget");
             best_ns = best_ns.min(t0.elapsed().as_nanos());
-            events = e.delivered_events();
-            end = e.now().get();
+            record = Some(RunRecord::of(&e));
         }
-        per_cal.push((events, end, best_ns));
+        per_cal.push((record.expect("at least one rep"), best_ns));
     }
-    let (h_events, h_end, h_ns) = per_cal[0];
-    let (l_events, l_end, l_ns) = per_cal[1];
-    assert_eq!(
-        (h_events, h_end),
-        (l_events, l_end),
-        "heap and ladder calendars diverged inside the microbench"
-    );
-    let ns_per = |ns: u128| ns as f64 / h_events.max(1) as f64;
-    let heap = ns_per(h_ns);
-    let ladder = ns_per(l_ns);
+    let ((heap_run, h_ns), (ladder_run, l_ns)) = (&per_cal[0], &per_cal[1]);
+    assert_eq!(heap_run, ladder_run, "heap and ladder calendars diverged inside the microbench");
+    let ns_per = |ns: u128| ns as f64 / heap_run.delivered.max(1) as f64;
+    let heap = ns_per(*h_ns);
+    let ladder = ns_per(*l_ns);
     Json::obj([
         ("workload", Json::str("STREAM")),
         ("n", Json::u64(EVENTCORE_LEAVES as u64)),
         ("faulty", Json::bool(true)),
         ("reps", Json::u64(u64::from(reps))),
-        ("events", Json::u64(h_events)),
-        ("end_bits", Json::u64(h_end)),
+        ("events", Json::u64(heap_run.delivered)),
+        ("end_bits", Json::u64(heap_run.end.get())),
         ("heap_ns_per_event", Json::f64(heap)),
         ("ladder_ns_per_event", Json::f64(ladder)),
         ("speedup", Json::f64(heap / ladder.max(f64::MIN_POSITIVE))),

@@ -29,7 +29,8 @@ use crate::word::Word;
 use crate::wordnet::{Topology, WordNet};
 use orthotrees_obs::json::Json;
 use orthotrees_sim::snapshot::{
-    bad, delay_tag, fault_stats_from_json, fault_stats_to_json, mismatch, req, req_delay, req_u64,
+    bad, delay_tag, fault_stats_from_json, fault_stats_to_json, mismatch, req, req_delay, req_u32,
+    req_u64,
 };
 use orthotrees_vlsi::{BitTime, Clock, DelayModel, OpStats, SimError};
 
@@ -142,8 +143,7 @@ impl Snapshot {
             rows,
             cols,
             cycle,
-            word_bits: u32::try_from(req_u64(net, "word_bits")?)
-                .map_err(|_| bad("word width exceeds u32"))?,
+            word_bits: req_u32(net, "word_bits")?,
             delay: req_delay(net)?,
             now,
             stats,

@@ -641,6 +641,7 @@ impl std::fmt::Debug for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunRecord;
     use orthotrees_obs::json::Json;
 
     /// Emits a `width`-bit word at start; counts received bits; records the
@@ -1322,7 +1323,7 @@ mod tests {
     fn heap_and_ladder_engines_deliver_identical_logs() {
         // The engine-level identity the ENG-001 rule generalizes: same
         // network, same knobs, different calendar — same event log.
-        let run = |kind: CalendarKind, lifo: bool| -> (Vec<EventLog>, BitTime) {
+        let run = |kind: CalendarKind, lifo: bool| {
             let mut e = Engine::new(DelayModel::Logarithmic).with_event_log().with_calendar(kind);
             if lifo {
                 e = e.with_lifo_ties();
@@ -1332,14 +1333,15 @@ mod tests {
             let dst = e.add_node(Box::new(Sink { expected: 6, got: 0, done: None }));
             e.connect(src, PortId(0), mid, PortId(0), 64);
             e.connect(mid, PortId(0), dst, PortId(0), 16);
-            let end = e.run();
-            (e.log().to_vec(), end)
+            e.run();
+            RunRecord::of(&e)
         };
         for lifo in [false, true] {
-            let (heap_log, heap_end) = run(CalendarKind::Heap, lifo);
-            let (ladder_log, ladder_end) = run(CalendarKind::Ladder, lifo);
-            assert_eq!(heap_log, ladder_log, "lifo={lifo}");
-            assert_eq!(heap_end, ladder_end, "lifo={lifo}");
+            assert_eq!(
+                run(CalendarKind::Heap, lifo),
+                run(CalendarKind::Ladder, lifo),
+                "lifo={lifo}"
+            );
         }
     }
 

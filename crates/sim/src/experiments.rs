@@ -35,19 +35,17 @@ use crate::engine::Engine;
 use crate::fault::FaultPlan;
 use crate::node::{Bit, NodeBehavior, NodeId, Outbox, PortId};
 use crate::recovery::{supervise_engine, RecoveryPolicy, RecoveryReport};
+use crate::snapshot::{
+    bad, opt_u64_to_json, req_bool, req_opt_u64, req_u32, req_word, word_to_json,
+};
 use orthotrees_obs::json::Json;
 use orthotrees_vlsi::{log2_ceil, BitTime, CostModel, ModelError, SimError};
 
 // ----------------------------------------------------------------------
-// Checkpoint helpers shared by the stateful node behaviours below. The
-// save_state/load_state encodings are deliberately compact: a per-slot
-// option-of-bit vector becomes a `'0'/'1'/'.'` string, and words that may
-// exceed JSON's exact-integer range travel as hex strings.
+// Checkpoint helpers for the stateful node behaviours below, beside the
+// shared field codec of `crate::snapshot`: a per-slot option-of-bit vector
+// travels as a compact `'0'/'1'/'.'` string.
 // ----------------------------------------------------------------------
-
-fn snap_err(detail: String) -> SimError {
-    SimError::SnapshotFormat { detail }
-}
 
 fn tri_encode(bits: &[Option<bool>]) -> Json {
     Json::str(
@@ -65,9 +63,9 @@ fn tri_decode(state: &Json, key: &str, into: &mut [Option<bool>]) -> Result<(), 
     let text = state
         .get(key)
         .and_then(Json::as_str)
-        .ok_or_else(|| snap_err(format!("node state missing bit-vector `{key}`")))?;
+        .ok_or_else(|| bad(format!("node state missing bit-vector `{key}`")))?;
     if text.len() != into.len() {
-        return Err(snap_err(format!(
+        return Err(bad(format!(
             "node bit-vector `{key}` has {} slots, this node expects {}",
             text.len(),
             into.len()
@@ -78,54 +76,10 @@ fn tri_decode(state: &Json, key: &str, into: &mut [Option<bool>]) -> Result<(), 
             '.' => None,
             '0' => Some(false),
             '1' => Some(true),
-            other => return Err(snap_err(format!("bit-vector `{key}` holds `{other}`"))),
+            other => return Err(bad(format!("bit-vector `{key}` holds `{other}`"))),
         };
     }
     Ok(())
-}
-
-fn state_u64(state: &Json, key: &str) -> Result<u64, SimError> {
-    state
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| snap_err(format!("node state missing counter `{key}`")))
-}
-
-fn state_bool(state: &Json, key: &str) -> Result<bool, SimError> {
-    state
-        .get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| snap_err(format!("node state missing flag `{key}`")))
-}
-
-fn word_to_json(word: u64) -> Json {
-    Json::str(format!("{word:x}"))
-}
-
-fn word_from_json(state: &Json, key: &str) -> Result<u64, SimError> {
-    let text = state
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| snap_err(format!("node state missing word `{key}`")))?;
-    u64::from_str_radix(text, 16).map_err(|_| snap_err(format!("word `{key}` is not hex: {text}")))
-}
-
-fn time_to_json(t: Option<BitTime>) -> Json {
-    match t {
-        None => Json::Null,
-        Some(t) => Json::u64(t.get()),
-    }
-}
-
-fn time_from_json(state: &Json, key: &str) -> Result<Option<BitTime>, SimError> {
-    match state.get(key) {
-        None => Err(snap_err(format!("node state missing time `{key}`"))),
-        Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(|t| Some(BitTime::new(t)))
-            .ok_or_else(|| snap_err(format!("time `{key}` is not an integer"))),
-    }
 }
 
 /// Which registry primitive each bit-level experiment models, as
@@ -248,14 +202,13 @@ impl NodeBehavior for WordSink {
         Json::obj([
             ("got", Json::u64(u64::from(self.got))),
             ("word", word_to_json(self.word)),
-            ("done", time_to_json(self.done)),
+            ("done", opt_u64_to_json(self.done.map(BitTime::get))),
         ])
     }
     fn load_state(&mut self, state: &Json) -> Result<(), SimError> {
-        self.got = u32::try_from(state_u64(state, "got")?)
-            .map_err(|_| snap_err("sink bit count exceeds u32".into()))?;
-        self.word = word_from_json(state, "word")?;
-        self.done = time_from_json(state, "done")?;
+        self.got = req_u32(state, "got")?;
+        self.word = req_word(state, "word")?;
+        self.done = req_opt_u64(state, "done")?.map(BitTime::new);
         Ok(())
     }
 }
@@ -324,9 +277,8 @@ impl NodeBehavior for SerialAdder {
     fn load_state(&mut self, state: &Json) -> Result<(), SimError> {
         tri_decode(state, "left", &mut self.left)?;
         tri_decode(state, "right", &mut self.right)?;
-        self.carry = state_bool(state, "carry")?;
-        self.next = u32::try_from(state_u64(state, "next")?)
-            .map_err(|_| snap_err("adder position exceeds u32".into()))?;
+        self.carry = req_bool(state, "carry")?;
+        self.next = req_u32(state, "next")?;
         Ok(())
     }
 }
@@ -394,29 +346,15 @@ impl NodeBehavior for SerialMin {
         Json::obj([
             ("left", tri_encode(&self.left)),
             ("right", tri_encode(&self.right)),
-            (
-                "winner",
-                match self.winner {
-                    None => Json::Null,
-                    Some(p) => Json::u64(p.0 as u64),
-                },
-            ),
+            ("winner", opt_u64_to_json(self.winner.map(|p| p.0 as u64))),
             ("next", Json::u64(u64::from(self.next))),
         ])
     }
     fn load_state(&mut self, state: &Json) -> Result<(), SimError> {
         tri_decode(state, "left", &mut self.left)?;
         tri_decode(state, "right", &mut self.right)?;
-        self.winner = match state.get("winner") {
-            Some(Json::Null) => None,
-            Some(v) => Some(PortId(
-                v.as_u64().ok_or_else(|| snap_err("min winner port is not an integer".into()))?
-                    as usize,
-            )),
-            None => return Err(snap_err("node state missing `winner`".into())),
-        };
-        self.next = u32::try_from(state_u64(state, "next")?)
-            .map_err(|_| snap_err("min position exceeds u32".into()))?;
+        self.winner = req_opt_u64(state, "winner")?.map(|p| PortId(p as usize));
+        self.next = req_u32(state, "next")?;
         Ok(())
     }
 }
@@ -826,24 +764,23 @@ impl NodeBehavior for TurnAround {
         )
     }
     fn load_state(&mut self, state: &Json) -> Result<(), SimError> {
-        let rows =
-            state.as_arr().ok_or_else(|| snap_err("turnaround state is not an array".into()))?;
+        let rows = state.as_arr().ok_or_else(|| bad("turnaround state is not an array"))?;
         self.buffered.clear();
         for row in rows {
             let pair = row
                 .as_arr()
                 .filter(|p| p.len() == 2)
-                .ok_or_else(|| snap_err("turnaround entry is not a [value, index] pair".into()))?;
+                .ok_or_else(|| bad("turnaround entry is not a [value, index] pair"))?;
             self.buffered.push(Bit {
                 value: pair[0]
                     .as_bool()
-                    .ok_or_else(|| snap_err("turnaround bit value is not a boolean".into()))?,
+                    .ok_or_else(|| bad("turnaround bit value is not a boolean"))?,
                 index: u32::try_from(
                     pair[1]
                         .as_u64()
-                        .ok_or_else(|| snap_err("turnaround bit index is not an integer".into()))?,
+                        .ok_or_else(|| bad("turnaround bit index is not an integer"))?,
                 )
-                .map_err(|_| snap_err("turnaround bit index exceeds u32".into()))?,
+                .map_err(|_| bad("turnaround bit index exceeds u32"))?,
             });
         }
         Ok(())
@@ -992,6 +929,7 @@ pub fn expected_min_time(leaves: usize, m: &CostModel) -> BitTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunRecord;
     use orthotrees_obs::Recorder;
 
     fn models(n: usize) -> Vec<CostModel> {
@@ -1007,9 +945,9 @@ mod tests {
                 let mut e = probe_engine(kind, 8, &m, cal, None, true);
                 assert_eq!(e.calendar_kind(), cal);
                 e.try_run().unwrap();
-                runs.push((e.completion_time(), e.now(), e.delivered_events(), e.log().to_vec()));
+                runs.push(RunRecord::of(&e));
             }
-            assert!(runs[0].0.is_some(), "{} probe never completed", kind.tag());
+            assert!(runs[0].completion.is_some(), "{} probe never completed", kind.tag());
             assert_eq!(runs[0], runs[1], "{} probe diverged across calendars", kind.tag());
         }
     }
@@ -1023,8 +961,7 @@ mod tests {
                 let plan = FaultPlan::new(17).with_link_fault_rate(0.3);
                 let mut e = probe_engine(kind, 8, &m, cal, Some(plan), true);
                 e.try_run().unwrap();
-                let stats = *e.fault_stats();
-                runs.push((e.now(), e.delivered_events(), e.log().to_vec(), stats));
+                runs.push(RunRecord::of(&e));
             }
             assert_eq!(runs[0], runs[1], "faulted {} probe diverged", kind.tag());
         }

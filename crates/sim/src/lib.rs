@@ -33,6 +33,7 @@ pub mod experiments;
 pub mod fault;
 mod link;
 mod node;
+mod record;
 pub mod recovery;
 pub mod snapshot;
 
@@ -47,5 +48,6 @@ pub use orthotrees_obs::flight::FlightRecorder;
 pub use orthotrees_obs::profile::Profiler;
 pub use orthotrees_obs::telemetry::Telemetry;
 pub use orthotrees_obs::Recorder;
+pub use record::{Divergence, LogOrder, RunRecord};
 pub use recovery::{supervise_engine, supervise_steps, RecoveryPolicy, RecoveryReport};
 pub use snapshot::Snapshot;

@@ -70,8 +70,9 @@ pub struct Snapshot {
 }
 
 // The field codec below is shared with the word-level checkpoint
-// (`orthotrees::checkpoint`), so both `/v1` formats spell the delay model,
-// the fault counters and their errors the same way.
+// (`orthotrees::checkpoint`) and with every node's `save_state`/`load_state`,
+// so all `/v1` documents spell the delay model, the fault counters, words,
+// optional times and their errors the same way.
 
 /// The on-disk name of a delay model: `"Constant"`, `"Logarithmic"` or
 /// `"Linear"`.
@@ -117,8 +118,44 @@ pub fn req_u64(doc: &Json, key: &str) -> Result<u64, SimError> {
     req(doc, key)?.as_u64().ok_or_else(|| bad(format!("field `{key}` is not an integer")))
 }
 
-fn req_bool(doc: &Json, key: &str) -> Result<bool, SimError> {
+/// The field `key` of `doc` as a `u32`, or a [`SimError::SnapshotFormat`]
+/// naming it.
+pub fn req_u32(doc: &Json, key: &str) -> Result<u32, SimError> {
+    u32::try_from(req_u64(doc, key)?).map_err(|_| bad(format!("field `{key}` exceeds u32")))
+}
+
+/// The field `key` of `doc` as a boolean, or a [`SimError::SnapshotFormat`]
+/// naming it.
+pub fn req_bool(doc: &Json, key: &str) -> Result<bool, SimError> {
     req(doc, key)?.as_bool().ok_or_else(|| bad(format!("field `{key}` is not a boolean")))
+}
+
+/// A full-width word as hex text: a `u64` can exceed JSON's exact 2⁵³
+/// integer range.
+pub fn word_to_json(word: u64) -> Json {
+    Json::str(format!("{word:x}"))
+}
+
+/// The hex word `key` of `doc`, the inverse of [`word_to_json`]; a missing
+/// field or non-hex text is a [`SimError::SnapshotFormat`].
+pub fn req_word(doc: &Json, key: &str) -> Result<u64, SimError> {
+    let text = req(doc, key)?.as_str().unwrap_or_default();
+    u64::from_str_radix(text, 16).map_err(|_| bad(format!("field `{key}` is not a hex word")))
+}
+
+/// An optional integer (a completion time, a port): `null` when absent.
+pub fn opt_u64_to_json(value: Option<u64>) -> Json {
+    value.map_or(Json::Null, Json::u64)
+}
+
+/// The field `key` of `doc` as `null` or an integer, the inverse of
+/// [`opt_u64_to_json`]; a missing field or any other value is a
+/// [`SimError::SnapshotFormat`].
+pub fn req_opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, SimError> {
+    match req(doc, key)? {
+        Json::Null => Ok(None),
+        v => v.as_u64().map(Some).ok_or_else(|| bad(format!("field `{key}` is not an integer"))),
+    }
 }
 
 /// The eight [`FaultStats`] counters as one JSON object.

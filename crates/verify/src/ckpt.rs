@@ -7,9 +7,10 @@
 //! rules police that contract:
 //!
 //! - **CKPT-001** — round-trip determinism. For a sweep of cut points
-//!   (first event, mid-run, last event) the resumed run is compared
-//!   against the baseline on completion time, delivered-event count,
-//!   every node's result and the full event log. Any divergence means
+//!   (first event, mid-run, last event) the resumed run's [`RunRecord`]
+//!   is compared against the baseline's: end and completion time,
+//!   delivered-event count, fault statistics, every node's result and the
+//!   full event log. Any divergence means
 //!   some state escaped the snapshot — a node with mutable state that
 //!   skipped its [`save_state`](orthotrees_sim::NodeBehavior::save_state)
 //!   hook, for instance (see [`ForgetfulSink`]).
@@ -24,7 +25,7 @@
 
 use crate::determinism::fan_in;
 use crate::diag::Finding;
-use orthotrees_sim::{Bit, Engine, NodeBehavior, NodeId, Outbox, PortId, Snapshot};
+use orthotrees_sim::{Bit, Engine, LogOrder, NodeBehavior, Outbox, PortId, RunRecord, Snapshot};
 use orthotrees_vlsi::{BitTime, DelayModel};
 
 /// Runs `build()` uninterrupted, then replays it with a checkpoint/restore
@@ -35,81 +36,48 @@ use orthotrees_vlsi::{BitTime, DelayModel};
 /// for the baseline and twice per cut point: the run that is interrupted
 /// and the fresh engine the checkpoint is restored into).
 pub fn check_roundtrip(network: &str, build: impl Fn() -> Engine) -> Vec<Finding> {
-    let mut out = Vec::new();
     let mut baseline = build();
-    let t_base = match baseline.try_run() {
-        Ok(t) => t,
-        Err(e) => {
-            out.push(Finding::new(
-                "CKPT-001",
-                network,
-                "baseline".to_string(),
-                format!("uninterrupted run failed: {e}"),
-                "fix the network before checking checkpointing",
-            ));
-            return out;
-        }
-    };
-    let total = baseline.delivered_events();
+    if let Err(e) = baseline.try_run() {
+        return vec![Finding::new(
+            "CKPT-001",
+            network,
+            "baseline",
+            format!("uninterrupted run failed: {e}"),
+            "fix the network before checking checkpointing",
+        )];
+    }
+    let expected = RunRecord::of(&baseline);
+    let total = expected.delivered;
     let mut cuts = vec![0, 1, total / 2, total.saturating_sub(1), total];
     cuts.sort_unstable();
     cuts.dedup();
+    let mut out = Vec::new();
     for k in cuts {
-        let subject = format!("cut after {k}/{total} events");
+        let cut = format!("cut after {k}/{total} events");
         match resume_at(&build, k) {
-            Err(detail) => {
-                out.push(Finding::new(
-                    "CKPT-001",
-                    network,
-                    subject,
-                    detail,
-                    "the snapshot text must restore into an identically built engine",
-                ));
-            }
-            Ok((t_res, resumed)) => {
-                if t_res != t_base {
-                    out.push(Finding::new(
+            Err(detail) => out.push(Finding::new(
+                "CKPT-001",
+                network,
+                cut,
+                detail,
+                "the snapshot text must restore into an identically built engine",
+            )),
+            Ok(resumed) => {
+                let divergences = expected.divergences(
+                    &RunRecord::of(&resumed),
+                    ["uninterrupted", "restored"],
+                    LogOrder::Sequence,
+                );
+                out.extend(divergences.into_iter().map(|d| {
+                    Finding::new(
                         "CKPT-001",
                         network,
-                        subject.clone(),
-                        format!("baseline finishes at {t_base} τ, resumed run at {t_res} τ"),
-                        "snapshot every clock-bearing piece of engine state",
-                    ));
-                }
-                if resumed.delivered_events() != total {
-                    out.push(Finding::new(
-                        "CKPT-001",
-                        network,
-                        subject.clone(),
-                        format!(
-                            "baseline delivers {total} events, resumed run {}",
-                            resumed.delivered_events()
-                        ),
-                        "the restored calendar must replay exactly the remaining events",
-                    ));
-                }
-                for i in 0..baseline.node_count() {
-                    let a = baseline.node(NodeId(i)).result();
-                    let b = resumed.node(NodeId(i)).result();
-                    if a != b {
-                        out.push(Finding::new(
-                            "CKPT-001",
-                            network,
-                            format!("{subject}, node {i}"),
-                            format!("result {a:?} uninterrupted but {b:?} after restore"),
-                            "implement save_state/load_state for every stateful node",
-                        ));
-                    }
-                }
-                if baseline.log() != resumed.log() {
-                    out.push(Finding::new(
-                        "CKPT-001",
-                        network,
-                        subject,
-                        "delivered-event log diverges after restore".to_string(),
-                        "snapshot must preserve both the log prefix and the calendar order",
-                    ));
-                }
+                        format!("{cut}, {}", d.subject),
+                        d.detail,
+                        "snapshot every piece of run state (save_state/load_state for every \
+                         stateful node)",
+                    )
+                }));
             }
         }
     }
@@ -118,9 +86,9 @@ pub fn check_roundtrip(network: &str, build: impl Fn() -> Engine) -> Vec<Finding
 
 /// Interrupts a fresh `build()` after `k` delivered events, round-trips
 /// the snapshot through its JSON text, restores into another fresh build
-/// and runs to quiescence. Returns the completion time and the resumed
-/// engine, or a description of the step that failed.
-fn resume_at(build: &impl Fn() -> Engine, k: u64) -> Result<(BitTime, Engine), String> {
+/// and runs to quiescence. Returns the resumed engine, or a description of
+/// the step that failed.
+fn resume_at(build: &impl Fn() -> Engine, k: u64) -> Result<Engine, String> {
     let mut part = build();
     part.try_run_for(k).map_err(|e| format!("interrupted run failed: {e}"))?;
     let text = part.snapshot().render();
@@ -128,8 +96,8 @@ fn resume_at(build: &impl Fn() -> Engine, k: u64) -> Result<(BitTime, Engine), S
         Snapshot::parse(&text).map_err(|e| format!("rendered snapshot failed to parse: {e}"))?;
     let mut resumed = build();
     resumed.restore(&snap).map_err(|e| format!("restore into fresh engine failed: {e}"))?;
-    let t = resumed.try_run().map_err(|e| format!("resumed run failed: {e}"))?;
-    Ok((t, resumed))
+    resumed.try_run().map_err(|e| format!("resumed run failed: {e}"))?;
+    Ok(resumed)
 }
 
 /// Checks the on-disk snapshot format (CKPT-002): render/parse fixed

@@ -8,31 +8,15 @@
 //!
 //! [`check_commutes`] runs the same network twice — once with the default
 //! FIFO tie-break and once with the engine's LIFO verification knob
-//! ([`Engine::with_lifo_ties`]) — and compares completion time, every
-//! node's result, and the *multiset* of delivered events. Any divergence
-//! is a DET-001 finding: somewhere a pair of simultaneous events does not
-//! commute.
+//! ([`Engine::with_lifo_ties`]) — and compares the two [`RunRecord`]s,
+//! taking the delivered events as a *multiset*. Any divergence is a DET-001
+//! finding: somewhere a pair of simultaneous events does not commute.
 
 use crate::diag::Finding;
 use orthotrees_obs::json::Json;
-use orthotrees_sim::{Bit, Engine, NodeBehavior, Outbox, PortId};
+use orthotrees_sim::snapshot::{opt_u64_to_json, req_opt_u64, req_word, word_to_json};
+use orthotrees_sim::{Bit, Engine, LogOrder, NodeBehavior, Outbox, PortId, RunRecord};
 use orthotrees_vlsi::{BitTime, DelayModel, SimError};
-use std::collections::HashMap;
-
-/// Encodes a full-width word for a node checkpoint (hex text: a `u64` can
-/// exceed JSON's exact 2⁵³ integer range).
-fn word_json(w: u64) -> Json {
-    Json::str(format!("{w:x}"))
-}
-
-/// Decodes [`word_json`].
-fn word_back(state: &Json, key: &str) -> Result<u64, SimError> {
-    state.get(key).and_then(Json::as_str).and_then(|s| u64::from_str_radix(s, 16).ok()).ok_or_else(
-        || SimError::SnapshotFormat {
-            detail: format!("sink state field `{key}` is not a hex word"),
-        },
-    )
-}
 
 /// Runs `build(false)` (FIFO ties) and `build(true)` (LIFO ties) to
 /// quiescence and reports every observable divergence as DET-001.
@@ -43,65 +27,27 @@ fn word_back(state: &Json, key: &str) -> Result<u64, SimError> {
 pub fn check_commutes(network: &str, build: impl Fn(bool) -> Engine) -> Vec<Finding> {
     let mut fifo = build(false);
     let mut lifo = build(true);
-    let t_fifo = fifo.run();
-    let t_lifo = lifo.run();
-    let mut out = Vec::new();
-    if t_fifo != t_lifo {
-        out.push(Finding::new(
-            "DET-001",
-            network,
-            "completion time".to_string(),
-            format!("FIFO tie-break finishes at {t_fifo} τ, LIFO at {t_lifo} τ"),
-            "make simultaneous deliveries commute (no first-wins state)",
-        ));
-    }
-    if fifo.node_count() != lifo.node_count() {
-        out.push(Finding::new(
-            "DET-001",
-            network,
-            "node count".to_string(),
-            format!("builder produced {} vs {} nodes", fifo.node_count(), lifo.node_count()),
-            "the builder must construct the same network for both modes",
-        ));
-        return out;
-    }
-    for i in 0..fifo.node_count() {
-        let a = fifo.node(orthotrees_sim::NodeId(i)).result();
-        let b = lifo.node(orthotrees_sim::NodeId(i)).result();
-        if a != b {
-            out.push(Finding::new(
+    fifo.run();
+    lifo.run();
+    // Order within a τ is exactly what is allowed to differ, so the logs
+    // compare as multisets.
+    let divergences = RunRecord::of(&fifo).divergences(
+        &RunRecord::of(&lifo),
+        ["FIFO ties", "LIFO ties"],
+        LogOrder::Multiset,
+    );
+    divergences
+        .into_iter()
+        .map(|d| {
+            Finding::new(
                 "DET-001",
                 network,
-                format!("node {i}"),
-                format!("result {a:?} under FIFO ties but {b:?} under LIFO"),
+                d.subject,
+                d.detail,
                 "make simultaneous deliveries commute (no first-wins state)",
-            ));
-        }
-    }
-    // Compare delivered events as a multiset: order within a τ is exactly
-    // what is allowed to differ, but the *set* of deliveries must not.
-    let mut counts: HashMap<(u64, usize, usize, bool, u32), i64> = HashMap::new();
-    for e in fifo.log() {
-        *counts.entry((e.at.get(), e.node.0, e.port.0, e.bit.value, e.bit.index)).or_insert(0) += 1;
-    }
-    for e in lifo.log() {
-        *counts.entry((e.at.get(), e.node.0, e.port.0, e.bit.value, e.bit.index)).or_insert(0) -= 1;
-    }
-    for ((at, node, port, value, index), n) in counts.into_iter().filter(|&(_, n)| n != 0) {
-        out.push(Finding::new(
-            "DET-001",
-            network,
-            format!("node {node} port {port} at {at} τ"),
-            format!(
-                "delivery of bit {value} (index {index}) occurs {} more time(s) under {}",
-                n.abs(),
-                if n > 0 { "FIFO" } else { "LIFO" }
-            ),
-            "a tie-order change must not create or destroy deliveries",
-        ));
-    }
-    out.sort_by(|a, b| a.subject.cmp(&b.subject));
-    out
+            )
+        })
+        .collect()
 }
 
 /// A source that emits one word LSB-first starting at time zero.
@@ -143,18 +89,13 @@ impl NodeBehavior for OrSink {
     }
     fn save_state(&self) -> Json {
         Json::obj([
-            ("acc", word_json(self.acc)),
-            ("done", self.done.map_or(Json::Null, |t| Json::u64(t.get()))),
+            ("acc", word_to_json(self.acc)),
+            ("done", opt_u64_to_json(self.done.map(BitTime::get))),
         ])
     }
     fn load_state(&mut self, state: &Json) -> Result<(), SimError> {
-        self.acc = word_back(state, "acc")?;
-        self.done = match state.get("done") {
-            Some(Json::Null) | None => None,
-            Some(t) => Some(BitTime::new(t.as_u64().ok_or_else(|| SimError::SnapshotFormat {
-                detail: "sink state field `done` is not a time".into(),
-            })?)),
-        };
+        self.acc = req_word(state, "acc")?;
+        self.done = req_opt_u64(state, "done")?.map(BitTime::new);
         Ok(())
     }
 }
@@ -193,11 +134,11 @@ impl NodeBehavior for FirstWins {
         Some(self.word)
     }
     fn save_state(&self) -> Json {
-        Json::obj([("word", word_json(self.word)), ("claimed", word_json(self.claimed))])
+        Json::obj([("word", word_to_json(self.word)), ("claimed", word_to_json(self.claimed))])
     }
     fn load_state(&mut self, state: &Json) -> Result<(), SimError> {
-        self.word = word_back(state, "word")?;
-        self.claimed = word_back(state, "claimed")?;
+        self.word = req_word(state, "word")?;
+        self.claimed = req_word(state, "claimed")?;
         Ok(())
     }
 }
@@ -246,6 +187,19 @@ mod tests {
     #[test]
     fn commuting_networks_are_clean() {
         assert!(stock_findings().is_empty());
+    }
+
+    #[test]
+    fn or_sink_state_without_done_is_a_typed_error() {
+        let mut sink = or_sink();
+        let saved = sink.save_state();
+        assert!(sink.load_state(&saved).is_ok());
+        let Json::Obj(mut fields) = saved else { panic!("sink state is an object") };
+        fields.retain(|(key, _)| key != "done");
+        assert!(matches!(
+            sink.load_state(&Json::Obj(fields)),
+            Err(SimError::SnapshotFormat { .. })
+        ));
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! the *exact same sequence* of events, not merely the same multiset.
 //!
 //! [`check_identity`] runs the same network once per calendar and flags
-//! any observable divergence — completion time, current time, delivered
-//! count, any node result, fault-draw statistics, or the first position
-//! at which the two delivery logs disagree — as an ENG-001 finding.
+//! every divergence of the two [`RunRecord`]s — end and completion time,
+//! delivered count, fault statistics, any node result, or the first
+//! position at which the two delivery sequences disagree — as an ENG-001
+//! finding.
 
 use crate::diag::Finding;
 use orthotrees_sim::experiments::{probe_engine, ProbeKind, PROBE_KINDS};
-use orthotrees_sim::{CalendarKind, Engine, FaultPlan};
+use orthotrees_sim::{CalendarKind, Engine, FaultPlan, LogOrder, RunRecord};
 use orthotrees_vlsi::CostModel;
 
 /// Runs `build(Heap)` and `build(Ladder)` to quiescence and reports every
@@ -30,12 +31,13 @@ use orthotrees_vlsi::CostModel;
 pub fn check_identity(network: &str, build: impl Fn(CalendarKind) -> Engine) -> Vec<Finding> {
     let mut heap = build(CalendarKind::Heap).with_event_log();
     let mut ladder = build(CalendarKind::Ladder).with_event_log();
+    let finding = |subject: String, detail: String, hint: &str| {
+        Finding::new("ENG-001", network, subject, detail, hint)
+    };
     let mut out = Vec::new();
     for (e, want) in [(&heap, CalendarKind::Heap), (&ladder, CalendarKind::Ladder)] {
         if e.calendar_kind() != want {
-            out.push(Finding::new(
-                "ENG-001",
-                network,
+            out.push(finding(
                 "builder".to_string(),
                 format!(
                     "builder was asked for the {} calendar but installed {}",
@@ -49,104 +51,22 @@ pub fn check_identity(network: &str, build: impl Fn(CalendarKind) -> Engine) -> 
     if !out.is_empty() {
         return out;
     }
-    let t_heap = heap.try_run();
-    let t_ladder = ladder.try_run();
-    match (&t_heap, &t_ladder) {
-        (Ok(a), Ok(b)) if a != b => out.push(Finding::new(
-            "ENG-001",
-            network,
-            "quiescence time".to_string(),
-            format!("heap goes quiescent at {a} τ, ladder at {b} τ"),
-            "the calendar must not change when the last event drains",
-        )),
-        (Ok(_), Ok(_)) => {}
-        (a, b) => out.push(Finding::new(
-            "ENG-001",
-            network,
+    let (t_heap, t_ladder) = (heap.try_run(), ladder.try_run());
+    if t_heap.is_err() || t_ladder.is_err() {
+        out.push(finding(
             "run status".to_string(),
-            format!("heap run ended {a:?}, ladder run ended {b:?}"),
+            format!("heap run ended {t_heap:?}, ladder run ended {t_ladder:?}"),
             "a budget trip must reproduce identically on both calendars",
-        )),
-    }
-    if heap.completion_time() != ladder.completion_time() {
-        out.push(Finding::new(
-            "ENG-001",
-            network,
-            "completion time".to_string(),
-            format!(
-                "heap completes at {:?}, ladder at {:?}",
-                heap.completion_time(),
-                ladder.completion_time()
-            ),
-            "calendar choice must not move the completion event",
         ));
     }
-    if heap.delivered_events() != ladder.delivered_events() {
-        out.push(Finding::new(
-            "ENG-001",
-            network,
-            "delivered count".to_string(),
-            format!(
-                "heap delivered {} events, ladder {}",
-                heap.delivered_events(),
-                ladder.delivered_events()
-            ),
-            "a calendar must neither drop nor duplicate events",
-        ));
-    }
-    if heap.fault_stats() != ladder.fault_stats() {
-        out.push(Finding::new(
-            "ENG-001",
-            network,
-            "fault statistics".to_string(),
-            format!("heap drew {:?}, ladder {:?}", heap.fault_stats(), ladder.fault_stats()),
-            "fault draws key off MsgId, which must not depend on the calendar",
-        ));
-    }
-    if heap.node_count() != ladder.node_count() {
-        out.push(Finding::new(
-            "ENG-001",
-            network,
-            "node count".to_string(),
-            format!("builder produced {} vs {} nodes", heap.node_count(), ladder.node_count()),
-            "the builder must construct the same network for both calendars",
-        ));
-        return out;
-    }
-    for i in 0..heap.node_count() {
-        let a = heap.node(orthotrees_sim::NodeId(i)).result();
-        let b = ladder.node(orthotrees_sim::NodeId(i)).result();
-        if a != b {
-            out.push(Finding::new(
-                "ENG-001",
-                network,
-                format!("node {i}"),
-                format!("result {a:?} on the heap but {b:?} on the ladder"),
-                "calendar choice must not change any node's end state",
-            ));
-        }
-    }
-    // The strongest claim: the full delivery *sequence* — not just its
-    // multiset — is identical. Report only the first divergence; one
-    // transposition early in a run cascades through everything after it.
-    let (la, lb) = (heap.log(), ladder.log());
-    if la.len() != lb.len() {
-        out.push(Finding::new(
-            "ENG-001",
-            network,
-            "event log length".to_string(),
-            format!("heap logged {} deliveries, ladder {}", la.len(), lb.len()),
-            "a calendar must neither drop nor duplicate events",
-        ));
-    } else if let Some(i) = (0..la.len()).find(|&i| la[i] != lb[i]) {
-        out.push(Finding::new(
-            "ENG-001",
-            network,
-            format!("delivery #{i}"),
-            format!("heap delivered {:?} but ladder delivered {:?}", la[i], lb[i]),
-            "ties share a unique (at, seq) key; the ladder must honour it exactly",
-        ));
-    }
+    let divergences = RunRecord::of(&heap).divergences(
+        &RunRecord::of(&ladder),
+        ["heap", "ladder"],
+        LogOrder::Sequence,
+    );
+    out.extend(divergences.into_iter().map(|d| {
+        finding(d.subject, d.detail, "a calendar must deliver exactly the unique (at, seq) order")
+    }));
     out
 }
 

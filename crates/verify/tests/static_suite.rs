@@ -5,7 +5,7 @@
 
 use orthotrees::otc::Otc;
 use orthotrees::otn::Otn;
-use orthotrees_sim::NodeId;
+use orthotrees_sim::RunRecord;
 use orthotrees_verify::determinism::{check_commutes, fan_in, FirstWins};
 use orthotrees_verify::mutate::{self, Mutation};
 use orthotrees_verify::net::{lint_structure, lint_tree, tree_netlist, DegreeBounds, TreeShape};
@@ -165,12 +165,5 @@ fn verification_does_not_perturb_simulation() {
     let t_verified = verified.run();
 
     assert_eq!(t_plain, t_verified);
-    assert_eq!(plain.node_count(), verified.node_count());
-    for i in 0..plain.node_count() {
-        assert_eq!(plain.node(NodeId(i)).result(), verified.node(NodeId(i)).result(), "node {i}");
-    }
-    assert_eq!(plain.log().len(), verified.log().len());
-    for (a, b) in plain.log().iter().zip(verified.log()) {
-        assert_eq!((a.at, a.node, a.port, a.bit), (b.at, b.node, b.port, b.bit));
-    }
+    assert_eq!(RunRecord::of(&plain), RunRecord::of(&verified));
 }

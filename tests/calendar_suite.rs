@@ -21,26 +21,10 @@
 
 use orthotrees_sim::experiments::{probe_engine, ProbeKind, PROBE_KINDS};
 use orthotrees_sim::{
-    supervise_engine, CalendarKind, Engine, EventLog, FaultPlan, FaultStats, NodeId,
-    RecoveryPolicy, Snapshot,
+    supervise_engine, CalendarKind, Engine, FaultPlan, NodeId, RecoveryPolicy, RunRecord, Snapshot,
 };
 use orthotrees_vlsi::{BitTime, CostModel};
 use proptest::prelude::*;
-
-/// Everything observable about a finished run.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    end: BitTime,
-    completion: Option<BitTime>,
-    delivered: u64,
-    results: Vec<Option<u64>>,
-    log: Vec<EventLog>,
-    faults: FaultStats,
-}
-
-fn results(e: &Engine) -> Vec<Option<u64>> {
-    (0..e.node_count()).map(|i| e.node(NodeId(i)).result()).collect()
-}
 
 fn run_probe(
     kind: ProbeKind,
@@ -48,22 +32,11 @@ fn run_probe(
     cal: CalendarKind,
     lifo: bool,
     fault_seed: Option<u64>,
-) -> Fingerprint {
+) -> RunRecord {
     let m = CostModel::thompson(leaves);
     let plan = fault_seed.map(|s| FaultPlan::new(s).with_link_fault_rate(0.3));
-    let mut e = probe_engine(kind, leaves, &m, cal, plan, true);
-    if lifo {
-        e = e.with_lifo_ties();
-    }
-    let end = e.try_run().expect("probe runs within budget");
-    Fingerprint {
-        end,
-        completion: e.completion_time(),
-        delivered: e.delivered_events(),
-        results: results(&e),
-        log: e.log().to_vec(),
-        faults: *e.fault_stats(),
-    }
+    let e = probe_engine(kind, leaves, &m, cal, plan, true);
+    finished(if lifo { e.with_lifo_ties() } else { e })
 }
 
 // ---------------------------------------------------------------------
@@ -138,16 +111,9 @@ fn snapshot_probe(cal: CalendarKind) -> Engine {
 /// the calendar holds in-flight bits on several tree levels).
 const FIXTURE_CUT: u64 = 40;
 
-fn finished(mut e: Engine) -> Fingerprint {
-    let end = e.try_run().expect("probe runs within budget");
-    Fingerprint {
-        end,
-        completion: e.completion_time(),
-        delivered: e.delivered_events(),
-        results: results(&e),
-        log: e.log().to_vec(),
-        faults: *e.fault_stats(),
-    }
+fn finished(mut e: Engine) -> RunRecord {
+    e.try_run().expect("probe runs within budget");
+    RunRecord::of(&e)
 }
 
 #[test]
@@ -165,16 +131,9 @@ fn snapshots_restore_across_calendars_bit_identically() {
             let mut resumed = snapshot_probe(reader);
             resumed.restore(&snap).expect("snapshot restores across calendars");
             assert_eq!(resumed.calendar_kind(), reader, "restore must not swap the calendar");
-            let resumed = finished(resumed);
-            // The pre-cut deliveries happened before the snapshot, so the
-            // resumed log is the baseline's suffix; everything else must
+            // The snapshot carries the log prefix, so the resumed run must
             // match the uninterrupted run on the reader's calendar exactly.
-            assert_eq!(resumed.end, baseline.end, "{writer:?}→{reader:?} cut {cut}");
-            assert_eq!(resumed.completion, baseline.completion);
-            assert_eq!(resumed.delivered, baseline.delivered);
-            assert_eq!(resumed.results, baseline.results);
-            let skip = baseline.log.len() - resumed.log.len();
-            assert_eq!(resumed.log.as_slice(), &baseline.log[skip..]);
+            assert_eq!(finished(resumed), baseline, "{writer:?}→{reader:?} cut {cut}");
         }
     }
 }
@@ -272,7 +231,11 @@ fn supervised_recovery_is_identical_across_calendars() {
 
         assert!(report.rollbacks >= 1, "{cal:?}: the outage must trip the supervisor");
         assert_eq!(report.completion, clean.end, "{cal:?}: recovery is clock-identical to clean");
-        assert_eq!(results(&chaotic), clean.results, "{cal:?}: recovery is value-identical");
+        assert_eq!(
+            RunRecord::of(&chaotic).results,
+            clean.results,
+            "{cal:?}: recovery is value-identical"
+        );
         reports.push((
             report.attempts,
             report.rollbacks,

@@ -4,7 +4,9 @@
 
 use orthotrees::otn::{self, Otn};
 use orthotrees::{BitTime, FaultPlan, FaultStats, SimError, TreeAxis};
-use orthotrees_sim::{Bit, Engine, LinkFaultKind, NodeBehavior, Outbox, PortId, RunBudget};
+use orthotrees_sim::{
+    Bit, Engine, LinkFaultKind, NodeBehavior, Outbox, PortId, RunBudget, RunRecord,
+};
 use orthotrees_vlsi::DelayModel;
 use proptest::prelude::*;
 
@@ -65,7 +67,7 @@ fn engine_event_sequences_reproduce_under_faults() {
         e.connect(src, PortId(0), dst, PortId(0), 64);
         let mut e = e.with_fault_plan(FaultPlan::new(5).with_link_fault_rate(0.25));
         e.run();
-        (e.log().to_vec(), *e.fault_stats())
+        RunRecord::of(&e)
     };
     assert_eq!(run(), run(), "identical event sequences across two runs");
 }

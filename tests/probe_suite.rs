@@ -18,8 +18,8 @@
 
 use orthotrees_sim::experiments::{probe_engine, ProbeKind, PROBE_KINDS};
 use orthotrees_sim::{
-    CalendarKind, Engine, EventLog, FaultPlan, FaultStats, FlightRecorder, NodeId, Profiler,
-    Recorder, Telemetry,
+    CalendarKind, FaultPlan, FaultStats, FlightRecorder, NodeId, Profiler, Recorder, RunRecord,
+    Telemetry,
 };
 use orthotrees_vlsi::{BitTime, CostModel};
 
@@ -36,17 +36,6 @@ enum Condition {
 
 const CONDITIONS: [Condition; 3] = [Condition::Clean, Condition::LinkFaults, Condition::Outage];
 
-/// Everything observable about a finished run.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    end: BitTime,
-    completion: Option<BitTime>,
-    delivered: u64,
-    results: Vec<Option<u64>>,
-    log: Vec<EventLog>,
-    faults: FaultStats,
-}
-
 /// Which instruments a run carries, in the order recorder, causal trace,
 /// profiler, telemetry, flight recorder.
 type Attach = [bool; 5];
@@ -58,7 +47,7 @@ const ALL: Attach = [true; 5];
 /// attached), in `Attach` order.
 type Results = [Option<String>; 5];
 
-fn run(kind: ProbeKind, leaves: usize, cond: Condition, attach: Attach) -> (Fingerprint, Results) {
+fn run(kind: ProbeKind, leaves: usize, cond: Condition, attach: Attach) -> (RunRecord, Results) {
     let m = CostModel::thompson(leaves);
     let mut e = probe_engine(kind, leaves, &m, CalendarKind::Ladder, None, true);
     let plan = match cond {
@@ -89,7 +78,7 @@ fn run(kind: ProbeKind, leaves: usize, cond: Condition, attach: Attach) -> (Fing
     if flight {
         e = e.with_flight_recorder(FlightRecorder::new(16));
     }
-    let end = e.try_run().expect("probe runs within budget");
+    e.try_run().expect("probe runs within budget");
     let dbg = |x: &dyn std::fmt::Debug| format!("{x:?}");
     let results = [
         e.take_recorder().map(|x| dbg(&x)),
@@ -98,18 +87,7 @@ fn run(kind: ProbeKind, leaves: usize, cond: Condition, attach: Attach) -> (Fing
         e.take_telemetry().map(|x| dbg(&x)),
         e.take_flight_recorder().map(|x| dbg(&x)),
     ];
-    (fingerprint(&e, end), results)
-}
-
-fn fingerprint(e: &Engine, end: BitTime) -> Fingerprint {
-    Fingerprint {
-        end,
-        completion: e.completion_time(),
-        delivered: e.delivered_events(),
-        results: (0..e.node_count()).map(|i| e.node(NodeId(i)).result()).collect(),
-        log: e.log().to_vec(),
-        faults: *e.fault_stats(),
-    }
+    (RunRecord::of(&e), results)
 }
 
 /// Runs one case bare, with all five instruments, and with each alone;
@@ -208,8 +186,8 @@ fn every_probe_matches_its_pinned_run_at_sixteen_leaves() {
     let m = CostModel::thompson(16);
     for (kind, delivered, completion, results, log) in PINNED {
         let mut e = probe_engine(kind, 16, &m, CalendarKind::Ladder, None, true);
-        let end = e.try_run().expect("probe runs within budget");
-        let fp = fingerprint(&e, end);
+        e.try_run().expect("probe runs within budget");
+        let fp = RunRecord::of(&e);
         let got = (
             fp.delivered,
             fp.completion.map(BitTime::get),

@@ -19,9 +19,10 @@ use orthotrees::obs::json::Json;
 use orthotrees::otc::{self, Otc};
 use orthotrees::otn::{self, Otn};
 use orthotrees::{BitTime, FaultPlan, SimError};
+use orthotrees_sim::snapshot::{opt_u64_to_json, req_opt_u64, req_u64, req_word, word_to_json};
 use orthotrees_sim::{
     supervise_engine, supervise_steps, Bit, Engine, NodeBehavior, NodeId, Outbox, PortId,
-    RecoveryPolicy, Snapshot,
+    RecoveryPolicy, RunRecord, Snapshot,
 };
 use orthotrees_verify::determinism::{self, check_commutes, fan_in, or_sink};
 use orthotrees_vlsi::DelayModel;
@@ -79,23 +80,14 @@ impl NodeBehavior for CountedSink {
     fn save_state(&self) -> Json {
         Json::obj([
             ("got", Json::u64(self.got)),
-            ("acc", Json::str(format!("{:x}", self.acc))),
-            ("done", self.done.map_or(Json::Null, |t| Json::u64(t.get()))),
+            ("acc", word_to_json(self.acc)),
+            ("done", opt_u64_to_json(self.done.map(BitTime::get))),
         ])
     }
     fn load_state(&mut self, state: &Json) -> Result<(), SimError> {
-        let field = |key: &str| {
-            state.get(key).ok_or_else(|| SimError::SnapshotFormat {
-                detail: format!("CountedSink state missing `{key}`"),
-            })
-        };
-        self.got = field("got")?.as_u64().unwrap_or(0);
-        self.acc =
-            field("acc")?.as_str().and_then(|s| u64::from_str_radix(s, 16).ok()).unwrap_or(0);
-        self.done = match field("done")? {
-            Json::Null => None,
-            t => t.as_u64().map(BitTime::new),
-        };
+        self.got = req_u64(state, "got")?;
+        self.acc = req_word(state, "acc")?;
+        self.done = req_opt_u64(state, "done")?.map(BitTime::new);
         Ok(())
     }
 }
@@ -114,10 +106,6 @@ fn counted_fan_in(model: DelayModel, sources: u32, width: u32) -> Engine {
         e.connect(src, PortId(0), sink, PortId(i as usize), 8);
     }
     e
-}
-
-fn results(e: &Engine) -> Vec<Option<u64>> {
-    (0..e.node_count()).map(|i| e.node(NodeId(i)).result()).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -158,11 +146,7 @@ proptest! {
         let t_res = resumed.try_run().unwrap();
 
         prop_assert_eq!(t_res, t_base);
-        prop_assert_eq!(resumed.delivered_events(), baseline.delivered_events());
-        prop_assert_eq!(results(&resumed), results(&baseline));
-        prop_assert_eq!(resumed.log(), baseline.log());
-        prop_assert_eq!(resumed.fault_stats(), baseline.fault_stats());
-        prop_assert_eq!(resumed.completion_time(), baseline.completion_time());
+        prop_assert_eq!(RunRecord::of(&resumed), RunRecord::of(&baseline));
     }
 }
 
@@ -177,7 +161,7 @@ fn run_checkpointed_snapshots_all_resume_identically() {
         let mut resumed = counted_fan_in(DelayModel::Logarithmic, 3, 8);
         resumed.restore(snap).unwrap();
         assert_eq!(resumed.try_run().unwrap(), t_base);
-        assert_eq!(results(&resumed), results(&baseline));
+        assert_eq!(RunRecord::of(&resumed), RunRecord::of(&baseline));
     }
 }
 
@@ -344,7 +328,7 @@ fn supervisor_recovers_engine_outage_to_clean_baseline() {
     assert!(report.rollbacks >= 1, "the outage must actually trip the supervisor");
     assert_eq!(report.attempts, report.rollbacks + 1);
     assert_eq!(report.completion, t_clean, "recovered run is clock-identical to clean");
-    assert_eq!(results(&chaotic), results(&clean));
+    assert_eq!(RunRecord::of(&chaotic).results, RunRecord::of(&clean).results);
     assert!(report.replayed_events > 0);
     assert!(report.overhead_pct() > 0.0);
 }
@@ -474,7 +458,7 @@ fn ci_bounded_soak_n128_outage_dense_recovers() {
     assert_eq!(report.attempts, report.rollbacks + 1);
     assert!(report.attempts <= policy.max_attempts, "stays inside the CI budget");
     assert_eq!(report.completion, t_clean, "recovered run is clock-identical to clean");
-    assert_eq!(results(&chaotic), results(&clean));
+    assert_eq!(RunRecord::of(&chaotic).results, RunRecord::of(&clean).results);
     assert!(report.replayed_events > 0);
 }
 
