@@ -69,6 +69,8 @@ cargo test --release -q -p orthotrees --lib -- --ignored shape_identity_sweep_un
 cargo test --release -q -p orthotrees --lib -- --ignored kernel_identity_sweep
 # Broadcast identity sweep: every access to a broadcast plane equals the same access to its expansion, OTN sides 1–64 and OTC n = 4..256, both axes.
 cargo test --release -q -p orthotrees --lib -- --ignored broadcast_identity_sweep
+# Graph driver sweep: CC against union-find and MST against Kruskal (duplicate weights) on both networks, n = 4..128 over nine graph families, OTN and OTC outcomes equal.
+cargo test --release -q -p orthotrees --lib -- --ignored graph_driver_sweep
 cargo test --release -q -p orthotrees-bench --test alloc_suite
 # Bounded recovery soak (fixed seed, outage-dense plan, n = 128): must
 # recover within the pinned attempt budget; see tests/recovery_suite.rs.

@@ -3,37 +3,21 @@
 //! the matrix and graph algorithms of Section III to run on the OTC").
 //!
 //! This is the §V simulation carried out operation by operation rather
-//! than priced from op counts: the `n×n` OTN base is tiled into `L×L`
-//! squares, one per cycle of the `(n/L × n/L)`-OTC ("each cycle must store
-//! a log N × log N submatrix of the adjacency matrix"), so every OTN
-//! register becomes `L` register *planes* here, every OTN tree operation
-//! becomes one streamed cycle operation, and every OTN base phase becomes
-//! `L` cycle-local rounds.
-//!
-//! Data layout (vertex `v = I·L + r`, `L` = cycle length):
-//!
-//! * adjacency plane `r`: `aplanes[r](I, J, q) = A(I·L+r, J·L+q)`;
-//! * labels: `d(I, I, q) = D(I·L+q)` at the diagonal cycles;
-//! * row streams: `drow(I, J, q) = D(I·L+q)` (labels of the cycle's row
-//!   group), column streams: `dcol(I, J, q) = D(J·L+q)` — note columns map
-//!   to stream positions directly, which is what makes the per-position
-//!   `CYCLETOROOT` selectors line up.
-//!
-//! The hook-and-shortcut structure is identical to
-//! [`crate::otn::graph::cc`], with the label phases of the crate-internal
-//! `otc::labels` toolkit; the tests check the measured time lands within
-//! a small constant of the OTN's — the paper's "same time, less area" —
-//! and the result against union–find.
+//! than priced from op counts: the hook-and-shortcut loop is the driver of
+//! [`crate::otn::graph::cc`], run over the OTC's label toolkit
+//! (crate-internal `otc::labels`), where every OTN register becomes `L`
+//! register *planes*, every tree operation one streamed cycle operation,
+//! and every base phase `L` cycle-local rounds. The tests check the time
+//! lands within a small constant of the OTN's — the paper's "same time,
+//! less area" — and the result against union–find.
 
-use super::labels::{spread, Labels};
-use super::{Axis, Otc, PhaseCost, Reg, Sel};
+use super::labels::Labels;
+use super::{Otc, PhaseCost, Reg};
 use crate::grid::Grid;
-use crate::otn::graph::{
-    self,
-    cc::{reference_components, CcOutcome},
-};
+use crate::otn::graph::cc::{components, label_bits, CcOutcome};
+use crate::otn::graph::graph_net;
 use crate::word::Word;
-use orthotrees_vlsi::{log2_ceil, CostModel, ModelError};
+use orthotrees_vlsi::ModelError;
 
 /// Computes connected components of the undirected graph with adjacency
 /// matrix `adj` on a fresh `(n/L × n/L)`-OTC (graph-width words, like
@@ -61,84 +45,31 @@ use orthotrees_vlsi::{log2_ceil, CostModel, ModelError};
 /// # Ok::<(), orthotrees::ModelError>(())
 /// ```
 pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
-    let n = adj.rows();
-    ModelError::require_equal("adjacency matrix sides", n, adj.cols())?;
-    let (m, l) = Otc::dims_for(n)?;
-    for (i, j, v) in adj.iter() {
-        assert_eq!(
-            Word::from(*v != 0),
-            Word::from(*adj.get(j, i) != 0),
-            "adjacency must be symmetric at ({i},{j})"
-        );
-    }
+    let mut net = graph_net::<Labels, _>(adj, "adjacency matrix sides", label_bits(adj.rows()))?;
+    Ok(components::<Labels>(&mut net, adj))
+}
 
-    let wbits = 2 * log2_ceil(n as u64).max(1) + 2;
-    let mut net = Otc::new(m, l, CostModel::thompson(n).with_word_bits(wbits))?;
-    let aplanes: Vec<Reg> = (0..l).map(|_| net.alloc_reg("A-plane")).collect();
-    for (r, &plane) in aplanes.iter().enumerate() {
-        net.load_reg(plane, |i, j, q| Some(Word::from(*adj.get(i * l + r, j * l + q) != 0)));
-    }
-    let labels = Labels::init(&mut net);
-    let candplanes: Vec<Reg> = (0..l).map(|_| net.alloc_reg("cand-plane")).collect();
-    let [prev, minn, creg, crow, ldist, chflag] =
-        ["prevD", "minN", "C", "Crow", "Ldist", "changed"].map(|name| net.alloc_reg(name));
-    let (d, dcol) = (labels.d, labels.dcol);
-
-    let stats_before = *net.clock().stats();
-    let max_iters = 4 * log2_ceil(n as u64).max(1) + 8;
-    let mut iterations = 0u32;
-    let (_, time) = net.elapsed(|net| loop {
-        iterations += 1;
-        assert!(
-            iterations <= max_iters,
-            "OTC connected components failed to converge within {max_iters} iterations"
-        );
-        // Snapshot for the convergence test.
-        graph::snapshot(net, d, prev);
-        labels.refresh(net);
-
-        // Candidates: cand[r](q) = D(J·L+q) where A(I·L+r, J·L+q) = 1.
-        net.cycle_phase(PhaseCost::Words(l as u64), |_, _, cyc| {
-            for r in 0..aplanes.len() {
-                for q in 0..cyc.len() {
-                    let c = match (cyc.get(aplanes[r], q), cyc.get(dcol, q)) {
-                        (Some(a), lbl @ Some(_)) if a != 0 => lbl,
-                        _ => None,
-                    };
-                    cyc.set(candplanes[r], q, c);
-                }
+/// `cand[r](I, J, q) := D(J·L+q)` where `A(I·L+r, J·L+q) = 1`, `NULL`
+/// elsewhere — the neighbours' labels, from the adjacency planes `a` and
+/// the column stream `dcol`.
+pub(crate) fn neighbour_labels(net: &mut Otc, a: &[Reg], dcol: Reg, cand: &[Reg]) {
+    net.cycle_phase(PhaseCost::Words(a.len() as u64), |_, _, cyc| {
+        for (&plane, &creg) in a.iter().zip(cand) {
+            for q in 0..cyc.len() {
+                let c = match (cyc.get(plane, q), cyc.get(dcol, q)) {
+                    (Some(e), lbl @ Some(_)) if e != 0 => lbl,
+                    _ => None,
+                };
+                cyc.set(creg, q, c);
             }
-        });
-        // Row-group minima: minn(I, ·, r) = least neighbour label of I·L+r.
-        labels.row_min(net, &candplanes, minn);
-        // C(v) = min(D(v), minN(v)) at the diagonal.
-        graph::own_or_min(net, Sel::Diagonal, [d, minn], creg);
-        // C streams along the rows like the labels do; each label's least
-        // C goes down its column tree: ldist(·, J, q) = L(J·L+q).
-        spread(net, Axis::Rows, creg, crow);
-        labels.group_min(net, crow, ldist);
-        // Members adopt their group's new label, then shortcut.
-        labels.adopt(net, ldist);
-        labels.shortcut(net);
-
-        // Converged? Count changed labels through the column trees.
-        graph::flag_changed(net, [d, prev], chflag);
-        net.sum_cycle_to_root(Axis::Cols, chflag, |_, _, _, _| Sel::All);
-        let changed: Word = net.root_words(Axis::Cols).iter().map(|v| v.unwrap_or(0)).sum();
-        if changed == 0 {
-            break;
         }
     });
-
-    let labels = labels.read(&mut net);
-    let stats = net.clock().stats().since(&stats_before);
-    debug_assert_eq!(labels, reference_components(adj));
-    Ok(CcOutcome { labels, time, iterations, stats })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::otn::graph::cc::reference_components;
 
     fn from_edges(n: usize, edges: &[(usize, usize)]) -> Grid<Word> {
         let mut g = Grid::filled(n, n, 0);

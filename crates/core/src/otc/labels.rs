@@ -1,21 +1,18 @@
-//! The label toolkit of the OTC's graph algorithms, the counterpart of
-//! [`crate::otn::graph::Labels`]: each OTN label operation becomes one
-//! streamed tree operation plus a cycle-local phase (paper §VI.B), written
-//! once here for [`super::cc`] and [`super::mst`].
+//! The OTC's [`LabelToolkit`], on which the CC and MST drivers of
+//! [`crate::otn::graph`] run: each OTN label operation becomes one
+//! streamed tree operation plus a cycle-local phase (paper §VI.B).
 //!
-//! Vertex `v = I·L + q` (`L` = cycle length) keeps its label `D(v)` at
-//! `d(I, I, q)`. Its streams are position-indexed: `drow(I, J, q) =
-//! D(I·L+q)` along the row trees, `dcol(I, J, q) = D(J·L+q)` along the
-//! column trees, so a column stream holds vertex `J·L+q`'s entry at
-//! `(·, J, q)`.
+//! Vertex `v = I·L + q` (`L` = cycle length) keeps `D(v)` at `d(I, I, q)`.
+//! Streams are position-indexed: `drow(I, J, q) = D(I·L+q)`, `dcol(I, J,
+//! q) = D(J·L+q)`. The `n×n` matrix is tiled into `L×L` squares, one per
+//! cycle: plane `r` holds `m[r](I, J, q) = M(I·L+r, J·L+q)`.
 
 use super::{Axis, Otc, PhaseCost, Reg, Sel};
-use crate::otn::graph;
+use crate::otn::graph::{self, Candidates, LabelToolkit};
 use crate::word::Word;
-use orthotrees_vlsi::log2_ceil;
+use orthotrees_vlsi::{log2_ceil, CostModel, ModelError};
 
-/// `D` at the diagonal cycles, its two streams, and the scratch planes of
-/// the fetch and the two cycle-local minima.
+/// `D` at the diagonal cycles, its two streams, and scratch planes.
 pub(crate) struct Labels {
     pub d: Reg,
     pub drow: Reg,
@@ -24,25 +21,11 @@ pub(crate) struct Labels {
     fetched: Reg,
     pmin: Reg,
     lcand: Reg,
+    crow: Reg,
+    cand: Vec<Reg>,
 }
 
 impl Labels {
-    /// Allocates the registers and initialises `D(v) = v` at the diagonal
-    /// cycles.
-    pub fn init(net: &mut Otc) -> Labels {
-        let [d, drow, dcol, fetch, fetched, pmin, lcand] =
-            ["D", "Drow", "Dcol", "fetch", "fetched", "pmin", "Lcand"].map(|n| net.alloc_reg(n));
-        let l = net.cycle_len();
-        net.load_reg(d, |i, j, q| (i == j).then_some((i * l + q) as Word));
-        Labels { d, drow, dcol, fetch, fetched, pmin, lcand }
-    }
-
-    /// Streams `D` along both tree families (2 `CYCLETOCYCLE`s).
-    pub fn refresh(&self, net: &mut Otc) {
-        spread(net, Axis::Rows, self.d, self.drow);
-        spread(net, Axis::Cols, self.d, self.dcol);
-    }
-
     /// The two-hop indirection `dest(v) = table(ptr(v))` at the diagonal,
     /// where `ptr` is a row stream of vertex ids and `table` a column
     /// stream: each cycle checks whether its column hosts its row group's
@@ -67,22 +50,6 @@ impl Labels {
         );
     }
 
-    /// `D(v) := table(D(v))` unless that is `NULL`, with `drow` fresh and
-    /// `table` a column stream.
-    pub fn adopt(&self, net: &mut Otc, table: Reg) {
-        self.fetch(net, self.drow, table, self.fetched);
-        graph::adopt(net, self.fetched, self.d);
-    }
-
-    /// `⌈log₂ n⌉` pointer jumps `D(v) := D(D(v))`, each after a refresh.
-    pub fn shortcut(&self, net: &mut Otc) {
-        let n = net.side() * net.cycle_len();
-        for _ in 0..log2_ceil(n as u64).max(1) {
-            self.refresh(net);
-            self.adopt(net, self.dcol);
-        }
-    }
-
     /// Per-vertex minima over the row trees: `dest(I, ·, r)` is the least
     /// word of `planes[r]` across row group `I` — a cycle-local minimum
     /// per row offset `r`, then one `MIN-CYCLETOCYCLE`.
@@ -96,12 +63,71 @@ impl Labels {
         });
         net.min_cycle_to_cycle(Axis::Rows, pmin, |_, _, _, _| Sel::All, dest, |_, _, _| Sel::All);
     }
+}
 
-    /// Per-label minima over the column trees: `dest(·, J, q)` is the least
-    /// `src(v)` over the vertices `v` labelled `J·L+q`, with `src` and
-    /// `drow` row streams — a cycle-local regroup by label, then one
-    /// `MIN-CYCLETOCYCLE`.
-    pub fn group_min(&self, net: &mut Otc, src: Reg, dest: Reg) {
+impl LabelToolkit for Labels {
+    type T = crate::wordnet::Cycles;
+    type Matrix = Vec<Reg>;
+    /// `ptr`, `Prow`, `t1`, `t2`, `newlabel`, `NLcol`, `LL`.
+    type HookRegs = [Reg; 7];
+
+    fn net(n: usize, word_bits: u32) -> Result<Otc, ModelError> {
+        let (m, l) = Otc::dims_for(n)?;
+        Otc::new(m, l, CostModel::thompson(n).with_word_bits(word_bits))
+    }
+
+    fn load(net: &mut Otc, f: impl Fn(usize, usize) -> Option<Word>) -> Vec<Reg> {
+        let l = net.cycle_len();
+        let planes: Vec<Reg> = (0..l).map(|_| net.alloc_reg("M-plane")).collect();
+        for (r, &plane) in planes.iter().enumerate() {
+            net.load_reg(plane, |i, j, q| f(i * l + r, j * l + q));
+        }
+        planes
+    }
+
+    fn init(net: &mut Otc) -> Labels {
+        let [d, drow, dcol, fetch, fetched, pmin, lcand, crow] =
+            ["D", "Drow", "Dcol", "fetch", "fetched", "pmin", "Lcand", "Crow"]
+                .map(|r| net.alloc_reg(r));
+        let l = net.cycle_len();
+        let cand = (0..l).map(|_| net.alloc_reg("cand-plane")).collect();
+        net.load_reg(d, |i, j, q| (i == j).then_some((i * l + q) as Word));
+        Labels { d, drow, dcol, fetch, fetched, pmin, lcand, crow, cand }
+    }
+
+    fn d(&self) -> Reg {
+        self.d
+    }
+
+    /// The diagonal cycles, where `D` is.
+    fn own(&self) -> (Sel, Reg) {
+        (Sel::Diagonal, self.d)
+    }
+
+    /// 2 `CYCLETOCYCLE`s.
+    fn refresh(&self, net: &mut Otc) {
+        spread(net, Axis::Rows, self.d, self.drow);
+        spread(net, Axis::Cols, self.d, self.dcol);
+    }
+
+    /// A candidate phase into `L` planes, then [`row_min`](Labels::row_min).
+    fn vertex_min(&self, net: &mut Otc, m: &Vec<Reg>, cands: Candidates, dest: Reg) {
+        match cands {
+            Candidates::Neighbours => super::cc::neighbour_labels(net, m, self.dcol, &self.cand),
+            Candidates::Edges => super::mst::candidates(net, m, [self.drow, self.dcol], &self.cand),
+        }
+        self.row_min(net, &self.cand, dest);
+    }
+
+    /// One `CYCLETOCYCLE` streams the diagonal `C` along the rows.
+    fn along_rows(&self, net: &mut Otc, c: Reg) -> Reg {
+        spread(net, Axis::Rows, c, self.crow);
+        self.crow
+    }
+
+    /// A cycle-local regroup by label, then one `MIN-CYCLETOCYCLE` into the
+    /// column stream `dest(·, J, q)` of label `J·L+q`.
+    fn group_min(&self, net: &mut Otc, src: Reg, dest: Reg) {
         let (drow, lcand, l) = (self.drow, self.lcand, net.cycle_len());
         net.cycle_phase(PhaseCost::Words(2 * l as u64), move |_, j, cyc| {
             for qq in 0..cyc.len() {
@@ -113,17 +139,56 @@ impl Labels {
         net.min_cycle_to_cycle(Axis::Cols, lcand, |_, _, _, _| Sel::All, dest, |_, _, _| Sel::All);
     }
 
-    /// Reads the label vector through the column trees (one
-    /// `CYCLETOROOT`; the diagonal positions line up).
-    pub fn read(&self, net: &mut Otc) -> Vec<Word> {
-        net.cycle_to_root(Axis::Cols, self.d, |_, _, _, _| Sel::Diagonal);
-        net.root_words(Axis::Cols).iter().map(|v| v.expect("every vertex has a label")).collect()
+    /// `table` is a column stream; one fetch, then the adopt kernel.
+    fn adopt(&self, net: &mut Otc, table: Reg) {
+        self.fetch(net, self.drow, table, self.fetched);
+        graph::adopt(net, self.fetched, self.d);
+    }
+
+    fn shortcut(&self, net: &mut Otc) {
+        let n = net.side() * net.cycle_len();
+        for _ in 0..log2_ceil(n as u64).max(1) {
+            self.refresh(net);
+            self.adopt(net, self.dcol);
+        }
+    }
+
+    /// One `SUM-CYCLETOROOT` on the column trees, summed over the roots.
+    fn count(&self, net: &mut Otc, flag: Reg) -> u64 {
+        net.sum_cycle_to_root(Axis::Cols, flag, |_, _, _, _| Sel::All);
+        net.root_words(Axis::Cols).iter().map(|v| v.unwrap_or(0)).sum::<Word>() as u64
+    }
+
+    /// One `CYCLETOROOT` on the column trees.
+    fn read_diagonal(&self, net: &mut Otc, r: Reg) -> Vec<Option<Word>> {
+        net.cycle_to_root(Axis::Cols, r, |_, _, _, _| Sel::Diagonal);
+        net.root_words(Axis::Cols).to_vec()
+    }
+
+    fn hook_regs(net: &mut Otc) -> [Reg; 7] {
+        ["ptr", "Prow", "t1", "t2", "newlabel", "NLcol", "LL"].map(|r| net.alloc_reg(r))
+    }
+
+    /// Fetches both endpoint labels and keeps the one that is not `w`,
+    /// then fetches `newlabel(newlabel(w))` for the 2-cycle kernel.
+    fn hook(&self, net: &mut Otc, regs: &[Reg; 7], best: Reg) {
+        let [ptr, prow, t1, t2, nl, nlcol, ll] = *regs;
+        for (upper, t) in [(false, t1), (true, t2)] {
+            super::mst::endpoints(net, best, ptr, upper);
+            spread(net, Axis::Rows, ptr, prow);
+            self.fetch(net, prow, self.dcol, t);
+        }
+        super::mst::new_labels(net, [t1, t2], nl);
+        spread(net, Axis::Cols, nl, nlcol);
+        spread(net, Axis::Rows, nl, prow);
+        self.fetch(net, prow, nlcol, ll);
+        super::mst::break_two_cycles(net, [nl, ll], self.d);
     }
 }
 
 /// Streams the diagonal cycles' `src` along the `axis` trees into every
 /// cycle's `dest` (one `CYCLETOCYCLE`).
-pub(crate) fn spread(net: &mut Otc, axis: Axis, src: Reg, dest: Reg) {
+fn spread(net: &mut Otc, axis: Axis, src: Reg, dest: Reg) {
     net.cycle_to_cycle(axis, src, |_, _, _, _| Sel::Diagonal, dest, |_, _, _| Sel::All);
 }
 

@@ -19,7 +19,7 @@
 
 pub mod cc;
 pub mod emulate;
-mod labels;
+pub(crate) mod labels;
 pub mod matmul;
 pub mod mst;
 pub mod sort;

@@ -3,22 +3,18 @@
 //! weight matrix must be stored on the chip, and each element requires
 //! O(log N) bits").
 //!
-//! Same Borůvka structure as [`crate::otn::graph::mst`], same plane layout
-//! and label toolkit (`otc::labels`) as [`super::cc`]: the weight matrix
-//! lives in `L` register planes per cycle (the §VI.B storage cost),
-//! per-vertex and per-component minima are the toolkit's row-offset and
-//! regroup-by-label reductions, and the hook targets are resolved with its
-//! two-hop pointer fetch. Ties are broken by the *normalised* edge id
-//! inside the packed key (see the OTN MST's comment — this is load-bearing
-//! under duplicate weights).
+//! The Borůvka loop is the driver of [`crate::otn::graph::mst`], run over
+//! the OTC's label toolkit (`otc::labels`): the weight matrix lives in `L`
+//! register planes per cycle (the §VI.B storage cost), and the hook
+//! targets are resolved with the toolkit's two-hop pointer fetch.
 
-use super::labels::{spread, Labels};
-use super::{Axis, Otc, PhaseCost, Reg, Sel};
+use super::labels::Labels;
+use super::{Otc, PhaseCost, Reg, Sel};
 use crate::grid::Grid;
-use crate::otn::graph::{self, mst::MstOutcome};
+use crate::otn::graph::graph_net;
+use crate::otn::graph::mst::{spanning_forest, weight_bits, MstOutcome};
 use crate::word::{pack, unpack, Word};
-use orthotrees_vlsi::{log2_ceil, CostModel, ModelError};
-use std::collections::HashSet;
+use orthotrees_vlsi::ModelError;
 
 /// Computes a minimum spanning forest of the graph with symmetric weight
 /// matrix `weights` (`None` = no edge) on a fresh `(n/L × n/L)`-OTC.
@@ -33,105 +29,31 @@ use std::collections::HashSet;
 /// Panics on an asymmetric matrix, negative weights, or more than
 /// `2·log₂ n + 4` phases.
 pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome, ModelError> {
-    let n = weights.rows();
-    ModelError::require_equal("weight matrix sides", n, weights.cols())?;
-    let (m, l) = Otc::dims_for(n)?;
-    let mut max_w: Word = 0;
-    for (i, j, v) in weights.iter() {
-        assert_eq!(*v, *weights.get(j, i), "weight matrix must be symmetric at ({i},{j})");
-        if let Some(w) = v {
-            assert!(*w >= 0, "weights must be non-negative, got {w} at ({i},{j})");
-            max_w = max_w.max(*w);
-        }
-    }
-    let weight_bits = log2_ceil(max_w as u64 + 1).max(1);
-    let wbits = weight_bits + 2 * log2_ceil(n as u64).max(1) + 2;
-    let mut net = Otc::new(m, l, CostModel::thompson(n).with_word_bits(wbits))?;
+    let mut net = graph_net::<Labels, _>(weights, "weight matrix sides", weight_bits(weights))?;
+    Ok(spanning_forest::<Labels>(&mut net, weights))
+}
 
-    let wplanes: Vec<Reg> = (0..l).map(|_| net.alloc_reg("W-plane")).collect();
-    for (r, &plane) in wplanes.iter().enumerate() {
-        net.load_reg(plane, |i, j, q| *weights.get(i * l + r, j * l + q));
-    }
-    let labels = Labels::init(&mut net);
-    let candplanes: Vec<Reg> = (0..l).map(|_| net.alloc_reg("cand-plane")).collect();
-    let [vbest, compmin, ptr, prow, t1, t2, nl, nlcol, llr, have] =
-        ["vbest", "compmin", "ptr", "Prow", "t1", "t2", "newlabel", "NLcol", "LL", "have"]
-            .map(|name| net.alloc_reg(name));
-    let (d, drow, dcol) = (labels.d, labels.drow, labels.dcol);
-
-    let mut edges_seen: HashSet<(usize, usize)> = HashSet::new();
-    let mut edge_list: Vec<(usize, usize, Word)> = Vec::new();
-    let mut total_weight: Word = 0;
-    let mut phases = 0u32;
-    let max_phases = 2 * log2_ceil(n as u64).max(1) + 4;
-
-    let stats_before = *net.clock().stats();
-    let (_, time) = net.elapsed(|net| loop {
-        phases += 1;
-        assert!(phases <= max_phases, "OTC MST failed to converge within {max_phases} phases");
-        labels.refresh(net);
-
-        // Candidate outgoing edges, packed (weight, normalised edge id).
-        net.cycle_phase(PhaseCost::Words(2 * l as u64), |i, j, cyc| {
-            for (r, (&wreg, &creg)) in wplanes.iter().zip(&candplanes).enumerate() {
-                let dv = cyc.get(drow, r);
-                for q in 0..cyc.len() {
-                    let c = match (cyc.get(wreg, q), dv, cyc.get(dcol, q)) {
-                        (Some(w), Some(a), Some(b)) if a != b => {
-                            let (v, u) = (i * l + r, j * l + q);
-                            Some(pack(w, v.min(u) * n + v.max(u), n * n))
-                        }
-                        _ => None,
-                    };
-                    cyc.set(creg, q, c);
-                }
-            }
-        });
-        // Per-vertex best over the row trees, per-component best over the
-        // column trees.
-        labels.row_min(net, &candplanes, vbest);
-        labels.group_min(net, vbest, compmin);
-
-        // Termination: does any component still have an outgoing edge?
-        graph::flag_open(net, compmin, have);
-        net.sum_cycle_to_root(Axis::Cols, have, |_, _, _, _| Sel::All);
-        let alive: Word = net.root_words(Axis::Cols).iter().map(|v| v.unwrap_or(0)).sum();
-        if alive == 0 {
-            break;
-        }
-
-        // Emit chosen edges through the column roots.
-        net.cycle_to_root(Axis::Cols, compmin, |_, _, _, _| Sel::Diagonal);
-        for packed in net.root_words(Axis::Cols).iter().flatten() {
-            let (w, eid) = unpack(*packed, n * n);
-            let key = (eid / n, eid % n);
-            if edges_seen.insert(key) {
-                edge_list.push((key.0, key.1, w));
-                total_weight += w;
+/// The candidate outgoing edges: `cand[r](I, J, q)` is `W(v, u)` packed
+/// with the normalised edge id `min(v,u)·n + max(v,u)`, for `v = I·L+r`
+/// and `u = J·L+q`, where the edge leaves `v`'s component; `NULL`
+/// elsewhere.
+pub(crate) fn candidates(net: &mut Otc, w: &[Reg], [drow, dcol]: [Reg; 2], cand: &[Reg]) {
+    let (l, n) = (net.cycle_len(), net.side() * net.cycle_len());
+    net.cycle_phase(PhaseCost::Words(2 * l as u64), |i, j, cyc| {
+        for (r, (&wreg, &creg)) in w.iter().zip(cand).enumerate() {
+            let dv = cyc.get(drow, r);
+            for q in 0..cyc.len() {
+                let c = match (cyc.get(wreg, q), dv, cyc.get(dcol, q)) {
+                    (Some(w), Some(a), Some(b)) if a != b => {
+                        let (v, u) = (i * l + r, j * l + q);
+                        Some(pack(w, v.min(u) * n + v.max(u), n * n))
+                    }
+                    _ => None,
+                };
+                cyc.set(creg, q, c);
             }
         }
-
-        // Hook targets: t1 = D(umin), t2 = D(umax) via pointer fetches.
-        for (upper, treg) in [(false, t1), (true, t2)] {
-            endpoints(net, compmin, ptr, upper);
-            spread(net, Axis::Rows, ptr, prow);
-            labels.fetch(net, prow, dcol, treg);
-        }
-        // newlabel(w) = whichever endpoint label differs from w.
-        new_labels(net, [t1, t2], nl);
-        // Break 2-cycles: LL(w) = newlabel(newlabel(w)).
-        spread(net, Axis::Cols, nl, nlcol);
-        spread(net, Axis::Rows, nl, prow);
-        labels.fetch(net, prow, nlcol, llr);
-        break_two_cycles(net, [nl, llr], d);
-
-        // Shortcut: flatten the merged components.
-        labels.shortcut(net);
     });
-
-    edge_list.sort_unstable();
-    let stats = net.clock().stats().since(&stats_before);
-    Ok(MstOutcome { edges: edge_list, total_weight, time, phases, stats })
 }
 
 /// `ptr(w)` at the diagonal: the lower (`upper = false`) or upper
@@ -180,6 +102,7 @@ pub(crate) fn break_two_cycles(net: &mut Otc, [nl, ll]: [Reg; 2], d: Reg) {
 mod tests {
     use super::*;
     use crate::otn::graph::mst::reference_mst_weight;
+    use orthotrees_vlsi::log2_ceil;
 
     fn from_edges(n: usize, edges: &[(usize, usize, Word)]) -> Grid<Option<Word>> {
         let mut g = Grid::filled(n, n, None);

@@ -18,11 +18,13 @@
 //! vertex id in its component, which the tests check against a union–find
 //! reference.
 
-use super::super::{all, Axis, Otn, PhaseCost, Reg, Sel};
-use super::{count_label_changes, ChangeCounter, Labels};
+use super::super::{Otn, PhaseCost, Reg, Sel};
+use super::{
+    find, flag_changed, graph_net, own_or_min, snapshot, Candidates, LabelToolkit, Labels, Net,
+};
 use crate::grid::Grid;
 use crate::word::Word;
-use orthotrees_vlsi::{BitTime, ModelError, OpStats};
+use orthotrees_vlsi::{log2_ceil, BitTime, ModelError, OpStats};
 
 /// Result of a connected-components run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,9 +54,24 @@ pub struct CcOutcome {
 /// bound — the test suite runs adversarial families to confirm it never
 /// happens).
 pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
-    let n = adj.rows();
-    ModelError::require_equal("adjacency matrix sides", n, adj.cols())?;
-    ModelError::require_power_of_two("vertex count", n)?;
+    let mut net = graph_net::<Labels, _>(adj, "adjacency matrix sides", label_bits(adj.rows()))?;
+    Ok(components::<Labels>(&mut net, adj))
+}
+
+/// The word width of a graph net of `n` vertices: packed `(label, index)`
+/// pairs, `2⌈log₂ n⌉ + 2` bits.
+pub(crate) fn label_bits(n: usize) -> u32 {
+    2 * log2_ceil(n as u64).max(1) + 2
+}
+
+/// The CC driver both networks run, on a graph net `net` of
+/// `adj.rows()` vertices built by [`LabelToolkit::net`]: loads `adj` and
+/// hooks and shortcuts until no label changes.
+///
+/// # Panics
+///
+/// As [`connected_components`].
+pub(crate) fn components<L: LabelToolkit>(net: &mut Net<L>, adj: &Grid<Word>) -> CcOutcome {
     for (i, j, v) in adj.iter() {
         assert_eq!(
             Word::from(*v != 0),
@@ -62,23 +79,14 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
             "adjacency must be symmetric at ({i},{j})"
         );
     }
-
-    let mut net = Otn::for_graphs(n)?;
-    let a = net.alloc_reg("adj");
-    net.load_reg(a, |i, j| Some(Word::from(*adj.get(i, j) != 0)));
-
-    let labels = Labels::init(&mut net);
-    let cand = net.alloc_reg("cand");
-    let minn = net.alloc_reg("minN");
-    let cfull = net.alloc_reg("C");
-    let lreg = net.alloc_reg("L");
-    let prev = net.alloc_reg("prevD");
-    let counter = ChangeCounter::init(&mut net);
+    let a = L::load(net, |v, u| Some(Word::from(*adj.get(v, u) != 0)));
+    let labels = L::init(net);
+    let [prev, minn, c, lreg, changed] =
+        ["prevD", "minN", "C", "L", "changed"].map(|r| net.alloc_reg(r));
 
     let stats_before = *net.clock().stats();
-    let max_iters = 4 * orthotrees_vlsi::log2_ceil(n as u64).max(1) + 8;
+    let max_iters = 4 * log2_ceil(adj.rows() as u64).max(1) + 8;
     let mut iterations = 0u32;
-
     let (_, time) = net.elapsed(|net| loop {
         iterations += 1;
         assert!(
@@ -86,38 +94,30 @@ pub fn connected_components(adj: &Grid<Word>) -> Result<CcOutcome, ModelError> {
             "connected components failed to converge within {max_iters} iterations"
         );
         // Snapshot D for the convergence test.
-        super::snapshot(net, labels.d, prev);
-
+        snapshot(net, labels.d(), prev);
         labels.refresh(net);
-        // 1) cand(v,u) = D(u) if (v,u) ∈ E — the neighbour's label.
-        neighbour_labels(net, [a, labels.dcol], cand);
-        // minN(v) = min over neighbours, broadcast to all of row v.
-        net.min_to_leaf(Axis::Rows, cand, all, minn, all);
-        // C(v) = min(D(v), minN(v)) — computable locally everywhere since
-        // drow(v,·) = D(v).
-        super::own_or_min(net, Sel::All, [labels.drow, minn], cfull);
-        // 2) L(w) = min{ C(v) : D(v) = w }, landing at diagonal (w,w).
-        let drow = labels.drow;
-        net.min_to_leaf(
-            Axis::Cols,
-            cfull,
-            move |_, _, _| Sel::EqCol(drow),
-            lreg,
-            |_, _, _| Sel::Diagonal,
-        );
-        // 3) members adopt their group's new label.
+        // 1) minN(v) = the least label among v's neighbours.
+        labels.vertex_min(net, &a, Candidates::Neighbours, minn);
+        // C(v) = min(D(v), minN(v)).
+        let (site, own) = labels.own();
+        own_or_min(net, site, [own, minn], c);
+        // 2) L(w) = min{ C(v) : D(v) = w }.
+        let crow = labels.along_rows(net, c);
+        labels.group_min(net, crow, lreg);
+        // 3) members adopt their group's new label; 4) shortcut.
         labels.adopt(net, lreg);
-        // 4) shortcut.
         labels.shortcut(net);
         // 5) converged?
-        if count_label_changes(net, &labels, prev, &counter) == 0 {
+        flag_changed(net, [labels.d(), prev], changed);
+        if labels.count(net, changed) == 0 {
             break;
         }
     });
 
-    let label_vec = labels.read(&mut net);
+    let labels = labels.read(net);
     let stats = net.clock().stats().since(&stats_before);
-    Ok(CcOutcome { labels: label_vec, time, iterations, stats })
+    debug_assert_eq!(labels, reference_components(adj));
+    CcOutcome { labels, time, iterations, stats }
 }
 
 /// `cand(v, u) := D(u)` where `(v, u)` is an edge, `NULL` elsewhere — each
@@ -135,13 +135,6 @@ pub(crate) fn neighbour_labels(net: &mut Otn, [a, dcol]: [Reg; 2], cand: Reg) {
 pub fn reference_components(adj: &Grid<Word>) -> Vec<Word> {
     let n = adj.rows();
     let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let root = find(parent, parent[x]);
-            parent[x] = root;
-        }
-        parent[x]
-    }
     for (i, j, v) in adj.iter() {
         if *v != 0 {
             let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));

@@ -22,92 +22,243 @@ pub mod mst;
 pub mod triangles;
 
 use super::{all, Axis, Otn, PhaseCost, Reg, Sel};
+use crate::grid::Grid;
 use crate::word::Word;
 use crate::wordnet::{Topology, WordNet};
+use orthotrees_vlsi::{log2_ceil, CostModel, ModelError};
 
-/// The register triple every label-manipulating algorithm keeps:
-/// `d` holds `D(v)` at diagonal BPs; `drow`/`dcol` are its row/column
-/// broadcasts (`drow(v,u) = D(v)`, `dcol(v,u) = D(u)`).
+/// How one network issues the steps of the CC and MST drivers
+/// ([`cc::components`], [`mst::spanning_forest`]): paper §VI.B converts the
+/// OTN's graph algorithms to the OTC "in the same manner as procedure
+/// SORT-OTN was converted to SORT-OTC", and this trait is that conversion.
+/// The OTN's [`Labels`] and the OTC's `otc::labels` implement it. Steps
+/// both networks issue alike — [`snapshot`], [`adopt`], [`own_or_min`],
+/// [`flag_changed`], [`flag_open`] — are kernels the drivers call directly.
+///
+/// `D(v)` lives at the diagonal. A *row stream* holds a per-vertex value
+/// in every cell of its vertex's row (on the OTC, at the vertex's stream
+/// position); a *column stream* likewise down its column.
+pub(crate) trait LabelToolkit: Sized {
+    /// The network the toolkit runs on.
+    type T: Topology;
+    /// The loaded adjacency or weight matrix.
+    type Matrix;
+    /// MST's hook scratch registers.
+    type HookRegs;
+
+    /// The graph net of `n` vertices with `word_bits`-bit words.
+    fn net(n: usize, word_bits: u32) -> Result<Net<Self>, ModelError>;
+    /// Loads the matrix `f(v, u)` (one register on the OTN, `L` planes on the OTC).
+    fn load(net: &mut Net<Self>, f: impl Fn(usize, usize) -> Option<Word>) -> Self::Matrix;
+    /// Allocates the label registers and scratch, with `D(v) = v`.
+    fn init(net: &mut Net<Self>) -> Self;
+    /// The diagonal label register `D`.
+    fn d(&self) -> Reg;
+    /// Where CC computes `C(v) = min(D(v), minN(v))`, and `D`'s register there.
+    fn own(&self) -> (Sel, Reg);
+    /// Streams `D` along the rows and the columns.
+    fn refresh(&self, net: &mut Net<Self>);
+    /// `dest` := each vertex's least candidate, as a row stream.
+    fn vertex_min(&self, net: &mut Net<Self>, m: &Self::Matrix, cands: Candidates, dest: Reg);
+    /// `C`, computed over [`own`](Self::own), as a row stream.
+    fn along_rows(&self, net: &mut Net<Self>, c: Reg) -> Reg;
+    /// `dest(w)` := the least `src(v)` over the vertices `v` labelled `w`
+    /// (`src` a row stream), where [`adopt`](Self::adopt) reads its table.
+    fn group_min(&self, net: &mut Net<Self>, src: Reg, dest: Reg);
+    /// `D(v) := table(D(v))` unless that is `NULL`.
+    fn adopt(&self, net: &mut Net<Self>, table: Reg);
+    /// `⌈log₂ n⌉` pointer jumps `D(v) := D(D(v))`, each after a refresh.
+    fn shortcut(&self, net: &mut Net<Self>);
+    /// How many diagonal cells have `flag` 1, counted by the trees.
+    fn count(&self, net: &mut Net<Self>, flag: Reg) -> u64;
+    /// Reads the diagonal of `r` out through the column roots.
+    fn read_diagonal(&self, net: &mut Net<Self>, r: Reg) -> Vec<Option<Word>>;
+    /// Allocates MST's hook scratch.
+    fn hook_regs(net: &mut Net<Self>) -> Self::HookRegs;
+    /// MST's hooking: `D(w)` := the label across the edge packed in
+    /// `best(w)`, the smaller one where two components pick each other.
+    fn hook(&self, net: &mut Net<Self>, regs: &Self::HookRegs, best: Reg);
+
+    /// Reads the label vector.
+    fn read(&self, net: &mut Net<Self>) -> Vec<Word> {
+        let words = self.read_diagonal(net, self.d());
+        words.into_iter().map(|v| v.expect("every vertex has a label")).collect()
+    }
+}
+
+/// The net a [`LabelToolkit`] runs on.
+pub(crate) type Net<L> = WordNet<<L as LabelToolkit>::T>;
+
+/// What a vertex minimises over in [`LabelToolkit::vertex_min`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Candidates {
+    /// Its neighbours' labels (CC).
+    Neighbours,
+    /// Its edges leaving its component, packed `(weight, normalised id)`.
+    Edges,
+}
+
+/// The square-input check and the net build every graph entry starts with.
+pub(crate) fn graph_net<L: LabelToolkit, X>(
+    g: &Grid<X>,
+    sides: &'static str,
+    word_bits: u32,
+) -> Result<Net<L>, ModelError> {
+    ModelError::require_equal(sides, g.rows(), g.cols())?;
+    L::net(g.rows(), word_bits)
+}
+
+/// The OTN's label registers: `d` holds `D(v)` at diagonal BPs;
+/// `drow`/`dcol` are its row/column broadcasts (`drow(v,u) = D(v)`,
+/// `dcol(v,u) = D(u)`); the rest is scratch.
 pub(crate) struct Labels {
     pub d: Reg,
     pub drow: Reg,
     pub dcol: Reg,
     lcol: Reg,
     lfetch: Reg,
+    cand: Reg,
+    colcount: Reg,
 }
 
-impl Labels {
-    /// Allocates the registers and initialises `D(v) = v`.
-    pub fn init(net: &mut Otn) -> Labels {
-        let d = net.alloc_reg("D");
-        let drow = net.alloc_reg("Drow");
-        let dcol = net.alloc_reg("Dcol");
-        let lcol = net.alloc_reg("Lcol");
-        let lfetch = net.alloc_reg("Lfetch");
+/// Row tree `v` fetches `table(v, ptr(v))` into the diagonal, with `ptr`
+/// a row and `table` a column broadcast.
+fn fetch(net: &mut Otn, ptr: Reg, table: Reg, dest: Reg) {
+    net.leaf_to_leaf(
+        Axis::Rows,
+        table,
+        move |_, _, _| Sel::EqCol(ptr),
+        dest,
+        |_, _, _| Sel::Diagonal,
+    );
+}
+
+/// Broadcasts the diagonal of `src` along the `axis` trees into `dest`.
+fn spread(net: &mut Otn, axis: Axis, src: Reg, dest: Reg) {
+    net.leaf_to_leaf(axis, src, |_, _, _| Sel::Diagonal, dest, all);
+}
+
+impl LabelToolkit for Labels {
+    type T = crate::wordnet::Tree;
+    type Matrix = Reg;
+    /// `cmrow`, `hook`, `L`, `Lrow`, `Lcol2`, `LL`.
+    type HookRegs = [Reg; 6];
+
+    fn net(n: usize, word_bits: u32) -> Result<Otn, ModelError> {
+        ModelError::require_power_of_two("vertex count", n)?;
+        Otn::new(n, n, CostModel::thompson(n).with_word_bits(word_bits))
+    }
+
+    fn load(net: &mut Otn, f: impl Fn(usize, usize) -> Option<Word>) -> Reg {
+        let r = net.alloc_reg("M");
+        net.load_reg(r, f);
+        r
+    }
+
+    fn init(net: &mut Otn) -> Labels {
+        let [d, drow, dcol, lcol, lfetch, cand, colcount] =
+            ["D", "Drow", "Dcol", "Lcol", "Lfetch", "cand", "colcount"].map(|r| net.alloc_reg(r));
         net.load_reg(d, |i, j| if i == j { Some(i as Word) } else { None });
-        Labels { d, drow, dcol, lcol, lfetch }
+        Labels { d, drow, dcol, lcol, lfetch, cand, colcount }
     }
 
-    /// Re-broadcasts `D` along rows and columns (2 `LEAFTOLEAF`s).
-    pub fn refresh(&self, net: &mut Otn) {
-        let (d, drow, dcol) = (self.d, self.drow, self.dcol);
-        net.leaf_to_leaf(Axis::Rows, d, |_, _, _| Sel::Diagonal, drow, all);
-        net.leaf_to_leaf(Axis::Cols, d, |_, _, _| Sel::Diagonal, dcol, all);
+    fn d(&self) -> Reg {
+        self.d
     }
 
-    /// One pointer-jump `D(v) := D(D(v))`: with `drow`/`dcol` fresh, row
-    /// tree `v` fetches `dcol(v, D(v)) = D(D(v))` into the diagonal.
-    pub fn jump(&self, net: &mut Otn) {
-        let (d, drow, dcol) = (self.d, self.drow, self.dcol);
-        net.leaf_to_leaf(
-            Axis::Rows,
-            dcol,
+    /// Every BP of row `v`, where `drow(v, ·) = D(v)`.
+    fn own(&self) -> (Sel, Reg) {
+        (Sel::All, self.drow)
+    }
+
+    /// 2 `LEAFTOLEAF`s.
+    fn refresh(&self, net: &mut Otn) {
+        spread(net, Axis::Rows, self.d, self.drow);
+        spread(net, Axis::Cols, self.d, self.dcol);
+    }
+
+    /// A candidate kernel, then one `MIN-LEAFTOLEAF` along the rows.
+    fn vertex_min(&self, net: &mut Otn, m: &Reg, cands: Candidates, dest: Reg) {
+        match cands {
+            Candidates::Neighbours => cc::neighbour_labels(net, [*m, self.dcol], self.cand),
+            Candidates::Edges => mst::candidates(net, [*m, self.drow, self.dcol], self.cand),
+        }
+        net.min_to_leaf(Axis::Rows, self.cand, all, dest, all);
+    }
+
+    /// Already one: `C` is computed in every BP of its row.
+    fn along_rows(&self, _: &mut Otn, c: Reg) -> Reg {
+        c
+    }
+
+    /// One `MIN-LEAFTOLEAF` down the columns, selected by `D(v) = column`.
+    fn group_min(&self, net: &mut Otn, src: Reg, dest: Reg) {
+        let drow = self.drow;
+        net.min_to_leaf(
+            Axis::Cols,
+            src,
             move |_, _, _| Sel::EqCol(drow),
-            d,
+            dest,
             |_, _, _| Sel::Diagonal,
         );
     }
 
-    /// `⌈log₂ N⌉` pointer jumps with refreshes — the paper's "shortcut"
-    /// inner loop.
-    pub fn shortcut(&self, net: &mut Otn) {
-        let rounds = orthotrees_vlsi::log2_ceil(net.rows() as u64).max(1);
-        for _ in 0..rounds {
+    /// `table` goes down the columns, row `v` fetches `table(D(v))`.
+    fn adopt(&self, net: &mut Otn, table: Reg) {
+        spread(net, Axis::Cols, table, self.lcol);
+        fetch(net, self.drow, self.lcol, self.lfetch);
+        adopt(net, self.lfetch, self.d);
+    }
+
+    /// Each jump: row tree `v` fetches `dcol(v, D(v)) = D(D(v))`.
+    fn shortcut(&self, net: &mut Otn) {
+        for _ in 0..log2_ceil(net.rows() as u64).max(1) {
             self.refresh(net);
-            self.jump(net);
+            fetch(net, self.drow, self.dcol, self.d);
         }
     }
 
-    /// Reads the label vector from the diagonal (host-side; charged as one
-    /// `LEAFTOROOT` on the column trees, which is how the hardware would
-    /// emit it).
-    pub fn read(&self, net: &mut Otn) -> Vec<Word> {
-        let d = self.d;
-        net.leaf_to_root(Axis::Cols, d, |_, _, _| Sel::Diagonal);
-        net.roots(Axis::Cols).iter().map(|v| v.expect("every vertex has a label")).collect()
+    /// Column counts land in row 0, then row tree 0 counts the columns.
+    fn count(&self, net: &mut Otn, flag: Reg) -> u64 {
+        net.count_to_leaf(Axis::Cols, flag, self.colcount, |_, _, _| Sel::Row(0));
+        net.count_to_root(Axis::Rows, self.colcount);
+        net.roots(Axis::Rows)[0].expect("COUNT roots are never NULL") as u64
     }
 
-    /// Replaces each diagonal label `D(v)` by `L(D(v))`, where `L` is a
-    /// per-vertex map stored at diagonal BPs in `lreg` (`None` ⇒ keep).
-    /// Used for "members adopt their root's new label".
-    pub fn adopt(&self, net: &mut Otn, lreg: Reg) {
-        let (d, drow, lcol, fetched) = (self.d, self.drow, self.lcol, self.lfetch);
-        // L(u) to every BP of column u…
-        net.leaf_to_leaf(Axis::Cols, lreg, |_, _, _| Sel::Diagonal, lcol, all);
-        // …then row v fetches L(D(v)) into a temporary at the diagonal…
-        net.leaf_to_leaf(
-            Axis::Rows,
-            lcol,
-            move |_, _, _| Sel::EqCol(drow),
-            fetched,
-            |_, _, _| Sel::Diagonal,
-        );
-        // …and adopts it unless NULL.
-        adopt(net, fetched, d);
+    /// One `LEAFTOROOT` on the column trees.
+    fn read_diagonal(&self, net: &mut Otn, r: Reg) -> Vec<Option<Word>> {
+        net.leaf_to_root(Axis::Cols, r, |_, _, _| Sel::Diagonal);
+        net.roots(Axis::Cols).to_vec()
+    }
+
+    fn hook_regs(net: &mut Otn) -> [Reg; 6] {
+        ["cmrow", "hook", "L", "Lrow", "Lcol2", "LL"].map(|r| net.alloc_reg(r))
+    }
+
+    /// Row `w` finds the label `L(w)` of the chosen edge's far endpoint,
+    /// then fetches `L(L(w))` for the 2-cycle kernel.
+    fn hook(&self, net: &mut Otn, regs: &[Reg; 6], best: Reg) {
+        let [cmrow, hook, l, lrow, lcol, ll] = *regs;
+        spread(net, Axis::Rows, best, cmrow);
+        mst::hooks(net, [cmrow, self.drow, self.dcol], hook);
+        net.min_to_leaf(Axis::Rows, hook, all, l, |_, _, _| Sel::Diagonal);
+        spread(net, Axis::Rows, l, lrow);
+        spread(net, Axis::Cols, l, lcol);
+        fetch(net, lrow, lcol, ll);
+        mst::break_two_cycles(net, [l, ll], self.d);
     }
 }
 
-// Label phases the OTC's graph algorithms share: one kernel each
+/// The union–find root of `x`, compressing the path (host-side
+/// references only).
+fn find(parent: &mut [usize], x: usize) -> usize {
+    if parent[x] != x {
+        parent[x] = find(parent, parent[x]);
+    }
+    parent[x]
+}
+
+// Label phases both networks issue alike: one kernel each
 // (`WordNet::bp_kernel`), vertex state at the diagonal cells.
 
 /// `prev(v) := D(v)` at the diagonal, `NULL` included — the snapshot the
@@ -153,37 +304,6 @@ pub(crate) fn flag_open<T: Topology>(net: &mut WordNet<T>, best: Reg, flag: Reg)
     });
 }
 
-/// Scratch registers for [`count_label_changes`]; allocate once, reuse
-/// every iteration.
-pub(crate) struct ChangeCounter {
-    chflag: Reg,
-    colcount: Reg,
-}
-
-impl ChangeCounter {
-    pub fn init(net: &mut Otn) -> ChangeCounter {
-        ChangeCounter { chflag: net.alloc_reg("changed"), colcount: net.alloc_reg("colcount") }
-    }
-}
-
-/// Counts how many diagonal labels differ between `d` and a snapshot held
-/// in `prev`, using network primitives (flag at the diagonal, then two
-/// counting reductions), and returns the count read at row-tree root 0.
-pub(crate) fn count_label_changes(
-    net: &mut Otn,
-    labels: &Labels,
-    prev: Reg,
-    scratch: &ChangeCounter,
-) -> u64 {
-    let d = labels.d;
-    let (chflag, colcount) = (scratch.chflag, scratch.colcount);
-    flag_changed(net, [d, prev], chflag);
-    // Column counts land in row 0, then row tree 0 counts the columns.
-    net.count_to_leaf(Axis::Cols, chflag, colcount, |_, _, _| Sel::Row(0));
-    net.count_to_root(Axis::Rows, colcount);
-    net.roots(Axis::Rows)[0].expect("COUNT roots are never NULL") as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +335,7 @@ mod tests {
         // Chain 3→2→1→0, 0→0.
         net.load_reg(labels.d, |i, j| (i == j).then_some(if i == 0 { 0 } else { i as Word - 1 }));
         labels.refresh(&mut net);
-        labels.jump(&mut net);
+        fetch(&mut net, labels.drow, labels.dcol, labels.d);
         assert_eq!(labels.read(&mut net), vec![0, 0, 0, 1], "one doubling step");
     }
 
@@ -277,15 +397,144 @@ mod tests {
     fn change_counter_counts_diagonal_differences() {
         let mut net = Otn::for_graphs(4).unwrap();
         let labels = Labels::init(&mut net);
-        let prev = net.alloc_reg("prev");
-        let scratch = ChangeCounter::init(&mut net);
+        let (prev, flag) = (net.alloc_reg("prev"), net.alloc_reg("changed"));
         net.load_reg(prev, |i, j| (i == j).then_some(i as Word));
-        assert_eq!(count_label_changes(&mut net, &labels, prev, &scratch), 0);
+        let changes = |net: &mut Otn| {
+            flag_changed(net, [labels.d, prev], flag);
+            labels.count(net, flag)
+        };
+        assert_eq!(changes(&mut net), 0);
         net.load_reg(labels.d, |i, j| (i == j).then_some(0));
-        assert_eq!(
-            count_label_changes(&mut net, &labels, prev, &scratch),
-            3,
-            "vertices 1,2,3 changed"
-        );
+        assert_eq!(changes(&mut net), 3, "vertices 1,2,3 changed");
+    }
+
+    /// A 16-vertex graph of several components, and weights with ties.
+    fn span_inputs() -> (Grid<Word>, Grid<Option<Word>>) {
+        let n = 16;
+        let (mut adj, mut w) = (Grid::filled(n, n, 0), Grid::filled(n, n, None));
+        for u in 0..n {
+            for v in u + 1..n {
+                if (u * 5 + v * 3) % 11 == 0 {
+                    adj.set(u, v, 1);
+                    adj.set(v, u, 1);
+                }
+                if (u + 2 * v) % 3 != 0 {
+                    let x = Some(((u * v + u + v) % 9) as Word + 1);
+                    w.set(u, v, x);
+                    w.set(v, u, x);
+                }
+            }
+        }
+        (adj, w)
+    }
+
+    /// Runs `run` on `net` under a recorder: the span count and an FNV-1a
+    /// digest of the `name start end` line of every span, in order.
+    fn spans<T: Topology>(mut net: WordNet<T>, run: impl FnOnce(&mut WordNet<T>)) -> (usize, u64) {
+        net.install_recorder(orthotrees_obs::Recorder::new());
+        run(&mut net);
+        let rec = net.take_recorder().unwrap();
+        let digest = rec.spans().iter().fold(0xcbf2_9ce4_8422_2325, |h, s| {
+            let line = format!("{} {} {}\n", s.name, s.start.get(), s.end.get());
+            line.bytes().fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        });
+        (rec.spans().len(), digest)
+    }
+
+    /// Golden digests time and op counts but not the order of the
+    /// primitives; these pin that too. The figures were recorded from the
+    /// four per-network CC/MST loops the drivers replaced, on the same
+    /// inputs.
+    #[test]
+    fn drivers_issue_the_pinned_primitive_sequence() {
+        use crate::otc::labels::Labels as OtcLabels;
+        let (adj, w) = span_inputs();
+        let (cc_bits, mst_bits) = (cc::label_bits(16), mst::weight_bits(&w));
+        let got = [
+            spans(Labels::net(16, cc_bits).unwrap(), |net| {
+                cc::components::<Labels>(net, &adj);
+            }),
+            spans(OtcLabels::net(16, cc_bits).unwrap(), |net| {
+                cc::components::<OtcLabels>(net, &adj);
+            }),
+            spans(Labels::net(16, mst_bits).unwrap(), |net| {
+                mst::spanning_forest::<Labels>(net, &w);
+            }),
+            spans(OtcLabels::net(16, mst_bits).unwrap(), |net| {
+                mst::spanning_forest::<OtcLabels>(net, &w);
+            }),
+        ];
+        let want = [
+            (190, 0x0ad9_f50c_4dcf_db31),
+            (214, 0x7928_a7e1_dc05_13ef),
+            (162, 0x360b_5d2f_b3c0_8a05),
+            (197, 0x8962_652e_677b_84f6),
+        ];
+        assert_eq!(got, want);
+    }
+
+    /// The edge lists of the sweep's graph families on `n` vertices:
+    /// empty, path, star, cycle, complete, two cliques joined by one edge,
+    /// and `G(n, p)` at three densities.
+    fn families(n: usize, rng: &mut rand::rngs::StdRng) -> Vec<(String, Vec<(usize, usize)>)> {
+        use rand::RngExt;
+        let pairs = |keep: &dyn Fn(usize, usize) -> bool| -> Vec<(usize, usize)> {
+            (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|&(u, v)| keep(u, v))
+                .collect()
+        };
+        let h = n / 2;
+        let mut out = vec![
+            ("empty".to_string(), Vec::new()),
+            ("path".to_string(), (1..n).map(|v| (v - 1, v)).collect()),
+            ("star".to_string(), (1..n).map(|v| (0, v)).collect()),
+            (
+                "cycle".to_string(),
+                (0..n).map(|v| (v.min((v + 1) % n), v.max((v + 1) % n))).collect(),
+            ),
+            ("complete".to_string(), pairs(&|_, _| true)),
+            ("two cliques".to_string(), pairs(&|u, v| (u < h) == (v < h) || (u, v) == (h - 1, h))),
+        ];
+        for p in [1.0 / n as f64, 4.0 / n as f64, 0.3] {
+            let draws: Vec<f64> = (0..n * n).map(|_| rng.random::<f64>()).collect();
+            out.push((format!("G(n, {p:.3})"), pairs(&|u, v| draws[u * n + v] < p)));
+        }
+        out
+    }
+
+    /// CC against union–find and MST against Kruskal (weights drawn from
+    /// 0..4, so most ties are broken by the packed edge id) on every
+    /// family, n = 4…128 (`log₂ n` from 2 to 7, OTC cycle lengths 2 and
+    /// 4), and the OTN's outcome against the OTC's.
+    #[test]
+    #[ignore = "release-mode sweep, run explicitly in CI"]
+    fn graph_driver_sweep() {
+        use crate::otc;
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for n in [4, 8, 16, 32, 64, 128] {
+            for (name, edges) in families(n, &mut rng) {
+                let mut adj = Grid::filled(n, n, 0);
+                let mut w = Grid::filled(n, n, None);
+                for &(u, v) in &edges {
+                    let x = rng.random_range(0..4);
+                    for (a, b) in [(u, v), (v, u)] {
+                        adj.set(a, b, 1);
+                        w.set(a, b, Some(x));
+                    }
+                }
+                let case = format!("{name} at n = {n}");
+                let otn_cc = cc::connected_components(&adj).unwrap();
+                let otc_cc = otc::cc::connected_components(&adj).unwrap();
+                assert_eq!(otn_cc.labels, cc::reference_components(&adj), "{case}");
+                assert_eq!(otc_cc.labels, otn_cc.labels, "{case}");
+                let otn_mst = mst::minimum_spanning_tree(&w).unwrap();
+                let otc_mst = otc::mst::minimum_spanning_tree(&w).unwrap();
+                let want = mst::reference_mst_weight(&w);
+                assert_eq!((otn_mst.total_weight, otn_mst.edges.len()), want, "{case}");
+                assert_eq!(otc_mst.edges, otn_mst.edges, "{case}");
+            }
+        }
     }
 }

@@ -13,11 +13,11 @@
 //! (paper §VI.B: "the area goes down to O(N² log N) … because the entire
 //! N × N weight matrix must be stored on the chip").
 
-use super::super::{all, Axis, Otn, PhaseCost, Reg, Sel};
-use super::Labels;
+use super::super::{Otn, PhaseCost, Reg, Sel};
+use super::{find, flag_open, graph_net, Candidates, LabelToolkit, Labels, Net};
 use crate::grid::Grid;
 use crate::word::{pack, unpack, Word};
-use orthotrees_vlsi::{log2_ceil, BitTime, CostModel, ModelError, OpStats};
+use orthotrees_vlsi::{log2_ceil, BitTime, ModelError, OpStats};
 use std::collections::HashSet;
 
 /// Result of a minimum-spanning-tree run.
@@ -50,116 +50,87 @@ pub struct MstOutcome {
 /// Panics if the matrix is asymmetric, a weight is negative, or the phase
 /// count exceeds `2·log₂ N + 4`.
 pub fn minimum_spanning_tree(weights: &Grid<Option<Word>>) -> Result<MstOutcome, ModelError> {
+    let mut net = graph_net::<Labels, _>(weights, "weight matrix sides", weight_bits(weights))?;
+    Ok(spanning_forest::<Labels>(&mut net, weights))
+}
+
+/// The word width of an MST net: packed `(weight, edge id)` pairs, with
+/// edge ids in `0..n²`.
+pub(crate) fn weight_bits(weights: &Grid<Option<Word>>) -> u32 {
+    let max_w = weights.iter().filter_map(|(_, _, w)| *w).fold(0, Word::max);
+    log2_ceil(max_w as u64 + 1).max(1) + 2 * log2_ceil(weights.rows() as u64).max(1) + 2
+}
+
+/// The MST driver both networks run, on a graph net `net` of
+/// `weights.rows()` vertices built by [`LabelToolkit::net`] at
+/// [`weight_bits`]: loads `weights` and runs Borůvka phases until no
+/// component has an outgoing edge.
+///
+/// # Panics
+///
+/// As [`minimum_spanning_tree`].
+pub(crate) fn spanning_forest<L: LabelToolkit>(
+    net: &mut Net<L>,
+    weights: &Grid<Option<Word>>,
+) -> MstOutcome {
     let n = weights.rows();
-    ModelError::require_equal("weight matrix sides", n, weights.cols())?;
-    ModelError::require_power_of_two("vertex count", n)?;
-    let mut max_w: Word = 0;
     for (i, j, v) in weights.iter() {
         assert_eq!(*v, *weights.get(j, i), "weight matrix must be symmetric at ({i},{j})");
         if let Some(w) = v {
             assert!(*w >= 0, "weights must be non-negative, got {w} at ({i},{j})");
-            max_w = max_w.max(*w);
         }
     }
+    let wm = L::load(net, |v, u| *weights.get(v, u));
+    let labels = L::init(net);
+    let hook_regs = L::hook_regs(net);
+    let [best, compmin, have] = ["best", "compmin", "have"].map(|r| net.alloc_reg(r));
 
-    // Word width: packed (weight, edge-id) pairs. edge-id ∈ 0..n².
-    let weight_bits = log2_ceil(max_w as u64 + 1).max(1);
-    let wbits = weight_bits + 2 * log2_ceil(n as u64).max(1) + 2;
-    let mut net = Otn::new(n, n, CostModel::thompson(n).with_word_bits(wbits))?;
-
-    let wreg = net.alloc_reg("W");
-    net.load_reg(wreg, |i, j| *weights.get(i, j));
-    let labels = Labels::init(&mut net);
-    let cand = net.alloc_reg("cand");
-    let cmin = net.alloc_reg("cmin");
-    let compmin = net.alloc_reg("compmin");
-    let cmrow = net.alloc_reg("cmrow");
-    let hookval = net.alloc_reg("hook");
-    let lreg = net.alloc_reg("L");
-    let lrow = net.alloc_reg("Lrow");
-    let lcol = net.alloc_reg("Lcol2");
-    let llreg = net.alloc_reg("LL");
-    let have = net.alloc_reg("have");
-    let havecnt = net.alloc_reg("havecnt");
-
-    let mut edges: HashSet<(usize, usize)> = HashSet::new();
-    let mut edge_list: Vec<(usize, usize, Word)> = Vec::new();
+    let mut seen: HashSet<(usize, usize)> = HashSet::new();
+    let mut edges: Vec<(usize, usize, Word)> = Vec::new();
     let mut total_weight: Word = 0;
     let mut phases = 0u32;
     let max_phases = 2 * log2_ceil(n as u64).max(1) + 4;
-    let nn = n;
 
     let stats_before = *net.clock().stats();
     let (_, time) = net.elapsed(|net| loop {
         phases += 1;
         assert!(phases <= max_phases, "MST failed to converge within {max_phases} phases");
         labels.refresh(net);
-        // 1) candidate outgoing edges, packed (weight, normalised edge id
-        //    min(i,j)·n + max(i,j)). The NORMALISED id is load-bearing: with
-        //    duplicate weights, two components joined by two equal-weight
-        //    edges would otherwise each pick a *different* edge (each
-        //    minimising over its own orientation's id) and the pair of
-        //    picks would close a cycle. With one canonical id per edge,
-        //    both sides of a tie pick the same edge and the 2-cycle hook
-        //    resolution below merges them with exactly one edge.
-        let (drow, dcol) = (labels.drow, labels.dcol);
-        candidates(net, [wreg, drow, dcol], cand);
-        // 2) per-vertex best, known everywhere in the row.
-        net.min_to_leaf(Axis::Rows, cand, all, cmin, all);
-        // 3) per-component best, landing at the component root's diagonal.
-        net.min_to_leaf(
-            Axis::Cols,
-            cmin,
-            move |_, _, _| Sel::EqCol(drow),
-            compmin,
-            |_, _, _| Sel::Diagonal,
-        );
-        // 4) termination: any component with an outgoing edge left?
-        super::flag_open(net, compmin, have);
-        net.count_to_leaf(Axis::Cols, have, havecnt, |_, _, _| Sel::Row(0));
-        net.count_to_root(Axis::Rows, havecnt);
-        if net.roots(Axis::Rows)[0] == Some(0) {
+        // 1) per-vertex best outgoing edge, packed (weight, normalised edge
+        //    id min(i,j)·n + max(i,j)). The NORMALISED id is load-bearing:
+        //    with duplicate weights, two components joined by two
+        //    equal-weight edges would otherwise each pick a *different*
+        //    edge (each minimising over its own orientation's id) and the
+        //    pair of picks would close a cycle. With one canonical id per
+        //    edge, both sides of a tie pick the same edge and the 2-cycle
+        //    hook resolution below merges them with exactly one edge.
+        labels.vertex_min(net, &wm, Candidates::Edges, best);
+        // 2) per-component best, at the component root's diagonal.
+        labels.group_min(net, best, compmin);
+        // 3) termination: any component with an outgoing edge left?
+        flag_open(net, compmin, have);
+        if labels.count(net, have) == 0 {
             break;
         }
-        // 5) emit the chosen edges through the column roots.
-        net.leaf_to_root(Axis::Cols, compmin, |_, _, _| Sel::Diagonal);
-        let chosen: Vec<Option<Word>> = net.roots(Axis::Cols).to_vec();
-        for packed in chosen.into_iter().flatten() {
-            let (w, eid) = unpack(packed, nn * nn);
-            let (v, u) = (eid / nn, eid % nn);
-            let key = (v.min(u), v.max(u));
-            if edges.insert(key) {
-                edge_list.push((key.0, key.1, w));
+        // 4) emit the chosen edges through the column roots.
+        for packed in labels.read_diagonal(net, compmin).into_iter().flatten() {
+            let (w, eid) = unpack(packed, n * n);
+            let (u, v) = (eid / n, eid % n);
+            if seen.insert((u, v)) {
+                edges.push((u, v, w));
                 total_weight += w;
             }
         }
-        // 6) hooking: component w's new parent is the *other side's* label
-        //    D(u). The normalised edge id no longer says which endpoint is
-        //    outside, but the outside endpoint is recognisable on-network:
-        //    it is the one whose column label differs from this row's
-        //    component label.
-        net.leaf_to_leaf(Axis::Rows, compmin, |_, _, _| Sel::Diagonal, cmrow, all);
-        hooks(net, [cmrow, drow, dcol], hookval);
-        net.min_to_leaf(Axis::Rows, hookval, all, lreg, |_, _, _| Sel::Diagonal);
-        // 7) break 2-cycles: fetch LL(w) = L(L(w)); if LL(w) = w, the
-        //    smaller label becomes the root.
-        net.leaf_to_leaf(Axis::Rows, lreg, |_, _, _| Sel::Diagonal, lrow, all);
-        net.leaf_to_leaf(Axis::Cols, lreg, |_, _, _| Sel::Diagonal, lcol, all);
-        net.leaf_to_leaf(
-            Axis::Rows,
-            lcol,
-            move |_, _, _| Sel::EqCol(lrow),
-            llreg,
-            |_, _, _| Sel::Diagonal,
-        );
-        break_two_cycles(net, [lreg, llreg], labels.d);
-        // 8) flatten.
+        // 5) hook each component onto the label of its chosen edge's far
+        //    endpoint, 2-cycles broken towards the smaller label, and
+        //    flatten.
+        labels.hook(net, &hook_regs, compmin);
         labels.shortcut(net);
     });
 
-    edge_list.sort_unstable();
+    edges.sort_unstable();
     let stats = net.clock().stats().since(&stats_before);
-    Ok(MstOutcome { edges: edge_list, total_weight, time, phases, stats })
+    MstOutcome { edges, total_weight, time, phases, stats }
 }
 
 /// Kruskal reference (host-side): returns the minimum spanning forest's
@@ -176,13 +147,6 @@ pub fn reference_mst_weight(weights: &Grid<Option<Word>>) -> (Word, usize) {
     }
     edges.sort_unstable();
     let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let r = find(parent, parent[x]);
-            parent[x] = r;
-        }
-        parent[x]
-    }
     let mut total = 0;
     let mut count = 0;
     for (w, i, j) in edges {
@@ -196,7 +160,7 @@ pub fn reference_mst_weight(weights: &Grid<Option<Word>>) -> (Word, usize) {
     (total, count)
 }
 
-/// Step 1, the candidate outgoing edges: `cand(i, j)` is the weight
+/// The candidate outgoing edges: `cand(i, j)` is the weight
 /// `W(i, j)` packed with the normalised edge id `min(i,j)·n + max(i,j)`
 /// where the edge leaves `i`'s component (`D(i) ≠ D(j)`), `NULL`
 /// elsewhere.
@@ -216,7 +180,7 @@ pub(crate) fn candidates(net: &mut Otn, [w, drow, dcol]: [Reg; 3], cand: Reg) {
     );
 }
 
-/// Step 6, the hook targets: in row `w`, the cell of the chosen edge's
+/// The hook targets: in row `w`, the cell of the chosen edge's
 /// endpoint outside the component (its column label differs from the
 /// row's) holds that label `D(u)`; every other cell holds `NULL`.
 pub(crate) fn hooks(net: &mut Otn, [cmrow, drow, dcol]: [Reg; 3], hook: Reg) {
@@ -230,7 +194,7 @@ pub(crate) fn hooks(net: &mut Otn, [cmrow, drow, dcol]: [Reg; 3], hook: Reg) {
     });
 }
 
-/// Step 7, hooking with 2-cycles broken: at the diagonal, `D(w) := L(w)`,
+/// Hooking with 2-cycles broken: at the diagonal, `D(w) := L(w)`,
 /// or `min(L(w), w)` where `L(L(w)) = w`; `D` is kept where `L` is
 /// `NULL`.
 pub(crate) fn break_two_cycles(net: &mut Otn, [l, ll]: [Reg; 2], d: Reg) {

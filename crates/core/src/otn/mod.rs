@@ -112,8 +112,7 @@ impl Otn {
     ///
     /// Returns [`ModelError`] unless `n` is a power of two.
     pub fn for_graphs(n: usize) -> Result<Self, ModelError> {
-        let w = 2 * log2_ceil(n as u64).max(1) + 2;
-        Otn::new(n, n, CostModel::thompson(n).with_word_bits(w))
+        Otn::new(n, n, CostModel::thompson(n).with_word_bits(graph::cc::label_bits(n)))
     }
 
     /// A rectangular OTN (used by the wide matrix-multiplication networks

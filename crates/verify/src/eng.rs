@@ -52,7 +52,7 @@ pub fn check_identity(network: &str, build: impl Fn(CalendarKind) -> Engine) -> 
         return out;
     }
     let (t_heap, t_ladder) = (heap.try_run(), ladder.try_run());
-    if t_heap.is_err() || t_ladder.is_err() {
+    if t_heap != t_ladder {
         out.push(finding(
             "run status".to_string(),
             format!("heap run ended {t_heap:?}, ladder run ended {t_ladder:?}"),
@@ -112,6 +112,7 @@ fn build_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orthotrees_sim::RunBudget;
     use std::cell::Cell;
 
     #[test]
@@ -140,5 +141,30 @@ mod tests {
             build_probe(ProbeKind::Send, &m, CalendarKind::Heap, false, false)
         });
         assert!(f.iter().any(|f| f.subject == "builder"), "{f:?}");
+    }
+
+    /// Both calendars tripping the same budget at the same event is
+    /// identity, not a finding.
+    #[test]
+    fn the_same_budget_trip_on_both_calendars_is_clean() {
+        let m = CostModel::thompson(8);
+        let f = check_identity("budgeted", |cal| {
+            build_probe(ProbeKind::Sum, &m, cal, false, false).with_budget(RunBudget::events(5))
+        });
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn a_budget_on_one_calendar_only_is_eng001() {
+        let m = CostModel::thompson(8);
+        let f = check_identity("one budget", |cal| {
+            let e = build_probe(ProbeKind::Sum, &m, cal, false, false);
+            if cal == CalendarKind::Ladder {
+                e.with_budget(RunBudget::events(5))
+            } else {
+                e
+            }
+        });
+        assert!(f.iter().any(|f| f.subject == "run status"), "{f:?}");
     }
 }

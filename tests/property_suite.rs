@@ -60,10 +60,13 @@ proptest! {
                 adj.set(v, u, 1);
             }
         }
-        let out = otn::graph::cc::connected_components(&adj).unwrap();
         let simple: Vec<(usize, usize)> =
             edges.iter().copied().filter(|&(u, v)| u != v).collect();
-        prop_assert_eq!(out.labels, seq::components(n, &simple));
+        let want = seq::components(n, &simple);
+        let otn_out = otn::graph::cc::connected_components(&adj).unwrap();
+        let otc_out = orthotrees::otc::cc::connected_components(&adj).unwrap();
+        prop_assert_eq!(&otn_out.labels, &want);
+        prop_assert_eq!(otc_out.labels, want);
     }
 
     #[test]
@@ -85,10 +88,16 @@ proptest! {
             weights.set(u, v, Some(w));
             weights.set(v, u, Some(w));
         }
-        let out = otn::graph::mst::minimum_spanning_tree(&weights).unwrap();
         let (ref_w, ref_count) = seq::kruskal(n, &edge_list);
-        prop_assert_eq!(out.total_weight, ref_w);
-        prop_assert_eq!(out.edges.len(), ref_count);
+        let otn_out = otn::graph::mst::minimum_spanning_tree(&weights).unwrap();
+        let otc_out = orthotrees::otc::mst::minimum_spanning_tree(&weights).unwrap();
+        for out in [&otn_out, &otc_out] {
+            prop_assert_eq!(out.total_weight, ref_w);
+            prop_assert_eq!(out.edges.len(), ref_count);
+        }
+        // Packed (weight, normalised id) keys order the edges totally, so
+        // the forest is unique even under duplicate weights.
+        prop_assert_eq!(otn_out.edges, otc_out.edges);
     }
 
     #[test]
