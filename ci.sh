@@ -57,6 +57,10 @@ cargo test --release -q -p orthotrees-bench --test probe_suite -- --ignored full
 # delivery up to n = 128, across restores; see crates/obs/src/telemetry.rs
 # and tests/profile_suite.rs.
 cargo test --release -q -p orthotrees-obs --lib -- --ignored batched_sketch_matches_the_oracle_on_long_streams
+# Telemetry export identity sweep: the JSON and OpenMetrics exports of
+# every probe and both sorts, n = 16..512, clean and faulty, equal their
+# recorded digests; see tests/telemetry_suite.rs.
+cargo test --release -q -p orthotrees-bench --test telemetry_suite -- --ignored telemetry_export_identity_sweep
 cargo test --release -q -p orthotrees-bench --test profile_suite -- --ignored footprint_identity_sweep
 # Selector identity gate: every built-in Sel shape must be bit-, clock-,
 # stat-, fault- and reach-identical to the closure it stands for, on every
