@@ -24,7 +24,7 @@ use crate::primitive::{self, Acc, Monoid, ParallelPolicy, PrimitiveSpec};
 use crate::resilience::{self, FaultPlan, FaultReport, FaultState, FaultStats};
 use crate::select::{self, Pick, Sel};
 use crate::word::Word;
-use orthotrees_obs::telemetry::Telemetry;
+use orthotrees_obs::telemetry::{CounterId, SketchId, Telemetry};
 use orthotrees_obs::{causal::ReachCell, Recorder};
 use orthotrees_vlsi::{BitTime, Clock, CostKind, CostModel};
 use std::marker::PhantomData;
@@ -247,8 +247,10 @@ pub struct WordNet<T: Topology> {
     /// primitive free of recording code. Recording never changes a
     /// simulated bit, time, or output.
     pub(crate) recorder: Option<Recorder>,
-    /// Installed streaming telemetry bus; same contract as `recorder`.
-    telemetry: Option<Telemetry>,
+    /// Installed streaming telemetry bus, with the ids of its
+    /// [`Topology::CHARGES`] counter and [`Topology::CHARGE_TAU`] sketch;
+    /// same contract as `recorder`.
+    telemetry: Option<(Telemetry, CounterId, SketchId)>,
     /// How a `bool` selector's mask is filled.
     parallel: ParallelPolicy,
     /// Per [`Axis::index`], the cell positions still wired to their tree
@@ -424,9 +426,9 @@ impl<T: Topology> WordNet<T> {
     /// decomposition `parts` (see [`crate::attribution`]).
     pub(crate) fn seg_charge(&mut self, expected: BitTime, parts: &[crate::attribution::Part]) {
         crate::attribution::seg_charge(&mut self.clock, &mut self.recorder, expected, parts);
-        if let Some(tel) = &mut self.telemetry {
-            tel.count(T::CHARGES, 1);
-            tel.observe(T::CHARGE_TAU, expected.get());
+        if let Some((tel, charges, taus)) = &mut self.telemetry {
+            tel.add(*charges, 1);
+            tel.record(*taus, expected.get());
             tel.tick(self.clock.now());
         }
     }
@@ -456,20 +458,22 @@ impl<T: Topology> WordNet<T> {
     /// snapshots are cut on the simulated clock. Metering changes no
     /// simulated bit, time, or output (bit-identity, enforced by the
     /// telemetry suite).
-    pub fn install_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
+    pub fn install_telemetry(&mut self, mut telemetry: Telemetry) {
+        let (charges, taus) =
+            (telemetry.counter_id(T::CHARGES), telemetry.sketch_id(T::CHARGE_TAU));
+        self.telemetry = Some((telemetry, charges, taus));
     }
 
     /// Mutable access to the installed telemetry bus (algorithms fold
     /// their own domain counters into the export through this).
     pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_mut()
+        self.telemetry.as_mut().map(|(tel, ..)| tel)
     }
 
     /// Removes and returns the installed telemetry bus (export after a
     /// run).
     pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.take()
+        self.telemetry.take().map(|(tel, ..)| tel)
     }
 
     /// Opens a named phase span at the current simulated time (no-op

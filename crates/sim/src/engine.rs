@@ -565,7 +565,9 @@ impl Engine {
 
     /// Installs a streaming [`Telemetry`] bus: delivery, link-bit, queue-wait
     /// and fault counters, the calendar-depth sketch and periodic snapshots.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+    /// Their ids are fixed here, so the per-event fold does no name lookup.
+    pub fn with_telemetry(mut self, mut telemetry: Telemetry) -> Self {
+        telemetry.attach_engine();
         self.probes().telemetry = Some(telemetry);
         self
     }
