@@ -77,16 +77,32 @@ pub fn vector_matrix(
     b: &LoadedMatrix,
 ) -> Result<OtcVectorMatrixOutcome, ModelError> {
     ModelError::require_equal("vector length vs matrix side", b.n, x.len())?;
+    let regs = pass_regs(net);
+    Ok(pass(net, x, b, regs))
+}
+
+/// The `[x, partial]` registers of a vector–matrix pass: allocated once
+/// per product and reused by every pass, so a pipelined product leaves
+/// two planes behind whatever its size.
+fn pass_regs(net: &mut Otc) -> [Reg; 2] {
+    [net.alloc_reg("x"), net.alloc_reg("partial")]
+}
+
+/// One vector–matrix pass through the registers `[x, partial]`; `x` must
+/// have one word per row of `b`.
+fn pass(
+    net: &mut Otc,
+    x: &[Word],
+    b: &LoadedMatrix,
+    [xa, partial]: [Reg; 2],
+) -> OtcVectorMatrixOutcome {
     let m = net.side();
     let l = net.cycle_len();
-    let xa = net.alloc_reg("x");
-    let partial = net.alloc_reg("partial");
-
     let groups: Vec<Vec<Word>> = (0..m).map(|i| x[i * l..(i + 1) * l].to_vec()).collect();
     net.load_row_root_buffers(&groups);
 
     let stats_before = *net.clock().stats();
-    let planes = b.planes.clone();
+    let planes = &b.planes;
     let (_, time) = net.elapsed(|net| {
         // 1) group i of x to every cycle of row i.
         net.root_to_cycle(Axis::Rows, xa, |_, _, _| Sel::All);
@@ -115,7 +131,7 @@ pub fn vector_matrix(
         }
     }
     let stats = net.clock().stats().since(&stats_before);
-    Ok(OtcVectorMatrixOutcome { y, time, stats })
+    OtcVectorMatrixOutcome { y, time, stats }
 }
 
 /// Result of a full OTC matrix product.
@@ -145,12 +161,12 @@ pub fn matmul(
     let n = b.n;
     ModelError::require_equal("A rows", n, a.rows())?;
     ModelError::require_equal("A cols", n, a.cols())?;
+    let regs = pass_regs(net);
     let mut c = Grid::filled(n, n, 0);
     let mut first_pass = BitTime::ZERO;
     let mut total = BitTime::ZERO;
     for i in 0..n {
-        let row: Vec<Word> = a.row(i).to_vec();
-        let out = vector_matrix(net, &row, b)?;
+        let out = pass(net, a.row(i), b, regs);
         for (j, v) in out.y.iter().enumerate() {
             c.set(i, j, *v);
         }
@@ -238,6 +254,22 @@ mod tests {
         let out = matmul(&mut net, &a, &loaded).unwrap();
         assert_eq!(out.c, crate::otn::matmul::reference_matmul(&a, &b));
         assert!(out.time < out.time_unpipelined);
+    }
+
+    #[test]
+    fn full_product_reuses_its_pass_registers() {
+        // The `L` planes of `B` plus one `[x, partial]` pair whatever the
+        // size, at the times recorded when every pass allocated its own.
+        for (n, time, unpipelined) in [(16, 148, 1408), (64, 532, 9856)] {
+            let mut net = Otc::for_sorting(n).unwrap();
+            let a = Grid::from_fn(n, n, |i, j| ((i + 2 * j) % 5) as Word - 1);
+            let b = Grid::from_fn(n, n, |i, j| ((3 * i + j) % 4) as Word);
+            let loaded = LoadedMatrix::load(&mut net, &b).unwrap();
+            let out = matmul(&mut net, &a, &loaded).unwrap();
+            assert_eq!(out.c, crate::otn::matmul::reference_matmul(&a, &b), "n={n}");
+            assert_eq!((out.time.get(), out.time_unpipelined.get()), (time, unpipelined), "n={n}");
+            assert_eq!(net.reg_names().len(), net.cycle_len() + 2, "n={n}");
+        }
     }
 
     #[test]

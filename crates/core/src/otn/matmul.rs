@@ -49,8 +49,20 @@ pub struct MatMulOutcome {
 /// Returns [`ModelError`] if `x.len()` differs from the network's row count.
 pub fn vector_matrix(net: &mut Otn, x: &[Word], b: Reg) -> Result<VectorMatrixOutcome, ModelError> {
     ModelError::require_equal("vector length vs rows", net.rows(), x.len())?;
-    let xa = net.alloc_reg("x");
-    let p = net.alloc_reg("prod");
+    let regs = pass_regs(net);
+    Ok(pass(net, x, b, regs))
+}
+
+/// The `[x, prod]` registers of a vector–matrix pass: allocated once per
+/// product and reused by every pass, so a pipelined product leaves two
+/// planes behind whatever its size.
+fn pass_regs(net: &mut Otn) -> [Reg; 2] {
+    [net.alloc_reg("x"), net.alloc_reg("prod")]
+}
+
+/// One vector–matrix pass through the registers `[x, prod]`; `x` must
+/// have one word per row.
+fn pass(net: &mut Otn, x: &[Word], b: Reg, [xa, p]: [Reg; 2]) -> VectorMatrixOutcome {
     net.load_row_roots(x);
     let (_, time) = net.elapsed(|net| {
         net.root_to_leaf(Axis::Rows, xa, all);
@@ -58,7 +70,7 @@ pub fn vector_matrix(net: &mut Otn, x: &[Word], b: Reg) -> Result<VectorMatrixOu
         net.sum_to_root(Axis::Cols, p, all);
     });
     let y = net.roots(Axis::Cols).iter().map(|v| v.expect("SUM roots are never NULL")).collect();
-    Ok(VectorMatrixOutcome { y, time })
+    VectorMatrixOutcome { y, time }
 }
 
 /// Computes `C = A·B` by pipelining the `N` rows of `A` through
@@ -78,14 +90,14 @@ pub fn matmul(net: &mut Otn, a: &Grid<Word>, b: &Grid<Word>) -> Result<MatMulOut
     }
     let breg = net.alloc_reg("B");
     net.load_reg(breg, |i, j| Some(*b.get(i, j)));
+    let regs = pass_regs(net);
     let stats_before = *net.clock().stats();
 
     let mut c = Grid::filled(n, n, 0);
     let mut first_pass = BitTime::ZERO;
     let mut total = BitTime::ZERO;
     for i in 0..n {
-        let row: Vec<Word> = a.row(i).to_vec();
-        let out = vector_matrix(net, &row, breg)?;
+        let out = pass(net, a.row(i), breg, regs);
         for (j, v) in out.y.iter().enumerate() {
             c.set(i, j, *v);
         }
@@ -241,6 +253,22 @@ mod tests {
         let mut net = Otn::for_sorting(4).unwrap();
         let out = matmul(&mut net, &a, &b).unwrap();
         assert_eq!(out.c, reference_matmul(&a, &b));
+    }
+
+    #[test]
+    fn pipelined_product_reuses_its_pass_registers() {
+        // `B` plus one `[x, prod]` pair whatever the size, at the times
+        // recorded when every pass allocated a pair of its own.
+        for (n, time, unpipelined) in [(4, 34, 112), (8, 67, 368), (16, 134, 1184), (32, 253, 3136)]
+        {
+            let a = Grid::from_fn(n, n, |i, j| ((i + 2 * j) % 5) as Word - 1);
+            let b = Grid::from_fn(n, n, |i, j| ((3 * i + j) % 4) as Word);
+            let mut net = Otn::for_sorting(n).unwrap();
+            let out = matmul(&mut net, &a, &b).unwrap();
+            assert_eq!(out.c, reference_matmul(&a, &b), "n={n}");
+            assert_eq!((out.time.get(), out.time_unpipelined.get()), (time, unpipelined), "n={n}");
+            assert_eq!(net.reg_names(), ["B", "x", "prod"], "n={n}");
+        }
     }
 
     #[test]
