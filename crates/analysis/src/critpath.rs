@@ -22,6 +22,7 @@
 
 use orthotrees::obs::causal::{CausalTrace, CriticalPath, SegmentKind};
 use orthotrees::obs::Recorder;
+use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees::BitTime;
 use orthotrees_sim::{experiments, Engine};
 use orthotrees_vlsi::CostModel;
@@ -162,22 +163,22 @@ pub fn slack_table(trace: &CausalTrace, k: usize) -> String {
     out
 }
 
+/// The causal attribution of the network's SORT at size `sort_n`.
+fn segment_section<T: Topology>(sort_n: usize, seed: u64) -> String {
+    let (out, rec) = crate::obsreport::sort_observed::<T>(sort_n, seed);
+    format!(
+        "Causal attribution — SORT-{}, N = {sort_n}:\n{}\n",
+        T::NAME,
+        segment_table(&rec, out.time)
+    )
+}
+
 /// The full critical-path section of the report: word-level causal
 /// attribution for `SORT-OTN` and `SORT-OTC` at size `sort_n`, then the
 /// bit-level `ROOTTOLEAF` critical path over `sort_n` leaves with the
 /// closed-form cross-check and the slack table.
 pub fn critpath_report(sort_n: usize, seed: u64) -> String {
-    let mut out = String::new();
-    let (otn_out, otn_rec) = crate::obsreport::otn_sort_observed(sort_n, seed);
-    let _ = writeln!(out, "Causal attribution — SORT-OTN, N = {sort_n}:");
-    out.push_str(&segment_table(&otn_rec, otn_out.time));
-    out.push('\n');
-
-    let (otc_out, otc_rec) = crate::obsreport::otc_sort_observed(sort_n, seed);
-    let _ = writeln!(out, "Causal attribution — SORT-OTC, N = {sort_n}:");
-    out.push_str(&segment_table(&otc_rec, otc_out.time));
-    out.push('\n');
-
+    let mut out = segment_section::<Tree>(sort_n, seed) + &segment_section::<Cycles>(sort_n, seed);
     let m = CostModel::thompson(sort_n);
     match experiments::broadcast(sort_n, &m, Engine::with_causal_trace) {
         Ok((t, mut e)) => {
@@ -215,17 +216,18 @@ mod tests {
         (t, e.take_causal_trace().unwrap())
     }
 
-    #[test]
-    fn segment_table_is_complete_for_both_sorts() {
-        let (out, rec) = crate::obsreport::otn_sort_observed(16, 7);
+    fn segment_table_is_complete<T: Topology>() {
+        let (out, rec) = crate::obsreport::sort_observed::<T>(16, 7);
         let text = segment_table(&rec, out.time);
         assert!(text.contains("complete"), "{text}");
         assert!(!text.contains("INCOMPLETE"), "{text}");
         assert!(text.contains("wire-delay") && text.contains("queue-wait"), "{text}");
+    }
 
-        let (out, rec) = crate::obsreport::otc_sort_observed(16, 7);
-        let text = segment_table(&rec, out.time);
-        assert!(!text.contains("INCOMPLETE"), "{text}");
+    #[test]
+    fn segment_table_is_complete_for_both_sorts() {
+        segment_table_is_complete::<Tree>();
+        segment_table_is_complete::<Cycles>();
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! word-fault rate rises — the robustness companion to the performance
 //! sweeps in [`crate::sweep`].
 //!
-//! Each point installs a deterministic [`FaultPlan`] on a fresh network,
-//! reruns `SORT`, and scores the run three ways:
+//! [`sort_faults`] runs on either network, picked by its [`Topology`]
+//! (`SORT-OTN` on `Tree`, `SORT-OTC` on `Cycles`). Each point installs a
+//! deterministic [`FaultPlan`] on a fresh network, reruns `SORT`, and
+//! scores the run three ways:
 //!
 //! * **accuracy** — fraction of output positions holding the correct word
 //!   (erased and silently corrupted words both lose their position);
@@ -16,8 +18,7 @@
 //! are stateless hashes, so a sweep reproduces bit-for-bit across runs.
 
 use crate::workloads::{self, Word};
-use orthotrees::otc::{self, Otc};
-use orthotrees::otn::{self, Otn};
+use orthotrees::wordnet::Topology;
 use orthotrees::{BitTime, FaultPlan, FaultStats};
 use std::fmt::Write as _;
 
@@ -106,25 +107,25 @@ fn accuracy(got: &[Word], reference: &[Word]) -> f64 {
     hits as f64 / got.len() as f64
 }
 
-/// Sweeps `SORT-OTN` over `rates` word-fault probabilities.
+/// Sweeps the network's SORT over `rates` word-fault probabilities.
 ///
 /// # Panics
 ///
 /// Panics if `n` is not a supported sorting size (power of two ≥ 4).
-pub fn sort_otn_faults(n: usize, seed: u64, rates: &[f64]) -> FaultSweep {
+pub fn sort_faults<T: Topology>(n: usize, seed: u64, rates: &[f64]) -> FaultSweep {
     let xs = workloads::distinct_words(n, seed);
     let mut reference = xs.clone();
     reference.sort_unstable();
 
-    let mut net = Otn::for_sorting(n).expect("power-of-two n");
-    let baseline = otn::sort::sort(&mut net, &xs).expect("matched size").time;
+    let mut net = T::for_sorting(n).expect("power-of-two n");
+    let baseline = T::sort(&mut net, &xs).expect("matched size").time;
 
     let points = rates
         .iter()
         .map(|&rate| {
-            let mut net = Otn::for_sorting(n).expect("power-of-two n");
+            let mut net = T::for_sorting(n).expect("power-of-two n");
             net.install_fault_plan(FaultPlan::new(seed).with_word_fault_rate(rate));
-            let out = otn::sort::sort(&mut net, &xs).expect("matched size");
+            let out = T::sort(&mut net, &xs).expect("matched size");
             FaultPoint {
                 rate,
                 accuracy: accuracy(&out.sorted, &reference),
@@ -135,48 +136,17 @@ pub fn sort_otn_faults(n: usize, seed: u64, rates: &[f64]) -> FaultSweep {
         })
         .collect();
 
-    FaultSweep { network: "OTN".into(), n, seed, baseline, points }
-}
-
-/// Sweeps `SORT-OTC` over `rates` word-fault probabilities.
-///
-/// # Panics
-///
-/// Panics if `n` is not a supported sorting size (power of two ≥ 4).
-pub fn sort_otc_faults(n: usize, seed: u64, rates: &[f64]) -> FaultSweep {
-    let xs = workloads::distinct_words(n, seed);
-    let mut reference = xs.clone();
-    reference.sort_unstable();
-
-    let mut net = Otc::for_sorting(n).expect("power-of-two n");
-    let baseline = otc::sort::sort(&mut net, &xs).expect("matched size").time;
-
-    let points = rates
-        .iter()
-        .map(|&rate| {
-            let mut net = Otc::for_sorting(n).expect("power-of-two n");
-            net.install_fault_plan(FaultPlan::new(seed).with_word_fault_rate(rate));
-            let out = otc::sort::sort(&mut net, &xs).expect("matched size");
-            FaultPoint {
-                rate,
-                accuracy: accuracy(&out.sorted, &reference),
-                slowdown: out.time.as_f64() / baseline.as_f64(),
-                missing: out.missing.len(),
-                stats: net.fault_stats(),
-            }
-        })
-        .collect();
-
-    FaultSweep { network: "OTC".into(), n, seed, baseline, points }
+    FaultSweep { network: T::NAME.into(), n, seed, baseline, points }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orthotrees::wordnet::{Cycles, Tree};
 
     #[test]
     fn zero_rate_point_is_exactly_the_fault_free_run() {
-        let sweep = sort_otn_faults(16, 7, &[0.0]);
+        let sweep = sort_faults::<Tree>(16, 7, &[0.0]);
         let p = &sweep.points[0];
         assert_eq!(p.accuracy, 1.0);
         assert_eq!(p.slowdown, 1.0, "empty plan must add zero overhead");
@@ -186,7 +156,7 @@ mod tests {
 
     #[test]
     fn heavy_faults_degrade_accuracy_and_cost_time() {
-        let sweep = sort_otn_faults(16, 7, &[0.0, 0.3]);
+        let sweep = sort_faults::<Tree>(16, 7, &[0.0, 0.3]);
         let (clean, noisy) = (&sweep.points[0], &sweep.points[1]);
         assert!(noisy.accuracy < clean.accuracy, "30% word faults must cost accuracy");
         assert!(noisy.slowdown > 1.0, "retries must cost time");
@@ -194,16 +164,20 @@ mod tests {
         assert!(noisy.stats.corrected > 0, "most detected faults should repair");
     }
 
+    fn reproduces_bit_for_bit<T: Topology>() {
+        let rates = [0.0, 0.05, 0.2];
+        assert_eq!(sort_faults::<T>(16, 3, &rates), sort_faults::<T>(16, 3, &rates));
+    }
+
     #[test]
     fn sweeps_reproduce_bit_for_bit() {
-        let rates = [0.0, 0.05, 0.2];
-        assert_eq!(sort_otn_faults(16, 3, &rates), sort_otn_faults(16, 3, &rates));
-        assert_eq!(sort_otc_faults(16, 3, &rates), sort_otc_faults(16, 3, &rates));
+        reproduces_bit_for_bit::<Tree>();
+        reproduces_bit_for_bit::<Cycles>();
     }
 
     #[test]
     fn otc_sweep_covers_every_rate_and_renders() {
-        let sweep = sort_otc_faults(16, 9, &[0.0, 0.05, 0.15]);
+        let sweep = sort_faults::<Cycles>(16, 9, &[0.0, 0.05, 0.15]);
         assert_eq!(sweep.points.len(), 3);
         assert_eq!(sweep.points[0].accuracy, 1.0);
         let table = sweep.render();

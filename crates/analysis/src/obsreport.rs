@@ -4,13 +4,13 @@
 //!
 //! Two levels of the stack are profiled:
 //!
-//! * **word level** — [`otn_sort_observed`] / [`otc_sort_observed`] run
-//!   the paper's sorting procedures with a recorder installed, so every
-//!   primitive's clock charge lands in a named phase span
-//!   (`ROOTTOLEAF`, `LEAFTOROOT`, `VECTORCIRCULATE`, …). The
-//!   [`phase_table`] rendered from it is *complete*: self times sum
-//!   exactly to the completion time (checked by a test here and enforced
-//!   crate-side by `crates/core/tests/observability.rs`);
+//! * **word level** — [`sort_observed`] runs either network's sorting
+//!   procedure with a recorder installed, so every primitive's clock
+//!   charge lands in a named phase span (`ROOTTOLEAF`, `LEAFTOROOT`,
+//!   `VECTORCIRCULATE`, …). The [`phase_table`] rendered from it is
+//!   *complete*: self times sum exactly to the completion time (checked
+//!   by a test here and enforced crate-side by
+//!   `crates/core/tests/observability.rs`);
 //! * **bit level** — [`experiments::broadcast`] runs the discrete-event
 //!   `ROOTTOLEAF` model; with the engine recorder fitted it yields the
 //!   per-link bits-carried/utilization/queueing and the calendar-depth
@@ -18,40 +18,26 @@
 
 use crate::workloads;
 use orthotrees::obs::Recorder;
-use orthotrees::otc::{self, Otc};
-use orthotrees::otn::{sort, Otn};
+use orthotrees::otn::sort::SortOutcome;
+use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees::BitTime;
 use orthotrees_sim::experiments;
 use orthotrees_vlsi::CostModel;
 use std::fmt::Write as _;
 
-/// Runs `SORT-OTN` on `n` seeded words with a recorder installed;
-/// returns the outcome and the recorder.
+/// Runs the network's SORT (`SORT-OTN` for [`Tree`], `SORT-OTC` for
+/// [`Cycles`]) on `n` seeded words with a recorder installed; returns the
+/// outcome and the recorder.
 ///
 /// # Panics
 ///
-/// Panics if `n` is not a power of two (the sorting network's
-/// constructor requirement).
-pub fn otn_sort_observed(n: usize, seed: u64) -> (sort::SortOutcome, Recorder) {
+/// Panics if `n` is not a supported sorting size (a power of two, and at
+/// least 4 on the OTC).
+pub fn sort_observed<T: Topology>(n: usize, seed: u64) -> (SortOutcome, Recorder) {
     let xs = workloads::distinct_words(n, seed);
-    let mut net = Otn::for_sorting(n).expect("power-of-two sort size");
+    let mut net = T::for_sorting(n).expect("power-of-two sort size");
     net.install_recorder(Recorder::new());
-    let out = sort::sort(&mut net, &xs).expect("matched input length");
-    let rec = net.take_recorder().expect("recorder was installed");
-    (out, rec)
-}
-
-/// Runs `SORT-OTC` on `n` seeded words with a recorder installed;
-/// returns the outcome and the recorder.
-///
-/// # Panics
-///
-/// Panics if `n` is not a power of two or below the OTC minimum (4).
-pub fn otc_sort_observed(n: usize, seed: u64) -> (sort::SortOutcome, Recorder) {
-    let xs = workloads::distinct_words(n, seed);
-    let mut net = Otc::for_sorting(n).expect("power-of-two sort size");
-    net.install_recorder(Recorder::new());
-    let out = otc::sort::sort(&mut net, &xs).expect("matched input length");
+    let out = T::sort(&mut net, &xs).expect("matched input length");
     let rec = net.take_recorder().expect("recorder was installed");
     (out, rec)
 }
@@ -167,29 +153,22 @@ pub fn link_table(rec: &Recorder) -> String {
     out
 }
 
+/// The phase breakdown of the network's SORT at size `sort_n`.
+fn phase_section<T: Topology>(sort_n: usize, seed: u64) -> String {
+    let (out, rec) = sort_observed::<T>(sort_n, seed);
+    format!(
+        "Phase attribution — SORT-{}, N = {sort_n} (completion {} bit-times):\n{}\n",
+        T::NAME,
+        out.time.get(),
+        phase_table(&rec, out.time)
+    )
+}
+
 /// The full observability section of the report: OTN and OTC sorting
 /// phase breakdowns at size `sort_n`, and the bit-level link profile of a
 /// `ROOTTOLEAF` broadcast over `sort_n` leaves.
 pub fn observability_report(sort_n: usize, seed: u64) -> String {
-    let mut out = String::new();
-    let (otn_out, otn_rec) = otn_sort_observed(sort_n, seed);
-    let _ = writeln!(
-        out,
-        "Phase attribution — SORT-OTN, N = {sort_n} (completion {} bit-times):",
-        otn_out.time.get()
-    );
-    out.push_str(&phase_table(&otn_rec, otn_out.time));
-    out.push('\n');
-
-    let (otc_out, otc_rec) = otc_sort_observed(sort_n, seed);
-    let _ = writeln!(
-        out,
-        "Phase attribution — SORT-OTC, N = {sort_n} (completion {} bit-times):",
-        otc_out.time.get()
-    );
-    out.push_str(&phase_table(&otc_rec, otc_out.time));
-    out.push('\n');
-
+    let mut out = phase_section::<Tree>(sort_n, seed) + &phase_section::<Cycles>(sort_n, seed);
     let m = CostModel::thompson(sort_n);
     match experiments::broadcast(sort_n, &m, |e| e.with_recorder(Recorder::new())) {
         Ok((t, mut e)) => {
@@ -213,35 +192,39 @@ pub fn observability_report(sort_n: usize, seed: u64) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn phase_table_totals_sum_to_completion() {
-        let (out, rec) = otn_sort_observed(16, 7);
-        let text = phase_table(&rec, out.time);
+    /// The phase table of `T`'s observed sort at n = 16, seed 7.
+    fn observed_table<T: Topology>() -> String {
+        let (out, rec) = sort_observed::<T>(16, 7);
+        phase_table(&rec, out.time)
+    }
+
+    fn assert_contains_all(text: &str, needles: &[&str]) {
+        for needle in needles {
+            assert!(text.contains(needle), "missing {needle}: {text}");
+        }
+    }
+
+    fn phase_table_is_complete<T: Topology>(phases: &[&str]) {
+        let text = observed_table::<T>();
         assert!(text.contains("complete"), "{text}");
         assert!(!text.contains("INCOMPLETE"), "{text}");
-        assert!(text.contains("SORT-OTN"));
-        assert!(text.contains("ROOTTOLEAF"));
+        assert_contains_all(&text, phases);
     }
 
     #[test]
-    fn phase_table_annotates_rows_with_registry_kinds() {
-        let (out, rec) = otn_sort_observed(16, 7);
-        let text = phase_table(&rec, out.time);
-        assert!(text.contains("comm/broadcast"), "{text}");
-        assert!(text.contains("procedure"), "{text}");
-        let (out, rec) = otc_sort_observed(16, 7);
-        let text = phase_table(&rec, out.time);
-        assert!(text.contains("comm/stream"), "{text}");
-        assert!(text.contains("comm/circulate"), "{text}");
+    fn phase_table_totals_sum_to_completion() {
+        phase_table_is_complete::<Tree>(&["SORT-OTN", "ROOTTOLEAF"]);
     }
 
     #[test]
     fn otc_phase_table_totals_sum_to_completion() {
-        let (out, rec) = otc_sort_observed(16, 7);
-        let text = phase_table(&rec, out.time);
-        assert!(text.contains("complete"), "{text}");
-        assert!(!text.contains("INCOMPLETE"), "{text}");
-        assert!(text.contains("VECTORCIRCULATE"));
+        phase_table_is_complete::<Cycles>(&["VECTORCIRCULATE"]);
+    }
+
+    #[test]
+    fn phase_table_annotates_rows_with_registry_kinds() {
+        assert_contains_all(&observed_table::<Tree>(), &["comm/broadcast", "procedure"]);
+        assert_contains_all(&observed_table::<Cycles>(), &["comm/stream", "comm/circulate"]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! Mirrors `obsreport`'s two levels:
 //!
-//! * **word level** — [`otn_sort_profiled`] / [`otc_sort_profiled`]
-//!   re-bucket a recorded sort's causal segments into windows
+//! * **word level** — [`sort_profiled`] re-buckets either network's
+//!   recorded sort's causal segments into windows
 //!   ([`Profiler::from_recorder`]), so the wire/queue/compute mix is
 //!   visible *over time* rather than only in aggregate;
 //! * **bit level** — [`experiments::broadcast`] runs the discrete-event
@@ -17,35 +17,26 @@
 //! [`profile_report`] renders all of it; `report::full_report` appends
 //! it after the critical-path section.
 
-use crate::obsreport::{otc_sort_observed, otn_sort_observed};
+use crate::obsreport::sort_observed;
 use orthotrees::obs::profile::Profiler;
 use orthotrees::obs::Recorder;
 use orthotrees::otn::sort::SortOutcome;
+use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees_sim::{experiments, Engine};
 use orthotrees_vlsi::CostModel;
 use std::fmt::Write as _;
 
-/// Runs `SORT-OTN` on `n` seeded words with a recorder installed and
+/// Runs the network's SORT (`SORT-OTN` for [`Tree`], `SORT-OTC` for
+/// [`Cycles`]) on `n` seeded words with a recorder installed and
 /// re-buckets the recorded causal segments into a windowed profile
 /// (window width auto-sized to the completion time).
 ///
 /// # Panics
 ///
-/// Panics if `n` is not a power of two.
-pub fn otn_sort_profiled(n: usize, seed: u64) -> (SortOutcome, Recorder, Profiler) {
-    let (out, rec) = otn_sort_observed(n, seed);
-    let prof = Profiler::from_recorder(&rec, Profiler::auto_width(out.time.get()));
-    (out, rec, prof)
-}
-
-/// Runs `SORT-OTC` on `n` seeded words with a recorder installed and
-/// re-buckets the recorded causal segments into a windowed profile.
-///
-/// # Panics
-///
-/// Panics if `n` is not a power of two or below the OTC minimum (4).
-pub fn otc_sort_profiled(n: usize, seed: u64) -> (SortOutcome, Recorder, Profiler) {
-    let (out, rec) = otc_sort_observed(n, seed);
+/// Panics if `n` is not a supported sorting size (a power of two, and at
+/// least 4 on the OTC).
+pub fn sort_profiled<T: Topology>(n: usize, seed: u64) -> (SortOutcome, Recorder, Profiler) {
+    let (out, rec) = sort_observed::<T>(n, seed);
     let prof = Profiler::from_recorder(&rec, Profiler::auto_width(out.time.get()));
     (out, rec, prof)
 }
@@ -150,35 +141,25 @@ pub fn footprint_line(prof: &Profiler) -> String {
     }
 }
 
+/// The window table and hot phases of the network's SORT at size `sort_n`.
+fn window_section<T: Topology>(sort_n: usize, seed: u64) -> String {
+    let (out, _, prof) = sort_profiled::<T>(sort_n, seed);
+    format!(
+        "Windowed profile — SORT-{}, N = {sort_n} (completion {} bit-times, window {} tau):\n{}{}\n",
+        T::NAME,
+        out.time.get(),
+        prof.width(),
+        window_table(&prof, 16),
+        hot_table(&prof, 5)
+    )
+}
+
 /// The full windowed-profile section of the report: word-level SORT-OTN
 /// and SORT-OTC window tables with hot phases, and the bit-level
 /// `ROOTTOLEAF` engine profile with calendar-depth percentiles and the
 /// peak footprint.
 pub fn profile_report(sort_n: usize, seed: u64) -> String {
-    let mut out = String::new();
-
-    let (otn_out, _, otn_prof) = otn_sort_profiled(sort_n, seed);
-    let _ = writeln!(
-        out,
-        "Windowed profile — SORT-OTN, N = {sort_n} (completion {} bit-times, window {} tau):",
-        otn_out.time.get(),
-        otn_prof.width()
-    );
-    out.push_str(&window_table(&otn_prof, 16));
-    out.push_str(&hot_table(&otn_prof, 5));
-    out.push('\n');
-
-    let (otc_out, _, otc_prof) = otc_sort_profiled(sort_n, seed);
-    let _ = writeln!(
-        out,
-        "Windowed profile — SORT-OTC, N = {sort_n} (completion {} bit-times, window {} tau):",
-        otc_out.time.get(),
-        otc_prof.width()
-    );
-    out.push_str(&window_table(&otc_prof, 16));
-    out.push_str(&hot_table(&otc_prof, 5));
-    out.push('\n');
-
+    let mut out = window_section::<Tree>(sort_n, seed) + &window_section::<Cycles>(sort_n, seed);
     let m = CostModel::thompson(sort_n);
     let setup = |e: Engine| e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16));
     match experiments::broadcast(sort_n, &m, setup) {
@@ -215,9 +196,8 @@ pub fn profile_report(sort_n: usize, seed: u64) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn word_profile_tiles_the_completion_time() {
-        let (out, rec, prof) = otn_sort_profiled(16, 7);
+    fn word_profile_tiles<T: Topology>() {
+        let (out, rec, prof) = sort_profiled::<T>(16, 7);
         let t = prof.totals();
         assert_eq!(t.wire + t.queue_wait + t.compute, rec.segments_total().get());
         assert_eq!(rec.segments_total(), out.time, "Σ segments == completion (PR 4 invariant)");
@@ -227,16 +207,18 @@ mod tests {
     }
 
     #[test]
+    fn word_profile_tiles_the_completion_time() {
+        word_profile_tiles::<Tree>();
+    }
+
+    #[test]
     fn otc_word_profile_tiles_too() {
-        let (out, rec, prof) = otc_sort_profiled(16, 7);
-        let t = prof.totals();
-        assert_eq!(t.wire + t.queue_wait + t.compute, rec.segments_total().get());
-        assert_eq!(rec.segments_total(), out.time);
+        word_profile_tiles::<Cycles>();
     }
 
     #[test]
     fn window_table_sums_and_elides() {
-        let (_, _, prof) = otn_sort_profiled(16, 7);
+        let (_, _, prof) = sort_profiled::<Tree>(16, 7);
         let text = window_table(&prof, 4);
         assert!(text.contains("TOTAL"), "{text}");
         assert!(text.contains("Σ windows"), "{text}");
@@ -250,7 +232,7 @@ mod tests {
 
     #[test]
     fn hot_table_names_word_phases() {
-        let (_, _, prof) = otn_sort_profiled(16, 7);
+        let (_, _, prof) = sort_profiled::<Tree>(16, 7);
         let text = hot_table(&prof, 5);
         assert!(text.contains("hot spots"), "{text}");
         assert!(text.contains("SORT-OTN") || text.contains("ROOTTOLEAF"), "{text}");

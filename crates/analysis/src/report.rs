@@ -34,6 +34,16 @@ impl Default for ReportConfig {
     }
 }
 
+impl ReportConfig {
+    /// The size of the observed sorts behind the phase, critical-path and
+    /// windowed-profile sections: the largest sorting size up to 128, or
+    /// 16 if there is none. The breakdown's shape does not depend on the
+    /// size, and 128 keeps the report fast.
+    pub fn obs_n(&self) -> usize {
+        self.sort_ns.iter().copied().filter(|&n| n <= 128).max().unwrap_or(16)
+    }
+}
+
 /// Table I: sorting under the logarithmic-delay model, all five networks
 /// measured.
 pub fn table1(cfg: &ReportConfig) -> ReproTable {
@@ -206,9 +216,7 @@ pub fn full_report(cfg: &ReportConfig) -> String {
     out.push_str("Crossovers (from the paper's Θ forms):\n");
     out.push_str(&crossover_report());
     out.push('\n');
-    // Phase/utilization profile at a fixed moderate size (the breakdown
-    // shape is size-independent; 128 keeps the report fast).
-    let obs_n = cfg.sort_ns.iter().copied().filter(|&n| n <= 128).max().unwrap_or(16);
+    let obs_n = cfg.obs_n();
     out.push_str(&crate::obsreport::observability_report(obs_n, cfg.seed));
     out.push('\n');
     out.push_str(&crate::critpath::critpath_report(obs_n, cfg.seed));

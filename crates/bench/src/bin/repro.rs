@@ -7,6 +7,7 @@
 //! schema-checked telemetry exports (`telemetry.json` / `telemetry.om`).
 
 use orthotrees::obs::chrome::chrome_trace_with_flows;
+use orthotrees::wordnet::Tree;
 use orthotrees_analysis::{csv, obsreport, report};
 use orthotrees_bench::{export, preset_from_env, summary};
 use std::fs;
@@ -34,8 +35,7 @@ fn main() {
         }
 
         // Chrome-trace of the instrumented sort (1 τ = 1 µs in the trace).
-        let obs_n = cfg.sort_ns.iter().copied().filter(|&n| n <= 128).max().unwrap_or(16);
-        let (_, rec) = obsreport::otn_sort_observed(obs_n, cfg.seed);
+        let (_, rec) = obsreport::sort_observed::<Tree>(cfg.obs_n(), cfg.seed);
         let trace = dir.join("sort_otn.trace.json");
         if let Err(e) = fs::write(&trace, chrome_trace_with_flows(&rec).render()) {
             eprintln!("warning: could not write {}: {e}", trace.display());

@@ -27,8 +27,7 @@ use crate::diff::{Family, Gate};
 use orthotrees::obs::json::Json;
 use orthotrees::obs::profile::{Footprint, HotSpot, ProfileTotals, Profiler, Window};
 use orthotrees::obs::Recorder;
-use orthotrees::otc::{self, Otc};
-use orthotrees::otn::{self, Otn};
+use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees::FaultPlan;
 use orthotrees_analysis::workloads;
 use orthotrees_sim::experiments::{self, ProbeKind};
@@ -259,32 +258,20 @@ pub fn profile_row(
     ])
 }
 
-/// Runs one word-level sort with a recorder (and optionally the dense
-/// fault plan) installed and re-buckets it into a windowed profile;
-/// returns the completion time and the profiler.
-fn word_sort_profiled(network: &str, n: usize, seed: u64, faulty: bool) -> (u64, Profiler) {
+/// Runs the network's SORT with a recorder (and optionally the dense
+/// fault plan) installed, re-buckets it into a windowed profile and
+/// returns its `SORT-OTN` / `SORT-OTC` row.
+fn word_sort_row<T: Topology>(n: usize, seed: u64, faulty: bool) -> Json {
     let xs = workloads::distinct_words(n, seed);
-    let (time, rec) = match network {
-        "OTN" => {
-            let mut net = Otn::for_sorting(n).expect("power-of-two sort size");
-            net.install_recorder(Recorder::new());
-            if faulty {
-                net.install_fault_plan(dense_plan(seed));
-            }
-            let out = otn::sort::sort(&mut net, &xs).expect("matched input length");
-            (out.time.get(), net.take_recorder().expect("recorder was installed"))
-        }
-        _ => {
-            let mut net = Otc::for_sorting(n).expect("power-of-two sort size");
-            net.install_recorder(Recorder::new());
-            if faulty {
-                net.install_fault_plan(dense_plan(seed));
-            }
-            let out = otc::sort::sort(&mut net, &xs).expect("matched input length");
-            (out.time.get(), net.take_recorder().expect("recorder was installed"))
-        }
-    };
-    (time, Profiler::from_recorder(&rec, Profiler::auto_width(time)))
+    let mut net = T::for_sorting(n).expect("power-of-two sort size");
+    net.install_recorder(Recorder::new());
+    if faulty {
+        net.install_fault_plan(dense_plan(seed));
+    }
+    let time = T::sort(&mut net, &xs).expect("matched input length").time.get();
+    let rec = net.take_recorder().expect("recorder was installed");
+    let prof = Profiler::from_recorder(&rec, Profiler::auto_width(time));
+    profile_row(&format!("SORT-{}", T::NAME), n, "word", faulty, time, None, &prof)
 }
 
 /// Builds the whole profile document for one preset: the word-level
@@ -297,18 +284,8 @@ pub fn profile_document(preset_name: &str, seed: u64) -> Json {
     let mut rows = Vec::new();
     for n in matrix_ns(preset_name) {
         for faulty in [false, true] {
-            for network in ["OTN", "OTC"] {
-                let (t, prof) = word_sort_profiled(network, n, seed, faulty);
-                rows.push(profile_row(
-                    &format!("SORT-{network}"),
-                    n,
-                    "word",
-                    faulty,
-                    t,
-                    None,
-                    &prof,
-                ));
-            }
+            rows.push(word_sort_row::<Tree>(n, seed, faulty));
+            rows.push(word_sort_row::<Cycles>(n, seed, faulty));
         }
         let m = CostModel::thompson(n);
         if let Ok((t, mut e)) = experiments::broadcast(n, &m, profiled) {

@@ -25,6 +25,7 @@
 use crate::diff::{Family, Gate};
 use orthotrees::obs::json::Json;
 use orthotrees::obs::Recorder;
+use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees::BitTime;
 use orthotrees_analysis::experiments::{self, PipelineSlo};
 use orthotrees_analysis::obsreport;
@@ -113,7 +114,9 @@ fn table_json(t: &ReproTable) -> Json {
     Json::obj([("id", Json::str(t.id)), ("rows", Json::arr(rows))])
 }
 
-fn phase_json(workload: &str, n: usize, completion: BitTime, rec: &Recorder) -> Json {
+/// The phase attribution and counters of the network's observed SORT.
+fn phase_json<T: Topology>(n: usize, seed: u64) -> Json {
+    let (out, rec) = obsreport::sort_observed::<T>(n, seed);
     let attribution = rec.phase_totals().into_iter().map(|p| {
         (
             p.name,
@@ -126,9 +129,9 @@ fn phase_json(workload: &str, n: usize, completion: BitTime, rec: &Recorder) -> 
     });
     let counters = rec.counters().map(|(k, v)| (k.to_string(), Json::u64(v)));
     Json::obj([
-        ("workload", Json::str(workload)),
+        ("workload", Json::str(format!("SORT-{}", T::NAME))),
         ("n", Json::u64(n as u64)),
-        ("completion_bits", Json::u64(completion.get())),
+        ("completion_bits", Json::u64(out.time.get())),
         ("attribution", Json::obj(attribution)),
         ("counters", Json::obj(counters)),
     ])
@@ -195,13 +198,8 @@ pub fn bench_summary(preset_name: &str, cfg: &ReportConfig) -> Json {
         report::table4(cfg),
     ];
 
-    let obs_n = cfg.sort_ns.iter().copied().filter(|&n| n <= 128).max().unwrap_or(16);
-    let (otn_out, otn_rec) = obsreport::otn_sort_observed(obs_n, cfg.seed);
-    let (otc_out, otc_rec) = obsreport::otc_sort_observed(obs_n, cfg.seed);
-    let phases = [
-        phase_json("SORT-OTN", obs_n, otn_out.time, &otn_rec),
-        phase_json("SORT-OTC", obs_n, otc_out.time, &otc_rec),
-    ];
+    let obs_n = cfg.obs_n();
+    let phases = [phase_json::<Tree>(obs_n, cfg.seed), phase_json::<Cycles>(obs_n, cfg.seed)];
 
     let m = CostModel::thompson(obs_n);
     let observed =

@@ -20,19 +20,24 @@
 
 use crate::bitset::{self, Plane};
 use crate::dflow::FlowShape;
+use crate::otn::sort::SortOutcome;
 use crate::primitive::{self, Acc, Monoid, ParallelPolicy, PrimitiveSpec};
 use crate::resilience::{self, FaultPlan, FaultReport, FaultState, FaultStats};
 use crate::select::{self, Pick, Sel};
 use crate::word::Word;
 use orthotrees_obs::telemetry::{CounterId, SketchId, Telemetry};
 use orthotrees_obs::{causal::ReachCell, Recorder};
-use orthotrees_vlsi::{BitTime, Clock, CostKind, CostModel};
+use orthotrees_vlsi::{BitTime, Clock, CostKind, CostModel, ModelError};
 use std::marker::PhantomData;
 
 /// What distinguishes the two networks inside the shared core. Implemented
 /// by the zero-sized [`Tree`] and [`Cycles`], so every executor is compiled
 /// once per network and the OTN's run with the cycle length folded to 1.
+/// It also names each network and its SORT, so a caller that runs both
+/// sorts writes one body generic over `T: Topology`.
 pub trait Topology: Copy + std::fmt::Debug + Send + Sync + 'static {
+    /// The network's name as the paper writes it (`OTN` / `OTC`).
+    const NAME: &'static str;
     /// Telemetry counter of clock charges (`otn.charges` / `otc.charges`).
     const CHARGES: &'static str;
     /// Telemetry sketch of the charged magnitudes (`….charge_tau`).
@@ -48,6 +53,23 @@ pub trait Topology: Copy + std::fmt::Debug + Send + Sync + 'static {
     /// The leaf slot of the fault site of the root-bound word at stream
     /// position `q` of a tree with `leaves` leaves.
     fn root_site(leaves: usize, cycle: usize, q: usize) -> usize;
+
+    /// The network that sorts `n` words:
+    /// [`Otn::for_sorting`](crate::otn::Otn::for_sorting) /
+    /// [`Otc::for_sorting`](crate::otc::Otc::for_sorting).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError`] unless `n` is a supported sorting size.
+    fn for_sorting(n: usize) -> Result<WordNet<Self>, ModelError>;
+
+    /// The network's SORT procedure: [`crate::otn::sort::sort`] /
+    /// [`crate::otc::sort::sort`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError`] if `xs` does not fit `net`.
+    fn sort(net: &mut WordNet<Self>, xs: &[Word]) -> Result<SortOutcome, ModelError>;
 }
 
 /// The orthogonal trees network's topology: one base processor per cell.
@@ -60,6 +82,7 @@ pub struct Tree;
 pub struct Cycles;
 
 impl Topology for Tree {
+    const NAME: &'static str = "OTN";
     const CHARGES: &'static str = "otn.charges";
     const CHARGE_TAU: &'static str = "otn.charge_tau";
     const DOWN: FlowShape = FlowShape::Down;
@@ -74,9 +97,18 @@ impl Topology for Tree {
     fn root_site(_: usize, _: usize, _: usize) -> usize {
         resilience::TREE_SITE
     }
+
+    fn for_sorting(n: usize) -> Result<WordNet<Self>, ModelError> {
+        crate::otn::Otn::for_sorting(n)
+    }
+
+    fn sort(net: &mut WordNet<Self>, xs: &[Word]) -> Result<SortOutcome, ModelError> {
+        crate::otn::sort::sort(net, xs)
+    }
 }
 
 impl Topology for Cycles {
+    const NAME: &'static str = "OTC";
     const CHARGES: &'static str = "otc.charges";
     const CHARGE_TAU: &'static str = "otc.charge_tau";
     const DOWN: FlowShape = FlowShape::StreamDown;
@@ -92,6 +124,14 @@ impl Topology for Cycles {
     #[inline]
     fn root_site(leaves: usize, cycle: usize, q: usize) -> usize {
         leaves * cycle + q
+    }
+
+    fn for_sorting(n: usize) -> Result<WordNet<Self>, ModelError> {
+        crate::otc::Otc::for_sorting(n)
+    }
+
+    fn sort(net: &mut WordNet<Self>, xs: &[Word]) -> Result<SortOutcome, ModelError> {
+        crate::otc::sort::sort(net, xs)
     }
 }
 

@@ -17,97 +17,90 @@
 
 use orthotrees::obs::causal::SegmentKind;
 use orthotrees::obs::Recorder;
-use orthotrees::otc::{self, Otc};
+use orthotrees::otn::sort::SortOutcome;
 use orthotrees::otn::{sort, Otn};
+use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees::{FaultPlan, Word};
 
 fn otn_sort_input(n: usize) -> Vec<Word> {
     (0..n as Word).map(|v| (v * 37 + 11) % n as Word).collect()
 }
 
-#[test]
-fn otn_sort_is_bit_identical_with_recorder_installed() {
-    let xs = otn_sort_input(16);
-    let mut plain = Otn::for_sorting(16).unwrap();
-    let baseline = sort::sort(&mut plain, &xs).unwrap();
+/// Runs `T`'s SORT on the 16-word input with a recorder installed.
+fn recorded_sort<T: Topology>() -> (SortOutcome, Recorder) {
+    let mut net = T::for_sorting(16).unwrap();
+    net.install_recorder(Recorder::new());
+    let out = T::sort(&mut net, &otn_sort_input(16)).unwrap();
+    (out, net.take_recorder().unwrap())
+}
 
-    let mut recorded = Otn::for_sorting(16).unwrap();
-    recorded.install_recorder(Recorder::new());
-    let observed = sort::sort(&mut recorded, &xs).unwrap();
+fn sort_is_bit_identical_with_recorder_installed<T: Topology>() {
+    let mut plain = T::for_sorting(16).unwrap();
+    let baseline = T::sort(&mut plain, &otn_sort_input(16)).unwrap();
 
+    let (observed, rec) = recorded_sort::<T>();
     assert_eq!(observed, baseline, "a recorder must not perturb the run");
-    let rec = recorded.take_recorder().unwrap();
     assert!(!rec.spans().is_empty(), "the run must have been recorded");
 }
 
 #[test]
-fn otn_phase_self_times_sum_to_completion_time() {
-    let xs = otn_sort_input(16);
-    let mut net = Otn::for_sorting(16).unwrap();
-    net.install_recorder(Recorder::new());
-    let out = sort::sort(&mut net, &xs).unwrap();
-    let rec = net.take_recorder().unwrap();
+fn otn_sort_is_bit_identical_with_recorder_installed() {
+    sort_is_bit_identical_with_recorder_installed::<Tree>();
+}
+
+#[test]
+fn otc_sort_is_bit_identical_with_recorder_installed() {
+    sort_is_bit_identical_with_recorder_installed::<Cycles>();
+}
+
+/// Asserts that `T`'s SORT records every step in `phases` under its paper
+/// name, inside one procedure-level span that covers the whole sort.
+fn phase_self_times_sum_to_completion_time<T: Topology>(phases: &[&str]) {
+    let (out, rec) = recorded_sort::<T>();
 
     assert_eq!(rec.total_recorded(), out.time, "root spans must cover the whole run");
     let attributed: u64 = rec.phase_totals().iter().map(|p| p.self_time.get()).sum();
     assert_eq!(attributed, out.time.get(), "self times must sum to completion time");
 
-    // The five SORT-OTN steps appear under their paper names, inside the
-    // procedure-level span.
     let top = rec.phase_totals();
     let names: Vec<&str> = top.iter().map(|p| p.name.as_str()).collect();
-    for expect in
-        ["SORT-OTN", "ROOTTOLEAF", "LEAFTOLEAF", "BP-PHASE", "COUNT-LEAFTOLEAF", "LEAFTOROOT"]
-    {
-        assert!(names.contains(&expect), "missing phase {expect}: {names:?}");
+    for expect in phases {
+        assert!(names.contains(expect), "missing phase {expect}: {names:?}");
     }
-    let sort_span = top.iter().find(|p| p.name == "SORT-OTN").unwrap();
+    let procedure = format!("SORT-{}", T::NAME);
+    let sort_span = top.iter().find(|p| p.name == procedure).unwrap();
     assert_eq!(sort_span.count, 1);
     assert_eq!(sort_span.total, out.time, "the procedure span covers the whole sort");
 }
 
 #[test]
-fn otc_sort_is_bit_identical_with_recorder_installed() {
-    let xs = otn_sort_input(16);
-    let mut plain = Otc::for_sorting(16).unwrap();
-    let baseline = otc::sort::sort(&mut plain, &xs).unwrap();
-
-    let mut recorded = Otc::for_sorting(16).unwrap();
-    recorded.install_recorder(Recorder::new());
-    let observed = otc::sort::sort(&mut recorded, &xs).unwrap();
-
-    assert_eq!(observed, baseline, "a recorder must not perturb the run");
-    let rec = recorded.take_recorder().unwrap();
-    assert!(!rec.spans().is_empty(), "the run must have been recorded");
+fn otn_phase_self_times_sum_to_completion_time() {
+    phase_self_times_sum_to_completion_time::<Tree>(&[
+        "SORT-OTN",
+        "ROOTTOLEAF",
+        "LEAFTOLEAF",
+        "BP-PHASE",
+        "COUNT-LEAFTOLEAF",
+        "LEAFTOROOT",
+    ]);
 }
 
 #[test]
 fn otc_phase_self_times_sum_to_completion_time() {
-    let xs = otn_sort_input(16);
-    let mut net = Otc::for_sorting(16).unwrap();
-    net.install_recorder(Recorder::new());
-    let out = otc::sort::sort(&mut net, &xs).unwrap();
-    let rec = net.take_recorder().unwrap();
-
-    assert_eq!(rec.total_recorded(), out.time, "root spans must cover the whole run");
-    let attributed: u64 = rec.phase_totals().iter().map(|p| p.self_time.get()).sum();
-    assert_eq!(attributed, out.time.get(), "self times must sum to completion time");
-
-    let names: Vec<String> = rec.phase_totals().iter().map(|p| p.name.clone()).collect();
-    for expect in
-        ["SORT-OTC", "ROOTTOCYCLE", "CYCLETOCYCLE", "VECTORCIRCULATE", "BP-PHASE", "CYCLE-PHASE"]
-    {
-        assert!(names.iter().any(|n| n == expect), "missing phase {expect}: {names:?}");
-    }
+    phase_self_times_sum_to_completion_time::<Cycles>(&[
+        "SORT-OTC",
+        "ROOTTOCYCLE",
+        "CYCLETOCYCLE",
+        "VECTORCIRCULATE",
+        "BP-PHASE",
+        "CYCLE-PHASE",
+    ]);
 }
 
-#[test]
-fn otn_segments_tile_the_completion_time() {
-    let xs = otn_sort_input(16);
-    let mut net = Otn::for_sorting(16).unwrap();
-    net.install_recorder(Recorder::new());
-    let out = sort::sort(&mut net, &xs).unwrap();
-    let rec = net.take_recorder().unwrap();
+/// Asserts that `T`'s SORT splits into causal segments that tile its
+/// clock, with wire segments on exactly the tree `levels`.
+fn segments_tile_the_completion_time<T: Topology>(levels: &[u32]) {
+    let (out, rec) = recorded_sort::<T>();
 
     assert_eq!(rec.segments_total(), out.time, "Σ segments == completion, exactly");
     assert!(
@@ -123,25 +116,21 @@ fn otn_segments_tile_the_completion_time() {
     }
     let total: u64 = attr.iter().map(|t| t.total.get()).sum();
     assert_eq!(total, out.time.get());
-    // Wire segments carry tree levels; a 16×16 OTN's trees have 4 levels.
-    let levels: std::collections::BTreeSet<u32> =
+    let seen: std::collections::BTreeSet<u32> =
         rec.segments().iter().filter_map(|s| s.level).collect();
-    assert_eq!(levels.into_iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), levels);
+}
+
+#[test]
+fn otn_segments_tile_the_completion_time() {
+    // A 16×16 OTN's trees have 4 levels.
+    segments_tile_the_completion_time::<Tree>(&[1, 2, 3, 4]);
 }
 
 #[test]
 fn otc_segments_tile_the_completion_time() {
-    let xs = otn_sort_input(16);
-    let mut net = Otc::for_sorting(16).unwrap();
-    net.install_recorder(Recorder::new());
-    let out = otc::sort::sort(&mut net, &xs).unwrap();
-    let rec = net.take_recorder().unwrap();
-
-    assert_eq!(rec.segments_total(), out.time, "Σ segments == completion, exactly");
-    assert!(rec.segments().windows(2).all(|w| w[0].end == w[1].start));
-    assert!(rec.segments().iter().all(|s| s.span.is_some()));
-    let total: u64 = rec.segment_attribution().iter().map(|t| t.total.get()).sum();
-    assert_eq!(total, out.time.get());
+    // A 16-word OTC is 4×4 cycles of 4, so its trees have 2 levels.
+    segments_tile_the_completion_time::<Cycles>(&[1, 2]);
 }
 
 #[test]

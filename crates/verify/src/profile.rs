@@ -25,8 +25,7 @@
 use crate::diag::Finding;
 use orthotrees::obs::profile::Profiler;
 use orthotrees::obs::Recorder;
-use orthotrees::otc::{self, Otc};
-use orthotrees::otn::{self, Otn};
+use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees::FaultPlan;
 use orthotrees_sim::{experiments, Engine};
 use orthotrees_vlsi::{BitTime, CostModel};
@@ -131,38 +130,18 @@ fn dense_plan(seed: u64) -> FaultPlan {
     FaultPlan::new(seed).with_word_fault_rate(0.3).with_max_retries(2)
 }
 
-fn word_stock(network: &str, n: usize, faulty: bool, out: &mut Vec<Finding>) {
+fn word_stock<T: Topology>(n: usize, faulty: bool, out: &mut Vec<Finding>) {
     let xs = scrambled_words(n);
-    let (time, rec) = if network == "OTN" {
-        let mut net = match Otn::for_sorting(n) {
-            Ok(net) => net,
-            Err(_) => return,
-        };
-        net.install_recorder(Recorder::new());
-        if faulty {
-            net.install_fault_plan(dense_plan(7));
-        }
-        match otn::sort::sort(&mut net, &xs) {
-            Ok(o) => (o.time, net.take_recorder().expect("recorder installed")),
-            Err(_) => return,
-        }
-    } else {
-        let mut net = match Otc::for_sorting(n) {
-            Ok(net) => net,
-            Err(_) => return,
-        };
-        net.install_recorder(Recorder::new());
-        if faulty {
-            net.install_fault_plan(dense_plan(7));
-        }
-        match otc::sort::sort(&mut net, &xs) {
-            Ok(o) => (o.time, net.take_recorder().expect("recorder installed")),
-            Err(_) => return,
-        }
-    };
+    let Ok(mut net) = T::for_sorting(n) else { return };
+    net.install_recorder(Recorder::new());
+    if faulty {
+        net.install_fault_plan(dense_plan(7));
+    }
+    let Ok(sorted) = T::sort(&mut net, &xs) else { return };
+    let (time, rec) = (sorted.time, net.take_recorder().expect("recorder installed"));
     let prof = Profiler::from_recorder(&rec, Profiler::auto_width(time.get()));
     let fault = if faulty { ", dense faults" } else { "" };
-    let name = format!("SORT-{network}[{n}]{fault}");
+    let name = format!("SORT-{}[{n}]{fault}", T::NAME);
     out.extend(check_windows(&name, &prof));
     out.extend(check_word_tiling(&name, &prof, &rec, time));
 }
@@ -195,8 +174,8 @@ pub fn stock_findings() -> Vec<Finding> {
     }
     for n in [16usize, 64] {
         for faulty in [false, true] {
-            word_stock("OTN", n, faulty, &mut out);
-            word_stock("OTC", n, faulty, &mut out);
+            word_stock::<Tree>(n, faulty, &mut out);
+            word_stock::<Cycles>(n, faulty, &mut out);
         }
     }
     out
@@ -251,9 +230,9 @@ mod tests {
     #[test]
     fn dropped_word_tau_is_prof001() {
         let xs = scrambled_words(16);
-        let mut net = Otn::for_sorting(16).unwrap();
+        let mut net = Tree::for_sorting(16).unwrap();
         net.install_recorder(Recorder::new());
-        let out = otn::sort::sort(&mut net, &xs).unwrap();
+        let out = Tree::sort(&mut net, &xs).unwrap();
         let rec = net.take_recorder().unwrap();
         let prof = Profiler::from_recorder(&rec, Profiler::auto_width(out.time.get()));
         assert!(check_word_tiling("clean", &prof, &rec, out.time).is_empty());

@@ -5,6 +5,7 @@
 //! Run with: `cargo run -p orthotrees-bench --example fault_tolerance`
 
 use orthotrees::otn::{self, Otn};
+use orthotrees::wordnet::{Cycles, Tree};
 use orthotrees::{FaultPlan, TreeAxis};
 use orthotrees_analysis::faults;
 use orthotrees_sim::{Bit, Engine, NodeBehavior, Outbox, PortId, RunBudget};
@@ -18,9 +19,9 @@ fn main() {
     // 1) Degradation tables: accuracy and slowdown vs word-fault rate.
     // -----------------------------------------------------------------
     println!("sweeping SORT under seeded word faults…\n");
-    print!("{}", faults::sort_otn_faults(64, seed, &rates).render());
+    print!("{}", faults::sort_faults::<Tree>(64, seed, &rates).render());
     println!();
-    print!("{}", faults::sort_otc_faults(64, seed, &rates).render());
+    print!("{}", faults::sort_faults::<Cycles>(64, seed, &rates).render());
     println!(
         "\nreading: single flips and drops are caught by parity/framing and repaired by\n\
          retransmission (the slowdown column); double flips balance the parity and get\n\

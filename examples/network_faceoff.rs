@@ -10,6 +10,7 @@
 //! spans on the simulated clock (1 τ rendered as 1 µs).
 
 use orthotrees::obs::chrome::chrome_trace;
+use orthotrees::wordnet::Tree;
 use orthotrees_analysis::tables::{paper, ReproTable};
 use orthotrees_analysis::{obsreport, sweep};
 
@@ -56,7 +57,7 @@ fn main() {
 
     if let Some(path) = trace_path() {
         let n = *ns.last().unwrap();
-        let (out, rec) = obsreport::otn_sort_observed(n, seed);
+        let (out, rec) = obsreport::sort_observed::<Tree>(n, seed);
         match std::fs::write(&path, chrome_trace(&rec).render()) {
             Ok(()) => println!(
                 "\nChrome-trace of SORT-OTN (N = {n}, completion {} bit-times) written to \

@@ -16,8 +16,8 @@
 
 use orthotrees::checkpoint;
 use orthotrees::obs::json::Json;
-use orthotrees::otc::{self, Otc};
 use orthotrees::otn::{self, Otn};
+use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees::{BitTime, FaultPlan, SimError};
 use orthotrees_sim::snapshot::{opt_u64_to_json, req_opt_u64, req_u64, req_word, word_to_json};
 use orthotrees_sim::{
@@ -225,6 +225,43 @@ fn problem(n: usize, salt: i64) -> Vec<i64> {
     (0..n as i64).map(|v| (v * 37 + salt) % n as i64).collect()
 }
 
+/// Checkpoints `T`'s net between two sorts, restores the checkpoint into a
+/// replica that sorted a different first problem, and requires the second
+/// sort to replay bit-identically, with and without a fault plan.
+fn snapshot_between_problems<T: Topology>(salt: i64, fault_seed: Option<u64>) -> TestCaseResult {
+    for &n in &WORD_NS {
+        let plan = fault_seed.map(|s| FaultPlan::new(s).with_word_fault_rate(0.02));
+
+        // Reference: two problems back to back, checkpoint in between.
+        let mut a = T::for_sorting(n).unwrap();
+        if let Some(p) = plan.clone() {
+            a.install_fault_plan(p);
+        }
+        let _ = T::sort(&mut a, &problem(n, salt)).unwrap();
+        let text = a.checkpoint_text();
+        let out_a = T::sort(&mut a, &problem(n, salt + 1)).unwrap();
+
+        // Replica: diverge (different first problem), then restore the
+        // checkpoint from its JSON text and replay the second problem.
+        let mut b = T::for_sorting(n).unwrap();
+        if let Some(p) = plan.clone() {
+            b.install_fault_plan(p);
+        }
+        let _ = T::sort(&mut b, &problem(n, salt + 7)).unwrap();
+        let snap = checkpoint::Snapshot::parse(&text).unwrap();
+        b.restore(&snap).unwrap();
+        let out_b = T::sort(&mut b, &problem(n, salt + 1)).unwrap();
+
+        prop_assert_eq!(&out_a.sorted, &out_b.sorted);
+        prop_assert_eq!(&out_a.missing, &out_b.missing);
+        prop_assert_eq!(out_a.time, out_b.time);
+        prop_assert_eq!(a.clock(), b.clock());
+        prop_assert_eq!(a.fault_stats(), b.fault_stats());
+        prop_assert_eq!(a.checkpoint_text(), b.checkpoint_text());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -234,37 +271,7 @@ proptest! {
         with_plan in any::<bool>(),
         fault_seed in 0u64..1000,
     ) {
-        let fault_seed = with_plan.then_some(fault_seed);
-        for &n in &WORD_NS {
-            let plan = fault_seed.map(|s| FaultPlan::new(s).with_word_fault_rate(0.02));
-
-            // Reference: two problems back to back, checkpoint in between.
-            let mut a = Otn::for_sorting(n).unwrap();
-            if let Some(p) = plan.clone() {
-                a.install_fault_plan(p);
-            }
-            let _ = otn::sort::sort(&mut a, &problem(n, salt)).unwrap();
-            let text = a.checkpoint_text();
-            let out_a = otn::sort::sort(&mut a, &problem(n, salt + 1)).unwrap();
-
-            // Replica: diverge (different first problem), then restore the
-            // checkpoint from its JSON text and replay the second problem.
-            let mut b = Otn::for_sorting(n).unwrap();
-            if let Some(p) = plan.clone() {
-                b.install_fault_plan(p);
-            }
-            let _ = otn::sort::sort(&mut b, &problem(n, salt + 7)).unwrap();
-            let snap = checkpoint::Snapshot::parse(&text).unwrap();
-            b.restore(&snap).unwrap();
-            let out_b = otn::sort::sort(&mut b, &problem(n, salt + 1)).unwrap();
-
-            prop_assert_eq!(&out_a.sorted, &out_b.sorted);
-            prop_assert_eq!(&out_a.missing, &out_b.missing);
-            prop_assert_eq!(out_a.time, out_b.time);
-            prop_assert_eq!(a.clock(), b.clock());
-            prop_assert_eq!(a.fault_stats(), b.fault_stats());
-            prop_assert_eq!(a.checkpoint_text(), b.checkpoint_text());
-        }
+        snapshot_between_problems::<Tree>(salt, with_plan.then_some(fault_seed))?;
     }
 
     #[test]
@@ -273,32 +280,7 @@ proptest! {
         with_plan in any::<bool>(),
         fault_seed in 0u64..1000,
     ) {
-        let fault_seed = with_plan.then_some(fault_seed);
-        for &n in &WORD_NS {
-            let plan = fault_seed.map(|s| FaultPlan::new(s).with_word_fault_rate(0.02));
-
-            let mut a = Otc::for_sorting(n).unwrap();
-            if let Some(p) = plan.clone() {
-                a.install_fault_plan(p);
-            }
-            let _ = otc::sort::sort(&mut a, &problem(n, salt)).unwrap();
-            let text = a.checkpoint_text();
-            let out_a = otc::sort::sort(&mut a, &problem(n, salt + 1)).unwrap();
-
-            let mut b = Otc::for_sorting(n).unwrap();
-            if let Some(p) = plan.clone() {
-                b.install_fault_plan(p);
-            }
-            let _ = otc::sort::sort(&mut b, &problem(n, salt + 7)).unwrap();
-            let snap = checkpoint::Snapshot::parse(&text).unwrap();
-            b.restore(&snap).unwrap();
-            let out_b = otc::sort::sort(&mut b, &problem(n, salt + 1)).unwrap();
-
-            prop_assert_eq!(&out_a.sorted, &out_b.sorted);
-            prop_assert_eq!(out_a.time, out_b.time);
-            prop_assert_eq!(a.clock(), b.clock());
-            prop_assert_eq!(a.checkpoint_text(), b.checkpoint_text());
-        }
+        snapshot_between_problems::<Cycles>(salt, with_plan.then_some(fault_seed))?;
     }
 }
 
