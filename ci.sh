@@ -43,6 +43,8 @@ cargo test --release -q -p orthotrees-bench --test calendar_suite
 cargo test --release -q -p orthotrees-bench --test calendar_suite -- --ignored full_probe_sweep_across_calendars
 # Snapshot reader sweep: every truncation and byte edit of each probe's snapshot parses or fails typed.
 cargo test --release -q -p orthotrees-sim --lib -- --ignored every_truncation_and_byte_edit_of_every_probe_snapshot
+# Schema table sweep: every row of every /v1 table times every hostile edit, on a fresh document of each schema and on BENCH_2/PROF_7, is rejected at its field or admitted, never a panic.
+cargo test --release -q -p orthotrees-bench --test schema_suite -- --ignored every_hostile_edit_of_every_row_is_rejected_or_admitted
 # Snapshot resume sweep: every probe's snapshot with a pending bit index rewritten past the word restores and runs or fails typed (debug build, so overflow panics).
 cargo test -q -p orthotrees-sim --lib -- --ignored every_out_of_range_bit_index_of_every_probe_snapshot_resumes_or_fails_typed
 # Probe independence gate: every engine instrument must give the same

@@ -53,7 +53,7 @@ fn main() {
                     }
                 }
             }
-            Err(errs) => eprintln!("warning: telemetry export failed: {errs:?}"),
+            Err(e) => eprintln!("warning: telemetry export failed: {e}"),
         }
 
         println!("\nCSV series, Perfetto trace and telemetry exports written to {}", dir.display());

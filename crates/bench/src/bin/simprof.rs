@@ -47,12 +47,8 @@ fn main() {
     let preset = if full { "full" } else { "quick" };
     eprintln!("simprof: running the {preset} profile matrix …");
     let doc = profile::profile_document(preset, ReportConfig::default().seed);
-    let errs = profile::profile_violations(&doc);
-    if !errs.is_empty() {
-        for e in &errs {
-            eprintln!("simprof: emitted document: {e}");
-        }
-        fail(&format!("emitted document violates the {} schema", profile::SCHEMA));
+    if let Err(e) = profile::validate(&doc) {
+        fail(&format!("emitted document violates the {} schema: {e}", profile::SCHEMA));
     }
     if let Err(e) = fs::write(&out, doc.render() + "\n") {
         fail(&format!("cannot write {out}: {e}"));

@@ -27,10 +27,8 @@ fn main() -> ExitCode {
 
     let art = match export::telemetry_artifacts(64, problems, cfg.seed) {
         Ok(art) => art,
-        Err(errs) => {
-            for e in &errs {
-                eprintln!("telemetry: {e}");
-            }
+        Err(e) => {
+            eprintln!("telemetry: {e}");
             return ExitCode::FAILURE;
         }
     };

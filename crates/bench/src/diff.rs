@@ -20,6 +20,7 @@
 
 use crate::{profile, summary, Preset};
 use orthotrees::obs::json::{Json, ParseError};
+use orthotrees::obs::schema::{self, SchemaError};
 use std::fmt::{self, Write as _};
 
 /// The diff document's schema identifier.
@@ -127,8 +128,8 @@ pub enum DiffError {
     Json(ParseError),
     /// The schema tag names no family (`None` when the tag is absent).
     Schema(Option<String>),
-    /// The document violates its family's validator.
-    Invalid(Vec<String>),
+    /// The document breaks its family's table or one of its rules.
+    Invalid(SchemaError),
     /// The baseline names a preset other than `quick` or `full`.
     Preset(String),
 }
@@ -140,7 +141,7 @@ impl fmt::Display for DiffError {
             DiffError::Json(e) => write!(f, "not valid JSON: {e}"),
             DiffError::Schema(None) => f.write_str("no schema tag"),
             DiffError::Schema(Some(tag)) => write!(f, "unknown schema {tag:?}"),
-            DiffError::Invalid(errs) => write!(f, "schema violations: {}", errs.join("; ")),
+            DiffError::Invalid(e) => write!(f, "schema violation: {e}"),
             DiffError::Preset(name) => write!(f, "unknown preset {name:?} (quick or full)"),
         }
     }
@@ -160,38 +161,27 @@ pub struct Family {
     pub rules: &'static [(&'static str, Gate)],
     /// The keyed elements of a document, in document order.
     pub(crate) elements: for<'a> fn(&'a Json) -> Vec<(String, &'a Json)>,
-    /// The family's schema validator (empty = valid).
-    pub(crate) validate: fn(&Json) -> Vec<String>,
+    /// The family's validator: its schema table, then its rules.
+    pub(crate) validate: fn(&Json) -> Result<(), SchemaError>,
     /// Builds a fresh document for a preset and seed.
     pub(crate) generate: fn(Preset, u64) -> Json,
 }
 
 impl Family {
     /// Regenerates the current document in-process with the baseline's
-    /// own preset and seed, and validates it.
-    ///
-    /// # Errors
-    ///
+    /// own preset and seed, and validates it: [`DiffError::Invalid`] when
+    /// the baseline or the fresh document fails the validator,
     /// [`DiffError::Preset`] when the baseline's preset is not `quick` or
-    /// `full`; [`DiffError::Invalid`] when it has no seed or the fresh
-    /// document fails the validator.
+    /// `full`.
     pub fn regenerate(&self, baseline: &Json) -> Result<Json, DiffError> {
+        (self.validate)(baseline).map_err(DiffError::Invalid)?;
         let name = baseline.get("preset").and_then(Json::as_str).unwrap_or_default();
         let preset = Preset::from_name(name).ok_or_else(|| DiffError::Preset(name.to_string()))?;
-        let seed = baseline
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| DiffError::Invalid(vec!["seed missing".to_string()]))?;
-        self.check((self.generate)(preset, seed))
+        self.check((self.generate)(preset, schema::u64_at(baseline, "seed")))
     }
 
     fn check(&self, doc: Json) -> Result<Json, DiffError> {
-        let errs = (self.validate)(&doc);
-        if errs.is_empty() {
-            Ok(doc)
-        } else {
-            Err(DiffError::Invalid(errs))
-        }
+        (self.validate)(&doc).map(|()| doc).map_err(DiffError::Invalid)
     }
 
     /// Every gated metric of `doc` as `(key, metric, gate, value)`, in
@@ -394,8 +384,14 @@ pub fn diff(family: &Family, baseline: &Json, current: &Json) -> Report {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/hostile.rs"]
+mod hostile;
+
+#[cfg(test)]
 mod tests {
+    use super::hostile::{self, Edit};
     use super::*;
+    use orthotrees::obs::schema::Field;
     use proptest::prelude::*;
     use std::ptr;
 
@@ -602,11 +598,86 @@ mod tests {
 
     #[test]
     fn a_document_its_validator_rejects_is_a_typed_error() {
-        match read(br#"{"schema":"orthotrees-bench/v1"}"#) {
-            Err(DiffError::Invalid(errs)) => {
-                assert!(errs.iter().any(|e| e.contains("tables")), "{errs:?}");
+        for (text, field) in [
+            (r#"{"schema":"orthotrees-bench/v1"}"#, "preset"),
+            (r#"{"schema":"orthotrees-bench/v1","preset":"quick","seed":1}"#, "tables"),
+        ] {
+            match read(text.as_bytes()) {
+                Err(DiffError::Invalid(e)) => assert_eq!(e.path, field, "{e}"),
+                other => panic!("expected a validator error, got {other:?}"),
             }
-            other => panic!("expected a validator error, got {other:?}"),
+        }
+    }
+
+    /// The element paths of each family's table, so a rule path
+    /// (`hot[0].name`) names the row `rows[].hot[].name`.
+    const ELEMENTS: [(&Family, &[Field], &[&str]); 2] = [
+        (
+            &summary::FAMILY,
+            schema::BENCH,
+            &["tables[].rows[].samples[].", "phases[].", "recovery[].", "telemetry[]."],
+        ),
+        (&profile::FAMILY, schema::PROFILE, &["rows[].", ""]),
+    ];
+
+    #[test]
+    fn every_gated_metric_is_a_required_row_of_its_table() {
+        for (family, table, elements) in ELEMENTS {
+            let required = |path: &str| {
+                let (parent, name) = path.rsplit_once('.').unwrap_or(("", path));
+                table.iter().any(|f| {
+                    let (p, names) = f.path.rsplit_once('.').unwrap_or(("", f.path));
+                    f.required && p == parent && names.split('|').any(|n| n == name)
+                })
+            };
+            for (metric, _) in family.rules {
+                let resolves = elements.iter().any(|element| {
+                    let path = format!("{element}{}", metric.replace("[0]", "[]"));
+                    let parents = path.match_indices('.').map(|(i, _)| &path[..i]);
+                    parents.map(|p| p.trim_end_matches("[]")).all(required) && required(&path)
+                });
+                assert!(resolves, "{}: {metric} is not a required row", family.schema);
+            }
+        }
+    }
+
+    #[test]
+    fn deleting_a_gated_field_of_a_baseline_fails_the_read() {
+        for (pick, compared) in [(0, 256), (1, 27)] {
+            let (family, base) = committed(pick);
+            let mut deleted = 0;
+            for (e, &(metric, _)) in (0..(family.elements)(&base).len())
+                .flat_map(|e| family.rules.iter().map(move |rule| (e, rule)))
+            {
+                let mut doc = base.clone();
+                let element = (family.elements)(&doc)[e].1;
+                let (parent, leaf) = match metric.rsplit_once('.') {
+                    Some((parent, leaf)) => (lookup(element, parent), leaf),
+                    None => (Some(element), metric),
+                };
+                let Some(parent) = parent.filter(|p| p.get(leaf).is_some()) else { continue };
+                let parent = parent as *const Json;
+                assert!(edit(&mut doc, parent, &mut drop_key(leaf)));
+                let read_back = read(doc.render().as_bytes());
+                assert!(matches!(read_back, Err(DiffError::Invalid(_))), "{metric} of element {e}");
+                deleted += 1;
+            }
+            assert_eq!(deleted, compared, "{}", family.schema);
+        }
+        // A table whose rows array is gone.
+        let (_, mut doc) = committed(0);
+        let table = lookup(&doc, "tables[0]").unwrap() as *const Json;
+        assert!(edit(&mut doc, table, &mut drop_key("rows")));
+        let read_back = read(doc.render().as_bytes());
+        assert!(matches!(read_back, Err(DiffError::Invalid(e)) if e.path == "tables[0].rows"));
+    }
+
+    /// Removes member `key` from an object.
+    fn drop_key(key: &str) -> impl FnMut(&mut Json) + '_ {
+        move |node| {
+            if let Json::Obj(pairs) = node {
+                pairs.retain(|(k, _)| k != key);
+            }
         }
     }
 
@@ -678,49 +749,28 @@ mod tests {
         read([BENCH_2, PROF_7][pick % 2].as_bytes()).expect("committed baseline reads")
     }
 
-    /// Values of the wrong type or out of every range a reader expects.
-    fn hostile(pick: usize) -> Json {
-        [
-            Json::Null,
-            Json::f64(-1.0),
-            Json::f64(2f64.powi(64)),
-            Json::f64(1e308),
-            Json::str("hostile"),
-            Json::Arr(Vec::new()),
-            Json::Obj(Vec::new()),
-        ][pick % 7]
-            .clone()
-    }
-
-    /// Every object field of every element of `doc`, at any depth.
-    fn fields(family: &Family, doc: &Json) -> Vec<*const Json> {
-        fn walk(node: &Json, out: &mut Vec<*const Json>) {
-            match node {
-                Json::Arr(items) => items.iter().for_each(|v| walk(v, out)),
-                Json::Obj(pairs) => pairs.iter().for_each(|(_, v)| {
-                    out.push(v);
-                    walk(v, out);
-                }),
-                _ => {}
-            }
+    /// Makes hostile edit `edit` to target `target` (element `pick` of
+    /// every array on the way) of a committed baseline and reads the
+    /// rendered document back: an edit the family's table does not admit
+    /// is a typed error at that field or below it, and a document that
+    /// reads diffs against the baseline both ways.
+    fn read_with_hostile_field(pick: usize, target: usize, element: usize, edit: usize) {
+        let (_, base) = committed(pick);
+        let targets = hostile::targets(&base, ELEMENTS[pick % 2].1, element);
+        let target = &targets[target % targets.len()];
+        let edits = Edit::all();
+        let edit = &edits[edit % edits.len()];
+        let verdict = read(target.apply(&base, edit).render().as_bytes());
+        let rejected_at = match &verdict {
+            Ok(_) => None,
+            Err(DiffError::Invalid(e)) => Some(e.path.as_str()),
+            Err(DiffError::Schema(_)) => Some("schema"),
+            Err(e) => panic!("{e}"),
+        };
+        if let Err(e) = target.judge(&edit.rendered(), rejected_at) {
+            panic!("{e}");
         }
-        let mut out = Vec::new();
-        for (_, element) in (family.elements)(doc) {
-            walk(element, &mut out);
-        }
-        out
-    }
-
-    /// Replaces one field of a committed baseline by a hostile value and
-    /// reads the rendered document back: `Ok` or a typed error, and a
-    /// document that reads diffs against the baseline both ways.
-    fn read_with_hostile_field(pick: usize, field: usize, value: usize) {
-        let (family, base) = committed(pick);
-        let mut doc = base.clone();
-        let targets = fields(family, &doc);
-        let target = targets[field % targets.len()];
-        assert!(edit(&mut doc, target, &mut |n| *n = hostile(value)));
-        if let Ok((family, doc)) = read(doc.render().as_bytes()) {
+        if let Ok((family, doc)) = verdict {
             diff(family, &base, &doc);
             diff(family, &doc, &base);
         }
@@ -811,9 +861,10 @@ mod tests {
         fn any_field_replaced_by_a_hostile_value_reads_or_is_a_typed_error(
             pick in 0usize..2,
             field in 0usize..100_000,
-            value in 0usize..7,
+            element in 0usize..1_000,
+            value in 0usize..100,
         ) {
-            read_with_hostile_field(pick, field, value);
+            read_with_hostile_field(pick, field, element, value);
         }
 
         #[test]
@@ -874,20 +925,24 @@ mod tests {
                 "completion_bits":1,"window_bits":1,"windows":[{}],
                 "totals":{{"events":0,"link_bits":0,"queue_wait":0,"wire":0,"compute":0,
                 "faults":0,"fault_overhead":0}},"peak_calendar_depth":0,"cal_p50":0,
-                "cal_p99":0,"hot":[],"footprint":null}}],"eventcore":{{}}}}"#,
+                "cal_p99":0,"hot":[],"footprint":null}}],"eventcore":{{"workload":"STREAM",
+                "n":512,"faulty":true,"reps":2,"events":1,"end_bits":1,"heap_ns_per_event":1,
+                "ladder_ns_per_event":1,"speedup":1}}}}"#,
             windows.join(",")
         );
-        assert!(matches!(read(text.as_bytes()), Err(DiffError::Invalid(_))));
+        let prof_001 = |e: &SchemaError| e.path == "rows[0].totals.events";
+        assert!(matches!(read(text.as_bytes()), Err(DiffError::Invalid(e)) if prof_001(&e)));
         let phases: Vec<_> = (0..4096)
             .map(|i| format!(r#""p{i}":{{"count":1,"total_bits":1,"self_bits":{big}}}"#))
             .collect();
         let text = format!(
             r#"{{"schema":"orthotrees-bench/v1","preset":"quick","seed":1,"tables":[],
                 "phases":[{{"workload":"SORT-OTN","n":16,"completion_bits":1,
-                "attribution":{{{}}}}}],"links":{{"active_links":1}},"recovery":[],
+                "attribution":{{{}}},"counters":{{}}}}],"links":{{"active_links":1}},"recovery":[],
                 "telemetry":[]}}"#,
             phases.join(",")
         );
-        assert!(matches!(read(text.as_bytes()), Err(DiffError::Invalid(_))));
+        let tiling = |e: &SchemaError| e.path == "phases[0].completion_bits";
+        assert!(matches!(read(text.as_bytes()), Err(DiffError::Invalid(e)) if tiling(&e)));
     }
 }

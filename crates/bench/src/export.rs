@@ -10,14 +10,17 @@
 //!
 //! Both are **schema-checked in-process before they are written**: the
 //! JSON must round-trip through the parser and pass
-//! [`orthotrees::obs::telemetry::schema_violations`]; the OpenMetrics
-//! text must carry every reported quantile of the completion sketch and
-//! end with the `# EOF` terminator. A violation is a hard error — CI
+//! [`orthotrees::obs::telemetry::validate`]; the OpenMetrics text must
+//! carry every reported quantile of the completion sketch and end with
+//! the `# EOF` terminator. A violation is a hard [`ExportError`] — CI
 //! never archives an artifact its own reader would reject.
 
-use orthotrees::obs::json::Json;
+use orthotrees::obs::json::{Json, ParseError};
+use orthotrees::obs::schema::SchemaError;
 use orthotrees::obs::telemetry::{self, REPORTED_QUANTILES};
+use orthotrees::ModelError;
 use orthotrees_analysis::experiments::{pipeline_telemetry, PipelineSlo};
+use std::fmt;
 
 /// The two rendered artifacts plus the run they were read from.
 #[derive(Clone, Debug)]
@@ -46,60 +49,62 @@ impl TelemetryArtifacts {
     }
 }
 
-/// Checks the rendered OpenMetrics text: `# EOF` terminated, and the
-/// pipeline completion sketch exported as a summary family with every
-/// reported quantile plus `_count`/`_sum`.
-fn open_metrics_violations(text: &str) -> Vec<String> {
-    let mut errs = Vec::new();
-    if !text.ends_with("# EOF\n") {
-        errs.push("missing # EOF terminator".to_string());
-    }
-    if !text.contains("# TYPE pipeline_completion_tau summary") {
-        errs.push("completion sketch not exported as a summary family".to_string());
-    }
-    for (_, q) in REPORTED_QUANTILES {
-        let line = format!("pipeline_completion_tau{{quantile=\"{q}\"}}");
-        if !text.contains(&line) {
-            errs.push(format!("missing quantile sample {line}"));
+/// Why [`telemetry_artifacts`] wrote nothing.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ExportError {
+    /// The pipelined batch failed to run.
+    Run(ModelError),
+    /// The rendered JSON does not parse.
+    Parse(ParseError),
+    /// The JSON breaks its table or one of its rules.
+    Schema(SchemaError),
+    /// The OpenMetrics text lacks this line.
+    OpenMetrics(String),
+}
+
+impl fmt::Display for ExportError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExportError::Run(e) => write!(f, "run failed: {e}"),
+            ExportError::Parse(e) => write!(f, "emitted JSON does not parse: {e}"),
+            ExportError::Schema(e) => write!(f, "emitted JSON: {e}"),
+            ExportError::OpenMetrics(line) => write!(f, "OpenMetrics text lacks {line:?}"),
         }
     }
-    for suffix in ["_count", "_sum"] {
-        if !text.contains(&format!("pipeline_completion_tau{suffix}")) {
-            errs.push(format!("missing pipeline_completion_tau{suffix} sample"));
-        }
+}
+
+impl std::error::Error for ExportError {}
+
+/// Checks the rendered OpenMetrics text: the pipeline completion sketch
+/// exported as a summary family with every reported quantile plus
+/// `_count`/`_sum`, and the `# EOF` terminator last.
+fn check_open_metrics(text: &str) -> Result<(), ExportError> {
+    let family = "pipeline_completion_tau";
+    let quantiles = REPORTED_QUANTILES.map(|(_, q)| format!("{family}{{quantile=\"{q}\"}}"));
+    let lines = [format!("# TYPE {family} summary")].into_iter().chain(quantiles);
+    let mut lines = lines.chain(["_count", "_sum"].map(|s| format!("{family}{s}")));
+    match lines.find(|line| !text.contains(line.as_str())) {
+        Some(line) => Err(ExportError::OpenMetrics(line)),
+        None if !text.ends_with("# EOF\n") => Err(ExportError::OpenMetrics("# EOF".to_string())),
+        None => Ok(()),
     }
-    errs
 }
 
 /// Runs one pipelined sorting batch and renders its telemetry bus as the
-/// two export artifacts, schema-checking both in-process.
-///
-/// # Errors
-///
-/// Returns the collected violations if the run fails or either rendered
-/// artifact fails its own schema check.
+/// two export artifacts, schema-checking both in-process: an error is the
+/// run's failure or the first check an artifact fails.
 pub fn telemetry_artifacts(
     n: usize,
     problems: usize,
     seed: u64,
-) -> Result<TelemetryArtifacts, Vec<String>> {
-    let slo =
-        pipeline_telemetry(n, problems, seed).map_err(|e| vec![format!("run failed: {e}")])?;
-
+) -> Result<TelemetryArtifacts, ExportError> {
+    let slo = pipeline_telemetry(n, problems, seed).map_err(ExportError::Run)?;
     let json = slo.telemetry.to_json().render() + "\n";
-    let mut errs = match Json::parse(&json) {
-        Ok(doc) => telemetry::schema_violations(&doc),
-        Err(e) => vec![format!("emitted JSON does not parse: {e}")],
-    };
-
+    let doc = Json::parse(&json).map_err(ExportError::Parse)?;
+    telemetry::validate(&doc).map_err(ExportError::Schema)?;
     let open_metrics = slo.telemetry.open_metrics();
-    errs.extend(open_metrics_violations(&open_metrics));
-
-    if errs.is_empty() {
-        Ok(TelemetryArtifacts { slo, json, open_metrics })
-    } else {
-        Err(errs)
-    }
+    check_open_metrics(&open_metrics)?;
+    Ok(TelemetryArtifacts { slo, json, open_metrics })
 }
 
 #[cfg(test)]
@@ -124,13 +129,20 @@ mod tests {
 
     #[test]
     fn a_gutted_exposition_is_rejected() {
-        let errs = open_metrics_violations("# TYPE engine_delivered counter\n# EOF\n");
-        assert!(errs.iter().any(|e| e.contains("summary family")), "{errs:?}");
+        let err = check_open_metrics("# TYPE engine_delivered counter\n# EOF\n").unwrap_err();
+        let summary = "# TYPE pipeline_completion_tau summary".to_string();
+        assert_eq!(err, ExportError::OpenMetrics(summary));
+        let whole = telemetry_artifacts(16, 32, 42).unwrap().open_metrics;
+        assert_eq!(check_open_metrics(&whole), Ok(()));
+        let unterminated = whole.trim_end_matches("# EOF\n");
+        let eof = ExportError::OpenMetrics("# EOF".to_string());
+        assert_eq!(check_open_metrics(unterminated), Err(eof));
     }
 
     #[test]
     fn an_empty_batch_reports_the_run_failure() {
-        let errs = telemetry_artifacts(16, 0, 1).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("run failed")), "{errs:?}");
+        let err = telemetry_artifacts(16, 0, 1).unwrap_err();
+        assert!(matches!(err, ExportError::Run(_)), "{err:?}");
+        assert!(err.to_string().contains("run failed"), "{err}");
     }
 }

@@ -13,12 +13,12 @@
 //!   supervised-recovery run (`SUM-RECOVERY`), both carrying
 //!   calendar-depth percentiles and the peak-footprint report.
 //!
-//! [`profile_violations`] re-verifies the two profiler invariants on the
-//! *document* (the `netlint` rules PROF-001/002 police the live
-//! profiler): window indices must be gapless from 0, and the row's
-//! `totals` must equal the per-window sums — for word rows the
-//! wire + queue + compute total must additionally tile the completion
-//! time exactly, faults included.
+//! [`validate`] checks a document against its [`schema::PROFILE`] table
+//! and re-verifies the two profiler invariants on the *document* (the
+//! `netlint` rules PROF-001/002 police the live profiler): window indices
+//! must be gapless from 0, and the row's `totals` must equal the
+//! per-window sums — for word rows the wire + queue + compute total must
+//! additionally tile the completion time exactly, faults included.
 //!
 //! [`FAMILY`] registers the schema with [`crate::diff`], which gates a
 //! baseline such as `PROF_7.json` through [`RULES`].
@@ -26,6 +26,7 @@
 use crate::diff::{Family, Gate};
 use orthotrees::obs::json::Json;
 use orthotrees::obs::profile::{Footprint, HotSpot, ProfileTotals, Profiler, Window};
+use orthotrees::obs::schema::{self, rows_at, u64_at, SchemaError};
 use orthotrees::obs::Recorder;
 use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees::FaultPlan;
@@ -63,13 +64,12 @@ pub const FAMILY: Family = Family {
     schema: SCHEMA,
     rules: &RULES,
     elements: keyed,
-    validate: profile_violations,
+    validate,
     generate: |preset, seed| profile_document(preset.name(), seed),
 };
 
 fn keyed(doc: &Json) -> Vec<(String, &Json)> {
-    let rows = doc.get("rows").and_then(Json::as_arr).unwrap_or_default();
-    let mut out: Vec<_> = rows
+    let mut out: Vec<_> = rows_at(doc, "rows")
         .iter()
         .map(|row| {
             let (workload, n, level, faulty) = row_identity(row);
@@ -340,154 +340,74 @@ pub fn profile_document(preset_name: &str, seed: u64) -> Json {
     ])
 }
 
-fn row_u64(row: &Json, key: &str) -> Option<u64> {
-    row.get(key).and_then(Json::as_u64)
-}
-
 fn row_identity(row: &Json) -> (String, u64, String, bool) {
     (
         row.get("workload").and_then(Json::as_str).unwrap_or("?").to_string(),
-        row_u64(row, "n").unwrap_or(0),
+        u64_at(row, "n"),
         row.get("level").and_then(Json::as_str).unwrap_or("?").to_string(),
         row.get("faulty").and_then(Json::as_bool).unwrap_or(false),
     )
 }
 
-/// Checks a parsed profile document against the `orthotrees-profile/v1`
-/// schema; returns the violations found (empty = valid). Beyond field
-/// shape, this re-verifies the two profiler invariants document-side:
-/// gapless consecutive window indices (PROF-002) and totals that equal
-/// the per-window sums (PROF-001) — with the word-level rows' τ totals
-/// additionally tiling the completion time exactly.
-pub fn profile_violations(doc: &Json) -> Vec<String> {
-    fn check(errs: &mut Vec<String>, cond: bool, msg: String) {
-        if !cond {
-            errs.push(msg);
+/// Checks a parsed profile document against the [`schema::PROFILE`]
+/// table and then its rules; returns the first violation.
+pub fn validate(doc: &Json) -> Result<(), SchemaError> {
+    schema::check(doc, schema::PROFILE)?;
+    let rows = || rows_at(doc, "rows").iter().enumerate();
+    rows().try_for_each(prof_002_gapless_windows)?;
+    rows().try_for_each(prof_001_totals_sum_the_windows)?;
+    rows().try_for_each(engine_calendar_depths_are_ordered)
+}
+
+/// The per-window sum of `key`, saturating (so past every total).
+fn window_sum(row: &Json, key: &str) -> u64 {
+    rows_at(row, "windows").iter().map(|w| u64_at(w, key)).fold(0, u64::saturating_add)
+}
+
+/// Rule PROF-002: window indices run 0, 1, 2, … without a gap.
+fn prof_002_gapless_windows((r, row): (usize, &Json)) -> Result<(), SchemaError> {
+    let mut indices = rows_at(row, "windows").iter().map(|w| u64_at(w, "index")).enumerate();
+    indices.find(|&(i, index)| index != i as u64).map_or(Ok(()), |(i, found)| {
+        let path = format!("rows[{r}].windows[{i}].index");
+        Err(SchemaError::new(path, format!("{i} (PROF-002: gapless windows)"), found))
+    })
+}
+
+/// Rule PROF-001: every total equals the sum of its windows, and a word
+/// row's wire + queue + compute windows tile its completion time.
+fn prof_001_totals_sum_the_windows((r, row): (usize, &Json)) -> Result<(), SchemaError> {
+    for (key, total) in row.get("totals").and_then(Json::as_obj).unwrap_or_default() {
+        let (summed, found) = (window_sum(row, key), total.as_u64().unwrap_or(0));
+        if found != summed {
+            let expected = format!("Σ windows = {summed} (PROF-001)");
+            return Err(SchemaError::new(format!("rows[{r}].totals.{key}"), expected, found));
         }
     }
-    let mut errs = Vec::new();
-    check(
-        &mut errs,
-        doc.get("schema").and_then(Json::as_str) == Some(SCHEMA),
-        "schema tag missing or wrong".to_string(),
-    );
-    check(
-        &mut errs,
-        doc.get("preset").and_then(Json::as_str).is_some(),
-        "preset missing".to_string(),
-    );
-    check(&mut errs, doc.get("seed").and_then(Json::as_u64).is_some(), "seed missing".to_string());
+    let tau = ["wire", "queue_wait", "compute"].map(|k| window_sum(row, k));
+    let tau = tau.into_iter().fold(0, u64::saturating_add);
+    let completion = u64_at(row, "completion_bits");
+    let word = row.get("level").and_then(Json::as_str) == Some("word");
+    (!word || tau == completion).then_some(()).ok_or_else(|| {
+        let expected = format!("word windows tile {tau} τ (PROF-001)");
+        SchemaError::new(format!("rows[{r}].completion_bits"), expected, completion)
+    })
+}
 
-    let Some(rows) = doc.get("rows").and_then(Json::as_arr) else {
-        errs.push("rows missing".to_string());
-        return errs;
-    };
-    check(&mut errs, !rows.is_empty(), "rows empty".to_string());
-
-    for row in rows {
-        let workload = row.get("workload").and_then(Json::as_str).unwrap_or("?");
-        let n = row_u64(row, "n").unwrap_or(0);
-        let tag = format!("{workload} n={n}");
-        let level = row.get("level").and_then(Json::as_str);
-        check(
-            &mut errs,
-            matches!(level, Some("word" | "engine")),
-            format!("{tag}: level must be word or engine"),
-        );
-        check(
-            &mut errs,
-            row.get("faulty").and_then(Json::as_bool).is_some(),
-            format!("{tag}: faulty missing"),
-        );
-        let completion = row_u64(row, "completion_bits");
-        check(&mut errs, completion.is_some(), format!("{tag}: completion_bits missing"));
-        check(
-            &mut errs,
-            row_u64(row, "window_bits").is_some_and(|w| w >= 1),
-            format!("{tag}: bad window_bits"),
-        );
-
-        let Some(windows) = row.get("windows").and_then(Json::as_arr) else {
-            errs.push(format!("{tag}: windows missing"));
-            continue;
-        };
-        // PROF-002, document-side: indices consecutive from 0.
-        for (i, w) in windows.iter().enumerate() {
-            if row_u64(w, "index") != Some(i as u64) {
-                errs.push(format!("{tag}: window sequence not gapless at position {i} (PROF-002)"));
-                break;
-            }
-        }
-        // PROF-001, document-side: totals == Σ windows, per metric.
-        // Saturating: a hostile document's counts must not overflow the
-        // check (any saturated sum exceeds every declarable total).
-        let sum = |key: &str| {
-            windows.iter().filter_map(|w| row_u64(w, key)).fold(0u64, u64::saturating_add)
-        };
-        let Some(totals) = row.get("totals") else {
-            errs.push(format!("{tag}: totals missing"));
-            continue;
-        };
-        for key in
-            ["events", "link_bits", "queue_wait", "wire", "compute", "faults", "fault_overhead"]
-        {
-            let declared = row_u64(totals, key);
-            let summed = sum(key);
-            if declared != Some(summed) {
-                errs.push(format!(
-                    "{tag}: totals.{key} {declared:?} != Σ windows {summed} (PROF-001)"
-                ));
-            }
-        }
-        if level == Some("word") {
-            let tau = sum("wire").saturating_add(sum("queue_wait")).saturating_add(sum("compute"));
-            if Some(tau) != completion {
-                errs.push(format!(
-                    "{tag}: word windows tile {tau} τ but completion is {completion:?} (PROF-001)"
-                ));
-            }
-        }
-        if level == Some("engine") && sum("events") > 0 {
-            check(
-                &mut errs,
-                row.get("footprint").is_some_and(|f| !matches!(f, Json::Null)),
-                format!("{tag}: engine row with events but no footprint"),
-            );
-            let p50 = row_u64(row, "cal_p50").unwrap_or(0);
-            let p99 = row_u64(row, "cal_p99").unwrap_or(0);
-            let peak = row_u64(row, "peak_calendar_depth").unwrap_or(0);
-            check(
-                &mut errs,
-                p50 <= p99 && p99 <= peak,
-                format!("{tag}: calendar percentiles disordered ({p50}, {p99}, peak {peak})"),
-            );
-        }
+/// Rule: an engine row with events carries its footprint and orders its
+/// calendar depths `cal_p50 ≤ cal_p99 ≤ peak_calendar_depth`.
+fn engine_calendar_depths_are_ordered((r, row): (usize, &Json)) -> Result<(), SchemaError> {
+    if row.get("level").and_then(Json::as_str) != Some("engine") || window_sum(row, "events") == 0 {
+        return Ok(());
     }
-
-    // The event-core microbench section.
-    match doc.get("eventcore") {
-        None => errs.push("eventcore section missing".to_string()),
-        Some(ec) => {
-            check(
-                &mut errs,
-                row_u64(ec, "events").is_some_and(|e| e > 0),
-                "eventcore: events missing or zero".to_string(),
-            );
-            check(
-                &mut errs,
-                row_u64(ec, "end_bits").is_some(),
-                "eventcore: end_bits missing".to_string(),
-            );
-            for key in ["heap_ns_per_event", "ladder_ns_per_event", "speedup"] {
-                check(
-                    &mut errs,
-                    ec.get(key).and_then(Json::as_f64).is_some_and(|v| v > 0.0),
-                    format!("eventcore: {key} missing or non-positive"),
-                );
-            }
-        }
+    if row.get("footprint") == Some(&Json::Null) {
+        let expected = "a footprint on an engine row with events";
+        return Err(SchemaError::new(format!("rows[{r}].footprint"), expected, "null"));
     }
-    errs
+    let depths = ["cal_p50", "cal_p99", "peak_calendar_depth"].map(|k| u64_at(row, k));
+    depths.is_sorted().then_some(()).ok_or_else(|| {
+        let expected = "cal_p50 ≤ cal_p99 ≤ peak_calendar_depth";
+        SchemaError::new(format!("rows[{r}]"), expected, format!("{depths:?}"))
+    })
 }
 
 #[cfg(test)]
@@ -499,8 +419,7 @@ mod tests {
     fn quick_document_round_trips_and_passes_the_schema_check() {
         let doc = profile_document("quick", 42);
         let parsed = Json::parse(&doc.render()).expect("emitted profile must be valid JSON");
-        let errs = profile_violations(&parsed);
-        assert!(errs.is_empty(), "schema violations: {errs:?}");
+        assert_eq!(validate(&parsed), Ok(()));
     }
 
     #[test]
@@ -530,31 +449,42 @@ mod tests {
             .iter()
             .find(|r| row_identity(r) == ("SORT-OTN".to_string(), 64, "word".to_string(), true))
             .unwrap();
-        let overhead = faulty_otn.get("totals").and_then(|t| row_u64(t, "fault_overhead")).unwrap();
+        let overhead = faulty_otn.get("totals").map(|t| u64_at(t, "fault_overhead")).unwrap();
         assert!(overhead > 0, "dense plan must surface retry overhead");
     }
 
     #[test]
     fn validator_flags_a_window_gap_and_a_totals_mismatch() {
-        let doc = Json::parse(
-            r#"{"schema":"orthotrees-profile/v1","preset":"quick","seed":1,
-                "rows":[{"workload":"SORT-OTN","n":16,"level":"word","faulty":false,
-                "completion_bits":10,"window_bits":5,
-                "windows":[
-                  {"index":0,"events":0,"cal_min":0,"cal_max":0,"cal_mean":0.0,
-                   "link_bits":0,"queue_wait":0,"wire":5,"compute":0,"faults":0,
-                   "fault_overhead":0},
-                  {"index":2,"events":0,"cal_min":0,"cal_max":0,"cal_mean":0.0,
-                   "link_bits":0,"queue_wait":0,"wire":5,"compute":0,"faults":0,
-                   "fault_overhead":0}],
-                "totals":{"events":0,"link_bits":0,"queue_wait":0,"wire":7,"compute":0,
-                "faults":0,"fault_overhead":0},
-                "peak_calendar_depth":0,"cal_p50":0,"cal_p99":0,"hot":[],"footprint":null}]}"#,
-        )
-        .unwrap();
-        let errs = profile_violations(&doc);
-        assert!(errs.iter().any(|e| e.contains("PROF-002")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("totals.wire")), "{errs:?}");
+        let window = |index: u64| {
+            format!(
+                r#"{{"index":{index},"events":0,"cal_min":0,"cal_max":0,"cal_mean":0.0,
+                "link_bits":0,"queue_wait":0,"wire":5,"compute":0,"faults":0,
+                "fault_overhead":0}}"#
+            )
+        };
+        let doc = |second: u64, wire: u64| {
+            let text = format!(
+                r#"{{"schema":"orthotrees-profile/v1","preset":"quick","seed":1,
+                "rows":[{{"workload":"SORT-OTN","n":16,"level":"word","faulty":false,
+                "completion_bits":10,"window_bits":5,"windows":[{},{}],
+                "totals":{{"events":0,"link_bits":0,"queue_wait":0,"wire":{wire},"compute":0,
+                "faults":0,"fault_overhead":0}},
+                "peak_calendar_depth":0,"cal_p50":0,"cal_p99":0,"hot":[],"footprint":null}}],
+                "eventcore":{{"workload":"STREAM","n":512,"faulty":true,"reps":2,"events":9,
+                "end_bits":9,"heap_ns_per_event":2.0,"ladder_ns_per_event":1.0,"speedup":2.0}}}}"#,
+                window(0),
+                window(second)
+            );
+            Json::parse(&text).unwrap()
+        };
+        assert_eq!(validate(&doc(1, 10)), Ok(()));
+        let gap = validate(&doc(2, 10)).unwrap_err();
+        assert!(
+            gap.path == "rows[0].windows[1].index" && gap.expected.contains("PROF-002"),
+            "{gap}"
+        );
+        let wire = validate(&doc(1, 7)).unwrap_err();
+        assert!(wire.path == "rows[0].totals.wire" && wire.expected.contains("PROF-001"), "{wire}");
     }
 
     /// A fresh quick document with the machine-dependent microbench

@@ -24,6 +24,7 @@
 
 use crate::diff::{Family, Gate};
 use orthotrees::obs::json::Json;
+use orthotrees::obs::schema::{self, rows_at, u64_at, SchemaError};
 use orthotrees::obs::Recorder;
 use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees::BitTime;
@@ -63,30 +64,27 @@ pub const FAMILY: Family = Family {
     schema: SCHEMA,
     rules: &RULES,
     elements: keyed,
-    validate: schema_violations,
+    validate,
     generate: |preset, seed| {
         bench_summary(preset.name(), &ReportConfig { seed, ..preset.config() })
     },
 };
 
 fn keyed(doc: &Json) -> Vec<(String, &Json)> {
-    fn items<'a>(j: &'a Json, key: &str) -> &'a [Json] {
-        j.get(key).and_then(Json::as_arr).unwrap_or_default()
-    }
     let text = |j: &Json, k| j.get(k).and_then(Json::as_str).unwrap_or_default().to_string();
     let n = |j: &Json| j.get("n").and_then(Json::as_u64).unwrap_or_default();
     let mut out = Vec::new();
-    for table in items(doc, "tables") {
+    for table in rows_at(doc, "tables") {
         let id = text(table, "id");
-        for row in items(table, "rows") {
+        for row in rows_at(table, "rows") {
             let (network, problem) = (text(row, "network"), text(row, "problem"));
-            for s in items(row, "samples") {
+            for s in rows_at(row, "samples") {
                 out.push((format!("{id} · {network} {problem} n={}", n(s)), s));
             }
         }
     }
     for section in ["phases", "recovery", "telemetry"] {
-        for e in items(doc, section) {
+        for e in rows_at(doc, section) {
             out.push((format!("{section} · {} n={}", text(e, "workload"), n(e)), e));
         }
     }
@@ -244,149 +242,44 @@ pub fn bench_summary(preset_name: &str, cfg: &ReportConfig) -> Json {
     ])
 }
 
-/// Checks a parsed summary document against the `orthotrees-bench/v1`
-/// schema; returns the violations found (empty = valid). The phase
-/// sections additionally re-verify the attribution invariant: self times
-/// must sum to the recorded completion time.
-pub fn schema_violations(doc: &Json) -> Vec<String> {
-    let mut errs = Vec::new();
-    let mut check = |cond: bool, msg: &str| {
-        if !cond {
-            errs.push(msg.to_string());
-        }
-    };
-    check(doc.get("schema").and_then(Json::as_str) == Some(SCHEMA), "schema tag missing or wrong");
-    check(doc.get("preset").and_then(Json::as_str).is_some(), "preset missing");
-    check(doc.get("seed").and_then(Json::as_u64).is_some(), "seed missing");
+/// Checks a parsed summary document against the [`schema::BENCH`] table
+/// and then its three rules; returns the first violation.
+pub fn validate(doc: &Json) -> Result<(), SchemaError> {
+    schema::check(doc, schema::BENCH)?;
+    rows_at(doc, "phases").iter().enumerate().try_for_each(phase_self_times_tile_completion)?;
+    rows_at(doc, "recovery").iter().enumerate().try_for_each(every_rollback_starts_an_attempt)?;
+    rows_at(doc, "telemetry").iter().enumerate().try_for_each(telemetry_quantiles_are_ordered)
+}
 
-    match doc.get("tables").and_then(Json::as_arr) {
-        None => errs.push("tables missing".to_string()),
-        Some(tables) => {
-            for t in tables {
-                if t.get("id").and_then(Json::as_str).is_none() {
-                    errs.push("table without id".to_string());
-                }
-                for row in t.get("rows").and_then(Json::as_arr).unwrap_or(&[]) {
-                    let ok = row.get("network").and_then(Json::as_str).is_some()
-                        && row.get("samples").and_then(Json::as_arr).is_some_and(|ss| {
-                            ss.iter().all(|s| {
-                                s.get("n").and_then(Json::as_u64).is_some()
-                                    && s.get("time_bits").and_then(Json::as_u64).is_some()
-                                    && s.get("area_lambda2").and_then(Json::as_u64).is_some()
-                                    && s.get("at2").and_then(Json::as_f64).is_some()
-                            })
-                        });
-                    if !ok {
-                        errs.push("malformed table row".to_string());
-                    }
-                }
-            }
-        }
-    }
+/// Rule: a phase's attributed self times sum to its completion time.
+fn phase_self_times_tile_completion((i, p): (usize, &Json)) -> Result<(), SchemaError> {
+    let entries = p.get("attribution").and_then(Json::as_obj).unwrap_or_default().iter();
+    let attributed = entries.map(|(_, v)| u64_at(v, "self_bits")).fold(0, u64::saturating_add);
+    let completion = u64_at(p, "completion_bits");
+    (attributed == completion).then_some(()).ok_or_else(|| {
+        let expected = format!("Σ attribution self_bits = {attributed}");
+        SchemaError::new(format!("phases[{i}].completion_bits"), expected, completion)
+    })
+}
 
-    match doc.get("phases").and_then(Json::as_arr) {
-        None => errs.push("phases missing".to_string()),
-        Some(phases) => {
-            for p in phases {
-                let completion = p.get("completion_bits").and_then(Json::as_u64);
-                let Some(completion) = completion else {
-                    errs.push("phase entry without completion_bits".to_string());
-                    continue;
-                };
-                let attributed: Option<u64> =
-                    p.get("attribution").and_then(Json::as_obj).map(|entries| {
-                        entries
-                            .iter()
-                            .filter_map(|(_, v)| v.get("self_bits").and_then(Json::as_u64))
-                            .fold(0, u64::saturating_add)
-                    });
-                if attributed != Some(completion) {
-                    errs.push(format!(
-                        "phase attribution incomplete: self sum {attributed:?} vs completion \
-                         {completion}"
-                    ));
-                }
-            }
-        }
-    }
+/// Rule: `attempts = rollbacks + 1` — every rollback starts one retry.
+fn every_rollback_starts_an_attempt((i, e): (usize, &Json)) -> Result<(), SchemaError> {
+    let (attempts, rollbacks) = (u64_at(e, "attempts"), u64_at(e, "rollbacks"));
+    (attempts == rollbacks + 1).then_some(()).ok_or_else(|| {
+        let expected = format!("rollbacks + 1 = {}", rollbacks + 1);
+        SchemaError::new(format!("recovery[{i}].attempts"), expected, attempts)
+    })
+}
 
-    if let Some(links) = doc.get("links") {
-        if links.get("active_links").and_then(Json::as_u64).is_none() {
-            errs.push("links section malformed".to_string());
-        }
-    } else {
-        errs.push("links missing".to_string());
-    }
-
-    match doc.get("recovery").and_then(Json::as_arr) {
-        None => errs.push("recovery missing".to_string()),
-        Some(entries) => {
-            for e in entries {
-                let well_formed = e.get("workload").and_then(Json::as_str).is_some()
-                    && e.get("n").and_then(Json::as_u64).is_some()
-                    && [
-                        "checkpoints",
-                        "replayed_events",
-                        "replayed_bits",
-                        "completion_bits",
-                        "final_checkpoint_events",
-                    ]
-                    .iter()
-                    .all(|k| e.get(k).and_then(Json::as_u64).is_some())
-                    && e.get("overhead_pct").and_then(Json::as_f64).is_some();
-                if !well_formed {
-                    errs.push("malformed recovery entry".to_string());
-                    continue;
-                }
-                // Attempt accounting: every rollback starts one retry.
-                let attempts = e.get("attempts").and_then(Json::as_u64);
-                let rollbacks = e.get("rollbacks").and_then(Json::as_u64);
-                match (attempts, rollbacks) {
-                    (Some(a), Some(r)) if a == r + 1 => {}
-                    _ => errs.push(format!(
-                        "recovery attempts {attempts:?} must equal rollbacks {rollbacks:?} + 1"
-                    )),
-                }
-            }
-        }
-    }
-
-    match doc.get("telemetry").and_then(Json::as_arr) {
-        None => errs.push("telemetry missing".to_string()),
-        Some(entries) => {
-            for e in entries {
-                let fields = [
-                    "n",
-                    "problems",
-                    "single_latency_bits",
-                    "issue_interval_bits",
-                    "makespan_bits",
-                    "p50_bits",
-                    "p90_bits",
-                    "p99_bits",
-                ]
-                .map(|k| e.get(k).and_then(Json::as_u64));
-                let well_formed = e.get("workload").and_then(Json::as_str).is_some()
-                    && fields.iter().all(Option::is_some)
-                    && e.get("problems_per_mtau").and_then(Json::as_f64).is_some();
-                if !well_formed {
-                    errs.push("malformed telemetry entry".to_string());
-                    continue;
-                }
-                let [_, _, latency, _, makespan, p50, p90, p99] = fields.map(Option::unwrap);
-                if !(p50 <= p90 && p90 <= p99) {
-                    errs.push(format!("telemetry quantiles not monotone: {p50} {p90} {p99}"));
-                }
-                if p99 > makespan || p50 < latency {
-                    errs.push(format!(
-                        "telemetry quantiles escape [single_latency, makespan]: \
-                         {p50}..{p99} vs [{latency}, {makespan}]"
-                    ));
-                }
-            }
-        }
-    }
-    errs
+/// Rule: a pipeline's quantiles are monotone and inside
+/// `[single_latency, makespan]`.
+fn telemetry_quantiles_are_ordered((i, e): (usize, &Json)) -> Result<(), SchemaError> {
+    let keys = ["single_latency_bits", "p50_bits", "p90_bits", "p99_bits", "makespan_bits"];
+    let q = keys.map(|k| u64_at(e, k));
+    q.is_sorted().then_some(()).ok_or_else(|| {
+        let expected = "single_latency ≤ p50 ≤ p90 ≤ p99 ≤ makespan (monotone quantiles)";
+        SchemaError::new(format!("telemetry[{i}]"), expected, format!("{q:?}"))
+    })
 }
 
 #[cfg(test)]
@@ -407,8 +300,7 @@ mod tests {
         let doc = bench_summary("quick", &tiny());
         let text = doc.render();
         let parsed = Json::parse(&text).expect("emitted summary must be valid JSON");
-        let errs = schema_violations(&parsed);
-        assert!(errs.is_empty(), "schema violations: {errs:?}");
+        assert_eq!(validate(&parsed), Ok(()));
     }
 
     #[test]
@@ -451,12 +343,20 @@ mod tests {
 
     #[test]
     fn schema_check_flags_a_broken_document() {
-        let doc = Json::parse(r#"{"schema":"orthotrees-bench/v1","preset":"quick"}"#).unwrap();
-        let errs = schema_violations(&doc);
-        assert!(errs.iter().any(|e| e.contains("seed")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("tables")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("recovery")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("telemetry")), "{errs:?}");
+        let whole = Json::parse(
+            r#"{"schema":"orthotrees-bench/v1","preset":"quick","seed":1,"tables":[],
+                "phases":[],"links":{"active_links":1},"recovery":[],"telemetry":[]}"#,
+        )
+        .unwrap();
+        assert_eq!(validate(&whole), Ok(()));
+        for field in ["seed", "tables", "recovery", "telemetry"] {
+            let mut doc = whole.clone();
+            if let Json::Obj(pairs) = &mut doc {
+                pairs.retain(|(k, _)| k != field);
+            }
+            let e = validate(&doc).unwrap_err();
+            assert_eq!((e.path.as_str(), e.found.as_str()), (field, "nothing"), "{e}");
+        }
     }
 
     #[test]
@@ -466,11 +366,12 @@ mod tests {
                 "tables":[],"phases":[],"links":{"active_links":1},
                 "recovery":[{"workload":"SUM-OUTAGE","n":16,"attempts":5,"rollbacks":1,
                 "checkpoints":3,"replayed_events":10,"replayed_bits":9,
-                "completion_bits":90,"overhead_pct":10.0,"final_checkpoint_events":16}]}"#,
+                "completion_bits":90,"overhead_pct":10.0,"final_checkpoint_events":16}],
+                "telemetry":[]}"#,
         )
         .unwrap();
-        let errs = schema_violations(&doc);
-        assert!(errs.iter().any(|e| e.contains("rollbacks")), "{errs:?}");
+        let e = validate(&doc).unwrap_err();
+        assert!(e.path == "recovery[0].attempts" && e.expected.contains("rollbacks"), "{e}");
     }
 
     #[test]
@@ -500,7 +401,7 @@ mod tests {
                 "p50_bits":160,"p90_bits":140,"p99_bits":170}]}"#,
         )
         .unwrap();
-        let errs = schema_violations(&doc);
-        assert!(errs.iter().any(|e| e.contains("monotone")), "{errs:?}");
+        let e = validate(&doc).unwrap_err();
+        assert!(e.path == "telemetry[0]" && e.expected.contains("monotone"), "{e}");
     }
 }

@@ -156,6 +156,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{check, FLIGHT};
 
     fn ev(seq: u64) -> EngineEvent {
         let delivery = Delivery {
@@ -220,6 +221,7 @@ mod tests {
         assert_eq!(f.post_mortems().len(), 1);
         let back = Json::parse(&doc.render()).expect("post-mortem parses");
         assert_eq!(back, doc);
+        assert_eq!(check(&back, FLIGHT), Ok(()));
     }
 
     #[test]
@@ -230,6 +232,7 @@ mod tests {
         assert!(doc.get("tail").and_then(Json::as_arr).unwrap().is_empty());
         assert_eq!(doc.get("last_checkpoint"), Some(&Json::Null));
         assert_eq!(doc.get("calendar").and_then(|c| c.get("max")).and_then(Json::as_u64), Some(0));
+        assert_eq!(check(&doc, FLIGHT), Ok(()));
     }
 
     #[test]

@@ -36,6 +36,9 @@
 //! dumps a post-mortem document on failure. Both attach to the engine
 //! through the same [`probe::Probes`] slot as the `Recorder`.
 //!
+//! [`schema`] holds one table per `/v1` document (field paths, kinds,
+//! bounds) and the one checker that reads any of them.
+//!
 //! # Example
 //!
 //! ```
@@ -60,6 +63,7 @@ pub mod flight;
 pub mod json;
 pub mod probe;
 pub mod profile;
+pub mod schema;
 pub mod telemetry;
 
 use orthotrees_vlsi::BitTime;

@@ -28,9 +28,9 @@
 //!
 //! Two export formats: [`Telemetry::open_metrics`] renders the OpenMetrics
 //! text exposition (counters as `_total`, sketches as `summary` families),
-//! and [`Telemetry::to_json`] renders the schema-checked
-//! [`orthotrees-telemetry/v1`](SCHEMA) document that
-//! [`schema_violations`] validates.
+//! and [`Telemetry::to_json`] renders the
+//! [`orthotrees-telemetry/v1`](SCHEMA) document that [`validate`] checks
+//! against its [`schema::TELEMETRY`] table.
 //!
 //! Attachment points: `sim::Engine` feeds its event stream through
 //! [`Telemetry::on_engine`] under the [`probe`](crate::probe) zero-overhead
@@ -41,6 +41,7 @@
 
 use crate::json::Json;
 use crate::probe::{Delivery, EngineEvent};
+use crate::schema::{self, SchemaError};
 use orthotrees_vlsi::BitTime;
 use std::collections::BTreeMap;
 
@@ -658,7 +659,7 @@ impl Telemetry {
 
     /// The registry as an [`orthotrees-telemetry/v1`](SCHEMA) JSON
     /// document: counters, gauges, per-sketch quantile summaries and the
-    /// snapshot series. [`schema_violations`] validates the result.
+    /// snapshot series. [`validate`] checks the result.
     pub fn to_json(&self) -> Json {
         let counters = Json::obj(self.counters().map(|(k, v)| (k, Json::u64(v))));
         let gauges = Json::obj(self.gauges().map(|(k, v)| (k, Json::u64(v))));
@@ -720,105 +721,47 @@ fn metric_name(name: &str) -> String {
     out
 }
 
-/// Structural checks on an [`orthotrees-telemetry/v1`](SCHEMA) document.
-/// Empty means valid. Checked: the schema tag; ε in `(0, 0.5]`; a
-/// positive cadence; well-typed counter/gauge maps; per-sketch field
-/// presence (a string name) with `min ≤ p50 ≤ p90 ≤ p99 ≤ max` and a
-/// positive count; and a snapshot series monotone in both time and every
-/// counter (counters are monotone by definition — a decreasing series
-/// means torn rows).
-pub fn schema_violations(doc: &Json) -> Vec<String> {
-    let mut v = Vec::new();
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => v.push(format!("schema is {s:?}, expected {SCHEMA:?}")),
-        None => v.push("missing `schema`".to_string()),
-    }
-    match doc.get("epsilon").and_then(Json::as_f64) {
-        Some(e) if e > 0.0 && e <= 0.5 => {}
-        Some(e) => v.push(format!("epsilon {e} outside (0, 0.5]")),
-        None => v.push("missing `epsilon`".to_string()),
-    }
-    match doc.get("interval").and_then(Json::as_u64) {
-        Some(i) if i >= 1 => {}
-        _ => v.push("missing or zero `interval`".to_string()),
-    }
-    for key in ["counters", "gauges"] {
-        match doc.get(key).and_then(Json::as_obj) {
-            Some(map) => {
-                for (name, val) in map {
-                    if val.as_u64().is_none() {
-                        v.push(format!("{key}[{name:?}] is not an integer"));
-                    }
-                }
-            }
-            None => v.push(format!("missing `{key}` object")),
-        }
-    }
-    match doc.get("sketches").and_then(Json::as_arr) {
-        Some(rows) => {
-            for (i, row) in rows.iter().enumerate() {
-                let Some(name) = row.get("name").and_then(Json::as_str) else {
-                    v.push(format!("sketch #{i}: missing or non-string `name`"));
-                    continue;
+/// Checks an [`orthotrees-telemetry/v1`](SCHEMA) document against the
+/// [`schema::TELEMETRY`] table and then its two rules; returns the first
+/// violation.
+pub fn validate(doc: &Json) -> Result<(), SchemaError> {
+    schema::check(doc, schema::TELEMETRY)?;
+    let mut sketches = schema::rows_at(doc, "sketches").iter().enumerate();
+    sketches.try_for_each(sketch_quantiles_are_monotone)?;
+    snapshots_are_monotone(doc)
+}
+
+/// Rule: a sketch reports `min ≤ p50 ≤ p90 ≤ p99 ≤ max`.
+fn sketch_quantiles_are_monotone((i, row): (usize, &Json)) -> Result<(), SchemaError> {
+    let q = ["min", "p50", "p90", "p99", "max"].map(|k| schema::u64_at(row, k));
+    q.is_sorted().then_some(()).ok_or_else(|| {
+        let expected = "monotone quantiles min ≤ p50 ≤ p90 ≤ p99 ≤ max";
+        SchemaError::new(format!("sketches[{i}]"), expected, format!("{q:?}"))
+    })
+}
+
+/// Rule: the snapshot series is monotone in time and in every counter
+/// (counters only grow, so a decrease means torn rows).
+fn snapshots_are_monotone(doc: &Json) -> Result<(), SchemaError> {
+    // Keyed by counter name; `None` is the row time.
+    let mut last = BTreeMap::new();
+    for (i, row) in schema::rows_at(doc, "snapshots").iter().enumerate() {
+        let counters = row.get("counters").and_then(Json::as_obj).unwrap_or_default();
+        let counters = counters.iter().map(|(name, v)| (Some(name.as_str()), v));
+        for (name, v) in [(None, row.get("at").unwrap_or(&Json::Null))].into_iter().chain(counters)
+        {
+            let value = v.as_u64().unwrap_or(0);
+            if let Some(prev) = last.insert(name, value).filter(|&prev| value < prev) {
+                let path = match name {
+                    None => format!("snapshots[{i}].at"),
+                    Some(name) => format!("snapshots[{i}].counters.{name}"),
                 };
-                let field = |k: &str| row.get(k).and_then(Json::as_u64);
-                let (count, min, max) = (field("count"), field("min"), field("max"));
-                let (p50, p90, p99) = (field("p50"), field("p90"), field("p99"));
-                match (count, min, max, p50, p90, p99) {
-                    (Some(c), Some(mn), Some(mx), Some(a), Some(b), Some(d)) => {
-                        if c == 0 {
-                            v.push(format!("sketch {name}: zero count"));
-                        }
-                        if !(mn <= a && a <= b && b <= d && d <= mx) {
-                            v.push(format!(
-                                "sketch {name}: quantiles not monotone \
-                                 (min {mn} p50 {a} p90 {b} p99 {d} max {mx})"
-                            ));
-                        }
-                    }
-                    _ => v.push(format!("sketch {name}: missing required fields")),
-                }
+                let expected = format!("≥ {prev} (monotone snapshots)");
+                return Err(SchemaError::new(path, expected, value));
             }
         }
-        None => v.push("missing `sketches` array".to_string()),
     }
-    match doc.get("snapshots").and_then(Json::as_arr) {
-        Some(rows) => {
-            let mut last_at = 0u64;
-            let mut last: BTreeMap<String, u64> = BTreeMap::new();
-            for (i, row) in rows.iter().enumerate() {
-                let Some(at) = row.get("at").and_then(Json::as_u64) else {
-                    v.push(format!("snapshot #{i}: missing `at`"));
-                    continue;
-                };
-                if at < last_at {
-                    v.push(format!("snapshot #{i}: time went backwards ({at} < {last_at})"));
-                }
-                last_at = at;
-                let Some(counters) = row.get("counters").and_then(Json::as_obj) else {
-                    v.push(format!("snapshot #{i}: missing `counters`"));
-                    continue;
-                };
-                for (name, val) in counters {
-                    let Some(c) = val.as_u64() else {
-                        v.push(format!("snapshot #{i}: counter {name:?} is not an integer"));
-                        continue;
-                    };
-                    if let Some(&prev) = last.get(name) {
-                        if c < prev {
-                            v.push(format!(
-                                "snapshot #{i}: counter {name:?} decreased ({c} < {prev})"
-                            ));
-                        }
-                    }
-                    last.insert(name.clone(), c);
-                }
-            }
-        }
-        None => v.push("missing `snapshots` array".to_string()),
-    }
-    v
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1240,9 +1183,9 @@ mod tests {
         }
         t.gauge("links", 7);
         let doc = t.to_json();
-        assert!(schema_violations(&doc).is_empty(), "{:?}", schema_violations(&doc));
+        assert_eq!(validate(&doc), Ok(()));
         let back = Json::parse(&doc.render()).expect("rendered document parses");
-        assert!(schema_violations(&back).is_empty());
+        assert_eq!(validate(&back), Ok(()));
         assert_eq!(back.get("schema").and_then(Json::as_str), Some(SCHEMA));
     }
 
@@ -1255,12 +1198,12 @@ mod tests {
         }
         t.tick(BitTime::new(60));
         let clean = t.to_json();
-        assert!(schema_violations(&clean).is_empty());
+        assert_eq!(validate(&clean), Ok(()));
 
         // Wrong schema tag.
         let mut doc = clean.clone();
         doc.set("schema", Json::str("orthotrees-telemetry/v0"));
-        assert!(!schema_violations(&doc).is_empty());
+        assert_eq!(validate(&doc).unwrap_err().path, "schema");
 
         // Non-monotone sketch quantiles.
         let bad_sketch = Json::obj([
@@ -1275,8 +1218,8 @@ mod tests {
         ]);
         let mut doc = clean.clone();
         doc.set("sketches", Json::arr([bad_sketch]));
-        let v = schema_violations(&doc);
-        assert!(v.iter().any(|m| m.contains("not monotone")), "{v:?}");
+        let e = validate(&doc).unwrap_err();
+        assert!(e.path == "sketches[0]" && e.expected.contains("monotone"), "{e}");
 
         // A sketch row whose name was dropped.
         let mut unnamed = Telemetry::new(50);
@@ -1289,8 +1232,8 @@ mod tests {
             }
         }
         doc.set("sketches", rows);
-        let v = schema_violations(&doc);
-        assert!(v.iter().any(|m| m.contains("`name`")), "{v:?}");
+        let e = validate(&doc).unwrap_err();
+        assert_eq!((e.path.as_str(), e.found.as_str()), ("sketches[0].name", "nothing"), "{e}");
 
         // A decreasing counter across snapshot rows.
         let rows = Json::arr([
@@ -1299,7 +1242,7 @@ mod tests {
         ]);
         let mut doc = clean;
         doc.set("snapshots", rows);
-        let v = schema_violations(&doc);
-        assert!(v.iter().any(|m| m.contains("decreased")), "{v:?}");
+        let e = validate(&doc).unwrap_err();
+        assert!(e.path == "snapshots[1].counters.ev" && e.expected.contains("monotone"), "{e}");
     }
 }

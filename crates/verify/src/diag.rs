@@ -10,6 +10,7 @@
 //! tooling key off them, so an id is never renumbered or reused.
 
 use orthotrees_obs::json::Json;
+use orthotrees_obs::schema::{self, SchemaError};
 
 /// How bad a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -474,35 +475,18 @@ impl Report {
     }
 
     /// Parses a report back from its [`to_json`](Report::to_json)
-    /// rendering, validating the `orthotrees-verify/v1` schema id, every
-    /// rule id against the catalogue, each finding's severity against the
-    /// catalogue severity, and the error/warning tallies against the
-    /// parsed findings. `parse → from_json → to_json` is the identity on
-    /// documents this crate emitted.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ReportError`] of the first check that fails.
+    /// rendering: the [`schema::VERIFY`] table, then the catalogue (known
+    /// rule ids, their severities, the tallies). `parse → from_json →
+    /// to_json` is the identity on documents this crate emitted; the first
+    /// check that fails is the [`ReportError`].
     pub fn from_json(doc: &Json) -> Result<Report, ReportError> {
-        let schema = doc.get("schema").and_then(Json::as_str);
-        if schema != Some("orthotrees-verify/v1") {
-            return Err(ReportError::Schema { found: schema.map(str::to_string) });
-        }
-        let items = doc
-            .get("findings")
-            .and_then(Json::as_arr)
-            .ok_or(ReportError::MissingField { finding: None, field: "findings" })?;
+        schema::check(doc, schema::VERIFY).map_err(ReportError::Shape)?;
         let mut report = Report::new();
-        for (i, item) in items.iter().enumerate() {
-            let field = |key: &'static str| {
-                item.get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or(ReportError::MissingField { finding: Some(i), field: key })
-            };
-            let id = field("rule")?;
+        for (i, item) in schema::rows_at(doc, "findings").iter().enumerate() {
+            let field = |key| item.get(key).and_then(Json::as_str).unwrap_or_default().to_string();
+            let id = field("rule");
             let rule = find_rule(&id).ok_or(ReportError::UnknownRule { finding: i, id })?;
-            let severity = field("severity")?;
+            let severity = field("severity");
             if severity != rule.severity.name() {
                 return Err(ReportError::SeverityContradiction {
                     finding: i,
@@ -511,18 +495,14 @@ impl Report {
                     catalogue: rule.severity,
                 });
             }
-            report.push(Finding::new(
-                rule.id,
-                field("network")?,
-                field("subject")?,
-                field("detail")?,
-                field("hint")?,
-            ));
+            let [network, subject, detail, hint] =
+                ["network", "subject", "detail", "hint"].map(field);
+            report.push(Finding::new(rule.id, network, subject, detail, hint));
         }
         for (key, severity) in [("errors", Severity::Error), ("warnings", Severity::Warning)] {
             let parsed = report.findings.iter().filter(|f| f.severity == severity).count() as u64;
-            let found = doc.get(key).and_then(Json::as_u64);
-            if found != Some(parsed) {
+            let found = schema::u64_at(doc, key);
+            if found != parsed {
                 return Err(ReportError::TallyMismatch { key, found, parsed });
             }
         }
@@ -533,20 +513,8 @@ impl Report {
 /// Why [`Report::from_json`] rejected a document.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReportError {
-    /// The schema id is missing (`None`) or is not
-    /// `orthotrees-verify/v1`.
-    Schema {
-        /// The schema id the document names.
-        found: Option<String>,
-    },
-    /// A required field is missing or not of its type: the findings array
-    /// (`finding` is `None`) or a string of one finding.
-    MissingField {
-        /// The finding's index.
-        finding: Option<usize>,
-        /// The field's key.
-        field: &'static str,
-    },
+    /// The document breaks the [`schema::VERIFY`] table.
+    Shape(SchemaError),
     /// A finding names a rule id the catalogue does not have.
     UnknownRule {
         /// The finding's index.
@@ -569,8 +537,8 @@ pub enum ReportError {
     TallyMismatch {
         /// `errors` or `warnings`.
         key: &'static str,
-        /// The tally the document carries, if any.
-        found: Option<u64>,
+        /// The tally the document carries.
+        found: u64,
         /// The count of parsed findings of that severity.
         parsed: u64,
     },
@@ -579,16 +547,7 @@ pub enum ReportError {
 impl std::fmt::Display for ReportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReportError::Schema { found: None } => write!(f, "missing schema id"),
-            ReportError::Schema { found: Some(schema) } => {
-                write!(f, "unsupported schema {schema:?} (want orthotrees-verify/v1)")
-            }
-            ReportError::MissingField { finding: None, field } => {
-                write!(f, "missing {field} array")
-            }
-            ReportError::MissingField { finding: Some(i), field } => {
-                write!(f, "finding {i}: missing field {field}")
-            }
+            ReportError::Shape(e) => write!(f, "{e}"),
             ReportError::UnknownRule { finding, id } => {
                 write!(f, "finding {finding}: unknown rule id {id}")
             }
@@ -598,7 +557,7 @@ impl std::fmt::Display for ReportError {
                 catalogue.name()
             ),
             ReportError::TallyMismatch { key, found, parsed } => {
-                write!(f, "{key} tally {found:?} disagrees with {parsed} parsed findings")
+                write!(f, "{key} tally {found} disagrees with {parsed} parsed findings")
             }
         }
     }
@@ -659,7 +618,7 @@ mod tests {
         let bad_schema = Json::parse(r#"{"schema": "other/v9", "findings": []}"#).unwrap();
         assert!(matches!(
             Report::from_json(&bad_schema),
-            Err(ReportError::Schema { found: Some(s) }) if s == "other/v9"
+            Err(ReportError::Shape(e)) if e.path == "schema" && e.found == "\"other/v9\""
         ));
         let bad_rule = Json::parse(
             r#"{"schema": "orthotrees-verify/v1", "findings": [{"rule": "NOPE-1",
@@ -679,7 +638,7 @@ mod tests {
         ]);
         assert!(matches!(
             Report::from_json(&tampered),
-            Err(ReportError::TallyMismatch { key: "errors", found: Some(2), parsed: 1 })
+            Err(ReportError::TallyMismatch { key: "errors", found: 2, parsed: 1 })
         ));
     }
 

@@ -9,9 +9,10 @@
 //!   sketch's ε rank band of the *exact* quantiles, recomputed from the
 //!   full recorded sample list (for the stock runs: the pipeline's
 //!   per-problem completion times).
-//! - **TEL-002** — a flight-recorder dump is a *contiguous suffix* of
-//!   the run's event log: same events, same order, no holes, with
-//!   1-based `seq`s ending exactly at the dump's `recorded_events`.
+//! - **TEL-002** — a flight-recorder dump is a valid
+//!   `orthotrees-flight/v1` document and a *contiguous suffix* of the
+//!   run's event log: same events, same order, no holes, with 1-based
+//!   `seq`s ending exactly at the dump's `recorded_events`.
 //!
 //! [`stock_findings`] sweeps TEL-001 over pipelined OTN sorting batches
 //! and TEL-002 over black-box bit-level broadcasts; `netlint --all` runs
@@ -20,6 +21,7 @@
 
 use crate::diag::Finding;
 use orthotrees::obs::json::Json;
+use orthotrees::obs::schema::{self, rows_at, u64_at, SchemaError};
 use orthotrees::obs::telemetry::{within_rank_band, QuantileSketch, Telemetry, REPORTED_QUANTILES};
 use orthotrees::otn::pipeline::pipelined_sorts;
 use orthotrees::otn::Otn;
@@ -75,72 +77,54 @@ pub fn check_sketch(network: &str, sketch: &QuantileSketch, samples: &[u64]) -> 
     out
 }
 
-/// Checks TEL-002: `dump` (an `orthotrees-flight/v1` document) must be a
-/// contiguous suffix of `log`, the delivered-bit event log of the same
-/// run — same events in the same order, 1-based `seq`s with no holes,
-/// ending exactly at the dump's lifetime `recorded_events` count.
+/// Checks TEL-002: `dump` must pass the [`schema::FLIGHT`] table and
+/// `drops_account_for_the_tail` (a violation's path is the subject), and
+/// be a contiguous suffix of `log`, the same run's delivered-bit event log:
+/// 1-based `seq`s with no holes, ending at the dump's `recorded_events`.
 pub fn check_flight_dump(network: &str, dump: &Json, log: &[EventLog]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut fail = |subject: String, detail: String| {
-        out.push(Finding::new(
-            "TEL-002",
-            network,
-            subject,
-            detail,
-            "record every delivered event in order and never mutate the retained tail",
-        ));
-    };
-    if dump.get("schema").and_then(Json::as_str) != Some(orthotrees::obs::flight::SCHEMA) {
-        fail(
-            "schema".to_string(),
-            "document does not carry the orthotrees-flight/v1 schema tag".to_string(),
-        );
-        return out;
+    let hint = "record every delivered event in order and never mutate the retained tail";
+    let fail = |subject, detail| vec![Finding::new("TEL-002", network, subject, detail, hint)];
+    let valid = schema::check(dump, schema::FLIGHT).and_then(|()| drops_account_for_the_tail(dump));
+    if let Err(e) = valid {
+        return fail(e.path.clone(), e.to_string());
     }
-    let Some(tail) = dump.get("tail").and_then(Json::as_arr) else {
-        fail("tail".to_string(), "document has no tail array".to_string());
-        return out;
-    };
-    let recorded = dump.get("recorded_events").and_then(Json::as_u64).unwrap_or(0);
+    let (tail, recorded) = (rows_at(dump, "tail"), u64_at(dump, "recorded_events"));
     if recorded != log.len() as u64 {
-        fail(
+        return fail(
             "recorded_events".to_string(),
             format!("dump recorded {recorded} events but the log delivered {}", log.len()),
         );
-        return out;
     }
-    if tail.len() > log.len() {
-        fail(
-            "tail".to_string(),
-            format!("tail holds {} events but the log only {}", tail.len(), log.len()),
-        );
-        return out;
-    }
+    // Validated: |tail| ≤ recorded_events = |log|.
     let skip = log.len() - tail.len();
     for (i, (entry, le)) in tail.iter().zip(&log[skip..]).enumerate() {
-        let seq = entry.get("seq").and_then(Json::as_u64).unwrap_or(0);
-        let want_seq = (skip + i + 1) as u64;
-        if seq != want_seq {
-            fail(
-                format!("tail position {i}"),
-                format!("seq {seq} where a contiguous suffix requires {want_seq}"),
-            );
-            break;
+        let (seq, want) = (u64_at(entry, "seq"), (skip + i + 1) as u64);
+        if seq != want {
+            let detail = format!("seq {seq} where a contiguous suffix requires {want}");
+            return fail(format!("tail position {i}"), detail);
         }
-        let matches = entry.get("at").and_then(Json::as_u64) == Some(le.at.get())
-            && entry.get("node").and_then(Json::as_u64) == Some(le.node.0 as u64)
-            && entry.get("port").and_then(Json::as_u64) == Some(le.port.0 as u64)
-            && entry.get("value").and_then(Json::as_bool) == Some(le.bit.value)
-            && entry.get("index").and_then(Json::as_u64) == Some(u64::from(le.bit.index));
-        if !matches {
-            fail(
-                format!("tail position {i}"),
-                format!("recorded event disagrees with log entry {} ", skip + i),
-            );
-            break;
+        let fields = [("at", le.at.get()), ("node", le.node.0 as u64), ("port", le.port.0 as u64)];
+        if fields
+            .into_iter()
+            .chain([("index", u64::from(le.bit.index))])
+            .any(|(k, v)| u64_at(entry, k) != v)
+            || entry.get("value") != Some(&Json::Bool(le.bit.value))
+        {
+            let detail = format!("recorded event disagrees with log entry {} ", skip + i);
+            return fail(format!("tail position {i}"), detail);
         }
     }
-    out
+    Vec::new()
+}
+
+/// Rule: `recorded_events = dropped_events + |tail|` — the ring holds
+/// every recorded event it did not evict.
+fn drops_account_for_the_tail(dump: &Json) -> Result<(), SchemaError> {
+    let held = u64_at(dump, "dropped_events").saturating_add(rows_at(dump, "tail").len() as u64);
+    let recorded = u64_at(dump, "recorded_events");
+    let expected = || format!("{held} = dropped_events + |tail|");
+    let error = || SchemaError::new("recorded_events", expected(), recorded);
+    (held == recorded).then_some(()).ok_or_else(error)
 }
 
 /// Deterministic distinct sorting inputs (the same bijective scramble
@@ -269,5 +253,25 @@ mod tests {
         dump.set("recorded_events", Json::u64(e.log().len() as u64 + 1));
         let f = check_flight_dump("tampered", &dump, e.log());
         assert!(f.iter().any(|f| f.rule == "TEL-002" && f.subject == "recorded_events"), "{f:?}");
+    }
+
+    #[test]
+    fn a_miscounted_or_mistyped_dump_is_tel002() {
+        let m = CostModel::thompson(16);
+        let (t, mut e) = experiments::broadcast(16, &m, black_box).unwrap();
+        let dump = e.take_flight_recorder().unwrap().dump("export", t, &[]);
+        let log = e.log();
+        let dropped = dump.get("dropped_events").and_then(Json::as_u64).unwrap();
+        let mut miscounted = dump.clone();
+        miscounted.set("dropped_events", Json::u64(dropped + 1));
+        let f = check_flight_dump("miscounted", &miscounted, log);
+        assert!(f.iter().any(|f| f.rule == "TEL-002" && f.subject == "recorded_events"), "{f:?}");
+
+        let mut tail = dump.get("tail").and_then(Json::as_arr).unwrap().to_vec();
+        tail[0].set("depth", Json::str("3"));
+        let mut mistyped = dump;
+        mistyped.set("tail", Json::arr(tail));
+        let f = check_flight_dump("mistyped", &mistyped, log);
+        assert!(f.iter().any(|f| f.rule == "TEL-002" && f.subject == "tail[0].depth"), "{f:?}");
     }
 }

@@ -9,12 +9,13 @@
 //! streams (TEL-001), a supervised rollback must leave a parseable
 //! `orthotrees-flight/v1` post-mortem behind, and the release-only
 //! sweep sustains a ≥1000-problem pipelined batch. Both document
-//! checkers flag, and never panic on, field-level mutations of valid
-//! documents.
+//! checkers reject, and never panic on, the hostile edits of valid
+//! documents their schema tables do not admit.
 
 use orthotrees::obs::json::Json;
+use orthotrees::obs::schema;
 use orthotrees::obs::telemetry::{
-    schema_violations, within_rank_band, QuantileSketch, Telemetry, REPORTED_QUANTILES,
+    self, within_rank_band, QuantileSketch, Telemetry, REPORTED_QUANTILES,
 };
 use orthotrees::otc::Otc;
 use orthotrees::otn::{self, Axis, Otn, PhaseCost};
@@ -27,6 +28,10 @@ use orthotrees_sim::{
 };
 use orthotrees_vlsi::CostModel;
 use proptest::prelude::*;
+
+#[path = "support/hostile.rs"]
+mod hostile;
+use hostile::Edit;
 
 /// Fits a bit-level run with the black-box instruments: the event log,
 /// the telemetry bus (snapshot interval 16τ) and the flight recorder.
@@ -311,109 +316,10 @@ fn pipeline_slo_sustains_a_thousand_problems() {
 }
 
 // ---------------------------------------------------------------------
-// Hostile documents: both checkers flag field-level mutations of valid
-// documents and never panic on them.
+// Hostile documents: both checkers reject every hostile edit of a valid
+// document that its schema table does not admit, at that field, and
+// never panic.
 // ---------------------------------------------------------------------
-
-/// Numbers no `u64` field accepts: negative, fractional, beyond 2⁵³
-/// (including `u64::MAX`), or not finite.
-const HOSTILE_NUMBERS: [f64; 9] = [
-    -1.0,
-    -0.5,
-    0.5,
-    1.5,
-    9_007_199_254_740_994.0,
-    u64::MAX as f64,
-    f64::MAX,
-    f64::NAN,
-    f64::INFINITY,
-];
-
-/// One field-level mutation.
-#[derive(Clone, Copy, Debug)]
-enum Mutation {
-    /// Remove the key from its object.
-    Drop,
-    /// Replace the value with one of another JSON type (the index picks
-    /// among the types the value does not already have).
-    Retype(usize),
-    /// Replace the value with one of [`HOSTILE_NUMBERS`].
-    Number(f64),
-    /// Replace the value with a 100 000-element array of `-1`.
-    Huge,
-}
-
-fn mutation() -> impl Strategy<Value = Mutation> {
-    (0u8..4, 0usize..HOSTILE_NUMBERS.len()).prop_map(|(kind, i)| match kind {
-        0 => Mutation::Drop,
-        1 => Mutation::Retype(i),
-        2 => Mutation::Number(HOSTILE_NUMBERS[i]),
-        _ => Mutation::Huge,
-    })
-}
-
-/// A path from the document root: object keys and array indices.
-#[derive(Clone, Debug)]
-enum Step {
-    Key(String),
-    Index(usize),
-}
-
-fn key(k: &str) -> Step {
-    Step::Key(k.to_string())
-}
-
-/// Applies `m` to the value at `path`; `false` if the path is absent.
-fn mutate(doc: &mut Json, path: &[Step], m: Mutation) -> bool {
-    let Some((last, parent_path)) = path.split_last() else {
-        return false;
-    };
-    let mut parent = doc;
-    for step in parent_path {
-        parent = match (parent, step) {
-            (Json::Obj(pairs), Step::Key(k)) => match pairs.iter_mut().find(|(n, _)| n == k) {
-                Some((_, v)) => v,
-                None => return false,
-            },
-            (Json::Arr(items), Step::Index(i)) if *i < items.len() => &mut items[*i],
-            _ => return false,
-        };
-    }
-    let slot = match (parent, last) {
-        (Json::Obj(pairs), Step::Key(k)) => {
-            let Some(at) = pairs.iter().position(|(n, _)| n == k) else {
-                return false;
-            };
-            if let Mutation::Drop = m {
-                pairs.remove(at);
-                return true;
-            }
-            &mut pairs[at].1
-        }
-        (Json::Arr(items), Step::Index(i)) if *i < items.len() => &mut items[*i],
-        _ => return false,
-    };
-    *slot = match m {
-        Mutation::Drop => return false,
-        Mutation::Retype(i) => {
-            let others: Vec<Json> = [
-                Json::Null,
-                Json::Bool(true),
-                Json::str("hostile"),
-                Json::Obj(Vec::new()),
-                Json::Arr(Vec::new()),
-                Json::Num(7.0),
-            ]
-            .into_iter()
-            .filter(|j| std::mem::discriminant(j) != std::mem::discriminant(slot))
-            .collect();
-            others[i % others.len()].clone()
-        }
-        Mutation::Number(x) => Json::Num(x),
-        Mutation::Huge => Json::Arr(vec![Json::Num(-1.0); 100_000]),
-    };
-    true
-}
 
 /// A valid telemetry document, a valid flight dump and the event log
 /// the dump is a suffix of, from one black-box broadcast.
@@ -427,16 +333,24 @@ fn valid_documents() -> (Json, Json, Vec<orthotrees_sim::EventLog>) {
     (tel.to_json(), dump, log)
 }
 
-/// Whether a mutation of the field `field` (the last path key) must be
-/// flagged: every required field is, except that a drop of a map entry
-/// (a counter or gauge name) leaves a valid map, and ε accepts numbers
-/// in `(0, 0.5]`.
-fn must_flag(field: &str, map_entry: bool, m: Mutation) -> bool {
-    match m {
-        Mutation::Drop => !map_entry,
-        Mutation::Number(x) if field == "epsilon" => !(x > 0.0 && x <= 0.5),
-        _ => true,
-    }
+/// Makes hostile edit `edit` to target `target` of `doc` (element `pick`
+/// of every array on the way) and judges `rejected_at` — the path the
+/// checker rejects a document at — on the edited document and on its
+/// rendered text read back.
+fn judge_hostile_edit(
+    doc: &Json,
+    table: &[schema::Field],
+    (target, pick, edit): (usize, usize, usize),
+    rejected_at: impl Fn(&Json) -> Option<String>,
+) -> Result<(), String> {
+    let targets = hostile::targets(doc, table, pick);
+    let target = &targets[target % targets.len()];
+    let edits = Edit::all();
+    let edit = &edits[edit % edits.len()];
+    let bad = target.apply(doc, edit);
+    target.judge(edit, rejected_at(&bad).as_deref())?;
+    let back = Json::parse(&bad.render()).expect("a rendered document parses");
+    target.judge(&edit.rendered(), rejected_at(&back).as_deref())
 }
 
 proptest! {
@@ -444,61 +358,31 @@ proptest! {
 
     #[test]
     fn telemetry_schema_flags_hostile_fields_without_panicking(
-        target in 0usize..17,
-        row in 0usize..64,
-        m in mutation(),
+        target in 0usize..1_000,
+        pick in 0usize..64,
+        edit in 0usize..100,
     ) {
-        let (mut doc, _, _) = valid_documents();
-        prop_assert!(schema_violations(&doc).is_empty());
-        let rows = |k: &str| doc.get(k).and_then(Json::as_arr).map_or(1, <[Json]>::len).max(1);
-        let snap = row % rows("snapshots");
-        let top = ["schema", "epsilon", "interval", "counters", "gauges", "sketches", "snapshots"];
-        let sketch = ["name", "count", "min", "max", "p50", "p90", "p99"];
-        let (path, map_entry) = match target {
-            0..=6 => (vec![key(top[target])], false),
-            7..=13 => (vec![key("sketches"), Step::Index(0), key(sketch[target - 7])], false),
-            14 => (vec![key("snapshots"), Step::Index(snap), key("at")], false),
-            15 => (vec![key("snapshots"), Step::Index(snap), key("counters")], false),
-            _ => (vec![key("counters"), key("engine.delivered")], true),
-        };
-        prop_assert!(mutate(&mut doc, &path, m), "{path:?} exists in a valid document");
-        let field = match path.last() {
-            Some(Step::Key(k)) => k.as_str(),
-            _ => "",
-        };
-        let findings = schema_violations(&doc);
-        if must_flag(field, map_entry, m) {
-            prop_assert!(!findings.is_empty(), "{m:?} at {path:?} went unflagged");
-        }
-        let back = Json::parse(&doc.render()).expect("a rendered document parses");
-        let again = schema_violations(&back);
-        if must_flag(field, map_entry, m) {
-            prop_assert!(!again.is_empty(), "{m:?} at {path:?} unflagged after a round trip");
-        }
+        let (doc, _, _) = valid_documents();
+        prop_assert_eq!(telemetry::validate(&doc), Ok(()));
+        let verdict = judge_hostile_edit(&doc, schema::TELEMETRY, (target, pick, edit), |d| {
+            telemetry::validate(d).err().map(|e| e.path)
+        });
+        prop_assert_eq!(verdict, Ok(()));
     }
 
     #[test]
     fn flight_dump_check_flags_hostile_fields_without_panicking(
-        target in 0usize..9,
-        row in 0usize..64,
-        m in mutation(),
+        target in 0usize..1_000,
+        pick in 0usize..64,
+        edit in 0usize..100,
     ) {
-        let (_, mut dump, log) = valid_documents();
+        let (_, dump, log) = valid_documents();
         let check = |d: &Json| orthotrees_verify::telemetry::check_flight_dump("hostile", d, &log);
         prop_assert!(check(&dump).is_empty());
-        let tail = dump.get("tail").and_then(Json::as_arr).map_or(0, <[Json]>::len);
-        prop_assert!(tail > 0 && !log.is_empty());
-        let entry = ["seq", "at", "node", "port", "value", "index"];
-        let path = match target {
-            0 => vec![key("schema")],
-            1 => vec![key("recorded_events")],
-            2 => vec![key("tail")],
-            _ => vec![key("tail"), Step::Index(row % tail), key(entry[target - 3])],
-        };
-        prop_assert!(mutate(&mut dump, &path, m), "{path:?} exists in a valid dump");
-        prop_assert!(!check(&dump).is_empty(), "{m:?} at {path:?} went unflagged");
-        let back = Json::parse(&dump.render()).expect("a rendered dump parses");
-        prop_assert!(!check(&back).is_empty(), "{m:?} at {path:?} unflagged after a round trip");
+        let verdict = judge_hostile_edit(&dump, schema::FLIGHT, (target, pick, edit), |d| {
+            check(d).first().map(|f| f.subject.clone())
+        });
+        prop_assert_eq!(verdict, Ok(()));
     }
 }
 
