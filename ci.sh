@@ -52,6 +52,12 @@ cargo test -q -p orthotrees-sim --lib -- --ignored every_out_of_range_bit_index_
 # the run bit-identical, clean and under link faults or node outages. The
 # ignored sweep widens the grid to n = 128; see tests/probe_suite.rs.
 cargo test --release -q -p orthotrees-bench --test probe_suite -- --ignored full_probe_sweep_of_instrument_independence
+# Word-level identity gate, one level up: checkpoint_text() equal bare, with
+# the recorder, the telemetry bus, both and under the threaded policy, and
+# each instrument's result independent of the other, over every registry
+# entry bound on each network. The ignored sweep runs every size, clean
+# and under three plan seeds; see tests/word_identity_suite.rs.
+cargo test --release -q -p orthotrees-bench --test word_identity_suite -- --ignored full_word_identity_sweep
 # Streaming-cost identity gates for the engine instruments: the batched
 # quantile sketch must equal the one-at-a-time oracle tuple for tuple on
 # streams long enough to cross compress points at ε = 0.0001, and the

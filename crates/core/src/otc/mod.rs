@@ -25,8 +25,9 @@ pub mod mst;
 pub mod sort;
 
 use crate::bitset::Plane;
+use crate::primitive::PrimitiveSpec;
 use crate::word::Word;
-use crate::wordnet::{Cycles, View, WordNet};
+use crate::wordnet::{Call, Cycles, View, WordNet};
 use orthotrees_obs::causal::ReachCell;
 use orthotrees_vlsi::{log2_ceil, log2_floor, BitTime, CostKind, CostModel, ModelError};
 
@@ -418,6 +419,28 @@ impl Otc {
         }
         self.charge_compute("CYCLE-PHASE", cost);
     }
+}
+
+/// The OTC's registry bindings, behind
+/// [`Topology::invoke`](crate::wordnet::Topology::invoke): runs `spec`
+/// through the [`Otc`] method of that name, or returns `false` when the
+/// OTC binds no method to it.
+pub(crate) fn invoke(net: &mut Otc, spec: &PrimitiveSpec, call: Call<'_>) -> bool {
+    let Call { axis, src, dest, .. } = call;
+    let pick = |i: usize, j: usize, q: usize, _: &OtcRegsView<'_>| (call.src_sel)(i, j, q);
+    let keep = |i: usize, j: usize, _: &OtcRegsView<'_>| (call.dest_sel)(i, j, 0);
+    match spec.name {
+        "VECTORCIRCULATE" => net.circulate(&[src]),
+        "ROOTTOCYCLE" => net.root_to_cycle(axis, dest, keep),
+        "CYCLETOROOT" => net.cycle_to_root(axis, src, pick),
+        "SUM-CYCLETOROOT" => net.sum_cycle_to_root(axis, src, pick),
+        "MIN-CYCLETOROOT" => net.min_cycle_to_root(axis, src, pick),
+        "CYCLETOCYCLE" => net.cycle_to_cycle(axis, src, pick, dest, keep),
+        "SUM-CYCLETOCYCLE" => net.sum_cycle_to_cycle(axis, src, pick, dest, keep),
+        "MIN-CYCLETOCYCLE" => net.min_cycle_to_cycle(axis, src, pick, dest, keep),
+        _ => return false,
+    }
+    true
 }
 
 #[cfg(test)]

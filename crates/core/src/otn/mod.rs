@@ -26,8 +26,9 @@ pub mod prefix;
 pub mod sort;
 
 use crate::bitset::Plane;
+use crate::primitive::PrimitiveSpec;
 use crate::word::Word;
-use crate::wordnet::{per_cell, Tree, View, WordNet};
+use crate::wordnet::{per_cell, Call, Tree, View, WordNet};
 use orthotrees_vlsi::{log2_ceil, BitTime, CostModel, ModelError};
 
 use crate::select::Pick;
@@ -470,6 +471,31 @@ impl Otn {
         stats.broadcasts += 1;
         stats.leaf_ops += 1;
     }
+}
+
+/// The OTN's registry bindings, behind
+/// [`Topology::invoke`](crate::wordnet::Topology::invoke): runs `spec`
+/// through the [`Otn`] method of that name, or returns `false` when the
+/// OTN binds no method to it.
+pub(crate) fn invoke(net: &mut Otn, spec: &PrimitiveSpec, call: Call<'_>) -> bool {
+    let Call { axis, src, dest, .. } = call;
+    let pick = |i: usize, j: usize, _: &RegsView<'_>| (call.src_sel)(i, j, 0);
+    let keep = |i: usize, j: usize, _: &RegsView<'_>| (call.dest_sel)(i, j, 0);
+    match spec.name {
+        "ROOTTOLEAF" => net.root_to_leaf(axis, dest, keep),
+        "LEAFTOROOT" => net.leaf_to_root(axis, src, pick),
+        "COUNT-LEAFTOROOT" => net.count_to_root(axis, src),
+        "SUM-LEAFTOROOT" => net.sum_to_root(axis, src, pick),
+        "MIN-LEAFTOROOT" => net.min_to_root(axis, src, pick),
+        "MAX-LEAFTOROOT" => net.max_to_root(axis, src, pick),
+        "LEAFTOLEAF" => net.leaf_to_leaf(axis, src, pick, dest, keep),
+        "COUNT-LEAFTOLEAF" => net.count_to_leaf(axis, src, dest, keep),
+        "SUM-LEAFTOLEAF" => net.sum_to_leaf(axis, src, pick, dest, keep),
+        "MIN-LEAFTOLEAF" => net.min_to_leaf(axis, src, pick, dest, keep),
+        "MAX-LEAFTOLEAF" => net.max_to_leaf(axis, src, pick, dest, keep),
+        _ => return false,
+    }
+    true
 }
 
 /// Selector that accepts every BP — the paper's `all`, the built-in

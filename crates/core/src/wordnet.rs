@@ -33,8 +33,9 @@ use std::marker::PhantomData;
 /// What distinguishes the two networks inside the shared core. Implemented
 /// by the zero-sized [`Tree`] and [`Cycles`], so every executor is compiled
 /// once per network and the OTN's run with the cycle length folded to 1.
-/// It also names each network and its SORT, so a caller that runs both
-/// sorts writes one body generic over `T: Topology`.
+/// It also names each network, its SORT and its registry bindings, so a
+/// caller that runs both sorts, or a registry entry on both networks,
+/// writes one body generic over `T: Topology`.
 pub trait Topology: Copy + std::fmt::Debug + Send + Sync + 'static {
     /// The network's name as the paper writes it (`OTN` / `OTC`).
     const NAME: &'static str;
@@ -70,6 +71,34 @@ pub trait Topology: Copy + std::fmt::Debug + Send + Sync + 'static {
     ///
     /// Returns [`ModelError`] if `xs` does not fit `net`.
     fn sort(net: &mut WordNet<Self>, xs: &[Word]) -> Result<SortOutcome, ModelError>;
+
+    /// Runs registry entry `spec` through the network's method of that
+    /// name (`otn::invoke` / `otc::invoke`) with the arguments of `call`. Every Communication and Composite entry of the
+    /// network is bound except `PAIRWISE`, whose distance and combine
+    /// function a [`Call`] does not carry. Returns `false`, having run
+    /// nothing, when `spec` is not bound on this network.
+    #[must_use = "an entry that is not bound runs nothing"]
+    fn invoke(net: &mut WordNet<Self>, spec: &PrimitiveSpec, call: Call<'_>) -> bool;
+}
+
+/// The arguments [`Topology::invoke`] passes to a bound registry entry:
+/// its tree family, its source and destination registers, and its
+/// selectors as `bool` predicates over `(i, j, q)`. `q` is always 0 on the
+/// OTN and for `dest_sel`, which selects whole cells. `VECTORCIRCULATE`
+/// rotates `src`; `COUNT-LEAFTOROOT` counts the non-zero words of `src`
+/// and takes no selector.
+#[derive(Clone, Copy)]
+pub struct Call<'a> {
+    /// The tree family the entry runs on.
+    pub axis: Axis,
+    /// The register an upward leg reads.
+    pub src: Reg,
+    /// Which base processors an upward leg reads.
+    pub src_sel: &'a (dyn Fn(usize, usize, usize) -> bool + Sync),
+    /// The register a downward leg writes.
+    pub dest: Reg,
+    /// Which cells a downward leg writes.
+    pub dest_sel: &'a (dyn Fn(usize, usize, usize) -> bool + Sync),
 }
 
 /// The orthogonal trees network's topology: one base processor per cell.
@@ -105,6 +134,10 @@ impl Topology for Tree {
     fn sort(net: &mut WordNet<Self>, xs: &[Word]) -> Result<SortOutcome, ModelError> {
         crate::otn::sort::sort(net, xs)
     }
+
+    fn invoke(net: &mut WordNet<Self>, spec: &PrimitiveSpec, call: Call<'_>) -> bool {
+        crate::otn::invoke(net, spec, call)
+    }
 }
 
 impl Topology for Cycles {
@@ -132,6 +165,10 @@ impl Topology for Cycles {
 
     fn sort(net: &mut WordNet<Self>, xs: &[Word]) -> Result<SortOutcome, ModelError> {
         crate::otc::sort::sort(net, xs)
+    }
+
+    fn invoke(net: &mut WordNet<Self>, spec: &PrimitiveSpec, call: Call<'_>) -> bool {
+        crate::otc::invoke(net, spec, call)
     }
 }
 
@@ -943,4 +980,54 @@ pub(crate) fn per_cell<T: Topology, P: Pick>(
     sel: &(impl Fn(usize, usize, &View<'_, T>) -> P + Sync),
 ) -> impl Fn(usize, usize, usize, &View<'_, T>) -> P + Sync + '_ {
     move |i, j, _, view| sel(i, j, view)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::primitive::{Class, REGISTRY};
+
+    /// The spans `spec` opens at depth 0 and at depth 1 when invoked on a
+    /// fresh recorded `T` net, or `None` when `T` binds no method to it.
+    fn bound_spans<T: Topology>(spec: &PrimitiveSpec) -> Option<[Vec<String>; 2]> {
+        let mut net = T::for_sorting(16).unwrap();
+        let (src, dest) = (net.alloc_reg("src"), net.alloc_reg("dest"));
+        net.install_recorder(Recorder::new());
+        let (first, every) = (|_, j, _| j == 0, |_, _, _| true);
+        let call = Call { axis: Axis::Rows, src, src_sel: &first, dest, dest_sel: &every };
+        if !T::invoke(&mut net, spec, call) {
+            return None;
+        }
+        let rec = net.take_recorder().unwrap();
+        let depth =
+            |d| rec.spans().iter().filter(|s| s.depth == d).map(|s| s.name.clone()).collect();
+        Some([depth(0), depth(1)])
+    }
+
+    /// Every Communication and Composite entry but `PAIRWISE` is bound on
+    /// each network it names and on no other, and runs the method of its
+    /// own name: one top-level span, `spec.name`, whose children are the
+    /// composite's declared legs. An entry added without a binding, or
+    /// bound to a sibling's method, fails here.
+    #[test]
+    fn every_paper_primitive_is_bound_to_its_own_method() {
+        let mut bound = 0;
+        for spec in REGISTRY {
+            let paper = matches!(spec.class, Class::Communication | Class::Composite)
+                && spec.name != "PAIRWISE";
+            let runs = [
+                (Tree::NAME, spec.network.on_otn(), bound_spans::<Tree>(spec)),
+                (Cycles::NAME, spec.network.on_otc(), bound_spans::<Cycles>(spec)),
+            ];
+            for (net, on, spans) in runs {
+                assert_eq!(spans.is_some(), paper && on, "{} bound on the {net}", spec.name);
+                let Some([top, legs]) = spans else { continue };
+                assert_eq!(top, [spec.name], "{} on the {net}: its own span, once", spec.name);
+                let want = spec.composite_of.map_or(vec![], |(up, down)| vec![up, down]);
+                assert_eq!(legs, want, "{} on the {net}: its declared legs", spec.name);
+                bound += 1;
+            }
+        }
+        assert_eq!(bound, 11 + 8, "11 OTN and 8 OTC bindings");
+    }
 }

@@ -36,9 +36,10 @@ use crate::diag::{Finding, Report};
 use orthotrees::dflow::{combined_width, program, promised_width, Cell, Loc, Program, WriteOp};
 use orthotrees::obs::causal::{ReachCell, ReachEvent};
 use orthotrees::obs::Recorder;
-use orthotrees::otc::{Otc, OtcRegsView};
-use orthotrees::otn::{all, Axis, Otn, RegsView};
+use orthotrees::otc::Otc;
+use orthotrees::otn::{Axis, Otn, Reg};
 use orthotrees::primitive::{spec_for, Monoid, PrimitiveSpec, REGISTRY};
+use orthotrees::wordnet::{Call, Topology, WordNet};
 use orthotrees::{CostModel, FaultPlan, Word};
 
 /// Stream-buffer length used by the OTC dynamic harness (any power of two
@@ -338,6 +339,30 @@ pub fn retry_plan(seed: u64) -> FaultPlan {
         .with_max_retries(8)
 }
 
+/// Runs `spec` through its registry binding on `net`'s row trees, with
+/// `plan` installed and reach tracing on, and returns the recorder. `only`
+/// narrows the source selector to leaf `only` of each tree; every
+/// destination cell is selected.
+fn traced<T: Topology>(
+    mut net: WordNet<T>,
+    spec: &'static PrimitiveSpec,
+    [src, dest]: [Reg; 2],
+    plan: Option<&FaultPlan>,
+    only: Option<usize>,
+) -> Recorder {
+    if let Some(p) = plan {
+        net.install_fault_plan(p.clone());
+    }
+    let mut rec = Recorder::new();
+    rec.enable_reach();
+    net.install_recorder(rec);
+    let pick = move |_: usize, j: usize, _: usize| only.is_none_or(|o| o == j);
+    let every = |_: usize, _: usize, _: usize| true;
+    let call = Call { axis: Axis::Rows, src, src_sel: &pick, dest, dest_sel: &every };
+    assert!(T::invoke(&mut net, spec, call), "{} has a dataflow program but no binding", spec.name);
+    net.take_recorder().expect("recorder stays installed")
+}
+
 /// One reach-traced run of an OTN primitive on a single `1 × leaves` row
 /// tree. `only` narrows `First`-monoid selectors to a single leaf.
 fn run_otn(
@@ -352,29 +377,7 @@ fn run_otn(
     let dest = net.alloc_reg("dest");
     net.load_reg(src, |_, j| Some((j + 1) as Word));
     net.load_row_roots(&[1]);
-    if let Some(p) = plan {
-        net.install_fault_plan(p.clone());
-    }
-    let mut rec = Recorder::new();
-    rec.enable_reach();
-    net.install_recorder(rec);
-    let axis = Axis::Rows;
-    let pick = move |_i: usize, j: usize, _v: &RegsView<'_>| Some(j) == only;
-    match spec.name {
-        "ROOTTOLEAF" => net.root_to_leaf(axis, dest, all),
-        "LEAFTOROOT" => net.leaf_to_root(axis, src, pick),
-        "COUNT-LEAFTOROOT" => net.count_to_root(axis, src),
-        "SUM-LEAFTOROOT" => net.sum_to_root(axis, src, all),
-        "MIN-LEAFTOROOT" => net.min_to_root(axis, src, all),
-        "MAX-LEAFTOROOT" => net.max_to_root(axis, src, all),
-        "LEAFTOLEAF" => net.leaf_to_leaf(axis, src, pick, dest, all),
-        "COUNT-LEAFTOLEAF" => net.count_to_leaf(axis, src, dest, all),
-        "SUM-LEAFTOLEAF" => net.sum_to_leaf(axis, src, all, dest, all),
-        "MIN-LEAFTOLEAF" => net.min_to_leaf(axis, src, all, dest, all),
-        "MAX-LEAFTOLEAF" => net.max_to_leaf(axis, src, all, dest, all),
-        other => unreachable!("no OTN dataflow harness for {other}"),
-    }
-    let rec = net.take_recorder().expect("recorder stays installed");
+    let rec = traced(net, spec, [src, dest], plan, only);
     resolve(rec.reach_events(), 1, &prog.inputs, src.index(), Some(dest.index()))
 }
 
@@ -392,14 +395,7 @@ fn run_otc(
         let mut net = Otc::new(2, leaves, harness_model(leaves)).expect("2×2 OTC harness shape");
         let src = net.alloc_reg("src");
         net.load_reg(src, |_, _, q| Some((q + 1) as Word));
-        if let Some(p) = plan {
-            net.install_fault_plan(p.clone());
-        }
-        let mut rec = Recorder::new();
-        rec.enable_reach();
-        net.install_recorder(rec);
-        net.circulate(&[src]);
-        let rec = net.take_recorder().expect("recorder stays installed");
+        let rec = traced(net, spec, [src, src], plan, only);
         return resolve(rec.reach_events(), 4, &prog.inputs, src.index(), None);
     }
     let mut net = Otc::new(leaves, STREAM_CYCLE, harness_model(leaves)).expect("m×m OTC");
@@ -407,44 +403,7 @@ fn run_otc(
     let dest = net.alloc_reg("dest");
     net.load_reg(src, |i, j, q| Some((i + j + q + 1) as Word));
     net.load_row_root_buffers(&vec![vec![1; STREAM_CYCLE]; leaves]);
-    if let Some(p) = plan {
-        net.install_fault_plan(p.clone());
-    }
-    let mut rec = Recorder::new();
-    rec.enable_reach();
-    net.install_recorder(rec);
-    let axis = Axis::Rows;
-    let pick = move |_i: usize, j: usize, _q: usize, _v: &OtcRegsView<'_>| Some(j) == only;
-    let every = |_: usize, _: usize, _: usize, _: &OtcRegsView<'_>| true;
-    match spec.name {
-        "ROOTTOCYCLE" => {
-            net.root_to_cycle(axis, dest, |_: usize, _: usize, _: &OtcRegsView<'_>| true);
-        }
-        "CYCLETOROOT" => net.cycle_to_root(axis, src, pick),
-        "SUM-CYCLETOROOT" => net.sum_cycle_to_root(axis, src, every),
-        "MIN-CYCLETOROOT" => net.min_cycle_to_root(axis, src, every),
-        "CYCLETOCYCLE" => {
-            net.cycle_to_cycle(axis, src, pick, dest, |_: usize, _: usize, _: &OtcRegsView<'_>| {
-                true
-            });
-        }
-        "SUM-CYCLETOCYCLE" => net.sum_cycle_to_cycle(
-            axis,
-            src,
-            every,
-            dest,
-            |_: usize, _: usize, _: &OtcRegsView<'_>| true,
-        ),
-        "MIN-CYCLETOCYCLE" => net.min_cycle_to_cycle(
-            axis,
-            src,
-            every,
-            dest,
-            |_: usize, _: usize, _: &OtcRegsView<'_>| true,
-        ),
-        other => unreachable!("no OTC dataflow harness for {other}"),
-    }
-    let rec = net.take_recorder().expect("recorder stays installed");
+    let rec = traced(net, spec, [src, dest], plan, only);
     resolve(rec.reach_events(), leaves, &prog.inputs, src.index(), Some(dest.index()))
 }
 

@@ -6,11 +6,15 @@
 //! elapsed time of one primitive is exactly `(1 + k) ×` its registry
 //! cost: the charge itself plus `k` retransmissions of the same base.
 
-use orthotrees::otc::Otc;
-use orthotrees::otn::{self, Axis, Otn};
-use orthotrees::primitive;
-use orthotrees::{BitTime, FaultPlan, Word};
+use orthotrees::otn::Axis;
+use orthotrees::primitive::{self, Direction};
+use orthotrees::wordnet::{Cycles, Tree};
+use orthotrees::{BitTime, FaultPlan};
 use orthotrees_vlsi::{CostKind, CostModel};
+
+#[path = "support/repertoire.rs"]
+mod repertoire;
+use repertoire::Load;
 
 /// Every transit faults, every fault is parity-detectable, `k` retries:
 /// each transit deterministically spends exactly `k` extra attempts
@@ -20,93 +24,65 @@ fn deterministic_plan(k: u32) -> FaultPlan {
     FaultPlan::new(17).with_word_fault_rate(1.0).with_undetectable_fraction(0.0).with_max_retries(k)
 }
 
-/// Runs one named OTN primitive under `deterministic_plan(k)` and
-/// returns its elapsed time and its registry-priced base cost.
-fn otn_elapsed(name: &str, k: u32) -> (BitTime, BitTime) {
-    let n = 16;
-    let mut net = Otn::for_sorting(n).unwrap();
-    net.install_fault_plan(deterministic_plan(k));
-    let a = net.alloc_reg("A");
-    let b = net.alloc_reg("B");
-    net.load_reg(a, |i, j| Some((1 + i * n + j) as Word));
-    net.load_row_roots(&vec![7; n]);
-    let kind = primitive::spec_for(name).cost.expect("a communication primitive declares a cost");
-    let base = net.model().primitive_cost(kind, net.leaves(Axis::Rows), net.pitch(), 1);
-    let ((), t) = net.elapsed(|net| match name {
-        "ROOTTOLEAF" => net.root_to_leaf(Axis::Rows, b, otn::all),
-        "LEAFTOROOT" => net.leaf_to_root(Axis::Rows, a, |_, j, _| j == 0),
-        "COUNT-LEAFTOROOT" => net.count_to_root(Axis::Rows, a),
-        "SUM-LEAFTOROOT" => net.sum_to_root(Axis::Rows, a, otn::all),
-        "MIN-LEAFTOROOT" => net.min_to_root(Axis::Rows, a, otn::all),
-        "MAX-LEAFTOROOT" => net.max_to_root(Axis::Rows, a, otn::all),
-        other => panic!("no OTN driver for {other}"),
-    });
-    (t, base)
+/// Runs every registry entry with a cost kind bound on `T`, each on the
+/// row trees (whose root ports are loaded) of a fresh `T::for_sorting(16)`
+/// under `deterministic_plan(k)`,
+/// and returns `(name, elapsed, retries, registry-priced base)`. A
+/// `VECTORCIRCULATE` rotation never crosses a tree, so it draws no fault
+/// and spends no retry.
+fn elapsed<T: Load>(k: u32) -> Vec<(&'static str, BitTime, u32, BitTime)> {
+    let mut out = Vec::new();
+    for spec in primitive::REGISTRY {
+        let Some(kind) = spec.cost else { continue };
+        let mut net = T::for_sorting(16).unwrap();
+        net.install_fault_plan(deterministic_plan(k));
+        let regs = repertoire::load(&mut net);
+        let (leaves, cycle) = (net.leaves(Axis::Rows), T::cycle_len(&net));
+        let base = net.model().primitive_cost(kind, leaves, net.pitch(), cycle);
+        let call = repertoire::call(spec, Axis::Rows, regs);
+        let (bound, t) = net.elapsed(|net| T::invoke(net, spec, call));
+        let retries = if spec.direction == Some(Direction::Circulate) { 0 } else { k };
+        if bound {
+            out.push((spec.name, t, retries, base));
+        }
+    }
+    out
 }
 
-/// Runs one named OTC stream primitive under `deterministic_plan(k)`.
-fn otc_elapsed(name: &str, k: u32) -> (BitTime, BitTime) {
-    let mut net = Otc::for_sorting(16).unwrap();
-    net.install_fault_plan(deterministic_plan(k));
-    let a = net.alloc_reg("A");
-    let b = net.alloc_reg("B");
-    net.load_reg(a, |i, j, q| Some((1 + i + 4 * j + 16 * q) as Word));
-    net.load_row_root_buffers(&vec![vec![3; net.cycle_len()]; net.side()]);
-    let kind = primitive::spec_for(name).cost.expect("a stream primitive declares a cost");
-    let base = net.model().primitive_cost(kind, net.side(), net.pitch(), net.cycle_len());
-    let ((), t) = net.elapsed(|net| match name {
-        "ROOTTOCYCLE" => net.root_to_cycle(Axis::Rows, b, |_, _, _| true),
-        "CYCLETOROOT" => net.cycle_to_root(Axis::Rows, a, |_, j, _, _| j == 0),
-        "SUM-CYCLETOROOT" => net.sum_cycle_to_root(Axis::Rows, a, |_, _, _, _| true),
-        "MIN-CYCLETOROOT" => net.min_cycle_to_root(Axis::Rows, a, |_, _, _, _| true),
-        other => panic!("no OTC driver for {other}"),
-    });
-    (t, base)
+/// Asserts every costed entry bound on `T` costs `(1 + retries) ×` its
+/// registry base with `k` forced retries.
+fn assert_overhead_scales_its_own_base<T: Load>(k: u32) {
+    let runs = elapsed::<T>(k);
+    assert!(!runs.is_empty(), "{} binds costed entries", T::NAME);
+    for (name, t, retries, base) in runs {
+        assert_eq!(
+            t,
+            base * u64::from(1 + retries),
+            "{name} with {k} forced retries must cost (1 + {retries}) × its registry base"
+        );
+    }
 }
 
 #[test]
 fn each_otn_primitive_overhead_scales_its_own_base() {
     for k in [1u32, 3] {
-        for name in [
-            "ROOTTOLEAF",
-            "LEAFTOROOT",
-            "COUNT-LEAFTOROOT",
-            "SUM-LEAFTOROOT",
-            "MIN-LEAFTOROOT",
-            "MAX-LEAFTOROOT",
-        ] {
-            let (t, base) = otn_elapsed(name, k);
-            assert_eq!(
-                t,
-                base * u64::from(1 + k),
-                "{name} with {k} forced retries must cost (1 + {k}) × its registry base"
-            );
-        }
+        assert_overhead_scales_its_own_base::<Tree>(k);
     }
 }
 
 #[test]
 fn each_otc_primitive_overhead_scales_its_own_base() {
     for k in [1u32, 3] {
-        for name in ["ROOTTOCYCLE", "CYCLETOROOT", "SUM-CYCLETOROOT", "MIN-CYCLETOROOT"] {
-            let (t, base) = otc_elapsed(name, k);
-            assert_eq!(
-                t,
-                base * u64::from(1 + k),
-                "{name} with {k} forced retries must cost (1 + {k}) × its registry base"
-            );
-        }
+        assert_overhead_scales_its_own_base::<Cycles>(k);
     }
 }
 
+/// k = 0: the only faulting round is the final (erased) attempt, so no
+/// retry time is charged — every costed entry costs exactly its base.
 #[test]
 fn a_clean_run_charges_exactly_the_registry_base() {
-    for name in ["ROOTTOLEAF", "LEAFTOROOT", "SUM-LEAFTOROOT"] {
-        let (t, base) = otn_elapsed(name, 0);
-        // k = 0: the only faulting round is the final (erased) attempt,
-        // so no retry time is charged — the primitive costs its base.
-        assert_eq!(t, base, "{name} without retries must cost exactly its base");
-    }
+    assert_overhead_scales_its_own_base::<Tree>(0);
+    assert_overhead_scales_its_own_base::<Cycles>(0);
 }
 
 /// `LEAFTOROOT`'s overhead base is now `tree_leaf_to_root` — the *send*

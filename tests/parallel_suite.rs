@@ -1,151 +1,11 @@
-//! Parallel-execution identity: [`ParallelPolicy::Threads`] fans each
-//! primitive's per-tree selector gather over scoped threads, and must be
-//! **bit-identical and clock-identical** to the sequential policy —
-//! every register, every root, the simulated clock, the operation
-//! statistics and the fault statistics. Only the read-only gather is
-//! parallelised (writes, transits and charges replay in tree order), so
-//! any divergence is an executor bug, not a tolerance.
+//! Parallel-execution knob: [`ParallelPolicy::Threads`] fans each `bool`
+//! selector's mask fill over scoped threads. That it is bit- and
+//! clock-identical to the sequential policy over every registry entry is
+//! `tests/word_identity_suite.rs`'s gate; this suite checks the knob
+//! itself and the deepest pipeline, SORT-OTN, end to end.
 
-use orthotrees::otc::Otc;
-use orthotrees::otn::{self, Axis, Otn, PhaseCost};
-use orthotrees::{BitTime, FaultPlan, FaultStats, OpStats, ParallelPolicy, Word};
-use proptest::prelude::*;
-
-/// A moderately damaging plan: detectable and silent word faults plus
-/// retries, so degraded paths (erasures, First-contention under
-/// corruption, retry charges) are all exercised.
-fn plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed).with_word_fault_rate(0.3).with_max_retries(2)
-}
-
-/// Everything observable about a run.
-type Snapshot =
-    (Vec<Option<Word>>, Vec<Option<Word>>, Vec<Option<Word>>, BitTime, OpStats, FaultStats);
-
-/// Runs the full OTN primitive repertoire on an `n × n` net under
-/// `policy` and snapshots the final state.
-fn run_otn(policy: ParallelPolicy, n: usize, fault_seed: Option<u64>) -> Snapshot {
-    let mut net = Otn::for_sorting(n).unwrap();
-    net.set_parallel_policy(policy);
-    if let Some(seed) = fault_seed {
-        net.install_fault_plan(plan(seed));
-    }
-    let a = net.alloc_reg("A");
-    let b = net.alloc_reg("B");
-    net.load_reg(a, |i, j| Some(((i * 31 + j * 7) % 97) as Word - 13));
-    net.load_row_roots(&(0..n as Word).collect::<Vec<_>>());
-
-    net.root_to_leaf(Axis::Rows, b, otn::all);
-    net.leaf_to_root(Axis::Cols, a, |i, _, _| i == 1);
-    net.count_to_root(Axis::Rows, a);
-    net.sum_to_root(Axis::Rows, a, otn::all);
-    net.min_to_root(Axis::Cols, a, otn::all);
-    net.max_to_root(Axis::Rows, a, otn::all);
-    net.sum_to_leaf(Axis::Rows, a, |_, j, _| j == 0, b, otn::all);
-    net.bp_phase(PhaseCost::Compare, |_, _, _| {});
-
-    let mut cells = Vec::new();
-    for r in [a, b] {
-        for i in 0..n {
-            for j in 0..n {
-                cells.push(net.peek(r, i, j));
-            }
-        }
-    }
-    (
-        cells,
-        net.roots(Axis::Rows).to_vec(),
-        net.roots(Axis::Cols).to_vec(),
-        net.clock().now(),
-        *net.clock().stats(),
-        net.fault_stats(),
-    )
-}
-
-/// Everything observable about an OTC run (roots are per-tree buffers).
-type OtcSnapshot = (
-    Vec<Option<Word>>,
-    Vec<Vec<Option<Word>>>,
-    Vec<Vec<Option<Word>>>,
-    BitTime,
-    OpStats,
-    FaultStats,
-);
-
-/// Runs the full OTC stream repertoire under `policy` and snapshots.
-fn run_otc(policy: ParallelPolicy, n: usize, fault_seed: Option<u64>) -> OtcSnapshot {
-    let mut net = Otc::for_sorting(n).unwrap();
-    net.set_parallel_policy(policy);
-    if let Some(seed) = fault_seed {
-        net.install_fault_plan(plan(seed));
-    }
-    let (m, cycle) = (net.side(), net.cycle_len());
-    let a = net.alloc_reg("A");
-    let b = net.alloc_reg("B");
-    net.load_reg(a, |i, j, q| Some(((i * 13 + j * 5 + q * 3) % 89) as Word - 7));
-    net.load_row_root_buffers(
-        &(0..m).map(|t| (0..cycle as Word).map(|q| q + t as Word).collect()).collect::<Vec<_>>(),
-    );
-
-    net.circulate(&[a]);
-    net.root_to_cycle(Axis::Rows, b, |_, _, _| true);
-    net.cycle_to_root(Axis::Rows, a, |_, j, _, _| j == 0);
-    net.sum_cycle_to_root(Axis::Rows, a, |_, _, _, _| true);
-    net.min_cycle_to_root(Axis::Cols, a, |_, _, _, _| true);
-    net.sum_cycle_to_cycle(Axis::Rows, a, |_, _, _, _| true, b, |_, _, _| true);
-
-    let mut cells = Vec::new();
-    for r in [a, b] {
-        for i in 0..m {
-            for j in 0..m {
-                for q in 0..cycle {
-                    cells.push(net.peek(r, i, j, q));
-                }
-            }
-        }
-    }
-    (
-        cells,
-        net.roots(Axis::Rows).to_vec(),
-        net.roots(Axis::Cols).to_vec(),
-        net.clock().now(),
-        *net.clock().stats(),
-        net.fault_stats(),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Threads ≡ Sequential on the OTN for every paper primitive, over
-    /// 2² to 2⁷ leaves, with and without an installed fault plan.
-    #[test]
-    fn otn_threads_policy_is_bit_and_clock_identical(
-        k in 2u32..=7,
-        seed in 0u64..1_000_000,
-        faulty in any::<bool>(),
-    ) {
-        let n = 1usize << k;
-        let fault_seed = faulty.then_some(seed);
-        let seq = run_otn(ParallelPolicy::Sequential, n, fault_seed);
-        let par = run_otn(ParallelPolicy::Threads, n, fault_seed);
-        prop_assert_eq!(seq, par);
-    }
-
-    /// Threads ≡ Sequential on the OTC, with and without faults.
-    #[test]
-    fn otc_threads_policy_is_bit_and_clock_identical(
-        size_idx in 0usize..3,
-        seed in 0u64..1_000_000,
-        faulty in any::<bool>(),
-    ) {
-        let n = [16usize, 64, 256][size_idx];
-        let fault_seed = faulty.then_some(seed);
-        let seq = run_otc(ParallelPolicy::Sequential, n, fault_seed);
-        let par = run_otc(ParallelPolicy::Threads, n, fault_seed);
-        prop_assert_eq!(seq, par);
-    }
-}
+use orthotrees::otn::{self, Otn};
+use orthotrees::{ParallelPolicy, Word};
 
 /// The policy is a per-net knob: setting it is observable and does not
 /// leak across instances.

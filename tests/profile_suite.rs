@@ -5,105 +5,29 @@
 //! causal segments, so the only question is whether the windows tell
 //! the truth — Σ(per-window τ) must tile the recorder's segment total
 //! and the completion clock exactly (PROF-001), over a gapless window
-//! sequence (PROF-002), for every paper primitive, every size, every
-//! window width, with and without an installed fault plan.
+//! sequence (PROF-002), for every registry entry bound on each network
+//! (`tests/support/repertoire.rs`), every size, every window width, with
+//! and without an installed fault plan. That recording changes no
+//! word-level run is `tests/word_identity_suite.rs`'s gate.
 
 use orthotrees::obs::profile::Profiler;
 use orthotrees::obs::Recorder;
-use orthotrees::otc::Otc;
-use orthotrees::otn::{self, Axis, Otn, PhaseCost};
-use orthotrees::{BitTime, FaultPlan, FaultStats, OpStats, Word};
+use orthotrees::otn::{self, Otn};
+use orthotrees::wordnet::{Cycles, Tree, WordNet};
+use orthotrees::{BitTime, FaultPlan, Word};
+use orthotrees_bench::profile::dense_plan;
 use orthotrees_sim::experiments::{self, probe_engine, ProbeKind, PROBE_KINDS};
 use orthotrees_sim::{CalendarKind, Engine, Link, NodeId, RecoveryPolicy, RunStatus};
 use orthotrees_vlsi::CostModel;
 use proptest::prelude::*;
 
+#[path = "support/repertoire.rs"]
+mod repertoire;
+use repertoire::Load;
+
 /// Fits an engine with a recorder and a profiler (initial window 16τ).
 fn profiled(e: Engine) -> Engine {
     e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16))
-}
-
-/// The parallel-suite's moderately damaging plan: detectable and silent
-/// word faults plus retries, so retry overhead lands in the windows.
-fn plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed).with_word_fault_rate(0.3).with_max_retries(2)
-}
-
-/// Everything observable about a word-level run.
-type Snapshot = (Vec<Option<Word>>, BitTime, OpStats, FaultStats);
-
-/// Runs the full OTN primitive repertoire; optionally records, and
-/// snapshots the observable state plus the recorder (when installed).
-fn run_otn(n: usize, fault_seed: Option<u64>, record: bool) -> (Snapshot, Option<Recorder>) {
-    let mut net = Otn::for_sorting(n).unwrap();
-    if record {
-        net.install_recorder(Recorder::new());
-    }
-    if let Some(seed) = fault_seed {
-        net.install_fault_plan(plan(seed));
-    }
-    let a = net.alloc_reg("A");
-    let b = net.alloc_reg("B");
-    net.load_reg(a, |i, j| Some(((i * 31 + j * 7) % 97) as Word - 13));
-    net.load_row_roots(&(0..n as Word).collect::<Vec<_>>());
-
-    net.root_to_leaf(Axis::Rows, b, otn::all);
-    net.leaf_to_root(Axis::Cols, a, |i, _, _| i == 1);
-    net.count_to_root(Axis::Rows, a);
-    net.sum_to_root(Axis::Rows, a, otn::all);
-    net.min_to_root(Axis::Cols, a, otn::all);
-    net.max_to_root(Axis::Rows, a, otn::all);
-    net.sum_to_leaf(Axis::Rows, a, |_, j, _| j == 0, b, otn::all);
-    net.bp_phase(PhaseCost::Compare, |_, _, _| {});
-
-    let mut cells = Vec::new();
-    for r in [a, b] {
-        for i in 0..n {
-            for j in 0..n {
-                cells.push(net.peek(r, i, j));
-            }
-        }
-    }
-    let snap = (cells, net.clock().now(), *net.clock().stats(), net.fault_stats());
-    (snap, net.take_recorder())
-}
-
-/// Runs the full OTC stream repertoire; optionally records.
-fn run_otc(n: usize, fault_seed: Option<u64>, record: bool) -> (Snapshot, Option<Recorder>) {
-    let mut net = Otc::for_sorting(n).unwrap();
-    if record {
-        net.install_recorder(Recorder::new());
-    }
-    if let Some(seed) = fault_seed {
-        net.install_fault_plan(plan(seed));
-    }
-    let (m, cycle) = (net.side(), net.cycle_len());
-    let a = net.alloc_reg("A");
-    let b = net.alloc_reg("B");
-    net.load_reg(a, |i, j, q| Some(((i * 13 + j * 5 + q * 3) % 89) as Word - 7));
-    net.load_row_root_buffers(
-        &(0..m).map(|t| (0..cycle as Word).map(|q| q + t as Word).collect()).collect::<Vec<_>>(),
-    );
-
-    net.circulate(&[a]);
-    net.root_to_cycle(Axis::Rows, b, |_, _, _| true);
-    net.cycle_to_root(Axis::Rows, a, |_, j, _, _| j == 0);
-    net.sum_cycle_to_root(Axis::Rows, a, |_, _, _, _| true);
-    net.min_cycle_to_root(Axis::Cols, a, |_, _, _, _| true);
-    net.sum_cycle_to_cycle(Axis::Rows, a, |_, _, _, _| true, b, |_, _, _| true);
-
-    let mut cells = Vec::new();
-    for r in [a, b] {
-        for i in 0..m {
-            for j in 0..m {
-                for q in 0..cycle {
-                    cells.push(net.peek(r, i, j, q));
-                }
-            }
-        }
-    }
-    let snap = (cells, net.clock().now(), *net.clock().stats(), net.fault_stats());
-    (snap, net.take_recorder())
 }
 
 /// Asserts the word-level PROF-001/002 pair on a recorded run: windows
@@ -123,43 +47,42 @@ fn assert_word_profile(rec: &Recorder, completion: BitTime, width: u64) {
     assert_eq!(rec.segments_total(), completion, "segments tile the clock");
 }
 
+/// Records the repertoire on `T` at `n`, under `dense_plan(seed)` when
+/// given, and asserts PROF-001/002 on it at `width`.
+fn assert_repertoire_profile<T: Load>(n: usize, seed: Option<u64>, width: u64) {
+    let mut net = repertoire::run::<T>(n, |net: &mut WordNet<T>| {
+        net.install_recorder(Recorder::new());
+        if let Some(seed) = seed {
+            net.install_fault_plan(dense_plan(seed));
+        }
+    });
+    assert_word_profile(&net.take_recorder().unwrap(), net.clock().now(), width);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// OTN: recording changes nothing observable, and the derived
-    /// windowed profile tiles the clock at any width — every paper
-    /// primitive, 2² to 2⁷ leaves, with and without faults.
+    /// OTN: the windowed profile of the recorded repertoire tiles the
+    /// clock at any width — 2² to 2⁷ leaves, with and without faults.
     #[test]
-    fn otn_profile_tiles_and_perturbs_nothing(
+    fn otn_profile_tiles_the_clock(
         k in 2u32..=7,
         seed in 0u64..1_000_000,
         faulty in any::<bool>(),
         width in 1u64..=64,
     ) {
-        let n = 1usize << k;
-        let fault_seed = faulty.then_some(seed);
-        let (plain, _) = run_otn(n, fault_seed, false);
-        let (recorded, rec) = run_otn(n, fault_seed, true);
-        prop_assert_eq!(&plain, &recorded);
-        let rec = rec.unwrap();
-        assert_word_profile(&rec, recorded.1, width);
+        assert_repertoire_profile::<Tree>(1 << k, faulty.then_some(seed), width);
     }
 
-    /// OTC: the same identity and tiling over the stream repertoire.
+    /// OTC: the same tiling over the stream repertoire.
     #[test]
-    fn otc_profile_tiles_and_perturbs_nothing(
+    fn otc_profile_tiles_the_clock(
         size_idx in 0usize..3,
         seed in 0u64..1_000_000,
         faulty in any::<bool>(),
         width in 1u64..=64,
     ) {
-        let n = [16usize, 64, 256][size_idx];
-        let fault_seed = faulty.then_some(seed);
-        let (plain, _) = run_otc(n, fault_seed, false);
-        let (recorded, rec) = run_otc(n, fault_seed, true);
-        prop_assert_eq!(&plain, &recorded);
-        let rec = rec.unwrap();
-        assert_word_profile(&rec, recorded.1, width);
+        assert_repertoire_profile::<Cycles>([16, 64, 256][size_idx], faulty.then_some(seed), width);
     }
 
     /// Engine level: a profiled bit-level broadcast completes at exactly

@@ -1,8 +1,8 @@
 //! Telemetry and flight-recorder identity: the streaming bus and the
-//! crash ring must be pure observers. At word level an installed
-//! [`Telemetry`] changes no simulated cell, clock or stat (the
-//! Option-gated zero-overhead contract) while its counters agree with
-//! the run; at engine level the black-box pair (telemetry + flight
+//! crash ring must be pure observers. At word level the bus's counters
+//! agree with its own sketch over the whole registry repertoire
+//! (`tests/support/repertoire.rs`; that metering changes no word-level
+//! run is `tests/word_identity_suite.rs`'s gate); at engine level the black-box pair (telemetry + flight
 //! recorder) completes at exactly the uninstrumented time and the
 //! flight tail is a contiguous suffix of the event log (TEL-002). The
 //! sketch itself is held to its ε rank-band contract on adversarial
@@ -18,9 +18,10 @@ use orthotrees::obs::telemetry::{
     self, within_rank_band, QuantileSketch, Telemetry, REPORTED_QUANTILES,
 };
 use orthotrees::otc::Otc;
-use orthotrees::otn::{self, Axis, Otn, PhaseCost};
-use orthotrees::{BitTime, FaultPlan, FaultStats, OpStats, Word};
+use orthotrees::otn::{self, Otn};
+use orthotrees::wordnet::{Cycles, Tree, WordNet};
 use orthotrees_analysis::experiments::pipeline_telemetry;
+use orthotrees_bench::profile::dense_plan;
 use orthotrees_sim::experiments::{probe_engine, ProbeKind, PROBE_KINDS};
 use orthotrees_sim::{
     experiments, CalendarKind, Engine, EventLog, FaultPlan as LinkFaultPlan, FlightRecorder,
@@ -33,6 +34,10 @@ use proptest::prelude::*;
 mod hostile;
 use hostile::Edit;
 
+#[path = "support/repertoire.rs"]
+mod repertoire;
+use repertoire::Load;
+
 /// Fits a bit-level run with the black-box instruments: the event log,
 /// the telemetry bus (snapshot interval 16τ) and the flight recorder.
 fn black_box(e: Engine) -> Engine {
@@ -44,89 +49,6 @@ fn black_box(e: Engine) -> Engine {
 /// Takes the black-box instruments and a copy of the event log off a run.
 fn take_black_box(e: &mut Engine) -> (Telemetry, FlightRecorder, Vec<EventLog>) {
     (e.take_telemetry().unwrap(), e.take_flight_recorder().unwrap(), e.log().to_vec())
-}
-
-/// The parallel-suite's moderately damaging plan: detectable and silent
-/// word faults plus retries, so fault handling runs under the bus too.
-fn plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed).with_word_fault_rate(0.3).with_max_retries(2)
-}
-
-/// Everything observable about a word-level run.
-type Snapshot = (Vec<Option<Word>>, BitTime, OpStats, FaultStats);
-
-/// Runs the full OTN primitive repertoire; optionally metered, and
-/// snapshots the observable state plus the bus (when installed).
-fn run_otn(n: usize, fault_seed: Option<u64>, meter: bool) -> (Snapshot, Option<Telemetry>) {
-    let mut net = Otn::for_sorting(n).unwrap();
-    if meter {
-        net.install_telemetry(Telemetry::new(64));
-    }
-    if let Some(seed) = fault_seed {
-        net.install_fault_plan(plan(seed));
-    }
-    let a = net.alloc_reg("A");
-    let b = net.alloc_reg("B");
-    net.load_reg(a, |i, j| Some(((i * 31 + j * 7) % 97) as Word - 13));
-    net.load_row_roots(&(0..n as Word).collect::<Vec<_>>());
-
-    net.root_to_leaf(Axis::Rows, b, otn::all);
-    net.leaf_to_root(Axis::Cols, a, |i, _, _| i == 1);
-    net.count_to_root(Axis::Rows, a);
-    net.sum_to_root(Axis::Rows, a, otn::all);
-    net.min_to_root(Axis::Cols, a, otn::all);
-    net.max_to_root(Axis::Rows, a, otn::all);
-    net.sum_to_leaf(Axis::Rows, a, |_, j, _| j == 0, b, otn::all);
-    net.bp_phase(PhaseCost::Compare, |_, _, _| {});
-
-    let mut cells = Vec::new();
-    for r in [a, b] {
-        for i in 0..n {
-            for j in 0..n {
-                cells.push(net.peek(r, i, j));
-            }
-        }
-    }
-    let snap = (cells, net.clock().now(), *net.clock().stats(), net.fault_stats());
-    (snap, net.take_telemetry())
-}
-
-/// Runs the full OTC stream repertoire; optionally metered.
-fn run_otc(n: usize, fault_seed: Option<u64>, meter: bool) -> (Snapshot, Option<Telemetry>) {
-    let mut net = Otc::for_sorting(n).unwrap();
-    if meter {
-        net.install_telemetry(Telemetry::new(64));
-    }
-    if let Some(seed) = fault_seed {
-        net.install_fault_plan(plan(seed));
-    }
-    let (m, cycle) = (net.side(), net.cycle_len());
-    let a = net.alloc_reg("A");
-    let b = net.alloc_reg("B");
-    net.load_reg(a, |i, j, q| Some(((i * 13 + j * 5 + q * 3) % 89) as Word - 7));
-    net.load_row_root_buffers(
-        &(0..m).map(|t| (0..cycle as Word).map(|q| q + t as Word).collect()).collect::<Vec<_>>(),
-    );
-
-    net.circulate(&[a]);
-    net.root_to_cycle(Axis::Rows, b, |_, _, _| true);
-    net.cycle_to_root(Axis::Rows, a, |_, j, _, _| j == 0);
-    net.sum_cycle_to_root(Axis::Rows, a, |_, _, _, _| true);
-    net.min_cycle_to_root(Axis::Cols, a, |_, _, _, _| true);
-    net.sum_cycle_to_cycle(Axis::Rows, a, |_, _, _, _| true, b, |_, _, _| true);
-
-    let mut cells = Vec::new();
-    for r in [a, b] {
-        for i in 0..m {
-            for j in 0..m {
-                for q in 0..cycle {
-                    cells.push(net.peek(r, i, j, q));
-                }
-            }
-        }
-    }
-    let snap = (cells, net.clock().now(), *net.clock().stats(), net.fault_stats());
-    (snap, net.take_telemetry())
 }
 
 /// Asserts the bus told the truth about a word-level run: the charge
@@ -143,39 +65,41 @@ fn assert_bus_consistency(tel: &Telemetry, charges: &str, taus: &str) {
     }
 }
 
+/// Meters the repertoire on `T` at `n`, under `dense_plan(seed)` when
+/// given, and asserts the bus's consistency on it.
+fn assert_repertoire_bus<T: Load>(n: usize, seed: Option<u64>) {
+    let mut net = repertoire::run::<T>(n, |net: &mut WordNet<T>| {
+        net.install_telemetry(Telemetry::new(64));
+        if let Some(seed) = seed {
+            net.install_fault_plan(dense_plan(seed));
+        }
+    });
+    assert_bus_consistency(&net.take_telemetry().unwrap(), T::CHARGES, T::CHARGE_TAU);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// OTN: metering changes nothing observable — every paper
-    /// primitive, 2² to 2⁷ leaves, with and without a dense fault plan —
-    /// and the bus's counters agree with its own sketch.
+    /// OTN: the bus's counters agree with its own sketch over the
+    /// metered repertoire — 2² to 2⁷ leaves, with and without a dense
+    /// fault plan.
     #[test]
-    fn otn_telemetry_perturbs_nothing_and_agrees(
+    fn otn_telemetry_agrees_with_itself(
         k in 2u32..=7,
         seed in 0u64..1_000_000,
         faulty in any::<bool>(),
     ) {
-        let n = 1usize << k;
-        let fault_seed = faulty.then_some(seed);
-        let (plain, _) = run_otn(n, fault_seed, false);
-        let (metered, tel) = run_otn(n, fault_seed, true);
-        prop_assert_eq!(&plain, &metered);
-        assert_bus_consistency(&tel.unwrap(), "otn.charges", "otn.charge_tau");
+        assert_repertoire_bus::<Tree>(1 << k, faulty.then_some(seed));
     }
 
-    /// OTC: the same identity and agreement over the stream repertoire.
+    /// OTC: the same agreement over the stream repertoire.
     #[test]
-    fn otc_telemetry_perturbs_nothing_and_agrees(
+    fn otc_telemetry_agrees_with_itself(
         size_idx in 0usize..3,
         seed in 0u64..1_000_000,
         faulty in any::<bool>(),
     ) {
-        let n = [16usize, 64, 256][size_idx];
-        let fault_seed = faulty.then_some(seed);
-        let (plain, _) = run_otc(n, fault_seed, false);
-        let (metered, tel) = run_otc(n, fault_seed, true);
-        prop_assert_eq!(&plain, &metered);
-        assert_bus_consistency(&tel.unwrap(), "otc.charges", "otc.charge_tau");
+        assert_repertoire_bus::<Cycles>([16, 64, 256][size_idx], faulty.then_some(seed));
     }
 
     /// Engine level: the black-box pair (telemetry + flight recorder)
@@ -420,8 +344,8 @@ fn sort_exports(n: usize, faulty: bool) -> [u64; 2] {
     let mut otc_net = Otc::for_sorting(n).unwrap();
     otc_net.install_telemetry(Telemetry::new(64));
     if faulty {
-        otn_net.install_fault_plan(plan(17));
-        otc_net.install_fault_plan(plan(17));
+        otn_net.install_fault_plan(dense_plan(17));
+        otc_net.install_fault_plan(dense_plan(17));
     }
     otn::sort::sort(&mut otn_net, &xs).unwrap();
     orthotrees::otc::sort::sort(&mut otc_net, &xs).unwrap();
