@@ -294,6 +294,18 @@ mod tests {
     }
 
     #[test]
+    fn committed_quick_summary_is_byte_identical_to_a_fresh_one() {
+        // `repro` writes the rendered document plus a newline; every run in
+        // it is deterministic, so a refactor that runs the same experiments
+        // must reproduce the committed baseline byte for byte.
+        let fresh = bench_summary("quick", &crate::Preset::Quick.config()).render() + "\n";
+        assert!(
+            fresh == include_str!("../../../BENCH_2.json"),
+            "BENCH_2.json differs from a fresh quick summary; regenerate it with `repro`"
+        );
+    }
+
+    #[test]
     fn summary_round_trips_and_passes_the_schema_check() {
         let doc = bench_summary("quick", &tiny());
         let text = doc.render();
