@@ -31,6 +31,11 @@ cargo run --release -p orthotrees-bench --bin benchdiff -- --baseline BENCH_2.js
 # faster than the heap oracle in ns/event (measured ≈1.9× in release on
 # the reference machine, so 1.2 absorbs CI noise).
 cargo run --release -p orthotrees-bench --bin benchdiff -- --baseline PROF_7.json --json target/report/profdiff.json
+# Writer gate: benchdiff compares metrics within their gates, so also run
+# `repro` itself once and fail if the file it writes differs from the
+# committed BENCH_2.json by a single byte.
+cargo run --release -q -p orthotrees-bench --bin repro > target/report/repro.txt
+git diff --exit-code BENCH_2.json
 # Wall-clock benchmark smoke (its own cargo workspace under benchmark/):
 # every metric named in BENCHMARK.json printed and finite, no failed op,
 # and the exact figures equal between the untraced and traced passes.

@@ -11,20 +11,21 @@
 //!   equals the completion time exactly (the `Σ segments == completion`
 //!   invariant enforced by `crates/core/tests/observability.rs` and the
 //!   causal proptest suite);
-//! * **bit level** — [`experiments::broadcast`] runs the discrete-event
-//!   `ROOTTOLEAF` model with a [`CausalTrace`] fitted, which walks
-//!   backward from the completion event. [`critical_path_table`] renders
+//! * **bit level** — the [`Observation`]'s broadcast runs the
+//!   discrete-event `ROOTTOLEAF` model with a [`CausalTrace`] fitted,
+//!   which walks backward from the completion event. [`critical_path_table`] renders
 //!   the per-level attribution, [`closed_form_check`] cross-checks the
 //!   wire slices against [`CostModel::level_bit_delays`] bit-for-bit
 //!   (the `CRIT-001` rule in `orthotrees-verify` asserts the same), and
 //!   [`slack_table`] shows how much later each off-path link's last bit
 //!   could have arrived without delaying completion.
+//!
+//! `critpath_section` renders both views from one [`Observation`].
 
+use crate::obsreport::Observation;
 use orthotrees::obs::causal::{CausalTrace, CriticalPath, SegmentKind};
 use orthotrees::obs::Recorder;
-use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees::BitTime;
-use orthotrees_sim::{experiments, Engine};
 use orthotrees_vlsi::CostModel;
 use std::fmt::Write as _;
 
@@ -163,37 +164,38 @@ pub fn slack_table(trace: &CausalTrace, k: usize) -> String {
     out
 }
 
-/// The causal attribution of the network's SORT at size `sort_n`.
-fn segment_section<T: Topology>(sort_n: usize, seed: u64) -> String {
-    let (out, rec) = crate::obsreport::sort_observed::<T>(sort_n, seed);
-    format!(
-        "Causal attribution — SORT-{}, N = {sort_n}:\n{}\n",
-        T::NAME,
-        segment_table(&rec, out.time)
-    )
-}
-
 /// The full critical-path section of the report: word-level causal
 /// attribution for `SORT-OTN` and `SORT-OTC` at size `sort_n`, then the
 /// bit-level `ROOTTOLEAF` critical path over `sort_n` leaves with the
 /// closed-form cross-check and the slack table.
 pub fn critpath_report(sort_n: usize, seed: u64) -> String {
-    let mut out = segment_section::<Tree>(sort_n, seed) + &segment_section::<Cycles>(sort_n, seed);
-    let m = CostModel::thompson(sort_n);
-    match experiments::broadcast(sort_n, &m, Engine::with_causal_trace) {
-        Ok((t, mut e)) => {
-            let trace = e.take_causal_trace().expect("causal trace was installed for this run");
+    critpath_section(&Observation::run(sort_n, seed))
+}
+
+/// [`critpath_report`] rendered from the runs of `obs`.
+pub(crate) fn critpath_section(obs: &Observation) -> String {
+    let n = obs.n;
+    let mut out = String::new();
+    for (name, (sorted, rec)) in obs.sorts() {
+        let _ = writeln!(
+            out,
+            "Causal attribution — SORT-{name}, N = {n}:\n{}",
+            segment_table(rec, sorted.time)
+        );
+    }
+    match &obs.broadcast {
+        Ok(b) => {
             let _ = writeln!(
                 out,
-                "Critical path — bit-level ROOTTOLEAF over {sort_n} leaves \
+                "Critical path — bit-level ROOTTOLEAF over {n} leaves \
                  (completion {} bit-times):",
-                t.get()
+                b.time.get()
             );
-            match trace.critical_path() {
+            match b.trace.critical_path() {
                 Some(path) => {
                     out.push_str(&critical_path_table(&path));
-                    out.push_str(&closed_form_check(&m, sort_n, &path));
-                    out.push_str(&slack_table(&trace, 8));
+                    out.push_str(&closed_form_check(&CostModel::thompson(n), n, &path));
+                    out.push_str(&slack_table(&b.trace, 8));
                 }
                 None => {
                     let _ = writeln!(out, "(no delivered bits — nothing to attribute)");
@@ -210,6 +212,8 @@ pub fn critpath_report(sort_n: usize, seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orthotrees::wordnet::{Cycles, Topology, Tree};
+    use orthotrees_sim::{experiments, Engine};
 
     fn traced(leaves: usize, m: &CostModel) -> (BitTime, CausalTrace) {
         let (t, mut e) = experiments::broadcast(leaves, m, Engine::with_causal_trace).unwrap();

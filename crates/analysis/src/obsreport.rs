@@ -15,14 +15,20 @@
 //!   `ROOTTOLEAF` model; with the engine recorder fitted it yields the
 //!   per-link bits-carried/utilization/queueing and the calendar-depth
 //!   histogram that [`link_table`] renders.
+//!
+//! An [`Observation`] holds both levels' runs at one size, each run once,
+//! for this section, the critical-path and windowed-profile sections and
+//! the bench summary to read.
 
 use crate::workloads;
+use orthotrees::obs::causal::CausalTrace;
+use orthotrees::obs::profile::Profiler;
 use orthotrees::obs::Recorder;
 use orthotrees::otn::sort::SortOutcome;
 use orthotrees::wordnet::{Cycles, Topology, Tree};
 use orthotrees::BitTime;
-use orthotrees_sim::experiments;
-use orthotrees_vlsi::CostModel;
+use orthotrees_sim::{experiments, Engine};
+use orthotrees_vlsi::{CostModel, SimError};
 use std::fmt::Write as _;
 
 /// Runs the network's SORT (`SORT-OTN` for [`Tree`], `SORT-OTC` for
@@ -40,6 +46,67 @@ pub fn sort_observed<T: Topology>(n: usize, seed: u64) -> (SortOutcome, Recorder
     let out = T::sort(&mut net, &xs).expect("matched input length");
     let rec = net.take_recorder().expect("recorder was installed");
     (out, rec)
+}
+
+/// The bit-level `ROOTTOLEAF` broadcast of an [`Observation`], run once
+/// with the recorder, the windowed profiler and the causal trace
+/// installed together.
+#[derive(Debug)]
+pub struct Broadcast {
+    /// Completion time.
+    pub time: BitTime,
+    /// Per-link traffic and calendar depth.
+    pub recorder: Recorder,
+    /// Windows of 16 τ.
+    pub profiler: Profiler,
+    /// The causal trace the critical path is extracted from.
+    pub trace: CausalTrace,
+}
+
+/// The instrumented runs behind the phase, critical-path and
+/// windowed-profile sections and the bench summary's `phases` and
+/// `links`: SORT-OTN and SORT-OTC on `n` seeded words, each with a
+/// recorder, and a [`Broadcast`] over `n` leaves.
+#[derive(Debug)]
+pub struct Observation {
+    /// The sorts' size and the broadcast's leaf count.
+    pub n: usize,
+    /// SORT-OTN's outcome and recorder.
+    pub otn: (SortOutcome, Recorder),
+    /// SORT-OTC's outcome and recorder.
+    pub otc: (SortOutcome, Recorder),
+    /// The broadcast, or why the bit-level run failed.
+    pub broadcast: Result<Broadcast, SimError>,
+}
+
+impl Observation {
+    /// Runs both sorts and the broadcast at size `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a supported sorting size (a power of two, and
+    /// at least 4 on the OTC).
+    pub fn run(n: usize, seed: u64) -> Observation {
+        let (otn, otc) = (sort_observed::<Tree>(n, seed), sort_observed::<Cycles>(n, seed));
+        let setup = |e: Engine| {
+            e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16)).with_causal_trace()
+        };
+        let broadcast =
+            experiments::broadcast(n, &CostModel::thompson(n), setup).map(|(time, mut e)| {
+                Broadcast {
+                    time,
+                    recorder: e.take_recorder().expect("recorder was installed for this run"),
+                    profiler: e.take_profiler().expect("profiler was installed for this run"),
+                    trace: e.take_causal_trace().expect("causal trace was installed for this run"),
+                }
+            });
+        Observation { n, otn, otc, broadcast }
+    }
+
+    /// Both sorts, SORT-OTN first, each with its network's name.
+    pub fn sorts(&self) -> [(&'static str, &(SortOutcome, Recorder)); 2] {
+        [(Tree::NAME, &self.otn), (Cycles::NAME, &self.otc)]
+    }
 }
 
 /// The registry classification of a span name for the phase table:
@@ -153,33 +220,34 @@ pub fn link_table(rec: &Recorder) -> String {
     out
 }
 
-/// The phase breakdown of the network's SORT at size `sort_n`.
-fn phase_section<T: Topology>(sort_n: usize, seed: u64) -> String {
-    let (out, rec) = sort_observed::<T>(sort_n, seed);
-    format!(
-        "Phase attribution — SORT-{}, N = {sort_n} (completion {} bit-times):\n{}\n",
-        T::NAME,
-        out.time.get(),
-        phase_table(&rec, out.time)
-    )
-}
-
 /// The full observability section of the report: OTN and OTC sorting
 /// phase breakdowns at size `sort_n`, and the bit-level link profile of a
 /// `ROOTTOLEAF` broadcast over `sort_n` leaves.
 pub fn observability_report(sort_n: usize, seed: u64) -> String {
-    let mut out = phase_section::<Tree>(sort_n, seed) + &phase_section::<Cycles>(sort_n, seed);
-    let m = CostModel::thompson(sort_n);
-    match experiments::broadcast(sort_n, &m, |e| e.with_recorder(Recorder::new())) {
-        Ok((t, mut e)) => {
-            let rec = e.take_recorder().expect("recorder was installed for this run");
+    observability_section(&Observation::run(sort_n, seed))
+}
+
+/// [`observability_report`] rendered from the runs of `obs`.
+pub(crate) fn observability_section(obs: &Observation) -> String {
+    let n = obs.n;
+    let mut out = String::new();
+    for (name, (sorted, rec)) in obs.sorts() {
+        let _ = writeln!(
+            out,
+            "Phase attribution — SORT-{name}, N = {n} (completion {} bit-times):\n{}",
+            sorted.time.get(),
+            phase_table(rec, sorted.time)
+        );
+    }
+    match &obs.broadcast {
+        Ok(b) => {
             let _ = writeln!(
                 out,
-                "Link utilization — bit-level ROOTTOLEAF over {sort_n} leaves \
+                "Link utilization — bit-level ROOTTOLEAF over {n} leaves \
                  (completion {} bit-times):",
-                t.get()
+                b.time.get()
             );
-            out.push_str(&link_table(&rec));
+            out.push_str(&link_table(&b.recorder));
         }
         Err(e) => {
             let _ = writeln!(out, "Link utilization: bit-level run failed: {e}");

@@ -2,44 +2,23 @@
 //! attribution and the engine-structure footprint, rendered from a
 //! windowed [`Profiler`].
 //!
-//! Mirrors `obsreport`'s two levels:
+//! Mirrors `obsreport`'s two levels, both read from one [`Observation`]:
 //!
-//! * **word level** — [`sort_profiled`] re-buckets either network's
-//!   recorded sort's causal segments into windows
-//!   ([`Profiler::from_recorder`]), so the wire/queue/compute mix is
-//!   visible *over time* rather than only in aggregate;
-//! * **bit level** — [`experiments::broadcast`] runs the discrete-event
-//!   `ROOTTOLEAF` model with the engine recorder and profiler fitted:
-//!   events, calendar depth and link traffic per window, plus the
-//!   calendar-depth peak footprint the event-core overhaul must be
-//!   sized for.
+//! * **word level** — either network's recorded sort's causal segments
+//!   re-bucketed into windows ([`Profiler::from_recorder`]), so the
+//!   wire/queue/compute mix is visible *over time* rather than only in
+//!   aggregate;
+//! * **bit level** — the `ROOTTOLEAF` broadcast with the engine recorder
+//!   and profiler fitted: events, calendar depth and link traffic per
+//!   window, plus the calendar-depth peak footprint the event-core
+//!   overhaul must be sized for.
 //!
-//! [`profile_report`] renders all of it; `report::full_report` appends
+//! `profile_section` renders all of it; `report::full_report` appends
 //! it after the critical-path section.
 
-use crate::obsreport::sort_observed;
+use crate::obsreport::Observation;
 use orthotrees::obs::profile::Profiler;
-use orthotrees::obs::Recorder;
-use orthotrees::otn::sort::SortOutcome;
-use orthotrees::wordnet::{Cycles, Topology, Tree};
-use orthotrees_sim::{experiments, Engine};
-use orthotrees_vlsi::CostModel;
 use std::fmt::Write as _;
-
-/// Runs the network's SORT (`SORT-OTN` for [`Tree`], `SORT-OTC` for
-/// [`Cycles`]) on `n` seeded words with a recorder installed and
-/// re-buckets the recorded causal segments into a windowed profile
-/// (window width auto-sized to the completion time).
-///
-/// # Panics
-///
-/// Panics if `n` is not a supported sorting size (a power of two, and at
-/// least 4 on the OTC).
-pub fn sort_profiled<T: Topology>(n: usize, seed: u64) -> (SortOutcome, Recorder, Profiler) {
-    let (out, rec) = sort_observed::<T>(n, seed);
-    let prof = Profiler::from_recorder(&rec, Profiler::auto_width(out.time.get()));
-    (out, rec, prof)
-}
 
 /// Renders the per-window summary table: time range, events, calendar
 /// depth (max / mean), link bits, and the queue/wire/compute/fault-
@@ -141,41 +120,43 @@ pub fn footprint_line(prof: &Profiler) -> String {
     }
 }
 
-/// The window table and hot phases of the network's SORT at size `sort_n`.
-fn window_section<T: Topology>(sort_n: usize, seed: u64) -> String {
-    let (out, _, prof) = sort_profiled::<T>(sort_n, seed);
-    format!(
-        "Windowed profile — SORT-{}, N = {sort_n} (completion {} bit-times, window {} tau):\n{}{}\n",
-        T::NAME,
-        out.time.get(),
-        prof.width(),
-        window_table(&prof, 16),
-        hot_table(&prof, 5)
-    )
-}
-
 /// The full windowed-profile section of the report: word-level SORT-OTN
 /// and SORT-OTC window tables with hot phases, and the bit-level
 /// `ROOTTOLEAF` engine profile with calendar-depth percentiles and the
 /// peak footprint.
 pub fn profile_report(sort_n: usize, seed: u64) -> String {
-    let mut out = window_section::<Tree>(sort_n, seed) + &window_section::<Cycles>(sort_n, seed);
-    let m = CostModel::thompson(sort_n);
-    let setup = |e: Engine| e.with_recorder(Recorder::new()).with_profiler(Profiler::new(16));
-    match experiments::broadcast(sort_n, &m, setup) {
-        Ok((t, mut e)) => {
-            let rec = e.take_recorder().expect("recorder was installed for this run");
-            let prof = e.take_profiler().expect("profiler was installed for this run");
+    profile_section(&Observation::run(sort_n, seed))
+}
+
+/// [`profile_report`] rendered from the runs of `obs`; each sort's
+/// windows are auto-sized to its completion time.
+pub(crate) fn profile_section(obs: &Observation) -> String {
+    let n = obs.n;
+    let mut out = String::new();
+    for (name, (sorted, rec)) in obs.sorts() {
+        let prof = Profiler::from_recorder(rec, Profiler::auto_width(sorted.time.get()));
+        let _ = writeln!(
+            out,
+            "Windowed profile — SORT-{name}, N = {n} (completion {} bit-times, window {} tau):\n{}{}",
+            sorted.time.get(),
+            prof.width(),
+            window_table(&prof, 16),
+            hot_table(&prof, 5)
+        );
+    }
+    match &obs.broadcast {
+        Ok(b) => {
+            let prof = &b.profiler;
             let _ = writeln!(
                 out,
-                "Engine window profile — bit-level ROOTTOLEAF over {sort_n} leaves \
+                "Engine window profile — bit-level ROOTTOLEAF over {n} leaves \
                  (completion {} bit-times, window {} tau):",
-                t.get(),
+                b.time.get(),
                 prof.width()
             );
-            out.push_str(&window_table(&prof, 16));
-            out.push_str(&hot_table(&prof, 5));
-            let cal = rec.calendar_depth();
+            out.push_str(&window_table(prof, 16));
+            out.push_str(&hot_table(prof, 5));
+            let cal = b.recorder.calendar_depth();
             let _ = writeln!(
                 out,
                 "calendar depth p50 {}, p99 {}, peak {}",
@@ -183,7 +164,7 @@ pub fn profile_report(sort_n: usize, seed: u64) -> String {
                 cal.percentile(99.0),
                 prof.peak_calendar_depth()
             );
-            out.push_str(&footprint_line(&prof));
+            out.push_str(&footprint_line(prof));
         }
         Err(e) => {
             let _ = writeln!(out, "Engine window profile: bit-level run failed: {e}");
@@ -195,9 +176,20 @@ pub fn profile_report(sort_n: usize, seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obsreport::sort_observed;
+    use orthotrees::obs::Recorder;
+    use orthotrees::otn::sort::SortOutcome;
+    use orthotrees::wordnet::{Cycles, Topology, Tree};
+
+    /// `T`'s observed sort at n = 16, seed 7, with its windowed profile.
+    fn profiled<T: Topology>() -> (SortOutcome, Recorder, Profiler) {
+        let (out, rec) = sort_observed::<T>(16, 7);
+        let prof = Profiler::from_recorder(&rec, Profiler::auto_width(out.time.get()));
+        (out, rec, prof)
+    }
 
     fn word_profile_tiles<T: Topology>() {
-        let (out, rec, prof) = sort_profiled::<T>(16, 7);
+        let (out, rec, prof) = profiled::<T>();
         let t = prof.totals();
         assert_eq!(t.wire + t.queue_wait + t.compute, rec.segments_total().get());
         assert_eq!(rec.segments_total(), out.time, "Σ segments == completion (PR 4 invariant)");
@@ -218,7 +210,7 @@ mod tests {
 
     #[test]
     fn window_table_sums_and_elides() {
-        let (_, _, prof) = sort_profiled::<Tree>(16, 7);
+        let (_, _, prof) = profiled::<Tree>();
         let text = window_table(&prof, 4);
         assert!(text.contains("TOTAL"), "{text}");
         assert!(text.contains("Σ windows"), "{text}");
@@ -232,7 +224,7 @@ mod tests {
 
     #[test]
     fn hot_table_names_word_phases() {
-        let (_, _, prof) = sort_profiled::<Tree>(16, 7);
+        let (_, _, prof) = profiled::<Tree>();
         let text = hot_table(&prof, 5);
         assert!(text.contains("hot spots"), "{text}");
         assert!(text.contains("SORT-OTN") || text.contains("ROOTTOLEAF"), "{text}");

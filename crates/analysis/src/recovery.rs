@@ -162,29 +162,44 @@ pub fn recovery_table(runs: &[(&str, usize, RecoveryReport)]) -> String {
     out
 }
 
+/// One supervised workload of the report: its label, its size and its
+/// recovery report, or why it failed.
+pub type RecoveryRun = (&'static str, usize, Result<RecoveryReport, SimError>);
+
+/// Runs the report's two supervised workloads at size 16: `SUM-OUTAGE`
+/// ([`engine_outage_recovery`]) and `SOAK-OTN` ([`otn_soak_recovery`]
+/// over 12 problems).
+pub(crate) fn recovery_runs(seed: u64) -> [RecoveryRun; 2] {
+    [
+        ("SUM-OUTAGE", 16, engine_outage_recovery(16, seed).map(|(report, _)| report)),
+        ("SOAK-OTN", 16, otn_soak_recovery(16, 12, seed)),
+    ]
+}
+
 /// The crash-recovery section of the full report: both supervised
 /// workloads, rendered as a table (failures render as a message instead
 /// of aborting the report).
 pub fn recovery_report_section(seed: u64) -> String {
+    recovery_section(&recovery_runs(seed))
+}
+
+/// [`recovery_report_section`] rendered from `runs`.
+pub(crate) fn recovery_section(runs: &[RecoveryRun]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Crash recovery — supervised runs (checkpoint, detect, roll back, heal, replay):"
     );
-    let mut runs = Vec::new();
-    match engine_outage_recovery(16, seed) {
-        Ok((report, _rec)) => runs.push(("SUM-OUTAGE", 16, report)),
-        Err(e) => {
-            let _ = writeln!(out, "SUM-OUTAGE failed: {e}");
+    let mut rows = Vec::new();
+    for (workload, n, run) in runs {
+        match run {
+            Ok(report) => rows.push((*workload, *n, *report)),
+            Err(e) => {
+                let _ = writeln!(out, "{workload} failed: {e}");
+            }
         }
     }
-    match otn_soak_recovery(16, 12, seed) {
-        Ok(report) => runs.push(("SOAK-OTN", 16, report)),
-        Err(e) => {
-            let _ = writeln!(out, "SOAK-OTN failed: {e}");
-        }
-    }
-    out.push_str(&recovery_table(&runs));
+    out.push_str(&recovery_table(&rows));
     out.push_str(
         "replayed bits are wall-clock waste, not simulated time: the recovered completion\n\
          equals the crash-free run's, and replayed windows appear as RECOVERY trace spans.\n",

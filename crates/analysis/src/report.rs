@@ -3,8 +3,11 @@
 //! validation), and renders the text that EXPERIMENTS.md records and the
 //! `repro` binary prints.
 
-use crate::sweep;
+use crate::obsreport::{self, Observation};
+use crate::recovery::{self, RecoveryRun};
 use crate::tables::{paper, ReproTable};
+use crate::telreport::{self, PipelineBatch};
+use crate::{critpath, profreport, sweep};
 use orthotrees_vlsi::Complexity;
 use std::fmt::Write as _;
 
@@ -59,10 +62,13 @@ pub fn table1(cfg: &ReportConfig) -> ReproTable {
 }
 
 /// Table II: Boolean matrix multiplication. Mesh/OTN/OTC measured (OTC
-/// emulated per §V); PSN/CCC evaluated from the paper's closed forms (their
-/// `N³`-processor constructions are cited, not built — see DESIGN.md).
+/// emulated per §V: the OTN row's samples re-priced at the OTC's area);
+/// PSN/CCC evaluated from the paper's closed forms (their `N³`-processor
+/// constructions are cited, not built — see DESIGN.md).
 pub fn table2(cfg: &ReportConfig) -> ReproTable {
     let ns = &cfg.matmul_ns;
+    let otn = sweep::boolmm_otn(ns, cfg.seed);
+    let otc = sweep::boolmm_otc_of(&otn);
     let sweeps = vec![
         sweep::boolmm_mesh(ns, cfg.seed),
         sweep::analytic(
@@ -79,8 +85,8 @@ pub fn table2(cfg: &ReportConfig) -> ReproTable {
             Complexity::polylog(2),
             ns,
         ),
-        sweep::boolmm_otn(ns, cfg.seed),
-        sweep::boolmm_otc(ns, cfg.seed),
+        otn,
+        otc,
         sweep::matmul_mot3d(ns, cfg.seed),
     ];
     ReproTable::build("Table II", "Boolean matrix multiplication", paper::table2(), sweeps)
@@ -200,34 +206,61 @@ pub fn crossover_report() -> String {
     out
 }
 
-/// Every reproduced table, built once, in report order (Tables I, II,
-/// III, III′ and IV), each with the file stem `repro` writes it under as
-/// `<stem>.csv`.
-pub fn tables(cfg: &ReportConfig) -> [(&'static str, ReproTable); 5] {
-    [
-        ("table1", table1(cfg)),
-        ("table2", table2(cfg)),
-        ("table3", table3(cfg)),
-        ("table3_mst", table3_mst(cfg)),
-        ("table4", table4(cfg)),
-    ]
+/// Everything one report run measures, each experiment run once: the
+/// five tables, the [`Observation`] at [`ReportConfig::obs_n`], the two
+/// supervised recovery workloads and the two pipeline-SLO batches. The
+/// report text ([`render_report`]), the bench summary and `repro`'s
+/// Perfetto trace all read it.
+#[derive(Debug)]
+pub struct Battery {
+    /// The grids and seed it was run with.
+    pub cfg: ReportConfig,
+    /// Every reproduced table in report order (Tables I, II, III, III′
+    /// and IV), each with the file stem `repro` writes it under as
+    /// `<stem>.csv`.
+    pub tables: [(&'static str, ReproTable); 5],
+    /// The observed sorts and broadcast.
+    pub obs: Observation,
+    /// The supervised recovery workloads.
+    pub recovery: [RecoveryRun; 2],
+    /// The pipeline-SLO batches.
+    pub pipelines: [PipelineBatch; 2],
+}
+
+impl Battery {
+    /// Runs every experiment of the report once, in report order.
+    pub fn run(cfg: &ReportConfig) -> Battery {
+        Battery {
+            cfg: cfg.clone(),
+            tables: [
+                ("table1", table1(cfg)),
+                ("table2", table2(cfg)),
+                ("table3", table3(cfg)),
+                ("table3_mst", table3_mst(cfg)),
+                ("table4", table4(cfg)),
+            ],
+            obs: Observation::run(cfg.obs_n(), cfg.seed),
+            recovery: recovery::recovery_runs(cfg.seed),
+            pipelines: telreport::pipeline_batches(cfg.seed),
+        }
+    }
 }
 
 /// Runs the whole battery and renders the report.
 pub fn full_report(cfg: &ReportConfig) -> String {
-    render_report(cfg, &tables(cfg))
+    render_report(&Battery::run(cfg))
 }
 
-/// The report of [`full_report`] over `tables`, already built by
-/// [`tables`] with the same `cfg`; the other sections run here.
-pub fn render_report(cfg: &ReportConfig, tables: &[(&str, ReproTable)]) -> String {
+/// The report of [`full_report`], rendered from `battery`.
+pub fn render_report(battery: &Battery) -> String {
+    let cfg = &battery.cfg;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "orthotrees reproduction report (seed {}, sort N {:?}, matmul N {:?}, graph N {:?})\n",
         cfg.seed, cfg.sort_ns, cfg.matmul_ns, cfg.graph_ns
     );
-    for (_, table) in tables {
+    for (_, table) in &battery.tables {
         out.push_str(&table.render());
         out.push_str(&ranking_check(table));
         out.push('\n');
@@ -235,16 +268,16 @@ pub fn render_report(cfg: &ReportConfig, tables: &[(&str, ReproTable)]) -> Strin
     out.push_str("Crossovers (from the paper's Θ forms):\n");
     out.push_str(&crossover_report());
     out.push('\n');
-    let obs_n = cfg.obs_n();
-    out.push_str(&crate::obsreport::observability_report(obs_n, cfg.seed));
-    out.push('\n');
-    out.push_str(&crate::critpath::critpath_report(obs_n, cfg.seed));
-    out.push('\n');
-    out.push_str(&crate::profreport::profile_report(obs_n, cfg.seed));
-    out.push('\n');
-    out.push_str(&crate::recovery::recovery_report_section(cfg.seed));
-    out.push('\n');
-    out.push_str(&crate::telreport::telemetry_report_section(cfg.seed));
+    for section in [
+        obsreport::observability_section(&battery.obs),
+        critpath::critpath_section(&battery.obs),
+        profreport::profile_section(&battery.obs),
+        recovery::recovery_section(&battery.recovery),
+    ] {
+        out.push_str(&section);
+        out.push('\n');
+    }
+    out.push_str(&telreport::telemetry_section(&battery.pipelines));
     out
 }
 
@@ -323,5 +356,23 @@ mod tests {
         }
         assert!(text.contains("Crossovers"));
         assert!(text.contains("Crash recovery"), "recovery section missing");
+    }
+
+    #[test]
+    fn full_report_contains_every_section_wrapper_verbatim() {
+        // The wrappers run their own experiments; the report renders the
+        // same sections from one shared battery.
+        let cfg = tiny();
+        let text = full_report(&cfg);
+        let (n, seed) = (cfg.obs_n(), cfg.seed);
+        for section in [
+            obsreport::observability_report(n, seed),
+            critpath::critpath_report(n, seed),
+            profreport::profile_report(n, seed),
+            recovery::recovery_report_section(seed),
+            telreport::telemetry_report_section(seed),
+        ] {
+            assert!(text.contains(&section), "not in the full report:\n{section}");
+        }
     }
 }

@@ -77,6 +77,23 @@ pub struct Sweep {
 }
 
 impl Sweep {
+    /// The sweep of `network` on `problem` with one `sample(n)` per
+    /// problem size in `ns`, in order.
+    pub(crate) fn new(
+        network: &str,
+        problem: &str,
+        provenance: Provenance,
+        ns: &[usize],
+        sample: impl FnMut(usize) -> Sample,
+    ) -> Sweep {
+        Sweep {
+            network: network.into(),
+            problem: problem.into(),
+            provenance,
+            samples: ns.iter().copied().map(sample).collect(),
+        }
+    }
+
     /// Fitted time exponents, if the sweep has enough points.
     pub fn fit_time(&self) -> Option<crate::fit::Fit> {
         crate::fit::fit_poly_log(&self.samples)
@@ -102,6 +119,15 @@ fn graph_word_bits(n: usize) -> u32 {
     2 * log2_ceil(n as u64).max(1) + 2
 }
 
+/// The sorting problem label; `unit` marks the §VII.D unit-cost model.
+fn sorting(unit: bool) -> &'static str {
+    if unit {
+        "sorting (unit-cost)"
+    } else {
+        "sorting"
+    }
+}
+
 // ---------------------------------------------------------------------
 // Sorting sweeps (Tables I and IV).
 // ---------------------------------------------------------------------
@@ -109,122 +135,76 @@ fn graph_word_bits(n: usize) -> u32 {
 /// SORT-OTN over `ns`; `unit` switches to the §VII.D unit-cost model
 /// (Table IV).
 pub fn sort_otn(ns: &[usize], seed: u64, unit: bool) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let model = if unit { CostModel::unit_delay(n) } else { CostModel::thompson(n) };
-            let mut net = Otn::new(n, n, model).expect("power-of-two n");
-            let xs = workloads::distinct_words(n, seed);
-            let out = otn::sort::sort(&mut net, &xs).expect("matched size");
-            debug_assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
-            Sample { n, time: out.time, area: OtnLayout::predicted_area_default(n) }
-        })
-        .collect();
-    Sweep {
-        network: "OTN".into(),
-        problem: if unit { "sorting (unit-cost)".into() } else { "sorting".into() },
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("OTN", sorting(unit), Provenance::Measured, ns, |n| {
+        let model = if unit { CostModel::unit_delay(n) } else { CostModel::thompson(n) };
+        let mut net = Otn::new(n, n, model).expect("power-of-two n");
+        let xs = workloads::distinct_words(n, seed);
+        let out = otn::sort::sort(&mut net, &xs).expect("matched size");
+        debug_assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
+        Sample { n, time: out.time, area: OtnLayout::predicted_area_default(n) }
+    })
 }
 
 /// SORT-OTC over `ns` (Thompson model; the OTC row of Table I).
 pub fn sort_otc(ns: &[usize], seed: u64) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let mut net = Otc::for_sorting(n).expect("n >= 4 power of two");
-            let xs = workloads::distinct_words(n, seed);
-            let out = otc::sort::sort(&mut net, &xs).expect("matched size");
-            debug_assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
-            let (m, l) = Otc::dims_for(n).expect("validated");
-            let w = log2_ceil(n as u64).max(1);
-            Sample { n, time: out.time, area: OtcLayout::predicted_area(m, l, w) }
-        })
-        .collect();
-    Sweep {
-        network: "OTC".into(),
-        problem: "sorting".into(),
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("OTC", sorting(false), Provenance::Measured, ns, |n| {
+        let mut net = Otc::for_sorting(n).expect("n >= 4 power of two");
+        let xs = workloads::distinct_words(n, seed);
+        let out = otc::sort::sort(&mut net, &xs).expect("matched size");
+        debug_assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
+        let (m, l) = Otc::dims_for(n).expect("validated");
+        let w = log2_ceil(n as u64).max(1);
+        Sample { n, time: out.time, area: OtcLayout::predicted_area(m, l, w) }
+    })
 }
 
 /// Mesh shear sort over the even powers of two in `ns`; `unit` switches to
 /// the §VII.D unit-cost model (the mesh's short wires make the *delay*
 /// model irrelevant, but unit-cost word ops still drop the `w` factor).
 pub fn sort_mesh(ns: &[usize], seed: u64, unit: bool) -> Sweep {
-    let samples = ns
-        .iter()
-        .filter(|&&n| log2_ceil(n as u64).is_multiple_of(2))
-        .map(|&n| {
-            let side = 1usize << (log2_ceil(n as u64) / 2);
-            let model = if unit { CostModel::unit_delay(n) } else { CostModel::thompson(n) };
-            let mut net = mesh::Mesh::new(side, side, model).expect("positive side");
-            let xs = workloads::distinct_words(n, seed);
-            let out = mesh::sort::shear_sort(&mut net, &xs).expect("matched size");
-            debug_assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
-            let w = log2_ceil(n as u64).max(1);
-            Sample { n, time: out.time, area: MeshLayout::predicted_area(side, side, w) }
-        })
-        .collect();
-    Sweep {
-        network: "Mesh".into(),
-        problem: if unit { "sorting (unit-cost)".into() } else { "sorting".into() },
-        provenance: Provenance::Measured,
-        samples,
-    }
+    let square: Vec<usize> =
+        ns.iter().copied().filter(|&n| log2_ceil(n as u64).is_multiple_of(2)).collect();
+    Sweep::new("Mesh", sorting(unit), Provenance::Measured, &square, |n| {
+        let side = 1usize << (log2_ceil(n as u64) / 2);
+        let model = if unit { CostModel::unit_delay(n) } else { CostModel::thompson(n) };
+        let mut net = mesh::Mesh::new(side, side, model).expect("positive side");
+        let xs = workloads::distinct_words(n, seed);
+        let out = mesh::sort::shear_sort(&mut net, &xs).expect("matched size");
+        debug_assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
+        let w = log2_ceil(n as u64).max(1);
+        Sample { n, time: out.time, area: MeshLayout::predicted_area(side, side, w) }
+    })
 }
 
 /// PSN shuffle-exchange bitonic sort over `ns`.
 pub fn sort_psn(ns: &[usize], seed: u64, unit: bool) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let mut net = Psn::new(n).expect("power of two >= 4");
-            if unit {
-                net.set_model(CostModel::unit_delay(n));
-            }
-            let xs = workloads::distinct_words(n, seed);
-            let out = net.sort(&xs).expect("matched size");
-            debug_assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
-            let area =
-                ModeledLayout::new(ModeledNetwork::PerfectShuffle, n).expect("validated").area();
-            Sample { n, time: out.time, area }
-        })
-        .collect();
-    Sweep {
-        network: "PSN".into(),
-        problem: if unit { "sorting (unit-cost)".into() } else { "sorting".into() },
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("PSN", sorting(unit), Provenance::Measured, ns, |n| {
+        let mut net = Psn::new(n).expect("power of two >= 4");
+        if unit {
+            net.set_model(CostModel::unit_delay(n));
+        }
+        let xs = workloads::distinct_words(n, seed);
+        let out = net.sort(&xs).expect("matched size");
+        debug_assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
+        let area = ModeledLayout::new(ModeledNetwork::PerfectShuffle, n).expect("validated").area();
+        Sample { n, time: out.time, area }
+    })
 }
 
 /// CCC (hypercube-emulation) bitonic sort over `ns`.
 pub fn sort_ccc(ns: &[usize], seed: u64, unit: bool) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let mut net = Ccc::new(n).expect("power of two >= 4");
-            if unit {
-                net.set_model(CostModel::unit_delay(n));
-            }
-            let xs = workloads::distinct_words(n, seed);
-            let out = net.sort(&xs).expect("matched size");
-            debug_assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
-            let area = ModeledLayout::new(ModeledNetwork::CubeConnectedCycles, n)
-                .expect("validated")
-                .area();
-            Sample { n, time: out.time, area }
-        })
-        .collect();
-    Sweep {
-        network: "CCC".into(),
-        problem: if unit { "sorting (unit-cost)".into() } else { "sorting".into() },
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("CCC", sorting(unit), Provenance::Measured, ns, |n| {
+        let mut net = Ccc::new(n).expect("power of two >= 4");
+        if unit {
+            net.set_model(CostModel::unit_delay(n));
+        }
+        let xs = workloads::distinct_words(n, seed);
+        let out = net.sort(&xs).expect("matched size");
+        debug_assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
+        let area =
+            ModeledLayout::new(ModeledNetwork::CubeConnectedCycles, n).expect("validated").area();
+        Sample { n, time: out.time, area }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -233,83 +213,52 @@ pub fn sort_ccc(ns: &[usize], seed: u64, unit: bool) -> Sweep {
 
 /// Boolean Cannon on the mesh over matrix sides `ns`.
 pub fn boolmm_mesh(ns: &[usize], seed: u64) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let a = workloads::grid_to_rows(&workloads::random_bool_matrix(n, 0.3, seed));
-            let b = workloads::grid_to_rows(&workloads::random_bool_matrix(n, 0.3, seed ^ 1));
-            let out = mesh::matmul::cannon_bool_matmul(&a, &b).expect("square");
-            Sample { n, time: out.time, area: MeshLayout::predicted_area(n, n, 1) }
-        })
-        .collect();
-    Sweep {
-        network: "Mesh".into(),
-        problem: "boolean matmul".into(),
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("Mesh", "boolean matmul", Provenance::Measured, ns, |n| {
+        let a = workloads::grid_to_rows(&workloads::random_bool_matrix(n, 0.3, seed));
+        let b = workloads::grid_to_rows(&workloads::random_bool_matrix(n, 0.3, seed ^ 1));
+        let out = mesh::matmul::cannon_bool_matmul(&a, &b).expect("square");
+        Sample { n, time: out.time, area: MeshLayout::predicted_area(n, n, 1) }
+    })
 }
 
 /// Boolean multiplication on the wide `(N²×N)` OTN over matrix sides `ns`.
 pub fn boolmm_otn(ns: &[usize], seed: u64) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let a = workloads::random_bool_matrix(n, 0.3, seed);
-            let b = workloads::random_bool_matrix(n, 0.3, seed ^ 1);
-            let out = otn::matmul::bool_matmul_wide(&a, &b).expect("power-of-two side");
-            let w = log2_ceil((n * n) as u64).max(1);
-            Sample { n, time: out.time, area: OtnLayout::predicted_area_rect(n * n, n, w) }
-        })
-        .collect();
-    Sweep {
-        network: "OTN".into(),
-        problem: "boolean matmul".into(),
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("OTN", "boolean matmul", Provenance::Measured, ns, |n| {
+        let a = workloads::random_bool_matrix(n, 0.3, seed);
+        let b = workloads::random_bool_matrix(n, 0.3, seed ^ 1);
+        let out = otn::matmul::bool_matmul_wide(&a, &b).expect("power-of-two side");
+        let w = log2_ceil((n * n) as u64).max(1);
+        Sample { n, time: out.time, area: OtnLayout::predicted_area_rect(n * n, n, w) }
+    })
 }
 
 /// The OTC row of Table II: the wide-OTN run re-priced at the OTC's area
 /// (same time by the §V argument; `(N²/log N²)`-per-side cycles).
 pub fn boolmm_otc(ns: &[usize], seed: u64) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let a = workloads::random_bool_matrix(n, 0.3, seed);
-            let b = workloads::random_bool_matrix(n, 0.3, seed ^ 1);
-            let out = otn::matmul::bool_matmul_wide(&a, &b).expect("power-of-two side");
-            let (m, l) = Otc::dims_for((n * n).max(4)).expect("validated");
-            let w = log2_ceil((n * n) as u64).max(1);
-            Sample { n, time: out.time, area: OtcLayout::predicted_area(m, l, w) }
-        })
-        .collect();
-    Sweep {
-        network: "OTC".into(),
-        problem: "boolean matmul".into(),
-        provenance: Provenance::Emulated,
-        samples,
-    }
+    boolmm_otc_of(&boolmm_otn(ns, seed))
+}
+
+/// [`boolmm_otc`] from the [`boolmm_otn`] sweep `otn` already measured:
+/// each of its samples keeps its time and takes the OTC's area.
+pub(crate) fn boolmm_otc_of(otn: &Sweep) -> Sweep {
+    let ns: Vec<usize> = otn.samples.iter().map(|s| s.n).collect();
+    Sweep::new("OTC", "boolean matmul", Provenance::Emulated, &ns, |n| {
+        let time = otn.at(n).expect("one of the sweep's own sizes").time;
+        let (m, l) = Otc::dims_for((n * n).max(4)).expect("validated");
+        let w = log2_ceil((n * n) as u64).max(1);
+        Sample { n, time, area: OtcLayout::predicted_area(m, l, w) }
+    })
 }
 
 /// Integer multiplication on Leighton's 3-D mesh of trees (paper §VII.B):
 /// unpipelined Θ(polylog) time on a modeled Θ(N⁴) layout.
 pub fn matmul_mot3d(ns: &[usize], seed: u64) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let a = workloads::random_bool_matrix(n, 0.3, seed);
-            let b = workloads::random_bool_matrix(n, 0.3, seed ^ 1);
-            let out = orthotrees::mot3d::matmul(&a, &b).expect("power-of-two side");
-            Sample { n, time: out.time, area: orthotrees::mot3d::Mot3d::predicted_area(n) }
-        })
-        .collect();
-    Sweep {
-        network: "3D-MOT".into(),
-        problem: "boolean matmul".into(),
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("3D-MOT", "boolean matmul", Provenance::Measured, ns, |n| {
+        let a = workloads::random_bool_matrix(n, 0.3, seed);
+        let b = workloads::random_bool_matrix(n, 0.3, seed ^ 1);
+        let out = orthotrees::mot3d::matmul(&a, &b).expect("power-of-two side");
+        Sample { n, time: out.time, area: orthotrees::mot3d::Mot3d::predicted_area(n) }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -320,101 +269,56 @@ pub fn matmul_mot3d(ns: &[usize], seed: u64) -> Sweep {
 /// `G(n, p)` with `p` scaled to keep ~2 edges per vertex, a hard regime
 /// with many merges).
 pub fn cc_otn(ns: &[usize], seed: u64) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let adj = workloads::gnp_adjacency(n, (2.0 / n as f64).min(0.5), seed);
-            let out = otn::graph::cc::connected_components(&adj).expect("power-of-two n");
-            debug_assert_eq!(out.labels, otn::graph::cc::reference_components(&adj));
-            Sample { n, time: out.time, area: OtnLayout::predicted_area(n, graph_word_bits(n)) }
-        })
-        .collect();
-    Sweep {
-        network: "OTN".into(),
-        problem: "connected components".into(),
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("OTN", "connected components", Provenance::Measured, ns, |n| {
+        let adj = workloads::gnp_adjacency(n, (2.0 / n as f64).min(0.5), seed);
+        let out = otn::graph::cc::connected_components(&adj).expect("power-of-two n");
+        debug_assert_eq!(out.labels, otn::graph::cc::reference_components(&adj));
+        Sample { n, time: out.time, area: OtnLayout::predicted_area(n, graph_word_bits(n)) }
+    })
 }
 
 /// The OTC row of Table III: the §VI.B *direct* OTC implementation
 /// (`orthotrees::otc::cc`), measured operation by operation.
 pub fn cc_otc(ns: &[usize], seed: u64) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let adj = workloads::gnp_adjacency(n, (2.0 / n as f64).min(0.5), seed);
-            let out = otc::cc::connected_components(&adj).expect("power-of-two n >= 4");
-            let (m, l) = Otc::dims_for(n).expect("validated");
-            Sample { n, time: out.time, area: OtcLayout::predicted_area(m, l, graph_word_bits(n)) }
-        })
-        .collect();
-    Sweep {
-        network: "OTC".into(),
-        problem: "connected components".into(),
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("OTC", "connected components", Provenance::Measured, ns, |n| {
+        let adj = workloads::gnp_adjacency(n, (2.0 / n as f64).min(0.5), seed);
+        let out = otc::cc::connected_components(&adj).expect("power-of-two n >= 4");
+        let (m, l) = Otc::dims_for(n).expect("validated");
+        Sample { n, time: out.time, area: OtcLayout::predicted_area(m, l, graph_word_bits(n)) }
+    })
 }
 
 /// Connected components on the mesh (GKT timing) over `ns`.
 pub fn cc_mesh(ns: &[usize], seed: u64) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let adj = workloads::gnp_adjacency(n, (2.0 / n as f64).min(0.5), seed);
-            let rows = workloads::grid_to_rows(&adj);
-            let out = mesh::closure::connected_components(&rows).expect("square");
-            let w = log2_ceil(n as u64).max(1);
-            Sample { n, time: out.time, area: MeshLayout::predicted_area(n, n, w) }
-        })
-        .collect();
-    Sweep {
-        network: "Mesh".into(),
-        problem: "connected components".into(),
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("Mesh", "connected components", Provenance::Measured, ns, |n| {
+        let adj = workloads::gnp_adjacency(n, (2.0 / n as f64).min(0.5), seed);
+        let rows = workloads::grid_to_rows(&adj);
+        let out = mesh::closure::connected_components(&rows).expect("square");
+        let w = log2_ceil(n as u64).max(1);
+        Sample { n, time: out.time, area: MeshLayout::predicted_area(n, n, w) }
+    })
 }
 
 /// MST on the OTN over vertex counts `ns`.
 pub fn mst_otn(ns: &[usize], seed: u64) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let weights = workloads::random_weights(n, (4.0 / n as f64).min(0.5), 1000, seed);
-            let out = otn::graph::mst::minimum_spanning_tree(&weights).expect("power-of-two n");
-            let wbits = log2_ceil(1001).max(1) + graph_word_bits(n);
-            Sample { n, time: out.time, area: OtnLayout::predicted_area(n, wbits) }
-        })
-        .collect();
-    Sweep {
-        network: "OTN".into(),
-        problem: "minimum spanning tree".into(),
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("OTN", "minimum spanning tree", Provenance::Measured, ns, |n| {
+        let weights = workloads::random_weights(n, (4.0 / n as f64).min(0.5), 1000, seed);
+        let out = otn::graph::mst::minimum_spanning_tree(&weights).expect("power-of-two n");
+        let wbits = log2_ceil(1001).max(1) + graph_word_bits(n);
+        Sample { n, time: out.time, area: OtnLayout::predicted_area(n, wbits) }
+    })
 }
 
 /// The OTC MST row: the §VI.B *direct* OTC Borůvka (`orthotrees::otc::mst`)
 /// with the weight matrix stored on chip (area `Θ(N² log N)`).
 pub fn mst_otc(ns: &[usize], seed: u64) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let weights = workloads::random_weights(n, (4.0 / n as f64).min(0.5), 1000, seed);
-            let out = otc::mst::minimum_spanning_tree(&weights).expect("power-of-two n >= 4");
-            let (m, l) = Otc::dims_for(n).expect("validated");
-            let wbits = log2_ceil(1001).max(1) + graph_word_bits(n);
-            Sample { n, time: out.time, area: OtcLayout::predicted_area(m, l, wbits) }
-        })
-        .collect();
-    Sweep {
-        network: "OTC".into(),
-        problem: "minimum spanning tree".into(),
-        provenance: Provenance::Measured,
-        samples,
-    }
+    Sweep::new("OTC", "minimum spanning tree", Provenance::Measured, ns, |n| {
+        let weights = workloads::random_weights(n, (4.0 / n as f64).min(0.5), 1000, seed);
+        let out = otc::mst::minimum_spanning_tree(&weights).expect("power-of-two n >= 4");
+        let (m, l) = Otc::dims_for(n).expect("validated");
+        let wbits = log2_ceil(1001).max(1) + graph_word_bits(n);
+        Sample { n, time: out.time, area: OtcLayout::predicted_area(m, l, wbits) }
+    })
 }
 
 /// §VIII pipelined-throughput sweep: per-problem sorting time on the OTN
@@ -422,26 +326,18 @@ pub fn mst_otc(ns: &[usize], seed: u64) -> Sweep {
 /// AT² drops to the OTC's `N² log⁴ N` class because a result emerges every
 /// `Θ(log N)` bit-times.
 pub fn pipelined_sort_throughput(ns: &[usize], problems: usize, seed: u64) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| {
-            let net = Otn::for_sorting(n).expect("power-of-two n");
-            let batch: Vec<Vec<Word>> =
-                (0..problems).map(|p| workloads::distinct_words(n, seed + p as u64)).collect();
-            let out = otn::pipeline::pipelined_sorts(&net, &batch).expect("sized batch");
-            Sample {
-                n,
-                time: BitTime::new(out.per_problem_time().ceil() as u64),
-                area: OtnLayout::predicted_area_default(n),
-            }
-        })
-        .collect();
-    Sweep {
-        network: "OTN".into(),
-        problem: format!("pipelined sorting (k={problems})"),
-        provenance: Provenance::Measured,
-        samples,
-    }
+    let problem = format!("pipelined sorting (k={problems})");
+    Sweep::new("OTN", &problem, Provenance::Measured, ns, |n| {
+        let net = Otn::for_sorting(n).expect("power-of-two n");
+        let batch: Vec<Vec<Word>> =
+            (0..problems).map(|p| workloads::distinct_words(n, seed + p as u64)).collect();
+        let out = otn::pipeline::pipelined_sorts(&net, &batch).expect("sized batch");
+        Sample {
+            n,
+            time: BitTime::new(out.per_problem_time().ceil() as u64),
+            area: OtnLayout::predicted_area_default(n),
+        }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -458,20 +354,11 @@ pub fn analytic(
     time: Complexity,
     ns: &[usize],
 ) -> Sweep {
-    let samples = ns
-        .iter()
-        .map(|&n| Sample {
-            n,
-            time: BitTime::new(time.eval(n as u64).round().max(1.0) as u64),
-            area: Area::new(area.eval(n as u64).round().max(1.0) as u64),
-        })
-        .collect();
-    Sweep {
-        network: network.into(),
-        problem: problem.into(),
-        provenance: Provenance::Analytic,
-        samples,
-    }
+    Sweep::new(network, problem, Provenance::Analytic, ns, |n| Sample {
+        n,
+        time: BitTime::new(time.eval(n as u64).round().max(1.0) as u64),
+        area: Area::new(area.eval(n as u64).round().max(1.0) as u64),
+    })
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! as a human-readable view of the `orthotrees-telemetry/v1` document.
 
 use crate::experiments::{pipeline_telemetry, PipelineSlo};
+use orthotrees_vlsi::ModelError;
 use std::fmt::Write as _;
 
 /// Renders the pipeline-SLO table: one row per batch.
@@ -35,18 +36,33 @@ pub fn telemetry_table(rows: &[PipelineSlo]) -> String {
     out
 }
 
+/// One pipelined batch of the report: its size `n` and its SLO figures,
+/// or why it failed.
+pub type PipelineBatch = (usize, Result<PipelineSlo, ModelError>);
+
+/// Runs the report's two pipeline-SLO batches, 64 problems each at
+/// `n` = 16 and 64.
+pub(crate) fn pipeline_batches(seed: u64) -> [PipelineBatch; 2] {
+    [16, 64].map(|n| (n, pipeline_telemetry(n, 64, seed)))
+}
+
 /// The telemetry section of the full report: moderate-size pipeline-SLO
 /// batches (failures render as a message instead of aborting the report).
 pub fn telemetry_report_section(seed: u64) -> String {
+    telemetry_section(&pipeline_batches(seed))
+}
+
+/// [`telemetry_report_section`] rendered from `batches`.
+pub(crate) fn telemetry_section(batches: &[PipelineBatch]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Streaming telemetry — pipelined sorting SLOs (quantiles from the ε-rank sketch):"
     );
     let mut rows = Vec::new();
-    for (n, problems) in [(16, 64), (64, 64)] {
-        match pipeline_telemetry(n, problems, seed) {
-            Ok(slo) => rows.push(slo),
+    for (n, batch) in batches {
+        match batch {
+            Ok(slo) => rows.push(slo.clone()),
             Err(e) => {
                 let _ = writeln!(out, "pipeline n={n} failed: {e}");
             }

@@ -7,8 +7,7 @@
 //! schema-checked telemetry exports (`telemetry.json` / `telemetry.om`).
 
 use orthotrees::obs::chrome::chrome_trace_with_flows;
-use orthotrees::wordnet::Tree;
-use orthotrees_analysis::{csv, obsreport, report};
+use orthotrees_analysis::{csv, report};
 use orthotrees_bench::{export, preset_from_env, summary};
 use std::fs;
 use std::path::Path;
@@ -16,22 +15,21 @@ use std::path::Path;
 fn main() {
     let preset = preset_from_env();
     let cfg = preset.config();
-    let tables = report::tables(&cfg);
-    print!("{}", report::render_report(&cfg, &tables));
+    let battery = report::Battery::run(&cfg);
+    print!("{}", report::render_report(&battery));
 
     let dir = Path::new("target/report");
     if fs::create_dir_all(dir).is_ok() {
-        for (stem, table) in &tables {
+        for (stem, table) in &battery.tables {
             let path = dir.join(format!("{stem}.csv"));
             if let Err(e) = fs::write(&path, csv::table_to_csv(table)) {
                 eprintln!("warning: could not write {}: {e}", path.display());
             }
         }
 
-        // Chrome-trace of the instrumented sort (1 τ = 1 µs in the trace).
-        let (_, rec) = obsreport::sort_observed::<Tree>(cfg.obs_n(), cfg.seed);
+        // Chrome-trace of the observed SORT-OTN (1 τ = 1 µs in the trace).
         let trace = dir.join("sort_otn.trace.json");
-        if let Err(e) = fs::write(&trace, chrome_trace_with_flows(&rec).render()) {
+        if let Err(e) = fs::write(&trace, chrome_trace_with_flows(&battery.obs.otn.1).render()) {
             eprintln!("warning: could not write {}: {e}", trace.display());
         }
         // Telemetry exports of the stock pipeline-SLO batch, schema-checked
@@ -53,7 +51,7 @@ fn main() {
         println!("\nCSV series, Perfetto trace and telemetry exports written to {}", dir.display());
     }
 
-    let bench = summary::bench_summary_of(preset.name(), &cfg, &tables);
+    let bench = summary::bench_summary_of(preset.name(), &battery);
     match fs::write("BENCH_2.json", bench.render() + "\n") {
         Ok(()) => println!("Benchmark summary written to BENCH_2.json"),
         Err(e) => eprintln!("warning: could not write BENCH_2.json: {e}"),

@@ -36,6 +36,10 @@ use orthotrees_sim::{CalendarKind, Engine, RecoveryPolicy, RunRecord};
 use orthotrees_vlsi::CostModel;
 use std::time::Instant;
 
+// The matrix's faulty rows run the plan the `netlint` profiler checks
+// (PROF-001/002) run, defined once in `orthotrees-verify`.
+pub use orthotrees_verify::profile::{dense_plan, DENSE_FAULT_RATE, DENSE_FAULT_RETRIES};
+
 /// The profile document's schema identifier.
 pub const SCHEMA: &str = "orthotrees-profile/v1";
 
@@ -80,14 +84,6 @@ fn keyed(doc: &Json) -> Vec<(String, &Json)> {
     out
 }
 
-/// Word-fault probability of the matrix's dense fault plan — the same
-/// "heavy degradation" operating point the fault sweeps use as their
-/// worst case.
-pub const DENSE_FAULT_RATE: f64 = 0.3;
-
-/// Retry budget of the dense fault plan.
-pub const DENSE_FAULT_RETRIES: u32 = 2;
-
 /// Leaf count of the supervised-recovery row (fixed small size; the
 /// outage workload's cost is size-stable and the row exists to pin the
 /// profile shape under rollback replay, not to sweep).
@@ -102,13 +98,6 @@ pub fn matrix_ns(preset_name: &str) -> Vec<usize> {
     } else {
         vec![64]
     }
-}
-
-/// The dense word-fault plan of the matrix's faulty rows.
-pub fn dense_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
-        .with_word_fault_rate(DENSE_FAULT_RATE)
-        .with_max_retries(DENSE_FAULT_RETRIES)
 }
 
 fn window_json(w: &Window) -> Json {

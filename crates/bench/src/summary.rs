@@ -26,15 +26,12 @@ use crate::diff::{Family, Gate};
 use orthotrees::obs::json::Json;
 use orthotrees::obs::schema::{self, rows_at, u64_at, SchemaError};
 use orthotrees::obs::Recorder;
-use orthotrees::wordnet::{Cycles, Topology, Tree};
+use orthotrees::otn::sort::SortOutcome;
 use orthotrees::BitTime;
-use orthotrees_analysis::experiments::{self, PipelineSlo};
-use orthotrees_analysis::obsreport;
-use orthotrees_analysis::recovery;
-use orthotrees_analysis::report::{self, ReportConfig};
+use orthotrees_analysis::experiments::PipelineSlo;
+use orthotrees_analysis::report::{Battery, ReportConfig};
 use orthotrees_analysis::tables::ReproTable;
 use orthotrees_sim::RecoveryReport;
-use orthotrees_vlsi::CostModel;
 
 /// The summary schema identifier.
 pub const SCHEMA: &str = "orthotrees-bench/v1";
@@ -112,9 +109,9 @@ fn table_json(t: &ReproTable) -> Json {
     Json::obj([("id", Json::str(t.id)), ("rows", Json::arr(rows))])
 }
 
-/// The phase attribution and counters of the network's observed SORT.
-fn phase_json<T: Topology>(n: usize, seed: u64) -> Json {
-    let (out, rec) = obsreport::sort_observed::<T>(n, seed);
+/// The phase attribution and counters of `network`'s observed SORT at
+/// size `n`.
+fn phase_json(network: &str, n: usize, (out, rec): &(SortOutcome, Recorder)) -> Json {
     let attribution = rec.phase_totals().into_iter().map(|p| {
         (
             p.name,
@@ -127,7 +124,7 @@ fn phase_json<T: Topology>(n: usize, seed: u64) -> Json {
     });
     let counters = rec.counters().map(|(k, v)| (k.to_string(), Json::u64(v)));
     Json::obj([
-        ("workload", Json::str(format!("SORT-{}", T::NAME))),
+        ("workload", Json::str(format!("SORT-{network}"))),
         ("n", Json::u64(n as u64)),
         ("completion_bits", Json::u64(out.time.get())),
         ("attribution", Json::obj(attribution)),
@@ -188,55 +185,35 @@ fn telemetry_json(slo: &PipelineSlo) -> Json {
 
 /// Builds the whole benchmark summary document for one report run.
 pub fn bench_summary(preset_name: &str, cfg: &ReportConfig) -> Json {
-    bench_summary_of(preset_name, cfg, &report::tables(cfg))
+    bench_summary_of(preset_name, &Battery::run(cfg))
 }
 
-/// The summary of [`bench_summary`] over `tables`, already built by
-/// [`report::tables`] with the same `cfg`.
-pub fn bench_summary_of(preset: &str, cfg: &ReportConfig, tables: &[(&str, ReproTable)]) -> Json {
-    let obs_n = cfg.obs_n();
-    let phases = [phase_json::<Tree>(obs_n, cfg.seed), phase_json::<Cycles>(obs_n, cfg.seed)];
-
-    let m = CostModel::thompson(obs_n);
-    let observed =
-        orthotrees_sim::experiments::broadcast(obs_n, &m, |e| e.with_recorder(Recorder::new()));
-    let links = match observed {
-        Ok((t, mut e)) => {
-            links_json(obs_n, t, &e.take_recorder().expect("recorder was installed for this run"))
-        }
+/// The summary of [`bench_summary`], read from `battery`.
+///
+/// Every entry is deterministic in the seed, so it diffs exactly against
+/// a committed baseline. A failed recovery workload or pipeline batch
+/// omits its entry, which benchdiff then reports as Missing; a failed
+/// broadcast writes `links` as `null`.
+pub fn bench_summary_of(preset: &str, battery: &Battery) -> Json {
+    let obs = &battery.obs;
+    let phases = obs.sorts().map(|(network, run)| phase_json(network, obs.n, run));
+    let links = match &obs.broadcast {
+        Ok(b) => links_json(obs.n, b.time, &b.recorder),
         Err(_) => Json::Null,
     };
-
-    // Supervised crash-recovery cost at a fixed small size: the workloads
-    // are deterministic in the seed, so the entries diff exactly against a
-    // committed baseline. A failed workload simply omits its entry, which
-    // benchdiff then reports as Missing.
-    let mut recovery_entries = Vec::new();
-    if let Ok((r, _rec)) = recovery::engine_outage_recovery(16, cfg.seed) {
-        recovery_entries.push(recovery_json("SUM-OUTAGE", 16, &r));
-    }
-    if let Ok(r) = recovery::otn_soak_recovery(16, 12, cfg.seed) {
-        recovery_entries.push(recovery_json("SOAK-OTN", 16, &r));
-    }
-
-    // Pipeline-SLO figures, deterministic in the seed like the recovery
-    // entries; a failed batch omits its entry (benchdiff reports Missing).
-    let mut telemetry_entries = Vec::new();
-    for (n, problems) in [(16usize, 64usize), (64, 64)] {
-        if let Ok(slo) = experiments::pipeline_telemetry(n, problems, cfg.seed) {
-            telemetry_entries.push(telemetry_json(&slo));
-        }
-    }
-
+    let recovery = battery.recovery.iter().filter_map(|(workload, n, run)| {
+        run.as_ref().ok().map(|report| recovery_json(workload, *n, report))
+    });
+    let telemetry = battery.pipelines.iter().filter_map(|(_, batch)| batch.as_ref().ok());
     Json::obj([
         ("schema", Json::str(SCHEMA)),
         ("preset", Json::str(preset)),
-        ("seed", Json::u64(cfg.seed)),
-        ("tables", Json::arr(tables.iter().map(|(_, t)| table_json(t)))),
+        ("seed", Json::u64(battery.cfg.seed)),
+        ("tables", Json::arr(battery.tables.iter().map(|(_, t)| table_json(t)))),
         ("phases", Json::arr(phases)),
         ("links", links),
-        ("recovery", Json::arr(recovery_entries)),
-        ("telemetry", Json::arr(telemetry_entries)),
+        ("recovery", Json::arr(recovery)),
+        ("telemetry", Json::arr(telemetry.map(telemetry_json))),
     ])
 }
 

@@ -118,20 +118,31 @@ pub fn check_word_tiling(
     out
 }
 
-/// Deterministic distinct sorting inputs for the stock word-level runs
-/// (a bijective scramble of `0..n`, so no workload-crate dependency).
-fn scrambled_words(n: usize) -> Vec<i64> {
-    (0..n as i64).map(|i| (i * 37) ^ 0x15).collect()
+/// Deterministic distinct sorting inputs for the stock word-level runs:
+/// a bijective scramble of `salt·n .. (salt + 1)·n`, so no workload-crate
+/// dependency.
+pub(crate) fn scrambled_words(n: usize, salt: i64) -> Vec<i64> {
+    (0..n as i64).map(|i| ((i + salt * n as i64) * 37) ^ 0x15).collect()
 }
 
-/// The dense word-fault plan of the faulty stock rows — heavy enough
-/// that retry overhead is guaranteed to appear in the windows.
-fn dense_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed).with_word_fault_rate(0.3).with_max_retries(2)
+/// Word-fault probability of the dense fault plan — the same "heavy
+/// degradation" operating point the fault sweeps use as their worst case.
+pub const DENSE_FAULT_RATE: f64 = 0.3;
+
+/// Retry budget of the dense fault plan.
+pub const DENSE_FAULT_RETRIES: u32 = 2;
+
+/// The dense word-fault plan of the faulty stock rows, here and in the
+/// `simprof` matrix — heavy enough that retry overhead is guaranteed to
+/// appear in the windows.
+pub fn dense_plan(seed: u64) -> FaultPlan {
+    FaultPlan::new(seed)
+        .with_word_fault_rate(DENSE_FAULT_RATE)
+        .with_max_retries(DENSE_FAULT_RETRIES)
 }
 
 fn word_stock<T: Topology>(n: usize, faulty: bool, out: &mut Vec<Finding>) {
-    let xs = scrambled_words(n);
+    let xs = scrambled_words(n, 0);
     let Ok(mut net) = T::for_sorting(n) else { return };
     net.install_recorder(Recorder::new());
     if faulty {
@@ -229,7 +240,7 @@ mod tests {
 
     #[test]
     fn dropped_word_tau_is_prof001() {
-        let xs = scrambled_words(16);
+        let xs = scrambled_words(16, 0);
         let mut net = Tree::for_sorting(16).unwrap();
         net.install_recorder(Recorder::new());
         let out = Tree::sort(&mut net, &xs).unwrap();

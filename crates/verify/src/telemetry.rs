@@ -20,6 +20,7 @@
 //! deliberately corrupted sketch / tampered dump.
 
 use crate::diag::Finding;
+use crate::profile::scrambled_words;
 use orthotrees::obs::json::Json;
 use orthotrees::obs::schema::{self, rows_at, u64_at, SchemaError};
 use orthotrees::obs::telemetry::{within_rank_band, QuantileSketch, Telemetry, REPORTED_QUANTILES};
@@ -125,12 +126,6 @@ fn drops_account_for_the_tail(dump: &Json) -> Result<(), SchemaError> {
     let expected = || format!("{held} = dropped_events + |tail|");
     let error = || SchemaError::new("recorded_events", expected(), recorded);
     (held == recorded).then_some(()).ok_or_else(error)
-}
-
-/// Deterministic distinct sorting inputs (the same bijective scramble
-/// the profiler stock runs use).
-fn scrambled_words(n: usize, salt: i64) -> Vec<i64> {
-    (0..n as i64).map(|i| ((i + salt * n as i64) * 37) ^ 0x15).collect()
 }
 
 /// Runs one pipelined OTN sorting batch and checks TEL-001 on its
